@@ -172,8 +172,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BundleError(f"cannot write {output}: {exc}") from exc
 
 
 def _pick(items: Sequence, index: int, flag: str):

@@ -4,10 +4,18 @@ All arithmetic is over the rationals with zero tolerance: scalars are
 ``fractions.Fraction``, vectors and matrices are immutable tuples, and
 bilinear products are sparse structure-constant tensors mapping a basis
 pair ``(i, j)`` to the sparse coordinate vector of ``e_i * e_j``.
+
+The hot kernels (``grid_mul``, ``apply_cols``, ``mat_mul``, ``mat_lincomb``)
+are fraction-free: each operand is scaled once to integer numerators over
+its common denominator, every term is summed as an ``int``, and each nonzero
+result is divided back into one canonical ``Fraction``.  Nothing is rounded,
+so the results are the same rationals a ``Fraction`` sum gives.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -111,16 +119,35 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def _scaled(values: Iterable) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = lcm(*[d for _, d in ratios])
+    if den == 1:
+        return [n for n, _ in ratios], 1
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _unscaled_rows(nums: list[int], den: int, rows: int, cols: int) -> Matrix:
+    """The row-major ``rows`` x ``cols`` matrix of canonical ``n / den``."""
+    if den == 1:
+        vals = [Fraction(n) if n else ZERO for n in nums]
+    else:
+        vals = [Fraction(n, den) if n else ZERO for n in nums]
+    return tuple(tuple(vals[r * cols:(r + 1) * cols]) for r in range(rows))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
     if ca != rb:
         raise DimensionMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt)
-        for row in a
-    )
+    an, ad = _scaled(x for row in a for x in row)
+    bn, bd = _scaled(x for row in b for x in row)
+    bcols = [bn[c::cb] for c in range(cb)]
+    out = [sum(map(mul, an[r * ca:(r + 1) * ca], col))
+           for r in range(ra) for col in bcols]
+    return _unscaled_rows(out, ad * bd, ra, cb)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -164,11 +191,17 @@ def mat_lincomb(coeffs: "Svec", mats: Sequence[Matrix], rows: int,
     """Linear combination of matrices: sum of coeffs[s] * mats[s]."""
     if not coeffs:
         return mat_zero(rows, cols)
-    return tuple(
-        tuple(sum((c * mats[s][r][b] for s, c in coeffs.items()), start=ZERO)
-              for b in range(cols))
-        for r in range(rows)
-    )
+    terms = []
+    for s, c in coeffs.items():
+        nums, den = _scaled(x for row in mats[s] for x in row)
+        cn, cd = c.as_integer_ratio()
+        terms.append((cn, cd * den, nums))
+    den = lcm(*[d for _, d, _ in terms])
+    acc = [0] * (rows * cols)
+    for cn, d, nums in terms:
+        f = cn * (den // d)
+        acc = [x + f * y for x, y in zip(acc, nums)]
+    return _unscaled_rows(acc, den, rows, cols)
 
 
 def mat_kernel_vector(a: Matrix) -> "Svec | None":
@@ -262,20 +295,33 @@ def cols_to_matrix(cols: Sequence[Svec], rows: int) -> Matrix:
     )
 
 
+def _sv_unscaled(acc: dict[int, int], den: int) -> Svec:
+    """The sparse vector ``acc / den`` without its zero entries."""
+    if den == 1:
+        return {k: Fraction(n) for k, n in acc.items() if n}
+    return {k: Fraction(n, den) for k, n in acc.items() if n}
+
+
 def apply_cols(cols: Sequence[Svec], u: Svec) -> Svec:
-    out: Svec = {}
-    for j, cj in u.items():
+    """Image of ``u`` under the map whose sparse columns are ``cols``."""
+    # integer numerators over a running common denominator ``den``
+    acc: dict[int, int] = {}
+    den = 1
+    for j, c in u.items():
         col = cols[j]
         if not col:
             continue
+        cn, cd = c.as_integer_ratio()
         for i, w in col.items():
-            acc = out.get(i)
-            nv = cj * w if acc is None else acc + cj * w
-            if nv:
-                out[i] = nv
-            elif acc is not None:
-                del out[i]
-    return out
+            wn, wd = w.as_integer_ratio()
+            d = cd * wd
+            if den % d:
+                grown = lcm(den, d)
+                for k in acc:
+                    acc[k] *= grown // den
+                den = grown
+            acc[i] = acc.get(i, 0) + cn * wn * (den // d)
+    return _sv_unscaled(acc, den) if acc else {}
 
 
 # ---------------------------------------------------------------------------
@@ -352,31 +398,73 @@ def tensor_commutator(a: Tensor) -> Tensor:
     return tensor_sub(a, tensor_flip(a))
 
 
-def tensor_grid(t: Tensor, dim: int) -> list[list[Svec | None]]:
-    grid: list[list[Svec | None]] = [[None] * dim for _ in range(dim)]
+class Grid(list):
+    """``grid[i][j]`` is the cell of ``e_i * e_j`` (None when absent).
+
+    ``ints[i][j]`` holds the same cell as ``(k, numerator)`` pairs over the
+    grid's common denominator ``den``, for the integer sums of ``grid_mul``.
+    """
+
+    __slots__ = ("ints", "den")
+
+
+def tensor_grid(t: Tensor, dim: int) -> Grid:
+    grid = Grid([None] * dim for _ in range(dim))
+    ints: list[list] = [[None] * dim for _ in range(dim)]
+    den = lcm(*[v.denominator for cell in t.values() for v in cell.values()])
     for (i, j), cell in t.items():
         grid[i][j] = cell
+        if cell:
+            ints[i][j] = tuple((k, v.numerator * (den // v.denominator))
+                               for k, v in cell.items())
+    grid.ints = ints
+    grid.den = den
     return grid
 
 
-def grid_mul(grid: list[list[Svec | None]], u: Svec, v: Svec) -> Svec:
+def _scaled_items(u: Svec) -> tuple[list[tuple[int, int]], int]:
+    """The entries of ``u`` as integer numerators over its least common
+    denominator."""
+    nums, den = _scaled(u.values())
+    return list(zip(u, nums)), den
+
+
+def grid_mul(grid: Grid, u: Svec, v: Svec) -> Svec:
     """Sparse evaluation of ``u * v`` against a tensor grid."""
-    out: Svec = {}
-    for i, ci in u.items():
-        row = grid[i]
-        for j, cj in v.items():
+    if not u or not v:
+        return {}
+    # u and v as integer numerators over their common denominators; the
+    # loops are inlined for the common all-integer case
+    uu = []
+    for i, c in u.items():
+        n, d = c.as_integer_ratio()
+        if d != 1:
+            uu, du = _scaled_items(u)
+            break
+        uu.append((i, n))
+    else:
+        du = 1
+    vv = []
+    for j, c in v.items():
+        n, d = c.as_integer_ratio()
+        if d != 1:
+            vv, dv = _scaled_items(v)
+            break
+        vv.append((j, n))
+    else:
+        dv = 1
+    ints = grid.ints
+    acc: dict[int, int] = {}
+    for i, ni in uu:
+        row = ints[i]
+        for j, nj in vv:
             cell = row[j]
             if not cell:
                 continue
-            c = ci * cj
-            for k, w in cell.items():
-                acc = out.get(k)
-                nv = c * w if acc is None else acc + c * w
-                if nv:
-                    out[k] = nv
-                elif acc is not None:
-                    del out[k]
-    return out
+            c = ni * nj
+            for k, w in cell:
+                acc[k] = acc.get(k, 0) + c * w
+    return _sv_unscaled(acc, du * dv * grid.den) if acc else {}
 
 
 def product_eval(t: Tensor, x: Vector, y: Vector) -> Vector:

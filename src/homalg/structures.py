@@ -6,6 +6,7 @@ structure class over all basis tuples and reports the exact nonzero residuals.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -405,6 +406,9 @@ def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
     def cell(i, j):
         return grid[i][j] or {}
 
+    # ALT-L and ALT-R read every associator twice each; the cache lives as
+    # long as the identities, i.e. for one check
+    @functools.cache
     def asc(i, j, k):
         return sv_sub(grid_mul(grid, cell(i, j), a[k]),
                       grid_mul(grid, a[i], cell(j, k)))

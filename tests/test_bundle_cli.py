@@ -554,6 +554,23 @@ def test_cli_check_output_file(tmp_path, capsys):
     assert payload["exit_status"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "lie_dim2", "--format", "json"],
+    ["construct", "mdendri_sl2", "--recipe", "horizontal"],
+    ["diagram", "octonions", "--format", "json"],
+    ["fmt", "lie_dim2"],
+], ids=lambda argv: argv[0])
+def test_cli_output_into_missing_directory(argv, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "out.json"
+    command = [argv[0], fixture_path(argv[1]), *argv[2:], "-o", str(target)]
+    status, out, err = run_cli(command, capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI: construct
 # ---------------------------------------------------------------------------

@@ -296,3 +296,176 @@ def test_product_eval_bilinear_property(x, y, z, c):
     right = product_eval(t, z, vec_add(x, vec_scale(c, y)))
     split_r = vec_add(product_eval(t, z, x), vec_scale(c, product_eval(t, z, y)))
     assert right == split_r
+
+
+# ---------------------------------------------------------------------------
+# fraction-free kernels against plain-Fraction references
+# ---------------------------------------------------------------------------
+
+KERNEL_DIM = 4
+
+#: denominators: 1, small coprime primes, their products, and values far
+#: beyond a machine word, so operands mix unrelated denominators
+_denominators = st.one_of(
+    st.sampled_from([1, 2, 3, 5, 7, 6, 35, 1009, 2 ** 61 - 1]),
+    st.integers(min_value=1, max_value=2 ** 70),
+)
+_numerators = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2 ** 80), max_value=2 ** 80),
+)
+rational_st = st.builds(Fraction, _numerators, _denominators)
+nonzero_st = rational_st.filter(bool)
+
+
+def sparse_st(n: int = KERNEL_DIM):
+    return st.dictionaries(st.integers(0, n - 1), nonzero_st, max_size=n)
+
+
+def tensor_st(n: int = KERNEL_DIM):
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return st.dictionaries(pairs, sparse_st(n), max_size=n * n)
+
+
+def dense_matrix_st(rows: int, cols: int):
+    entry = st.one_of(st.just(F(0)), rational_st)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(matrix)
+
+
+def ref_grid_mul(t, u, v):
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            for k, w in t.get((i, j), {}).items():
+                out[k] = out.get(k, F(0)) + a * b * w
+    return {k: x for k, x in out.items() if x}
+
+
+def ref_apply_cols(cols, u):
+    out = {}
+    for j, a in u.items():
+        for i, w in cols[j].items():
+            out[i] = out.get(i, F(0)) + a * w
+    return {k: x for k, x in out.items() if x}
+
+
+def ref_mat_mul(a, b):
+    return tuple(tuple(sum((a[r][s] * b[s][c] for s in range(len(b))), F(0))
+                       for c in range(len(b[0]) if b else 0))
+                 for r in range(len(a)))
+
+
+def ref_mat_lincomb(coeffs, mats, rows, cols):
+    return tuple(tuple(sum((c * mats[s][r][b] for s, c in coeffs.items()), F(0))
+                       for b in range(cols))
+                 for r in range(rows))
+
+
+def assert_canonical_svec(got, want):
+    assert got == want
+    assert all(type(x) is Fraction and x for x in got.values())
+
+
+def assert_canonical_matrix(got, want):
+    assert got == want
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensor_st(), sparse_st(), sparse_st())
+def test_grid_mul_matches_fraction_reference(t, u, v):
+    grid = tensor_grid(t, KERNEL_DIM)
+    assert_canonical_svec(grid_mul(grid, u, v), ref_grid_mul(t, u, v))
+    # the grid still hands out the tensor's own Fraction cells
+    for i in range(KERNEL_DIM):
+        for j in range(KERNEL_DIM):
+            assert grid[i][j] is t.get((i, j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_st(), nonzero_st, nonzero_st, nonzero_st, sparse_st())
+def test_grid_mul_cancels_to_exact_zero(cell, p, q, r, extra):
+    """u = p e0 + q e1 against cells with e1 * e2 = -(p/q) e0 * e2: the
+    e2-column of the product cancels exactly and leaves no zero entries."""
+    t = {(0, 2): cell, (1, 2): {k: -p / q * w for k, w in cell.items()},
+         (3, 3): extra}
+    grid = tensor_grid(t, KERNEL_DIM)
+    assert grid_mul(grid, {0: p, 1: q}, {2: r}) == {}
+    got = grid_mul(grid, {0: p, 1: q, 3: r}, {2: r, 3: q})
+    assert_canonical_svec(got, ref_grid_mul(t, {0: p, 1: q, 3: r}, {2: r, 3: q}))
+
+
+@given(sparse_st(), sparse_st())
+def test_grid_mul_empty_operands_and_rows(u, v):
+    empty = tensor_grid({}, KERNEL_DIM)
+    assert all(cell is None for row in empty for cell in row)
+    assert grid_mul(empty, u, v) == {}
+    # rows 1..3 hold no cell at all
+    grid = tensor_grid({(0, 0): {1: F(3, 7)}}, KERNEL_DIM)
+    assert grid_mul(grid, {}, v) == {} and grid_mul(grid, u, {}) == {}
+    assert grid_mul(grid, u, v) == ref_grid_mul({(0, 0): {1: F(3, 7)}}, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sparse_st(), min_size=KERNEL_DIM, max_size=KERNEL_DIM),
+       sparse_st())
+def test_apply_cols_matches_fraction_reference(cols, u):
+    assert_canonical_svec(apply_cols(cols, u), ref_apply_cols(cols, u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_st(), nonzero_st, nonzero_st)
+def test_apply_cols_cancels_to_exact_zero(col, p, q):
+    cols = [col, {k: -p / q * w for k, w in col.items()}, {}, {}]
+    assert apply_cols(cols, {0: p, 1: q}) == {}
+    assert apply_cols(cols, {2: p, 3: q}) == {}
+    assert apply_cols(cols, {}) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.data())
+def test_mat_mul_matches_fraction_reference(ra, ca, cb, data):
+    a = data.draw(dense_matrix_st(ra, ca))
+    b = data.draw(dense_matrix_st(ca, cb))
+    assert_canonical_matrix(mat_mul(a, b), ref_mat_mul(a, b))
+    assert mat_mul(a, mat_zero(ca, cb)) == mat_zero(ra, cb)
+    assert mat_mul(mat_zero(ra, ca), b) == mat_zero(ra, cb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_matrix_st(2, 3), nonzero_st)
+def test_mat_mul_cancels_to_exact_zero(a, c):
+    """(a | -c a) times the stacked (c I; I) is exactly zero."""
+    left = matrix([list(row) + [-c * x for x in row] for row in a])
+    right = matrix([[c if r == s else 0 for s in range(3)] for r in range(3)]
+                   + [[1 if r == s else 0 for s in range(3)] for r in range(3)])
+    assert_canonical_matrix(mat_mul(left, right), mat_zero(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_mat_mul_shape_guard_property(ra, ca, cb, data):
+    rb = data.draw(st.integers(1, 4).filter(lambda n: n != ca))
+    with pytest.raises(DimensionMismatch):
+        mat_mul(mat_zero(ra, ca), mat_zero(rb, cb))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_mat_lincomb_matches_fraction_reference(rows, cols, data):
+    mats = data.draw(st.lists(dense_matrix_st(rows, cols), min_size=3,
+                              max_size=3))
+    coeffs = data.draw(st.dictionaries(st.integers(0, 2), nonzero_st,
+                                       max_size=3))
+    assert_canonical_matrix(mat_lincomb(coeffs, mats, rows, cols),
+                            ref_mat_lincomb(coeffs, mats, rows, cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_matrix_st(2, 3), nonzero_st, nonzero_st)
+def test_mat_lincomb_cancels_to_exact_zero(m, p, q):
+    scaled = matrix([[p / q * x for x in row] for row in m])
+    got = mat_lincomb({0: p, 1: -q, 2: q}, [m, scaled, mat_zero(2, 3)], 2, 3)
+    assert_canonical_matrix(got, mat_zero(2, 3))
+    assert mat_lincomb({}, [m], 2, 3) == mat_zero(2, 3)
