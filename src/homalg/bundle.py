@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
@@ -60,18 +61,25 @@ def format_rational(value: Fraction) -> str:
     """Canonical ``"p/q"`` string: reduced, positive denominator, ``/1``
     mandatory."""
     f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # more digits than int -> str allows
+        raise BundleError(f"cannot write a rational with more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def parse_rational(text: Any, where: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise BundleError(f"{where}: expected a rational string 'p/q', got {text!r}")
     num, _, den = text.partition("/")
-    if den:
-        if int(den) == 0:
-            raise BundleError(f"{where}: zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    try:
+        n, d = int(num), int(den or "1")
+    except ValueError as exc:  # more digits than str -> int allows
+        raise BundleError(f"{where}: more than {sys.get_int_max_str_digits()} "
+                          f"digits in {text[:20]}...") from exc
+    if d == 0:
+        raise BundleError(f"{where}: zero denominator in {text!r}")
+    return Fraction(n, d)
 
 
 def _require_index(value: Any, bound: int, where: str) -> int:
@@ -334,7 +342,9 @@ def _parse_operator(raw: Any, structure: HomStructure,
 def loads_bundle(text: str) -> Bundle:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers with more digits
+        # than str -> int allows; RecursionError, nesting too deep to parse
         raise BundleError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise BundleError("top level: expected an object")

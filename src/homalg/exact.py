@@ -1,21 +1,26 @@
 """Exact rational linear algebra and sparse bilinear-product primitives.
 
-All arithmetic is over the rationals with zero tolerance: scalars are
-``fractions.Fraction``, vectors and matrices are immutable tuples, and
-bilinear products are sparse structure-constant tensors mapping a basis
-pair ``(i, j)`` to the sparse coordinate vector of ``e_i * e_j``.
+All arithmetic is over the rationals with zero tolerance.  Structures are
+stored with ``fractions.Fraction`` scalars: vectors and matrices are
+immutable tuples, and bilinear products are sparse structure-constant
+tensors mapping a basis pair ``(i, j)`` to the sparse coordinate vector of
+``e_i * e_j``.
 
-The hot kernels (``grid_mul``, ``apply_cols``, ``mat_mul``, ``mat_lincomb``)
-are fraction-free: each operand is scaled once to integer numerators over
-its common denominator, every term is summed as an ``int``, and each nonzero
-result is divided back into one canonical ``Fraction``.  Nothing is rounded,
-so the results are the same rationals a ``Fraction`` sum gives.
+Inside a sweep every value is integer numerators over one denominator: an
+:class:`Ivec` (sparse vector) or an :class:`Imat` (flat row-major matrix).
+The kernels (``grid_mul``, ``apply_cols``, ``sv_*``, ``mat_mul``,
+``mat_add``, ``mat_sub``, ``mat_lincomb``) take and return these forms and
+sum every term as an ``int``; a plain ``Fraction`` mapping or tuple matrix
+passed to one is converted on entry.  Numerators are not reduced, so two
+integer forms of one value may differ: compare values by testing their
+difference for zero.  Canonical ``Fraction`` values are built only where a
+value leaves the engine (:func:`sv_fractions`, :func:`mat_fractions`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -36,8 +41,44 @@ class DimensionMismatch(ValueError):
     """Shapes of matrices, vectors, or tensors do not line up."""
 
 
+class Ivec(dict):
+    """Sparse vector: index -> nonzero ``int`` numerator over ``den``."""
+
+    __slots__ = ("den",)
+
+
+class Imat(list):
+    """Matrix: ``rows * cols`` row-major ``int`` numerators over ``den``."""
+
+    __slots__ = ("den", "rows", "cols")
+
+
+def _ivec(nums: Mapping[int, int], den: int) -> Ivec:
+    out = Ivec(nums)
+    out.den = den
+    return out
+
+
+def _imat(nums: Iterable[int], den: int, rows: int, cols: int) -> Imat:
+    out = Imat(nums)
+    out.den, out.rows, out.cols = den, rows, cols
+    return out
+
+
+#: the zero vector; an Ivec is never mutated once built, so kernel results
+#: may share this one, or be one of their operands
+_EMPTY = _ivec({}, 1)
+
+
+def _nonzero(acc: dict[int, int], den: int) -> Ivec:
+    """The integer vector ``acc / den`` without its zero entries."""
+    if 0 in acc.values():
+        acc = {k: n for k, n in acc.items() if n}
+    return _ivec(acc, den) if acc else _EMPTY
+
+
 # ---------------------------------------------------------------------------
-# scalars and vectors
+# scalars, vectors and the integer forms
 # ---------------------------------------------------------------------------
 
 def as_fraction(value) -> Fraction:
@@ -50,29 +91,40 @@ def as_fraction(value) -> Fraction:
     raise DimensionMismatch(f"cannot interpret {value!r} as an exact rational")
 
 
+def as_ivec(u: Mapping) -> Ivec:
+    """``u`` as an :class:`Ivec`; a mapping to rationals is converted."""
+    if type(u) is Ivec:
+        return u
+    ratios = {k: c.as_integer_ratio() for k, c in u.items() if c}
+    den = lcm(*[d for _, d in ratios.values()])
+    return _ivec({k: n * (den // d) for k, (n, d) in ratios.items()}, den)
+
+
+def as_imat(m) -> Imat:
+    """``m`` as an :class:`Imat`; a tuple matrix of rationals is converted."""
+    if type(m) is Imat:
+        return m
+    rows, cols = mat_shape(m)
+    ratios = [x.as_integer_ratio() for row in m for x in row]
+    den = lcm(*[d for _, d in ratios])
+    return _imat([n * (den // d) for n, d in ratios], den, rows, cols)
+
+
+def sv_fractions(u: Ivec) -> Svec:
+    """The canonical ``Fraction`` entries of an integer vector."""
+    den = u.den
+    return {k: Fraction(n, den) for k, n in u.items()}
+
+
+def mat_fractions(m: Imat) -> Matrix:
+    """The canonical ``Fraction`` tuple matrix of an integer matrix."""
+    vals = [Fraction(n, m.den) for n in m]
+    c = m.cols
+    return tuple(tuple(vals[r * c:(r + 1) * c]) for r in range(m.rows))
+
+
 def vector(values: Iterable) -> Vector:
     return tuple(as_fraction(v) for v in values)
-
-
-def basis_vector(dim: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(dim))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Vector) -> Vector:
-    c = as_fraction(c)
-    return tuple(c * a for a in u)
 
 
 # ---------------------------------------------------------------------------
@@ -98,67 +150,48 @@ def mat_zero(rows: int, cols: int) -> Matrix:
     return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if mat_shape(a) != mat_shape(b):
-        raise DimensionMismatch(f"matrix shapes differ: {mat_shape(a)} vs {mat_shape(b)}")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _mat_sum(a, b, sign: int) -> Imat:
+    a, b = as_imat(a), as_imat(b)
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise DimensionMismatch(
+            f"matrix shapes differ: {(a.rows, a.cols)} vs {(b.rows, b.cols)}")
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, sign * (den // b.den)
+    return _imat(map(add, map(fa.__mul__, a), map(fb.__mul__, b)), den,
+                 a.rows, a.cols)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if mat_shape(a) != mat_shape(b):
-        raise DimensionMismatch(f"matrix shapes differ: {mat_shape(a)} vs {mat_shape(b)}")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def mat_add(a, b) -> Imat:
+    return _mat_sum(a, b, 1)
 
 
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
+def mat_sub(a, b) -> Imat:
+    return _mat_sum(a, b, -1)
 
 
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = as_fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def _scaled(values: Iterable) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over their least common denominator."""
-    ratios = [x.as_integer_ratio() for x in values]
-    den = lcm(*[d for _, d in ratios])
-    if den == 1:
-        return [n for n, _ in ratios], 1
-    return [n * (den // d) for n, d in ratios], den
-
-
-def _unscaled_rows(nums: list[int], den: int, rows: int, cols: int) -> Matrix:
-    """The row-major ``rows`` x ``cols`` matrix of canonical ``n / den``."""
-    if den == 1:
-        vals = [Fraction(n) if n else ZERO for n in nums]
-    else:
-        vals = [Fraction(n, den) if n else ZERO for n in nums]
-    return tuple(tuple(vals[r * cols:(r + 1) * cols]) for r in range(rows))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
+def mat_mul(a, b) -> Imat:
+    a, b = as_imat(a), as_imat(b)
+    ra, ca, rb, cb = a.rows, a.cols, b.rows, b.cols
     if ca != rb:
         raise DimensionMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    an, ad = _scaled(x for row in a for x in row)
-    bn, bd = _scaled(x for row in b for x in row)
-    bcols = [bn[c::cb] for c in range(cb)]
-    out = [sum(map(mul, an[r * ca:(r + 1) * ca], col))
-           for r in range(ra) for col in bcols]
-    return _unscaled_rows(out, ad * bd, ra, cb)
+    bcols = [b[c::cb] for c in range(cb)]
+    return _imat([sum(map(mul, a[r * ca:(r + 1) * ca], col))
+                  for r in range(ra) for col in bcols], a.den * b.den, ra, cb)
+
+
+def mat_lincomb(coeffs: Mapping, mats: Sequence, rows: int, cols: int) -> Imat:
+    """Linear combination of matrices: sum of coeffs[s] * mats[s]."""
+    coeffs = as_ivec(coeffs)
+    terms = [(n, as_imat(mats[s])) for s, n in coeffs.items()]
+    den = lcm(*[m.den for _, m in terms])
+    acc = [0] * (rows * cols)
+    for n, m in terms:
+        acc = list(map(add, acc, map((n * (den // m.den)).__mul__, m)))
+    return _imat(acc, coeffs.den * den, rows, cols)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
-
-
-def mat_apply(a: Matrix, v: Vector) -> Vector:
-    rows, cols = mat_shape(a)
-    if cols != len(v):
-        raise DimensionMismatch(f"cannot apply {rows}x{cols} matrix to length-{len(v)} vector")
-    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -179,29 +212,6 @@ def mat_inverse(a: Matrix) -> Matrix:
                 factor = work[r][col]
                 work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
     return tuple(tuple(row[n:]) for row in work)
-
-
-def mat_is_identity(a: Matrix) -> bool:
-    rows, cols = mat_shape(a)
-    return rows == cols and a == mat_identity(rows)
-
-
-def mat_lincomb(coeffs: "Svec", mats: Sequence[Matrix], rows: int,
-                cols: int) -> Matrix:
-    """Linear combination of matrices: sum of coeffs[s] * mats[s]."""
-    if not coeffs:
-        return mat_zero(rows, cols)
-    terms = []
-    for s, c in coeffs.items():
-        nums, den = _scaled(x for row in mats[s] for x in row)
-        cn, cd = c.as_integer_ratio()
-        terms.append((cn, cd * den, nums))
-    den = lcm(*[d for _, d, _ in terms])
-    acc = [0] * (rows * cols)
-    for cn, d, nums in terms:
-        f = cn * (den // d)
-        acc = [x + f * y for x, y in zip(acc, nums)]
-    return _unscaled_rows(acc, den, rows, cols)
 
 
 def mat_kernel_vector(a: Matrix) -> "Svec | None":
@@ -238,8 +248,13 @@ def mat_kernel_vector(a: Matrix) -> "Svec | None":
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors (dict index -> nonzero Fraction)
+# sparse vectors
 # ---------------------------------------------------------------------------
+
+def sv_basis(dim: int) -> tuple[Ivec, ...]:
+    """The basis vectors ``e_0, ..., e_{dim-1}`` as integer vectors."""
+    return tuple(_ivec({i: 1}, 1) for i in range(dim))
+
 
 def sv_from_vector(v: Vector) -> Svec:
     return {i: c for i, c in enumerate(v) if c}
@@ -249,79 +264,71 @@ def sv_to_vector(u: Svec, dim: int) -> Vector:
     return tuple(u.get(i, ZERO) for i in range(dim))
 
 
-def sv_add(*vs: Svec) -> Svec:
-    out: Svec = {}
-    for v in vs:
-        for k, c in v.items():
-            acc = out.get(k)
-            nv = c if acc is None else acc + c
-            if nv:
-                out[k] = nv
-            elif acc is not None:
-                del out[k]
-    return out
-
-
-def sv_neg(u: Svec) -> Svec:
-    return {k: -c for k, c in u.items()}
-
-
-def sv_sub(u: Svec, v: Svec) -> Svec:
-    return sv_add(u, sv_neg(v))
-
-
-def sv_scale(c, u: Svec) -> Svec:
-    c = as_fraction(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in u.items()}
-
-
-def mat_cols(m: Matrix) -> tuple[Svec, ...]:
-    """Sparse columns: ``mat_cols(m)[j]`` is the sparse image of ``e_j``."""
-    rows, cols = mat_shape(m)
-    out: list[Svec] = [{} for _ in range(cols)]
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if v:
-                out[j][i] = v
-    return tuple(out)
-
-
-def cols_to_matrix(cols: Sequence[Svec], rows: int) -> Matrix:
-    return tuple(
-        tuple(cols[j].get(i, ZERO) for j in range(len(cols)))
-        for i in range(rows)
-    )
-
-
-def _sv_unscaled(acc: dict[int, int], den: int) -> Svec:
-    """The sparse vector ``acc / den`` without its zero entries."""
-    if den == 1:
-        return {k: Fraction(n) for k, n in acc.items() if n}
-    return {k: Fraction(n, den) for k, n in acc.items() if n}
-
-
-def apply_cols(cols: Sequence[Svec], u: Svec) -> Svec:
-    """Image of ``u`` under the map whose sparse columns are ``cols``."""
-    # integer numerators over a running common denominator ``den``
+def _sv_sum(terms: list[tuple[int, Ivec]]) -> Ivec:
+    """The sum of ``c * v`` over ``(c, v)`` in ``terms``, each ``c`` an int."""
+    den = lcm(*[v.den for _, v in terms])
     acc: dict[int, int] = {}
-    den = 1
-    for j, c in u.items():
-        col = cols[j]
-        if not col:
-            continue
-        cn, cd = c.as_integer_ratio()
+    for c, v in terms:
+        f = c * (den // v.den)
+        for k, n in v.items():
+            acc[k] = acc.get(k, 0) + f * n
+    return _nonzero(acc, den)
+
+
+def sv_add(*vs: Mapping) -> Ivec:
+    terms = [(1, as_ivec(v)) for v in vs if v]
+    if len(terms) < 2:
+        return terms[0][1] if terms else _EMPTY
+    return _sv_sum(terms)
+
+
+def sv_sub(u: Mapping, v: Mapping) -> Ivec:
+    if not v:
+        return as_ivec(u) if u else _EMPTY
+    if not u:
+        return sv_neg(v)
+    return _sv_sum([(1, as_ivec(u)), (-1, as_ivec(v))])
+
+
+def sv_neg(u: Mapping) -> Ivec:
+    if not u:
+        return _EMPTY
+    u = as_ivec(u)
+    return _ivec({k: -n for k, n in u.items()}, u.den)
+
+
+def sv_scale(c, u: Mapping) -> Ivec:
+    cn, cd = as_fraction(c).as_integer_ratio()
+    if not cn or not u:
+        return _EMPTY
+    u = as_ivec(u)
+    return _ivec({k: cn * n for k, n in u.items()}, cd * u.den)
+
+
+def mat_col(m: Imat, j: int) -> Ivec:
+    """The sparse integer image of ``e_j``: column ``j`` of ``m``."""
+    return _ivec({r: n for r, n in enumerate(m[j::m.cols]) if n}, m.den)
+
+
+def mat_cols(m) -> tuple[Ivec, ...]:
+    """Sparse integer columns: ``mat_cols(m)[j]`` is the image of ``e_j``."""
+    m = as_imat(m)
+    return tuple(mat_col(m, j) for j in range(m.cols))
+
+
+def apply_cols(cols: Sequence[Mapping], u: Mapping) -> Ivec:
+    """Image of ``u`` under the map whose sparse columns are ``cols``."""
+    if not u:
+        return _EMPTY
+    u = as_ivec(u)
+    terms = [(n, as_ivec(cols[j])) for j, n in u.items() if cols[j]]
+    den = lcm(*[col.den for _, col in terms])
+    acc: dict[int, int] = {}
+    for n, col in terms:
+        f = n * (den // col.den)
         for i, w in col.items():
-            wn, wd = w.as_integer_ratio()
-            d = cd * wd
-            if den % d:
-                grown = lcm(den, d)
-                for k in acc:
-                    acc[k] *= grown // den
-                den = grown
-            acc[i] = acc.get(i, 0) + cn * wn * (den // d)
-    return _sv_unscaled(acc, den) if acc else {}
+            acc[i] = acc.get(i, 0) + f * w
+    return _nonzero(acc, u.den * den)
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +355,6 @@ def tensor_from_entries(entries: Iterable[tuple[int, int, int, object]]) -> Tens
         else:
             cell.pop(k, None)
     return {key: cell for key, cell in out.items() if cell}
-
-
-def tensor_entries(t: Tensor) -> list[tuple[int, int, int, Fraction]]:
-    out = []
-    for (i, j), cell in t.items():
-        for k, v in cell.items():
-            out.append((i, j, k, v))
-    out.sort(key=lambda e: (e[0], e[1], e[2]))
-    return out
 
 
 def validate_tensor(t: Tensor, dim: int, name: str = "tensor") -> None:
@@ -399,10 +397,10 @@ def tensor_commutator(a: Tensor) -> Tensor:
 
 
 class Grid(list):
-    """``grid[i][j]`` is the cell of ``e_i * e_j`` (None when absent).
+    """``grid[i][j]`` is the Fraction cell of ``e_i * e_j`` (None when absent).
 
-    ``ints[i][j]`` holds the same cell as ``(k, numerator)`` pairs over the
-    grid's common denominator ``den``, for the integer sums of ``grid_mul``.
+    ``ints[i][j]`` is the same cell as an :class:`Ivec` over the grid's
+    common denominator ``den`` (empty when absent).
     """
 
     __slots__ = ("ints", "den")
@@ -410,71 +408,36 @@ class Grid(list):
 
 def tensor_grid(t: Tensor, dim: int) -> Grid:
     grid = Grid([None] * dim for _ in range(dim))
-    ints: list[list] = [[None] * dim for _ in range(dim)]
     den = lcm(*[v.denominator for cell in t.values() for v in cell.values()])
+    ints = [[_EMPTY] * dim for _ in range(dim)]
     for (i, j), cell in t.items():
         grid[i][j] = cell
         if cell:
-            ints[i][j] = tuple((k, v.numerator * (den // v.denominator))
-                               for k, v in cell.items())
+            ints[i][j] = _ivec({k: v.numerator * (den // v.denominator)
+                                for k, v in cell.items()}, den)
     grid.ints = ints
     grid.den = den
     return grid
 
 
-def _scaled_items(u: Svec) -> tuple[list[tuple[int, int]], int]:
-    """The entries of ``u`` as integer numerators over its least common
-    denominator."""
-    nums, den = _scaled(u.values())
-    return list(zip(u, nums)), den
-
-
-def grid_mul(grid: Grid, u: Svec, v: Svec) -> Svec:
+def grid_mul(grid: Grid, u: Mapping, v: Mapping) -> Ivec:
     """Sparse evaluation of ``u * v`` against a tensor grid."""
     if not u or not v:
-        return {}
-    # u and v as integer numerators over their common denominators; the
-    # loops are inlined for the common all-integer case
-    uu = []
-    for i, c in u.items():
-        n, d = c.as_integer_ratio()
-        if d != 1:
-            uu, du = _scaled_items(u)
-            break
-        uu.append((i, n))
-    else:
-        du = 1
-    vv = []
-    for j, c in v.items():
-        n, d = c.as_integer_ratio()
-        if d != 1:
-            vv, dv = _scaled_items(v)
-            break
-        vv.append((j, n))
-    else:
-        dv = 1
+        return _EMPTY
+    u, v = as_ivec(u), as_ivec(v)
     ints = grid.ints
+    vv = v.items()
     acc: dict[int, int] = {}
-    for i, ni in uu:
+    for i, ni in u.items():
         row = ints[i]
         for j, nj in vv:
             cell = row[j]
             if not cell:
                 continue
             c = ni * nj
-            for k, w in cell:
+            for k, w in cell.items():
                 acc[k] = acc.get(k, 0) + c * w
-    return _sv_unscaled(acc, du * dv * grid.den) if acc else {}
-
-
-def product_eval(t: Tensor, x: Vector, y: Vector) -> Vector:
-    """Evaluate the bilinear product of two dense vectors."""
-    if len(x) != len(y):
-        raise DimensionMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
-    dim = len(x)
-    validate_tensor(t, dim, "product")
-    out = grid_mul(tensor_grid(t, dim), sv_from_vector(x), sv_from_vector(y))
-    return sv_to_vector(out, dim)
+    return _nonzero(acc, u.den * v.den * grid.den)
 
 
 def push_product(t: Tensor, f: Matrix) -> Tensor:
@@ -484,25 +447,5 @@ def push_product(t: Tensor, f: Matrix) -> Tensor:
     for key, cell in t.items():
         pushed = apply_cols(cols, cell)
         if pushed:
-            out[key] = pushed
-    return out
-
-
-def conjugate_product(t: Tensor, g: Matrix) -> Tensor:
-    """New product ``x *' y = g(x) * g(y)``."""
-    rows, cols_n = mat_shape(g)
-    if rows != cols_n:
-        raise DimensionMismatch("conjugating map must be square")
-    grid = tensor_grid(t, rows)
-    gcols = mat_cols(g)
-    out: Tensor = {}
-    for i in range(rows):
-        if not gcols[i]:
-            continue
-        for j in range(rows):
-            if not gcols[j]:
-                continue
-            cell = grid_mul(grid, gcols[i], gcols[j])
-            if cell:
-                out[(i, j)] = cell
+            out[key] = sv_fractions(pushed)
     return out

@@ -13,6 +13,7 @@ from typing import Mapping
 from .exact import (
     Matrix,
     Tensor,
+    mat_fractions,
     mat_mul,
     matrix,
     push_product,
@@ -143,7 +144,7 @@ def yau_twist(structure: HomStructure, alpha_new: Matrix, *,
         structure,
         {role: push_product(t, alpha_new) for role, t in structure.products.items()},
         "yau-twist",
-        twist=mat_mul(structure.twist, alpha_new),
+        twist=mat_fractions(mat_mul(structure.twist, alpha_new)),
     )
 
 

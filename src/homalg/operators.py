@@ -12,13 +12,17 @@ from typing import Mapping, Sequence
 
 from .exact import (
     DimensionMismatch,
+    Imat,
+    Ivec,
     Matrix,
-    Svec,
     Tensor,
     apply_cols,
     as_fraction,
+    as_imat,
     grid_mul,
+    mat_col,
     mat_cols,
+    mat_fractions,
     mat_inverse,
     mat_kernel_vector,
     mat_lincomb,
@@ -29,6 +33,8 @@ from .exact import (
     matrix,
     push_product,
     sv_add,
+    sv_basis,
+    sv_fractions,
     sv_scale,
     sv_sub,
     tensor_commutator,
@@ -160,6 +166,7 @@ def _check_rota_baxter(structure: HomStructure, w: OperatorWitness,
         )
     rcols = mat_cols(w.matrix)
     lam = w.weight
+    basis = sv_basis(n)
     violations: list[Violation] = []
     total = 0
     for role in sorted(structure.products, key=lambda r: r.value):
@@ -167,23 +174,23 @@ def _check_rota_baxter(structure: HomStructure, w: OperatorWitness,
         label = f"RB-{role.value}"
         for i in range(n):
             ri = rcols[i]
+            ei = basis[i]
             for j in range(n):
                 total += 1
                 rj = rcols[j]
-                ej = {j: Fraction(1)}
-                ei = {i: Fraction(1)}
+                ej = basis[j]
                 inner = sv_add(grid_mul(grid, ri, ej), grid_mul(grid, ei, rj))
                 if lam:
                     inner = sv_add(inner, sv_scale(lam, grid_mul(grid, ei, ej)))
                 residual = sv_sub(grid_mul(grid, ri, rj), apply_cols(rcols, inner))
                 if residual:
-                    violations.append(Violation(label, (i, j), residual))
+                    violations.append(Violation(label, (i, j), sv_fractions(residual)))
     acols = mat_cols(structure.twist)
     for i in range(n):
         total += 1
         residual = sv_sub(apply_cols(acols, rcols[i]), apply_cols(rcols, acols[i]))
         if residual:
-            violations.append(Violation("RB-TWIST", (i,), residual))
+            violations.append(Violation("RB-TWIST", (i,), sv_fractions(residual)))
     return _finish(f"operator:{w.kind}", violations, total, start)
 
 
@@ -192,26 +199,23 @@ def _oop_identities(structure: HomStructure, rep: Representation):
     n, m = structure.dim, rep.module_dim
     roles = rep.roles()
 
-    def act(slices: Sequence[Matrix], coeffs: Svec, b: int) -> Svec:
-        mat = mat_lincomb(coeffs, slices, m, m)
-        return {r: mat[r][b] for r in range(m) if mat[r][b]}
-
     out = []
     if roles == MALCEV_ACTIONS:
         if ProductRole.BRACKET not in structure.products:
             raise RoleMismatch("a rho-action operator check needs the bracket role")
         grid = tensor_grid(structure.products[ProductRole.BRACKET], n)
-        rho = rep.actions[ActionRole.RHO]
+        rho = rep.int_slices(ActionRole.RHO)
 
         def bracket_res(tcols, a, b):
             lhs = grid_mul(grid, tcols[a], tcols[b])
-            inner = sv_sub(act(rho, tcols[a], b), act(rho, tcols[b], a))
+            inner = sv_sub(_act_col(rho, tcols[a], b, m),
+                           _act_col(rho, tcols[b], a, m))
             return sv_sub(lhs, apply_cols(tcols, inner))
 
         out.append(("OOP-bracket", bracket_res))
     elif roles == PRE_MALCEV_ACTIONS:
-        ell = rep.actions[ActionRole.LEFT]
-        arr = rep.actions[ActionRole.RIGHT]
+        ell = rep.int_slices(ActionRole.LEFT)
+        arr = rep.int_slices(ActionRole.RIGHT)
         found = False
         for role in (ProductRole.DOT, ProductRole.STAR):
             if role not in structure.products:
@@ -221,7 +225,8 @@ def _oop_identities(structure: HomStructure, rep: Representation):
 
             def res(tcols, a, b, grid=grid):
                 lhs = grid_mul(grid, tcols[a], tcols[b])
-                inner = sv_add(act(ell, tcols[a], b), act(arr, tcols[b], a))
+                inner = sv_add(_act_col(ell, tcols[a], b, m),
+                               _act_col(arr, tcols[b], a, m))
                 return sv_sub(lhs, apply_cols(tcols, inner))
 
             out.append((f"OOP-{role.value}", res))
@@ -239,12 +244,13 @@ def _oop_identities(structure: HomStructure, rep: Representation):
             (ProductRole.SUCC, ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC),
         ):
             grid = tensor_grid(structure.products[role], n)
-            left = rep.actions[left_role]
-            right = rep.actions[right_role]
+            left = rep.int_slices(left_role)
+            right = rep.int_slices(right_role)
 
             def res(tcols, a, b, grid=grid, left=left, right=right):
                 lhs = grid_mul(grid, tcols[a], tcols[b])
-                inner = sv_add(act(left, tcols[a], b), act(right, tcols[b], a))
+                inner = sv_add(_act_col(left, tcols[a], b, m),
+                               _act_col(right, tcols[b], a, m))
                 return sv_sub(lhs, apply_cols(tcols, inner))
 
             out.append((f"OOP-{role.value}", res))
@@ -269,18 +275,17 @@ def _check_o_operator(structure: HomStructure, w: OperatorWitness,
     total = 0
     intertwine = mat_sub(mat_mul(structure.twist, w.matrix),
                          mat_mul(w.matrix, rep.module_twist))
-    for b in range(m):
+    for b, col in enumerate(mat_cols(intertwine)):
         total += 1
-        col = {r: intertwine[r][b] for r in range(n) if intertwine[r][b]}
         if col:
-            violations.append(Violation("OOP-TWIST", (b,), col))
+            violations.append(Violation("OOP-TWIST", (b,), sv_fractions(col)))
     for label, res in _oop_identities(structure, rep):
         for a in range(m):
             for b in range(m):
                 total += 1
                 residual = res(tcols, a, b)
                 if residual:
-                    violations.append(Violation(label, (a, b), residual))
+                    violations.append(Violation(label, (a, b), sv_fractions(residual)))
     return _finish(f"operator:{w.kind}", violations, total, start)
 
 
@@ -302,7 +307,8 @@ def check_commuting(r1: OperatorWitness, r2: OperatorWitness) -> bool:
         raise DimensionMismatch(
             f"operators have shapes {mat_shape(r1.matrix)} and {mat_shape(r2.matrix)}"
         )
-    return mat_mul(r1.matrix, r2.matrix) == mat_mul(r2.matrix, r1.matrix)
+    return not any(mat_sub(mat_mul(r1.matrix, r2.matrix),
+                           mat_mul(r2.matrix, r1.matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +361,7 @@ def _tensor_from_fn(dim: int, fn) -> Tensor:
     entries = []
     for i in range(dim):
         for j in range(dim):
-            for k, v in fn(i, j).items():
+            for k, v in sv_fractions(fn(i, j)).items():
                 entries.append((i, j, k, v))
     return tensor_from_entries(entries)
 
@@ -377,9 +383,8 @@ def _carrier_structure(structure: HomStructure,
     )
 
 
-def _act_col(slices: Sequence[Matrix], coeffs: Svec, b: int, m: int) -> Svec:
-    mat = mat_lincomb(coeffs, slices, m, m)
-    return {r: mat[r][b] for r in range(m) if mat[r][b]}
+def _act_col(slices: Sequence[Imat], coeffs: Ivec, b: int, m: int) -> Ivec:
+    return mat_col(mat_lincomb(coeffs, slices, m, m), b)
 
 
 def _induce_malcev_to_premalcev_oop(structure, w):
@@ -387,7 +392,7 @@ def _induce_malcev_to_premalcev_oop(structure, w):
     _require_roles(structure, [ProductRole.BRACKET], "malcev-to-premalcev-oop")
     _require_valid(structure, w, "malcev-to-premalcev-oop")
     tcols = mat_cols(w.matrix)
-    rho = rep.actions[ActionRole.RHO]
+    rho = rep.int_slices(ActionRole.RHO)
     m = rep.module_dim
     dot = _tensor_from_fn(m, lambda a, b: _act_col(rho, tcols[a], b, m))
     return _module_structure(rep, {ProductRole.DOT: dot}, "malcev-to-premalcev-oop")
@@ -399,8 +404,9 @@ def _induce_malcev_to_premalcev_rb(structure, w):
     _require_valid(structure, w, "malcev-to-premalcev-rb")
     grid = _grid(structure, ProductRole.BRACKET)
     rcols = mat_cols(w.matrix)
+    e = sv_basis(structure.dim)
     dot = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, rcols[i], {j: Fraction(1)})
+        structure.dim, lambda i, j: grid_mul(grid, rcols[i], e[j])
     )
     return _carrier_structure(structure, {ProductRole.DOT: dot},
                               "malcev-to-premalcev-rb")
@@ -411,8 +417,8 @@ def _induce_premalcev_to_mdendriform_oop(structure, w):
     _require_roles(structure, [ProductRole.DOT], "premalcev-to-mdendriform-oop")
     _require_valid(structure, w, "premalcev-to-mdendriform-oop")
     tcols = mat_cols(w.matrix)
-    ell = rep.actions[ActionRole.LEFT]
-    arr = rep.actions[ActionRole.RIGHT]
+    ell = rep.int_slices(ActionRole.LEFT)
+    arr = rep.int_slices(ActionRole.RIGHT)
     m = rep.module_dim
     tr = _tensor_from_fn(m, lambda a, b: _act_col(arr, tcols[b], a, m))
     tl = _tensor_from_fn(m, lambda a, b: _act_col(ell, tcols[a], b, m))
@@ -426,11 +432,12 @@ def _induce_premalcev_to_mdendriform_rb(structure, w):
     _require_valid(structure, w, "premalcev-to-mdendriform-rb")
     grid = _grid(structure, ProductRole.DOT)
     rcols = mat_cols(w.matrix)
+    e = sv_basis(structure.dim)
     tr = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, {i: Fraction(1)}, rcols[j])
+        structure.dim, lambda i, j: grid_mul(grid, e[i], rcols[j])
     )
     tl = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, rcols[i], {j: Fraction(1)})
+        structure.dim, lambda i, j: grid_mul(grid, rcols[i], e[j])
     )
     return _carrier_structure(structure,
                               {ProductRole.TRI_RIGHT: tr, ProductRole.TRI_LEFT: tl},
@@ -447,8 +454,8 @@ def _induce_premalcev_compatible_dendriform(structure, w):
         )
     t_inv = mat_inverse(w.matrix)  # SingularMatrix when not invertible
     _require_valid(structure, w, recipe)
-    ell = rep.actions[ActionRole.LEFT]
-    arr = rep.actions[ActionRole.RIGHT]
+    ell = rep.int_slices(ActionRole.LEFT)
+    arr = rep.int_slices(ActionRole.RIGHT)
     n = structure.dim
     ticols = mat_cols(t_inv)
     tcols = mat_cols(w.matrix)
@@ -476,8 +483,8 @@ def _induce_alternative_to_prealt_oop(structure, w):
     _require_roles(structure, [ProductRole.STAR], recipe)
     _require_valid(structure, w, recipe)
     tcols = mat_cols(w.matrix)
-    ell = rep.actions[ActionRole.LEFT]
-    arr = rep.actions[ActionRole.RIGHT]
+    ell = rep.int_slices(ActionRole.LEFT)
+    arr = rep.int_slices(ActionRole.RIGHT)
     m = rep.module_dim
     succ = _tensor_from_fn(m, lambda a, b: _act_col(ell, tcols[a], b, m))
     prec = _tensor_from_fn(m, lambda a, b: _act_col(arr, tcols[b], a, m))
@@ -492,11 +499,12 @@ def _induce_alternative_to_prealt_rb(structure, w):
     _require_valid(structure, w, recipe)
     grid = _grid(structure, ProductRole.STAR)
     rcols = mat_cols(w.matrix)
+    e = sv_basis(structure.dim)
     prec = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, {i: Fraction(1)}, rcols[j])
+        structure.dim, lambda i, j: grid_mul(grid, e[i], rcols[j])
     )
     succ = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, rcols[i], {j: Fraction(1)})
+        structure.dim, lambda i, j: grid_mul(grid, rcols[i], e[j])
     )
     return _carrier_structure(structure,
                               {ProductRole.PREC: prec, ProductRole.SUCC: succ}, recipe)
@@ -509,10 +517,10 @@ def _induce_prealt_to_quadri_oop(structure, w):
     _require_valid(structure, w, recipe)
     tcols = mat_cols(w.matrix)
     m = rep.module_dim
-    lp = rep.actions[ActionRole.LEFT_PREC]
-    rp = rep.actions[ActionRole.RIGHT_PREC]
-    ls = rep.actions[ActionRole.LEFT_SUCC]
-    rs = rep.actions[ActionRole.RIGHT_SUCC]
+    lp = rep.int_slices(ActionRole.LEFT_PREC)
+    rp = rep.int_slices(ActionRole.RIGHT_PREC)
+    ls = rep.int_slices(ActionRole.LEFT_SUCC)
+    rs = rep.int_slices(ActionRole.RIGHT_SUCC)
     products = {
         ProductRole.SE: _tensor_from_fn(m, lambda a, b: _act_col(ls, tcols[a], b, m)),
         ProductRole.NE: _tensor_from_fn(m, lambda a, b: _act_col(rs, tcols[b], a, m)),
@@ -530,16 +538,17 @@ def _induce_prealt_to_quadri_rb(structure, w):
     pgrid = _grid(structure, ProductRole.PREC)
     sgrid = _grid(structure, ProductRole.SUCC)
     rcols = mat_cols(w.matrix)
+    e = sv_basis(structure.dim)
     n = structure.dim
     products = {
         ProductRole.NE: _tensor_from_fn(
-            n, lambda i, j: grid_mul(sgrid, {i: Fraction(1)}, rcols[j])),
+            n, lambda i, j: grid_mul(sgrid, e[i], rcols[j])),
         ProductRole.SE: _tensor_from_fn(
-            n, lambda i, j: grid_mul(sgrid, rcols[i], {j: Fraction(1)})),
+            n, lambda i, j: grid_mul(sgrid, rcols[i], e[j])),
         ProductRole.SW: _tensor_from_fn(
-            n, lambda i, j: grid_mul(pgrid, rcols[i], {j: Fraction(1)})),
+            n, lambda i, j: grid_mul(pgrid, rcols[i], e[j])),
         ProductRole.NW: _tensor_from_fn(
-            n, lambda i, j: grid_mul(pgrid, {i: Fraction(1)}, rcols[j])),
+            n, lambda i, j: grid_mul(pgrid, e[i], rcols[j])),
     }
     return _carrier_structure(structure, products, recipe)
 
@@ -577,9 +586,10 @@ def _induce_malcev_pair(structure, r1, r2):
     c1 = mat_cols(r1.matrix)
     c2 = mat_cols(r2.matrix)
     c12 = mat_cols(mat_mul(r1.matrix, r2.matrix))
+    e = sv_basis(structure.dim)
     n = structure.dim
     tr = _tensor_from_fn(n, lambda i, j: grid_mul(grid, c1[i], c2[j]))
-    tl = _tensor_from_fn(n, lambda i, j: grid_mul(grid, c12[i], {j: Fraction(1)}))
+    tl = _tensor_from_fn(n, lambda i, j: grid_mul(grid, c12[i], e[j]))
     return _carrier_structure(structure,
                               {ProductRole.TRI_RIGHT: tr, ProductRole.TRI_LEFT: tl},
                               recipe)
@@ -592,12 +602,13 @@ def _induce_alternative_pair(structure, r1, r2):
     c1 = mat_cols(r1.matrix)
     c2 = mat_cols(r2.matrix)
     c12 = mat_cols(mat_mul(r1.matrix, r2.matrix))
+    e = sv_basis(structure.dim)
     n = structure.dim
     products = {
-        ProductRole.SE: _tensor_from_fn(n, lambda i, j: grid_mul(grid, c12[i], {j: Fraction(1)})),
+        ProductRole.SE: _tensor_from_fn(n, lambda i, j: grid_mul(grid, c12[i], e[j])),
         ProductRole.NE: _tensor_from_fn(n, lambda i, j: grid_mul(grid, c1[i], c2[j])),
         ProductRole.SW: _tensor_from_fn(n, lambda i, j: grid_mul(grid, c2[i], c1[j])),
-        ProductRole.NW: _tensor_from_fn(n, lambda i, j: grid_mul(grid, {i: Fraction(1)}, c12[j])),
+        ProductRole.NW: _tensor_from_fn(n, lambda i, j: grid_mul(grid, e[i], c12[j])),
     }
     return _carrier_structure(structure, products, recipe)
 
@@ -631,13 +642,10 @@ def induce_pair(structure: HomStructure, r1: OperatorWitness,
 # Hessian forms
 # ---------------------------------------------------------------------------
 
-def _form_eval(b: Matrix, u: Svec, v: Svec) -> Fraction:
-    total = Fraction(0)
-    for r, cu in u.items():
-        row = b[r]
-        for c, cv in v.items():
-            total += cu * row[c] * cv
-    return total
+def _form_eval(b: Imat, u: Ivec, v: Ivec) -> int:
+    """The numerator of ``b(u, v)`` over ``u.den * b.den * v.den``."""
+    n = b.cols
+    return sum(cu * b[r * n + c] * cv for r, cu in u.items() for c, cv in v.items())
 
 
 def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
@@ -655,7 +663,11 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     b = form.matrix
     alpha = structure.twist
     grid = _grid(structure, ProductRole.DOT)
+    cells = grid.ints
     acols = mat_cols(alpha)
+    bi = as_imat(b)
+    # every cell is over grid.den and every column over one twist denominator
+    cocycle_den = grid.den * bi.den * acols[0].den
     violations: list[Violation] = []
     total = 0
     for i in range(n):
@@ -668,7 +680,8 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     kernel = mat_kernel_vector(b)
     if kernel is not None:
         violations.append(Violation("HESS-NONDEG", (), kernel))
-    inv_residual = mat_sub(mat_mul(mat_transpose(alpha), mat_mul(b, alpha)), b)
+    inv_residual = mat_fractions(
+        mat_sub(mat_mul(mat_transpose(alpha), mat_mul(b, alpha)), b))
     for i in range(n):
         for j in range(n):
             total += 1
@@ -677,13 +690,14 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     for i, j, k in itertools.product(range(n), repeat=3):
         total += 1
         val = (
-            _form_eval(b, grid[i][j] or {}, acols[k])
-            - _form_eval(b, acols[i], grid[j][k] or {})
-            - _form_eval(b, grid[j][i] or {}, acols[k])
-            + _form_eval(b, acols[j], grid[i][k] or {})
+            _form_eval(bi, cells[i][j], acols[k])
+            - _form_eval(bi, acols[i], cells[j][k])
+            - _form_eval(bi, cells[j][i], acols[k])
+            + _form_eval(bi, acols[j], cells[i][k])
         )
         if val:
-            violations.append(Violation("HESS-COCYCLE", (i, j, k), {0: val}))
+            violations.append(Violation("HESS-COCYCLE", (i, j, k),
+                                        {0: Fraction(val, cocycle_den)}))
     return _finish("hessian", violations, total, start)
 
 
@@ -700,11 +714,11 @@ def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructur
     n = structure.dim
     alpha = structure.twist
     b = form.matrix
-    solve = mat_inverse(mat_mul(mat_transpose(alpha), b))
+    solve = mat_inverse(mat_fractions(mat_mul(mat_transpose(alpha), b)))
     dot = structure.products[ProductRole.DOT]
     grid = tensor_grid(dot, n)
     cgrid = tensor_grid(tensor_commutator(dot), n)
-    basis = [{t: Fraction(1)} for t in range(n)]
+    basis = sv_basis(n)
     b_alpha = mat_mul(b, alpha)
 
     # right-multiplication and bracket-left-multiplication matrices
@@ -715,15 +729,16 @@ def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructur
     tr_entries = []
     tl_entries = []
     for j in range(n):
-        r_j = cols_matrix([grid_mul(grid, basis[bidx], basis[j]) for bidx in range(n)])
-        p_j = mat_mul(solve, mat_mul(mat_transpose(r_j), b_alpha))
+        r_j = cols_matrix([sv_fractions(grid_mul(grid, basis[bidx], basis[j]))
+                           for bidx in range(n)])
+        p_j = mat_fractions(mat_mul(solve, mat_mul(mat_transpose(r_j), b_alpha)))
         for i in range(n):
             for r in range(n):
                 if p_j[r][i]:
                     tr_entries.append((i, j, r, p_j[r][i]))
     for i in range(n):
         ad_i = cols_matrix([cgrid[i][bidx] or {} for bidx in range(n)])
-        q_i = mat_mul(solve, mat_mul(mat_transpose(ad_i), b_alpha))
+        q_i = mat_fractions(mat_mul(solve, mat_mul(mat_transpose(ad_i), b_alpha)))
         for j in range(n):
             for r in range(n):
                 if q_i[r][j]:
@@ -754,14 +769,15 @@ def check_oop_endomorphism(w: OperatorWitness, phiA: Matrix,
         raise DimensionMismatch(f"algebra map must be {n}x{n}, got {mat_shape(phiA)}")
     if mat_shape(phiV) != (m, m):
         raise DimensionMismatch(f"module map must be {m}x{m}, got {mat_shape(phiV)}")
-    if mat_mul(w.matrix, phiV) != mat_mul(phiA, w.matrix):
+    if any(mat_sub(mat_mul(w.matrix, phiV), mat_mul(phiA, w.matrix))):
         return False
     pa_cols = mat_cols(phiA)
+    phiV = as_imat(phiV)
     for role in sorted(rep.actions, key=lambda r: r.value):
-        slices = rep.actions[role]
+        slices = rep.int_slices(role)
         for i in range(n):
             twisted = mat_lincomb(pa_cols[i], slices, m, m)
-            if mat_mul(twisted, phiV) != mat_mul(phiV, slices[i]):
+            if any(mat_sub(mat_mul(twisted, phiV), mat_mul(phiV, slices[i]))):
                 return False
     return True
 
@@ -800,9 +816,9 @@ def twist_oop_setup(structure: HomStructure, w: OperatorWitness, phiA: Matrix,
         module_dim=rep.module_dim,
         module_twist=phiV,
         actions={
-            ActionRole.LEFT: tuple(mat_mul(phiV, s)
+            ActionRole.LEFT: tuple(mat_fractions(mat_mul(phiV, s))
                                    for s in rep.actions[ActionRole.LEFT]),
-            ActionRole.RIGHT: tuple(mat_mul(phiV, s)
+            ActionRole.RIGHT: tuple(mat_fractions(mat_mul(phiV, s))
                                     for s in rep.actions[ActionRole.RIGHT]),
         },
     )

@@ -16,13 +16,16 @@ from typing import Callable, Mapping, Sequence
 
 from .exact import (
     DimensionMismatch,
+    Imat,
+    Ivec,
     Matrix,
-    Svec,
     Tensor,
     apply_cols,
+    as_imat,
     grid_mul,
     mat_add,
     mat_cols,
+    mat_fractions,
     mat_identity,
     mat_inverse,
     mat_lincomb,
@@ -32,6 +35,9 @@ from .exact import (
     mat_transpose,
     matrix,
     sv_add,
+    sv_basis,
+    sv_fractions,
+    sv_sub,
     tensor_add,
     tensor_commutator,
     tensor_from_entries,
@@ -114,20 +120,17 @@ class Representation:
     def roles(self) -> frozenset[ActionRole]:
         return frozenset(self.actions)
 
+    def int_slices(self, role: ActionRole) -> tuple[Imat, ...]:
+        """The slices of action ``role`` as integer matrices, for a sweep."""
+        return tuple(as_imat(s) for s in self.actions[role])
 
-def _lincomb(coeffs: Svec, mats: Sequence[Matrix], m: int) -> Matrix:
+
+def _lincomb(coeffs: Ivec, mats: Sequence[Imat], m: int) -> Imat:
     """Linear combination of action slices: sum of coeffs[s] * mats[s]."""
     return mat_lincomb(coeffs, mats, m, m)
 
 
-def _nonzero_columns(mat: Matrix, m: int):
-    for b in range(m):
-        col = {r: mat[r][b] for r in range(m) if mat[r][b]}
-        if col:
-            yield b, col
-
-
-MatIdentity = tuple[str, int, Callable[..., Matrix]]
+MatIdentity = tuple[str, int, Callable[..., Imat]]
 
 
 def _sweep_matrix_identities(identities: Sequence[MatIdentity], dim: int,
@@ -139,8 +142,11 @@ def _sweep_matrix_identities(identities: Sequence[MatIdentity], dim: int,
         for idx in itertools.product(range(dim), repeat=arity):
             total += module_dim
             residual = fn(*idx)
-            for b, col in _nonzero_columns(residual, module_dim):
-                violations.append(Violation(label, idx + (b,), col))
+            if any(residual):
+                for b, col in enumerate(mat_cols(residual)):
+                    if col:
+                        violations.append(
+                            Violation(label, idx + (b,), sv_fractions(col)))
     violations.sort(key=lambda v: (v.identity, v.args))
     return CheckReport(
         target=target,
@@ -152,22 +158,23 @@ def _sweep_matrix_identities(identities: Sequence[MatIdentity], dim: int,
 
 
 def _malcev_action_identities(dim: int, bracket: Tensor, alpha: Matrix,
-                              rho: Sequence[Matrix], beta: Matrix,
+                              rho: Sequence[Imat], beta: Matrix,
                               m: int) -> list[MatIdentity]:
     """The equivariance and four-term action laws for a Malcev-type action."""
     grid = tensor_grid(bracket, dim)
     acols = mat_cols(alpha)
     a2cols = mat_cols(mat_mul(alpha, alpha))
+    beta = as_imat(beta)
     beta2 = mat_mul(beta, beta)
 
-    def rho_of(sv: Svec) -> Matrix:
+    def rho_of(sv: Ivec) -> Imat:
         return _lincomb(sv, rho, m)
 
     rho_a = [rho_of(acols[i]) for i in range(dim)]
     rho_a2 = [rho_of(a2cols[i]) for i in range(dim)]
 
     def cell(i, j):
-        return grid[i][j] or {}
+        return grid.ints[i][j]
 
     def eq(i):
         return mat_sub(mat_mul(rho_a[i], beta), mat_mul(beta, rho[i]))
@@ -196,10 +203,10 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[MatIdentity]:
     cgrid = tensor_grid(tensor_commutator(dot), dim)
     acols = mat_cols(base.twist)
     a2cols = mat_cols(mat_mul(base.twist, base.twist))
-    beta = rep.module_twist
+    beta = as_imat(rep.module_twist)
     beta2 = mat_mul(beta, beta)
-    ell = rep.actions[ActionRole.LEFT]
-    arr = rep.actions[ActionRole.RIGHT]
+    ell = rep.int_slices(ActionRole.LEFT)
+    arr = rep.int_slices(ActionRole.RIGHT)
     rho = tuple(mat_sub(ell[i], arr[i]) for i in range(dim))
 
     def l_of(sv):
@@ -218,10 +225,10 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[MatIdentity]:
     rho_a = [rho_of(acols[i]) for i in range(dim)]
 
     def dcell(i, j):
-        return dgrid[i][j] or {}
+        return dgrid.ints[i][j]
 
     def ccell(i, j):
-        return cgrid[i][j] or {}
+        return cgrid.ints[i][j]
 
     identities = _malcev_action_identities(
         dim, tensor_commutator(dot), base.twist, ell, beta, m
@@ -270,11 +277,11 @@ def _pre_alternative_rep_identities(rep: Representation, *,
     sgrid = tensor_grid(succ, dim)
     stgrid = tensor_grid(tensor_add(prec, succ), dim)
     acols = mat_cols(base.twist)
-    beta = rep.module_twist
-    Lp = rep.actions[ActionRole.LEFT_PREC]
-    Rp = rep.actions[ActionRole.RIGHT_PREC]
-    Ls = rep.actions[ActionRole.LEFT_SUCC]
-    Rs = rep.actions[ActionRole.RIGHT_SUCC]
+    beta = as_imat(rep.module_twist)
+    Lp = rep.int_slices(ActionRole.LEFT_PREC)
+    Rp = rep.int_slices(ActionRole.RIGHT_PREC)
+    Ls = rep.int_slices(ActionRole.LEFT_SUCC)
+    Rs = rep.int_slices(ActionRole.RIGHT_SUCC)
     L = tuple(mat_add(Lp[i], Ls[i]) for i in range(dim))
     R = tuple(mat_add(Rp[i], Rs[i]) for i in range(dim))
 
@@ -296,13 +303,13 @@ def _pre_alternative_rep_identities(rep: Representation, *,
     rs_a = [rs_of(acols[i]) for i in range(dim)]
 
     def p(i, j):
-        return pgrid[i][j] or {}
+        return pgrid.ints[i][j]
 
     def s(i, j):
-        return sgrid[i][j] or {}
+        return sgrid.ints[i][j]
 
     def st(i, j):
-        return stgrid[i][j] or {}
+        return stgrid.ints[i][j]
 
     def pabm1(i, j):
         lhs = mat_mul(ls_of(sv_add(st(i, j), st(j, i))), beta)
@@ -396,7 +403,7 @@ def check_rep(rep: Representation, cls: StructureClass, *,
         bracket = derived_product(rep.base, ProductRole.BRACKET)
         identities = _malcev_action_identities(
             rep.base.dim, bracket, rep.base.twist,
-            rep.actions[ActionRole.RHO], rep.module_twist, rep.module_dim,
+            rep.int_slices(ActionRole.RHO), rep.module_twist, rep.module_dim,
         )
     elif cls is StructureClass.HOM_PRE_MALCEV:
         if ProductRole.DOT not in rep.base.products:
@@ -415,7 +422,7 @@ def check_rep(rep: Representation, cls: StructureClass, *,
 # builders
 # ---------------------------------------------------------------------------
 
-def _twist_power_cols(structure: HomStructure, s: int) -> tuple[Svec, ...]:
+def _twist_power_cols(structure: HomStructure, s: int) -> tuple[Ivec, ...]:
     if s < 0:
         raise ValueError(f"twist power must be nonnegative, got {s}")
     power = mat_identity(structure.dim)
@@ -431,16 +438,17 @@ def _require_multiplicative(structure: HomStructure,
         grid = tensor_grid(structure.products[role], structure.dim)
         for i in range(structure.dim):
             for j in range(structure.dim):
-                lhs = apply_cols(acols, grid[i][j] or {})
+                lhs = apply_cols(acols, grid.ints[i][j])
                 rhs = grid_mul(grid, acols[i], acols[j])
-                if lhs != rhs:
+                if sv_sub(lhs, rhs):
                     raise NotMultiplicative(
                         f"twist is not a morphism of product '{role.value}' "
                         f"at basis pair ({i}, {j})"
                     )
 
 
-def _cols_matrix(cols: Sequence[Svec], m: int) -> Matrix:
+def _cols_matrix(cols: Sequence[Ivec], m: int) -> Matrix:
+    cols = [sv_fractions(c) for c in cols]
     return tuple(
         tuple(cols[b].get(r, Fraction(0)) for b in range(len(cols)))
         for r in range(m)
@@ -448,11 +456,11 @@ def _cols_matrix(cols: Sequence[Svec], m: int) -> Matrix:
 
 
 def _mult_slices(structure: HomStructure, tensor: Tensor,
-                 pow_cols: Sequence[Svec], side: str) -> tuple[Matrix, ...]:
+                 pow_cols: Sequence[Ivec], side: str) -> tuple[Matrix, ...]:
     """Action slices of twisted left/right multiplication by basis vectors."""
     dim = structure.dim
     grid = tensor_grid(tensor, dim)
-    basis = [{b: Fraction(1)} for b in range(dim)]
+    basis = sv_basis(dim)
     slices = []
     for i in range(dim):
         xi = pow_cols[i]
@@ -559,10 +567,12 @@ def dual_malcev_rep(rep: Representation, variant: str = "alpha") -> Representati
     dual = []
     for i in range(rep.base.dim):
         if variant == "alpha":
-            mat = mat_mul(mat_transpose(_lincomb(acols[i], rho, m)), beta_t_inv2)
+            rho_t = mat_transpose(mat_fractions(_lincomb(acols[i], rho, m)))
+            mat = mat_mul(rho_t, beta_t_inv2)
         else:
-            mat = mat_mul(beta_t_inv2, mat_transpose(_lincomb(ai_cols[i], rho, m)))
-        dual.append(tuple(tuple(-v for v in row) for row in mat))
+            rho_t = mat_transpose(mat_fractions(_lincomb(ai_cols[i], rho, m)))
+            mat = mat_mul(beta_t_inv2, rho_t)
+        dual.append(tuple(tuple(-v for v in row) for row in mat_fractions(mat)))
     return Representation(
         base=rep.base, module_dim=m, module_twist=beta_t_inv,
         actions={ActionRole.RHO: tuple(dual)},
@@ -585,11 +595,11 @@ def dual_pre_malcev_rep(rep: Representation) -> Representation:
     new_left = []
     new_right = []
     for i in range(rep.base.dim):
-        rho_a_t = mat_transpose(_lincomb(acols[i], rho, m))
-        r_a_t = mat_transpose(_lincomb(acols[i], arr, m))
-        new_left.append(tuple(tuple(-v for v in row)
-                              for row in mat_mul(rho_a_t, beta_t_inv2)))
-        new_right.append(mat_mul(r_a_t, beta_t_inv2))
+        rho_a_t = mat_transpose(mat_fractions(_lincomb(acols[i], rho, m)))
+        r_a_t = mat_transpose(mat_fractions(_lincomb(acols[i], arr, m)))
+        new_left.append(tuple(tuple(-v for v in row) for row in
+                              mat_fractions(mat_mul(rho_a_t, beta_t_inv2))))
+        new_right.append(mat_fractions(mat_mul(r_a_t, beta_t_inv2)))
     return Representation(
         base=rep.base, module_dim=m, module_twist=beta_t_inv,
         actions={ActionRole.LEFT: tuple(new_left),

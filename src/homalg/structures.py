@@ -16,11 +16,12 @@ from typing import Callable, Mapping
 
 from .exact import (
     DimensionMismatch,
+    Ivec,
     Matrix,
-    Svec,
     Tensor,
     Vector,
     apply_cols,
+    as_ivec,
     grid_mul,
     mat_cols,
     mat_identity,
@@ -28,6 +29,8 @@ from .exact import (
     mat_shape,
     matrix,
     sv_add,
+    sv_basis,
+    sv_fractions,
     sv_from_vector,
     sv_neg,
     sv_sub,
@@ -232,9 +235,9 @@ def hom_jacobian(structure: HomStructure, x: Vector, y: Vector, z: Vector) -> Ve
     dim = structure.dim
     grid = tensor_grid(derived_product(structure, ProductRole.BRACKET), dim)
     a = mat_cols(structure.twist)
-    u, v, w = sv_from_vector(x), sv_from_vector(y), sv_from_vector(z)
+    u, v, w = (as_ivec(sv_from_vector(t)) for t in (x, y, z))
 
-    def ap(s: Svec) -> Svec:
+    def ap(s: Ivec) -> Ivec:
         return apply_cols(a, s)
 
     res = sv_add(
@@ -242,7 +245,7 @@ def hom_jacobian(structure: HomStructure, x: Vector, y: Vector, z: Vector) -> Ve
         grid_mul(grid, grid_mul(grid, v, w), ap(u)),
         grid_mul(grid, grid_mul(grid, w, u), ap(v)),
     )
-    return sv_to_vector(res, dim)
+    return sv_to_vector(sv_fractions(res), dim)
 
 
 #: associator kinds for four-way-split structures, plus the plain one
@@ -256,16 +259,16 @@ def alpha_associator(structure: HomStructure, kind: str,
         raise UnknownKind(f"unknown associator kind {kind!r}; expected one of {ASSOCIATOR_KINDS}")
     dim = structure.dim
     a = mat_cols(structure.twist)
-    u, v, w = sv_from_vector(x), sv_from_vector(y), sv_from_vector(z)
+    u, v, w = (as_ivec(sv_from_vector(t)) for t in (x, y, z))
 
-    def ap(s: Svec) -> Svec:
+    def ap(s: Ivec) -> Ivec:
         return apply_cols(a, s)
 
     if kind == "plain":
         grid = tensor_grid(structure.products[_single_product_role(structure)], dim)
         res = sv_sub(grid_mul(grid, grid_mul(grid, u, v), ap(w)),
                      grid_mul(grid, ap(u), grid_mul(grid, v, w)))
-        return sv_to_vector(res, dim)
+        return sv_to_vector(sv_fractions(res), dim)
 
     R = ProductRole
     if not CLASS_ROLES[StructureClass.HOM_ALT_QUADRI] <= structure.roles():
@@ -293,25 +296,21 @@ def alpha_associator(structure: HomStructure, kind: str,
     outer_l, inner_l, outer_r, inner_r = table[kind]
     res = sv_sub(grid_mul(outer_l, grid_mul(inner_l, u, v), ap(w)),
                  grid_mul(outer_r, ap(u), grid_mul(inner_r, v, w)))
-    return sv_to_vector(res, dim)
+    return sv_to_vector(sv_fractions(res), dim)
 
 
 # ---------------------------------------------------------------------------
 # identity sets per class
 # ---------------------------------------------------------------------------
 
-IdentityFn = Callable[..., Svec]
+IdentityFn = Callable[..., Ivec]
 Identity = tuple[str, int, IdentityFn]
 
 
-def _twist_cols(structure: HomStructure) -> tuple[tuple[Svec, ...], tuple[Svec, ...]]:
+def _twist_cols(structure: HomStructure) -> tuple[tuple[Ivec, ...], tuple[Ivec, ...]]:
     a = mat_cols(structure.twist)
     a2 = mat_cols(mat_mul(structure.twist, structure.twist))
     return a, a2
-
-
-def _basis_svecs(dim: int) -> tuple[Svec, ...]:
-    return tuple({i: Fraction(1)} for i in range(dim))
 
 
 def _bracket_identities(structure: HomStructure, bracket: Tensor) -> list[Identity]:
@@ -319,15 +318,15 @@ def _bracket_identities(structure: HomStructure, bracket: Tensor) -> list[Identi
     dim = structure.dim
     grid = tensor_grid(bracket, dim)
     a, a2 = _twist_cols(structure)
-    e = _basis_svecs(dim)
+    e = sv_basis(dim)
 
-    def cell(i: int, j: int) -> Svec:
-        return grid[i][j] or {}
+    def cell(i: int, j: int) -> Ivec:
+        return grid.ints[i][j]
 
-    def ap(u: Svec) -> Svec:
+    def ap(u: Ivec) -> Ivec:
         return apply_cols(a, u)
 
-    def mul(u: Svec, v: Svec) -> Svec:
+    def mul(u: Ivec, v: Ivec) -> Ivec:
         return grid_mul(grid, u, v)
 
     def skew(i, j):
@@ -359,7 +358,7 @@ def _identities_hom_lie(structure: HomStructure) -> list[Identity]:
     a, _ = _twist_cols(structure)
 
     def cell(i, j):
-        return grid[i][j] or {}
+        return grid.ints[i][j]
 
     def skew(i, j):
         return sv_add(cell(i, j), cell(j, i))
@@ -389,7 +388,7 @@ def _identities_hom_associative(structure: HomStructure) -> list[Identity]:
     a, _ = _twist_cols(structure)
 
     def cell(i, j):
-        return grid[i][j] or {}
+        return grid.ints[i][j]
 
     def assoc(i, j, k):
         return sv_sub(grid_mul(grid, cell(i, j), a[k]),
@@ -404,7 +403,7 @@ def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
     a, _ = _twist_cols(structure)
 
     def cell(i, j):
-        return grid[i][j] or {}
+        return grid.ints[i][j]
 
     # ALT-L and ALT-R read every associator twice each; the cache lives as
     # long as the identities, i.e. for one check
@@ -430,10 +429,10 @@ def _pre_malcev_terms(structure: HomStructure):
     a, a2 = _twist_cols(structure)
 
     def dcell(i, j):
-        return dgrid[i][j] or {}
+        return dgrid.ints[i][j]
 
     def ccell(i, j):
-        return cgrid[i][j] or {}
+        return cgrid.ints[i][j]
 
     def ap(u):
         return apply_cols(a, u)
@@ -486,7 +485,8 @@ def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
         sv_neg(mul(a2[i], mul(a[j], dcell(k, l)))),
         mul(a2[k], mul(a[i], dcell(j, l))),
     )
-    return sv_to_vector(compact, dim), sv_to_vector(expanded, dim)
+    return (sv_to_vector(sv_fractions(compact), dim),
+            sv_to_vector(sv_fractions(expanded), dim))
 
 
 def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
@@ -502,19 +502,19 @@ def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
     a, a2 = _twist_cols(structure)
 
     def lcell(i, j):
-        return gl[i][j] or {}
+        return gl.ints[i][j]
 
     def rcell(i, j):
-        return gr[i][j] or {}
+        return gr.ints[i][j]
 
     def dcell(i, j):
-        return gdot[i][j] or {}
+        return gdot.ints[i][j]
 
     def vcell(i, j):
-        return gdia[i][j] or {}
+        return gdia.ints[i][j]
 
     def ccell(i, j):
-        return gcom[i][j] or {}
+        return gcom.ints[i][j]
 
     def ap(u):
         return apply_cols(a, u)
@@ -583,16 +583,16 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
     gs = tensor_grid(succ, dim)
     gst = tensor_grid(tensor_add(prec, succ), dim)
     a, _ = _twist_cols(structure)
-    e = _basis_svecs(dim)
+    e = sv_basis(dim)
 
     def pcell(i, j):
-        return gp[i][j] or {}
+        return gp.ints[i][j]
 
     def scell(i, j):
-        return gs[i][j] or {}
+        return gs.ints[i][j]
 
     def stcell(i, j):
-        return gst[i][j] or {}
+        return gst.ints[i][j]
 
     def mp(u, v):
         return grid_mul(gp, u, v)
@@ -661,7 +661,7 @@ def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
     a, _ = _twist_cols(structure)
 
     def cell(grid, i, j):
-        return grid[i][j] or {}
+        return grid.ints[i][j]
 
     def assoc(outer_l, inner_l, outer_r, inner_r):
         def fn(i, j, k):
@@ -720,8 +720,7 @@ def _mult_identities(structure: HomStructure) -> list[Identity]:
         grid = tensor_grid(structure.products[role], structure.dim)
 
         def fn(i, j, grid=grid):
-            cell = grid[i][j] or {}
-            return sv_sub(apply_cols(a, cell), grid_mul(grid, a[i], a[j]))
+            return sv_sub(apply_cols(a, grid.ints[i][j]), grid_mul(grid, a[i], a[j]))
 
         out.append((f"MULT-{role.value}", 2, fn))
     return out
@@ -751,7 +750,7 @@ def check(structure: HomStructure, cls: StructureClass, *,
             total += 1
             residual = fn(*idx)
             if residual:
-                violations.append(Violation(label, idx, dict(residual)))
+                violations.append(Violation(label, idx, sv_fractions(residual)))
     violations.sort(key=lambda v: (v.identity, v.args))
     return CheckReport(
         target=cls.value,
@@ -788,17 +787,17 @@ def check_morphism(f: Matrix, source: HomStructure, target: HomStructure,
         for i in range(source.dim):
             for j in range(source.dim):
                 total += 1
-                residual = sv_sub(apply_cols(fcols, src_grid[i][j] or {}),
+                residual = sv_sub(apply_cols(fcols, src_grid.ints[i][j]),
                                   grid_mul(tgt_grid, fcols[i], fcols[j]))
                 if residual:
-                    violations.append(Violation(label, (i, j), dict(residual)))
+                    violations.append(Violation(label, (i, j), sv_fractions(residual)))
     if not weak:
         for i in range(source.dim):
             total += 1
             residual = sv_sub(apply_cols(fcols, a_src[i]),
                               apply_cols(a_tgt, fcols[i]))
             if residual:
-                violations.append(Violation("MORPH-TWIST", (i,), dict(residual)))
+                violations.append(Violation("MORPH-TWIST", (i,), sv_fractions(residual)))
     violations.sort(key=lambda v: (v.identity, v.args))
     return CheckReport(
         target="morphism",

@@ -21,7 +21,15 @@ from homalg import (
     load_bundle,
     make_structure,
 )
-from homalg.exact import mat_identity
+from homalg.exact import (
+    grid_mul,
+    mat_identity,
+    sv_fractions,
+    sv_from_vector,
+    sv_to_vector,
+    tensor_grid,
+    validate_tensor,
+)
 from homalg.fixtures import fixture_path
 
 F = Fraction
@@ -65,6 +73,24 @@ def oracle_cols_to_matrix(cols, dim: int):
 def entries_matrix(dim: int, entries):
     """Dense matrix from oracle ``(row, col, value)`` operator entries."""
     return dense(dim, *entries)
+
+
+def basis_vector(dim: int, i: int):
+    """The dense ``i``-th basis vector of length ``dim``."""
+    return tuple(F(1) if j == i else F(0) for j in range(dim))
+
+
+def mat_neg(a):
+    """The entrywise negation of a dense matrix."""
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def product_eval(t, x, y):
+    """Evaluate the bilinear product ``t`` on two dense vectors."""
+    dim = len(x)
+    validate_tensor(t, dim, "product")
+    out = grid_mul(tensor_grid(t, dim), sv_from_vector(x), sv_from_vector(y))
+    return sv_to_vector(sv_fractions(out), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,13 @@ def test_parse_rational_errors():
         parse_rational("a/b", "here")
 
 
+def test_parse_rational_oversized_names_the_field():
+    big = "9" * 5000
+    for text in (big, f"-{big}/7", f"7/{big}"):
+        with pytest.raises(BundleError, match=r"^here: more than \d+ digits"):
+            parse_rational(text, "here")
+
+
 # ---------------------------------------------------------------------------
 # packaged fixtures and round trips
 # ---------------------------------------------------------------------------
@@ -788,6 +795,55 @@ def test_cli_fmt_parse_error(tmp_path, capsys):
     status, _, err = run_cli(["fmt", str(src)], capsys)
     assert status == 2
     assert err.startswith("error: not valid JSON")
+
+
+def test_cli_fmt_oversized_rational(tmp_path, capsys):
+    payload = minimal_payload()
+    payload["products"]["bracket"][1][3] = "-" + "9" * 5000 + "/1"
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    status, out, err = run_cli(["fmt", str(src)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: products.bracket[1]: more than ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_check_oversized_residual(fmt, tmp_path, capsys):
+    """e0 e0 = N e1 and e1 e0 = N e1 leave ASSOC(0, 0, 0) = N^2 e1, which
+    has twice as many digits as N: readable input, unwritable residual."""
+    n = "7" * 2500
+    payload = {
+        "schema_version": 1,
+        "class": "hom-associative",
+        "dim": 2,
+        "basis": ["e0", "e1"],
+        "twist": ["1/1", "0/1", "0/1", "1/1"],
+        "products": {"star": [[0, 0, 1, f"{n}/1"], [1, 0, 1, f"{n}/1"]]},
+    }
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    status, out, err = run_cli(["check", str(src), "--format", fmt], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: cannot write a rational with more than ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"dim": ' + "9" * 5000 + "}"],
+                         ids=["deep-nesting", "huge-integer"])
+def test_cli_unparsable_json_is_one_line(text, tmp_path, capsys):
+    with pytest.raises(BundleError, match="^not valid JSON: "):
+        loads_bundle(text)
+    src = tmp_path / "bad.json"
+    src.write_text(text, encoding="utf-8")
+    for argv in (["fmt", str(src)], ["check", str(src)]):
+        status, out, err = run_cli(argv, capsys)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: not valid JSON: ")
+        assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

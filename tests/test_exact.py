@@ -7,34 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from homalg.exact import (
     DimensionMismatch,
+    Imat,
+    Ivec,
     SingularMatrix,
     apply_cols,
     as_fraction,
-    basis_vector,
-    cols_to_matrix,
+    as_imat,
+    as_ivec,
     grid_mul,
     mat_add,
-    mat_apply,
     mat_cols,
+    mat_fractions,
     mat_identity,
     mat_inverse,
-    mat_is_identity,
     mat_kernel_vector,
     mat_lincomb,
     mat_mul,
-    mat_neg,
-    mat_scale,
     mat_shape,
     mat_sub,
     mat_transpose,
     mat_zero,
     matrix,
-    product_eval,
     push_product,
-    conjugate_product,
     sv_add,
+    sv_fractions,
     sv_from_vector,
     sv_neg,
     sv_scale,
@@ -42,7 +41,6 @@ from homalg.exact import (
     sv_to_vector,
     tensor_add,
     tensor_commutator,
-    tensor_entries,
     tensor_flip,
     tensor_from_entries,
     tensor_grid,
@@ -50,9 +48,6 @@ from homalg.exact import (
     tensor_normalize,
     tensor_sub,
     validate_tensor,
-    vec_add,
-    vec_scale,
-    vec_sub,
     vector,
 )
 
@@ -75,6 +70,21 @@ def vector_st(n: int):
     return st.lists(fractions_st, min_size=n, max_size=n).map(vector)
 
 
+def svec(u):
+    """The canonical Fraction entries of a kernel's integer vector."""
+    return sv_fractions(u)
+
+
+def mat(m):
+    """The canonical Fraction tuple matrix of a kernel's integer matrix."""
+    return mat_fractions(m)
+
+
+def dense_apply(a, v):
+    """Plain-Fraction matrix-vector product."""
+    return tuple(sum((x * y for x, y in zip(row, v)), F(0)) for row in a)
+
+
 # ---------------------------------------------------------------------------
 # scalars and vectors
 # ---------------------------------------------------------------------------
@@ -85,23 +95,6 @@ def test_as_fraction_exactness():
     assert as_fraction(F(5, 7)) == F(5, 7)
 
 
-def test_basis_vector():
-    assert basis_vector(3, 1) == (F(0), F(1), F(0))
-
-
-def test_vector_arithmetic():
-    u = vector([1, 2])
-    v = vector([F(1, 2), -3])
-    assert vec_add(u, v) == (F(3, 2), F(-1))
-    assert vec_sub(u, v) == (F(1, 2), F(5))
-    assert vec_scale(F(2), v) == (F(1), F(-6))
-
-
-def test_vector_dimension_guard():
-    with pytest.raises(DimensionMismatch):
-        vec_add(vector([1]), vector([1, 2]))
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -109,21 +102,17 @@ def test_vector_dimension_guard():
 def test_matrix_shape_and_identity():
     m = matrix([[1, 2, 3], [4, 5, 6]])
     assert mat_shape(m) == (2, 3)
-    assert mat_is_identity(mat_identity(4))
-    assert not mat_is_identity(mat_zero(2, 2))
-    assert not mat_is_identity(matrix([[1, 0], [0, 2]]))
+    assert mat_identity(2) == matrix([[1, 0], [0, 1]])
+    assert mat_zero(2, 1) == matrix([[0], [0]])
 
 
 def test_matrix_arithmetic_small():
     a = matrix([[1, 2], [3, 4]])
     b = matrix([[0, 1], [1, 0]])
-    assert mat_add(a, b) == matrix([[1, 3], [4, 4]])
-    assert mat_sub(a, b) == matrix([[1, 1], [2, 4]])
-    assert mat_neg(b) == matrix([[0, -1], [-1, 0]])
-    assert mat_scale(F(1, 2), a) == matrix([["1/2", 1], ["3/2", 2]])
-    assert mat_mul(a, b) == matrix([[2, 1], [4, 3]])
+    assert mat(mat_add(a, b)) == matrix([[1, 3], [4, 4]])
+    assert mat(mat_sub(a, b)) == matrix([[1, 1], [2, 4]])
+    assert mat(mat_mul(a, b)) == matrix([[2, 1], [4, 3]])
     assert mat_transpose(a) == matrix([[1, 3], [2, 4]])
-    assert mat_apply(a, vector([1, -1])) == (F(-1), F(-1))
 
 
 def test_matrix_mul_shape_guard():
@@ -135,7 +124,7 @@ def test_mat_inverse_known():
     a = matrix([[1, 2], [3, 4]])
     inv = mat_inverse(a)
     assert inv == matrix([[-2, 1], ["3/2", "-1/2"]])
-    assert mat_is_identity(mat_mul(a, inv))
+    assert mat(mat_mul(a, inv)) == mat_identity(2)
 
 
 def test_mat_inverse_singular():
@@ -150,7 +139,7 @@ def test_mat_kernel_vector_cases():
     # k really is in the kernel
     a = matrix([[1, 2], [2, 4]])
     v = sv_to_vector(k, 2)
-    assert mat_apply(a, v) == (F(0), F(0))
+    assert dense_apply(a, v) == (F(0), F(0))
     with pytest.raises(DimensionMismatch):
         mat_kernel_vector(matrix([[1, 2, 3]]))
 
@@ -158,8 +147,8 @@ def test_mat_kernel_vector_cases():
 def test_mat_lincomb():
     mats = [mat_identity(2), matrix([[0, 1], [0, 0]])]
     got = mat_lincomb({0: F(2), 1: F(-1)}, mats, 2, 2)
-    assert got == matrix([[2, -1], [0, 2]])
-    assert mat_lincomb({}, mats, 2, 2) == mat_zero(2, 2)
+    assert mat(got) == matrix([[2, -1], [0, 2]])
+    assert mat(mat_lincomb({}, mats, 2, 2)) == mat_zero(2, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,17 +162,17 @@ def test_mat_inverse_round_trip_property(a):
         k = mat_kernel_vector(a)
         assert k is not None
         v = sv_to_vector(k, 3)
-        assert mat_apply(a, v) == (F(0),) * 3
+        assert dense_apply(a, v) == (F(0),) * 3
         return
-    assert mat_is_identity(mat_mul(a, inv))
-    assert mat_is_identity(mat_mul(inv, a))
+    assert mat(mat_mul(a, inv)) == mat_identity(3)
+    assert mat(mat_mul(inv, a)) == mat_identity(3)
     assert mat_kernel_vector(a) is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(square_matrix_st(3), square_matrix_st(3), vector_st(3))
 def test_mat_mul_is_composition_property(a, b, v):
-    assert mat_apply(mat_mul(a, b), v) == mat_apply(a, mat_apply(b, v))
+    assert dense_apply(mat(mat_mul(a, b)), v) == dense_apply(a, dense_apply(b, v))
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,24 +193,24 @@ def test_sparse_round_trip():
 
 
 def test_sparse_arithmetic_drops_zeros():
-    assert sv_add({0: F(1)}, {0: F(-1), 1: F(2)}) == {1: F(2)}
+    assert svec(sv_add({0: F(1)}, {0: F(-1), 1: F(2)})) == {1: F(2)}
     assert sv_sub({1: F(2)}, {1: F(2)}) == {}
-    assert sv_neg({0: F(3)}) == {0: F(-3)}
+    assert svec(sv_neg({0: F(3)})) == {0: F(-3)}
     assert sv_scale(F(0), {0: F(3)}) == {}
 
 
 def test_cols_round_trip():
     m = matrix([[1, 0], [F(1, 2), -1]])
     cols = mat_cols(m)
-    assert cols_to_matrix(cols, 2) == m
-    assert apply_cols(cols, {0: F(2)}) == {0: F(2), 1: F(1)}
+    assert [svec(c) for c in cols] == [{0: F(1), 1: F(1, 2)}, {1: F(-1)}]
+    assert svec(apply_cols(cols, {0: F(2)})) == {0: F(2), 1: F(1)}
 
 
 @settings(max_examples=40, deadline=None)
 @given(square_matrix_st(3), vector_st(3))
 def test_apply_cols_matches_mat_apply_property(a, v):
     got = apply_cols(mat_cols(a), sv_from_vector(v))
-    assert sv_to_vector(got, 3) == mat_apply(a, v)
+    assert sv_to_vector(svec(got), 3) == dense_apply(a, v)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +219,6 @@ def test_apply_cols_matches_mat_apply_property(a, v):
 
 def small_tensor():
     return tensor_from_entries([(0, 1, 1, 1), (1, 0, 1, -1), (0, 0, 0, F(1, 2))])
-
-
-def test_tensor_entry_round_trip():
-    t = small_tensor()
-    entries = tensor_entries(t)
-    assert entries == [
-        (0, 0, 0, F(1, 2)),
-        (0, 1, 1, F(1)),
-        (1, 0, 1, F(-1)),
-    ]
-    assert tensor_from_entries(entries) == t
 
 
 def test_tensor_normalize_drops_zero_cells():
@@ -270,8 +248,9 @@ def test_validate_tensor_guards():
 def test_grid_mul_and_product_eval():
     t = small_tensor()
     grid = tensor_grid(t, 2)
-    assert grid_mul(grid, {0: F(1)}, {1: F(1)}) == {1: F(1)}
+    assert svec(grid_mul(grid, {0: F(1)}, {1: F(1)})) == {1: F(1)}
     assert grid_mul(grid, {1: F(1)}, {1: F(1)}) == {}
+    product_eval = support.product_eval
     assert product_eval(t, vector([1, 0]), vector([0, 2])) == (F(0), F(2))
     # bilinearity on a mixed input
     assert product_eval(t, vector([1, 1]), vector([1, 1])) == (F(1, 2), F(0))
@@ -281,21 +260,25 @@ def test_push_and_conjugate_product():
     t = tensor_from_entries([(0, 1, 1, 1)])
     doubling = matrix([[2, 0], [0, 2]])
     assert push_product(t, doubling) == tensor_from_entries([(0, 1, 1, 2)])
-    assert conjugate_product(t, doubling) == tensor_from_entries([(0, 1, 1, 4)])
     swap = matrix([[0, 1], [1, 0]])
-    assert conjugate_product(t, swap) == tensor_from_entries([(1, 0, 1, 1)])
+    assert push_product(t, swap) == tensor_from_entries([(0, 1, 0, 1)])
+    assert all(type(x) is Fraction
+               for cell in push_product(t, doubling).values() for x in cell.values())
 
 
 @settings(max_examples=30, deadline=None)
 @given(vector_st(2), vector_st(2), vector_st(2), fractions_st)
 def test_product_eval_bilinear_property(x, y, z, c):
     t = small_tensor()
-    left = product_eval(t, vec_add(x, vec_scale(c, y)), z)
-    split = vec_add(product_eval(t, x, z), vec_scale(c, product_eval(t, y, z)))
-    assert left == split
-    right = product_eval(t, z, vec_add(x, vec_scale(c, y)))
-    split_r = vec_add(product_eval(t, z, x), vec_scale(c, product_eval(t, z, y)))
-    assert right == split_r
+    product_eval = support.product_eval
+
+    def lin(u, v):
+        return tuple(a + c * b for a, b in zip(u, v))
+
+    assert product_eval(t, lin(x, y), z) == lin(product_eval(t, x, z),
+                                                product_eval(t, y, z))
+    assert product_eval(t, z, lin(x, y)) == lin(product_eval(t, z, x),
+                                                product_eval(t, z, y))
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +346,18 @@ def ref_mat_lincomb(coeffs, mats, rows, cols):
 
 
 def assert_canonical_svec(got, want):
-    assert got == want
-    assert all(type(x) is Fraction and x for x in got.values())
+    """``got`` is an integer vector of nonzero ints with the value ``want``."""
+    assert type(got) is Ivec
+    assert all(type(n) is int and n for n in got.values())
+    assert all(type(x) is Fraction for x in svec(got).values())
+    assert svec(got) == want
 
 
 def assert_canonical_matrix(got, want):
-    assert got == want
-    assert all(type(x) is Fraction for row in got for x in row)
+    """``got`` is an integer matrix with the value ``want``."""
+    assert type(got) is Imat and all(type(n) is int for n in got)
+    assert (got.rows, got.cols) == mat_shape(want)
+    assert mat(got) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -404,7 +392,7 @@ def test_grid_mul_empty_operands_and_rows(u, v):
     # rows 1..3 hold no cell at all
     grid = tensor_grid({(0, 0): {1: F(3, 7)}}, KERNEL_DIM)
     assert grid_mul(grid, {}, v) == {} and grid_mul(grid, u, {}) == {}
-    assert grid_mul(grid, u, v) == ref_grid_mul({(0, 0): {1: F(3, 7)}}, u, v)
+    assert svec(grid_mul(grid, u, v)) == ref_grid_mul({(0, 0): {1: F(3, 7)}}, u, v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,6 +400,56 @@ def test_grid_mul_empty_operands_and_rows(u, v):
        sparse_st())
 def test_apply_cols_matches_fraction_reference(cols, u):
     assert_canonical_svec(apply_cols(cols, u), ref_apply_cols(cols, u))
+
+
+def ref_sv_sum(*terms):
+    out = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = out.get(k, F(0)) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sparse_st(), max_size=4), rational_st)
+def test_sparse_kernels_match_fraction_reference(vs, c):
+    """Operands over unrelated denominators, as Fraction mappings and as
+    integer vectors, give the values of plain Fraction sums."""
+    ints = [as_ivec(v) for v in vs]
+    for ops in (vs, ints):
+        assert_canonical_svec(sv_add(*ops), ref_sv_sum(*[(1, v) for v in vs]))
+        if len(ops) >= 2:
+            assert_canonical_svec(sv_sub(ops[0], ops[1]),
+                                  ref_sv_sum((1, vs[0]), (-1, vs[1])))
+        if ops:
+            assert_canonical_svec(sv_neg(ops[0]), ref_sv_sum((-1, vs[0])))
+            assert_canonical_svec(sv_scale(c, ops[0]), ref_sv_sum((c, vs[0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_st(), nonzero_st, nonzero_st)
+def test_sparse_kernels_cancel_to_exact_zero(u, p, q):
+    """p/q u - (p u) / q is zero however the numerators are scaled."""
+    left = sv_scale(p / q, u)
+    right = sv_scale(F(1) / q, sv_scale(p, u))
+    assert sv_sub(left, right) == {}
+    assert sv_add(left, sv_neg(right)) == {}
+    assert sv_add(right, {}, sv_neg(left), {}) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_mat_add_sub_match_fraction_reference(rows, cols, data):
+    a = data.draw(dense_matrix_st(rows, cols))
+    b = data.draw(dense_matrix_st(rows, cols))
+    for x, y in ((a, b), (as_imat(a), as_imat(b)), (a, as_imat(b))):
+        assert_canonical_matrix(mat_add(x, y), tuple(
+            tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b)))
+        assert_canonical_matrix(mat_sub(x, y), tuple(
+            tuple(p - q for p, q in zip(ra, rb)) for ra, rb in zip(a, b)))
+    assert not any(mat_sub(mat_add(a, b), mat_add(b, a)))
+    with pytest.raises(DimensionMismatch):
+        mat_add(a, mat_zero(rows + 1, cols))
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,8 +467,8 @@ def test_mat_mul_matches_fraction_reference(ra, ca, cb, data):
     a = data.draw(dense_matrix_st(ra, ca))
     b = data.draw(dense_matrix_st(ca, cb))
     assert_canonical_matrix(mat_mul(a, b), ref_mat_mul(a, b))
-    assert mat_mul(a, mat_zero(ca, cb)) == mat_zero(ra, cb)
-    assert mat_mul(mat_zero(ra, ca), b) == mat_zero(ra, cb)
+    assert mat(mat_mul(a, mat_zero(ca, cb))) == mat_zero(ra, cb)
+    assert mat(mat_mul(mat_zero(ra, ca), b)) == mat_zero(ra, cb)
 
 
 @settings(max_examples=60, deadline=None)
@@ -468,4 +506,4 @@ def test_mat_lincomb_cancels_to_exact_zero(m, p, q):
     scaled = matrix([[p / q * x for x in row] for row in m])
     got = mat_lincomb({0: p, 1: -q, 2: q}, [m, scaled, mat_zero(2, 3)], 2, 3)
     assert_canonical_matrix(got, mat_zero(2, 3))
-    assert mat_lincomb({}, [m], 2, 3) == mat_zero(2, 3)
+    assert mat(mat_lincomb({}, [m], 2, 3)) == mat_zero(2, 3)

@@ -49,10 +49,11 @@ from homalg.exact import (
     grid_mul,
     mat_add,
     mat_cols,
+    mat_fractions,
     mat_identity,
-    mat_neg,
     mat_zero,
     push_product,
+    sv_fractions,
     tensor_add,
     tensor_from_entries,
     tensor_grid,
@@ -176,7 +177,7 @@ def test_identity_is_not_rb_on_lie2():
 
 def test_weighted_rb():
     # R = -id satisfies the weight-1 law on any associative algebra
-    neg_id = mat_neg(mat_identity(3))
+    neg_id = support.mat_neg(mat_identity(3))
     assert check_operator(support.t2(), rb(neg_id, weight=F(1))).passed
     assert not check_operator(support.t2(), rb(neg_id)).passed
 
@@ -301,9 +302,9 @@ def test_mdendriform_splitting_invariant(pm_sl2, sl2_ops):
     ent = []
     for a in range(3):
         for b in range(3):
-            for k, v in grid_mul(dgrid, tcols[a], {b: F(1)}).items():
+            for k, v in sv_fractions(grid_mul(dgrid, tcols[a], {b: F(1)})).items():
                 ent.append((a, b, k, v))
-            for k, v in grid_mul(dgrid, {a: F(1)}, tcols[b]).items():
+            for k, v in sv_fractions(grid_mul(dgrid, {a: F(1)}, tcols[b])).items():
                 ent.append((a, b, k, v))
     assert recombined == tensor_from_entries(ent)
 
@@ -376,11 +377,13 @@ def test_prealt_o_operator_with_summed_actions(t2_ops, pa_t2):
         module_twist=mat_identity(3),
         actions={
             A.LEFT: tuple(
-                mat_add(reg.actions[A.LEFT_PREC][i], reg.actions[A.LEFT_SUCC][i])
+                mat_fractions(mat_add(reg.actions[A.LEFT_PREC][i],
+                                      reg.actions[A.LEFT_SUCC][i]))
                 for i in range(3)
             ),
             A.RIGHT: tuple(
-                mat_add(reg.actions[A.RIGHT_PREC][i], reg.actions[A.RIGHT_SUCC][i])
+                mat_fractions(mat_add(reg.actions[A.RIGHT_PREC][i],
+                                      reg.actions[A.RIGHT_SUCC][i]))
                 for i in range(3)
             ),
         },
@@ -423,7 +426,7 @@ def test_alternative_pair_to_quadri(t2, t2_ops):
     for i in range(3):
         rx = apply_cols(r1c, apply_cols(r2c, {i: F(1)}))
         for j in range(3):
-            for k, v in grid_mul(sgrid, rx, {j: F(1)}).items():
+            for k, v in sv_fractions(grid_mul(sgrid, rx, {j: F(1)})).items():
                 ent.append((i, j, k, v))
     assert q.products[R.SE] == tensor_from_entries(ent)
 

@@ -26,6 +26,7 @@ from homalg import (
 )
 from homalg.exact import (
     DimensionMismatch,
+    mat_fractions,
     mat_identity,
     mat_sub,
     push_product,
@@ -186,7 +187,7 @@ def test_left_minus_right_is_malcev_rep_over_commutator():
     reg = regular_pre_malcev_rep(pm)
     ell = reg.actions[A.LEFT]
     arr = reg.actions[A.RIGHT]
-    rho = tuple(mat_sub(ell[i], arr[i]) for i in range(pm.dim))
+    rho = tuple(mat_fractions(mat_sub(ell[i], arr[i])) for i in range(pm.dim))
     rep = Representation(
         base=pm, module_dim=pm.dim, module_twist=pm.twist, actions={A.RHO: rho}
     )
