@@ -67,8 +67,12 @@ def apply(a, x):
 
 def mult(c, x, y):
     n = len(x)
-    return [sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)),
-                F(0)) for k in range(n)]
+    out = [F(0)] * n
+    for i, j in itertools.product(range(n), repeat=2):
+        if x[i] and y[j]:
+            xy = x[i] * y[j]
+            out = [o + xy * v for o, v in zip(out, c[i][j])]
+    return out
 
 
 def plus(*vs):
@@ -127,12 +131,15 @@ def sparse(v):
     return {k: x for k, x in enumerate(v) if x}
 
 
+def tensor_of(c):
+    n = len(c)
+    return {(i, j): {k: c[i][j][k] for k in range(n)}
+            for i in range(n) for j in range(n)}
+
+
 def structure_of(cls, c, a):
     role = ProductRole.BRACKET if cls == "hom-lie" else ProductRole.STAR
-    n = len(a)
-    table = {(i, j): {k: c[i][j][k] for k in range(n)}
-             for i in range(n) for j in range(n)}
-    return make_structure(n, twist=a, products={role: table})
+    return make_structure(len(a), twist=a, products={role: tensor_of(c)})
 
 
 def assert_fraction_residuals(report):
@@ -219,4 +226,383 @@ def test_check_rep_residual_columns_match_dense_fraction_evaluation(m, data):
     got = {(v.identity, v.args): v.residual for v in report.violations}
     assert got == want
     assert report.tuples_checked == (n + n ** 3) * m
+    assert_fraction_residuals(report)
+
+
+def assert_matches(report, want):
+    got = {(v.identity, v.args): v.residual for v in report.violations}
+    assert got == {key: sparse(res) for key, res in want.items() if any(res)}
+    assert report.tuples_checked == len(want)
+    assert report.passed == (not got)
+    assert_fraction_residuals(report)
+
+
+def twist_images(a):
+    """Basis vectors, their images under a and their images under a^2."""
+    n = len(a)
+    e = [basis(n, i) for i in range(n)]
+    al = [apply(a, x) for x in e]
+    return e, al, [apply(a, x) for x in al]
+
+
+def bracket_law_residuals(c, a):
+    """SKEW, HM-JAC and HM-EXP of the bracket ``c``:
+    J(x,y,z) = [[x,y],a z] + [[y,z],a x] + [[z,x],a y],
+    HM-JAC(i,j,k) = J(a e_i, a e_j, [e_i,e_k]) - [J(e_i,e_j,e_k), a^2 e_i],
+    HM-EXP(i,j,k,l) = [a[e_i,e_k], a[e_j,e_l]] - sum over the four rotations
+    (i,j,k,l) -> (j,k,l,i) of [[[e_i,e_j],a e_k],a^2 e_l]."""
+    n = len(a)
+    e, al, al2 = twist_images(a)
+
+    def br(x, y):
+        return mult(c, x, y)
+
+    def jac(x, y, z):
+        return plus(br(br(x, y), apply(a, z)), br(br(y, z), apply(a, x)),
+                    br(br(z, x), apply(a, y)))
+
+    out = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        out[("SKEW", (i, j))] = plus(br(e[i], e[j]), br(e[j], e[i]))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        out[("HM-JAC", (i, j, k))] = minus(jac(al[i], al[j], br(e[i], e[k])),
+                                           br(jac(e[i], e[j], e[k]), al2[i]))
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        t = (i, j, k, l)
+        rot = [br(br(br(e[t[r]], e[t[(r + 1) % 4]]), al[t[(r + 2) % 4]]),
+                  al2[t[(r + 3) % 4]]) for r in range(4)]
+        out[("HM-EXP", t)] = minus(br(apply(a, br(e[i], e[k])),
+                                      apply(a, br(e[j], e[l]))), plus(*rot))
+    return out
+
+
+def commutator_table(c):
+    n = len(c)
+    return [[[c[i][j][k] - c[j][i][k] for k in range(n)] for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["hom-malcev", "hom-malcev-admissible"]),
+       st.just(2).flatmap(lambda n: st.tuples(table_st(n), dense_st(n, n))))
+def test_bracket_law_residuals_match_dense_fraction_evaluation(cls, data):
+    c, a = data
+    role = ProductRole.BRACKET if cls == "hom-malcev" else ProductRole.STAR
+    structure = make_structure(len(a), twist=a, products={role: tensor_of(c)})
+    bracket = c if cls == "hom-malcev" else commutator_table(c)
+    assert_matches(check(structure, StructureClass(cls)),
+                   bracket_law_residuals(bracket, a))
+
+
+def pre_malcev_law_residuals(c, a):
+    """HPM of the dot product ``c`` with commutator [x,y] = xy - yx:
+    (a[e_j,e_k])(a(e_i e_l)) + [[e_i,e_j],a e_k](a^2 e_l)
+    + (a^2 e_j)([e_i,e_k](a e_l)) - (a^2 e_i)((a e_j)(e_k e_l))
+    + (a^2 e_k)((a e_i)(e_j e_l))."""
+    n = len(a)
+    e, al, al2 = twist_images(a)
+
+    def d(x, y):
+        return mult(c, x, y)
+
+    def com(x, y):
+        return minus(d(x, y), d(y, x))
+
+    out = {}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        out[("HPM", (i, j, k, l))] = plus(
+            d(apply(a, com(e[j], e[k])), apply(a, d(e[i], e[l]))),
+            d(com(com(e[i], e[j]), al[k]), al2[l]),
+            d(al2[j], d(com(e[i], e[k]), al[l])),
+            [-x for x in d(al2[i], d(al[j], d(e[k], e[l])))],
+            d(al2[k], d(al[i], d(e[j], e[l]))),
+        )
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.just(2).flatmap(lambda n: st.tuples(table_st(n), dense_st(n, n))))
+def test_pre_malcev_residuals_match_dense_fraction_evaluation(data):
+    c, a = data
+    structure = make_structure(len(a), twist=a,
+                               products={ProductRole.DOT: tensor_of(c)})
+    assert_matches(check(structure, StructureClass.HOM_PRE_MALCEV),
+                   pre_malcev_law_residuals(c, a))
+
+
+def m_dendriform_residuals(cl, cr, a):
+    """MD1-MD4 of the splitting (left ``cl``, right ``cr``) with
+    x.y = L(x,y) + R(x,y), x<>y = L(x,y) - R(y,x) and [x,y] = x.y - y.x."""
+    n = len(a)
+    e, al, al2 = twist_images(a)
+
+    def L(x, y):
+        return mult(cl, x, y)
+
+    def R(x, y):
+        return mult(cr, x, y)
+
+    def dot(x, y):
+        return plus(L(x, y), R(x, y))
+
+    def dia(x, y):
+        return minus(L(x, y), R(y, x))
+
+    def com(x, y):
+        return minus(dot(x, y), dot(y, x))
+
+    def ap(x):
+        return apply(a, x)
+
+    def neg(x):
+        return [-v for v in x]
+
+    out = {}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        t = (i, j, k, l)
+        out[("MD1", t)] = plus(
+            R(dia(al[k], dia(e[j], e[i])), al2[l]),
+            neg(R(al2[i], dot(al[j], dot(e[k], e[l])))),
+            L(al2[k], R(al[i], dot(e[j], e[l]))),
+            L(ap(com(e[j], e[k])), ap(R(e[i], e[l]))),
+            neg(L(al2[j], R(dia(e[k], e[i]), al[l]))),
+        )
+        out[("MD2", t)] = plus(
+            L(al2[k], L(al[i], R(e[j], e[l]))),
+            neg(R(dia(al[k], dia(e[i], e[j])), al2[l])),
+            neg(L(al2[i], R(al[j], dot(e[k], e[l])))),
+            neg(R(ap(dia(e[k], e[j])), ap(dot(e[i], e[l])))),
+            R(al2[j], dot(com(e[i], e[k]), al[l])),
+        )
+        out[("MD3", t)] = plus(
+            R(al2[k], dot(al[i], dot(e[j], e[l]))),
+            R(dia(com(e[i], e[j]), al[k]), al2[l]),
+            neg(L(al2[i], L(al[j], R(e[k], e[l])))),
+            R(ap(dia(e[j], e[k])), ap(dot(e[i], e[l]))),
+            L(al2[j], R(dia(e[i], e[k]), al[l])),
+        )
+        out[("MD4", t)] = plus(
+            L(com(com(e[i], e[j]), al[k]), al2[l]),
+            neg(L(al2[i], L(al[j], L(e[k], e[l])))),
+            L(al2[k], L(al[i], L(e[j], e[l]))),
+            L(ap(com(e[j], e[k])), ap(L(e[i], e[l]))),
+            L(al2[j], L(com(e[i], e[k]), al[l])),
+        )
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.just(2).flatmap(
+    lambda n: st.tuples(table_st(n), table_st(n), dense_st(n, n))))
+def test_m_dendriform_residuals_match_dense_fraction_evaluation(data):
+    cl, cr, a = data
+    structure = make_structure(len(a), twist=a, products={
+        ProductRole.TRI_LEFT: tensor_of(cl), ProductRole.TRI_RIGHT: tensor_of(cr)})
+    assert_matches(check(structure, StructureClass.HOM_M_DENDRIFORM),
+                   m_dendriform_residuals(cl, cr, a))
+
+
+def quadri_residuals(nw, sw, ne, se, a):
+    """QA1-QA9 from the nine associator kinds
+    (x, y, z) -> o1(i1(x, y), a z) - o2(a x, i2(y, z)) built from the four
+    quarters and their sums succ = ne + se, prec = nw + sw, vee = se + sw,
+    wedge = ne + nw, star = all four."""
+    n = len(a)
+    e, al, _ = twist_images(a)
+
+    def prod(*tables):
+        return lambda x, y: plus(*[mult(t, x, y) for t in tables])
+
+    NW, SW, NE, SE = prod(nw), prod(sw), prod(ne), prod(se)
+    succ, prec = prod(ne, se), prod(nw, sw)
+    vee, wedge, star = prod(se, sw), prod(ne, nw), prod(nw, sw, ne, se)
+    kinds = {
+        "r": (NW, NW, NW, star), "l": (SE, star, SE, SE),
+        "m": (NW, SE, SE, NW), "n": (NW, NE, NE, prec),
+        "w": (NW, SW, SW, wedge), "s": (SW, succ, SE, SW),
+        "e": (NE, vee, SE, NE), "ne": (NE, wedge, NE, succ),
+        "sw": (SW, prec, SW, vee),
+    }
+
+    def asc(kind, i, j, k):
+        o1, i1, o2, i2 = kinds[kind]
+        return minus(o1(i1(e[i], e[j]), al[k]), o2(al[i], i2(e[j], e[k])))
+
+    laws = [("QA1", "r", "m", 12), ("QA2", "r", "r", 23), ("QA3", "n", "w", 12),
+            ("QA4", "n", "ne", 23), ("QA5", "ne", "e", 12),
+            ("QA6", "w", "sw", 23), ("QA7", "sw", "s", 12),
+            ("QA8", "m", "l", 23), ("QA9", "l", "l", 12)]
+    out = {}
+    for label, first, second, swap in laws:
+        for i, j, k in itertools.product(range(n), repeat=3):
+            p = (j, i, k) if swap == 12 else (i, k, j)
+            out[(label, (i, j, k))] = plus(asc(first, i, j, k), asc(second, *p))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(table_st(n), min_size=4, max_size=4), dense_st(n, n))))
+def test_alt_quadri_residuals_match_dense_fraction_evaluation(data):
+    (nw, sw, ne, se), a = data
+    R = ProductRole
+    structure = make_structure(len(a), twist=a, products={
+        R.NW: tensor_of(nw), R.SW: tensor_of(sw), R.NE: tensor_of(ne),
+        R.SE: tensor_of(se)})
+    assert_matches(check(structure, StructureClass.HOM_ALT_QUADRI),
+                   quadri_residuals(nw, sw, ne, se, a))
+
+
+def pre_alternative_residuals(cp, cs, a):
+    """PA1-PA10 of the splitting (prec ``cp``, succ ``cs``), x*y = p + s."""
+    n = len(a)
+    e, al, _ = twist_images(a)
+
+    def p(x, y):
+        return mult(cp, x, y)
+
+    def s(x, y):
+        return mult(cs, x, y)
+
+    def stp(i, j):
+        return plus(p(e[i], e[j]), s(e[i], e[j]))
+
+    def pc(i, j):
+        return p(e[i], e[j])
+
+    def sc(i, j):
+        return s(e[i], e[j])
+
+    out = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        t = (i, j, k)
+        out[("PA1", t)] = minus(s(plus(stp(i, j), stp(j, i)), al[k]),
+                                plus(s(al[i], sc(j, k)), s(al[j], sc(i, k))))
+        out[("PA2", t)] = minus(s(plus(stp(i, k), stp(k, i)), al[j]),
+                                plus(s(al[i], sc(k, j)), s(al[k], sc(i, j))))
+        out[("PA3", t)] = minus(plus(p(sc(i, k), al[j]), p(pc(k, i), al[j])),
+                                plus(s(al[i], pc(k, j)), p(al[k], stp(i, j))))
+        out[("PA4", t)] = minus(plus(p(sc(k, i), al[j]), p(pc(i, k), al[j])),
+                                plus(p(al[i], stp(k, j)), s(al[k], pc(i, j))))
+        out[("PA5", t)] = minus(plus(p(pc(j, i), al[k]), p(sc(i, j), al[k])),
+                                plus(p(al[j], stp(i, k)), s(al[i], pc(j, k))))
+        out[("PA6", t)] = minus(plus(p(sc(j, k), al[i]), s(stp(j, i), al[k])),
+                                plus(s(al[j], pc(k, i)), s(al[j], sc(i, k))))
+        out[("PA7", t)] = minus(plus(p(sc(k, j), al[i]), s(stp(k, i), al[j])),
+                                plus(s(al[k], pc(j, i)), s(al[k], sc(i, j))))
+        out[("PA8", t)] = minus(plus(p(sc(j, i), al[k]), s(stp(j, k), al[i])),
+                                plus(s(al[j], pc(i, k)), s(al[j], sc(k, i))))
+        out[("PA9", t)] = minus(plus(p(pc(k, j), al[i]), p(pc(k, i), al[j])),
+                                p(al[k], plus(stp(i, j), stp(j, i))))
+        out[("PA10", t)] = minus(plus(p(pc(i, k), al[j]), p(pc(i, j), al[k])),
+                                 p(al[i], plus(stp(k, j), stp(j, k))))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.tuples(table_st(n), table_st(n), dense_st(n, n))))
+def test_pre_alternative_residuals_match_dense_fraction_evaluation(data):
+    cp, cs, a = data
+    structure = make_structure(len(a), twist=a, products={
+        ProductRole.PREC: tensor_of(cp), ProductRole.SUCC: tensor_of(cs)})
+    assert_matches(check(structure, StructureClass.HOM_PRE_ALTERNATIVE),
+                   pre_alternative_residuals(cp, cs, a))
+
+
+# ---------------------------------------------------------------------------
+# pre-Malcev representation axioms
+# ---------------------------------------------------------------------------
+
+def pre_malcev_rep_residuals(c, a, ell, arr, beta):
+    """The Malcev laws of the left action ``ell`` over the commutator of the
+    dot product ``c``, and PMREP-1..4 with rho = ell - arr:
+    PMREP-1 = beta r(e_i) - r(a e_i) beta,
+    PMREP-2 = r(a^2 e_i) rho(a e_j) rho(e_k) - r((a e_k)(e_j e_i)) beta^2
+        + l(a^2 e_j) r(e_k e_i) beta + l(a[e_j,e_k]) r(a e_i) beta
+        - l(a^2 e_k) r(a e_i) rho(e_j),
+    PMREP-3 = l(a^2 e_j) l(a e_k) r(e_i) - r(a^2 e_i) rho(a e_j) rho(e_k)
+        - l(a^2 e_k) r(e_j e_i) beta - r(a(e_k e_i)) rho(a e_j) beta
+        + r([e_k,e_j](a e_i)) beta^2,
+    PMREP-4 = r((a e_j)(e_k e_i)) beta^2 + r(a^2 e_i) rho([e_j,e_k]) beta
+        - l(a^2 e_j) l(a e_k) r(e_i) + r(a(e_j e_i)) rho(a e_k) beta
+        + l(a^2 e_k) r(a e_i) rho(e_j)."""
+    n = len(a)
+    e, al, al2 = twist_images(a)
+    beta2 = matmul(beta, beta)
+    rho = [matsum(ell[i], arr[i], signs=[1, -1]) for i in range(n)]
+
+    def d(x, y):
+        return mult(c, x, y)
+
+    def com(x, y):
+        return minus(d(x, y), d(y, x))
+
+    def lo(x):
+        return lincomb(x, ell)
+
+    def ro(x):
+        return lincomb(x, arr)
+
+    def rh(x):
+        return lincomb(x, rho)
+
+    def mm(*ms):
+        out = ms[0]
+        for m in ms[1:]:
+            out = matmul(out, m)
+        return out
+
+    out = malcev_rep_residuals(commutator_table(c), a, ell, beta)
+    for i in range(n):
+        out[("PMREP-1", (i,))] = matsum(matmul(beta, arr[i]),
+                                        matmul(ro(al[i]), beta), signs=[1, -1])
+    for i, j, k in itertools.product(range(n), repeat=3):
+        t = (i, j, k)
+        out[("PMREP-2", t)] = matsum(
+            mm(ro(al2[i]), rh(al[j]), rho[k]),
+            mm(ro(d(al[k], d(e[j], e[i]))), beta2),
+            mm(lo(al2[j]), ro(d(e[k], e[i])), beta),
+            mm(lo(apply(a, com(e[j], e[k]))), ro(al[i]), beta),
+            mm(lo(al2[k]), ro(al[i]), rho[j]),
+            signs=[1, -1, 1, 1, -1])
+        out[("PMREP-3", t)] = matsum(
+            mm(lo(al2[j]), lo(al[k]), arr[i]),
+            mm(ro(al2[i]), rh(al[j]), rho[k]),
+            mm(lo(al2[k]), ro(d(e[j], e[i])), beta),
+            mm(ro(apply(a, d(e[k], e[i]))), rh(al[j]), beta),
+            mm(ro(d(com(e[k], e[j]), al[i])), beta2),
+            signs=[1, -1, -1, -1, 1])
+        out[("PMREP-4", t)] = matsum(
+            mm(ro(d(al[j], d(e[k], e[i]))), beta2),
+            mm(ro(al2[i]), rh(com(e[j], e[k])), beta),
+            mm(lo(al2[j]), lo(al[k]), arr[i]),
+            mm(ro(apply(a, d(e[j], e[i]))), rh(al[k]), beta),
+            mm(lo(al2[k]), ro(al[i]), rho[j]),
+            signs=[1, 1, -1, 1, 1])
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_pre_malcev_rep_residual_columns_match_dense_fraction_evaluation(m, data):
+    n = 2
+    c = data.draw(table_st(n))
+    a = data.draw(dense_st(n, n))
+    ell = data.draw(st.lists(dense_st(m, m), min_size=n, max_size=n))
+    arr = data.draw(st.lists(dense_st(m, m), min_size=n, max_size=n))
+    beta = data.draw(dense_st(m, m))
+    base = make_structure(n, twist=a, products={ProductRole.DOT: tensor_of(c)})
+    rep = Representation(base=base, module_dim=m, module_twist=beta,
+                         actions={ActionRole.LEFT: ell, ActionRole.RIGHT: arr})
+    report = check_rep(rep, StructureClass.HOM_PRE_MALCEV)
+    want = {}
+    for (label, args), res in pre_malcev_rep_residuals(c, a, ell, arr, beta).items():
+        for b in range(m):
+            col = sparse([res[r][b] for r in range(m)])
+            if col:
+                want[(label, args + (b,))] = col
+    got = {(v.identity, v.args): v.residual for v in report.violations}
+    assert got == want
+    assert report.tuples_checked == (2 * n + 4 * n ** 3) * m
     assert_fraction_residuals(report)
