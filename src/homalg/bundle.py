@@ -60,7 +60,7 @@ class BundleError(ValueError):
 def format_rational(value: Fraction) -> str:
     """Canonical ``"p/q"`` string: reduced, positive denominator, ``/1``
     mandatory."""
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     try:
         return f"{f.numerator}/{f.denominator}"
     except ValueError as exc:  # more digits than int -> str allows

@@ -8,6 +8,7 @@ names/roles, bad indices).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -107,7 +108,10 @@ _SEMIDIRECT_TARGETS = (
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small command."""
     parser = argparse.ArgumentParser(
         prog="homalg",
         description="Exact-arithmetic checks and constructions for twisted "

@@ -50,6 +50,8 @@ from .structures import (
     RoleMismatch,
     StructureClass,
     Violation,
+    _table2,
+    _table3,
     derived_product,
     make_structure,
 )
@@ -162,6 +164,7 @@ def _malcev_action_identities(dim: int, bracket: Tensor, alpha: Matrix,
                               m: int) -> list[MatIdentity]:
     """The equivariance and four-term action laws for a Malcev-type action."""
     grid = tensor_grid(bracket, dim)
+    cell = grid.ints
     acols = mat_cols(alpha)
     a2cols = mat_cols(mat_mul(alpha, alpha))
     beta = as_imat(beta)
@@ -172,24 +175,21 @@ def _malcev_action_identities(dim: int, bracket: Tensor, alpha: Matrix,
 
     rho_a = [rho_of(acols[i]) for i in range(dim)]
     rho_a2 = [rho_of(a2cols[i]) for i in range(dim)]
-
-    def cell(i, j):
-        return grid.ints[i][j]
+    # rho(x) beta^2 is the combination of the rho(e_s) beta^2
+    rho_b2 = [mat_mul(r, beta2) for r in rho]
+    rho_a_b = [mat_mul(r, beta) for r in rho_a]
+    a2_a = _table2(dim, lambda i, j: mat_mul(rho_a2[i], rho_a[j]))
+    cell_b = _table2(dim, lambda k, i: mat_mul(rho_of(cell[k][i]), beta))
+    a_cell = _table2(dim, lambda j, k: rho_of(apply_cols(acols, cell[j][k])))
 
     def eq(i):
         return mat_sub(mat_mul(rho_a[i], beta), mat_mul(beta, rho[i]))
 
     def four(i, j, k):
-        lhs = mat_mul(rho_of(grid_mul(grid, cell(i, j), acols[k])), beta2)
-        rhs = mat_sub(
-            mat_mul(mat_mul(rho_a2[i], rho_a[j]), rho[k]),
-            mat_mul(mat_mul(rho_a2[k], rho_a[i]), rho[j]),
-        )
-        rhs = mat_add(rhs, mat_mul(mat_mul(rho_a2[j], rho_of(cell(k, i))), beta))
-        rhs = mat_sub(
-            rhs,
-            mat_mul(mat_mul(rho_of(apply_cols(acols, cell(j, k))), rho_a[i]), beta),
-        )
+        lhs = _lincomb(grid_mul(grid, cell[i][j], acols[k]), rho_b2, m)
+        rhs = mat_sub(mat_mul(a2_a[i][j], rho[k]), mat_mul(a2_a[k][i], rho[j]))
+        rhs = mat_add(rhs, mat_mul(rho_a2[j], cell_b[k][i]))
+        rhs = mat_sub(rhs, mat_mul(a_cell[j][k], rho_a_b[i]))
         return mat_sub(lhs, rhs)
 
     return [("MREP-EQ", 1, eq), ("MREP-4T", 3, four)]
@@ -223,12 +223,20 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[MatIdentity]:
     r_a = [r_of(acols[i]) for i in range(dim)]
     r_a2 = [r_of(a2cols[i]) for i in range(dim)]
     rho_a = [rho_of(acols[i]) for i in range(dim)]
-
-    def dcell(i, j):
-        return dgrid.ints[i][j]
-
-    def ccell(i, j):
-        return cgrid.ints[i][j]
+    d, c = dgrid.ints, cgrid.ints
+    # r(x) beta^2 is the combination of the r(e_s) beta^2
+    r_b2 = [mat_mul(x, beta2) for x in arr]
+    r_a_b = [mat_mul(x, beta) for x in r_a]
+    rho_a_b = [mat_mul(x, beta) for x in rho_a]
+    r2_rho = _table2(dim, lambda i, j: mat_mul(r_a2[i], rho_a[j]))
+    l2_r = _table2(dim, lambda k, i: mat_mul(l_a2[k], r_a[i]))
+    l2_l = _table2(dim, lambda j, k: mat_mul(l_a2[j], l_a[k]))
+    rd_b = _table2(dim, lambda k, i: mat_mul(r_of(d[k][i]), beta))
+    rhoc_b = _table2(dim, lambda j, k: mat_mul(rho_of(c[j][k]), beta))
+    l_ac = _table2(dim, lambda j, k: l_of(apply_cols(acols, c[j][k])))
+    r_ad = _table2(dim, lambda k, i: r_of(apply_cols(acols, d[k][i])))
+    # (a e_x)(e_y e_z), read by both PMREP-2 and PMREP-4
+    a_d = _table3(dim, lambda x, y, z: grid_mul(dgrid, acols[x], d[y][z]))
 
     identities = _malcev_action_identities(
         dim, tensor_commutator(dot), base.twist, ell, beta, m
@@ -238,25 +246,25 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[MatIdentity]:
         return mat_sub(mat_mul(beta, arr[i]), mat_mul(r_a[i], beta))
 
     def pm2(i, j, k):
-        acc = mat_mul(mat_mul(r_a2[i], rho_a[j]), rho[k])
-        acc = mat_sub(acc, mat_mul(r_of(grid_mul(dgrid, acols[k], dcell(j, i))), beta2))
-        acc = mat_add(acc, mat_mul(mat_mul(l_a2[j], r_of(dcell(k, i))), beta))
-        acc = mat_add(acc, mat_mul(mat_mul(l_of(apply_cols(acols, ccell(j, k))), r_a[i]), beta))
-        return mat_sub(acc, mat_mul(mat_mul(l_a2[k], r_a[i]), rho[j]))
+        acc = mat_mul(r2_rho[i][j], rho[k])
+        acc = mat_sub(acc, _lincomb(a_d[k][j][i], r_b2, m))
+        acc = mat_add(acc, mat_mul(l_a2[j], rd_b[k][i]))
+        acc = mat_add(acc, mat_mul(l_ac[j][k], r_a_b[i]))
+        return mat_sub(acc, mat_mul(l2_r[k][i], rho[j]))
 
     def pm3(i, j, k):
-        acc = mat_mul(mat_mul(l_a2[j], l_a[k]), arr[i])
-        acc = mat_sub(acc, mat_mul(mat_mul(r_a2[i], rho_a[j]), rho[k]))
-        acc = mat_sub(acc, mat_mul(mat_mul(l_a2[k], r_of(dcell(j, i))), beta))
-        acc = mat_sub(acc, mat_mul(mat_mul(r_of(apply_cols(acols, dcell(k, i))), rho_a[j]), beta))
-        return mat_add(acc, mat_mul(r_of(grid_mul(dgrid, ccell(k, j), acols[i])), beta2))
+        acc = mat_mul(l2_l[j][k], arr[i])
+        acc = mat_sub(acc, mat_mul(r2_rho[i][j], rho[k]))
+        acc = mat_sub(acc, mat_mul(l_a2[k], rd_b[j][i]))
+        acc = mat_sub(acc, mat_mul(r_ad[k][i], rho_a_b[j]))
+        return mat_add(acc, _lincomb(grid_mul(dgrid, c[k][j], acols[i]), r_b2, m))
 
     def pm4(i, j, k):
-        acc = mat_mul(r_of(grid_mul(dgrid, acols[j], dcell(k, i))), beta2)
-        acc = mat_add(acc, mat_mul(mat_mul(r_a2[i], rho_of(ccell(j, k))), beta))
-        acc = mat_sub(acc, mat_mul(mat_mul(l_a2[j], l_a[k]), arr[i]))
-        acc = mat_add(acc, mat_mul(mat_mul(r_of(apply_cols(acols, dcell(j, i))), rho_a[k]), beta))
-        return mat_add(acc, mat_mul(mat_mul(l_a2[k], r_a[i]), rho[j]))
+        acc = _lincomb(a_d[j][k][i], r_b2, m)
+        acc = mat_add(acc, mat_mul(r_a2[i], rhoc_b[j][k]))
+        acc = mat_sub(acc, mat_mul(l2_l[j][k], arr[i]))
+        acc = mat_add(acc, mat_mul(r_ad[j][i], rho_a_b[k]))
+        return mat_add(acc, mat_mul(l2_r[k][i], rho[j]))
 
     identities.extend([
         ("PMREP-1", 1, pm1),

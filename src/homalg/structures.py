@@ -6,7 +6,6 @@ structure class over all basis tuples and reports the exact nonzero residuals.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -29,7 +28,6 @@ from .exact import (
     mat_shape,
     matrix,
     sv_add,
-    sv_basis,
     sv_fractions,
     sv_from_vector,
     sv_neg,
@@ -313,41 +311,50 @@ def _twist_cols(structure: HomStructure) -> tuple[tuple[Ivec, ...], tuple[Ivec, 
     return a, a2
 
 
+# A subterm that depends on only some of an identity's indices, or that
+# several identities of a class share, is computed once per check into a
+# list indexed by basis indices; the identities then evaluate only their
+# full-arity products per tuple.
+
+def _table2(dim: int, fn: Callable) -> list:
+    """``t[i][j] = fn(i, j)`` for every basis pair."""
+    return [[fn(i, j) for j in range(dim)] for i in range(dim)]
+
+
+def _table3(dim: int, fn: Callable) -> list:
+    """``t[i][j][k] = fn(i, j, k)`` for every basis triple."""
+    return [[[fn(i, j, k) for k in range(dim)] for j in range(dim)]
+            for i in range(dim)]
+
+
 def _bracket_identities(structure: HomStructure, bracket: Tensor) -> list[Identity]:
     """SKEW plus the two equivalent forms of the four-variable bracket law."""
     dim = structure.dim
     grid = tensor_grid(bracket, dim)
+    cell = grid.ints
     a, a2 = _twist_cols(structure)
-    e = sv_basis(dim)
-
-    def cell(i: int, j: int) -> Ivec:
-        return grid.ints[i][j]
-
-    def ap(u: Ivec) -> Ivec:
-        return apply_cols(a, u)
 
     def mul(u: Ivec, v: Ivec) -> Ivec:
         return grid_mul(grid, u, v)
 
-    def skew(i, j):
-        return sv_add(cell(i, j), cell(j, i))
+    ac = _table2(dim, lambda i, k: apply_cols(a, cell[i][k]))     # a[e_i,e_k]
+    aa = _table2(dim, lambda i, j: mul(a[i], a[j]))               # [a e_i,a e_j]
+    t = _table3(dim, lambda i, j, k: mul(cell[i][j], a[k]))       # [[e_i,e_j],a e_k]
 
-    def jacv(u, v, w):
-        return sv_add(mul(mul(u, v), ap(w)), mul(mul(v, w), ap(u)), mul(mul(w, u), ap(v)))
+    def skew(i, j):
+        return sv_add(cell[i][j], cell[j][i])
 
     def hm_jac(i, j, k):
-        return sv_sub(jacv(a[i], a[j], cell(i, k)),
-                      mul(jacv(e[i], e[j], e[k]), a2[i]))
+        # J(a e_i, a e_j, [e_i,e_k]) - [J(e_i,e_j,e_k), a^2 e_i], where
+        # J(x,y,z) = [[x,y],a z] + [[y,z],a x] + [[z,x],a y]
+        jac_a = sv_add(mul(aa[i][j], ac[i][k]), mul(mul(a[j], cell[i][k]), a2[i]),
+                       mul(t[i][k][i], a2[j]))
+        return sv_sub(jac_a, mul(sv_add(t[i][j][k], t[j][k][i], t[k][i][j]), a2[i]))
 
     def hm_exp(i, j, k, l):
-        lhs = mul(ap(cell(i, k)), ap(cell(j, l)))
-        rhs = sv_add(
-            mul(mul(cell(i, j), a[k]), a2[l]),
-            mul(mul(cell(j, k), a[l]), a2[i]),
-            mul(mul(cell(k, l), a[i]), a2[j]),
-            mul(mul(cell(l, i), a[j]), a2[k]),
-        )
-        return sv_sub(lhs, rhs)
+        rhs = sv_add(mul(t[i][j][k], a2[l]), mul(t[j][k][l], a2[i]),
+                     mul(t[k][l][i], a2[j]), mul(t[l][i][j], a2[k]))
+        return sv_sub(mul(ac[i][k], ac[j][l]), rhs)
 
     return [("SKEW", 2, skew), ("HM-JAC", 3, hm_jac), ("HM-EXP", 4, hm_exp)]
 
@@ -355,20 +362,15 @@ def _bracket_identities(structure: HomStructure, bracket: Tensor) -> list[Identi
 def _identities_hom_lie(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
     grid = tensor_grid(structure.products[ProductRole.BRACKET], dim)
+    cell = grid.ints
     a, _ = _twist_cols(structure)
-
-    def cell(i, j):
-        return grid.ints[i][j]
+    t = _table3(dim, lambda i, j, k: grid_mul(grid, cell[i][j], a[k]))
 
     def skew(i, j):
-        return sv_add(cell(i, j), cell(j, i))
+        return sv_add(cell[i][j], cell[j][i])
 
     def jacobi(i, j, k):
-        return sv_add(
-            grid_mul(grid, cell(i, j), a[k]),
-            grid_mul(grid, cell(j, k), a[i]),
-            grid_mul(grid, cell(k, i), a[j]),
-        )
+        return sv_add(t[i][j][k], t[j][k][i], t[k][i][j])
 
     return [("SKEW", 2, skew), ("JACOBI", 3, jacobi)]
 
@@ -400,39 +402,60 @@ def _identities_hom_associative(structure: HomStructure) -> list[Identity]:
 def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
     grid = tensor_grid(structure.products[ProductRole.STAR], dim)
+    cell = grid.ints
     a, _ = _twist_cols(structure)
-
-    def cell(i, j):
-        return grid.ints[i][j]
-
-    # ALT-L and ALT-R read every associator twice each; the cache lives as
-    # long as the identities, i.e. for one check
-    @functools.cache
-    def asc(i, j, k):
-        return sv_sub(grid_mul(grid, cell(i, j), a[k]),
-                      grid_mul(grid, a[i], cell(j, k)))
+    # ALT-L and ALT-R read every associator twice each
+    asc = _table3(dim, lambda i, j, k: sv_sub(grid_mul(grid, cell[i][j], a[k]),
+                                              grid_mul(grid, a[i], cell[j][k])))
 
     def alt_left(i, j, k):
-        return sv_add(asc(i, j, k), asc(j, i, k))
+        return sv_add(asc[i][j][k], asc[j][i][k])
 
     def alt_right(i, j, k):
-        return sv_add(asc(i, j, k), asc(i, k, j))
+        return sv_add(asc[i][j][k], asc[i][k][j])
 
     return [("ALT-L", 3, alt_left), ("ALT-R", 3, alt_right)]
 
 
-def _pre_malcev_terms(structure: HomStructure):
+def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
     dot = structure.products[ProductRole.DOT]
     dgrid = tensor_grid(dot, dim)
     cgrid = tensor_grid(tensor_commutator(dot), dim)
+    d, c = dgrid.ints, cgrid.ints
     a, a2 = _twist_cols(structure)
 
-    def dcell(i, j):
-        return dgrid.ints[i][j]
+    def mul(u, v):
+        return grid_mul(dgrid, u, v)
 
-    def ccell(i, j):
-        return cgrid.ints[i][j]
+    ac = _table2(dim, lambda j, k: apply_cols(a, c[j][k]))            # a[e_j,e_k]
+    ad = _table2(dim, lambda i, l: apply_cols(a, d[i][l]))            # a(e_i e_l)
+    ca = _table3(dim, lambda i, j, k: grid_mul(cgrid, c[i][j], a[k]))  # [[e_i,e_j],a e_k]
+    c_a = _table3(dim, lambda i, k, l: mul(c[i][k], a[l]))            # [e_i,e_k](a e_l)
+    a_d = _table3(dim, lambda j, k, l: mul(a[j], d[k][l]))            # (a e_j)(e_k e_l)
+
+    def hpm(i, j, k, l):
+        return sv_add(
+            mul(ac[j][k], ad[i][l]),
+            mul(ca[i][j][k], a2[l]),
+            mul(a2[j], c_a[i][k][l]),
+            sv_neg(mul(a2[i], a_d[j][k][l])),
+            mul(a2[k], a_d[i][j][l]),
+        )
+
+    return [("HPM", 4, hpm)]
+
+
+def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
+                         ) -> tuple[Vector, Vector]:
+    """Residuals of the compact (5-term) and fully expanded (10-term) forms of
+    the pre-Malcev law at one basis tuple; they agree identically."""
+    dim = structure.dim
+    dot = structure.products[ProductRole.DOT]
+    dgrid = tensor_grid(dot, dim)
+    cgrid = tensor_grid(tensor_commutator(dot), dim)
+    dcell, ccell = dgrid.ints, cgrid.ints
+    a, a2 = _twist_cols(structure)
 
     def ap(u):
         return apply_cols(a, u)
@@ -443,47 +466,24 @@ def _pre_malcev_terms(structure: HomStructure):
     def com(u, v):
         return sv_sub(mul(u, v), mul(v, u))
 
-    return dim, dcell, ccell, ap, mul, com, a, a2
-
-
-def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
-    _, dcell, ccell, ap, mul, com, a, a2 = _pre_malcev_terms(structure)
-
-    def hpm(i, j, k, l):
-        return sv_add(
-            mul(ap(ccell(j, k)), ap(dcell(i, l))),
-            mul(com(ccell(i, j), a[k]), a2[l]),
-            mul(a2[j], mul(ccell(i, k), a[l])),
-            sv_neg(mul(a2[i], mul(a[j], dcell(k, l)))),
-            mul(a2[k], mul(a[i], dcell(j, l))),
-        )
-
-    return [("HPM", 4, hpm)]
-
-
-def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
-                         ) -> tuple[Vector, Vector]:
-    """Residuals of the compact (5-term) and fully expanded (10-term) forms of
-    the pre-Malcev law at one basis tuple; they agree identically."""
-    dim, dcell, ccell, ap, mul, com, a, a2 = _pre_malcev_terms(structure)
     compact = sv_add(
-        mul(ap(ccell(j, k)), ap(dcell(i, l))),
-        mul(com(ccell(i, j), a[k]), a2[l]),
-        mul(a2[j], mul(ccell(i, k), a[l])),
-        sv_neg(mul(a2[i], mul(a[j], dcell(k, l)))),
-        mul(a2[k], mul(a[i], dcell(j, l))),
+        mul(ap(ccell[j][k]), ap(dcell[i][l])),
+        mul(com(ccell[i][j], a[k]), a2[l]),
+        mul(a2[j], mul(ccell[i][k], a[l])),
+        sv_neg(mul(a2[i], mul(a[j], dcell[k][l]))),
+        mul(a2[k], mul(a[i], dcell[j][l])),
     )
     expanded = sv_add(
-        mul(ap(dcell(j, k)), ap(dcell(i, l))),
-        sv_neg(mul(ap(dcell(k, j)), ap(dcell(i, l)))),
-        mul(mul(dcell(i, j), a[k]), a2[l]),
-        sv_neg(mul(mul(dcell(j, i), a[k]), a2[l])),
-        sv_neg(mul(mul(a[k], dcell(i, j)), a2[l])),
-        mul(mul(a[k], dcell(j, i)), a2[l]),
-        mul(a2[j], mul(dcell(i, k), a[l])),
-        sv_neg(mul(a2[j], mul(dcell(k, i), a[l]))),
-        sv_neg(mul(a2[i], mul(a[j], dcell(k, l)))),
-        mul(a2[k], mul(a[i], dcell(j, l))),
+        mul(ap(dcell[j][k]), ap(dcell[i][l])),
+        sv_neg(mul(ap(dcell[k][j]), ap(dcell[i][l]))),
+        mul(mul(dcell[i][j], a[k]), a2[l]),
+        sv_neg(mul(mul(dcell[j][i], a[k]), a2[l])),
+        sv_neg(mul(mul(a[k], dcell[i][j]), a2[l])),
+        mul(mul(a[k], dcell[j][i]), a2[l]),
+        mul(a2[j], mul(dcell[i][k], a[l])),
+        sv_neg(mul(a2[j], mul(dcell[k][i], a[l]))),
+        sv_neg(mul(a2[i], mul(a[j], dcell[k][l]))),
+        mul(a2[k], mul(a[i], dcell[j][l])),
     )
     return (sv_to_vector(sv_fractions(compact), dim),
             sv_to_vector(sv_fractions(expanded), dim))
@@ -500,74 +500,63 @@ def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
     gdia = tensor_grid(tensor_sub(tl, tensor_flip(tr)), dim)
     gcom = tensor_grid(tensor_commutator(dot), dim)
     a, a2 = _twist_cols(structure)
+    lc, rc, dc, vc, cc = gl.ints, gr.ints, gdot.ints, gdia.ints, gcom.ints
 
-    def lcell(i, j):
-        return gl.ints[i][j]
-
-    def rcell(i, j):
-        return gr.ints[i][j]
-
-    def dcell(i, j):
-        return gdot.ints[i][j]
-
-    def vcell(i, j):
-        return gdia.ints[i][j]
-
-    def ccell(i, j):
-        return gcom.ints[i][j]
-
-    def ap(u):
-        return apply_cols(a, u)
-
-    def m_left(u, v):
+    def L(u, v):
         return grid_mul(gl, u, v)
 
-    def m_right(u, v):
+    def R(u, v):
         return grid_mul(gr, u, v)
 
-    def m_dot(u, v):
-        return sv_add(grid_mul(gl, u, v), grid_mul(gr, u, v))
+    def twisted(cells):     # a(cell) at every pair
+        return _table2(dim, lambda i, j: apply_cols(a, cells[i][j]))
 
-    def m_dia(u, v):
-        return sv_sub(grid_mul(gl, u, v), grid_mul(gr, v, u))
+    def left_a(grid, cells):    # grid(a e_x, cells[y][z])
+        return _table3(dim, lambda x, y, z: grid_mul(grid, a[x], cells[y][z]))
 
-    def m_com(u, v):
-        return sv_sub(m_dot(u, v), m_dot(v, u))
+    def right_a(grid, cells):   # grid(cells[x][y], a e_z)
+        return _table3(dim, lambda x, y, z: grid_mul(grid, cells[x][y], a[z]))
+
+    ac, ar, av, ad, al = (twisted(cells) for cells in (cc, rc, vc, dc, lc))
+    dia_av, dot_ad, r_ad = left_a(gdia, vc), left_a(gdot, dc), left_a(gr, dc)
+    l_ar, l_al = left_a(gl, rc), left_a(gl, lc)
+    r_va, dot_ca, dia_ca = right_a(gr, vc), right_a(gdot, cc), right_a(gdia, cc)
+    com_ca, l_ca = right_a(gcom, cc), right_a(gl, cc)
 
     def md1(i, j, k, l):
         return sv_add(
-            m_right(m_dia(a[k], vcell(j, i)), a2[l]),
-            sv_neg(m_right(a2[i], m_dot(a[j], dcell(k, l)))),
-            m_left(a2[k], m_right(a[i], dcell(j, l))),
-            m_left(ap(ccell(j, k)), ap(rcell(i, l))),
-            sv_neg(m_left(a2[j], m_right(vcell(k, i), a[l]))),
+            R(dia_av[k][j][i], a2[l]),
+            sv_neg(R(a2[i], dot_ad[j][k][l])),
+            L(a2[k], r_ad[i][j][l]),
+            L(ac[j][k], ar[i][l]),
+            sv_neg(L(a2[j], r_va[k][i][l])),
         )
 
     def md2(i, j, k, l):
         return sv_add(
-            m_left(a2[k], m_left(a[i], rcell(j, l))),
-            sv_neg(m_right(m_dia(a[k], vcell(i, j)), a2[l])),
-            sv_neg(m_left(a2[i], m_right(a[j], dcell(k, l)))),
-            sv_neg(m_right(ap(vcell(k, j)), ap(dcell(i, l)))),
-            m_right(a2[j], m_dot(ccell(i, k), a[l])),
+            L(a2[k], l_ar[i][j][l]),
+            sv_neg(R(dia_av[k][i][j], a2[l])),
+            sv_neg(L(a2[i], r_ad[j][k][l])),
+            sv_neg(R(av[k][j], ad[i][l])),
+            R(a2[j], dot_ca[i][k][l]),
         )
 
     def md3(i, j, k, l):
         return sv_add(
-            m_right(a2[k], m_dot(a[i], dcell(j, l))),
-            m_right(m_dia(ccell(i, j), a[k]), a2[l]),
-            sv_neg(m_left(a2[i], m_left(a[j], rcell(k, l)))),
-            m_right(ap(vcell(j, k)), ap(dcell(i, l))),
-            m_left(a2[j], m_right(vcell(i, k), a[l])),
+            R(a2[k], dot_ad[i][j][l]),
+            R(dia_ca[i][j][k], a2[l]),
+            sv_neg(L(a2[i], l_ar[j][k][l])),
+            R(av[j][k], ad[i][l]),
+            L(a2[j], r_va[i][k][l]),
         )
 
     def md4(i, j, k, l):
         return sv_add(
-            m_left(m_com(ccell(i, j), a[k]), a2[l]),
-            sv_neg(m_left(a2[i], m_left(a[j], lcell(k, l)))),
-            m_left(a2[k], m_left(a[i], lcell(j, l))),
-            m_left(ap(ccell(j, k)), ap(lcell(i, l))),
-            m_left(a2[j], m_left(ccell(i, k), a[l])),
+            L(com_ca[i][j][k], a2[l]),
+            sv_neg(L(a2[i], l_al[j][k][l])),
+            L(a2[k], l_al[i][j][l]),
+            L(ac[j][k], al[i][l]),
+            L(a2[j], l_ca[i][k][l]),
         )
 
     return [("MD1", 4, md1), ("MD2", 4, md2), ("MD3", 4, md3), ("MD4", 4, md4)]
@@ -583,65 +572,48 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
     gs = tensor_grid(succ, dim)
     gst = tensor_grid(tensor_add(prec, succ), dim)
     a, _ = _twist_cols(structure)
-    e = sv_basis(dim)
+    p, s, st = gp.ints, gs.ints, gst.ints
 
-    def pcell(i, j):
-        return gp.ints[i][j]
+    # the six kinds of product the ten axioms are sums of
+    s_sta = _table3(dim, lambda i, j, k: grid_mul(gs, st[i][j], a[k]))
+    s_as = _table3(dim, lambda i, j, k: grid_mul(gs, a[i], s[j][k]))
+    s_ap = _table3(dim, lambda i, j, k: grid_mul(gs, a[i], p[j][k]))
+    p_sa = _table3(dim, lambda i, j, k: grid_mul(gp, s[i][j], a[k]))
+    p_pa = _table3(dim, lambda i, j, k: grid_mul(gp, p[i][j], a[k]))
+    p_ast = _table3(dim, lambda i, j, k: grid_mul(gp, a[i], st[j][k]))
 
-    def scell(i, j):
-        return gs.ints[i][j]
-
-    def stcell(i, j):
-        return gst.ints[i][j]
-
-    def mp(u, v):
-        return grid_mul(gp, u, v)
-
-    def ms(u, v):
-        return grid_mul(gs, u, v)
-
-    def mst(u, v):
-        return grid_mul(gst, u, v)
+    def law(x, y, z, w):
+        return sv_sub(sv_add(x, y), sv_add(z, w))
 
     def pa1(i, j, k):
-        return sv_sub(ms(sv_add(stcell(i, j), stcell(j, i)), a[k]),
-                      sv_add(ms(a[i], scell(j, k)), ms(a[j], scell(i, k))))
+        return law(s_sta[i][j][k], s_sta[j][i][k], s_as[i][j][k], s_as[j][i][k])
 
     def pa2(i, j, k):
-        return sv_sub(ms(sv_add(stcell(i, k), stcell(k, i)), a[j]),
-                      sv_add(ms(a[i], scell(k, j)), ms(a[k], scell(i, j))))
+        return law(s_sta[i][k][j], s_sta[k][i][j], s_as[i][k][j], s_as[k][i][j])
 
     def pa3(i, j, k):
-        return sv_sub(sv_add(mp(scell(i, k), a[j]), mp(pcell(k, i), a[j])),
-                      sv_add(ms(a[i], pcell(k, j)), mp(a[k], stcell(i, j))))
+        return law(p_sa[i][k][j], p_pa[k][i][j], s_ap[i][k][j], p_ast[k][i][j])
 
     def pa4(i, j, k):
-        return sv_sub(sv_add(mp(scell(k, i), a[j]), mp(pcell(i, k), a[j])),
-                      sv_add(mp(a[i], stcell(k, j)), ms(a[k], pcell(i, j))))
+        return law(p_sa[k][i][j], p_pa[i][k][j], p_ast[i][k][j], s_ap[k][i][j])
 
     def pa5(i, j, k):
-        return sv_sub(sv_add(mp(pcell(j, i), a[k]), mp(scell(i, j), a[k])),
-                      sv_add(mp(a[j], stcell(i, k)), ms(a[i], pcell(j, k))))
+        return law(p_pa[j][i][k], p_sa[i][j][k], p_ast[j][i][k], s_ap[i][j][k])
 
     def pa6(i, j, k):
-        return sv_sub(sv_add(mp(scell(j, k), a[i]), ms(stcell(j, i), a[k])),
-                      sv_add(ms(a[j], pcell(k, i)), ms(a[j], scell(i, k))))
+        return law(p_sa[j][k][i], s_sta[j][i][k], s_ap[j][k][i], s_as[j][i][k])
 
     def pa7(i, j, k):
-        return sv_sub(sv_add(mp(scell(k, j), a[i]), ms(stcell(k, i), a[j])),
-                      sv_add(ms(a[k], pcell(j, i)), ms(a[k], scell(i, j))))
+        return law(p_sa[k][j][i], s_sta[k][i][j], s_ap[k][j][i], s_as[k][i][j])
 
     def pa8(i, j, k):
-        return sv_sub(sv_add(mp(scell(j, i), a[k]), ms(stcell(j, k), a[i])),
-                      sv_add(ms(a[j], pcell(i, k)), ms(a[j], scell(k, i))))
+        return law(p_sa[j][i][k], s_sta[j][k][i], s_ap[j][i][k], s_as[j][k][i])
 
     def pa9(i, j, k):
-        return sv_sub(sv_add(mp(pcell(k, j), a[i]), mp(pcell(k, i), a[j])),
-                      mp(a[k], sv_add(stcell(i, j), stcell(j, i))))
+        return law(p_pa[k][j][i], p_pa[k][i][j], p_ast[k][i][j], p_ast[k][j][i])
 
     def pa10(i, j, k):
-        return sv_sub(sv_add(mp(pcell(i, k), a[j]), mp(pcell(i, j), a[k])),
-                      mp(a[i], sv_add(stcell(k, j), stcell(j, k))))
+        return law(p_pa[i][k][j], p_pa[i][j][k], p_ast[i][k][j], p_ast[i][j][k])
 
     return [("PA1", 3, pa1), ("PA2", 3, pa2), ("PA3", 3, pa3), ("PA4", 3, pa4),
             ("PA5", 3, pa5), ("PA6", 3, pa6), ("PA7", 3, pa7), ("PA8", 3, pa8),
@@ -660,14 +632,11 @@ def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
     g_star = tensor_grid(derived_product(structure, R.STAR), dim)
     a, _ = _twist_cols(structure)
 
-    def cell(grid, i, j):
-        return grid.ints[i][j]
-
     def assoc(outer_l, inner_l, outer_r, inner_r):
-        def fn(i, j, k):
-            return sv_sub(grid_mul(outer_l, cell(inner_l, i, j), a[k]),
-                          grid_mul(outer_r, a[i], cell(inner_r, j, k)))
-        return fn
+        # QA1-QA9 read every associator of each kind twice
+        return _table3(dim, lambda i, j, k: sv_sub(
+            grid_mul(outer_l, inner_l.ints[i][j], a[k]),
+            grid_mul(outer_r, a[i], inner_r.ints[j][k])))
 
     as_r = assoc(g[R.NW], g[R.NW], g[R.NW], g_star)
     as_l = assoc(g[R.SE], g_star, g[R.SE], g[R.SE])
@@ -681,7 +650,8 @@ def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
 
     def qa(first, second, permute):
         def fn(i, j, k):
-            return sv_add(first(i, j, k), second(*permute(i, j, k)))
+            x, y, z = permute(i, j, k)
+            return sv_add(first[i][j][k], second[x][y][z])
         return fn
 
     swap12 = lambda i, j, k: (j, i, k)

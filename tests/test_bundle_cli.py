@@ -99,6 +99,7 @@ def test_format_rational_canonical():
     assert format_rational(F(-1, 2)) == "-1/2"
     assert format_rational(F(2, -4)) == "-1/2"
     assert format_rational(F(0)) == "0/1"
+    assert format_rational(3) == "3/1"
 
 
 def test_parse_rational_values():
@@ -862,3 +863,43 @@ def test_cli_rejects_unknown_format(capsys):
         main(["check", fixture_path("lie_dim2"), "--format", "xml"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_parser_is_reused_across_commands(capsys, monkeypatch, tmp_path):
+    """Consecutive commands, argument errors among them, give the same exit
+    status and output with the one shared parser as with a fresh parser
+    each time."""
+    import homalg.cli as cli
+
+    bad_out = str(tmp_path / "missing" / "out.json")
+    commands = [
+        ["check", fixture_path("octonions"), "--format", "json"],
+        ["check", fixture_path("lie_dim2"), "--format", "xml"],
+        ["fmt", fixture_path("lie_dim2")],
+        [],
+        ["construct", fixture_path("premalcev_dim2"), "--recipe", "bogus"],
+        ["diagram", fixture_path("octonions")],
+        ["check", fixture_path("lie_dim2"), "--operator", "1"],
+        ["check", fixture_path("octonions"), "--class", "hom-associative"],
+        ["fmt", fixture_path("octonions"), "-o", bad_out],
+    ]
+
+    def run_all():
+        results = []
+        for argv in commands:
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = ("exit", exc.code)
+            captured = capsys.readouterr()
+            err = [line for line in captured.err.splitlines()
+                   if not line.startswith("# elapsed:")]
+            results.append((status, captured.out, err))
+        return results
+
+    shared = run_all()
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert shared == run_all()
+    assert [r[0] for r in shared] == [0, ("exit", 2), 0, ("exit", 2), 2, 0,
+                                      ("exit", 2), 1, 2]

@@ -397,3 +397,47 @@ def test_product_eval_matches_table():
         F(0),
         F(0),
     )
+
+
+# ---------------------------------------------------------------------------
+# subterm tables: products on fewer indices are computed once per check
+# ---------------------------------------------------------------------------
+
+def mdendri_dim10():
+    """Three diagonal copies of mdendri_sl2 plus one inert coordinate."""
+    md = support.load_fixture_bundle("mdendri_sl2").structure
+    entries = []
+    for role in (R.TRI_LEFT, R.TRI_RIGHT):
+        entries.append(support.tensor(*[
+            (i + off, j + off, k + off, v)
+            for off in (0, 3, 6)
+            for (i, j), col in md.products[role].items()
+            for k, v in col.items()]))
+    return make_structure(10, products=dict(zip((R.TRI_LEFT, R.TRI_RIGHT), entries)))
+
+
+@pytest.mark.parametrize("build, cls, bound", [
+    (mdendri_dim10, C.HOM_M_DENDRIFORM, 5.5),
+    (lambda: support.load_fixture_bundle("octonions_im").structure, C.HOM_MALCEV, 5.5),
+    (lambda: support.load_fixture_bundle("quadri_trunc_poly").structure,
+     C.HOM_ALT_QUADRI, 2),
+    (lambda: support.load_fixture_bundle("prealt_t2").structure,
+     C.HOM_PRE_ALTERNATIVE, 1.5),
+], ids=["mdendri_dim10", "octonions_im", "quadri_trunc_poly", "prealt_t2"])
+def test_grid_mul_calls_per_tuple(monkeypatch, build, cls, bound):
+    """Each sweep multiplies only its full-arity products per tuple; every
+    product on fewer indices comes from a table built once per check."""
+    import homalg.structures as structures
+
+    calls = [0]
+    real = structures.grid_mul
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    structure = build()
+    monkeypatch.setattr(structures, "grid_mul", counted)
+    report = check(structure, cls)
+    assert report.passed
+    assert calls[0] / report.tuples_checked <= bound
