@@ -1,6 +1,7 @@
-"""Differential tests of exact residuals: every violation ``check`` and
-``check_rep`` report on random rational structures is compared with a
-plain-``Fraction`` dense evaluation written out here, entry by entry.
+"""Differential tests of exact residuals: every violation ``check``,
+``check_rep``, ``check_operator``, ``check_morphism`` and ``check_hessian``
+report on random rational inputs is compared with a plain-``Fraction`` dense
+evaluation written out here, entry by entry.
 
 The evaluators below use only ``fractions.Fraction`` and dense lists; they
 share no code with the engine's integer kernels.  The structures are drawn
@@ -12,15 +13,23 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homalg import (
+    KIND_O_OPERATOR,
+    KIND_ROTA_BAXTER,
     ActionRole,
+    BilinearForm,
+    OperatorWitness,
     ProductRole,
     Representation,
     StructureClass,
     check,
+    check_hessian,
+    check_morphism,
+    check_operator,
     check_rep,
     make_structure,
 )
@@ -605,4 +614,310 @@ def test_pre_malcev_rep_residual_columns_match_dense_fraction_evaluation(m, data
     got = {(v.identity, v.args): v.residual for v in report.violations}
     assert got == want
     assert report.tuples_checked == (2 * n + 4 * n ** 3) * m
+    assert_fraction_residuals(report)
+
+
+# ---------------------------------------------------------------------------
+# pre-alternative representation axioms
+# ---------------------------------------------------------------------------
+
+def assert_matches_columns(report, want, m):
+    """``want`` maps (label, args) to a dense m x m residual; the report
+    lists its nonzero columns at ``args + (b,)``."""
+    cols = {}
+    for (label, args), res in want.items():
+        for b in range(m):
+            cols[(label, args + (b,))] = [res[r][b] for r in range(m)]
+    assert_matches(report, cols)
+
+
+def pre_alternative_rep_residuals(cp, cs, a, lp, rp, ls, rs, beta):
+    """PABM-1..10 and PA-EQ-* of the split actions (l_prec, r_prec, l_succ,
+    r_succ) with l = l_prec + l_succ, r = r_prec + r_succ, x*y = p + s:
+    PABM-1 = l_s(e_i*e_j + e_j*e_i) beta - l_s(a e_i) l_s(e_j) - l_s(a e_j) l_s(e_i),
+    PABM-2 = r_s(a e_j) (l + r)(e_i) - l_s(a e_i) r_s(e_j) - r_s(s(e_i,e_j)) beta,
+    PABM-3 = r_p(a e_j) (l_s + r_p)(e_i) - l_s(a e_i) r_p(e_j) - r_p(e_i*e_j) beta,
+    PABM-4 = r_p(a e_j) (r_s + l_p)(e_i) - l_p(a e_i) r(e_j) - r_s(p(e_i,e_j)) beta,
+    PABM-5 = l_p(p(e_j,e_i) + s(e_i,e_j)) beta - l_p(a e_j) l(e_i) - l_s(a e_i) l_p(e_j),
+    PABM-6 = r_p(a e_i) l_s(e_j) + l_s(e_j*e_i) beta - l_s(a e_j) (r_p + l_s)(e_i),
+    PABM-7 = r_p(a e_i) r_s(e_j) + r_s(a e_j) r(e_i) - r_s(p(e_j,e_i) + s(e_i,e_j)) beta,
+    PABM-8 = l_p(s(e_j,e_i)) beta + r_s(a e_i) l(e_j) - l_s(a e_j) (l_p + r_s)(e_i),
+    PABM-9 = r_p(a e_i) r_p(e_j) + r_p(a e_j) r_p(e_i) - r_p(e_i*e_j + e_j*e_i) beta,
+    PABM-10 = r_p(a e_j) l_p(e_i) + l_p(p(e_i,e_j)) beta - l_p(a e_i) (r + l)(e_j),
+    PA-EQ-X = beta X(e_i) - X(a e_i) beta for each of the four actions X."""
+    n = len(a)
+    e, al, _ = twist_images(a)
+
+    def act(slices):
+        return lambda x: lincomb(x, slices)
+
+    Lp, Rp, Ls, Rs = act(lp), act(rp), act(ls), act(rs)
+
+    def L(x):
+        return matsum(Lp(x), Ls(x))
+
+    def R(x):
+        return matsum(Rp(x), Rs(x))
+
+    def p(i, j):
+        return mult(cp, e[i], e[j])
+
+    def s(i, j):
+        return mult(cs, e[i], e[j])
+
+    def st(i, j):
+        return plus(p(i, j), s(i, j))
+
+    def mm(x, y):
+        return matmul(x, y)
+
+    def law(lhs, rhs):
+        return matsum(*lhs, *rhs, signs=[1] * len(lhs) + [-1] * len(rhs))
+
+    out = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        t = (i, j)
+        ei, ej = e[i], e[j]
+        out[("PABM-1", t)] = law([mm(Ls(plus(st(i, j), st(j, i))), beta)],
+                                 [mm(Ls(al[i]), Ls(ej)), mm(Ls(al[j]), Ls(ei))])
+        out[("PABM-2", t)] = law([mm(Rs(al[j]), matsum(L(ei), R(ei)))],
+                                 [mm(Ls(al[i]), Rs(ej)), mm(Rs(s(i, j)), beta)])
+        out[("PABM-3", t)] = law([mm(Rp(al[j]), Ls(ei)), mm(Rp(al[j]), Rp(ei))],
+                                 [mm(Ls(al[i]), Rp(ej)), mm(Rp(st(i, j)), beta)])
+        out[("PABM-4", t)] = law([mm(Rp(al[j]), Rs(ei)), mm(Rp(al[j]), Lp(ei))],
+                                 [mm(Lp(al[i]), R(ej)), mm(Rs(p(i, j)), beta)])
+        out[("PABM-5", t)] = law([mm(Lp(p(j, i)), beta), mm(Lp(s(i, j)), beta)],
+                                 [mm(Lp(al[j]), L(ei)), mm(Ls(al[i]), Lp(ej))])
+        out[("PABM-6", t)] = law([mm(Rp(al[i]), Ls(ej)), mm(Ls(st(j, i)), beta)],
+                                 [mm(Ls(al[j]), Rp(ei)), mm(Ls(al[j]), Ls(ei))])
+        out[("PABM-7", t)] = law([mm(Rp(al[i]), Rs(ej)), mm(Rs(al[j]), R(ei))],
+                                 [mm(Rs(p(j, i)), beta), mm(Rs(s(i, j)), beta)])
+        out[("PABM-8", t)] = law([mm(Lp(s(j, i)), beta), mm(Rs(al[i]), L(ej))],
+                                 [mm(Ls(al[j]), Lp(ei)), mm(Ls(al[j]), Rs(ei))])
+        out[("PABM-9", t)] = law([mm(Rp(al[i]), Rp(ej)), mm(Rp(al[j]), Rp(ei))],
+                                 [mm(Rp(plus(st(i, j), st(j, i))), beta)])
+        out[("PABM-10", t)] = law([mm(Rp(al[j]), Lp(ei)), mm(Lp(p(i, j)), beta)],
+                                  [mm(Lp(al[i]), matsum(R(ej), L(ej)))])
+    for label, X in (("left-prec", Lp), ("right-prec", Rp),
+                     ("left-succ", Ls), ("right-succ", Rs)):
+        for i in range(n):
+            out[(f"PA-EQ-{label}", (i,))] = law([mm(beta, X(e[i]))],
+                                                [mm(X(al[i]), beta)])
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 2), st.data())
+def test_pre_alternative_rep_residual_columns_match_dense_fraction_evaluation(
+        n, m, data):
+    cp, cs = data.draw(table_st(n)), data.draw(table_st(n))
+    a = data.draw(dense_st(n, n))
+    slices = [data.draw(st.lists(dense_st(m, m), min_size=n, max_size=n))
+              for _ in range(4)]
+    beta = data.draw(dense_st(m, m))
+    base = make_structure(n, twist=a, products={
+        ProductRole.PREC: tensor_of(cp), ProductRole.SUCC: tensor_of(cs)})
+    A = ActionRole
+    rep = Representation(base=base, module_dim=m, module_twist=beta, actions=dict(
+        zip((A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC), slices)))
+    report = check_rep(rep, StructureClass.HOM_PRE_ALTERNATIVE, equivariance=True)
+    assert_matches_columns(
+        report, pre_alternative_rep_residuals(cp, cs, a, *slices, beta), m)
+    assert report.tuples_checked == (10 * n ** 2 + 4 * n) * m
+
+
+# ---------------------------------------------------------------------------
+# operators, morphisms and Hessian forms
+# ---------------------------------------------------------------------------
+
+def column(mat, j):
+    return [row[j] for row in mat]
+
+
+def rota_baxter_residuals(tables, r, lam, a):
+    """RB-<role> = R e_i * R e_j - R(R e_i * e_j + e_i * R e_j + lam e_i * e_j)
+    for every stored product, and RB-TWIST = a R e_i - R a e_i."""
+    n = len(a)
+    e = [basis(n, i) for i in range(n)]
+    re = [apply(r, x) for x in e]
+    out = {}
+    for role, c in tables.items():
+        for i, j in itertools.product(range(n), repeat=2):
+            inner = plus(mult(c, re[i], e[j]), mult(c, e[i], re[j]),
+                         [lam * v for v in mult(c, e[i], e[j])])
+            out[(f"RB-{role.value}", (i, j))] = minus(mult(c, re[i], re[j]),
+                                                      apply(r, inner))
+    for i in range(n):
+        out[("RB-TWIST", (i,))] = minus(apply(a, re[i]), apply(r, apply(a, e[i])))
+    return out
+
+
+ROLE_SETS = ([ProductRole.STAR], [ProductRole.BRACKET],
+             [ProductRole.DOT, ProductRole.STAR],
+             [ProductRole.PREC, ProductRole.SUCC])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3), st.sampled_from(ROLE_SETS), st.data())
+def test_rota_baxter_residuals_match_dense_fraction_evaluation(n, roles, data):
+    tables = {role: data.draw(table_st(n)) for role in roles}
+    a, r = data.draw(dense_st(n, n)), data.draw(dense_st(n, n))
+    lam = data.draw(rational_st.filter(bool))
+    structure = make_structure(n, twist=a, products={
+        role: tensor_of(c) for role, c in tables.items()})
+    w = OperatorWitness(kind=KIND_ROTA_BAXTER, matrix=r, weight=lam)
+    assert_matches(check_operator(structure, w),
+                   rota_baxter_residuals(tables, r, lam, a))
+
+
+def o_operator_residuals(tables, acts, t, a, beta):
+    """OOP-TWIST = column b of a T - T beta, and for each product with its
+    action pair (l, r):
+    OOP-<role>(x, y) = T e_x * T e_y - T(l(T e_x) e_y + r(T e_y) e_x);
+    a rho action is the pair (rho, -rho) on the bracket."""
+    n, m = len(a), len(beta)
+    f = [basis(m, b) for b in range(m)]
+    te = [column(t, b) for b in range(m)]
+    twist = matsum(matmul(a, t), matmul(t, beta), signs=[1, -1])
+    out = {("OOP-TWIST", (b,)): column(twist, b) for b in range(m)}
+    for role, (left, right) in acts.items():
+        c = tables[role]
+        for x, y in itertools.product(range(m), repeat=2):
+            inner = plus(apply(lincomb(te[x], left), f[y]),
+                         apply(lincomb(te[y], right), f[x]))
+            out[(f"OOP-{role.value}", (x, y))] = minus(mult(c, te[x], te[y]),
+                                                       apply(t, inner))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["rho", "left-right", "left-right-star", "four"])
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_o_operator_residuals_match_dense_fraction_evaluation(kind, n, m, data):
+    A, R = ActionRole, ProductRole
+
+    def slices():
+        return data.draw(st.lists(dense_st(m, m), min_size=n, max_size=n))
+
+    if kind == "rho":
+        roles, actions = [R.BRACKET], {A.RHO: slices()}
+        negrho = [[[-v for v in row] for row in s] for s in actions[A.RHO]]
+        pairs = {R.BRACKET: (actions[A.RHO], negrho)}
+    elif kind.startswith("left-right"):
+        roles = [R.DOT, R.STAR] if kind == "left-right-star" else [R.DOT]
+        actions = {A.LEFT: slices(), A.RIGHT: slices()}
+        pairs = {role: (actions[A.LEFT], actions[A.RIGHT]) for role in roles}
+    else:
+        roles = [R.PREC, R.SUCC]
+        actions = {role: slices() for role in (A.LEFT_PREC, A.RIGHT_PREC,
+                                               A.LEFT_SUCC, A.RIGHT_SUCC)}
+        pairs = {R.PREC: (actions[A.LEFT_PREC], actions[A.RIGHT_PREC]),
+                 R.SUCC: (actions[A.LEFT_SUCC], actions[A.RIGHT_SUCC])}
+    tables = {role: data.draw(table_st(n)) for role in roles}
+    a, beta = data.draw(dense_st(n, n)), data.draw(dense_st(m, m))
+    t = data.draw(dense_st(n, m))
+    structure = make_structure(n, twist=a, products={
+        role: tensor_of(c) for role, c in tables.items()})
+    rep = Representation(base=structure, module_dim=m, module_twist=beta,
+                         actions=actions)
+    w = OperatorWitness(kind=KIND_O_OPERATOR, matrix=t, rep=rep)
+    assert_matches(check_operator(structure, w),
+                   o_operator_residuals(tables, pairs, t, a, beta))
+
+
+def morphism_residuals(src_tables, tgt_tables, f, a_src, a_tgt, weak):
+    """MORPH-<role> = f(e_i * e_j) - f e_i *' f e_j for every source product
+    and, unless ``weak``, MORPH-TWIST = f a e_i - a' f e_i."""
+    n = len(a_src)
+    e = [basis(n, i) for i in range(n)]
+    fe = [apply(f, x) for x in e]
+    out = {}
+    for role, c in src_tables.items():
+        for i, j in itertools.product(range(n), repeat=2):
+            out[(f"MORPH-{role.value}", (i, j))] = minus(
+                apply(f, mult(c, e[i], e[j])), mult(tgt_tables[role], fe[i], fe[j]))
+    if not weak:
+        for i in range(n):
+            out[("MORPH-TWIST", (i,))] = minus(apply(f, apply(a_src, e[i])),
+                                               apply(a_tgt, fe[i]))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3), st.integers(2, 3), st.sampled_from(ROLE_SETS),
+       st.booleans(), st.data())
+def test_morphism_residuals_match_dense_fraction_evaluation(n, k, roles, weak, data):
+    src = {role: data.draw(table_st(n)) for role in roles}
+    tgt = {role: data.draw(table_st(k)) for role in roles}
+    a_src, a_tgt = data.draw(dense_st(n, n)), data.draw(dense_st(k, k))
+    f = data.draw(dense_st(k, n))
+    source = make_structure(n, twist=a_src, products={
+        role: tensor_of(c) for role, c in src.items()})
+    target = make_structure(k, twist=a_tgt, products={
+        role: tensor_of(c) for role, c in tgt.items()})
+    assert_matches(check_morphism(f, source, target, weak=weak),
+                   morphism_residuals(src, tgt, f, a_src, a_tgt, weak))
+
+
+def determinant(mat):
+    """Laplace expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum(((-1) ** c * mat[0][c]
+                * determinant([row[:c] + row[c + 1:] for row in mat[1:]])
+                for c in range(len(mat))), F(0))
+
+
+def hessian_residuals(c, a, b):
+    """HESS-SYM = b_ij - b_ji for i < j, HESS-INV = (a^T b a - b)_ij and
+    HESS-COCYCLE = B(e_i e_j, a e_k) - B(a e_i, e_j e_k) - B(e_j e_i, a e_k)
+    + B(a e_j, e_i e_k) with B(u, v) = u^T b v, each a one-entry vector."""
+    n = len(a)
+    e, al, _ = twist_images(a)
+
+    def form(u, v):
+        return sum((u[r] * b[r][s] * v[s] for r in range(n) for s in range(n)), F(0))
+
+    def d(i, j):
+        return mult(c, e[i], e[j])
+
+    at = [list(row) for row in zip(*a)]
+    inv = matsum(matmul(at, matmul(b, a)), b, signs=[1, -1])
+    out = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        if i < j:
+            out[("HESS-SYM", (i, j))] = [b[i][j] - b[j][i]]
+        out[("HESS-INV", (i, j))] = [inv[i][j]]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        out[("HESS-COCYCLE", (i, j, k))] = [
+            form(d(i, j), al[k]) - form(al[i], d(j, k))
+            - form(d(j, i), al[k]) + form(al[j], d(i, k))]
+    return out
+
+
+small_rational_st = st.builds(F, st.integers(-2, 2), st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_hessian_residuals_match_dense_fraction_evaluation(n, data):
+    c = data.draw(table_st(n))
+    a = data.draw(dense_st(n, n))
+    assume(determinant(a) != 0)
+    # small entries make a singular form likely enough to reach HESS-NONDEG
+    b = data.draw(st.lists(st.lists(small_rational_st, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    structure = make_structure(n, twist=a, products={ProductRole.DOT: tensor_of(c)})
+    report = check_hessian(structure, BilinearForm(matrix=b))
+    got = {(v.identity, v.args): v.residual for v in report.violations}
+    kernel = got.pop(("HESS-NONDEG", ()), None)
+    if determinant(b) == 0:
+        assert kernel and all(type(x) is Fraction and x for x in kernel.values())
+        assert apply(b, [kernel.get(r, F(0)) for r in range(n)]) == [F(0)] * n
+    else:
+        assert kernel is None
+    want = {key: sparse(res) for key, res in hessian_residuals(c, a, b).items()}
+    assert got == {key: res for key, res in want.items() if res}
+    assert report.tuples_checked == len(want) + 1
+    assert report.passed == (not got and kernel is None)
     assert_fraction_residuals(report)
