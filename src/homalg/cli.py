@@ -39,10 +39,10 @@ from .operators import (
 )
 from .reps import (
     MALCEV_ACTIONS,
-    PRE_ALTERNATIVE_ACTIONS,
     PRE_MALCEV_ACTIONS,
     NotMultiplicative,
     Representation,
+    _REP_CLASS_ACTIONS,
     check_rep,
     dual_malcev_rep,
     dual_pre_malcev_rep,
@@ -97,11 +97,12 @@ _RECIPE_TARGET_CLASS: dict[str, StructureClass | None] = {
     "alternative-pair-to-quadri": StructureClass.HOM_ALT_QUADRI,
 }
 
-_SEMIDIRECT_TARGETS = (
-    (MALCEV_ACTIONS, StructureClass.HOM_MALCEV),
-    (PRE_MALCEV_ACTIONS, StructureClass.HOM_PRE_MALCEV),
-    (PRE_ALTERNATIVE_ACTIONS, StructureClass.HOM_PRE_ALTERNATIVE),
-)
+
+def _rep_class(rep: Representation) -> StructureClass | None:
+    """The class whose representation axioms take the action roles of ``rep``,
+    or None."""
+    return next((cls for cls, roles in _REP_CLASS_ACTIONS.items()
+                 if roles == rep.roles()), None)
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +253,6 @@ def _with_meta(structure: HomStructure, extra: dict[str, str]) -> HomStructure:
 # check
 # ---------------------------------------------------------------------------
 
-def _rep_check_class(rep: Representation,
-                     structure: HomStructure) -> StructureClass | None:
-    roles = rep.roles()
-    if roles == MALCEV_ACTIONS:
-        return StructureClass.HOM_MALCEV
-    if roles == PRE_MALCEV_ACTIONS:
-        if ProductRole.DOT in structure.products:
-            return StructureClass.HOM_PRE_MALCEV
-        return None
-    if roles == PRE_ALTERNATIVE_ACTIONS:
-        return StructureClass.HOM_PRE_ALTERNATIVE
-    return None
-
-
 def _cmd_check(args, command: Sequence[str]) -> int:
     bundle = load_bundle(args.bundle)
     structure = bundle.structure
@@ -286,8 +273,10 @@ def _cmd_check(args, command: Sequence[str]) -> int:
     entries.append({"subject": "structure", **check_payload(report)})
 
     for n, rep in enumerate(bundle.reps):
-        rep_cls = _rep_check_class(rep, structure)
-        if rep_cls is None:
+        rep_cls = _rep_class(rep)
+        # pre-Malcev rep axioms are stated over a dot product
+        if rep_cls is None or (rep_cls is StructureClass.HOM_PRE_MALCEV
+                               and ProductRole.DOT not in structure.products):
             notes.append(
                 f"note: reps[{n}] skipped (roles "
                 f"{sorted(r.value for r in rep.roles())} have no rep axioms "
@@ -337,10 +326,7 @@ def _cmd_construct(args, command: Sequence[str]) -> int:
     elif label == "semidirect":
         rep = _pick(bundle.reps, args.rep, "rep")
         provenance["rep"] = str(args.rep)
-        for roles, target in _SEMIDIRECT_TARGETS:
-            if rep.roles() == roles:
-                declared = target
-                break
+        declared = _rep_class(rep)
         result = semidirect(structure, rep)
     elif label == "dual-rep":
         rep = _pick(bundle.reps, args.rep, "rep")

@@ -4,7 +4,6 @@ commuting pairs, and of Hessian bilinear forms.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +18,7 @@ from .exact import (
     apply_cols,
     as_fraction,
     as_imat,
+    as_ivec,
     grid_mul,
     mat_col,
     mat_cols,
@@ -47,14 +47,17 @@ from .reps import (
     PRE_ALTERNATIVE_ACTIONS,
     PRE_MALCEV_ACTIONS,
     Representation,
+    _cols_matrix,
 )
 from .structures import (
     CheckReport,
     HomStructure,
+    Identity,
     ProductRole,
     RoleMismatch,
     UnknownKind,
     Violation,
+    _sweep,
     check_morphism,
     make_structure,
 )
@@ -144,20 +147,8 @@ class BilinearForm:
 # operator verification
 # ---------------------------------------------------------------------------
 
-def _finish(target: str, violations: list[Violation], total: int,
-            start: float) -> CheckReport:
-    violations.sort(key=lambda v: (v.identity, v.args))
-    return CheckReport(
-        target=target,
-        passed=not violations,
-        violations=tuple(violations),
-        tuples_checked=total,
-        elapsed=time.perf_counter() - start,
-    )
-
-
-def _check_rota_baxter(structure: HomStructure, w: OperatorWitness,
-                       start: float) -> CheckReport:
+def _rota_baxter_identities(structure: HomStructure,
+                            w: OperatorWitness) -> list[Identity]:
     n = structure.dim
     if mat_shape(w.matrix) != (n, n):
         raise DimensionMismatch(
@@ -167,70 +158,45 @@ def _check_rota_baxter(structure: HomStructure, w: OperatorWitness,
     rcols = mat_cols(w.matrix)
     lam = w.weight
     basis = sv_basis(n)
-    violations: list[Violation] = []
-    total = 0
-    for role in sorted(structure.products, key=lambda r: r.value):
-        grid = tensor_grid(structure.products[role], n)
-        label = f"RB-{role.value}"
-        for i in range(n):
-            ri = rcols[i]
-            ei = basis[i]
-            for j in range(n):
-                total += 1
-                rj = rcols[j]
-                ej = basis[j]
-                inner = sv_add(grid_mul(grid, ri, ej), grid_mul(grid, ei, rj))
-                if lam:
-                    inner = sv_add(inner, sv_scale(lam, grid_mul(grid, ei, ej)))
-                residual = sv_sub(grid_mul(grid, ri, rj), apply_cols(rcols, inner))
-                if residual:
-                    violations.append(Violation(label, (i, j), sv_fractions(residual)))
+
+    def rb(grid):
+        def fn(i, j):
+            ri, rj, ei, ej = rcols[i], rcols[j], basis[i], basis[j]
+            inner = sv_add(grid_mul(grid, ri, ej), grid_mul(grid, ei, rj))
+            if lam:
+                inner = sv_add(inner, sv_scale(lam, grid_mul(grid, ei, ej)))
+            return sv_sub(grid_mul(grid, ri, rj), apply_cols(rcols, inner))
+        return fn
+
     acols = mat_cols(structure.twist)
-    for i in range(n):
-        total += 1
-        residual = sv_sub(apply_cols(acols, rcols[i]), apply_cols(rcols, acols[i]))
-        if residual:
-            violations.append(Violation("RB-TWIST", (i,), sv_fractions(residual)))
-    return _finish(f"operator:{w.kind}", violations, total, start)
+    identities = [(f"RB-{role.value}", 2, rb(_grid(structure, role)))
+                  for role in sorted(structure.products, key=lambda r: r.value)]
+    identities.append(("RB-TWIST", 1, lambda i: sv_sub(
+        apply_cols(acols, rcols[i]), apply_cols(rcols, acols[i]))))
+    return identities
 
 
-def _oop_identities(structure: HomStructure, rep: Representation):
-    """Pairs of (label, residual function over module basis pairs)."""
+def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identity]:
+    """OOP-TWIST, and for each product with its (left, right) action pair
+    ``T x * T y - T(left(T x) y +/- right(T y) x)`` over module basis pairs."""
+    rep = w.rep
+    assert rep is not None
     n, m = structure.dim, rep.module_dim
+    if rep.base.dim != n:
+        raise DimensionMismatch(
+            f"representation base has dimension {rep.base.dim}, structure {n}"
+        )
     roles = rep.roles()
-
-    out = []
+    # (product, left action, right action, sign of the right term)
     if roles == MALCEV_ACTIONS:
         if ProductRole.BRACKET not in structure.products:
             raise RoleMismatch("a rho-action operator check needs the bracket role")
-        grid = tensor_grid(structure.products[ProductRole.BRACKET], n)
-        rho = rep.int_slices(ActionRole.RHO)
-
-        def bracket_res(tcols, a, b):
-            lhs = grid_mul(grid, tcols[a], tcols[b])
-            inner = sv_sub(_act_col(rho, tcols[a], b, m),
-                           _act_col(rho, tcols[b], a, m))
-            return sv_sub(lhs, apply_cols(tcols, inner))
-
-        out.append(("OOP-bracket", bracket_res))
+        laws = [(ProductRole.BRACKET, ActionRole.RHO, ActionRole.RHO, sv_sub)]
     elif roles == PRE_MALCEV_ACTIONS:
-        ell = rep.int_slices(ActionRole.LEFT)
-        arr = rep.int_slices(ActionRole.RIGHT)
-        found = False
-        for role in (ProductRole.DOT, ProductRole.STAR):
-            if role not in structure.products:
-                continue
-            found = True
-            grid = tensor_grid(structure.products[role], n)
-
-            def res(tcols, a, b, grid=grid):
-                lhs = grid_mul(grid, tcols[a], tcols[b])
-                inner = sv_add(_act_col(ell, tcols[a], b, m),
-                               _act_col(arr, tcols[b], a, m))
-                return sv_sub(lhs, apply_cols(tcols, inner))
-
-            out.append((f"OOP-{role.value}", res))
-        if not found:
+        laws = [(role, ActionRole.LEFT, ActionRole.RIGHT, sv_add)
+                for role in (ProductRole.DOT, ProductRole.STAR)
+                if role in structure.products]
+        if not laws:
             raise RoleMismatch(
                 "a left/right-action operator check needs the dot or star role"
             )
@@ -239,54 +205,30 @@ def _oop_identities(structure: HomStructure, rep: Representation):
             raise RoleMismatch(
                 "a split-action operator check needs the prec and succ roles"
             )
-        for role, left_role, right_role in (
-            (ProductRole.PREC, ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC),
-            (ProductRole.SUCC, ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC),
-        ):
-            grid = tensor_grid(structure.products[role], n)
-            left = rep.int_slices(left_role)
-            right = rep.int_slices(right_role)
-
-            def res(tcols, a, b, grid=grid, left=left, right=right):
-                lhs = grid_mul(grid, tcols[a], tcols[b])
-                inner = sv_add(_act_col(left, tcols[a], b, m),
-                               _act_col(right, tcols[b], a, m))
-                return sv_sub(lhs, apply_cols(tcols, inner))
-
-            out.append((f"OOP-{role.value}", res))
+        laws = [
+            (ProductRole.PREC, ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC, sv_add),
+            (ProductRole.SUCC, ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC, sv_add),
+        ]
     else:
         raise RoleMismatch(
             f"no operator identity for action roles {sorted(r.value for r in roles)}"
         )
-    return out
-
-
-def _check_o_operator(structure: HomStructure, w: OperatorWitness,
-                      start: float) -> CheckReport:
-    rep = w.rep
-    assert rep is not None
-    n, m = structure.dim, rep.module_dim
-    if rep.base.dim != n:
-        raise DimensionMismatch(
-            f"representation base has dimension {rep.base.dim}, structure {n}"
-        )
     tcols = mat_cols(w.matrix)
-    violations: list[Violation] = []
-    total = 0
-    intertwine = mat_sub(mat_mul(structure.twist, w.matrix),
-                         mat_mul(w.matrix, rep.module_twist))
-    for b, col in enumerate(mat_cols(intertwine)):
-        total += 1
-        if col:
-            violations.append(Violation("OOP-TWIST", (b,), sv_fractions(col)))
-    for label, res in _oop_identities(structure, rep):
-        for a in range(m):
-            for b in range(m):
-                total += 1
-                residual = res(tcols, a, b)
-                if residual:
-                    violations.append(Violation(label, (a, b), sv_fractions(residual)))
-    return _finish(f"operator:{w.kind}", violations, total, start)
+
+    def oop(grid, left, right, sign):
+        def fn(a, b):
+            inner = sign(_act_col(left, tcols[a], b, m), _act_col(right, tcols[b], a, m))
+            return sv_sub(grid_mul(grid, tcols[a], tcols[b]), apply_cols(tcols, inner))
+        return fn
+
+    twist = mat_cols(mat_sub(mat_mul(structure.twist, w.matrix),
+                             mat_mul(w.matrix, rep.module_twist)))
+    identities = [("OOP-TWIST", 1, lambda b: twist[b])]
+    identities.extend(
+        (f"OOP-{role.value}", 2, oop(_grid(structure, role), rep.int_slices(left),
+                                     rep.int_slices(right), sign))
+        for role, left, right, sign in laws)
+    return identities
 
 
 def check_operator(structure: HomStructure, w: OperatorWitness) -> CheckReport:
@@ -295,8 +237,10 @@ def check_operator(structure: HomStructure, w: OperatorWitness) -> CheckReport:
     operator), always including the twist-intertwining law."""
     start = time.perf_counter()
     if w.kind == KIND_ROTA_BAXTER:
-        return _check_rota_baxter(structure, w, start)
-    return _check_o_operator(structure, w, start)
+        return _sweep(f"operator:{w.kind}", _rota_baxter_identities(structure, w),
+                      structure.dim, start)
+    return _sweep(f"operator:{w.kind}", _oop_identities(structure, w),
+                  w.rep.module_dim, start)
 
 
 def check_commuting(r1: OperatorWitness, r2: OperatorWitness) -> bool:
@@ -669,36 +613,35 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     # every cell is over grid.den and every column over one twist denominator
     cocycle_den = grid.den * bi.den * acols[0].den
     violations: list[Violation] = []
-    total = 0
     for i in range(n):
         for j in range(i + 1, n):
-            total += 1
             diff = b[i][j] - b[j][i]
             if diff:
                 violations.append(Violation("HESS-SYM", (i, j), {0: diff}))
-    total += 1
     kernel = mat_kernel_vector(b)
     if kernel is not None:
         violations.append(Violation("HESS-NONDEG", (), kernel))
-    inv_residual = mat_fractions(
-        mat_sub(mat_mul(mat_transpose(alpha), mat_mul(b, alpha)), b))
-    for i in range(n):
-        for j in range(n):
-            total += 1
-            if inv_residual[i][j]:
-                violations.append(Violation("HESS-INV", (i, j), {0: inv_residual[i][j]}))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        total += 1
+    # each residual is a number, kept as entry 0 of a vector over its
+    # denominator; the identities return 0 for a zero residual
+    inv = mat_sub(mat_mul(mat_transpose(alpha), mat_mul(b, alpha)), b)
+    inv_unit = as_ivec({0: Fraction(1, inv.den)})
+    cocycle_unit = as_ivec({0: Fraction(1, cocycle_den)})
+
+    def hess_inv(i, j):
+        val = inv[i * n + j]
+        return val and sv_scale(val, inv_unit)
+
+    def cocycle(i, j, k):
         val = (
             _form_eval(bi, cells[i][j], acols[k])
             - _form_eval(bi, acols[i], cells[j][k])
             - _form_eval(bi, cells[j][i], acols[k])
             + _form_eval(bi, acols[j], cells[i][k])
         )
-        if val:
-            violations.append(Violation("HESS-COCYCLE", (i, j, k),
-                                        {0: Fraction(val, cocycle_den)}))
-    return _finish("hessian", violations, total, start)
+        return val and sv_scale(val, cocycle_unit)
+
+    return _sweep("hessian", [("HESS-INV", 2, hess_inv), ("HESS-COCYCLE", 3, cocycle)],
+                  n, start, violations=violations, tuples=n * (n - 1) // 2 + 1)
 
 
 def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructure:
@@ -722,22 +665,18 @@ def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructur
     b_alpha = mat_mul(b, alpha)
 
     # right-multiplication and bracket-left-multiplication matrices
-    def cols_matrix(cols):
-        return tuple(tuple(cols[c].get(r, Fraction(0)) for c in range(n))
-                     for r in range(n))
-
     tr_entries = []
     tl_entries = []
     for j in range(n):
-        r_j = cols_matrix([sv_fractions(grid_mul(grid, basis[bidx], basis[j]))
-                           for bidx in range(n)])
+        r_j = _cols_matrix([grid_mul(grid, basis[bidx], basis[j])
+                            for bidx in range(n)], n)
         p_j = mat_fractions(mat_mul(solve, mat_mul(mat_transpose(r_j), b_alpha)))
         for i in range(n):
             for r in range(n):
                 if p_j[r][i]:
                     tr_entries.append((i, j, r, p_j[r][i]))
     for i in range(n):
-        ad_i = cols_matrix([cgrid[i][bidx] or {} for bidx in range(n)])
+        ad_i = _cols_matrix(cgrid.ints[i], n)
         q_i = mat_fractions(mat_mul(solve, mat_mul(mat_transpose(ad_i), b_alpha)))
         for j in range(n):
             for r in range(n):

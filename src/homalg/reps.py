@@ -7,7 +7,6 @@ vectors and report exact residual columns.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +36,6 @@ from .exact import (
     sv_add,
     sv_basis,
     sv_fractions,
-    sv_sub,
     tensor_add,
     tensor_commutator,
     tensor_from_entries,
@@ -49,7 +47,8 @@ from .structures import (
     ProductRole,
     RoleMismatch,
     StructureClass,
-    Violation,
+    _mult_identities,
+    _sweep,
     _table2,
     _table3,
     derived_product,
@@ -127,36 +126,7 @@ class Representation:
         return tuple(as_imat(s) for s in self.actions[role])
 
 
-def _lincomb(coeffs: Ivec, mats: Sequence[Imat], m: int) -> Imat:
-    """Linear combination of action slices: sum of coeffs[s] * mats[s]."""
-    return mat_lincomb(coeffs, mats, m, m)
-
-
 MatIdentity = tuple[str, int, Callable[..., Imat]]
-
-
-def _sweep_matrix_identities(identities: Sequence[MatIdentity], dim: int,
-                             module_dim: int, target: str,
-                             start: float) -> CheckReport:
-    violations: list[Violation] = []
-    total = 0
-    for label, arity, fn in identities:
-        for idx in itertools.product(range(dim), repeat=arity):
-            total += module_dim
-            residual = fn(*idx)
-            if any(residual):
-                for b, col in enumerate(mat_cols(residual)):
-                    if col:
-                        violations.append(
-                            Violation(label, idx + (b,), sv_fractions(col)))
-    violations.sort(key=lambda v: (v.identity, v.args))
-    return CheckReport(
-        target=target,
-        passed=not violations,
-        violations=tuple(violations),
-        tuples_checked=total,
-        elapsed=time.perf_counter() - start,
-    )
 
 
 def _malcev_action_identities(dim: int, bracket: Tensor, alpha: Matrix,
@@ -171,7 +141,7 @@ def _malcev_action_identities(dim: int, bracket: Tensor, alpha: Matrix,
     beta2 = mat_mul(beta, beta)
 
     def rho_of(sv: Ivec) -> Imat:
-        return _lincomb(sv, rho, m)
+        return mat_lincomb(sv, rho, m, m)
 
     rho_a = [rho_of(acols[i]) for i in range(dim)]
     rho_a2 = [rho_of(a2cols[i]) for i in range(dim)]
@@ -186,7 +156,7 @@ def _malcev_action_identities(dim: int, bracket: Tensor, alpha: Matrix,
         return mat_sub(mat_mul(rho_a[i], beta), mat_mul(beta, rho[i]))
 
     def four(i, j, k):
-        lhs = _lincomb(grid_mul(grid, cell[i][j], acols[k]), rho_b2, m)
+        lhs = mat_lincomb(grid_mul(grid, cell[i][j], acols[k]), rho_b2, m, m)
         rhs = mat_sub(mat_mul(a2_a[i][j], rho[k]), mat_mul(a2_a[k][i], rho[j]))
         rhs = mat_add(rhs, mat_mul(rho_a2[j], cell_b[k][i]))
         rhs = mat_sub(rhs, mat_mul(a_cell[j][k], rho_a_b[i]))
@@ -210,13 +180,13 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[MatIdentity]:
     rho = tuple(mat_sub(ell[i], arr[i]) for i in range(dim))
 
     def l_of(sv):
-        return _lincomb(sv, ell, m)
+        return mat_lincomb(sv, ell, m, m)
 
     def r_of(sv):
-        return _lincomb(sv, arr, m)
+        return mat_lincomb(sv, arr, m, m)
 
     def rho_of(sv):
-        return _lincomb(sv, rho, m)
+        return mat_lincomb(sv, rho, m, m)
 
     l_a = [l_of(acols[i]) for i in range(dim)]
     l_a2 = [l_of(a2cols[i]) for i in range(dim)]
@@ -247,7 +217,7 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[MatIdentity]:
 
     def pm2(i, j, k):
         acc = mat_mul(r2_rho[i][j], rho[k])
-        acc = mat_sub(acc, _lincomb(a_d[k][j][i], r_b2, m))
+        acc = mat_sub(acc, mat_lincomb(a_d[k][j][i], r_b2, m, m))
         acc = mat_add(acc, mat_mul(l_a2[j], rd_b[k][i]))
         acc = mat_add(acc, mat_mul(l_ac[j][k], r_a_b[i]))
         return mat_sub(acc, mat_mul(l2_r[k][i], rho[j]))
@@ -257,10 +227,10 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[MatIdentity]:
         acc = mat_sub(acc, mat_mul(r2_rho[i][j], rho[k]))
         acc = mat_sub(acc, mat_mul(l_a2[k], rd_b[j][i]))
         acc = mat_sub(acc, mat_mul(r_ad[k][i], rho_a_b[j]))
-        return mat_add(acc, _lincomb(grid_mul(dgrid, c[k][j], acols[i]), r_b2, m))
+        return mat_add(acc, mat_lincomb(grid_mul(dgrid, c[k][j], acols[i]), r_b2, m, m))
 
     def pm4(i, j, k):
-        acc = _lincomb(a_d[j][k][i], r_b2, m)
+        acc = mat_lincomb(a_d[j][k][i], r_b2, m, m)
         acc = mat_add(acc, mat_mul(r_a2[i], rhoc_b[j][k]))
         acc = mat_sub(acc, mat_mul(l2_l[j][k], arr[i]))
         acc = mat_add(acc, mat_mul(r_ad[j][i], rho_a_b[k]))
@@ -294,16 +264,16 @@ def _pre_alternative_rep_identities(rep: Representation, *,
     R = tuple(mat_add(Rp[i], Rs[i]) for i in range(dim))
 
     def lp_of(sv):
-        return _lincomb(sv, Lp, m)
+        return mat_lincomb(sv, Lp, m, m)
 
     def rp_of(sv):
-        return _lincomb(sv, Rp, m)
+        return mat_lincomb(sv, Rp, m, m)
 
     def ls_of(sv):
-        return _lincomb(sv, Ls, m)
+        return mat_lincomb(sv, Ls, m, m)
 
     def rs_of(sv):
-        return _lincomb(sv, Rs, m)
+        return mat_lincomb(sv, Rs, m, m)
 
     lp_a = [lp_of(acols[i]) for i in range(dim)]
     rp_a = [rp_of(acols[i]) for i in range(dim)]
@@ -421,9 +391,8 @@ def check_rep(rep: Representation, cls: StructureClass, *,
         if not {ProductRole.PREC, ProductRole.SUCC} <= rep.base.roles():
             raise RoleMismatch("base structure must carry the prec and succ roles")
         identities = _pre_alternative_rep_identities(rep, equivariance=equivariance)
-    return _sweep_matrix_identities(
-        identities, rep.base.dim, rep.module_dim, f"rep:{cls.value}", start
-    )
+    return _sweep(f"rep:{cls.value}", identities, rep.base.dim, start,
+                  module_dim=rep.module_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +410,14 @@ def _twist_power_cols(structure: HomStructure, s: int) -> tuple[Ivec, ...]:
 
 def _require_multiplicative(structure: HomStructure,
                             roles: Sequence[ProductRole]) -> None:
-    acols = mat_cols(structure.twist)
-    for role in roles:
-        grid = tensor_grid(structure.products[role], structure.dim)
-        for i in range(structure.dim):
-            for j in range(structure.dim):
-                lhs = apply_cols(acols, grid.ints[i][j])
-                rhs = grid_mul(grid, acols[i], acols[j])
-                if sv_sub(lhs, rhs):
-                    raise NotMultiplicative(
-                        f"twist is not a morphism of product '{role.value}' "
-                        f"at basis pair ({i}, {j})"
-                    )
+    report = _sweep("multiplicativity", _mult_identities(structure, roles),
+                    structure.dim, time.perf_counter())
+    if not report.passed:
+        first = report.violations[0]
+        raise NotMultiplicative(
+            f"twist is not a morphism of product '{first.identity.removeprefix('MULT-')}' "
+            f"at basis pair {first.args}"
+        )
 
 
 def _cols_matrix(cols: Sequence[Ivec], m: int) -> Matrix:
@@ -494,58 +459,44 @@ def adjoint_rep(structure: HomStructure, s: int = 0) -> Representation:
     )
 
 
+def _regular_rep(structure: HomStructure, s: int,
+                 sides: Mapping[ProductRole, tuple[ActionRole, ActionRole]]
+                 ) -> Representation:
+    """Left and right multiplication by s-th twist powers on the structure
+    itself: ``sides`` maps each product to its (left, right) action roles."""
+    if not sides.keys() <= structure.products.keys():
+        names = " and ".join(role.value for role in sides)
+        raise RoleMismatch(f"regular representation needs the {names} "
+                           f"{'product role' if len(sides) == 1 else 'roles'}")
+    if s > 0:
+        _require_multiplicative(structure, list(sides))
+    pow_cols = _twist_power_cols(structure, s)
+    actions = {}
+    for role, (left, right) in sides.items():
+        tensor = structure.products[role]
+        actions[left] = _mult_slices(structure, tensor, pow_cols, "left")
+        actions[right] = _mult_slices(structure, tensor, pow_cols, "right")
+    return Representation(base=structure, module_dim=structure.dim,
+                          module_twist=structure.twist, actions=actions)
+
+
 def regular_pre_malcev_rep(structure: HomStructure, s: int = 0) -> Representation:
     """Left/right multiplication by s-th twist powers on the structure itself."""
-    if ProductRole.DOT not in structure.products:
-        raise RoleMismatch("regular representation needs the dot product role")
-    if s > 0:
-        _require_multiplicative(structure, [ProductRole.DOT])
-    pow_cols = _twist_power_cols(structure, s)
-    dot = structure.products[ProductRole.DOT]
-    return Representation(
-        base=structure, module_dim=structure.dim, module_twist=structure.twist,
-        actions={
-            ActionRole.LEFT: _mult_slices(structure, dot, pow_cols, "left"),
-            ActionRole.RIGHT: _mult_slices(structure, dot, pow_cols, "right"),
-        },
-    )
+    return _regular_rep(structure, s, {
+        ProductRole.DOT: (ActionRole.LEFT, ActionRole.RIGHT)})
 
 
 def regular_alternative_rep(structure: HomStructure, s: int = 0) -> Representation:
     """Left/right multiplication actions for a single-product structure."""
-    if ProductRole.STAR not in structure.products:
-        raise RoleMismatch("regular representation needs the star product role")
-    if s > 0:
-        _require_multiplicative(structure, [ProductRole.STAR])
-    pow_cols = _twist_power_cols(structure, s)
-    star = structure.products[ProductRole.STAR]
-    return Representation(
-        base=structure, module_dim=structure.dim, module_twist=structure.twist,
-        actions={
-            ActionRole.LEFT: _mult_slices(structure, star, pow_cols, "left"),
-            ActionRole.RIGHT: _mult_slices(structure, star, pow_cols, "right"),
-        },
-    )
+    return _regular_rep(structure, s, {
+        ProductRole.STAR: (ActionRole.LEFT, ActionRole.RIGHT)})
 
 
 def regular_pre_alternative_rep(structure: HomStructure, s: int = 0) -> Representation:
     """The four regular multiplication actions of a two-product splitting."""
-    if not {ProductRole.PREC, ProductRole.SUCC} <= structure.roles():
-        raise RoleMismatch("regular representation needs the prec and succ roles")
-    if s > 0:
-        _require_multiplicative(structure, [ProductRole.PREC, ProductRole.SUCC])
-    pow_cols = _twist_power_cols(structure, s)
-    prec = structure.products[ProductRole.PREC]
-    succ = structure.products[ProductRole.SUCC]
-    return Representation(
-        base=structure, module_dim=structure.dim, module_twist=structure.twist,
-        actions={
-            ActionRole.LEFT_PREC: _mult_slices(structure, prec, pow_cols, "left"),
-            ActionRole.RIGHT_PREC: _mult_slices(structure, prec, pow_cols, "right"),
-            ActionRole.LEFT_SUCC: _mult_slices(structure, succ, pow_cols, "left"),
-            ActionRole.RIGHT_SUCC: _mult_slices(structure, succ, pow_cols, "right"),
-        },
-    )
+    return _regular_rep(structure, s, {
+        ProductRole.PREC: (ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC),
+        ProductRole.SUCC: (ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC)})
 
 
 DUAL_VARIANTS = ("alpha", "alpha-inverse")
@@ -575,10 +526,10 @@ def dual_malcev_rep(rep: Representation, variant: str = "alpha") -> Representati
     dual = []
     for i in range(rep.base.dim):
         if variant == "alpha":
-            rho_t = mat_transpose(mat_fractions(_lincomb(acols[i], rho, m)))
+            rho_t = mat_transpose(mat_fractions(mat_lincomb(acols[i], rho, m, m)))
             mat = mat_mul(rho_t, beta_t_inv2)
         else:
-            rho_t = mat_transpose(mat_fractions(_lincomb(ai_cols[i], rho, m)))
+            rho_t = mat_transpose(mat_fractions(mat_lincomb(ai_cols[i], rho, m, m)))
             mat = mat_mul(beta_t_inv2, rho_t)
         dual.append(tuple(tuple(-v for v in row) for row in mat_fractions(mat)))
     return Representation(
@@ -603,8 +554,8 @@ def dual_pre_malcev_rep(rep: Representation) -> Representation:
     new_left = []
     new_right = []
     for i in range(rep.base.dim):
-        rho_a_t = mat_transpose(mat_fractions(_lincomb(acols[i], rho, m)))
-        r_a_t = mat_transpose(mat_fractions(_lincomb(acols[i], arr, m)))
+        rho_a_t = mat_transpose(mat_fractions(mat_lincomb(acols[i], rho, m, m)))
+        r_a_t = mat_transpose(mat_fractions(mat_lincomb(acols[i], arr, m, m)))
         new_left.append(tuple(tuple(-v for v in row) for row in
                               mat_fractions(mat_mul(rho_a_t, beta_t_inv2))))
         new_right.append(mat_fractions(mat_mul(r_a_t, beta_t_inv2)))

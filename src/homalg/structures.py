@@ -11,10 +11,11 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact import (
     DimensionMismatch,
+    Grid,
     Ivec,
     Matrix,
     Tensor,
@@ -246,8 +247,30 @@ def hom_jacobian(structure: HomStructure, x: Vector, y: Vector, z: Vector) -> Ve
     return sv_to_vector(sv_fractions(res), dim)
 
 
+#: the nine associator kinds of a four-way splitting:
+#: ``(x, y, z) -> outer_l(inner_l(x, y), a z) - outer_r(a x, inner_r(y, z))``
+#: as the product roles ``(outer_l, inner_l, outer_r, inner_r)``
+_QUADRI_ASSOCIATORS: dict[str, tuple[ProductRole, ...]] = {
+    "r": (ProductRole.NW, ProductRole.NW, ProductRole.NW, ProductRole.STAR),
+    "l": (ProductRole.SE, ProductRole.STAR, ProductRole.SE, ProductRole.SE),
+    "m": (ProductRole.NW, ProductRole.SE, ProductRole.SE, ProductRole.NW),
+    "n": (ProductRole.NW, ProductRole.NE, ProductRole.NE, ProductRole.PREC),
+    "w": (ProductRole.NW, ProductRole.SW, ProductRole.SW, ProductRole.WEDGE),
+    "s": (ProductRole.SW, ProductRole.SUCC, ProductRole.SE, ProductRole.SW),
+    "e": (ProductRole.NE, ProductRole.VEE, ProductRole.SE, ProductRole.NE),
+    "ne": (ProductRole.NE, ProductRole.WEDGE, ProductRole.NE, ProductRole.SUCC),
+    "sw": (ProductRole.SW, ProductRole.PREC, ProductRole.SW, ProductRole.VEE),
+}
+
 #: associator kinds for four-way-split structures, plus the plain one
-ASSOCIATOR_KINDS = ("plain", "r", "l", "m", "n", "w", "s", "e", "ne", "sw")
+ASSOCIATOR_KINDS = ("plain", *_QUADRI_ASSOCIATORS)
+
+
+def _quadri_grids(structure: HomStructure) -> dict[ProductRole, Grid]:
+    """The grid of every product role an associator kind reads."""
+    roles = {role for four in _QUADRI_ASSOCIATORS.values() for role in four}
+    return {role: tensor_grid(derived_product(structure, role), structure.dim)
+            for role in roles}
 
 
 def alpha_associator(structure: HomStructure, kind: str,
@@ -258,42 +281,16 @@ def alpha_associator(structure: HomStructure, kind: str,
     dim = structure.dim
     a = mat_cols(structure.twist)
     u, v, w = (as_ivec(sv_from_vector(t)) for t in (x, y, z))
-
-    def ap(s: Ivec) -> Ivec:
-        return apply_cols(a, s)
-
     if kind == "plain":
         grid = tensor_grid(structure.products[_single_product_role(structure)], dim)
-        res = sv_sub(grid_mul(grid, grid_mul(grid, u, v), ap(w)),
-                     grid_mul(grid, ap(u), grid_mul(grid, v, w)))
-        return sv_to_vector(sv_fractions(res), dim)
-
-    R = ProductRole
-    if not CLASS_ROLES[StructureClass.HOM_ALT_QUADRI] <= structure.roles():
-        raise RoleMismatch(f"associator kind {kind!r} needs the four-way product roles")
-    g = {role: tensor_grid(structure.products[role], dim)
-         for role in (R.NW, R.SW, R.NE, R.SE)}
-    g_succ = tensor_grid(derived_product(structure, R.SUCC), dim)
-    g_prec = tensor_grid(derived_product(structure, R.PREC), dim)
-    g_vee = tensor_grid(derived_product(structure, R.VEE), dim)
-    g_wedge = tensor_grid(derived_product(structure, R.WEDGE), dim)
-    g_star = tensor_grid(derived_product(structure, R.STAR), dim)
-    # (outer grid for left term, inner grid for left term,
-    #  outer grid for right term, inner grid for right term)
-    table = {
-        "r": (g[R.NW], g[R.NW], g[R.NW], g_star),
-        "l": (g[R.SE], g_star, g[R.SE], g[R.SE]),
-        "m": (g[R.NW], g[R.SE], g[R.SE], g[R.NW]),
-        "n": (g[R.NW], g[R.NE], g[R.NE], g_prec),
-        "w": (g[R.NW], g[R.SW], g[R.SW], g_wedge),
-        "s": (g[R.SW], g_succ, g[R.SE], g[R.SW]),
-        "e": (g[R.NE], g_vee, g[R.SE], g[R.NE]),
-        "ne": (g[R.NE], g_wedge, g[R.NE], g_succ),
-        "sw": (g[R.SW], g_prec, g[R.SW], g_vee),
-    }
-    outer_l, inner_l, outer_r, inner_r = table[kind]
-    res = sv_sub(grid_mul(outer_l, grid_mul(inner_l, u, v), ap(w)),
-                 grid_mul(outer_r, ap(u), grid_mul(inner_r, v, w)))
+        outer_l = inner_l = outer_r = inner_r = grid
+    else:
+        if not CLASS_ROLES[StructureClass.HOM_ALT_QUADRI] <= structure.roles():
+            raise RoleMismatch(f"associator kind {kind!r} needs the four-way product roles")
+        grids = _quadri_grids(structure)
+        outer_l, inner_l, outer_r, inner_r = (grids[r] for r in _QUADRI_ASSOCIATORS[kind])
+    res = sv_sub(grid_mul(outer_l, grid_mul(inner_l, u, v), apply_cols(a, w)),
+                 grid_mul(outer_r, apply_cols(a, u), grid_mul(inner_r, v, w)))
     return sv_to_vector(sv_fractions(res), dim)
 
 
@@ -622,33 +619,20 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
 
 def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
-    R = ProductRole
-    g = {role: tensor_grid(structure.products[role], dim)
-         for role in (R.NW, R.SW, R.NE, R.SE)}
-    g_succ = tensor_grid(derived_product(structure, R.SUCC), dim)
-    g_prec = tensor_grid(derived_product(structure, R.PREC), dim)
-    g_vee = tensor_grid(derived_product(structure, R.VEE), dim)
-    g_wedge = tensor_grid(derived_product(structure, R.WEDGE), dim)
-    g_star = tensor_grid(derived_product(structure, R.STAR), dim)
+    grids = _quadri_grids(structure)
     a, _ = _twist_cols(structure)
 
     def assoc(outer_l, inner_l, outer_r, inner_r):
         # QA1-QA9 read every associator of each kind twice
         return _table3(dim, lambda i, j, k: sv_sub(
-            grid_mul(outer_l, inner_l.ints[i][j], a[k]),
-            grid_mul(outer_r, a[i], inner_r.ints[j][k])))
+            grid_mul(grids[outer_l], grids[inner_l].ints[i][j], a[k]),
+            grid_mul(grids[outer_r], a[i], grids[inner_r].ints[j][k])))
 
-    as_r = assoc(g[R.NW], g[R.NW], g[R.NW], g_star)
-    as_l = assoc(g[R.SE], g_star, g[R.SE], g[R.SE])
-    as_m = assoc(g[R.NW], g[R.SE], g[R.SE], g[R.NW])
-    as_n = assoc(g[R.NW], g[R.NE], g[R.NE], g_prec)
-    as_w = assoc(g[R.NW], g[R.SW], g[R.SW], g_wedge)
-    as_s = assoc(g[R.SW], g_succ, g[R.SE], g[R.SW])
-    as_e = assoc(g[R.NE], g_vee, g[R.SE], g[R.NE])
-    as_ne = assoc(g[R.NE], g_wedge, g[R.NE], g_succ)
-    as_sw = assoc(g[R.SW], g_prec, g[R.SW], g_vee)
+    asc = {kind: assoc(*roles) for kind, roles in _QUADRI_ASSOCIATORS.items()}
 
     def qa(first, second, permute):
+        first, second = asc[first], asc[second]
+
         def fn(i, j, k):
             x, y, z = permute(i, j, k)
             return sv_add(first[i][j][k], second[x][y][z])
@@ -658,15 +642,15 @@ def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
     swap23 = lambda i, j, k: (i, k, j)
 
     return [
-        ("QA1", 3, qa(as_r, as_m, swap12)),
-        ("QA2", 3, qa(as_r, as_r, swap23)),
-        ("QA3", 3, qa(as_n, as_w, swap12)),
-        ("QA4", 3, qa(as_n, as_ne, swap23)),
-        ("QA5", 3, qa(as_ne, as_e, swap12)),
-        ("QA6", 3, qa(as_w, as_sw, swap23)),
-        ("QA7", 3, qa(as_sw, as_s, swap12)),
-        ("QA8", 3, qa(as_m, as_l, swap23)),
-        ("QA9", 3, qa(as_l, as_l, swap12)),
+        ("QA1", 3, qa("r", "m", swap12)),
+        ("QA2", 3, qa("r", "r", swap23)),
+        ("QA3", 3, qa("n", "w", swap12)),
+        ("QA4", 3, qa("n", "ne", swap23)),
+        ("QA5", 3, qa("ne", "e", swap12)),
+        ("QA6", 3, qa("w", "sw", swap23)),
+        ("QA7", 3, qa("sw", "s", swap12)),
+        ("QA8", 3, qa("m", "l", swap23)),
+        ("QA9", 3, qa("l", "l", swap12)),
     ]
 
 
@@ -683,17 +667,65 @@ _CLASS_IDENTITIES: dict[StructureClass, Callable[[HomStructure], list[Identity]]
 }
 
 
-def _mult_identities(structure: HomStructure) -> list[Identity]:
-    a, _ = _twist_cols(structure)
+def _product_map_identities(prefix: str, fcols: Sequence[Ivec],
+                            source: HomStructure, target: HomStructure,
+                            roles: Iterable[ProductRole]) -> list[Identity]:
+    """``<prefix>-<role>``: ``f(e_i e_j) - (f e_i)(f e_j)`` for every role, the
+    product of ``source`` inside and that of ``target`` outside."""
     out: list[Identity] = []
-    for role in sorted(structure.products, key=lambda r: r.value):
-        grid = tensor_grid(structure.products[role], structure.dim)
+    for role in sorted(roles, key=lambda r: r.value):
+        src = tensor_grid(source.products[role], source.dim).ints
+        tgt = tensor_grid(target.products[role], target.dim)
 
-        def fn(i, j, grid=grid):
-            return sv_sub(apply_cols(a, grid.ints[i][j]), grid_mul(grid, a[i], a[j]))
+        def fn(i, j, src=src, tgt=tgt):
+            return sv_sub(apply_cols(fcols, src[i][j]), grid_mul(tgt, fcols[i], fcols[j]))
 
-        out.append((f"MULT-{role.value}", 2, fn))
+        out.append((f"{prefix}-{role.value}", 2, fn))
     return out
+
+
+def _mult_identities(structure: HomStructure,
+                     roles: Iterable[ProductRole]) -> list[Identity]:
+    """MULT-<role>: the twist is a morphism of each product in ``roles``."""
+    return _product_map_identities("MULT", mat_cols(structure.twist), structure,
+                                   structure, roles)
+
+
+def _sweep(target: str, identities: Sequence[tuple[str, int, Callable]],
+           dim: int, start: float, *, module_dim: int = 0,
+           violations: Sequence[Violation] = (), tuples: int = 0) -> CheckReport:
+    """Evaluate every identity at every tuple of ``range(dim) ** arity`` and
+    build the report, counting in the ``tuples`` already checked and the
+    ``violations`` already found by the caller.
+
+    With ``module_dim``, a residual is an integer matrix: each nonzero column
+    ``b`` is a violation at ``args + (b,)``, and each tuple counts once per
+    module basis vector."""
+    found = list(violations)
+    total = tuples
+    for label, arity, fn in identities:
+        indices = itertools.product(range(dim), repeat=arity)
+        if module_dim:
+            total += module_dim * dim ** arity
+            for idx in indices:
+                residual = fn(*idx)
+                if any(residual):
+                    found.extend(Violation(label, idx + (b,), sv_fractions(col))
+                                 for b, col in enumerate(mat_cols(residual)) if col)
+        else:
+            total += dim ** arity
+            for idx in indices:
+                residual = fn(*idx)
+                if residual:
+                    found.append(Violation(label, idx, sv_fractions(residual)))
+    found.sort(key=lambda v: (v.identity, v.args))
+    return CheckReport(
+        target=target,
+        passed=not found,
+        violations=tuple(found),
+        tuples_checked=total,
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def check(structure: HomStructure, cls: StructureClass, *,
@@ -711,24 +743,8 @@ def check(structure: HomStructure, cls: StructureClass, *,
         )
     identities = list(_CLASS_IDENTITIES[cls](structure))
     if multiplicativity:
-        identities.extend(_mult_identities(structure))
-    violations: list[Violation] = []
-    total = 0
-    rng = range(structure.dim)
-    for label, arity, fn in identities:
-        for idx in itertools.product(rng, repeat=arity):
-            total += 1
-            residual = fn(*idx)
-            if residual:
-                violations.append(Violation(label, idx, sv_fractions(residual)))
-    violations.sort(key=lambda v: (v.identity, v.args))
-    return CheckReport(
-        target=cls.value,
-        passed=not violations,
-        violations=tuple(violations),
-        tuples_checked=total,
-        elapsed=time.perf_counter() - start,
-    )
+        identities.extend(_mult_identities(structure, structure.products))
+    return _sweep(cls.value, identities, structure.dim, start)
 
 
 def check_morphism(f: Matrix, source: HomStructure, target: HomStructure,
@@ -746,33 +762,11 @@ def check_morphism(f: Matrix, source: HomStructure, target: HomStructure,
             f"target lacks roles {sorted(r.value for r in source.roles() - target.roles())}"
         )
     fcols = mat_cols(f)
-    a_src = mat_cols(source.twist)
-    a_tgt = mat_cols(target.twist)
-    violations: list[Violation] = []
-    total = 0
-    for role in sorted(source.products, key=lambda r: r.value):
-        src_grid = tensor_grid(source.products[role], source.dim)
-        tgt_grid = tensor_grid(target.products[role], target.dim)
-        label = f"MORPH-{role.value}"
-        for i in range(source.dim):
-            for j in range(source.dim):
-                total += 1
-                residual = sv_sub(apply_cols(fcols, src_grid.ints[i][j]),
-                                  grid_mul(tgt_grid, fcols[i], fcols[j]))
-                if residual:
-                    violations.append(Violation(label, (i, j), sv_fractions(residual)))
+    identities = _product_map_identities("MORPH", fcols, source, target,
+                                         source.products)
     if not weak:
-        for i in range(source.dim):
-            total += 1
-            residual = sv_sub(apply_cols(fcols, a_src[i]),
-                              apply_cols(a_tgt, fcols[i]))
-            if residual:
-                violations.append(Violation("MORPH-TWIST", (i,), sv_fractions(residual)))
-    violations.sort(key=lambda v: (v.identity, v.args))
-    return CheckReport(
-        target="morphism",
-        passed=not violations,
-        violations=tuple(violations),
-        tuples_checked=total,
-        elapsed=time.perf_counter() - start,
-    )
+        a_src = mat_cols(source.twist)
+        a_tgt = mat_cols(target.twist)
+        identities.append(("MORPH-TWIST", 1, lambda i: sv_sub(
+            apply_cols(fcols, a_src[i]), apply_cols(a_tgt, fcols[i]))))
+    return _sweep("morphism", identities, source.dim, start)

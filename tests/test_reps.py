@@ -269,20 +269,30 @@ def test_not_multiplicative_guard():
         twist=((F(1), F(1)), (F(0), F(1))),
         products={R.DOT: support.tensor((0, 0, 1, 1))},
     )
-    with pytest.raises(NotMultiplicative):
+    with pytest.raises(NotMultiplicative,
+                       match=r"^twist is not a morphism of product 'dot' at basis pair \(0, 0\)$"):
         regular_pre_malcev_rep(nonmult, s=1)
     # s=0 never needs multiplicativity
     regular_pre_malcev_rep(nonmult, s=0)
+    # the message names the first failing product and pair
+    split = make_structure(
+        2,
+        twist=((F(1), F(1)), (F(0), F(1))),
+        products={R.PREC: {}, R.SUCC: support.tensor((0, 1, 1, 1))},
+    )
+    with pytest.raises(NotMultiplicative, match=r"product 'succ' at basis pair \(0, 1\)$"):
+        regular_pre_alternative_rep(split, s=2)
 
 
 def test_builder_role_guards():
     with pytest.raises(RoleMismatch):
         adjoint_rep(support.t2())
-    with pytest.raises(RoleMismatch):
+    with pytest.raises(RoleMismatch, match="^regular representation needs the dot product role$"):
         regular_pre_malcev_rep(support.lie2())
-    with pytest.raises(RoleMismatch):
+    with pytest.raises(RoleMismatch, match="^regular representation needs the star product role$"):
         regular_alternative_rep(support.lie2())
-    with pytest.raises(RoleMismatch):
+    with pytest.raises(RoleMismatch,
+                       match="^regular representation needs the prec and succ roles$"):
         regular_pre_alternative_rep(support.t2())
 
 
