@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
-from .exact import Matrix, Tensor, mat_shape, matrix
+from .exact import Matrix, Tensor, matrix
 from .operators import (
     KIND_O_OPERATOR,
     KIND_ROTA_BAXTER,

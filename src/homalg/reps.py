@@ -567,9 +567,14 @@ def dual_pre_malcev_rep(rep: Representation) -> Representation:
 
 
 def semidirect(structure: HomStructure, rep: Representation) -> HomStructure:
-    """Block structure on base + module from a representation; the defining
-    identities of the base class hold on it exactly when the representation
-    axioms hold."""
+    """Block structure on base + module from a representation, twisted by
+    ``twist ⊕ module_twist``.
+
+    The defining identities of the base class on it carry the action laws,
+    but not the equivariance axioms (MREP-EQ, PMREP-1, PA-EQ-*): those say
+    the block twist is multiplicative on the mixed products.  So the product
+    can pass ``check`` while ``check_rep`` fails; only
+    ``check(..., multiplicativity=True)`` covers them too."""
     n, m = structure.dim, rep.module_dim
     roles = rep.roles()
     entries: dict[ProductRole, list] = {}

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from homalg import (
@@ -41,6 +41,14 @@ F = Fraction
 #: common denominator
 COPRIME_DENS = (1, 2, 3, 5, 7, 1048573, 2147483647, 549755813881,
                 1099511627689)
+
+#: every test here runs without hypothesis's shrink phase and reports the
+#: first failing example it draws.  One evaluation of a dense oracle takes up
+#: to 0.1 s, and shrinking an example of a hundred rationals takes thousands
+#: of them, so a failure would stop only at hypothesis's five-minute cap.
+#: The residuals are exact and the assertion names every differing
+#: ``(identity, args)``, so an unshrunk example loses little.
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 rational_st = st.one_of(
     st.just(F(0)),
@@ -78,9 +86,9 @@ def mult(c, x, y):
     n = len(x)
     out = [F(0)] * n
     for i, j in itertools.product(range(n), repeat=2):
-        if x[i] and y[j]:
+        if x[i] and y[j] and any(c[i][j]):
             xy = x[i] * y[j]
-            out = [o + xy * v for o, v in zip(out, c[i][j])]
+            out = [o + xy * v if v else o for o, v in zip(out, c[i][j])]
     return out
 
 
@@ -161,7 +169,7 @@ def assert_fraction_residuals(report):
 # class identities
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=UNSHRUNK)
 @given(st.sampled_from(["hom-associative", "hom-alternative", "hom-lie"]),
        st.integers(2, 3).flatmap(lambda n: st.tuples(table_st(n), dense_st(n, n))))
 def test_check_residuals_match_dense_fraction_evaluation(cls, data):
@@ -214,7 +222,7 @@ def malcev_rep_residuals(c, a, rho, beta):
     return out
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=UNSHRUNK)
 @given(st.integers(1, 2), st.data())
 def test_check_rep_residual_columns_match_dense_fraction_evaluation(m, data):
     n = 2
@@ -291,7 +299,7 @@ def commutator_table(c):
             for i in range(n)]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.sampled_from(["hom-malcev", "hom-malcev-admissible"]),
        st.just(2).flatmap(lambda n: st.tuples(table_st(n), dense_st(n, n))))
 def test_bracket_law_residuals_match_dense_fraction_evaluation(cls, data):
@@ -329,7 +337,7 @@ def pre_malcev_law_residuals(c, a):
     return out
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.just(2).flatmap(lambda n: st.tuples(table_st(n), dense_st(n, n))))
 def test_pre_malcev_residuals_match_dense_fraction_evaluation(data):
     c, a = data
@@ -400,7 +408,7 @@ def m_dendriform_residuals(cl, cr, a):
     return out
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.just(2).flatmap(
     lambda n: st.tuples(table_st(n), table_st(n), dense_st(n, n))))
 def test_m_dendriform_residuals_match_dense_fraction_evaluation(data):
@@ -449,7 +457,7 @@ def quadri_residuals(nw, sw, ne, se, a):
     return out
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
     st.lists(table_st(n), min_size=4, max_size=4), dense_st(n, n))))
 def test_alt_quadri_residuals_match_dense_fraction_evaluation(data):
@@ -508,7 +516,7 @@ def pre_alternative_residuals(cp, cs, a):
     return out
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.integers(2, 3).flatmap(
     lambda n: st.tuples(table_st(n), table_st(n), dense_st(n, n))))
 def test_pre_alternative_residuals_match_dense_fraction_evaluation(data):
@@ -517,6 +525,98 @@ def test_pre_alternative_residuals_match_dense_fraction_evaluation(data):
         ProductRole.PREC: tensor_of(cp), ProductRole.SUCC: tensor_of(cs)})
     assert_matches(check(structure, StructureClass.HOM_PRE_ALTERNATIVE),
                    pre_alternative_residuals(cp, cs, a))
+
+
+# ---------------------------------------------------------------------------
+# class identities on inputs with structured zeros
+# ---------------------------------------------------------------------------
+
+def zeros(n):
+    return [[F(0)] * n for _ in range(n)]
+
+
+@st.composite
+def block_sum_st(draw, count: int, max_dim: int):
+    """``count`` structure-constant tables and a twist, each a direct sum of
+    random dim-1/2 blocks (block-diagonal twist), moved by one random signed
+    permutation of the basis: e'_{perm[i]} = sign[i] e_i."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)
+                 .filter(lambda s: sum(s) <= max_dim))
+    n = sum(sizes)
+    tables = [[zeros(n) for _ in range(n)] for _ in range(count)]
+    a = zeros(n)
+    off = 0
+    for b in sizes:
+        for t in tables:
+            block = draw(table_st(b))
+            for i, j, k in itertools.product(range(b), repeat=3):
+                t[off + i][off + j][off + k] = block[i][j][k]
+        block = draw(dense_st(b, b))
+        for r, c in itertools.product(range(b), repeat=2):
+            a[off + r][off + c] = block[r][c]
+        off += b
+    perm = draw(st.permutations(range(n)))
+    sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    moved = [[zeros(n) for _ in range(n)] for _ in range(count)]
+    for t, m in zip(tables, moved):
+        for i, j, k in itertools.product(range(n), repeat=3):
+            m[perm[i]][perm[j]][perm[k]] = sign[i] * sign[j] * sign[k] * t[i][j][k]
+    ma = zeros(n)
+    for r, c in itertools.product(range(n), repeat=2):
+        ma[perm[r]][perm[c]] = sign[r] * sign[c] * a[r][c]
+    return moved, ma
+
+
+@st.composite
+def masked_st(draw, count: int, max_dim: int):
+    """``count`` structure-constant tables and a twist with a random zero mask
+    over 60-90% of the entries of each, in a dimension below ``max_dim``: a
+    masked input has more nonzero tuples than a block sum of its size."""
+    n = draw(st.integers(2, max_dim - 1))
+    rnd = draw(st.randoms(use_true_random=False))
+    fill = 1 - draw(st.sampled_from((0.6, 0.75, 0.9)))
+
+    def mask(rows):
+        return [[x if rnd.random() < fill else F(0) for x in row] for row in rows]
+
+    tables = [[mask(rows) for rows in draw(table_st(n))] for _ in range(count)]
+    return tables, mask(draw(dense_st(n, n)))
+
+
+R_ = ProductRole
+
+#: class -> (product roles, dense evaluation of its identities from the
+#: tables of those roles and the twist, largest dimension of a block sum)
+SPARSE_CLASSES = {
+    "hom-lie": ((R_.BRACKET,), lambda c, a: identity_residuals("hom-lie", c, a), 5),
+    "hom-associative": ((R_.STAR,),
+                        lambda c, a: identity_residuals("hom-associative", c, a), 5),
+    "hom-alternative": ((R_.STAR,),
+                        lambda c, a: identity_residuals("hom-alternative", c, a), 5),
+    "hom-malcev": ((R_.BRACKET,), bracket_law_residuals, 4),
+    "hom-malcev-admissible": (
+        (R_.STAR,), lambda c, a: bracket_law_residuals(commutator_table(c), a), 4),
+    "hom-pre-malcev": ((R_.DOT,), pre_malcev_law_residuals, 4),
+    "hom-m-dendriform": ((R_.TRI_LEFT, R_.TRI_RIGHT), m_dendriform_residuals, 4),
+    "hom-pre-alternative": ((R_.PREC, R_.SUCC), pre_alternative_residuals, 5),
+    "hom-alt-quadri": ((R_.NW, R_.SW, R_.NE, R_.SE), quadri_residuals, 4),
+}
+
+
+@pytest.mark.parametrize("shape", [block_sum_st, masked_st],
+                         ids=["block-sum", "masked"])
+@pytest.mark.parametrize("cls", sorted(SPARSE_CLASSES))
+@settings(max_examples=10, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_sparse_class_residuals_match_dense_fraction_evaluation(shape, cls, data):
+    """Most tuples of these inputs have a zero factor in every term, so a
+    sweep that skips tuples must still report every nonzero residual and
+    count every tuple."""
+    roles, residuals, max_dim = SPARSE_CLASSES[cls]
+    tables, a = data.draw(shape(len(roles), max_dim))
+    structure = make_structure(len(a), twist=a, products={
+        role: tensor_of(c) for role, c in zip(roles, tables)})
+    assert_matches(check(structure, StructureClass(cls)), residuals(*tables, a))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +692,7 @@ def pre_malcev_rep_residuals(c, a, ell, arr, beta):
     return out
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=UNSHRUNK)
 @given(st.integers(1, 2), st.data())
 def test_pre_malcev_rep_residual_columns_match_dense_fraction_evaluation(m, data):
     n = 2
@@ -706,7 +806,7 @@ def pre_alternative_rep_residuals(cp, cs, a, lp, rp, ls, rs, beta):
     return out
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.integers(2, 3), st.integers(1, 2), st.data())
 def test_pre_alternative_rep_residual_columns_match_dense_fraction_evaluation(
         n, m, data):
@@ -757,7 +857,7 @@ ROLE_SETS = ([ProductRole.STAR], [ProductRole.BRACKET],
              [ProductRole.PREC, ProductRole.SUCC])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.integers(2, 3), st.sampled_from(ROLE_SETS), st.data())
 def test_rota_baxter_residuals_match_dense_fraction_evaluation(n, roles, data):
     tables = {role: data.draw(table_st(n)) for role in roles}
@@ -791,7 +891,7 @@ def o_operator_residuals(tables, acts, t, a, beta):
 
 
 @pytest.mark.parametrize("kind", ["rho", "left-right", "left-right-star", "four"])
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=UNSHRUNK)
 @given(st.integers(2, 3), st.integers(1, 3), st.data())
 def test_o_operator_residuals_match_dense_fraction_evaluation(kind, n, m, data):
     A, R = ActionRole, ProductRole
@@ -843,7 +943,7 @@ def morphism_residuals(src_tables, tgt_tables, f, a_src, a_tgt, weak):
     return out
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.integers(2, 3), st.integers(2, 3), st.sampled_from(ROLE_SETS),
        st.booleans(), st.data())
 def test_morphism_residuals_match_dense_fraction_evaluation(n, k, roles, weak, data):
@@ -898,7 +998,7 @@ def hessian_residuals(c, a, b):
 small_rational_st = st.builds(F, st.integers(-2, 2), st.sampled_from((1, 2, 3)))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=UNSHRUNK)
 @given(st.integers(2, 3), st.data())
 def test_hessian_residuals_match_dense_fraction_evaluation(n, data):
     c = data.draw(table_st(n))

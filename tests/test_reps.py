@@ -146,6 +146,21 @@ def test_perturbed_rep_fails_axioms_and_semidirect():
     assert not via_semidirect.passed
 
 
+def test_semidirect_passes_without_equivariance():
+    """The Yau-twisted adjoint rep with the identity as module twist breaks
+    only MREP-EQ; the semidirect product still satisfies the Malcev laws, and
+    fails only once multiplicativity is checked too."""
+    s = support.lie2_yau()
+    ad = adjoint_rep(s)
+    rep = Representation(base=s, module_dim=2, module_twist=mat_identity(2),
+                         actions=ad.actions)
+    direct = check_rep(rep, C.HOM_MALCEV)
+    assert {v.identity for v in direct.violations} == {"MREP-EQ"}
+    sd = semidirect(s, rep)
+    assert check(sd, C.HOM_MALCEV).passed
+    assert not check(sd, C.HOM_MALCEV, multiplicativity=True).passed
+
+
 def test_malcev_dual_variants_pass_and_bidualize():
     ad_t = adjoint_rep(support.lie2_yau())
     for variant in ("alpha", "alpha-inverse"):
