@@ -264,8 +264,13 @@ def sv_to_vector(u: Svec, dim: int) -> Vector:
     return tuple(u.get(i, ZERO) for i in range(dim))
 
 
-def _sv_sum(terms: list[tuple[int, Ivec]]) -> Ivec:
+def sv_lincomb(terms: list[tuple[int, Ivec]]) -> Ivec:
     """The sum of ``c * v`` over ``(c, v)`` in ``terms``, each ``c`` an int."""
+    if len(terms) < 2:
+        if not terms:
+            return _EMPTY
+        if terms[0][0] == 1:
+            return terms[0][1]
     den = lcm(*[v.den for _, v in terms])
     acc: dict[int, int] = {}
     for c, v in terms:
@@ -279,7 +284,7 @@ def sv_add(*vs: Mapping) -> Ivec:
     terms = [(1, as_ivec(v)) for v in vs if v]
     if len(terms) < 2:
         return terms[0][1] if terms else _EMPTY
-    return _sv_sum(terms)
+    return sv_lincomb(terms)
 
 
 def sv_sub(u: Mapping, v: Mapping) -> Ivec:
@@ -287,7 +292,7 @@ def sv_sub(u: Mapping, v: Mapping) -> Ivec:
         return as_ivec(u) if u else _EMPTY
     if not u:
         return sv_neg(v)
-    return _sv_sum([(1, as_ivec(u)), (-1, as_ivec(v))])
+    return sv_lincomb([(1, as_ivec(u)), (-1, as_ivec(v))])
 
 
 def sv_neg(u: Mapping) -> Ivec:

@@ -31,6 +31,7 @@ from .exact import (
     sv_add,
     sv_fractions,
     sv_from_vector,
+    sv_lincomb,
     sv_neg,
     sv_sub,
     sv_to_vector,
@@ -42,6 +43,7 @@ from .exact import (
     tensor_sub,
     validate_tensor,
 )
+from .pruning import candidates, positions
 
 
 class RoleMismatch(ValueError):
@@ -299,7 +301,17 @@ def alpha_associator(structure: HomStructure, kind: str,
 # ---------------------------------------------------------------------------
 
 IdentityFn = Callable[..., Ivec]
-Identity = tuple[str, int, IdentityFn]
+
+# A class identity is data: ``(label, arity, terms)``.  A term is
+# ``(sign, grid, factor, ...)``: with ``grid`` None it is its one factor,
+# otherwise ``grid_mul(grid, left, right)`` of its two.  A factor is
+# ``(table, at)``: a table built once per check (nested lists of Ivecs, or a
+# list of twist columns) read at the identity's indices named by ``at``, so
+# ``(dia_av, "kji")`` is ``dia_av[k][j][i]`` at the tuple ``(i, j, k, l)``.
+# The residual at a tuple is the signed sum of its terms.  Each identity is
+# multilinear, so every term reads every index.
+Term = tuple
+Identity = tuple[str, int, "IdentityFn | list[Term]"]
 
 
 def _twist_cols(structure: HomStructure) -> tuple[tuple[Ivec, ...], tuple[Ivec, ...]]:
@@ -324,8 +336,10 @@ def _table3(dim: int, fn: Callable) -> list:
             for i in range(dim)]
 
 
-def _bracket_identities(structure: HomStructure, bracket: Tensor) -> list[Identity]:
-    """SKEW plus the two equivalent forms of the four-variable bracket law."""
+def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
+                        malcev: bool = True) -> list[Identity]:
+    """SKEW plus JACOBI, or plus the two equivalent forms of the
+    four-variable bracket law with ``malcev``."""
     dim = structure.dim
     grid = tensor_grid(bracket, dim)
     cell = grid.ints
@@ -334,42 +348,30 @@ def _bracket_identities(structure: HomStructure, bracket: Tensor) -> list[Identi
     def mul(u: Ivec, v: Ivec) -> Ivec:
         return grid_mul(grid, u, v)
 
+    t = _table3(dim, lambda i, j, k: mul(cell[i][j], a[k]))       # [[e_i,e_j],a e_k]
+    jac = _table3(dim, lambda i, j, k: sv_add(t[i][j][k], t[j][k][i], t[k][i][j]))
+    skew = ("SKEW", 2, [(1, None, (cell, "ij")), (1, None, (cell, "ji"))])
+    if not malcev:
+        return [skew, ("JACOBI", 3, [(1, None, (jac, "ijk"))])]
     ac = _table2(dim, lambda i, k: apply_cols(a, cell[i][k]))     # a[e_i,e_k]
     aa = _table2(dim, lambda i, j: mul(a[i], a[j]))               # [a e_i,a e_j]
-    t = _table3(dim, lambda i, j, k: mul(cell[i][j], a[k]))       # [[e_i,e_j],a e_k]
+    a_c = _table3(dim, lambda x, y, z: mul(a[x], cell[y][z]))     # [a e_j,[e_i,e_k]] at j,i,k
 
-    def skew(i, j):
-        return sv_add(cell[i][j], cell[j][i])
-
-    def hm_jac(i, j, k):
-        # J(a e_i, a e_j, [e_i,e_k]) - [J(e_i,e_j,e_k), a^2 e_i], where
-        # J(x,y,z) = [[x,y],a z] + [[y,z],a x] + [[z,x],a y]
-        jac_a = sv_add(mul(aa[i][j], ac[i][k]), mul(mul(a[j], cell[i][k]), a2[i]),
-                       mul(t[i][k][i], a2[j]))
-        return sv_sub(jac_a, mul(sv_add(t[i][j][k], t[j][k][i], t[k][i][j]), a2[i]))
-
-    def hm_exp(i, j, k, l):
-        rhs = sv_add(mul(t[i][j][k], a2[l]), mul(t[j][k][l], a2[i]),
-                     mul(t[k][l][i], a2[j]), mul(t[l][i][j], a2[k]))
-        return sv_sub(mul(ac[i][k], ac[j][l]), rhs)
-
-    return [("SKEW", 2, skew), ("HM-JAC", 3, hm_jac), ("HM-EXP", 4, hm_exp)]
+    # HM-JAC: J(a e_i, a e_j, [e_i,e_k]) - [J(e_i,e_j,e_k), a^2 e_i], where
+    # J(x,y,z) = [[x,y],a z] + [[y,z],a x] + [[z,x],a y] and jac is J at e_i,e_j,e_k
+    return [
+        skew,
+        ("HM-JAC", 3, [(1, grid, (aa, "ij"), (ac, "ik")), (1, grid, (a_c, "jik"), (a2, "i")),
+                       (1, grid, (t, "iki"), (a2, "j")), (-1, grid, (jac, "ijk"), (a2, "i"))]),
+        ("HM-EXP", 4, [(1, grid, (ac, "ik"), (ac, "jl")), (-1, grid, (t, "ijk"), (a2, "l")),
+                       (-1, grid, (t, "jkl"), (a2, "i")), (-1, grid, (t, "kli"), (a2, "j")),
+                       (-1, grid, (t, "lij"), (a2, "k"))]),
+    ]
 
 
 def _identities_hom_lie(structure: HomStructure) -> list[Identity]:
-    dim = structure.dim
-    grid = tensor_grid(structure.products[ProductRole.BRACKET], dim)
-    cell = grid.ints
-    a, _ = _twist_cols(structure)
-    t = _table3(dim, lambda i, j, k: grid_mul(grid, cell[i][j], a[k]))
-
-    def skew(i, j):
-        return sv_add(cell[i][j], cell[j][i])
-
-    def jacobi(i, j, k):
-        return sv_add(t[i][j][k], t[j][k][i], t[k][i][j])
-
-    return [("SKEW", 2, skew), ("JACOBI", 3, jacobi)]
+    return _bracket_identities(structure, structure.products[ProductRole.BRACKET],
+                               malcev=False)
 
 
 def _identities_hom_malcev(structure: HomStructure) -> list[Identity]:
@@ -382,18 +384,10 @@ def _identities_hom_malcev_admissible(structure: HomStructure) -> list[Identity]
 
 
 def _identities_hom_associative(structure: HomStructure) -> list[Identity]:
-    dim = structure.dim
-    grid = tensor_grid(structure.products[ProductRole.STAR], dim)
+    grid = tensor_grid(structure.products[ProductRole.STAR], structure.dim)
     a, _ = _twist_cols(structure)
-
-    def cell(i, j):
-        return grid.ints[i][j]
-
-    def assoc(i, j, k):
-        return sv_sub(grid_mul(grid, cell(i, j), a[k]),
-                      grid_mul(grid, a[i], cell(j, k)))
-
-    return [("ASSOC", 3, assoc)]
+    return [("ASSOC", 3, [(1, grid, (grid.ints, "ij"), (a, "k")),
+                          (-1, grid, (a, "i"), (grid.ints, "jk"))])]
 
 
 def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
@@ -404,14 +398,8 @@ def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
     # ALT-L and ALT-R read every associator twice each
     asc = _table3(dim, lambda i, j, k: sv_sub(grid_mul(grid, cell[i][j], a[k]),
                                               grid_mul(grid, a[i], cell[j][k])))
-
-    def alt_left(i, j, k):
-        return sv_add(asc[i][j][k], asc[j][i][k])
-
-    def alt_right(i, j, k):
-        return sv_add(asc[i][j][k], asc[i][k][j])
-
-    return [("ALT-L", 3, alt_left), ("ALT-R", 3, alt_right)]
+    return [("ALT-L", 3, [(1, None, (asc, "ijk")), (1, None, (asc, "jik"))]),
+            ("ALT-R", 3, [(1, None, (asc, "ijk")), (1, None, (asc, "ikj"))])]
 
 
 def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
@@ -430,28 +418,20 @@ def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
     ca = _table3(dim, lambda i, j, k: grid_mul(cgrid, c[i][j], a[k]))  # [[e_i,e_j],a e_k]
     c_a = _table3(dim, lambda i, k, l: mul(c[i][k], a[l]))            # [e_i,e_k](a e_l)
     a_d = _table3(dim, lambda j, k, l: mul(a[j], d[k][l]))            # (a e_j)(e_k e_l)
-
-    def hpm(i, j, k, l):
-        return sv_add(
-            mul(ac[j][k], ad[i][l]),
-            mul(ca[i][j][k], a2[l]),
-            mul(a2[j], c_a[i][k][l]),
-            sv_neg(mul(a2[i], a_d[j][k][l])),
-            mul(a2[k], a_d[i][j][l]),
-        )
-
-    return [("HPM", 4, hpm)]
+    return [("HPM", 4, [(1, dgrid, (ac, "jk"), (ad, "il")), (1, dgrid, (ca, "ijk"), (a2, "l")),
+                        (1, dgrid, (a2, "j"), (c_a, "ikl")), (-1, dgrid, (a2, "i"), (a_d, "jkl")),
+                        (1, dgrid, (a2, "k"), (a_d, "ijl"))])]
 
 
 def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
                          ) -> tuple[Vector, Vector]:
-    """Residuals of the compact (5-term) and fully expanded (10-term) forms of
-    the pre-Malcev law at one basis tuple; they agree identically."""
+    """Residuals of the compact (5-term, the HPM sweep's) and fully expanded
+    (10-term) forms of the pre-Malcev law at one basis tuple; they agree
+    identically."""
     dim = structure.dim
-    dot = structure.products[ProductRole.DOT]
-    dgrid = tensor_grid(dot, dim)
-    cgrid = tensor_grid(tensor_commutator(dot), dim)
-    dcell, ccell = dgrid.ints, cgrid.ints
+    (_, _, hpm), = _identities_hom_pre_malcev(structure)
+    dgrid = tensor_grid(structure.products[ProductRole.DOT], dim)
+    dcell = dgrid.ints
     a, a2 = _twist_cols(structure)
 
     def ap(u):
@@ -460,16 +440,7 @@ def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
     def mul(u, v):
         return grid_mul(dgrid, u, v)
 
-    def com(u, v):
-        return sv_sub(mul(u, v), mul(v, u))
-
-    compact = sv_add(
-        mul(ap(ccell[j][k]), ap(dcell[i][l])),
-        mul(com(ccell[i][j], a[k]), a2[l]),
-        mul(a2[j], mul(ccell[i][k], a[l])),
-        sv_neg(mul(a2[i], mul(a[j], dcell[k][l]))),
-        mul(a2[k], mul(a[i], dcell[j][l])),
-    )
+    compact = _evaluator(hpm)(i, j, k, l)
     expanded = sv_add(
         mul(ap(dcell[j][k]), ap(dcell[i][l])),
         sv_neg(mul(ap(dcell[k][j]), ap(dcell[i][l]))),
@@ -499,12 +470,6 @@ def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
     a, a2 = _twist_cols(structure)
     lc, rc, dc, vc, cc = gl.ints, gr.ints, gdot.ints, gdia.ints, gcom.ints
 
-    def L(u, v):
-        return grid_mul(gl, u, v)
-
-    def R(u, v):
-        return grid_mul(gr, u, v)
-
     def twisted(cells):     # a(cell) at every pair
         return _table2(dim, lambda i, j: apply_cols(a, cells[i][j]))
 
@@ -519,44 +484,20 @@ def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
     l_ar, l_al = left_a(gl, rc), left_a(gl, lc)
     r_va, dot_ca, dia_ca = right_a(gr, vc), right_a(gdot, cc), right_a(gdia, cc)
     com_ca, l_ca = right_a(gcom, cc), right_a(gl, cc)
-
-    def md1(i, j, k, l):
-        return sv_add(
-            R(dia_av[k][j][i], a2[l]),
-            sv_neg(R(a2[i], dot_ad[j][k][l])),
-            L(a2[k], r_ad[i][j][l]),
-            L(ac[j][k], ar[i][l]),
-            sv_neg(L(a2[j], r_va[k][i][l])),
-        )
-
-    def md2(i, j, k, l):
-        return sv_add(
-            L(a2[k], l_ar[i][j][l]),
-            sv_neg(R(dia_av[k][i][j], a2[l])),
-            sv_neg(L(a2[i], r_ad[j][k][l])),
-            sv_neg(R(av[k][j], ad[i][l])),
-            R(a2[j], dot_ca[i][k][l]),
-        )
-
-    def md3(i, j, k, l):
-        return sv_add(
-            R(a2[k], dot_ad[i][j][l]),
-            R(dia_ca[i][j][k], a2[l]),
-            sv_neg(L(a2[i], l_ar[j][k][l])),
-            R(av[j][k], ad[i][l]),
-            L(a2[j], r_va[i][k][l]),
-        )
-
-    def md4(i, j, k, l):
-        return sv_add(
-            L(com_ca[i][j][k], a2[l]),
-            sv_neg(L(a2[i], l_al[j][k][l])),
-            L(a2[k], l_al[i][j][l]),
-            L(ac[j][k], al[i][l]),
-            L(a2[j], l_ca[i][k][l]),
-        )
-
-    return [("MD1", 4, md1), ("MD2", 4, md2), ("MD3", 4, md3), ("MD4", 4, md4)]
+    return [
+        ("MD1", 4, [(1, gr, (dia_av, "kji"), (a2, "l")), (-1, gr, (a2, "i"), (dot_ad, "jkl")),
+                    (1, gl, (a2, "k"), (r_ad, "ijl")), (1, gl, (ac, "jk"), (ar, "il")),
+                    (-1, gl, (a2, "j"), (r_va, "kil"))]),
+        ("MD2", 4, [(1, gl, (a2, "k"), (l_ar, "ijl")), (-1, gr, (dia_av, "kij"), (a2, "l")),
+                    (-1, gl, (a2, "i"), (r_ad, "jkl")), (-1, gr, (av, "kj"), (ad, "il")),
+                    (1, gr, (a2, "j"), (dot_ca, "ikl"))]),
+        ("MD3", 4, [(1, gr, (a2, "k"), (dot_ad, "ijl")), (1, gr, (dia_ca, "ijk"), (a2, "l")),
+                    (-1, gl, (a2, "i"), (l_ar, "jkl")), (1, gr, (av, "jk"), (ad, "il")),
+                    (1, gl, (a2, "j"), (r_va, "ikl"))]),
+        ("MD4", 4, [(1, gl, (com_ca, "ijk"), (a2, "l")), (-1, gl, (a2, "i"), (l_al, "jkl")),
+                    (1, gl, (a2, "k"), (l_al, "ijl")), (1, gl, (ac, "jk"), (al, "il")),
+                    (1, gl, (a2, "j"), (l_ca, "ikl"))]),
+    ]
 
 
 def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
@@ -579,42 +520,21 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
     p_pa = _table3(dim, lambda i, j, k: grid_mul(gp, p[i][j], a[k]))
     p_ast = _table3(dim, lambda i, j, k: grid_mul(gp, a[i], st[j][k]))
 
-    def law(x, y, z, w):
-        return sv_sub(sv_add(x, y), sv_add(z, w))
-
-    def pa1(i, j, k):
-        return law(s_sta[i][j][k], s_sta[j][i][k], s_as[i][j][k], s_as[j][i][k])
-
-    def pa2(i, j, k):
-        return law(s_sta[i][k][j], s_sta[k][i][j], s_as[i][k][j], s_as[k][i][j])
-
-    def pa3(i, j, k):
-        return law(p_sa[i][k][j], p_pa[k][i][j], s_ap[i][k][j], p_ast[k][i][j])
-
-    def pa4(i, j, k):
-        return law(p_sa[k][i][j], p_pa[i][k][j], p_ast[i][k][j], s_ap[k][i][j])
-
-    def pa5(i, j, k):
-        return law(p_pa[j][i][k], p_sa[i][j][k], p_ast[j][i][k], s_ap[i][j][k])
-
-    def pa6(i, j, k):
-        return law(p_sa[j][k][i], s_sta[j][i][k], s_ap[j][k][i], s_as[j][i][k])
-
-    def pa7(i, j, k):
-        return law(p_sa[k][j][i], s_sta[k][i][j], s_ap[k][j][i], s_as[k][i][j])
-
-    def pa8(i, j, k):
-        return law(p_sa[j][i][k], s_sta[j][k][i], s_ap[j][i][k], s_as[j][k][i])
-
-    def pa9(i, j, k):
-        return law(p_pa[k][j][i], p_pa[k][i][j], p_ast[k][i][j], p_ast[k][j][i])
-
-    def pa10(i, j, k):
-        return law(p_pa[i][k][j], p_pa[i][j][k], p_ast[i][k][j], p_ast[i][j][k])
-
-    return [("PA1", 3, pa1), ("PA2", 3, pa2), ("PA3", 3, pa3), ("PA4", 3, pa4),
-            ("PA5", 3, pa5), ("PA6", 3, pa6), ("PA7", 3, pa7), ("PA8", 3, pa8),
-            ("PA9", 3, pa9), ("PA10", 3, pa10)]
+    # each law is x + y - z - w
+    laws = {
+        "PA1": ((s_sta, "ijk"), (s_sta, "jik"), (s_as, "ijk"), (s_as, "jik")),
+        "PA2": ((s_sta, "ikj"), (s_sta, "kij"), (s_as, "ikj"), (s_as, "kij")),
+        "PA3": ((p_sa, "ikj"), (p_pa, "kij"), (s_ap, "ikj"), (p_ast, "kij")),
+        "PA4": ((p_sa, "kij"), (p_pa, "ikj"), (p_ast, "ikj"), (s_ap, "kij")),
+        "PA5": ((p_pa, "jik"), (p_sa, "ijk"), (p_ast, "jik"), (s_ap, "ijk")),
+        "PA6": ((p_sa, "jki"), (s_sta, "jik"), (s_ap, "jki"), (s_as, "jik")),
+        "PA7": ((p_sa, "kji"), (s_sta, "kij"), (s_ap, "kji"), (s_as, "kij")),
+        "PA8": ((p_sa, "jik"), (s_sta, "jki"), (s_ap, "jik"), (s_as, "jki")),
+        "PA9": ((p_pa, "kji"), (p_pa, "kij"), (p_ast, "kij"), (p_ast, "kji")),
+        "PA10": ((p_pa, "ikj"), (p_pa, "ijk"), (p_ast, "ikj"), (p_ast, "ijk")),
+    }
+    return [(label, 3, [(sign, None, factor) for sign, factor in zip((1, 1, -1, -1), law)])
+            for label, law in laws.items()]
 
 
 def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
@@ -629,29 +549,12 @@ def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
             grid_mul(grids[outer_r], a[i], grids[inner_r].ints[j][k])))
 
     asc = {kind: assoc(*roles) for kind, roles in _QUADRI_ASSOCIATORS.items()}
-
-    def qa(first, second, permute):
-        first, second = asc[first], asc[second]
-
-        def fn(i, j, k):
-            x, y, z = permute(i, j, k)
-            return sv_add(first[i][j][k], second[x][y][z])
-        return fn
-
-    swap12 = lambda i, j, k: (j, i, k)
-    swap23 = lambda i, j, k: (i, k, j)
-
-    return [
-        ("QA1", 3, qa("r", "m", swap12)),
-        ("QA2", 3, qa("r", "r", swap23)),
-        ("QA3", 3, qa("n", "w", swap12)),
-        ("QA4", 3, qa("n", "ne", swap23)),
-        ("QA5", 3, qa("ne", "e", swap12)),
-        ("QA6", 3, qa("w", "sw", swap23)),
-        ("QA7", 3, qa("sw", "s", swap12)),
-        ("QA8", 3, qa("m", "l", swap23)),
-        ("QA9", 3, qa("l", "l", swap12)),
-    ]
+    # QAn(i, j, k) = first(i, j, k) + second at (i, j, k) with two indices swapped
+    laws = [("QA1", "r", "m", "jik"), ("QA2", "r", "r", "ikj"), ("QA3", "n", "w", "jik"),
+            ("QA4", "n", "ne", "ikj"), ("QA5", "ne", "e", "jik"), ("QA6", "w", "sw", "ikj"),
+            ("QA7", "sw", "s", "jik"), ("QA8", "m", "l", "ikj"), ("QA9", "l", "l", "jik")]
+    return [(label, 3, [(1, None, (asc[first], "ijk")), (1, None, (asc[second], swap))])
+            for label, first, second, swap in laws]
 
 
 _CLASS_IDENTITIES: dict[StructureClass, Callable[[HomStructure], list[Identity]]] = {
@@ -691,20 +594,61 @@ def _mult_identities(structure: HomStructure,
                                    structure, roles)
 
 
-def _sweep(target: str, identities: Sequence[tuple[str, int, Callable]],
+def _reader(table: list, at: str) -> Callable[[tuple], Ivec]:
+    """``idx -> table[idx[p]][idx[q]]...`` at the positions named by ``at``."""
+    pos = positions(at)
+    if len(pos) == 1:
+        p, = pos
+        return lambda idx: table[idx[p]]
+    if len(pos) == 2:
+        p, q = pos
+        return lambda idx: table[idx[p]][idx[q]]
+    p, q, r = pos
+    return lambda idx: table[idx[p]][idx[q]][idx[r]]
+
+
+def _evaluator(terms: Sequence[Term]) -> IdentityFn:
+    """The residual of a term list at one tuple; a term with an empty factor
+    is zero and is skipped without a multiplication."""
+    def compiled_term(sign, grid, left, right=None):
+        return sign, grid, _reader(*left), right and _reader(*right)
+
+    compiled = [compiled_term(*term) for term in terms]
+
+    def fn(*idx):
+        parts = []
+        for sign, grid, left, right in compiled:
+            x = left(idx)
+            if x and grid is not None:
+                y = right(idx)
+                x = grid_mul(grid, x, y) if y else None
+            if x:
+                parts.append((sign, x))
+        return sv_lincomb(parts)
+    return fn
+
+
+def _sweep(target: str, identities: Sequence[Identity],
            dim: int, start: float, *, module_dim: int = 0,
            violations: Sequence[Violation] = (), tuples: int = 0) -> CheckReport:
-    """Evaluate every identity at every tuple of ``range(dim) ** arity`` and
-    build the report, counting in the ``tuples`` already checked and the
-    ``violations`` already found by the caller.
+    """Evaluate every identity over ``range(dim) ** arity`` and build the
+    report, counting in the ``tuples`` already checked and the ``violations``
+    already found by the caller.  An identity given as a function is evaluated
+    at every tuple; one given as a term list only at the tuples its terms can
+    be nonzero at, and every other tuple counts as checked with a zero
+    residual.
 
     With ``module_dim``, a residual is an integer matrix: each nonzero column
     ``b`` is a violation at ``args + (b,)``, and each tuple counts once per
     module basis vector."""
     found = list(violations)
     total = tuples
+    cache: dict = {}
     for label, arity, fn in identities:
-        indices = itertools.product(range(dim), repeat=arity)
+        if callable(fn):
+            indices = itertools.product(range(dim), repeat=arity)
+        else:
+            indices, fn = candidates(fn, dim, arity, cache), _evaluator(fn)
         if module_dim:
             total += module_dim * dim ** arity
             for idx in indices:
