@@ -281,10 +281,7 @@ def sv_lincomb(terms: list[tuple[int, Ivec]]) -> Ivec:
 
 
 def sv_add(*vs: Mapping) -> Ivec:
-    terms = [(1, as_ivec(v)) for v in vs if v]
-    if len(terms) < 2:
-        return terms[0][1] if terms else _EMPTY
-    return sv_lincomb(terms)
+    return sv_lincomb([(1, as_ivec(v)) for v in vs if v])
 
 
 def sv_sub(u: Mapping, v: Mapping) -> Ivec:
