@@ -1,11 +1,13 @@
 """Print one sha256 line for every output the homalg CLI gives on a set of
 bundles, so that two versions of the code can be compared byte for byte.
 
-    python3 scripts/output_digest.py [BUNDLE_OR_DIR ...] > digests.txt
+    python3 scripts/output_digest.py [--workloads SEED] [BUNDLE_OR_DIR ...] > digests.txt
     diff digests-before.txt digests-after.txt
 
-Runs through ``homalg.cli.main`` in-process, on every packaged fixture and on
-every bundle given (a directory stands for the ``*.json`` files under it):
+Runs through ``homalg.cli.main`` in-process, on every packaged fixture, on
+every bundle given (a directory stands for the ``*.json`` files under it) and,
+with ``--workloads SEED``, on every bundle the workloads of ``bench/`` write
+at that seed (generated into a temporary directory, which is removed after):
 
 - ``check --format json`` for every class whose product roles the bundle
   carries, and once more with ``--multiplicativity`` for its declared class;
@@ -17,16 +19,21 @@ every bundle given (a directory stands for the ``*.json`` files under it):
 Each line is ``<sha256 of stdout>  exit=<status>  <argv>``.  Commands that
 do not apply to a bundle (exit status 2) print no line, so a command that
 stops applying shows up as a missing line.  Fixtures are named by their path
-relative to the checkout, so runs from two checkouts print the same argv.
-Uses the ``src/`` next to this script; standard library only.
+relative to the checkout, and workload bundles by their path relative to the
+temporary directory (``<workload>/<name>.json``, run from inside it), so runs
+from two checkouts print the same argv.  Uses the ``src/`` and ``bench/`` next
+to this script; standard library only.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +54,29 @@ def _bundle_paths(args: list[str]) -> list[str]:
             paths.extend(str(p) for p in sorted(path.rglob("*.json")))
         else:
             paths.append(str(path))
+    return paths
+
+
+def workload_bundles(seed: int, into: Path) -> list[Path]:
+    """Write the bundles of every workload in ``BENCHMARK.json`` at ``seed``
+    under ``into/<workload>/`` and return their paths, in order.  The
+    workloads read the fixtures relative to the checkout, so this runs from
+    it."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    paths: list[Path] = []
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        for name in (w["name"] for w in spec["workloads"]):
+            workdir = into / name
+            workdir.mkdir(parents=True)
+            getattr(workloads, name.replace("-", "_"))(seed, workdir)
+            paths.extend(sorted(workdir.glob("*.json")))
+    finally:
+        os.chdir(cwd)
     return paths
 
 
@@ -94,14 +124,28 @@ def _digest(argv: list[str]) -> str | None:
     return f"{digest}  exit={status}  {' '.join(argv)}"
 
 
-def run(args: list[str]) -> int:
-    paths = _bundle_paths(args)
-    os.chdir(ROOT)
+def _print_digests(cwd: Path, paths: list[str]) -> None:
+    os.chdir(cwd)
     for path in paths:
         for argv in _commands(path):
             line = _digest(argv)
             if line is not None:
                 print(line, flush=True)
+
+
+def run(args: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("bundles", nargs="*", metavar="BUNDLE_OR_DIR")
+    parser.add_argument("--workloads", type=int, metavar="SEED",
+                        help="also digest the benchmark workloads' bundles")
+    opts = parser.parse_args(args)
+    _print_digests(ROOT, _bundle_paths(opts.bundles))
+    if opts.workloads is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            into = Path(tmp)
+            paths = workload_bundles(opts.workloads, into)
+            _print_digests(into, [str(p.relative_to(into)) for p in paths])
+            os.chdir(ROOT)
     return 0
 
 

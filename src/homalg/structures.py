@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import (
     DimensionMismatch,
@@ -628,55 +628,101 @@ def _evaluator(terms: Sequence[Term]) -> IdentityFn:
     return fn
 
 
-def _sweep(target: str, identities: Sequence[Identity],
-           dim: int, start: float, *, module_dim: int = 0,
-           violations: Sequence[Violation] = (), tuples: int = 0) -> CheckReport:
-    """Evaluate every identity over ``range(dim) ** arity`` and build the
-    report, counting in the ``tuples`` already checked and the ``violations``
-    already found by the caller.  An identity given as a function is evaluated
-    at every tuple; one given as a term list only at the tuples its terms can
-    be nonzero at, and every other tuple counts as checked with a zero
-    residual.
+def _violations(identities: Sequence[Identity], dim: int, *,
+                module_dim: int = 0) -> Iterator[Violation]:
+    """Every nonzero residual of ``identities`` over ``range(dim) ** arity``.
+    An identity given as a function is evaluated at every tuple; one given as
+    a term list only at the tuples its terms can be nonzero at, every other
+    residual being zero.
 
     With ``module_dim``, a residual is an integer matrix: each nonzero column
-    ``b`` is a violation at ``args + (b,)``, and each tuple counts once per
-    module basis vector."""
-    found = list(violations)
-    total = tuples
-    cache: dict = {}
+    ``b`` is a violation at ``args + (b,)``."""
+    cache: dict = {}    # keyed by table ids, so it must not outlive the tables
     for label, arity, fn in identities:
         if callable(fn):
             indices = itertools.product(range(dim), repeat=arity)
         else:
             indices, fn = candidates(fn, dim, arity, cache), _evaluator(fn)
         if module_dim:
-            total += module_dim * dim ** arity
             for idx in indices:
                 residual = fn(*idx)
                 if any(residual):
-                    found.extend(Violation(label, idx + (b,), sv_fractions(col))
-                                 for b, col in enumerate(mat_cols(residual)) if col)
+                    yield from (Violation(label, idx + (b,), sv_fractions(col))
+                                for b, col in enumerate(mat_cols(residual)) if col)
         else:
-            total += dim ** arity
             for idx in indices:
                 residual = fn(*idx)
                 if residual:
-                    found.append(Violation(label, idx, sv_fractions(residual)))
+                    yield Violation(label, idx, sv_fractions(residual))
+
+
+def _sweep(target: str, identities: Sequence[Identity],
+           dim: int, start: float, *, module_dim: int = 0,
+           violations: Sequence[Violation] = (), tuples: int = 0) -> CheckReport:
+    """The report of every identity over ``range(dim) ** arity``, counting in
+    the ``tuples`` already checked and the ``violations`` already found by
+    the caller; with ``module_dim``, each tuple counts once per module basis
+    vector."""
+    tuples += sum(max(module_dim, 1) * dim ** arity for _, arity, _ in identities)
+    found = [*violations, *_violations(identities, dim, module_dim=module_dim)]
     found.sort(key=lambda v: (v.identity, v.args))
     return CheckReport(
         target=target,
         passed=not found,
         violations=tuple(found),
-        tuples_checked=total,
+        tuples_checked=tuples,
         elapsed=time.perf_counter() - start,
     )
+
+
+def _blocks(structure: HomStructure) -> list[list[int]]:
+    """The sorted basis indices of each direct-sum block: the connected
+    components of the graph joining ``i`` to ``j`` and to every ``k`` in the
+    support of each stored ``e_i e_j``, and ``r`` to ``c`` at each nonzero
+    twist entry.  Every product and the twist keep each block, and a product
+    of two blocks is zero."""
+    root = list(range(structure.dim))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    edges = [(i, k) for tensor in structure.products.values()
+             for (i, j), cell in tensor.items() for k in (j, *cell)]
+    edges += [(r, c) for r, row in enumerate(structure.twist)
+              for c, v in enumerate(row) if v]
+    for x, y in edges:
+        root[find(x)] = find(y)
+    blocks: dict[int, list[int]] = {}
+    for x in range(structure.dim):
+        blocks.setdefault(find(x), []).append(x)
+    return list(blocks.values())
+
+
+def _restrict(structure: HomStructure, block: list[int]) -> HomStructure:
+    """``structure`` on the span of the basis vectors ``block`` (one of its
+    blocks), re-indexed in order; the structure itself for a single block."""
+    if len(block) == structure.dim:
+        return structure
+    at = {x: n for n, x in enumerate(block)}
+    return make_structure(
+        len(block), twist=[[structure.twist[r][c] for c in block] for r in block],
+        products={role: {(at[i], at[j]): {at[k]: v for k, v in cell.items()}
+                         for (i, j), cell in tensor.items() if i in at}
+                  for role, tensor in structure.products.items()})
 
 
 def check(structure: HomStructure, cls: StructureClass, *,
           multiplicativity: bool = False) -> CheckReport:
     """Exhaustively sweep every defining identity of ``cls`` over all basis
     tuples.  Residuals are exact; a report passes only if every residual is
-    identically zero."""
+    identically zero.
+
+    Each identity is a sum of product trees that read every index (the
+    ``MULT-*`` ones too), so each term is zero at a tuple that mixes direct-sum
+    blocks: each block is swept on its own, and every other tuple counts as
+    checked with a zero residual."""
     start = time.perf_counter()
     needed = CLASS_ROLES[cls]
     if not needed <= structure.roles():
@@ -685,10 +731,18 @@ def check(structure: HomStructure, cls: StructureClass, *,
             f"{sorted(r.value for r in needed)}; structure has "
             f"{sorted(r.value for r in structure.roles())}"
         )
-    identities = list(_CLASS_IDENTITIES[cls](structure))
-    if multiplicativity:
-        identities.extend(_mult_identities(structure, structure.products))
-    return _sweep(cls.value, identities, structure.dim, start)
+    found: list[Violation] = []
+    for block in _blocks(structure):
+        part = _restrict(structure, block)
+        identities = list(_CLASS_IDENTITIES[cls](part))
+        if multiplicativity:
+            identities.extend(_mult_identities(part, part.products))
+        found.extend(Violation(v.identity, tuple(block[x] for x in v.args),
+                               {block[k]: r for k, r in v.residual.items()})
+                     for v in _violations(identities, part.dim))
+    # every block sweeps the same identities; a tuple mixing blocks is zero
+    tuples = sum(structure.dim ** arity for _, arity, _ in identities)
+    return _sweep(cls.value, (), structure.dim, start, violations=found, tuples=tuples)
 
 
 def check_morphism(f: Matrix, source: HomStructure, target: HomStructure,

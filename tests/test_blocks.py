@@ -1,0 +1,136 @@
+"""Class checks split along direct-sum blocks.
+
+``check`` sweeps each block of a structure on its own.  On a block sum of
+random summands, moved by a random signed permutation of the basis, its
+report must be the summands' reports merged and re-indexed through the
+embedding.  The two cases that must not split, a twist or a product output
+that couples product blocks, are compared with dense evaluations in
+``test_differential.py``.
+"""
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import prod
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from homalg import CLASS_ROLES, StructureClass, check, make_structure
+from homalg import pruning
+from homalg.structures import _CLASS_IDENTITIES
+
+F = Fraction
+C = StructureClass
+
+#: every test here reports the first failing example it draws (see
+#: ``test_differential.py``)
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+#: arities of each class's identities, without the MULT-* pairs
+ARITIES = {
+    C.HOM_LIE: (2, 3),
+    C.HOM_MALCEV: (2, 3, 4),
+    C.HOM_MALCEV_ADMISSIBLE: (2, 3, 4),
+    C.HOM_PRE_MALCEV: (4,),
+    C.HOM_M_DENDRIFORM: (4,) * 4,
+    C.HOM_ASSOCIATIVE: (3,),
+    C.HOM_ALTERNATIVE: (3, 3),
+    C.HOM_PRE_ALTERNATIVE: (3,) * 10,
+    C.HOM_ALT_QUADRI: (3,) * 9,
+}
+
+#: every identity is linear in each argument but HM-JAC,
+#: J(a x, a y, [x, z]) - [J(x, y, z), a^2 x], which is quadratic in x; a
+#: residual at basis vectors scaled by signs s_p carries prod s_p ** degree_p
+DEGREES = {"HM-JAC": (2, 1, 1)}
+
+entry_st = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def summand_st(draw, cls: StructureClass):
+    """A random structure of dimension 1-3 carrying the roles of ``cls``,
+    with an identity or a random twist."""
+    n = draw(st.integers(1, 3))
+    products = {role: {(i, j): {k: draw(entry_st) for k in range(n)}
+                       for i, j in itertools.product(range(n), repeat=2)}
+                for role in CLASS_ROLES[cls]}
+    twist = None
+    if draw(st.booleans()):
+        twist = [[draw(entry_st) for _ in range(n)] for _ in range(n)]
+    return make_structure(n, twist=twist, products=products)
+
+
+def block_sum(summands, perm, sign):
+    """The direct sum of ``summands`` in the basis e'_{perm[y]} = sign[y] e_y,
+    where ``y`` runs over the summands' basis vectors in order."""
+    n = sum(s.dim for s in summands)
+    products = {role: {} for role in summands[0].products}
+    twist = [[F(0)] * n for _ in range(n)]
+    off = 0
+    for s in summands:
+        def at(x):
+            return perm[off + x], sign[off + x]
+
+        for role, tensor in s.products.items():
+            for (i, j), cell in tensor.items():
+                (pi, si), (pj, sj) = at(i), at(j)
+                products[role][(pi, pj)] = {at(k)[0]: si * sj * at(k)[1] * v
+                                            for k, v in cell.items()}
+        for r, c in itertools.product(range(s.dim), repeat=2):
+            (pr, sr), (pc, sc) = at(r), at(c)
+            twist[pr][pc] = sr * sc * s.twist[r][c]
+        off += s.dim
+    return make_structure(n, twist=twist, products=products)
+
+
+@pytest.mark.parametrize("multiplicativity", [False, True], ids=["plain", "mult"])
+@pytest.mark.parametrize("cls", list(C), ids=lambda c: c.value)
+@settings(max_examples=8, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_block_sum_report_is_merged_summand_reports(cls, multiplicativity, data):
+    summands = data.draw(st.lists(summand_st(cls), min_size=2, max_size=4))
+    n = sum(s.dim for s in summands)
+    perm = data.draw(st.permutations(range(n)))
+    sign = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    arities = ARITIES[cls] + ((2,) * len(CLASS_ROLES[cls]) if multiplicativity else ())
+
+    want, off = {}, 0
+    reports = [check(s, cls, multiplicativity=multiplicativity) for s in summands]
+    for s, report in zip(summands, reports):
+        assert report.tuples_checked == sum(s.dim ** arity for arity in arities)
+        for v in report.violations:
+            args = [off + x for x in v.args]
+            degrees = DEGREES.get(v.identity, (1,) * len(args))
+            scale = prod(sign[y] ** d for y, d in zip(args, degrees))
+            want[(v.identity, tuple(perm[y] for y in args))] = {
+                perm[off + k]: sign[off + k] * scale * r for k, r in v.residual.items()}
+        off += s.dim
+
+    report = check(block_sum(summands, perm, sign), cls,
+                   multiplicativity=multiplicativity)
+    got = {(v.identity, v.args): v.residual for v in report.violations}
+    assert got == want
+    assert list(got) == sorted(got)
+    assert report.passed == all(r.passed for r in reports)
+    assert report.tuples_checked == sum(n ** arity for arity in arities)
+
+
+def test_every_term_reads_every_index():
+    """A class check is split exactly only while each term of each identity
+    is a product that reads every index: then it is zero at every tuple that
+    mixes blocks."""
+    for cls, build in _CLASS_IDENTITIES.items():
+        structure = make_structure(2, products={
+            role: {(i, j): {k: F(1 + i + j + k) for k in range(2)}
+                   for i, j in itertools.product(range(2), repeat=2)}
+            for role in CLASS_ROLES[cls]})
+        identities = build(structure)
+        assert identities, cls
+        for label, arity, terms in identities:
+            assert not callable(terms), label
+            for _, _, *factors in terms:
+                read = {p for _, at in factors for p in pruning.positions(at)}
+                assert read == set(range(arity)), (cls, label)

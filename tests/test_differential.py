@@ -556,9 +556,16 @@ def block_sum_st(draw, count: int, max_dim: int):
         for r, c in itertools.product(range(b), repeat=2):
             a[off + r][off + c] = block[r][c]
         off += b
+    return signed_permutation(draw, tables, a)
+
+
+def signed_permutation(draw, tables, a):
+    """The tables and twist in the basis e'_{perm[i]} = sign[i] e_i, for a
+    random signed permutation."""
+    n = len(a)
     perm = draw(st.permutations(range(n)))
     sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    moved = [[zeros(n) for _ in range(n)] for _ in range(count)]
+    moved = [[zeros(n) for _ in range(n)] for _ in range(len(tables))]
     for t, m in zip(tables, moved):
         for i, j, k in itertools.product(range(n), repeat=3):
             m[perm[i]][perm[j]][perm[k]] = sign[i] * sign[j] * sign[k] * t[i][j][k]
@@ -624,6 +631,43 @@ def test_sparse_class_residuals_match_dense_fraction_evaluation(shape, cls, data
         mp.setattr(pruning, "PLAN_COST", 0)
         mp.setattr(pruning, "PRUNE_BELOW_FILL", float("inf"))
         assert_matches(check(structure, StructureClass(cls)), want)
+
+
+@st.composite
+def coupled_st(draw, count: int, coupling: str):
+    """``count`` tables and a twist whose products alone split the basis into
+    the blocks {0} and {1, 2}, joined by one twist entry ``a[0][1]`` or by
+    one product output (``e_1 e_2`` has an ``e_0`` coordinate), moved by a
+    random signed permutation.  A check must not split them."""
+    tables = [[zeros(3) for _ in range(3)] for _ in range(count)]
+    a = zeros(3)
+    for t in tables:
+        t[0][0][0] = draw(rational_st)
+        for i, j, k in itertools.product(range(2), repeat=3):
+            t[1 + i][1 + j][1 + k] = draw(rational_st)
+    a[0][0] = draw(rational_st)
+    for r, c in itertools.product(range(2), repeat=2):
+        a[1 + r][1 + c] = draw(rational_st)
+    nonzero = rational_st.filter(bool)
+    if coupling == "twist":
+        a[0][1] = draw(nonzero)
+    else:
+        tables[0][1][2][0] = draw(nonzero)
+    return signed_permutation(draw, tables, a)
+
+
+@pytest.mark.parametrize("coupling", ["twist", "output"])
+@pytest.mark.parametrize("cls", sorted(SPARSE_CLASSES))
+@settings(max_examples=4, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_coupled_blocks_are_not_split(coupling, cls, data):
+    """A twist entry or a product output that joins two product blocks makes
+    them one block: every residual, mixed tuples included, is still found."""
+    roles, residuals, _ = SPARSE_CLASSES[cls]
+    tables, a = data.draw(coupled_st(len(roles), coupling))
+    structure = make_structure(3, twist=a, products={
+        role: tensor_of(c) for role, c in zip(roles, tables)})
+    assert_matches(check(structure, StructureClass(cls)), residuals(*tables, a))
 
 
 # ---------------------------------------------------------------------------

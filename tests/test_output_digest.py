@@ -1,0 +1,27 @@
+"""The workload bundles ``scripts/output_digest.py --workloads SEED`` digests."""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from homalg import load_bundle
+
+_SPEC = importlib.util.spec_from_file_location(
+    "output_digest", Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py")
+output_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_digest)
+
+
+def test_workload_bundles_are_collected_per_workload_and_repeat(tmp_path):
+    first = output_digest.workload_bundles(1, tmp_path / "a")
+    again = output_digest.workload_bundles(1, tmp_path / "b")
+    names = [p.relative_to(tmp_path / "a").as_posix() for p in first]
+    assert names == [p.relative_to(tmp_path / "b").as_posix() for p in again]
+    # cli-fixtures runs the packaged fixtures, which are digested anyway
+    assert {name.split("/")[0] for name in names} == {"dense-rational", "block-sparse"}
+    assert (tmp_path / "a" / "cli-fixtures").is_dir()
+    assert {"block-sparse/g7_dim16.json", "block-sparse/octonions_im_x2.json",
+            "dense-rational/octonions_yau.json"} <= set(names)
+    for a, b in zip(first, again):
+        assert a.read_bytes() == b.read_bytes()
+        load_bundle(a)

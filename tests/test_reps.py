@@ -4,6 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import support
 from homalg import (
@@ -159,6 +161,59 @@ def test_semidirect_passes_without_equivariance():
     sd = semidirect(s, rep)
     assert check(sd, C.HOM_MALCEV).passed
     assert not check(sd, C.HOM_MALCEV, multiplicativity=True).passed
+
+
+#: (fixture, rep builder, class, equivariance flag): the adjoint or regular
+#: rep of a multiplicative base
+REP_BASES = [
+    ("sl2_malcev", adjoint_rep, C.HOM_MALCEV, False),
+    ("lie_dim2_yau", adjoint_rep, C.HOM_MALCEV, False),
+    ("premalcev_dim2", regular_pre_malcev_rep, C.HOM_PRE_MALCEV, False),
+    ("premalcev_dim2_yau", regular_pre_malcev_rep, C.HOM_PRE_MALCEV, False),
+    ("prealt_t2", regular_pre_alternative_rep, C.HOM_PRE_ALTERNATIVE, True),
+]
+
+
+@st.composite
+def perturbed_rep_st(draw, base, build):
+    """The rep ``build(base)`` as it is, with every action zero, with one
+    action entry moved, or with one module twist entry moved."""
+    rep = build(base)
+    m = rep.module_dim
+    actions = {role: [list(map(list, sl)) for sl in slices]
+               for role, slices in rep.actions.items()}
+    twist = list(map(list, rep.module_twist))
+    kind = draw(st.sampled_from(["none", "zero", "action", "module-twist"]))
+    delta = draw(st.builds(F, st.sampled_from([-2, -1, 1, 2]), st.integers(1, 2)))
+    r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    if kind == "zero":
+        actions = {role: [[[F(0)] * m for _ in range(m)] for _ in slices]
+                   for role, slices in actions.items()}
+    elif kind == "action":
+        role = draw(st.sampled_from(sorted(actions, key=lambda a: a.value)))
+        actions[role][draw(st.integers(0, base.dim - 1))][r][c] += delta
+    elif kind == "module-twist":
+        twist[r][c] += delta
+    return Representation(base=base, module_dim=m, module_twist=twist,
+                          actions=actions)
+
+
+# without the shrink phase, a failure reports the first example it draws
+@settings(max_examples=100, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(st.sampled_from(REP_BASES), st.data())
+def test_check_rep_passes_iff_multiplicative_semidirect_passes(rep_base, data):
+    """On a multiplicative base, the rep axioms (equivariance included) hold
+    exactly when the semidirect product is of the base's class with a
+    multiplicative twist.  A zero action leaves the semidirect product split
+    into the base and the module's twist blocks."""
+    name, build, cls, equivariance = rep_base
+    base = support.load_fixture_bundle(name).structure
+    assert check(base, cls, multiplicativity=True).passed
+    rep = data.draw(perturbed_rep_st(base, build))
+    direct = check_rep(rep, cls, equivariance=equivariance)
+    via_semidirect = check(semidirect(base, rep), cls, multiplicativity=True)
+    assert direct.passed == via_semidirect.passed
 
 
 def test_malcev_dual_variants_pass_and_bidualize():

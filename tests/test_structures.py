@@ -403,17 +403,20 @@ def test_product_eval_matches_table():
 # subterm tables: products on fewer indices are computed once per check
 # ---------------------------------------------------------------------------
 
+def diagonal_copies(name: str, copies: int, dim: int):
+    """``copies`` diagonal copies of an untwisted fixture, padded with inert
+    coordinates to ``dim``."""
+    s = support.load_fixture_bundle(name).structure
+    return make_structure(dim, products={role: support.tensor(*[
+        (i + off, j + off, k + off, v)
+        for off in range(0, copies * s.dim, s.dim)
+        for (i, j), col in tensor.items()
+        for k, v in col.items()]) for role, tensor in s.products.items()})
+
+
 def mdendri_dim10():
     """Three diagonal copies of mdendri_sl2 plus one inert coordinate."""
-    md = support.load_fixture_bundle("mdendri_sl2").structure
-    entries = []
-    for role in (R.TRI_LEFT, R.TRI_RIGHT):
-        entries.append(support.tensor(*[
-            (i + off, j + off, k + off, v)
-            for off in (0, 3, 6)
-            for (i, j), col in md.products[role].items()
-            for k, v in col.items()]))
-    return make_structure(10, products=dict(zip((R.TRI_LEFT, R.TRI_RIGHT), entries)))
+    return diagonal_copies("mdendri_sl2", 3, 10)
 
 
 @pytest.mark.parametrize("build, cls, bound", [
@@ -426,8 +429,13 @@ def mdendri_dim10():
     # on a block-diagonal sum almost every tuple has a zero factor in every
     # term and is skipped, so the tables cost more than the sweep
     (mdendri_dim10, C.HOM_M_DENDRIFORM, 0.5),
+    # each direct-sum block is swept on its own tables: the five copies of
+    # mdendri_sl2 make 470 calls over 16^4 tuples, against 41,010 when the
+    # tables span the whole basis
+    (lambda: diagonal_copies("mdendri_sl2", 5, 16), C.HOM_M_DENDRIFORM, 0.01),
+    (lambda: diagonal_copies("octonions_im", 2, 14), C.HOM_MALCEV, 0.6),
 ], ids=["mdendri_dim10", "octonions_im", "quadri_trunc_poly", "prealt_t2",
-        "mdendri_dim10-pruned"])
+        "mdendri_dim10-pruned", "mdendri_dim16-split", "octonions_im_x2-split"])
 def test_grid_mul_calls_per_tuple(monkeypatch, build, cls, bound):
     """Each sweep multiplies only its full-arity products per tuple; every
     product on fewer indices comes from a table built once per check."""
