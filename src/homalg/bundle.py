@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -29,6 +28,7 @@ from .structures import (
     CheckReport,
     HomStructure,
     ProductRole,
+    Record,
     StructureClass,
 )
 
@@ -174,22 +174,27 @@ def _entries_to_slices(entries: Any, dim: int, module_dim: int,
 # the bundle container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Record):
     """A structure with any attached representations, operator witnesses, and
     bilinear forms, exactly as loaded from (or destined for) one file."""
 
     structure: HomStructure
-    declared_class: StructureClass | None = None
-    reps: tuple[Representation, ...] = ()
-    operators: tuple[OperatorWitness, ...] = ()
-    rep_indices: tuple[int | None, ...] = ()
-    forms: tuple[BilinearForm, ...] = ()
+    declared_class: StructureClass | None
+    reps: tuple[Representation, ...]
+    operators: tuple[OperatorWitness, ...]
+    rep_indices: tuple[int | None, ...]
+    forms: tuple[BilinearForm, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "reps", tuple(self.reps))
-        object.__setattr__(self, "operators", tuple(self.operators))
-        object.__setattr__(self, "forms", tuple(self.forms))
+    def __init__(self, structure: HomStructure,
+                 declared_class: StructureClass | None = None,
+                 reps: tuple[Representation, ...] = (),
+                 operators: tuple[OperatorWitness, ...] = (),
+                 rep_indices: tuple[int | None, ...] = (),
+                 forms: tuple[BilinearForm, ...] = ()):
+        d = self.__dict__
+        d["structure"], d["declared_class"] = structure, declared_class
+        d["reps"], d["operators"] = tuple(reps), tuple(operators)
+        d["rep_indices"], d["forms"] = rep_indices, tuple(forms)
         indices = tuple(self.rep_indices)
         if not indices and self.operators:
             indices = tuple(None for _ in self.operators)
@@ -210,7 +215,7 @@ class Bundle:
                     f"operators[{n}]: rep_index is only meaningful for "
                     f"'{KIND_O_OPERATOR}' witnesses"
                 )
-        object.__setattr__(self, "rep_indices", indices)
+        d["rep_indices"] = indices
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +433,7 @@ def load_bundle(path) -> Bundle:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BundleError(f"cannot read {path}: {exc}") from exc
     return loads_bundle(text)
 

@@ -7,7 +7,6 @@ same node by exact tensor equality.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Mapping
 
 from .exact import (
@@ -37,6 +36,7 @@ from .structures import (
     CheckReport,
     HomStructure,
     ProductRole,
+    Record,
     RoleMismatch,
     StructureClass,
     check,
@@ -193,8 +193,7 @@ def _prealt_dot(structure: HomStructure) -> HomStructure:
                     "prealt-difference")
 
 
-@dataclass(frozen=True)
-class DiagramReport:
+class DiagramReport(Record):
     """Class checks for the six nodes, pass flags for the labeled edges, and
     whether every pair of routes landing on a shared node agreed exactly."""
 
@@ -202,6 +201,12 @@ class DiagramReport:
     edges: tuple[tuple[str, bool], ...]
     paths_equal: bool
     elapsed: float
+
+    def __init__(self, nodes: Mapping[str, CheckReport],
+                 edges: tuple[tuple[str, bool], ...], paths_equal: bool, elapsed: float):
+        d = self.__dict__
+        d["nodes"], d["edges"] = nodes, edges
+        d["paths_equal"], d["elapsed"] = paths_equal, elapsed
 
 
 def verify_diagram(alt: HomStructure, r1: OperatorWitness,

@@ -5,7 +5,6 @@ commuting pairs, and of Hessian bilinear forms.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -30,7 +29,7 @@ from .exact import (
     mat_shape,
     mat_sub,
     mat_transpose,
-    matrix,
+    matrix as to_matrix,
     push_product,
     sv_add,
     sv_basis,
@@ -54,6 +53,7 @@ from .structures import (
     HomStructure,
     Identity,
     ProductRole,
+    Record,
     RoleMismatch,
     UnknownKind,
     Violation,
@@ -85,23 +85,26 @@ KIND_O_OPERATOR = "o-operator"
 OPERATOR_KINDS = (KIND_ROTA_BAXTER, KIND_O_OPERATOR)
 
 
-@dataclass(frozen=True)
-class OperatorWitness:
+class OperatorWitness(Record):
     """A Rota-Baxter map on the algebra, or a module-to-algebra map relative
     to a representation."""
 
     kind: str
     matrix: Matrix
-    weight: Fraction | None = None
-    rep: Representation | None = None
+    weight: Fraction | None
+    rep: Representation | None
 
-    def __post_init__(self):
+    def __init__(self, kind: str, matrix: Matrix,
+                 weight: Fraction | None = None,
+                 rep: Representation | None = None):
+        d = self.__dict__
+        d["kind"], d["matrix"], d["weight"], d["rep"] = kind, matrix, weight, rep
         if self.kind not in OPERATOR_KINDS:
             raise UnknownKind(
                 f"unknown operator kind {self.kind!r}; expected one of {OPERATOR_KINDS}"
             )
-        mat = matrix(self.matrix)
-        object.__setattr__(self, "matrix", mat)
+        mat = to_matrix(self.matrix)
+        d["matrix"] = mat
         if self.kind == KIND_ROTA_BAXTER:
             if self.rep is not None:
                 raise RoleMismatch("a Rota-Baxter witness carries no representation")
@@ -111,7 +114,7 @@ class OperatorWitness:
                     f"a Rota-Baxter map must be square, got {rows}x{cols}"
                 )
             weight = as_fraction(self.weight) if self.weight is not None else Fraction(0)
-            object.__setattr__(self, "weight", weight)
+            d["weight"] = weight
         else:
             if self.weight is not None:
                 raise RoleMismatch("a relative operator witness carries no weight")
@@ -125,18 +128,18 @@ class OperatorWitness:
                 )
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Record):
     """A square rational matrix read as a bilinear form on the algebra."""
 
     matrix: Matrix
 
-    def __post_init__(self):
-        mat = matrix(self.matrix)
+    def __init__(self, matrix: Matrix):
+        self.__dict__["matrix"] = matrix
+        mat = to_matrix(self.matrix)
         rows, cols = mat_shape(mat)
         if rows != cols:
             raise DimensionMismatch(f"a bilinear form must be square, got {rows}x{cols}")
-        object.__setattr__(self, "matrix", mat)
+        self.__dict__["matrix"] = mat
 
     @property
     def dim(self) -> int:
@@ -702,8 +705,8 @@ def check_oop_endomorphism(w: OperatorWitness, phiA: Matrix,
     rep = w.rep
     assert rep is not None
     n, m = rep.base.dim, rep.module_dim
-    phiA = matrix(phiA)
-    phiV = matrix(phiV)
+    phiA = to_matrix(phiA)
+    phiV = to_matrix(phiV)
     if mat_shape(phiA) != (n, n):
         raise DimensionMismatch(f"algebra map must be {n}x{n}, got {mat_shape(phiA)}")
     if mat_shape(phiV) != (m, m):
@@ -729,8 +732,8 @@ def twist_oop_setup(structure: HomStructure, w: OperatorWitness, phiA: Matrix,
     rep = _require_oop(w, "twist-oop-setup", PRE_MALCEV_ACTIONS)
     if ProductRole.DOT not in structure.products:
         raise RoleMismatch("the composed setup needs the dot product role")
-    phiA = matrix(phiA)
-    phiV = matrix(phiV)
+    phiA = to_matrix(phiA)
+    phiV = to_matrix(phiV)
     morph = check_morphism(phiA, structure, structure, weak=True)
     if not morph.passed:
         first = morph.violations[0]

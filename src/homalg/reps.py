@@ -8,7 +8,6 @@ vectors and report exact residual columns.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -45,6 +44,7 @@ from .structures import (
     CheckReport,
     HomStructure,
     ProductRole,
+    Record,
     RoleMismatch,
     StructureClass,
     _mult_identities,
@@ -80,8 +80,7 @@ PRE_ALTERNATIVE_ACTIONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Actions of a structure on a module, with a module twist."""
 
     base: HomStructure
@@ -89,7 +88,12 @@ class Representation:
     module_twist: Matrix
     actions: Mapping[ActionRole, tuple[Matrix, ...]]
 
-    def __post_init__(self):
+    def __init__(self, base: HomStructure, module_dim: int,
+                 module_twist: Matrix,
+                 actions: Mapping[ActionRole, tuple[Matrix, ...]]):
+        d = self.__dict__
+        d["base"], d["module_dim"] = base, module_dim
+        d["module_twist"], d["actions"] = module_twist, actions
         if self.module_dim < 1:
             raise DimensionMismatch(
                 f"module dimension must be positive, got {self.module_dim}"
@@ -115,8 +119,7 @@ class Representation:
                         f"got {mat_shape(s)}"
                     )
             actions[role] = slices
-        object.__setattr__(self, "module_twist", twist)
-        object.__setattr__(self, "actions", actions)
+        d["module_twist"], d["actions"] = twist, actions
 
     def roles(self) -> frozenset[ActionRole]:
         return frozenset(self.actions)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -105,17 +104,55 @@ def _default_basis(dim: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(dim))
 
 
-@dataclass(frozen=True, eq=True)
-class HomStructure:
+class Record:
+    """A frozen value whose fields are its class annotations, in order.  Each
+    subclass's ``__init__`` stores its fields into ``self.__dict__``; equality,
+    hashing and ``repr`` follow the fields as for a frozen dataclass."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class HomStructure(Record):
     """A finite-dimensional vector space with bilinear products and a twist."""
 
     dim: int
     twist: Matrix
     products: Mapping[ProductRole, Tensor]
-    basis: tuple[str, ...] = ()
-    meta: Mapping[str, str] = field(default_factory=dict)
+    basis: tuple[str, ...]
+    meta: Mapping[str, str]
 
-    def __post_init__(self):
+    def __init__(self, dim: int, twist: Matrix,
+                 products: Mapping[ProductRole, Tensor],
+                 basis: tuple[str, ...] = (),
+                 meta: Mapping[str, str] | None = None):
+        d = self.__dict__
+        d["dim"], d["twist"], d["products"] = dim, twist, products
+        d["basis"], d["meta"] = basis, meta
         if self.dim < 1:
             raise DimensionMismatch(f"dimension must be positive, got {self.dim}")
         twist = matrix(self.twist)
@@ -135,10 +172,8 @@ class HomStructure:
             raise DimensionMismatch(
                 f"{len(basis)} basis labels for dimension {self.dim}"
             )
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "products", products)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "meta", dict(self.meta))
+        d["twist"], d["products"], d["basis"] = twist, products, basis
+        d["meta"] = dict(self.meta) if self.meta is not None else {}
 
     def roles(self) -> frozenset[ProductRole]:
         return frozenset(self.products)
@@ -157,20 +192,29 @@ def make_structure(dim, twist=None, products=None, basis=None, meta=None) -> Hom
     )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     identity: str
     args: tuple[int, ...]
     residual: Mapping[int, Fraction]
 
+    def __init__(self, identity: str, args: tuple[int, ...],
+                 residual: Mapping[int, Fraction]):
+        d = self.__dict__
+        d["identity"], d["args"], d["residual"] = identity, args, residual
 
-@dataclass(frozen=True)
-class CheckReport:
+
+class CheckReport(Record):
     target: str
     passed: bool
     violations: tuple[Violation, ...]
     tuples_checked: int
     elapsed: float
+
+    def __init__(self, target: str, passed: bool, violations: tuple[Violation, ...],
+                 tuples_checked: int, elapsed: float):
+        d = self.__dict__
+        d["target"], d["passed"], d["violations"] = target, passed, violations
+        d["tuples_checked"], d["elapsed"] = tuples_checked, elapsed
 
 
 # ---------------------------------------------------------------------------

@@ -499,6 +499,16 @@ def test_cli_check_missing_file(capsys):
     assert err.startswith("error: cannot read")
 
 
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_cli_non_utf8_file_is_an_input_error(command, tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_bytes(b"\xff\xfe")
+    status, out, err = run_cli([command, str(path)], capsys)
+    assert status == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_check_json_deterministic(capsys):
     path = fixture_path("premalcev_dim2")
     status1, out1, err1 = run_cli(["check", path, "--format", "json"], capsys)

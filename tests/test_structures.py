@@ -72,6 +72,11 @@ def test_make_structure_guards():
 def test_structures_hashable_and_frozen():
     s = support.lie2()
     assert s == support.lie2()
+    with pytest.raises(TypeError):  # products and meta are dicts
+        hash(s)
+    w = support.lie2_rb_op()
+    assert w == support.lie2_rb_op() and hash(w) == hash(support.lie2_rb_op())
+    assert w in {support.lie2_rb_op()}
     with pytest.raises(AttributeError):
         s.dim = 3  # type: ignore[misc]
 
