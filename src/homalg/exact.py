@@ -15,6 +15,8 @@ passed to one is converted on entry.  Numerators are not reduced, so two
 integer forms of one value may differ: compare values by testing their
 difference for zero.  Canonical ``Fraction`` values are built only where a
 value leaves the engine (:func:`sv_fractions`, :func:`mat_fractions`).
+A class sweep packs each integer vector into one ``int`` (:func:`sv_pack`),
+so a residual at a tuple is a few big-int multiply-adds (:func:`packed_mul`).
 """
 from __future__ import annotations
 
@@ -398,27 +400,43 @@ def tensor_commutator(a: Tensor) -> Tensor:
     return tensor_sub(a, tensor_flip(a))
 
 
+class Table(list):
+    """Nested lists of Ivecs of L1 norm at most ``norm`` over the common
+    denominator ``den`` (or packed ints of coordinates at most ``norm``)."""
+
+    __slots__ = ("den", "norm")
+
+    def __init__(self, rows: Iterable = (), den: int = 1, norm: int = 0):
+        super().__init__(rows)
+        self.den, self.norm = den, norm
+
+
 class Grid(list):
     """``grid[i][j]`` is the Fraction cell of ``e_i * e_j`` (None when absent).
 
     ``ints[i][j]`` is the same cell as an :class:`Ivec` over the grid's
-    common denominator ``den`` (empty when absent).
+    common denominator ``den`` (empty when absent), and ``peak`` the largest
+    absolute value of a cell's integer coordinate.
     """
 
-    __slots__ = ("ints", "den")
+    __slots__ = ("ints", "den", "peak")
 
 
 def tensor_grid(t: Tensor, dim: int) -> Grid:
     grid = Grid([None] * dim for _ in range(dim))
     den = lcm(*[v.denominator for cell in t.values() for v in cell.values()])
     ints = [[_EMPTY] * dim for _ in range(dim)]
+    norm = peak = 0
     for (i, j), cell in t.items():
         grid[i][j] = cell
         if cell:
-            ints[i][j] = _ivec({k: v.numerator * (den // v.denominator)
-                                for k, v in cell.items()}, den)
-    grid.ints = ints
+            nums = {k: v.numerator * (den // v.denominator) for k, v in cell.items()}
+            sizes = list(map(abs, nums.values()))
+            norm, peak = max(norm, sum(sizes)), max(peak, *sizes)
+            ints[i][j] = _ivec(nums, den)
+    grid.ints = Table(ints, den, norm)
     grid.den = den
+    grid.peak = peak
     return grid
 
 
@@ -440,6 +458,39 @@ def grid_mul(grid: Grid, u: Mapping, v: Mapping) -> Ivec:
             for k, w in cell.items():
                 acc[k] = acc.get(k, 0) + c * w
     return _nonzero(acc, u.den * v.den * grid.den)
+
+
+def sv_pack(u: Mapping[int, int], w: int) -> int:
+    """``u`` packed at slot width ``w``: ``sum of u_k * 2**(w*k)``, linear in
+    ``u``.  While each ``|u_k| < 2**(w-1)`` it is 0 exactly when ``u`` is."""
+    return sum([n << (w * k) for k, n in u.items()])
+
+
+def sv_unpack(r: int, w: int, den: int = 1) -> Ivec:
+    """The integer vector over ``den`` packed in ``r`` at slot width ``w``:
+    its balanced base-``2**w`` digits, a negative one borrowing from the next."""
+    out, k, half = {}, 0, 1 << (w - 1)
+    while r:
+        d = (r + half) % (half << 1) - half
+        out[k], r, k = d, (r - d) >> w, k + 1
+    return _ivec({k: d for k, d in out.items() if d}, den)
+
+
+def grid_pack(grid: Grid, w: int) -> list[list[int]]:
+    """``packed[a][b]``: the integer cell of ``e_a e_b`` packed at width ``w``."""
+    return [[sv_pack(cell, w) for cell in row] for row in grid.ints]
+
+
+def packed_mul(packed: list[list[int]], u: Ivec, v: Ivec) -> int:
+    """``sum of u_a * v_b * packed[a][b]``: the numerators of ``u * v`` on a
+    grid packed by :func:`grid_pack`, packed."""
+    vv = v.items()
+    r = 0
+    for a, x in u.items():
+        row = packed[a]
+        for b, y in vv:
+            r += x * y * row[b]
+    return r
 
 
 def push_product(t: Tensor, f: Matrix) -> Tensor:

@@ -10,6 +10,7 @@ import itertools
 import time
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import (
@@ -17,23 +18,27 @@ from .exact import (
     Grid,
     Ivec,
     Matrix,
+    Table,
     Tensor,
     Vector,
     apply_cols,
     as_ivec,
     grid_mul,
+    grid_pack,
     mat_cols,
     mat_identity,
     mat_mul,
     mat_shape,
     matrix,
+    packed_mul,
     sv_add,
     sv_fractions,
     sv_from_vector,
-    sv_lincomb,
     sv_neg,
+    sv_pack,
     sv_sub,
     sv_to_vector,
+    sv_unpack,
     tensor_add,
     tensor_commutator,
     tensor_flip,
@@ -348,20 +353,14 @@ IdentityFn = Callable[..., Ivec]
 
 # A class identity is data: ``(label, arity, terms)``.  A term is
 # ``(sign, grid, factor, ...)``: with ``grid`` None it is its one factor,
-# otherwise ``grid_mul(grid, left, right)`` of its two.  A factor is
-# ``(table, at)``: a table built once per check (nested lists of Ivecs, or a
-# list of twist columns) read at the identity's indices named by ``at``, so
+# otherwise the product on ``grid`` of its two.  A factor is ``(table, at)``:
+# a :class:`Table` built once per check (of Ivecs, of packed ints, or the
+# twist columns) read at the identity's indices named by ``at``, so
 # ``(dia_av, "kji")`` is ``dia_av[k][j][i]`` at the tuple ``(i, j, k, l)``.
 # The residual at a tuple is the signed sum of its terms.  Each identity is
 # multilinear, so every term reads every index.
 Term = tuple
 Identity = tuple[str, int, "IdentityFn | list[Term]"]
-
-
-def _twist_cols(structure: HomStructure) -> tuple[tuple[Ivec, ...], tuple[Ivec, ...]]:
-    a = mat_cols(structure.twist)
-    a2 = mat_cols(mat_mul(structure.twist, structure.twist))
-    return a, a2
 
 
 # A subterm that depends on only some of an identity's indices, or that
@@ -380,6 +379,56 @@ def _table3(dim: int, fn: Callable) -> list:
             for i in range(dim)]
 
 
+def _tabulate(build: Callable[[Callable], list]) -> Table:
+    """The Ivec table ``build(keep)`` makes, recording the denominator and
+    largest L1 norm of the nonzero entries as ``keep`` is called on each (a
+    kernel puts its result over the product of its operands' denominators)."""
+    nonzero: list[Ivec] = []
+    rows = build(lambda v: v and nonzero.append(v) or v)    # keep(v) is v
+    den, = {v.den for v in nonzero} or {1}      # and fails if two disagree
+    return Table(rows, den, max([sum(map(abs, v.values())) for v in nonzero], default=0))
+
+
+def _twist_cols(structure: HomStructure) -> tuple[Table, Table]:
+    twist = structure.twist
+    return tuple(_tabulate(lambda keep, m=m: list(map(keep, mat_cols(m))))
+                 for m in (twist, mat_mul(twist, twist)))
+
+
+# A product with an empty operand is stored as that operand, with no call.
+
+def _twisted(a: Table, cells: list) -> Table:
+    """``a(cells[x][y])``."""
+    return _tabulate(lambda keep: [[keep(u and apply_cols(a, u)) for u in row]
+                                   for row in cells])
+
+
+def _left_a(grid: Grid, a: Table, cells: list) -> Table:
+    """``grid(a e_x, cells[y][z])``."""
+    return _tabulate(lambda keep: [
+        [[keep(v and grid_mul(grid, u, v)) for v in row] for row in cells]
+        if u else [[u] * len(a)] * len(a) for u in a])
+
+
+def _right_a(grid: Grid, cells: list, a: Table) -> Table:
+    """``grid(cells[x][y], a e_z)``."""
+    return _tabulate(lambda keep: [
+        [[keep(v and grid_mul(grid, u, v)) for v in a] if u else [u] * len(a)
+         for u in row] for row in cells])
+
+
+class _Packed(Table):
+    """A table only read as a term's one factor: the sum of ``terms`` at each
+    basis triple, its den and norm known before the sweep that reads it
+    fills it with packed ints at the sweep's width."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Sequence[Term]):
+        super().__init__((), *_scaled(terms, {})[:2])
+        self.terms = terms
+
+
 def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
                         malcev: bool = True) -> list[Identity]:
     """SKEW plus JACOBI, or plus the two equivalent forms of the
@@ -388,18 +437,18 @@ def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
     grid = tensor_grid(bracket, dim)
     cell = grid.ints
     a, a2 = _twist_cols(structure)
-
-    def mul(u: Ivec, v: Ivec) -> Ivec:
-        return grid_mul(grid, u, v)
-
-    t = _table3(dim, lambda i, j, k: mul(cell[i][j], a[k]))       # [[e_i,e_j],a e_k]
-    jac = _table3(dim, lambda i, j, k: sv_add(t[i][j][k], t[j][k][i], t[k][i][j]))
     skew = ("SKEW", 2, [(1, None, (cell, "ij")), (1, None, (cell, "ji"))])
     if not malcev:
+        # J(e_i,e_j,e_k) = [[e_i,e_j],a e_k] + [[e_j,e_k],a e_i] + [[e_k,e_i],a e_j]
+        jac = _Packed([(1, grid, (cell, at[:2]), (a, at[2])) for at in ("ijk", "jki", "kij")])
         return [skew, ("JACOBI", 3, [(1, None, (jac, "ijk"))])]
-    ac = _table2(dim, lambda i, k: apply_cols(a, cell[i][k]))     # a[e_i,e_k]
-    aa = _table2(dim, lambda i, j: mul(a[i], a[j]))               # [a e_i,a e_j]
-    a_c = _table3(dim, lambda x, y, z: mul(a[x], cell[y][z]))     # [a e_j,[e_i,e_k]] at j,i,k
+    t = _right_a(grid, cell, a)                                     # [[e_i,e_j],a e_k]
+    jac = _tabulate(lambda keep: _table3(dim, lambda i, j, k: keep(
+        sv_add(t[i][j][k], t[j][k][i], t[k][i][j]))))
+    ac = _twisted(a, cell)                                          # a[e_i,e_k]
+    aa = _tabulate(lambda keep: [[keep(u and v and grid_mul(grid, u, v)) for v in a]
+                                 for u in a])                       # [a e_i,a e_j]
+    a_c = _left_a(grid, a, cell)                        # [a e_j,[e_i,e_k]] at j,i,k
 
     # HM-JAC: J(a e_i, a e_j, [e_i,e_k]) - [J(e_i,e_j,e_k), a^2 e_i], where
     # J(x,y,z) = [[x,y],a z] + [[y,z],a x] + [[z,x],a y] and jac is J at e_i,e_j,e_k
@@ -440,8 +489,7 @@ def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
     cell = grid.ints
     a, _ = _twist_cols(structure)
     # ALT-L and ALT-R read every associator twice each
-    asc = _table3(dim, lambda i, j, k: sv_sub(grid_mul(grid, cell[i][j], a[k]),
-                                              grid_mul(grid, a[i], cell[j][k])))
+    asc = _Packed([(1, grid, (cell, "ij"), (a, "k")), (-1, grid, (a, "i"), (cell, "jk"))])
     return [("ALT-L", 3, [(1, None, (asc, "ijk")), (1, None, (asc, "jik"))]),
             ("ALT-R", 3, [(1, None, (asc, "ijk")), (1, None, (asc, "ikj"))])]
 
@@ -454,14 +502,11 @@ def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
     d, c = dgrid.ints, cgrid.ints
     a, a2 = _twist_cols(structure)
 
-    def mul(u, v):
-        return grid_mul(dgrid, u, v)
-
-    ac = _table2(dim, lambda j, k: apply_cols(a, c[j][k]))            # a[e_j,e_k]
-    ad = _table2(dim, lambda i, l: apply_cols(a, d[i][l]))            # a(e_i e_l)
-    ca = _table3(dim, lambda i, j, k: grid_mul(cgrid, c[i][j], a[k]))  # [[e_i,e_j],a e_k]
-    c_a = _table3(dim, lambda i, k, l: mul(c[i][k], a[l]))            # [e_i,e_k](a e_l)
-    a_d = _table3(dim, lambda j, k, l: mul(a[j], d[k][l]))            # (a e_j)(e_k e_l)
+    ac = _twisted(a, c)                 # a[e_j,e_k]
+    ad = _twisted(a, d)                 # a(e_i e_l)
+    ca = _right_a(cgrid, c, a)          # [[e_i,e_j],a e_k]
+    c_a = _right_a(dgrid, c, a)         # [e_i,e_k](a e_l)
+    a_d = _left_a(dgrid, a, d)          # (a e_j)(e_k e_l)
     return [("HPM", 4, [(1, dgrid, (ac, "jk"), (ad, "il")), (1, dgrid, (ca, "ijk"), (a2, "l")),
                         (1, dgrid, (a2, "j"), (c_a, "ikl")), (-1, dgrid, (a2, "i"), (a_d, "jkl")),
                         (1, dgrid, (a2, "k"), (a_d, "ijl"))])]
@@ -473,7 +518,9 @@ def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
     (10-term) forms of the pre-Malcev law at one basis tuple; they agree
     identically."""
     dim = structure.dim
-    (_, _, hpm), = _identities_hom_pre_malcev(structure)
+    (_, _, terms), = hpm = _identities_hom_pre_malcev(structure)
+    w = _width(hpm, {})
+    packed, den = _evaluator(terms, w, {})
     dgrid = tensor_grid(structure.products[ProductRole.DOT], dim)
     dcell = dgrid.ints
     a, a2 = _twist_cols(structure)
@@ -484,7 +531,7 @@ def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
     def mul(u, v):
         return grid_mul(dgrid, u, v)
 
-    compact = _evaluator(hpm)(i, j, k, l)
+    compact = sv_unpack(packed(i, j, k, l), w, den)
     expanded = sv_add(
         mul(ap(dcell[j][k]), ap(dcell[i][l])),
         sv_neg(mul(ap(dcell[k][j]), ap(dcell[i][l]))),
@@ -514,20 +561,11 @@ def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
     a, a2 = _twist_cols(structure)
     lc, rc, dc, vc, cc = gl.ints, gr.ints, gdot.ints, gdia.ints, gcom.ints
 
-    def twisted(cells):     # a(cell) at every pair
-        return _table2(dim, lambda i, j: apply_cols(a, cells[i][j]))
-
-    def left_a(grid, cells):    # grid(a e_x, cells[y][z])
-        return _table3(dim, lambda x, y, z: grid_mul(grid, a[x], cells[y][z]))
-
-    def right_a(grid, cells):   # grid(cells[x][y], a e_z)
-        return _table3(dim, lambda x, y, z: grid_mul(grid, cells[x][y], a[z]))
-
-    ac, ar, av, ad, al = (twisted(cells) for cells in (cc, rc, vc, dc, lc))
-    dia_av, dot_ad, r_ad = left_a(gdia, vc), left_a(gdot, dc), left_a(gr, dc)
-    l_ar, l_al = left_a(gl, rc), left_a(gl, lc)
-    r_va, dot_ca, dia_ca = right_a(gr, vc), right_a(gdot, cc), right_a(gdia, cc)
-    com_ca, l_ca = right_a(gcom, cc), right_a(gl, cc)
+    ac, ar, av, ad, al = (_twisted(a, cells) for cells in (cc, rc, vc, dc, lc))
+    dia_av, dot_ad, r_ad = _left_a(gdia, a, vc), _left_a(gdot, a, dc), _left_a(gr, a, dc)
+    l_ar, l_al = _left_a(gl, a, rc), _left_a(gl, a, lc)
+    r_va, dot_ca, dia_ca = _right_a(gr, vc, a), _right_a(gdot, cc, a), _right_a(gdia, cc, a)
+    com_ca, l_ca = _right_a(gcom, cc, a), _right_a(gl, cc, a)
     return [
         ("MD1", 4, [(1, gr, (dia_av, "kji"), (a2, "l")), (-1, gr, (a2, "i"), (dot_ad, "jkl")),
                     (1, gl, (a2, "k"), (r_ad, "ijl")), (1, gl, (ac, "jk"), (ar, "il")),
@@ -557,12 +595,15 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
     p, s, st = gp.ints, gs.ints, gst.ints
 
     # the six kinds of product the ten axioms are sums of
-    s_sta = _table3(dim, lambda i, j, k: grid_mul(gs, st[i][j], a[k]))
-    s_as = _table3(dim, lambda i, j, k: grid_mul(gs, a[i], s[j][k]))
-    s_ap = _table3(dim, lambda i, j, k: grid_mul(gs, a[i], p[j][k]))
-    p_sa = _table3(dim, lambda i, j, k: grid_mul(gp, s[i][j], a[k]))
-    p_pa = _table3(dim, lambda i, j, k: grid_mul(gp, p[i][j], a[k]))
-    p_ast = _table3(dim, lambda i, j, k: grid_mul(gp, a[i], st[j][k]))
+    def product(grid, left, right):
+        return _Packed([(1, grid, left, right)])
+
+    s_sta = product(gs, (st, "ij"), (a, "k"))
+    s_as = product(gs, (a, "i"), (s, "jk"))
+    s_ap = product(gs, (a, "i"), (p, "jk"))
+    p_sa = product(gp, (s, "ij"), (a, "k"))
+    p_pa = product(gp, (p, "ij"), (a, "k"))
+    p_ast = product(gp, (a, "i"), (st, "jk"))
 
     # each law is x + y - z - w
     laws = {
@@ -588,9 +629,8 @@ def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
 
     def assoc(outer_l, inner_l, outer_r, inner_r):
         # QA1-QA9 read every associator of each kind twice
-        return _table3(dim, lambda i, j, k: sv_sub(
-            grid_mul(grids[outer_l], grids[inner_l].ints[i][j], a[k]),
-            grid_mul(grids[outer_r], a[i], grids[inner_r].ints[j][k])))
+        return _Packed([(1, grids[outer_l], (grids[inner_l].ints, "ij"), (a, "k")),
+                        (-1, grids[outer_r], (a, "i"), (grids[inner_r].ints, "jk"))])
 
     asc = {kind: assoc(*roles) for kind, roles in _QUADRI_ASSOCIATORS.items()}
     # QAn(i, j, k) = first(i, j, k) + second at (i, j, k) with two indices swapped
@@ -651,25 +691,61 @@ def _reader(table: list, at: str) -> Callable[[tuple], Ivec]:
     return lambda idx: table[idx[p]][idx[q]][idx[r]]
 
 
-def _evaluator(terms: Sequence[Term]) -> IdentityFn:
-    """The residual of a term list at one tuple; a term with an empty factor
-    is zero and is skipped without a multiplication."""
-    def compiled_term(sign, grid, left, right=None):
-        return sign, grid, _reader(*left), right and _reader(*right)
+def _scaled(terms: Sequence[Term], cache: dict) -> tuple[int, int, list[int]]:
+    """The common denominator ``den`` of ``terms``, a bound on every
+    coordinate of their sum over ``den`` (``|(u * v)_k| <= |u|_1 |v|_1
+    max|cell|``) and each term's coefficient over ``den``, kept in ``cache``."""
+    if id(terms) not in cache:
+        dens, norms = [], []
+        for _, grid, *factors in terms:
+            den, norm = (1, 1) if grid is None else (grid.den, grid.peak)
+            for t, _ in factors:
+                den, norm = den * t.den, norm * t.norm
+            dens.append(den)
+            norms.append(norm)
+        den = lcm(*dens)
+        coeffs = [term[0] * (den // d) for term, d in zip(terms, dens)]
+        cache[id(terms)] = den, sum(map(abs, map(int.__mul__, coeffs, norms))), coeffs
+    return cache[id(terms)]
 
-    compiled = [compiled_term(*term) for term in terms]
+
+def _width(identities: Sequence[Identity], cache: dict) -> int:
+    """The slot width of a sweep: two bits more than the largest residual
+    bound of its term lists, so every residual coordinate is below
+    ``2**(w-1)`` in absolute value.  Its packed residual is then zero exactly
+    when the residual is, and a passing check is still a proof."""
+    return max([_scaled(terms, cache)[1] for _, _, terms in identities
+                if not callable(terms)], default=0).bit_length() + 2
+
+
+def _evaluator(terms: Sequence[Term], w: int, cache: dict
+               ) -> tuple[Callable[..., int], int]:
+    """The residual of a term list at one tuple packed at slot width ``w``,
+    and its denominator.  A product term is :func:`exact.packed_mul` on its
+    grid, packed once into ``cache``; a term with an empty factor is skipped."""
+    den, _, coeffs = _scaled(terms, cache)
+    compiled = []
+    for c, (_, grid, left, *right) in zip(coeffs, terms):
+        read = _reader(*left)
+        if grid is not None:
+            if id(grid) not in cache:
+                cache[id(grid)] = grid_pack(grid, w)
+            compiled.append((c, read, _reader(*right[0]), cache[id(grid)]))
+        elif type(left[0]) is _Packed:
+            compiled.append((c, read, None, None))
+        else:
+            compiled.append((c, lambda idx, read=read: sv_pack(read(idx), w), None, None))
 
     def fn(*idx):
-        parts = []
-        for sign, grid, left, right in compiled:
+        r = 0
+        for c, left, right, packed in compiled:
             x = left(idx)
-            if x and grid is not None:
-                y = right(idx)
-                x = grid_mul(grid, x, y) if y else None
-            if x:
-                parts.append((sign, x))
-        return sv_lincomb(parts)
-    return fn
+            if x and packed is None:
+                r += c * x
+            elif x and (y := right(idx)):
+                r += c * packed_mul(packed, x, y)
+        return r
+    return fn, den
 
 
 def _violations(identities: Sequence[Identity], dim: int, *,
@@ -677,27 +753,33 @@ def _violations(identities: Sequence[Identity], dim: int, *,
     """Every nonzero residual of ``identities`` over ``range(dim) ** arity``.
     An identity given as a function is evaluated at every tuple; one given as
     a term list only at the tuples its terms can be nonzero at, every other
-    residual being zero.
+    residual being zero, on packed ints set up at its first such tuple.
 
-    With ``module_dim``, a residual is an integer matrix: each nonzero column
-    ``b`` is a violation at ``args + (b,)``."""
-    cache: dict = {}    # keyed by table ids, so it must not outlive the tables
+    With ``module_dim``, a residual of a function is an integer matrix: each
+    nonzero column ``b`` is a violation at ``args + (b,)``."""
+    cache: dict = {}    # keyed by object ids, so it must not outlive the identities
+    w = _width(identities, cache)
     for label, arity, fn in identities:
-        if callable(fn):
-            indices = itertools.product(range(dim), repeat=arity)
-        else:
-            indices, fn = candidates(fn, dim, arity, cache), _evaluator(fn)
-        if module_dim:
-            for idx in indices:
-                residual = fn(*idx)
+        if not callable(fn):
+            for t, _ in (factor for term in fn for factor in term[2:]):
+                if type(t) is _Packed and not t:
+                    t[:] = _table3(dim, _evaluator(t.terms, w, cache)[0])
+            evaluate = None
+            for idx in candidates(fn, dim, arity, cache):
+                if evaluate is None:
+                    evaluate, den = _evaluator(fn, w, cache)
+                residual = evaluate(*idx)
+                if residual:
+                    yield Violation(label, idx, sv_fractions(sv_unpack(residual, w, den)))
+            continue
+        for idx in itertools.product(range(dim), repeat=arity):
+            residual = fn(*idx)
+            if module_dim:
                 if any(residual):
                     yield from (Violation(label, idx + (b,), sv_fractions(col))
                                 for b, col in enumerate(mat_cols(residual)) if col)
-        else:
-            for idx in indices:
-                residual = fn(*idx)
-                if residual:
-                    yield Violation(label, idx, sv_fractions(residual))
+            elif residual:
+                yield Violation(label, idx, sv_fractions(residual))
 
 
 def _sweep(target: str, identities: Sequence[Identity],
@@ -776,8 +858,10 @@ def check(structure: HomStructure, cls: StructureClass, *,
             f"{sorted(r.value for r in structure.roles())}"
         )
     found: list[Violation] = []
-    for block in _blocks(structure):
-        part = _restrict(structure, block)
+    parts = [(block, _restrict(structure, block)) for block in _blocks(structure)]
+    # a block whose products are all zero has only zero residuals, since
+    # every term reads a product; one is swept regardless, for the arities
+    for block, part in [bp for bp in parts if any(bp[1].products.values())] or parts[:1]:
         identities = list(_CLASS_IDENTITIES[cls](part))
         if multiplicativity:
             identities.extend(_mult_identities(part, part.products))

@@ -33,7 +33,8 @@ from homalg import (
     check_rep,
     make_structure,
 )
-from homalg import pruning
+from homalg import pruning, structures
+from homalg.structures import _CLASS_IDENTITIES
 
 F = Fraction
 
@@ -631,6 +632,30 @@ def test_sparse_class_residuals_match_dense_fraction_evaluation(shape, cls, data
         mp.setattr(pruning, "PLAN_COST", 0)
         mp.setattr(pruning, "PRUNE_BELOW_FILL", float("inf"))
         assert_matches(check(structure, StructureClass(cls)), want)
+
+
+#: numerators near 2**100 over the coprime denominators: every residual
+#: bound, and so the slot width of a packed sweep, runs to hundreds of bits
+wide_st = st.builds(lambda n, s, d: F(s * n, d), st.integers(2 ** 99, 2 ** 100),
+                    st.sampled_from((1, -1)), st.sampled_from(COPRIME_DENS))
+
+
+@pytest.mark.parametrize("cls", sorted(SPARSE_CLASSES))
+@settings(max_examples=4, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_wide_residuals_match_dense_fraction_evaluation(cls, data):
+    """Packed residuals at slot widths far past a machine word are exact."""
+    roles, residuals, _ = SPARSE_CLASSES[cls]
+    n = 2
+    wide = st.lists(st.lists(wide_st, min_size=n, max_size=n), min_size=n, max_size=n)
+    tables = [data.draw(st.lists(wide, min_size=n, max_size=n)) for _ in roles]
+    a = data.draw(wide)
+    structure = make_structure(n, twist=a, products={
+        role: tensor_of(c) for role, c in zip(roles, tables)})
+    identities = _CLASS_IDENTITIES[StructureClass(cls)](structure)
+    # (a commutative star has a zero commutator: nothing wide to pack)
+    assume(structures._width(identities, {}) > 200)
+    assert_matches(check(structure, StructureClass(cls)), residuals(*tables, a))
 
 
 @st.composite

@@ -18,6 +18,7 @@ from homalg.exact import (
     as_imat,
     as_ivec,
     grid_mul,
+    grid_pack,
     mat_add,
     mat_cols,
     mat_fractions,
@@ -31,14 +32,17 @@ from homalg.exact import (
     mat_transpose,
     mat_zero,
     matrix,
+    packed_mul,
     push_product,
     sv_add,
     sv_fractions,
     sv_from_vector,
     sv_neg,
+    sv_pack,
     sv_scale,
     sv_sub,
     sv_to_vector,
+    sv_unpack,
     tensor_add,
     tensor_commutator,
     tensor_flip,
@@ -507,3 +511,55 @@ def test_mat_lincomb_cancels_to_exact_zero(m, p, q):
     got = mat_lincomb({0: p, 1: -q, 2: q}, [m, scaled, mat_zero(2, 3)], 2, 3)
     assert_canonical_matrix(got, mat_zero(2, 3))
     assert mat(mat_lincomb({}, [m], 2, 3)) == mat_zero(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# packed vectors
+# ---------------------------------------------------------------------------
+
+@st.composite
+def packable_st(draw):
+    """A slot width (up to 200 bits) and an integer vector whose coordinates
+    are below ``2**(w-1)`` in absolute value; runs of negative coordinates
+    and coordinates at the ends of the range make chains of borrows."""
+    w = draw(st.integers(2, 200))
+    top = (1 << (w - 1)) - 1
+    coord = st.one_of(st.integers(-top, top), st.sampled_from([-top, -1, 1, top]))
+    n = draw(st.integers(0, 8))
+    return w, {k: c for k in range(n) if (c := draw(coord))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(packable_st())
+def test_pack_unpack_round_trip(wv):
+    w, v = wv
+    r = sv_pack(v, w)
+    assert sv_unpack(r, w) == v
+    assert sv_unpack(r, w, 7).den == 7
+    # zero exactly when the vector is
+    assert (r == 0) == (not v)
+
+
+def test_pack_borrow_chains_and_wide_slots():
+    for w in (2, 3, 64, 65, 130):
+        top = (1 << (w - 1)) - 1
+        for v in ({k: -1 for k in range(6)}, {k: -top for k in range(5)},
+                  {0: top, 1: -top, 2: top, 3: -1, 5: -top},
+                  {k: (-1) ** k * top for k in range(7)}):
+            assert sv_unpack(sv_pack(v, w), w) == v
+            assert sv_pack(v, w) != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensor_st(), sparse_st(), sparse_st())
+def test_packed_mul_matches_grid_mul(t, u, v):
+    """The packed product on a packed grid is the pack of ``grid_mul``'s
+    numerators, at any width that holds them."""
+    grid = tensor_grid(t, KERNEL_DIM)
+    u, v = as_ivec(u), as_ivec(v)
+    want = grid_mul(grid, u, v)
+    norm = sum(map(abs, u.values())) * sum(map(abs, v.values())) * grid.peak
+    for w in (norm.bit_length() + 2, norm.bit_length() + 70):
+        got = packed_mul(grid_pack(grid, w), u, v)
+        assert sv_unpack(got, w) == want
+        assert (got == 0) == (not want)

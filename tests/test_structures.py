@@ -459,3 +459,64 @@ def test_grid_mul_calls_per_tuple(monkeypatch, build, cls, bound):
     assert report.passed
     assert calls[0] / report.tuples_checked <= bound
 
+
+@pytest.mark.parametrize("build, cls, calls", [
+    # 470 calls before empty operands were skipped, 410 of them on an empty
+    # operand; the 50 left multiply two nonzero operands to zero
+    (lambda: diagonal_copies("mdendri_sl2", 5, 16), C.HOM_M_DENDRIFORM, 50),
+    # 6,750 calls, 5,130 on an empty operand; the associator tables are now
+    # packed products, built without grid_mul
+    (lambda: diagonal_copies("quadri_trunc_poly", 3, 15), C.HOM_ALT_QUADRI, 0),
+    (mdendri_dim10, C.HOM_M_DENDRIFORM, 30),
+    (lambda: support.load_fixture_bundle("octonions_im").structure, C.HOM_MALCEV, 637),
+], ids=["mdendri_dim16-split", "quadri_trunc_poly_x3", "mdendri_dim10", "octonions_im"])
+def test_table_builds_skip_empty_operands(monkeypatch, build, cls, calls):
+    """A table entry with an empty operand is stored empty without a
+    ``grid_mul`` call, and the packed sweep itself makes none: the calls left
+    are the table entries of two nonzero operands, exactly."""
+    import homalg.structures as structures
+
+    seen = []
+    real = structures.grid_mul
+
+    def counted(grid, u, v):
+        seen.append(bool(u and v))
+        return real(grid, u, v)
+
+    structure = build()
+    monkeypatch.setattr(structures, "grid_mul", counted)
+    assert check(structure, cls).passed
+    assert all(seen)
+    assert len(seen) == calls
+
+
+def test_sweep_packs_only_the_grids_of_identities_it_visits(monkeypatch):
+    """An identity's packed evaluator is set up at its first candidate tuple:
+    on the G7 dim-16 sum, with the search for candidates forced, an identity
+    with no candidate packs no grid, and each grid read by some visited
+    identity is packed once per block."""
+    import homalg.structures as structures
+    from homalg import pruning
+
+    monkeypatch.setattr(pruning, "PLAN_COST", 0)
+    packed, swept, visited = [], [], []
+    real_pack, real_candidates = structures.grid_pack, structures.candidates
+
+    def grid_pack(grid, w):
+        packed.append(grid)
+        return real_pack(grid, w)
+
+    def candidates(terms, dim, arity, cache):
+        found = list(real_candidates(terms, dim, arity, cache))
+        swept.append(terms)
+        if found:
+            visited.append(terms)
+        return found
+
+    monkeypatch.setattr(structures, "grid_pack", grid_pack)
+    monkeypatch.setattr(structures, "candidates", candidates)
+    assert check(diagonal_copies("mdendri_sl2", 5, 16), C.HOM_M_DENDRIFORM).passed
+    assert 0 < len(visited) < len(swept)
+    want = {id(grid) for terms in visited for _, grid, *_ in terms if grid is not None}
+    assert len(packed) == len(want) == len({id(grid) for grid in packed})
+    assert {id(grid) for grid in packed} == want
