@@ -1,13 +1,12 @@
 """Time class checks of dense random structures, a ladder of dimensions.
 
-    python3 scripts/dense_ladder.py [--runs N] [--max-dim D] [--dims 6,8,12]
-                                    [--seed S] [--out BENCH.json]
+    python3 scripts/dense_ladder.py [--runs N] [--max-dim D] [--out BENCH_9.json]
 
-For each dimension in ``--dims`` up to ``--max-dim``, builds one seeded random
-structure per class (pre-Malcev, m-dendriform, Malcev-admissible): every
-structure constant and every twist entry is ``n/d`` with ``-9 <= n <= 9`` and
-``1 <= d <= 9``, so the products and the twist are dense and every check
-fails at most tuples.  Each structure is checked ``--runs`` times in this
+For each of the dimensions 6, 8 and 12 up to ``--max-dim``, builds one random
+structure per class (pre-Malcev, m-dendriform, Malcev-admissible) from the
+fixed seed ``SEED``: every structure constant and every twist entry is
+``n/d`` with ``-9 <= n <= 9`` and ``1 <= d <= 9``, so the products and the
+twist are dense and every check fails at most tuples.  Each structure is checked ``--runs`` times in this
 process; the JSON written to ``--out`` gives, per case, the median and the
 minimum wall time in seconds with the tuple and violation counts, which
 repeat from run to run.  Uses the ``src/`` next to this script; standard
@@ -30,6 +29,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from homalg.structures import CLASS_ROLES, StructureClass, check, make_structure  # noqa: E402
 
+SEED = 1
+DIMS = (6, 8, 12)
 CLASSES = (StructureClass.HOM_PRE_MALCEV, StructureClass.HOM_M_DENDRIFORM,
            StructureClass.HOM_MALCEV_ADMISSIBLE)
 
@@ -71,14 +72,11 @@ def run(args: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--max-dim", type=int, default=12)
-    parser.add_argument("--dims", default="6,8,12",
-                        help="comma-separated dimensions (default: 6,8,12)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
+    parser.add_argument("--out", type=Path, default=Path("BENCH_9.json"))
     opts = parser.parse_args(args)
-    dims = [d for d in map(int, opts.dims.split(",")) if d <= opts.max_dim]
+    dims = [d for d in DIMS if d <= opts.max_dim]
     result = {"python": platform.python_version(), "runs": opts.runs,
-              "seed": opts.seed, "cases": ladder(dims, opts.runs, opts.seed)}
+              "seed": SEED, "cases": ladder(dims, opts.runs, SEED)}
     opts.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -434,9 +434,7 @@ def tensor_grid(t: Tensor, dim: int) -> Grid:
             sizes = list(map(abs, nums.values()))
             norm, peak = max(norm, sum(sizes)), max(peak, *sizes)
             ints[i][j] = _ivec(nums, den)
-    grid.ints = Table(ints, den, norm)
-    grid.den = den
-    grid.peak = peak
+    grid.ints, grid.den, grid.peak = Table(ints, den, norm), den, peak
     return grid
 
 
@@ -476,14 +474,15 @@ def sv_unpack(r: int, w: int, den: int = 1) -> Ivec:
     return _ivec({k: d for k, d in out.items() if d}, den)
 
 
-def grid_pack(grid: Grid, w: int) -> list[list[int]]:
-    """``packed[a][b]``: the integer cell of ``e_a e_b`` packed at width ``w``."""
-    return [[sv_pack(cell, w) for cell in row] for row in grid.ints]
+def grid_pack(cells: list[list[Ivec]], w: int) -> list[list[int]]:
+    """``packed[a][b]``: ``cells[a][b]`` (a grid's ``ints``: the integer cell
+    of ``e_a e_b``) packed at width ``w``."""
+    return [[sv_pack(cell, w) for cell in row] for row in cells]
 
 
 def packed_mul(packed: list[list[int]], u: Ivec, v: Ivec) -> int:
     """``sum of u_a * v_b * packed[a][b]``: the numerators of ``u * v`` on a
-    grid packed by :func:`grid_pack`, packed."""
+    grid whose cells :func:`grid_pack` packed, packed."""
     vv = v.items()
     r = 0
     for a, x in u.items():

@@ -22,6 +22,7 @@ from .exact import (
     Tensor,
     Vector,
     apply_cols,
+    as_imat,
     as_ivec,
     grid_mul,
     grid_pack,
@@ -35,7 +36,6 @@ from .exact import (
     sv_fractions,
     sv_from_vector,
     sv_neg,
-    sv_pack,
     sv_sub,
     sv_to_vector,
     sv_unpack,
@@ -379,54 +379,74 @@ def _table3(dim: int, fn: Callable) -> list:
             for i in range(dim)]
 
 
-def _tabulate(build: Callable[[Callable], list]) -> Table:
-    """The Ivec table ``build(keep)`` makes, recording the denominator and
-    largest L1 norm of the nonzero entries as ``keep`` is called on each (a
-    kernel puts its result over the product of its operands' denominators)."""
-    nonzero: list[Ivec] = []
-    rows = build(lambda v: v and nonzero.append(v) or v)    # keep(v) is v
-    den, = {v.den for v in nonzero} or {1}      # and fails if two disagree
-    return Table(rows, den, max([sum(map(abs, v.values())) for v in nonzero], default=0))
+def _table(rows: list, den: int, depth: int) -> Table:
+    """``rows``, lists nested ``depth`` deep of Ivecs over ``den`` (a kernel's
+    operands' denominators multiplied), as a Table with their largest L1 norm."""
+    flat = rows
+    for _ in range(depth - 1):
+        flat = [v for row in flat for v in row]
+    return Table(rows, den, max([sum(map(abs, v.values())) for v in flat if v], default=0))
 
 
 def _twist_cols(structure: HomStructure) -> tuple[Table, Table]:
-    twist = structure.twist
-    return tuple(_tabulate(lambda keep, m=m: list(map(keep, mat_cols(m))))
-                 for m in (twist, mat_mul(twist, twist)))
+    a = as_imat(structure.twist)
+    return tuple(_table(list(mat_cols(m)), m.den, 1) for m in (a, mat_mul(a, a)))
 
 
 # A product with an empty operand is stored as that operand, with no call.
 
-def _twisted(a: Table, cells: list) -> Table:
+def _twisted(a: Table, cells: Table) -> Table:
     """``a(cells[x][y])``."""
-    return _tabulate(lambda keep: [[keep(u and apply_cols(a, u)) for u in row]
-                                   for row in cells])
+    return _table([[u and apply_cols(a, u) for u in row] for row in cells],
+                  a.den * cells.den, 2)
 
 
-def _left_a(grid: Grid, a: Table, cells: list) -> Table:
+def _left_a(grid: Grid, a: Table, cells: Table) -> Table:
     """``grid(a e_x, cells[y][z])``."""
-    return _tabulate(lambda keep: [
-        [[keep(v and grid_mul(grid, u, v)) for v in row] for row in cells]
-        if u else [[u] * len(a)] * len(a) for u in a])
+    return _table([[[u and v and grid_mul(grid, u, v) for v in row] for row in cells]
+                   for u in a], grid.den * a.den * cells.den, 3)
 
 
-def _right_a(grid: Grid, cells: list, a: Table) -> Table:
+def _right_a(grid: Grid, cells: Table, a: Table) -> Table:
     """``grid(cells[x][y], a e_z)``."""
-    return _tabulate(lambda keep: [
-        [[keep(v and grid_mul(grid, u, v)) for v in a] if u else [u] * len(a)
-         for u in row] for row in cells])
+    return _table([[[u and v and grid_mul(grid, u, v) for v in a] for u in row]
+                   for row in cells], grid.den * cells.den * a.den, 3)
+
+
+class _Terms(list):
+    """A term list with its common denominator ``den``, each term's
+    coefficient over ``den`` in ``coeffs``, and in ``bound`` a bound on every
+    coordinate of the sum over ``den`` (``|(u * v)_k| <= |u|_1 |v|_1
+    max|cell|``), all found from its factors' and grids' records."""
+
+    __slots__ = ("den", "coeffs", "bound")
+
+    def __init__(self, terms: Iterable[Term]):
+        super().__init__(terms)
+        dens, norms = [], []
+        for _, grid, (t, _), *right in self:
+            if grid is not None:
+                (u, _), = right
+                dens.append(t.den * u.den * grid.den)
+                norms.append(t.norm * u.norm * grid.peak)
+            else:
+                dens.append(t.den)
+                norms.append(t.norm)
+        self.den = lcm(*dens)
+        self.coeffs = [term[0] * (self.den // d) for term, d in zip(self, dens)]
+        self.bound = sum(map(abs, map(int.__mul__, self.coeffs, norms)))
 
 
 class _Packed(Table):
     """A table only read as a term's one factor: the sum of ``terms`` at each
-    basis triple, its den and norm known before the sweep that reads it
-    fills it with packed ints at the sweep's width."""
+    basis triple, whose den and norm come from its inputs.  A sweep fills it
+    with packed ints at its width (see :func:`_violations`)."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Sequence[Term]):
-        super().__init__((), *_scaled(terms, {})[:2])
-        self.terms = terms
+    def __init__(self, terms: Iterable[Term]):
+        self.terms = _Terms(terms)
+        super().__init__((), self.terms.den, self.terms.bound)
 
 
 def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
@@ -443,11 +463,11 @@ def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
         jac = _Packed([(1, grid, (cell, at[:2]), (a, at[2])) for at in ("ijk", "jki", "kij")])
         return [skew, ("JACOBI", 3, [(1, None, (jac, "ijk"))])]
     t = _right_a(grid, cell, a)                                     # [[e_i,e_j],a e_k]
-    jac = _tabulate(lambda keep: _table3(dim, lambda i, j, k: keep(
-        sv_add(t[i][j][k], t[j][k][i], t[k][i][j]))))
+    jac = _table(_table3(dim, lambda i, j, k: sv_add(t[i][j][k], t[j][k][i], t[k][i][j])),
+                 t.den, 3)
     ac = _twisted(a, cell)                                          # a[e_i,e_k]
-    aa = _tabulate(lambda keep: [[keep(u and v and grid_mul(grid, u, v)) for v in a]
-                                 for u in a])                       # [a e_i,a e_j]
+    aa = _table([[u and v and grid_mul(grid, u, v) for v in a] for u in a],
+                grid.den * a.den * a.den, 2)                        # [a e_i,a e_j]
     a_c = _left_a(grid, a, cell)                        # [a e_j,[e_i,e_k]] at j,i,k
 
     # HM-JAC: J(a e_i, a e_j, [e_i,e_k]) - [J(e_i,e_j,e_k), a^2 e_i], where
@@ -518,9 +538,10 @@ def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
     (10-term) forms of the pre-Malcev law at one basis tuple; they agree
     identically."""
     dim = structure.dim
-    (_, _, terms), = hpm = _identities_hom_pre_malcev(structure)
-    w = _width(hpm, {})
-    packed, den = _evaluator(terms, w, {})
+    (_, _, terms), = _identities_hom_pre_malcev(structure)
+    terms = _Terms(terms)
+    w = _width([terms])
+    packed = _evaluator(terms, w, {})
     dgrid = tensor_grid(structure.products[ProductRole.DOT], dim)
     dcell = dgrid.ints
     a, a2 = _twist_cols(structure)
@@ -531,7 +552,7 @@ def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
     def mul(u, v):
         return grid_mul(dgrid, u, v)
 
-    compact = sv_unpack(packed(i, j, k, l), w, den)
+    compact = sv_unpack(packed((i, j, k, l)), w, terms.den)
     expanded = sv_add(
         mul(ap(dcell[j][k]), ap(dcell[i][l])),
         sv_neg(mul(ap(dcell[k][j]), ap(dcell[i][l]))),
@@ -691,86 +712,80 @@ def _reader(table: list, at: str) -> Callable[[tuple], Ivec]:
     return lambda idx: table[idx[p]][idx[q]][idx[r]]
 
 
-def _scaled(terms: Sequence[Term], cache: dict) -> tuple[int, int, list[int]]:
-    """The common denominator ``den`` of ``terms``, a bound on every
-    coordinate of their sum over ``den`` (``|(u * v)_k| <= |u|_1 |v|_1
-    max|cell|``) and each term's coefficient over ``den``, kept in ``cache``."""
-    if id(terms) not in cache:
-        dens, norms = [], []
-        for _, grid, *factors in terms:
-            den, norm = (1, 1) if grid is None else (grid.den, grid.peak)
-            for t, _ in factors:
-                den, norm = den * t.den, norm * t.norm
-            dens.append(den)
-            norms.append(norm)
-        den = lcm(*dens)
-        coeffs = [term[0] * (den // d) for term, d in zip(terms, dens)]
-        cache[id(terms)] = den, sum(map(abs, map(int.__mul__, coeffs, norms))), coeffs
-    return cache[id(terms)]
-
-
-def _width(identities: Sequence[Identity], cache: dict) -> int:
+def _width(sums: Iterable[_Terms]) -> int:
     """The slot width of a sweep: two bits more than the largest residual
     bound of its term lists, so every residual coordinate is below
     ``2**(w-1)`` in absolute value.  Its packed residual is then zero exactly
     when the residual is, and a passing check is still a proof."""
-    return max([_scaled(terms, cache)[1] for _, _, terms in identities
-                if not callable(terms)], default=0).bit_length() + 2
+    return max([terms.bound for terms in sums], default=0).bit_length() + 2
 
 
-def _evaluator(terms: Sequence[Term], w: int, cache: dict
-               ) -> tuple[Callable[..., int], int]:
-    """The residual of a term list at one tuple packed at slot width ``w``,
-    and its denominator.  A product term is :func:`exact.packed_mul` on its
-    grid, packed once into ``cache``; a term with an empty factor is skipped."""
-    den, _, coeffs = _scaled(terms, cache)
-    compiled = []
-    for c, (_, grid, left, *right) in zip(coeffs, terms):
-        read = _reader(*left)
-        if grid is not None:
-            if id(grid) not in cache:
-                cache[id(grid)] = grid_pack(grid, w)
-            compiled.append((c, read, _reader(*right[0]), cache[id(grid)]))
-        elif type(left[0]) is _Packed:
-            compiled.append((c, read, None, None))
+def _evaluator(terms: _Terms, w: int, packs: dict) -> Callable[[tuple], int]:
+    """The residual of a term list at one tuple, over ``terms.den`` and
+    packed at slot width ``w``.  A product term is :func:`exact.packed_mul`
+    on its grid's cells, packed once into ``packs``, and skipped where a
+    factor is empty; a one-factor term reads a :class:`_Packed` table, or
+    a table of cells packed the same way."""
+    def pack(cells: list) -> list[list[int]]:
+        if id(cells) not in packs:
+            packs[id(cells)] = grid_pack(cells, w)
+        return packs[id(cells)]
+
+    singles, products = [], []
+    for c, (_, grid, (table, at), *right) in zip(terms.coeffs, terms):
+        if grid is None:
+            singles.append((c, _reader(table if type(table) is _Packed else pack(table), at)))
         else:
-            compiled.append((c, lambda idx, read=read: sv_pack(read(idx), w), None, None))
+            products.append((c, _reader(table, at), _reader(*right[0]), pack(grid.ints)))
 
-    def fn(*idx):
+    def fn(idx):
         r = 0
-        for c, left, right, packed in compiled:
+        for c, read in singles:
+            r += c * read(idx)
+        for c, left, right, packed in products:
             x = left(idx)
-            if x and packed is None:
-                r += c * x
-            elif x and (y := right(idx)):
+            if x and (y := right(idx)):
                 r += c * packed_mul(packed, x, y)
         return r
-    return fn, den
+    return fn
 
 
 def _violations(identities: Sequence[Identity], dim: int, *,
                 module_dim: int = 0) -> Iterator[Violation]:
     """Every nonzero residual of ``identities`` over ``range(dim) ** arity``.
-    An identity given as a function is evaluated at every tuple; one given as
-    a term list only at the tuples its terms can be nonzero at, every other
-    residual being zero, on packed ints set up at its first such tuple.
+    An identity given as a function is evaluated at every tuple; one given
+    as a term list only at the tuples its terms can be nonzero at, every
+    other residual being zero, on packed ints set up at its first such tuple.
+    A :class:`_Packed` table is filled likewise, before the first identity
+    reading it is swept, and is 0 off its own terms' candidates.
 
     With ``module_dim``, a residual of a function is an integer matrix: each
     nonzero column ``b`` is a violation at ``args + (b,)``."""
-    cache: dict = {}    # keyed by object ids, so it must not outlive the identities
-    w = _width(identities, cache)
+    identities = [(label, arity, fn if callable(fn) else _Terms(fn))
+                  for label, arity, fn in identities]
+    cache: dict = {}    # pruning supports, keyed by table ids
+    packs: dict = {}    # packed cell tables, keyed by table ids
+    w = 0               # the slot width, found at the first tuple visited
+
+    def setup(terms: _Terms) -> Callable[[tuple], int]:
+        nonlocal w
+        w = w or _width(fn for _, _, fn in identities if not callable(fn))
+        return _evaluator(terms, w, packs)
+
     for label, arity, fn in identities:
         if not callable(fn):
             for t, _ in (factor for term in fn for factor in term[2:]):
                 if type(t) is _Packed and not t:
-                    t[:] = _table3(dim, _evaluator(t.terms, w, cache)[0])
+                    t[:] = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+                    fill = None
+                    for idx in candidates(t.terms, dim, 3, cache):
+                        fill = fill or setup(t.terms)
+                        t[idx[0]][idx[1]][idx[2]] = fill(idx)
             evaluate = None
             for idx in candidates(fn, dim, arity, cache):
-                if evaluate is None:
-                    evaluate, den = _evaluator(fn, w, cache)
-                residual = evaluate(*idx)
-                if residual:
-                    yield Violation(label, idx, sv_fractions(sv_unpack(residual, w, den)))
+                evaluate = evaluate or setup(fn)
+                if r := evaluate(idx):
+                    yield Violation(label, idx, sv_fractions(sv_unpack(r, w, fn.den)))
             continue
         for idx in itertools.product(range(dim), repeat=arity):
             residual = fn(*idx)

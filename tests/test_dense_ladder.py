@@ -16,13 +16,8 @@ TUPLES = {"hom-pre-malcev": lambda n: n ** 4,
           "hom-malcev-admissible": lambda n: n ** 2 + n ** 3 + n ** 4}
 
 
-def test_ladder_writes_one_case_per_class_and_dimension(tmp_path):
-    out = tmp_path / "ladder.json"
-    assert dense_ladder.run(["--runs", "1", "--dims", "2,3,6", "--max-dim", "3",
-                             "--out", str(out)]) == 0
-    result = json.loads(out.read_text())
-    assert result["runs"] == 1
-    cases = result["cases"]
+def test_ladder_gives_one_case_per_class_and_dimension():
+    cases = dense_ladder.ladder([2, 3], 1, dense_ladder.SEED)
     assert [(c["dim"], c["class"]) for c in cases] == [
         (n, cls) for n in (2, 3) for cls in TUPLES]
     for case in cases:
@@ -30,6 +25,14 @@ def test_ladder_writes_one_case_per_class_and_dimension(tmp_path):
         # dense random structures fail their class
         assert 0 < case["violations"] <= case["tuples"]
         assert 0 < case["min_s"] <= case["median_s"]
+
+
+def test_run_writes_the_cases_below_max_dim(tmp_path):
+    out = tmp_path / "ladder.json"
+    assert dense_ladder.run(["--runs", "1", "--max-dim", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "python": dense_ladder.platform.python_version(), "runs": 1,
+        "seed": dense_ladder.SEED, "cases": []}
 
 
 def test_random_structures_repeat_per_seed():

@@ -654,7 +654,7 @@ def test_wide_residuals_match_dense_fraction_evaluation(cls, data):
         role: tensor_of(c) for role, c in zip(roles, tables)})
     identities = _CLASS_IDENTITIES[StructureClass(cls)](structure)
     # (a commutative star has a zero commutator: nothing wide to pack)
-    assume(structures._width(identities, {}) > 200)
+    assume(structures._width(structures._Terms(t) for _, _, t in identities) > 200)
     assert_matches(check(structure, StructureClass(cls)), residuals(*tables, a))
 
 

@@ -560,6 +560,6 @@ def test_packed_mul_matches_grid_mul(t, u, v):
     want = grid_mul(grid, u, v)
     norm = sum(map(abs, u.values())) * sum(map(abs, v.values())) * grid.peak
     for w in (norm.bit_length() + 2, norm.bit_length() + 70):
-        got = packed_mul(grid_pack(grid, w), u, v)
+        got = packed_mul(grid_pack(grid.ints, w), u, v)
         assert sv_unpack(got, w) == want
         assert (got == 0) == (not want)

@@ -502,9 +502,9 @@ def test_sweep_packs_only_the_grids_of_identities_it_visits(monkeypatch):
     packed, swept, visited = [], [], []
     real_pack, real_candidates = structures.grid_pack, structures.candidates
 
-    def grid_pack(grid, w):
-        packed.append(grid)
-        return real_pack(grid, w)
+    def grid_pack(cells, w):
+        packed.append(cells)
+        return real_pack(cells, w)
 
     def candidates(terms, dim, arity, cache):
         found = list(real_candidates(terms, dim, arity, cache))
@@ -517,6 +517,6 @@ def test_sweep_packs_only_the_grids_of_identities_it_visits(monkeypatch):
     monkeypatch.setattr(structures, "candidates", candidates)
     assert check(diagonal_copies("mdendri_sl2", 5, 16), C.HOM_M_DENDRIFORM).passed
     assert 0 < len(visited) < len(swept)
-    want = {id(grid) for terms in visited for _, grid, *_ in terms if grid is not None}
-    assert len(packed) == len(want) == len({id(grid) for grid in packed})
-    assert {id(grid) for grid in packed} == want
+    want = {id(grid.ints) for terms in visited for _, grid, *_ in terms if grid is not None}
+    assert len(packed) == len(want) == len({id(cells) for cells in packed})
+    assert {id(cells) for cells in packed} == want
