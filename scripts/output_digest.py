@@ -7,7 +7,10 @@ bundles, so that two versions of the code can be compared byte for byte.
 Runs through ``homalg.cli.main`` in-process, on every packaged fixture, on
 every bundle given (a directory stands for the ``*.json`` files under it) and,
 with ``--workloads SEED``, on every bundle the workloads of ``bench/`` write
-at that seed (generated into a temporary directory, which is removed after):
+at that seed, and on the ``block-sparse`` direct sums as they are before the
+workload drops their representations and the operators on them (in
+``block-sparse-reps/``), all generated into a temporary directory, which is
+removed after:
 
 - ``check --format json`` for every class whose product roles the bundle
   carries, and once more with ``--multiplicativity`` for its declared class;
@@ -75,6 +78,20 @@ def workload_bundles(seed: int, into: Path) -> list[Path]:
             workdir.mkdir(parents=True)
             getattr(workloads, name.replace("-", "_"))(seed, workdir)
             paths.extend(sorted(workdir.glob("*.json")))
+        # the block-sparse sums again, keeping their representations: only
+        # the bundles that differ from the workload's own are kept
+        workdir = into / "block-sparse-reps"
+        workdir.mkdir()
+        without_reps, workloads.without_reps = workloads.without_reps, lambda s: s
+        try:
+            workloads.block_sparse(seed, workdir)
+        finally:
+            workloads.without_reps = without_reps
+        for path in sorted(workdir.glob("*.json")):
+            if path.read_bytes() == (into / "block-sparse" / path.name).read_bytes():
+                path.unlink()
+            else:
+                paths.append(path)
     finally:
         os.chdir(cwd)
     return paths

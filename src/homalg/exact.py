@@ -9,14 +9,14 @@ tensors mapping a basis pair ``(i, j)`` to the sparse coordinate vector of
 Inside a sweep every value is integer numerators over one denominator: an
 :class:`Ivec` (sparse vector) or an :class:`Imat` (flat row-major matrix).
 The kernels (``grid_mul``, ``apply_cols``, ``sv_*``, ``mat_mul``,
-``mat_add``, ``mat_sub``, ``mat_lincomb``) take and return these forms and
+``mat_sub``, ``mat_lincomb``) take and return these forms and
 sum every term as an ``int``; a plain ``Fraction`` mapping or tuple matrix
 passed to one is converted on entry.  Numerators are not reduced, so two
 integer forms of one value may differ: compare values by testing their
 difference for zero.  Canonical ``Fraction`` values are built only where a
 value leaves the engine (:func:`sv_fractions`, :func:`mat_fractions`).
-A class sweep packs each integer vector into one ``int`` (:func:`sv_pack`),
-so a residual at a tuple is a few big-int multiply-adds (:func:`packed_mul`).
+A sweep packs each integer vector into one ``int`` (:func:`sv_pack`), so a
+residual at a tuple is a few big-int multiply-adds (:func:`packed_mul`).
 """
 from __future__ import annotations
 
@@ -152,23 +152,15 @@ def mat_zero(rows: int, cols: int) -> Matrix:
     return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
 
 
-def _mat_sum(a, b, sign: int) -> Imat:
+def mat_sub(a, b) -> Imat:
     a, b = as_imat(a), as_imat(b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise DimensionMismatch(
             f"matrix shapes differ: {(a.rows, a.cols)} vs {(b.rows, b.cols)}")
     den = lcm(a.den, b.den)
-    fa, fb = den // a.den, sign * (den // b.den)
+    fa, fb = den // a.den, -(den // b.den)
     return _imat(map(add, map(fa.__mul__, a), map(fb.__mul__, b)), den,
                  a.rows, a.cols)
-
-
-def mat_add(a, b) -> Imat:
-    return _mat_sum(a, b, 1)
-
-
-def mat_sub(a, b) -> Imat:
-    return _mat_sum(a, b, -1)
 
 
 def mat_mul(a, b) -> Imat:
@@ -301,14 +293,6 @@ def sv_neg(u: Mapping) -> Ivec:
     return _ivec({k: -n for k, n in u.items()}, u.den)
 
 
-def sv_scale(c, u: Mapping) -> Ivec:
-    cn, cd = as_fraction(c).as_integer_ratio()
-    if not cn or not u:
-        return _EMPTY
-    u = as_ivec(u)
-    return _ivec({k: cn * n for k, n in u.items()}, cd * u.den)
-
-
 def mat_col(m: Imat, j: int) -> Ivec:
     """The sparse integer image of ``e_j``: column ``j`` of ``m``."""
     return _ivec({r: n for r, n in enumerate(m[j::m.cols]) if n}, m.den)
@@ -412,7 +396,9 @@ class Table(list):
 
 
 class Grid(list):
-    """``grid[i][j]`` is the Fraction cell of ``e_i * e_j`` (None when absent).
+    """``grid[i][j]`` is the Fraction cell of ``e_i * e_j`` (None when absent),
+    for ``e_i`` and ``e_j`` from the two input bases, which may differ (a
+    representation's action multiplies a base vector into a module vector).
 
     ``ints[i][j]`` is the same cell as an :class:`Ivec` over the grid's
     common denominator ``den`` (empty when absent), and ``peak`` the largest
@@ -422,10 +408,13 @@ class Grid(list):
     __slots__ = ("ints", "den", "peak")
 
 
-def tensor_grid(t: Tensor, dim: int) -> Grid:
-    grid = Grid([None] * dim for _ in range(dim))
+def tensor_grid(t: Tensor, rows: int, cols: int | None = None) -> Grid:
+    """The grid of ``t`` over ``rows`` left and ``cols`` (``rows`` if None)
+    right basis vectors."""
+    cols = rows if cols is None else cols
+    grid = Grid([None] * cols for _ in range(rows))
     den = lcm(*[v.denominator for cell in t.values() for v in cell.values()])
-    ints = [[_EMPTY] * dim for _ in range(dim)]
+    ints = [[_EMPTY] * cols for _ in range(rows)]
     norm = peak = 0
     for (i, j), cell in t.items():
         grid[i][j] = cell
@@ -474,10 +463,11 @@ def sv_unpack(r: int, w: int, den: int = 1) -> Ivec:
     return _ivec({k: d for k, d in out.items() if d}, den)
 
 
-def grid_pack(cells: list[list[Ivec]], w: int) -> list[list[int]]:
-    """``packed[a][b]``: ``cells[a][b]`` (a grid's ``ints``: the integer cell
-    of ``e_a e_b``) packed at width ``w``."""
-    return [[sv_pack(cell, w) for cell in row] for row in cells]
+def grid_pack(cells: list, w: int) -> list:
+    """``cells``, lists of integer vectors nested to any depth (a grid's
+    ``ints``: ``cells[a][b]`` the integer cell of ``e_a e_b``), with every
+    vector packed at width ``w``."""
+    return [grid_pack(c, w) if isinstance(c, list) else sv_pack(c, w) for c in cells]
 
 
 def packed_mul(packed: list[list[int]], u: Ivec, v: Ivec) -> int:

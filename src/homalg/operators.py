@@ -10,31 +10,26 @@ from typing import Mapping, Sequence
 
 from .exact import (
     DimensionMismatch,
-    Imat,
-    Ivec,
+    Grid,
     Matrix,
+    Table,
     Tensor,
     apply_cols,
     as_fraction,
     as_imat,
-    as_ivec,
     grid_mul,
-    mat_col,
     mat_cols,
     mat_fractions,
     mat_inverse,
     mat_kernel_vector,
-    mat_lincomb,
     mat_mul,
     mat_shape,
     mat_sub,
     mat_transpose,
     matrix as to_matrix,
     push_product,
-    sv_add,
     sv_basis,
     sv_fractions,
-    sv_scale,
     sv_sub,
     tensor_commutator,
     tensor_from_entries,
@@ -57,7 +52,11 @@ from .structures import (
     RoleMismatch,
     UnknownKind,
     Violation,
+    _columns,
+    _pair,
     _sweep,
+    _twist_cols,
+    _twisted,
     check_morphism,
     make_structure,
 )
@@ -150,38 +149,43 @@ class BilinearForm(Record):
 # operator verification
 # ---------------------------------------------------------------------------
 
+def _basis(n: int) -> Table:
+    """The basis vectors, as a one-index table."""
+    return Table(sv_basis(n), 1, 1)
+
+
 def _rota_baxter_identities(structure: HomStructure,
                             w: OperatorWitness) -> list[Identity]:
+    """RB-<role> = R e_i * R e_j - R(R e_i * e_j + e_i * R e_j + lam e_i * e_j)
+    for every stored product, and RB-TWIST = a R e_i - R a e_i."""
     n = structure.dim
     if mat_shape(w.matrix) != (n, n):
         raise DimensionMismatch(
             f"operator is {mat_shape(w.matrix)[0]}x{mat_shape(w.matrix)[1]} "
             f"but the structure has dimension {n}"
         )
-    rcols = mat_cols(w.matrix)
-    lam = w.weight
-    basis = sv_basis(n)
-
-    def rb(grid):
-        def fn(i, j):
-            ri, rj, ei, ej = rcols[i], rcols[j], basis[i], basis[j]
-            inner = sv_add(grid_mul(grid, ri, ej), grid_mul(grid, ei, rj))
-            if lam:
-                inner = sv_add(inner, sv_scale(lam, grid_mul(grid, ei, ej)))
-            return sv_sub(grid_mul(grid, ri, rj), apply_cols(rcols, inner))
-        return fn
-
-    acols = mat_cols(structure.twist)
-    identities = [(f"RB-{role.value}", 2, rb(_grid(structure, role)))
-                  for role in sorted(structure.products, key=lambda r: r.value)]
-    identities.append(("RB-TWIST", 1, lambda i: sv_sub(
-        apply_cols(acols, rcols[i]), apply_cols(rcols, acols[i]))))
+    rm, am = as_imat(w.matrix), as_imat(structure.twist)
+    r, e = _columns(rm), _basis(n)
+    lam_r = w.weight and _columns([[w.weight * x for x in row] for row in w.matrix])
+    identities = []
+    for role in sorted(structure.products, key=lambda r: r.value):
+        grid = _grid(structure, role)
+        terms = [(1, grid, (r, "i"), (r, "j")),
+                 (-1, None, (_twisted(r, _pair(grid, r, e)), "ij")),
+                 (-1, None, (_twisted(r, _pair(grid, e, r)), "ij"))]
+        if lam_r:
+            terms.append((-1, None, (_twisted(lam_r, grid.ints), "ij")))
+        identities.append((f"RB-{role.value}", 2, terms))
+    twist = mat_sub(mat_mul(am, rm), mat_mul(rm, am))
+    identities.append(("RB-TWIST", 1, [(1, None, (_columns(twist), "i"))]))
     return identities
 
 
 def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identity]:
-    """OOP-TWIST, and for each product with its (left, right) action pair
-    ``T x * T y - T(left(T x) y +/- right(T y) x)`` over module basis pairs."""
+    """OOP-TWIST = a T e_x - T beta e_x, and for each product with its
+    (left, right) action pair
+    ``T e_x * T e_y - T(left(T e_x) e_y +/- right(T e_y) e_x)`` over module
+    basis pairs."""
     rep = w.rep
     assert rep is not None
     n, m = structure.dim, rep.module_dim
@@ -194,9 +198,9 @@ def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identit
     if roles == MALCEV_ACTIONS:
         if ProductRole.BRACKET not in structure.products:
             raise RoleMismatch("a rho-action operator check needs the bracket role")
-        laws = [(ProductRole.BRACKET, ActionRole.RHO, ActionRole.RHO, sv_sub)]
+        laws = [(ProductRole.BRACKET, ActionRole.RHO, ActionRole.RHO, -1)]
     elif roles == PRE_MALCEV_ACTIONS:
-        laws = [(role, ActionRole.LEFT, ActionRole.RIGHT, sv_add)
+        laws = [(role, ActionRole.LEFT, ActionRole.RIGHT, 1)
                 for role in (ProductRole.DOT, ProductRole.STAR)
                 if role in structure.products]
         if not laws:
@@ -209,27 +213,26 @@ def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identit
                 "a split-action operator check needs the prec and succ roles"
             )
         laws = [
-            (ProductRole.PREC, ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC, sv_add),
-            (ProductRole.SUCC, ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC, sv_add),
+            (ProductRole.PREC, ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC, 1),
+            (ProductRole.SUCC, ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC, 1),
         ]
     else:
         raise RoleMismatch(
             f"no operator identity for action roles {sorted(r.value for r in roles)}"
         )
-    tcols = mat_cols(w.matrix)
+    tm = as_imat(w.matrix)
+    t, f = _columns(tm), _basis(m)
 
-    def oop(grid, left, right, sign):
-        def fn(a, b):
-            inner = sign(_act_col(left, tcols[a], b, m), _act_col(right, tcols[b], a, m))
-            return sv_sub(grid_mul(grid, tcols[a], tcols[b]), apply_cols(tcols, inner))
-        return fn
+    def act(role):
+        """``T(role(T e_x) e_y)``."""
+        return _twisted(t, _pair(rep.grid(rep.action(role)), t, f))
 
-    twist = mat_cols(mat_sub(mat_mul(structure.twist, w.matrix),
-                             mat_mul(w.matrix, rep.module_twist)))
-    identities = [("OOP-TWIST", 1, lambda b: twist[b])]
+    twist = mat_sub(mat_mul(structure.twist, tm), mat_mul(tm, rep.module_twist))
+    identities = [("OOP-TWIST", 1, [(1, None, (_columns(twist), "i"))])]
     identities.extend(
-        (f"OOP-{role.value}", 2, oop(_grid(structure, role), rep.int_slices(left),
-                                     rep.int_slices(right), sign))
+        (f"OOP-{role.value}", 2, [(1, _grid(structure, role), (t, "i"), (t, "j")),
+                                  (-1, None, (act(left), "ij")),
+                                  (-sign, None, (act(right), "ji"))])
         for role, left, right, sign in laws)
     return identities
 
@@ -330,18 +333,15 @@ def _carrier_structure(structure: HomStructure,
     )
 
 
-def _act_col(slices: Sequence[Imat], coeffs: Ivec, b: int, m: int) -> Ivec:
-    return mat_col(mat_lincomb(coeffs, slices, m, m), b)
-
-
 def _induce_malcev_to_premalcev_oop(structure, w):
     rep = _require_oop(w, "malcev-to-premalcev-oop", MALCEV_ACTIONS)
     _require_roles(structure, [ProductRole.BRACKET], "malcev-to-premalcev-oop")
     _require_valid(structure, w, "malcev-to-premalcev-oop")
     tcols = mat_cols(w.matrix)
-    rho = rep.int_slices(ActionRole.RHO)
+    rho = rep.grid(rep.action(ActionRole.RHO))
     m = rep.module_dim
-    dot = _tensor_from_fn(m, lambda a, b: _act_col(rho, tcols[a], b, m))
+    f = sv_basis(m)
+    dot = _tensor_from_fn(m, lambda a, b: grid_mul(rho, tcols[a], f[b]))
     return _module_structure(rep, {ProductRole.DOT: dot}, "malcev-to-premalcev-oop")
 
 
@@ -364,11 +364,12 @@ def _induce_premalcev_to_mdendriform_oop(structure, w):
     _require_roles(structure, [ProductRole.DOT], "premalcev-to-mdendriform-oop")
     _require_valid(structure, w, "premalcev-to-mdendriform-oop")
     tcols = mat_cols(w.matrix)
-    ell = rep.int_slices(ActionRole.LEFT)
-    arr = rep.int_slices(ActionRole.RIGHT)
+    ell = rep.grid(rep.action(ActionRole.LEFT))
+    arr = rep.grid(rep.action(ActionRole.RIGHT))
     m = rep.module_dim
-    tr = _tensor_from_fn(m, lambda a, b: _act_col(arr, tcols[b], a, m))
-    tl = _tensor_from_fn(m, lambda a, b: _act_col(ell, tcols[a], b, m))
+    f = sv_basis(m)
+    tr = _tensor_from_fn(m, lambda a, b: grid_mul(arr, tcols[b], f[a]))
+    tl = _tensor_from_fn(m, lambda a, b: grid_mul(ell, tcols[a], f[b]))
     return _module_structure(rep, {ProductRole.TRI_RIGHT: tr, ProductRole.TRI_LEFT: tl},
                              "premalcev-to-mdendriform-oop")
 
@@ -401,24 +402,15 @@ def _induce_premalcev_compatible_dendriform(structure, w):
         )
     t_inv = mat_inverse(w.matrix)  # SingularMatrix when not invertible
     _require_valid(structure, w, recipe)
-    ell = rep.int_slices(ActionRole.LEFT)
-    arr = rep.int_slices(ActionRole.RIGHT)
+    ell = rep.grid(rep.action(ActionRole.LEFT))
+    arr = rep.grid(rep.action(ActionRole.RIGHT))
     n = structure.dim
     ticols = mat_cols(t_inv)
     tcols = mat_cols(w.matrix)
-
-    def tr_fn(i, j):
-        # x > y = T(r(y) T^-1(x))
-        vec = apply_cols(mat_cols(arr[j]), ticols[i])
-        return apply_cols(tcols, vec)
-
-    def tl_fn(i, j):
-        # x < y = T(l(x) T^-1(y))
-        vec = apply_cols(mat_cols(ell[i]), ticols[j])
-        return apply_cols(tcols, vec)
-
-    tr = _tensor_from_fn(n, tr_fn)
-    tl = _tensor_from_fn(n, tl_fn)
+    e = sv_basis(n)
+    # x > y = T(r(y) T^-1(x)) and x < y = T(l(x) T^-1(y))
+    tr = _tensor_from_fn(n, lambda i, j: apply_cols(tcols, grid_mul(arr, e[j], ticols[i])))
+    tl = _tensor_from_fn(n, lambda i, j: apply_cols(tcols, grid_mul(ell, e[i], ticols[j])))
     return _carrier_structure(structure,
                               {ProductRole.TRI_RIGHT: tr, ProductRole.TRI_LEFT: tl},
                               recipe)
@@ -430,11 +422,12 @@ def _induce_alternative_to_prealt_oop(structure, w):
     _require_roles(structure, [ProductRole.STAR], recipe)
     _require_valid(structure, w, recipe)
     tcols = mat_cols(w.matrix)
-    ell = rep.int_slices(ActionRole.LEFT)
-    arr = rep.int_slices(ActionRole.RIGHT)
+    ell = rep.grid(rep.action(ActionRole.LEFT))
+    arr = rep.grid(rep.action(ActionRole.RIGHT))
     m = rep.module_dim
-    succ = _tensor_from_fn(m, lambda a, b: _act_col(ell, tcols[a], b, m))
-    prec = _tensor_from_fn(m, lambda a, b: _act_col(arr, tcols[b], a, m))
+    f = sv_basis(m)
+    succ = _tensor_from_fn(m, lambda a, b: grid_mul(ell, tcols[a], f[b]))
+    prec = _tensor_from_fn(m, lambda a, b: grid_mul(arr, tcols[b], f[a]))
     return _module_structure(rep, {ProductRole.PREC: prec, ProductRole.SUCC: succ},
                              recipe)
 
@@ -464,15 +457,15 @@ def _induce_prealt_to_quadri_oop(structure, w):
     _require_valid(structure, w, recipe)
     tcols = mat_cols(w.matrix)
     m = rep.module_dim
-    lp = rep.int_slices(ActionRole.LEFT_PREC)
-    rp = rep.int_slices(ActionRole.RIGHT_PREC)
-    ls = rep.int_slices(ActionRole.LEFT_SUCC)
-    rs = rep.int_slices(ActionRole.RIGHT_SUCC)
+    f = sv_basis(m)
+    lp, rp, ls, rs = (rep.grid(rep.action(role)) for role in (
+        ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC, ActionRole.LEFT_SUCC,
+        ActionRole.RIGHT_SUCC))
     products = {
-        ProductRole.SE: _tensor_from_fn(m, lambda a, b: _act_col(ls, tcols[a], b, m)),
-        ProductRole.NE: _tensor_from_fn(m, lambda a, b: _act_col(rs, tcols[b], a, m)),
-        ProductRole.SW: _tensor_from_fn(m, lambda a, b: _act_col(lp, tcols[a], b, m)),
-        ProductRole.NW: _tensor_from_fn(m, lambda a, b: _act_col(rp, tcols[b], a, m)),
+        ProductRole.SE: _tensor_from_fn(m, lambda a, b: grid_mul(ls, tcols[a], f[b])),
+        ProductRole.NE: _tensor_from_fn(m, lambda a, b: grid_mul(rs, tcols[b], f[a])),
+        ProductRole.SW: _tensor_from_fn(m, lambda a, b: grid_mul(lp, tcols[a], f[b])),
+        ProductRole.NW: _tensor_from_fn(m, lambda a, b: grid_mul(rp, tcols[b], f[a])),
     }
     return _module_structure(rep, products, recipe)
 
@@ -589,10 +582,10 @@ def induce_pair(structure: HomStructure, r1: OperatorWitness,
 # Hessian forms
 # ---------------------------------------------------------------------------
 
-def _form_eval(b: Imat, u: Ivec, v: Ivec) -> int:
-    """The numerator of ``b(u, v)`` over ``u.den * b.den * v.den``."""
-    n = b.cols
-    return sum(cu * b[r * n + c] * cv for r, cu in u.items() for c, cv in v.items())
+def _form_grid(b: Matrix) -> Grid:
+    """The bilinear form ``b`` as a product with one output coordinate, 0."""
+    return tensor_grid({(r, c): {0: v} for r, row in enumerate(b)
+                        for c, v in enumerate(row) if v}, len(b))
 
 
 def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
@@ -609,12 +602,6 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     n = structure.dim
     b = form.matrix
     alpha = structure.twist
-    grid = _grid(structure, ProductRole.DOT)
-    cells = grid.ints
-    acols = mat_cols(alpha)
-    bi = as_imat(b)
-    # every cell is over grid.den and every column over one twist denominator
-    cocycle_den = grid.den * bi.den * acols[0].den
     violations: list[Violation] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -624,26 +611,16 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     kernel = mat_kernel_vector(b)
     if kernel is not None:
         violations.append(Violation("HESS-NONDEG", (), kernel))
-    # each residual is a number, kept as entry 0 of a vector over its
-    # denominator; the identities return 0 for a zero residual
-    inv = mat_sub(mat_mul(mat_transpose(alpha), mat_mul(b, alpha)), b)
-    inv_unit = as_ivec({0: Fraction(1, inv.den)})
-    cocycle_unit = as_ivec({0: Fraction(1, cocycle_den)})
-
-    def hess_inv(i, j):
-        val = inv[i * n + j]
-        return val and sv_scale(val, inv_unit)
-
-    def cocycle(i, j, k):
-        val = (
-            _form_eval(bi, cells[i][j], acols[k])
-            - _form_eval(bi, acols[i], cells[j][k])
-            - _form_eval(bi, cells[j][i], acols[k])
-            + _form_eval(bi, acols[j], cells[i][k])
-        )
-        return val and sv_scale(val, cocycle_unit)
-
-    return _sweep("hessian", [("HESS-INV", 2, hess_inv), ("HESS-COCYCLE", 3, cocycle)],
+    # each residual is a number, kept as entry 0 of a vector
+    inv = _form_grid(mat_fractions(mat_sub(mat_mul(mat_transpose(alpha), mat_mul(b, alpha)), b)))
+    form_grid = _form_grid(b)
+    d = _grid(structure, ProductRole.DOT).ints
+    a, _ = _twist_cols(alpha)
+    # HESS-COCYCLE = b(e_i e_j, a e_k) - b(a e_i, e_j e_k) - b(e_j e_i, a e_k) + b(a e_j, e_i e_k)
+    cocycle = [(1, form_grid, (d, "ij"), (a, "k")), (-1, form_grid, (a, "i"), (d, "jk")),
+               (-1, form_grid, (d, "ji"), (a, "k")), (1, form_grid, (a, "j"), (d, "ik"))]
+    return _sweep("hessian", [("HESS-INV", 2, [(1, None, (inv.ints, "ij"))]),
+                              ("HESS-COCYCLE", 3, cocycle)],
                   n, start, violations=violations, tuples=n * (n - 1) // 2 + 1)
 
 
@@ -713,14 +690,13 @@ def check_oop_endomorphism(w: OperatorWitness, phiA: Matrix,
         raise DimensionMismatch(f"module map must be {m}x{m}, got {mat_shape(phiV)}")
     if any(mat_sub(mat_mul(w.matrix, phiV), mat_mul(phiA, w.matrix))):
         return False
-    pa_cols = mat_cols(phiA)
-    phiV = as_imat(phiV)
+    pa_cols, pv_cols = mat_cols(phiA), mat_cols(phiV)
+    # each action X: X(phiA e_i) phiV e_b = phiV X(e_i) e_b
     for role in sorted(rep.actions, key=lambda r: r.value):
-        slices = rep.int_slices(role)
-        for i in range(n):
-            twisted = mat_lincomb(pa_cols[i], slices, m, m)
-            if any(mat_sub(mat_mul(twisted, phiV), mat_mul(phiV, slices[i]))):
-                return False
+        grid = rep.grid(rep.action(role))
+        if any(sv_sub(grid_mul(grid, pa_cols[i], pv_cols[b]), apply_cols(pv_cols, grid.ints[i][b]))
+               for i in range(n) for b in range(m)):
+            return False
     return True
 
 

@@ -70,12 +70,12 @@ def _join_steps(factors: Sequence[tuple[list, str]], support: Callable) -> tuple
     return steps, itemgetter(*[order.index(p) for p in range(len(order))])
 
 
-def candidates(terms: Sequence[tuple], dim: int, arity: int,
+def candidates(terms: Sequence[tuple], sizes: Sequence[int],
                cache: dict) -> Iterable[tuple[int, ...]]:
-    """Every tuple at which some term has all its factors nonzero, found one
-    leading index at a time; at any other tuple every term, and so the
-    residual, is zero.  ``cache`` keeps each table's nonzero entries across
-    the identities of a sweep.
+    """Every tuple, index ``p`` in ``range(sizes[p])``, at which some term has
+    all its factors nonzero, found one leading index at a time; at any other
+    tuple every term, and so the residual, is zero.  ``cache`` keeps each
+    table's nonzero entries across the identities of a sweep.
 
     Where the fills of its factors, multiplied and summed over the terms,
     show the candidates are likely to be most tuples, or where there are too
@@ -87,16 +87,18 @@ def candidates(terms: Sequence[tuple], dim: int, arity: int,
             cache[id(table)] = _support(table, depth)
         return cache[id(table)]
 
+    def fill(table, at):
+        return len(support(table, len(at))) / prod(sizes[p] for p in positions(at))
+
     factor_lists = [factors for _, _, *factors in terms]
-    if dim ** arity < PLAN_COST * len(terms) or PRUNE_BELOW_FILL < sum(
-            prod(len(support(t, len(at))) / dim ** len(at) for t, at in factors)
-            for factors in factor_lists) or any(
-            set(positions("".join(at for _, at in factors))) != set(range(arity))
+    if prod(sizes) < PLAN_COST * len(terms) or PRUNE_BELOW_FILL < sum(
+            prod(fill(t, at) for t, at in factors) for factors in factor_lists) or any(
+            set(positions("".join(at for _, at in factors))) != set(range(len(sizes)))
             for factors in factor_lists):
-        yield from itertools.product(range(dim), repeat=arity)
+        yield from itertools.product(*map(range, sizes))
         return
     plans = [_join_steps(factors, support) for factors in factor_lists]
-    for i in range(dim):
+    for i in range(sizes[0]):
         found = set()
         for steps, in_order in plans:
             rows = [(i,)]

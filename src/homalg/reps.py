@@ -2,26 +2,27 @@
 duals, and semidirect products.
 
 An action is stored as one module-sized matrix per basis element of the base
-algebra; all identity checks sweep base-basis tuples crossed with module basis
-vectors and report exact residual columns.
+algebra.  A check reads it as a bilinear map base x module -> module, a
+:class:`~homalg.exact.Grid` whose cell at ``(s, b)`` is ``rho(e_s) e_b``,
+and writes each axiom as a term list like a class identity (see
+``structures``): its last index is a module basis vector ``b``, so each
+residual is the image of ``e_b`` under one side minus the other, an exact
+residual column.
 """
 from __future__ import annotations
 
 import time
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exact import (
     DimensionMismatch,
-    Imat,
+    Grid,
     Ivec,
     Matrix,
     Tensor,
-    apply_cols,
-    as_imat,
     grid_mul,
-    mat_add,
     mat_cols,
     mat_fractions,
     mat_identity,
@@ -32,25 +33,29 @@ from .exact import (
     mat_sub,
     mat_transpose,
     matrix,
-    sv_add,
     sv_basis,
     sv_fractions,
     tensor_add,
     tensor_commutator,
     tensor_from_entries,
     tensor_grid,
+    tensor_sub,
 )
 from .structures import (
     CheckReport,
     HomStructure,
+    Identity,
     ProductRole,
     Record,
     RoleMismatch,
     StructureClass,
+    _left_a,
     _mult_identities,
+    _pair,
+    _right_a,
     _sweep,
-    _table2,
-    _table3,
+    _twist_cols,
+    _twisted,
     derived_product,
     make_structure,
 )
@@ -124,236 +129,130 @@ class Representation(Record):
     def roles(self) -> frozenset[ActionRole]:
         return frozenset(self.actions)
 
-    def int_slices(self, role: ActionRole) -> tuple[Imat, ...]:
-        """The slices of action ``role`` as integer matrices, for a sweep."""
-        return tuple(as_imat(s) for s in self.actions[role])
+    def action(self, role: ActionRole) -> Tensor:
+        """Action ``role`` as a product tensor base x module -> module: ``(s, b)``
+        maps to ``role(e_s) e_b``, column ``b`` of slice ``s``."""
+        return {(s, b): cell for s, mat in enumerate(self.actions[role])
+                for b in range(self.module_dim)
+                if (cell := {r: row[b] for r, row in enumerate(mat) if row[b]})}
+
+    def grid(self, action: Tensor) -> Grid:
+        """The grid of an action tensor (one :meth:`action`, or a sum)."""
+        return tensor_grid(action, self.base.dim, self.module_dim)
 
 
-MatIdentity = tuple[str, int, Callable[..., Imat]]
+def _malcev_action_identities(base: HomStructure, bracket: Tensor, act: Grid,
+                              beta: Matrix) -> list[Identity]:
+    """The equivariance and four-term laws of the Malcev-type action ``act``
+    of ``bracket`` on a module twisted by ``beta``:
+    MREP-EQ = rho(a e_i) beta - beta rho(e_i),
+    MREP-4T = rho([[e_i,e_j],a e_k]) beta^2 - rho(a^2 e_i) rho(a e_j) rho(e_k)
+        + rho(a^2 e_k) rho(a e_i) rho(e_j) - rho(a^2 e_j) rho([e_k,e_i]) beta
+        + rho(a[e_j,e_k]) rho(a e_i) beta."""
+    grid = tensor_grid(bracket, base.dim)
+    cell, rho = grid.ints, act.ints
+    a, a2 = _twist_cols(base.twist)
+    b, b2 = _twist_cols(beta)
+    rho_b = _pair(act, a, b)                # rho(a e_x) beta e_y
+    rho_rho = _left_a(act, a, rho)          # rho(a e_x) rho(e_y) e_z
+    return [
+        ("MREP-EQ", 2, [(1, None, (rho_b, "ij")), (-1, None, (_twisted(b, rho), "ij"))]),
+        ("MREP-4T", 4, [(1, act, (_right_a(grid, cell, a), "ijk"), (b2, "l")),
+                        (-1, act, (a2, "i"), (rho_rho, "jkl")),
+                        (1, act, (a2, "k"), (rho_rho, "ijl")),
+                        (-1, act, (a2, "j"), (_right_a(act, cell, b), "kil")),
+                        (1, act, (_twisted(a, cell), "jk"), (rho_b, "il"))]),
+    ]
 
 
-def _malcev_action_identities(dim: int, bracket: Tensor, alpha: Matrix,
-                              rho: Sequence[Imat], beta: Matrix,
-                              m: int) -> list[MatIdentity]:
-    """The equivariance and four-term action laws for a Malcev-type action."""
-    grid = tensor_grid(bracket, dim)
-    cell = grid.ints
-    acols = mat_cols(alpha)
-    a2cols = mat_cols(mat_mul(alpha, alpha))
-    beta = as_imat(beta)
-    beta2 = mat_mul(beta, beta)
-
-    def rho_of(sv: Ivec) -> Imat:
-        return mat_lincomb(sv, rho, m, m)
-
-    rho_a = [rho_of(acols[i]) for i in range(dim)]
-    rho_a2 = [rho_of(a2cols[i]) for i in range(dim)]
-    # rho(x) beta^2 is the combination of the rho(e_s) beta^2
-    rho_b2 = [mat_mul(r, beta2) for r in rho]
-    rho_a_b = [mat_mul(r, beta) for r in rho_a]
-    a2_a = _table2(dim, lambda i, j: mat_mul(rho_a2[i], rho_a[j]))
-    cell_b = _table2(dim, lambda k, i: mat_mul(rho_of(cell[k][i]), beta))
-    a_cell = _table2(dim, lambda j, k: rho_of(apply_cols(acols, cell[j][k])))
-
-    def eq(i):
-        return mat_sub(mat_mul(rho_a[i], beta), mat_mul(beta, rho[i]))
-
-    def four(i, j, k):
-        lhs = mat_lincomb(grid_mul(grid, cell[i][j], acols[k]), rho_b2, m, m)
-        rhs = mat_sub(mat_mul(a2_a[i][j], rho[k]), mat_mul(a2_a[k][i], rho[j]))
-        rhs = mat_add(rhs, mat_mul(rho_a2[j], cell_b[k][i]))
-        rhs = mat_sub(rhs, mat_mul(a_cell[j][k], rho_a_b[i]))
-        return mat_sub(lhs, rhs)
-
-    return [("MREP-EQ", 1, eq), ("MREP-4T", 3, four)]
-
-
-def _pre_malcev_rep_identities(rep: Representation) -> list[MatIdentity]:
+def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
+    """The Malcev laws of the left action over the commutator, and PMREP-1..4
+    with rho = l - r (see tests/test_differential.py for the formulas)."""
     base = rep.base
-    dim, m = base.dim, rep.module_dim
     dot = base.products[ProductRole.DOT]
-    dgrid = tensor_grid(dot, dim)
-    cgrid = tensor_grid(tensor_commutator(dot), dim)
-    acols = mat_cols(base.twist)
-    a2cols = mat_cols(mat_mul(base.twist, base.twist))
-    beta = as_imat(rep.module_twist)
-    beta2 = mat_mul(beta, beta)
-    ell = rep.int_slices(ActionRole.LEFT)
-    arr = rep.int_slices(ActionRole.RIGHT)
-    rho = tuple(mat_sub(ell[i], arr[i]) for i in range(dim))
+    com = tensor_commutator(dot)
+    dgrid = tensor_grid(dot, base.dim)
+    d, c = dgrid.ints, tensor_grid(com, base.dim).ints
+    a, a2 = _twist_cols(base.twist)
+    b, b2 = _twist_cols(rep.module_twist)
+    left, right = rep.action(ActionRole.LEFT), rep.action(ActionRole.RIGHT)
+    L, R, P = rep.grid(left), rep.grid(right), rep.grid(tensor_sub(left, right))
 
-    def l_of(sv):
-        return mat_lincomb(sv, ell, m, m)
-
-    def r_of(sv):
-        return mat_lincomb(sv, arr, m, m)
-
-    def rho_of(sv):
-        return mat_lincomb(sv, rho, m, m)
-
-    l_a = [l_of(acols[i]) for i in range(dim)]
-    l_a2 = [l_of(a2cols[i]) for i in range(dim)]
-    r_a = [r_of(acols[i]) for i in range(dim)]
-    r_a2 = [r_of(a2cols[i]) for i in range(dim)]
-    rho_a = [rho_of(acols[i]) for i in range(dim)]
-    d, c = dgrid.ints, cgrid.ints
-    # r(x) beta^2 is the combination of the r(e_s) beta^2
-    r_b2 = [mat_mul(x, beta2) for x in arr]
-    r_a_b = [mat_mul(x, beta) for x in r_a]
-    rho_a_b = [mat_mul(x, beta) for x in rho_a]
-    r2_rho = _table2(dim, lambda i, j: mat_mul(r_a2[i], rho_a[j]))
-    l2_r = _table2(dim, lambda k, i: mat_mul(l_a2[k], r_a[i]))
-    l2_l = _table2(dim, lambda j, k: mat_mul(l_a2[j], l_a[k]))
-    rd_b = _table2(dim, lambda k, i: mat_mul(r_of(d[k][i]), beta))
-    rhoc_b = _table2(dim, lambda j, k: mat_mul(rho_of(c[j][k]), beta))
-    l_ac = _table2(dim, lambda j, k: l_of(apply_cols(acols, c[j][k])))
-    r_ad = _table2(dim, lambda k, i: r_of(apply_cols(acols, d[k][i])))
-    # (a e_x)(e_y e_z), read by both PMREP-2 and PMREP-4
-    a_d = _table3(dim, lambda x, y, z: grid_mul(dgrid, acols[x], d[y][z]))
-
-    identities = _malcev_action_identities(
-        dim, tensor_commutator(dot), base.twist, ell, beta, m
-    )
-
-    def pm1(i):
-        return mat_sub(mat_mul(beta, arr[i]), mat_mul(r_a[i], beta))
-
-    def pm2(i, j, k):
-        acc = mat_mul(r2_rho[i][j], rho[k])
-        acc = mat_sub(acc, mat_lincomb(a_d[k][j][i], r_b2, m, m))
-        acc = mat_add(acc, mat_mul(l_a2[j], rd_b[k][i]))
-        acc = mat_add(acc, mat_mul(l_ac[j][k], r_a_b[i]))
-        return mat_sub(acc, mat_mul(l2_r[k][i], rho[j]))
-
-    def pm3(i, j, k):
-        acc = mat_mul(l2_l[j][k], arr[i])
-        acc = mat_sub(acc, mat_mul(r2_rho[i][j], rho[k]))
-        acc = mat_sub(acc, mat_mul(l_a2[k], rd_b[j][i]))
-        acc = mat_sub(acc, mat_mul(r_ad[k][i], rho_a_b[j]))
-        return mat_add(acc, mat_lincomb(grid_mul(dgrid, c[k][j], acols[i]), r_b2, m, m))
-
-    def pm4(i, j, k):
-        acc = mat_lincomb(a_d[j][k][i], r_b2, m, m)
-        acc = mat_add(acc, mat_mul(r_a2[i], rhoc_b[j][k]))
-        acc = mat_sub(acc, mat_mul(l2_l[j][k], arr[i]))
-        acc = mat_add(acc, mat_mul(r_ad[j][i], rho_a_b[k]))
-        return mat_add(acc, mat_mul(l2_r[k][i], rho[j]))
-
-    identities.extend([
-        ("PMREP-1", 1, pm1),
-        ("PMREP-2", 3, pm2),
-        ("PMREP-3", 3, pm3),
-        ("PMREP-4", 3, pm4),
-    ])
-    return identities
+    a_d = _left_a(dgrid, a, d)              # (a e_x)(e_y e_z)
+    ad = _twisted(a, d)                     # a(e_x e_y)
+    r_b, p_b = _pair(R, a, b), _pair(P, a, b)                   # r(a e_x) beta e_y
+    p_p, r_p = _left_a(P, a, P.ints), _left_a(R, a, P.ints)     # rho(a e_x) rho(e_y) e_z
+    l_r = _left_a(L, a, R.ints)             # l(a e_x) r(e_y) e_z
+    r_db = _right_a(R, d, b)                # r(e_x e_y) beta e_z
+    return _malcev_action_identities(base, com, L, rep.module_twist) + [
+        ("PMREP-1", 2, [(1, None, (_twisted(b, R.ints), "ij")), (-1, None, (r_b, "ij"))]),
+        ("PMREP-2", 4, [(1, R, (a2, "i"), (p_p, "jkl")), (-1, R, (a_d, "kji"), (b2, "l")),
+                        (1, L, (a2, "j"), (r_db, "kil")),
+                        (1, L, (_twisted(a, c), "jk"), (r_b, "il")),
+                        (-1, L, (a2, "k"), (r_p, "ijl"))]),
+        ("PMREP-3", 4, [(1, L, (a2, "j"), (l_r, "kil")), (-1, R, (a2, "i"), (p_p, "jkl")),
+                        (-1, L, (a2, "k"), (r_db, "jil")), (-1, R, (ad, "ki"), (p_b, "jl")),
+                        (1, R, (_right_a(dgrid, c, a), "kji"), (b2, "l"))]),
+        ("PMREP-4", 4, [(1, R, (a_d, "jki"), (b2, "l")),
+                        (1, R, (a2, "i"), (_right_a(P, c, b), "jkl")),
+                        (-1, L, (a2, "j"), (l_r, "kil")), (1, R, (ad, "ji"), (p_b, "kl")),
+                        (1, L, (a2, "k"), (r_p, "ijl"))]),
+    ]
 
 
 def _pre_alternative_rep_identities(rep: Representation, *,
-                                    equivariance: bool) -> list[MatIdentity]:
+                                    equivariance: bool) -> list[Identity]:
+    """PABM-1..10 of the split actions, and with ``equivariance`` PA-EQ-*
+    (see tests/test_differential.py for the formulas)."""
     base = rep.base
-    dim, m = base.dim, rep.module_dim
     prec = base.products[ProductRole.PREC]
     succ = base.products[ProductRole.SUCC]
-    pgrid = tensor_grid(prec, dim)
-    sgrid = tensor_grid(succ, dim)
-    stgrid = tensor_grid(tensor_add(prec, succ), dim)
-    acols = mat_cols(base.twist)
-    beta = as_imat(rep.module_twist)
-    Lp = rep.int_slices(ActionRole.LEFT_PREC)
-    Rp = rep.int_slices(ActionRole.RIGHT_PREC)
-    Ls = rep.int_slices(ActionRole.LEFT_SUCC)
-    Rs = rep.int_slices(ActionRole.RIGHT_SUCC)
-    L = tuple(mat_add(Lp[i], Ls[i]) for i in range(dim))
-    R = tuple(mat_add(Rp[i], Rs[i]) for i in range(dim))
+    p, s, st = (tensor_grid(t, base.dim).ints for t in (prec, succ, tensor_add(prec, succ)))
+    a, _ = _twist_cols(base.twist)
+    b, _ = _twist_cols(rep.module_twist)
+    A = ActionRole
+    lp, rp, ls, rs = (rep.action(role) for role in
+                      (A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC))
+    Lp, Rp, Ls, Rs, L, R = (rep.grid(t) for t in (lp, rp, ls, rs, tensor_add(lp, ls),
+                                                  tensor_add(rp, rs)))
 
-    def lp_of(sv):
-        return mat_lincomb(sv, Lp, m, m)
+    def acts(sign, x, i, y, j):
+        """``sign x(a e_i) y(e_j) e_k``."""
+        return (sign, x, (a, i), (y.ints, j + "k"))
 
-    def rp_of(sv):
-        return mat_lincomb(sv, Rp, m, m)
+    def twisted(sign, x, cells, at):
+        """``sign x(cells[at]) beta e_k``."""
+        return (sign, x, (cells, at), (b, "k"))
 
-    def ls_of(sv):
-        return mat_lincomb(sv, Ls, m, m)
-
-    def rs_of(sv):
-        return mat_lincomb(sv, Rs, m, m)
-
-    lp_a = [lp_of(acols[i]) for i in range(dim)]
-    rp_a = [rp_of(acols[i]) for i in range(dim)]
-    ls_a = [ls_of(acols[i]) for i in range(dim)]
-    rs_a = [rs_of(acols[i]) for i in range(dim)]
-
-    def p(i, j):
-        return pgrid.ints[i][j]
-
-    def s(i, j):
-        return sgrid.ints[i][j]
-
-    def st(i, j):
-        return stgrid.ints[i][j]
-
-    def pabm1(i, j):
-        lhs = mat_mul(ls_of(sv_add(st(i, j), st(j, i))), beta)
-        return mat_sub(lhs, mat_add(mat_mul(ls_a[i], Ls[j]), mat_mul(ls_a[j], Ls[i])))
-
-    def pabm2(i, j):
-        lhs = mat_mul(rs_a[j], mat_add(L[i], R[i]))
-        rhs = mat_add(mat_mul(ls_a[i], Rs[j]), mat_mul(rs_of(s(i, j)), beta))
-        return mat_sub(lhs, rhs)
-
-    def pabm3(i, j):
-        lhs = mat_add(mat_mul(rp_a[j], Ls[i]), mat_mul(rp_a[j], Rp[i]))
-        rhs = mat_add(mat_mul(ls_a[i], Rp[j]), mat_mul(rp_of(st(i, j)), beta))
-        return mat_sub(lhs, rhs)
-
-    def pabm4(i, j):
-        lhs = mat_add(mat_mul(rp_a[j], Rs[i]), mat_mul(rp_a[j], Lp[i]))
-        rhs = mat_add(mat_mul(lp_a[i], R[j]), mat_mul(rs_of(p(i, j)), beta))
-        return mat_sub(lhs, rhs)
-
-    def pabm5(i, j):
-        lhs = mat_add(mat_mul(lp_of(p(j, i)), beta), mat_mul(lp_of(s(i, j)), beta))
-        rhs = mat_add(mat_mul(lp_a[j], L[i]), mat_mul(ls_a[i], Lp[j]))
-        return mat_sub(lhs, rhs)
-
-    def pabm6(i, j):
-        lhs = mat_add(mat_mul(rp_a[i], Ls[j]), mat_mul(ls_of(st(j, i)), beta))
-        rhs = mat_add(mat_mul(ls_a[j], Rp[i]), mat_mul(ls_a[j], Ls[i]))
-        return mat_sub(lhs, rhs)
-
-    def pabm7(i, j):
-        lhs = mat_add(mat_mul(rp_a[i], Rs[j]), mat_mul(rs_a[j], R[i]))
-        rhs = mat_add(mat_mul(rs_of(p(j, i)), beta), mat_mul(rs_of(s(i, j)), beta))
-        return mat_sub(lhs, rhs)
-
-    def pabm8(i, j):
-        lhs = mat_add(mat_mul(lp_of(s(j, i)), beta), mat_mul(rs_a[i], L[j]))
-        rhs = mat_add(mat_mul(ls_a[j], Lp[i]), mat_mul(ls_a[j], Rs[i]))
-        return mat_sub(lhs, rhs)
-
-    def pabm9(i, j):
-        lhs = mat_add(mat_mul(rp_a[i], Rp[j]), mat_mul(rp_a[j], Rp[i]))
-        return mat_sub(lhs, mat_mul(rp_of(sv_add(st(i, j), st(j, i))), beta))
-
-    def pabm10(i, j):
-        lhs = mat_add(mat_mul(rp_a[j], Lp[i]), mat_mul(lp_of(p(i, j)), beta))
-        return mat_sub(lhs, mat_mul(lp_a[i], mat_add(R[j], L[j])))
-
-    identities: list[MatIdentity] = [
-        ("PABM-1", 2, pabm1), ("PABM-2", 2, pabm2), ("PABM-3", 2, pabm3),
-        ("PABM-4", 2, pabm4), ("PABM-5", 2, pabm5), ("PABM-6", 2, pabm6),
-        ("PABM-7", 2, pabm7), ("PABM-8", 2, pabm8), ("PABM-9", 2, pabm9),
-        ("PABM-10", 2, pabm10),
+    identities = [
+        ("PABM-1", 3, [twisted(1, Ls, st, "ij"), twisted(1, Ls, st, "ji"),
+                       acts(-1, Ls, "i", Ls, "j"), acts(-1, Ls, "j", Ls, "i")]),
+        ("PABM-2", 3, [acts(1, Rs, "j", L, "i"), acts(1, Rs, "j", R, "i"),
+                       acts(-1, Ls, "i", Rs, "j"), twisted(-1, Rs, s, "ij")]),
+        ("PABM-3", 3, [acts(1, Rp, "j", Ls, "i"), acts(1, Rp, "j", Rp, "i"),
+                       acts(-1, Ls, "i", Rp, "j"), twisted(-1, Rp, st, "ij")]),
+        ("PABM-4", 3, [acts(1, Rp, "j", Rs, "i"), acts(1, Rp, "j", Lp, "i"),
+                       acts(-1, Lp, "i", R, "j"), twisted(-1, Rs, p, "ij")]),
+        ("PABM-5", 3, [twisted(1, Lp, p, "ji"), twisted(1, Lp, s, "ij"),
+                       acts(-1, Lp, "j", L, "i"), acts(-1, Ls, "i", Lp, "j")]),
+        ("PABM-6", 3, [acts(1, Rp, "i", Ls, "j"), twisted(1, Ls, st, "ji"),
+                       acts(-1, Ls, "j", Rp, "i"), acts(-1, Ls, "j", Ls, "i")]),
+        ("PABM-7", 3, [acts(1, Rp, "i", Rs, "j"), acts(1, Rs, "j", R, "i"),
+                       twisted(-1, Rs, p, "ji"), twisted(-1, Rs, s, "ij")]),
+        ("PABM-8", 3, [twisted(1, Lp, s, "ji"), acts(1, Rs, "i", L, "j"),
+                       acts(-1, Ls, "j", Lp, "i"), acts(-1, Ls, "j", Rs, "i")]),
+        ("PABM-9", 3, [acts(1, Rp, "i", Rp, "j"), acts(1, Rp, "j", Rp, "i"),
+                       twisted(-1, Rp, st, "ij"), twisted(-1, Rp, st, "ji")]),
+        ("PABM-10", 3, [acts(1, Rp, "j", Lp, "i"), twisted(1, Lp, p, "ij"),
+                        acts(-1, Lp, "i", R, "j"), acts(-1, Lp, "i", L, "j")]),
     ]
     if equivariance:
-        for role, slices, at in (
-            (ActionRole.LEFT_PREC, Lp, lp_a), (ActionRole.RIGHT_PREC, Rp, rp_a),
-            (ActionRole.LEFT_SUCC, Ls, ls_a), (ActionRole.RIGHT_SUCC, Rs, rs_a),
-        ):
-            def fn(i, slices=slices, at=at):
-                return mat_sub(mat_mul(beta, slices[i]), mat_mul(at[i], beta))
-
-            identities.append((f"PA-EQ-{role.value}", 1, fn))
+        # PA-EQ-X = beta X(e_i) - X(a e_i) beta
+        identities.extend(
+            (f"PA-EQ-{role.value}", 2, [(1, None, (_twisted(b, x.ints), "ij")),
+                                        (-1, x, (a, "i"), (b, "j"))])
+            for role, x in ((A.LEFT_PREC, Lp), (A.RIGHT_PREC, Rp),
+                            (A.LEFT_SUCC, Ls), (A.RIGHT_SUCC, Rs)))
     return identities
 
 
@@ -366,8 +265,8 @@ _REP_CLASS_ACTIONS: dict[StructureClass, frozenset[ActionRole]] = {
 
 def check_rep(rep: Representation, cls: StructureClass, *,
               equivariance: bool = False) -> CheckReport:
-    """Sweep the representation axioms of ``cls`` over all base-basis tuples
-    and module basis vectors."""
+    """Sweep the representation axioms of ``cls`` over all base-basis tuples,
+    each with every module basis vector as its last index."""
     start = time.perf_counter()
     needed = _REP_CLASS_ACTIONS.get(cls)
     if needed is None:
@@ -383,9 +282,7 @@ def check_rep(rep: Representation, cls: StructureClass, *,
     if cls is StructureClass.HOM_MALCEV:
         bracket = derived_product(rep.base, ProductRole.BRACKET)
         identities = _malcev_action_identities(
-            rep.base.dim, bracket, rep.base.twist,
-            rep.int_slices(ActionRole.RHO), rep.module_twist, rep.module_dim,
-        )
+            rep.base, bracket, rep.grid(rep.action(ActionRole.RHO)), rep.module_twist)
     elif cls is StructureClass.HOM_PRE_MALCEV:
         if ProductRole.DOT not in rep.base.products:
             raise RoleMismatch("base structure must carry the dot product role")

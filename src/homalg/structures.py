@@ -6,11 +6,10 @@ structure class over all basis tuples and reports the exact nonzero residuals.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import (
@@ -30,6 +29,7 @@ from .exact import (
     mat_identity,
     mat_mul,
     mat_shape,
+    mat_sub,
     matrix,
     packed_mul,
     sv_add,
@@ -349,35 +349,25 @@ def alpha_associator(structure: HomStructure, kind: str,
 # identity sets per class
 # ---------------------------------------------------------------------------
 
-IdentityFn = Callable[..., Ivec]
-
-# A class identity is data: ``(label, arity, terms)``.  A term is
+# An identity is data: ``(label, arity, terms)``.  A term is
 # ``(sign, grid, factor, ...)``: with ``grid`` None it is its one factor,
 # otherwise the product on ``grid`` of its two.  A factor is ``(table, at)``:
 # a :class:`Table` built once per check (of Ivecs, of packed ints, or the
-# twist columns) read at the identity's indices named by ``at``, so
+# columns of a map) read at the identity's indices named by ``at``, so
 # ``(dia_av, "kji")`` is ``dia_av[k][j][i]`` at the tuple ``(i, j, k, l)``.
 # The residual at a tuple is the signed sum of its terms.  Each identity is
-# multilinear, so every term reads every index.
+# multilinear, so every term reads every index.  Class, operator, morphism
+# and Hessian laws index base vectors; a representation axiom's last index
+# is a module basis vector ``b`` and its residual the image of ``e_b``.
 Term = tuple
-Identity = tuple[str, int, "IdentityFn | list[Term]"]
+Identity = tuple[str, int, list[Term]]
 
 
 # A subterm that depends on only some of an identity's indices, or that
-# several identities of a class share, is computed once per check into a
+# several identities of a check share, is computed once per check into a
 # list indexed by basis indices; the identities then evaluate only their
-# full-arity products per tuple.
-
-def _table2(dim: int, fn: Callable) -> list:
-    """``t[i][j] = fn(i, j)`` for every basis pair."""
-    return [[fn(i, j) for j in range(dim)] for i in range(dim)]
-
-
-def _table3(dim: int, fn: Callable) -> list:
-    """``t[i][j][k] = fn(i, j, k)`` for every basis triple."""
-    return [[[fn(i, j, k) for k in range(dim)] for j in range(dim)]
-            for i in range(dim)]
-
+# full-arity products per tuple.  A law of arity at most 2 (SKEW, the
+# operator and morphism laws, HESS-INV) may read a full-arity table.
 
 def _table(rows: list, den: int, depth: int) -> Table:
     """``rows``, lists nested ``depth`` deep of Ivecs over ``den`` (a kernel's
@@ -388,9 +378,16 @@ def _table(rows: list, den: int, depth: int) -> Table:
     return Table(rows, den, max([sum(map(abs, v.values())) for v in flat if v], default=0))
 
 
-def _twist_cols(structure: HomStructure) -> tuple[Table, Table]:
-    a = as_imat(structure.twist)
-    return tuple(_table(list(mat_cols(m)), m.den, 1) for m in (a, mat_mul(a, a)))
+def _columns(m) -> Table:
+    """The columns of the matrix ``m``, images of the basis vectors."""
+    m = as_imat(m)
+    return _table(list(mat_cols(m)), m.den, 1)
+
+
+def _twist_cols(twist: Matrix) -> tuple[Table, Table]:
+    """The columns of ``twist`` and of its square."""
+    a = as_imat(twist)
+    return _columns(a), _columns(mat_mul(a, a))
 
 
 # A product with an empty operand is stored as that operand, with no call.
@@ -399,6 +396,12 @@ def _twisted(a: Table, cells: Table) -> Table:
     """``a(cells[x][y])``."""
     return _table([[u and apply_cols(a, u) for u in row] for row in cells],
                   a.den * cells.den, 2)
+
+
+def _pair(grid: Grid, a: Table, b: Table) -> Table:
+    """``grid(a e_x, b e_y)``."""
+    return _table([[u and v and grid_mul(grid, u, v) for v in b] for u in a],
+                  grid.den * a.den * b.den, 2)
 
 
 def _left_a(grid: Grid, a: Table, cells: Table) -> Table:
@@ -456,18 +459,18 @@ def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
     dim = structure.dim
     grid = tensor_grid(bracket, dim)
     cell = grid.ints
-    a, a2 = _twist_cols(structure)
+    a, a2 = _twist_cols(structure.twist)
     skew = ("SKEW", 2, [(1, None, (cell, "ij")), (1, None, (cell, "ji"))])
     if not malcev:
         # J(e_i,e_j,e_k) = [[e_i,e_j],a e_k] + [[e_j,e_k],a e_i] + [[e_k,e_i],a e_j]
         jac = _Packed([(1, grid, (cell, at[:2]), (a, at[2])) for at in ("ijk", "jki", "kij")])
         return [skew, ("JACOBI", 3, [(1, None, (jac, "ijk"))])]
     t = _right_a(grid, cell, a)                                     # [[e_i,e_j],a e_k]
-    jac = _table(_table3(dim, lambda i, j, k: sv_add(t[i][j][k], t[j][k][i], t[k][i][j])),
-                 t.den, 3)
+    r = range(dim)
+    jac = _table([[[sv_add(t[i][j][k], t[j][k][i], t[k][i][j]) for k in r] for j in r]
+                  for i in r], t.den, 3)
     ac = _twisted(a, cell)                                          # a[e_i,e_k]
-    aa = _table([[u and v and grid_mul(grid, u, v) for v in a] for u in a],
-                grid.den * a.den * a.den, 2)                        # [a e_i,a e_j]
+    aa = _pair(grid, a, a)                                          # [a e_i,a e_j]
     a_c = _left_a(grid, a, cell)                        # [a e_j,[e_i,e_k]] at j,i,k
 
     # HM-JAC: J(a e_i, a e_j, [e_i,e_k]) - [J(e_i,e_j,e_k), a^2 e_i], where
@@ -498,7 +501,7 @@ def _identities_hom_malcev_admissible(structure: HomStructure) -> list[Identity]
 
 def _identities_hom_associative(structure: HomStructure) -> list[Identity]:
     grid = tensor_grid(structure.products[ProductRole.STAR], structure.dim)
-    a, _ = _twist_cols(structure)
+    a, _ = _twist_cols(structure.twist)
     return [("ASSOC", 3, [(1, grid, (grid.ints, "ij"), (a, "k")),
                           (-1, grid, (a, "i"), (grid.ints, "jk"))])]
 
@@ -507,7 +510,7 @@ def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
     grid = tensor_grid(structure.products[ProductRole.STAR], dim)
     cell = grid.ints
-    a, _ = _twist_cols(structure)
+    a, _ = _twist_cols(structure.twist)
     # ALT-L and ALT-R read every associator twice each
     asc = _Packed([(1, grid, (cell, "ij"), (a, "k")), (-1, grid, (a, "i"), (cell, "jk"))])
     return [("ALT-L", 3, [(1, None, (asc, "ijk")), (1, None, (asc, "jik"))]),
@@ -520,7 +523,7 @@ def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
     dgrid = tensor_grid(dot, dim)
     cgrid = tensor_grid(tensor_commutator(dot), dim)
     d, c = dgrid.ints, cgrid.ints
-    a, a2 = _twist_cols(structure)
+    a, a2 = _twist_cols(structure.twist)
 
     ac = _twisted(a, c)                 # a[e_j,e_k]
     ad = _twisted(a, d)                 # a(e_i e_l)
@@ -544,7 +547,7 @@ def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
     packed = _evaluator(terms, w, {})
     dgrid = tensor_grid(structure.products[ProductRole.DOT], dim)
     dcell = dgrid.ints
-    a, a2 = _twist_cols(structure)
+    a, a2 = _twist_cols(structure.twist)
 
     def ap(u):
         return apply_cols(a, u)
@@ -579,7 +582,7 @@ def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
     gdot = tensor_grid(dot, dim)
     gdia = tensor_grid(tensor_sub(tl, tensor_flip(tr)), dim)
     gcom = tensor_grid(tensor_commutator(dot), dim)
-    a, a2 = _twist_cols(structure)
+    a, a2 = _twist_cols(structure.twist)
     lc, rc, dc, vc, cc = gl.ints, gr.ints, gdot.ints, gdia.ints, gcom.ints
 
     ac, ar, av, ad, al = (_twisted(a, cells) for cells in (cc, rc, vc, dc, lc))
@@ -612,7 +615,7 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
     gp = tensor_grid(prec, dim)
     gs = tensor_grid(succ, dim)
     gst = tensor_grid(tensor_add(prec, succ), dim)
-    a, _ = _twist_cols(structure)
+    a, _ = _twist_cols(structure.twist)
     p, s, st = gp.ints, gs.ints, gst.ints
 
     # the six kinds of product the ten axioms are sums of
@@ -646,7 +649,7 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
 def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
     grids = _quadri_grids(structure)
-    a, _ = _twist_cols(structure)
+    a, _ = _twist_cols(structure.twist)
 
     def assoc(outer_l, inner_l, outer_r, inner_r):
         # QA1-QA9 read every associator of each kind twice
@@ -675,28 +678,25 @@ _CLASS_IDENTITIES: dict[StructureClass, Callable[[HomStructure], list[Identity]]
 }
 
 
-def _product_map_identities(prefix: str, fcols: Sequence[Ivec],
+def _product_map_identities(prefix: str, f: Matrix,
                             source: HomStructure, target: HomStructure,
                             roles: Iterable[ProductRole]) -> list[Identity]:
     """``<prefix>-<role>``: ``f(e_i e_j) - (f e_i)(f e_j)`` for every role, the
     product of ``source`` inside and that of ``target`` outside."""
+    fc = _columns(f)
     out: list[Identity] = []
     for role in sorted(roles, key=lambda r: r.value):
         src = tensor_grid(source.products[role], source.dim).ints
         tgt = tensor_grid(target.products[role], target.dim)
-
-        def fn(i, j, src=src, tgt=tgt):
-            return sv_sub(apply_cols(fcols, src[i][j]), grid_mul(tgt, fcols[i], fcols[j]))
-
-        out.append((f"{prefix}-{role.value}", 2, fn))
+        out.append((f"{prefix}-{role.value}", 2, [(1, None, (_twisted(fc, src), "ij")),
+                                                  (-1, tgt, (fc, "i"), (fc, "j"))]))
     return out
 
 
 def _mult_identities(structure: HomStructure,
                      roles: Iterable[ProductRole]) -> list[Identity]:
     """MULT-<role>: the twist is a morphism of each product in ``roles``."""
-    return _product_map_identities("MULT", mat_cols(structure.twist), structure,
-                                   structure, roles)
+    return _product_map_identities("MULT", structure.twist, structure, structure, roles)
 
 
 def _reader(table: list, at: str) -> Callable[[tuple], Ivec]:
@@ -725,8 +725,8 @@ def _evaluator(terms: _Terms, w: int, packs: dict) -> Callable[[tuple], int]:
     packed at slot width ``w``.  A product term is :func:`exact.packed_mul`
     on its grid's cells, packed once into ``packs``, and skipped where a
     factor is empty; a one-factor term reads a :class:`_Packed` table, or
-    a table of cells packed the same way."""
-    def pack(cells: list) -> list[list[int]]:
+    a table of Ivecs, of any depth, packed the same way."""
+    def pack(cells: list) -> list:
         if id(cells) not in packs:
             packs[id(cells)] = grid_pack(cells, w)
         return packs[id(cells)]
@@ -750,61 +750,53 @@ def _evaluator(terms: _Terms, w: int, packs: dict) -> Callable[[tuple], int]:
     return fn
 
 
+def _sizes(arity: int, dim: int, module_dim: int) -> tuple[int, ...]:
+    """The range of each index of an identity: ``dim`` basis vectors, or
+    with ``module_dim`` that many module basis vectors for the last."""
+    return (dim,) * (arity - 1) + (module_dim or dim,)
+
+
 def _violations(identities: Sequence[Identity], dim: int, *,
                 module_dim: int = 0) -> Iterator[Violation]:
-    """Every nonzero residual of ``identities`` over ``range(dim) ** arity``.
-    An identity given as a function is evaluated at every tuple; one given
-    as a term list only at the tuples its terms can be nonzero at, every
-    other residual being zero, on packed ints set up at its first such tuple.
-    A :class:`_Packed` table is filled likewise, before the first identity
-    reading it is swept, and is 0 off its own terms' candidates.
-
-    With ``module_dim``, a residual of a function is an integer matrix: each
-    nonzero column ``b`` is a violation at ``args + (b,)``."""
-    identities = [(label, arity, fn if callable(fn) else _Terms(fn))
-                  for label, arity, fn in identities]
+    """Every nonzero residual of ``identities`` over the ranges of their
+    indices (see :func:`_sizes`), evaluated only at the tuples its terms can
+    be nonzero at, every other residual being zero, on packed ints set up at
+    the first such tuple.  A :class:`_Packed` table is filled likewise,
+    before the first identity reading it is swept, and is 0 off its own
+    terms' candidates."""
+    identities = [(label, _sizes(arity, dim, module_dim), _Terms(terms))
+                  for label, arity, terms in identities]
     cache: dict = {}    # pruning supports, keyed by table ids
     packs: dict = {}    # packed cell tables, keyed by table ids
     w = 0               # the slot width, found at the first tuple visited
 
     def setup(terms: _Terms) -> Callable[[tuple], int]:
         nonlocal w
-        w = w or _width(fn for _, _, fn in identities if not callable(fn))
+        w = w or _width(terms for _, _, terms in identities)
         return _evaluator(terms, w, packs)
 
-    for label, arity, fn in identities:
-        if not callable(fn):
-            for t, _ in (factor for term in fn for factor in term[2:]):
-                if type(t) is _Packed and not t:
-                    t[:] = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-                    fill = None
-                    for idx in candidates(t.terms, dim, 3, cache):
-                        fill = fill or setup(t.terms)
-                        t[idx[0]][idx[1]][idx[2]] = fill(idx)
-            evaluate = None
-            for idx in candidates(fn, dim, arity, cache):
-                evaluate = evaluate or setup(fn)
-                if r := evaluate(idx):
-                    yield Violation(label, idx, sv_fractions(sv_unpack(r, w, fn.den)))
-            continue
-        for idx in itertools.product(range(dim), repeat=arity):
-            residual = fn(*idx)
-            if module_dim:
-                if any(residual):
-                    yield from (Violation(label, idx + (b,), sv_fractions(col))
-                                for b, col in enumerate(mat_cols(residual)) if col)
-            elif residual:
-                yield Violation(label, idx, sv_fractions(residual))
+    for label, sizes, terms in identities:
+        for t, _ in (factor for term in terms for factor in term[2:]):
+            if type(t) is _Packed and not t:
+                t[:] = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+                fill = None
+                for idx in candidates(t.terms, (dim,) * 3, cache):
+                    fill = fill or setup(t.terms)
+                    t[idx[0]][idx[1]][idx[2]] = fill(idx)
+        evaluate = None
+        for idx in candidates(terms, sizes, cache):
+            evaluate = evaluate or setup(terms)
+            if r := evaluate(idx):
+                yield Violation(label, idx, sv_fractions(sv_unpack(r, w, terms.den)))
 
 
 def _sweep(target: str, identities: Sequence[Identity],
            dim: int, start: float, *, module_dim: int = 0,
            violations: Sequence[Violation] = (), tuples: int = 0) -> CheckReport:
-    """The report of every identity over ``range(dim) ** arity``, counting in
-    the ``tuples`` already checked and the ``violations`` already found by
-    the caller; with ``module_dim``, each tuple counts once per module basis
-    vector."""
-    tuples += sum(max(module_dim, 1) * dim ** arity for _, arity, _ in identities)
+    """The report of every identity over the ranges of its indices (see
+    :func:`_sizes`), counting in the ``tuples`` already checked and the
+    ``violations`` already found by the caller."""
+    tuples += sum(prod(_sizes(arity, dim, module_dim)) for _, arity, _ in identities)
     found = [*violations, *_violations(identities, dim, module_dim=module_dim)]
     found.sort(key=lambda v: (v.identity, v.args))
     return CheckReport(
@@ -902,12 +894,8 @@ def check_morphism(f: Matrix, source: HomStructure, target: HomStructure,
         raise RoleMismatch(
             f"target lacks roles {sorted(r.value for r in source.roles() - target.roles())}"
         )
-    fcols = mat_cols(f)
-    identities = _product_map_identities("MORPH", fcols, source, target,
-                                         source.products)
+    identities = _product_map_identities("MORPH", f, source, target, source.products)
     if not weak:
-        a_src = mat_cols(source.twist)
-        a_tgt = mat_cols(target.twist)
-        identities.append(("MORPH-TWIST", 1, lambda i: sv_sub(
-            apply_cols(fcols, a_src[i]), apply_cols(a_tgt, fcols[i]))))
+        twist = mat_sub(mat_mul(f, source.twist), mat_mul(target.twist, f))
+        identities.append(("MORPH-TWIST", 1, [(1, None, (_columns(twist), "i"))]))
     return _sweep("morphism", identities, source.dim, start)

@@ -31,9 +31,12 @@ from homalg import (
     check_morphism,
     check_operator,
     check_rep,
+    load_bundle,
     make_structure,
+    regular_pre_malcev_rep,
 )
 from homalg import pruning, structures
+from homalg.fixtures import fixture_path
 from homalg.structures import _CLASS_IDENTITIES
 
 F = Fraction
@@ -793,6 +796,58 @@ def test_pre_malcev_rep_residual_columns_match_dense_fraction_evaluation(m, data
     assert_fraction_residuals(report)
 
 
+def test_pruned_rep_sweep_matches_dense_fraction_evaluation(monkeypatch):
+    """premalcev_dim2 summed twice, with its regular rep and one entry of its
+    right action joining the two blocks: most tuples have an empty factor in
+    every term, so the sweep visits few, yet every residual column is found.
+    Its tables are built with exactly the ``grid_mul`` calls of two nonzero
+    operands."""
+    base = load_bundle(fixture_path("premalcev_dim2")).structure
+    assert base.untwisted()
+    d, n = base.dim, 2 * base.dim
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for off in range(0, n, d):
+        for (i, j), cell in base.products[ProductRole.DOT].items():
+            for k, v in cell.items():
+                c[i + off][j + off][k + off] = v
+    eye = [[F(int(r == s)) for s in range(n)] for r in range(n)]
+    structure = make_structure(n, products={ProductRole.DOT: tensor_of(c)})
+    regular = regular_pre_malcev_rep(structure)
+    ell, arr = ([[list(row) for row in s] for s in regular.actions[role]]
+                for role in (ActionRole.LEFT, ActionRole.RIGHT))
+    arr[1][2][0] += 1
+    rep = Representation(base=structure, module_dim=n, module_twist=eye,
+                         actions={ActionRole.LEFT: ell, ActionRole.RIGHT: arr})
+
+    calls, visited = [0], [0]
+    real_mul, real_candidates = structures.grid_mul, structures.candidates
+
+    def grid_mul(*args):
+        calls[0] += 1
+        return real_mul(*args)
+
+    def candidates(terms, sizes, cache):
+        for idx in real_candidates(terms, sizes, cache):
+            visited[0] += 1
+            yield idx
+
+    want = {}
+    for (label, args), res in pre_malcev_rep_residuals(c, eye, ell, arr, eye).items():
+        for b in range(n):
+            want[(label, args + (b,))] = [res[r][b] for r in range(n)]
+    monkeypatch.setattr(structures, "grid_mul", grid_mul)
+    report = check_rep(rep, StructureClass.HOM_PRE_MALCEV)
+    assert_matches(report, want)
+    assert not report.passed
+    assert calls[0] == 92
+    # a sweep this small visits every tuple unless the search is forced
+    monkeypatch.setattr(structures, "candidates", candidates)
+    monkeypatch.setattr(pruning, "PLAN_COST", 0)
+    monkeypatch.setattr(pruning, "PRUNE_BELOW_FILL", float("inf"))
+    assert_matches(check_rep(rep, StructureClass.HOM_PRE_MALCEV), want)
+    assert 0 < visited[0] * 10 < report.tuples_checked
+
+
 # ---------------------------------------------------------------------------
 # pre-alternative representation axioms
 # ---------------------------------------------------------------------------
@@ -1096,4 +1151,142 @@ def test_hessian_residuals_match_dense_fraction_evaluation(n, data):
     assert got == {key: res for key, res in want.items() if res}
     assert report.tuples_checked == len(want) + 1
     assert report.passed == (not got and kernel is None)
+    assert_fraction_residuals(report)
+
+
+# ---------------------------------------------------------------------------
+# representation, operator, morphism and Hessian laws at wide slot widths
+# ---------------------------------------------------------------------------
+
+def wide_law_case(law, data):
+    """A check of ``law`` on a dim-2 base (and a dim-2 module) whose entries
+    have numerators near 2**100, and the dense evaluation of its residuals:
+    the report and ``{(label, args): dense residual}``."""
+    n = m = 2
+    A, R = ActionRole, ProductRole
+
+    def dense(rows, cols):
+        return data.draw(st.lists(st.lists(wide_st, min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows))
+
+    def table():
+        return [dense(n, n) for _ in range(n)]
+
+    def slices():
+        return [dense(m, m) for _ in range(n)]
+
+    def columns(want):
+        """Each dense m x m residual as its columns, at ``args + (b,)``."""
+        return {(label, args + (b,)): [res[r][b] for r in range(m)]
+                for (label, args), res in want.items() for b in range(m)}
+
+    c, a, beta = table(), dense(n, n), dense(m, m)
+    if law == "rep-malcev":
+        rho = slices()
+        rep = Representation(base=structure_of("hom-lie", c, a), module_dim=m,
+                             module_twist=beta, actions={A.RHO: rho})
+        return (check_rep(rep, StructureClass.HOM_MALCEV),
+                columns(malcev_rep_residuals(c, a, rho, beta)))
+    if law == "rep-pre-malcev":
+        ell, arr = slices(), slices()
+        base = make_structure(n, twist=a, products={R.DOT: tensor_of(c)})
+        rep = Representation(base=base, module_dim=m, module_twist=beta,
+                             actions={A.LEFT: ell, A.RIGHT: arr})
+        return (check_rep(rep, StructureClass.HOM_PRE_MALCEV),
+                columns(pre_malcev_rep_residuals(c, a, ell, arr, beta)))
+    if law == "rep-pre-alternative":
+        cs, four = table(), [slices() for _ in range(4)]
+        base = make_structure(n, twist=a, products={R.PREC: tensor_of(c),
+                                                    R.SUCC: tensor_of(cs)})
+        rep = Representation(base=base, module_dim=m, module_twist=beta, actions=dict(
+            zip((A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC), four)))
+        return (check_rep(rep, StructureClass.HOM_PRE_ALTERNATIVE, equivariance=True),
+                columns(pre_alternative_rep_residuals(c, cs, a, *four, beta)))
+    if law == "rota-baxter":
+        r, lam = dense(n, n), data.draw(wide_st)
+        w = OperatorWitness(kind=KIND_ROTA_BAXTER, matrix=r, weight=lam)
+        return (check_operator(structure_of("hom-associative", c, a), w),
+                rota_baxter_residuals({R.STAR: c}, r, lam, a))
+    if law == "morphism":
+        tgt, a_tgt, f = table(), dense(n, n), dense(n, n)
+        source = structure_of("hom-associative", c, a)
+        target = structure_of("hom-associative", tgt, a_tgt)
+        return (check_morphism(f, source, target),
+                morphism_residuals({R.STAR: c}, {R.STAR: tgt}, f, a, a_tgt, False))
+    if law == "multiplicativity":
+        want = identity_residuals("hom-associative", c, a)
+        for (_, args), res in morphism_residuals({R.STAR: c}, {R.STAR: c}, a, a, a,
+                                                 True).items():
+            want[("MULT-star", args)] = res
+        return (check(structure_of("hom-associative", c, a), StructureClass.HOM_ASSOCIATIVE,
+                      multiplicativity=True), want)
+    if law == "o-operator-rho":
+        rho = slices()
+        tables, actions = {R.BRACKET: c}, {A.RHO: rho}
+        pairs = {R.BRACKET: (rho, [[[-v for v in row] for row in s] for s in rho])}
+    elif law == "o-operator-left-right":
+        actions = {A.LEFT: slices(), A.RIGHT: slices()}
+        tables, pairs = {R.DOT: c}, {R.DOT: (actions[A.LEFT], actions[A.RIGHT])}
+    else:
+        actions = {role: slices() for role in (A.LEFT_PREC, A.RIGHT_PREC,
+                                               A.LEFT_SUCC, A.RIGHT_SUCC)}
+        tables = {R.PREC: c, R.SUCC: table()}
+        pairs = {R.PREC: (actions[A.LEFT_PREC], actions[A.RIGHT_PREC]),
+                 R.SUCC: (actions[A.LEFT_SUCC], actions[A.RIGHT_SUCC])}
+    t = dense(n, m)
+    structure = make_structure(n, twist=a, products={
+        role: tensor_of(x) for role, x in tables.items()})
+    rep = Representation(base=structure, module_dim=m, module_twist=beta, actions=actions)
+    w = OperatorWitness(kind=KIND_O_OPERATOR, matrix=t, rep=rep)
+    return check_operator(structure, w), o_operator_residuals(tables, pairs, t, a, beta)
+
+
+WIDE_LAWS = ["rep-malcev", "rep-pre-malcev", "rep-pre-alternative", "rota-baxter",
+             "o-operator-rho", "o-operator-left-right", "o-operator-four",
+             "morphism", "multiplicativity"]
+
+
+def recording_widths(mp):
+    """Record the slot width of every sweep that visits a tuple."""
+    widths, real = [], structures._width
+
+    def width(sums):
+        widths.append(real(sums))
+        return widths[-1]
+
+    mp.setattr(structures, "_width", width)
+    return widths
+
+
+@pytest.mark.parametrize("law", WIDE_LAWS)
+@settings(max_examples=3, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_wide_law_residuals_match_dense_fraction_evaluation(law, data):
+    """Representation axioms, operator, morphism and multiplicativity laws
+    are packed like the class identities: exact at slot widths far past a
+    machine word."""
+    with pytest.MonkeyPatch.context() as mp:
+        widths = recording_widths(mp)
+        report, want = wide_law_case(law, data)
+    assert widths and min(widths) > 200
+    assert_matches(report, want)
+
+
+@settings(max_examples=3, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_wide_hessian_residuals_match_dense_fraction_evaluation(data):
+    n = 2
+    wide = st.lists(st.lists(wide_st, min_size=n, max_size=n), min_size=n, max_size=n)
+    c = data.draw(st.lists(wide, min_size=n, max_size=n))
+    a, b = data.draw(wide), data.draw(wide)
+    assume(determinant(a) != 0 and determinant(b) != 0)
+    structure = make_structure(n, twist=a, products={ProductRole.DOT: tensor_of(c)})
+    with pytest.MonkeyPatch.context() as mp:
+        widths = recording_widths(mp)
+        report = check_hessian(structure, BilinearForm(matrix=b))
+    assert widths and min(widths) > 200
+    want = {key: sparse(res) for key, res in hessian_residuals(c, a, b).items()}
+    got = {(v.identity, v.args): v.residual for v in report.violations}
+    assert got == {key: res for key, res in want.items() if res}
+    assert report.tuples_checked == len(want) + 1
     assert_fraction_residuals(report)

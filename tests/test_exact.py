@@ -19,7 +19,6 @@ from homalg.exact import (
     as_ivec,
     grid_mul,
     grid_pack,
-    mat_add,
     mat_cols,
     mat_fractions,
     mat_identity,
@@ -39,7 +38,6 @@ from homalg.exact import (
     sv_from_vector,
     sv_neg,
     sv_pack,
-    sv_scale,
     sv_sub,
     sv_to_vector,
     sv_unpack,
@@ -113,7 +111,6 @@ def test_matrix_shape_and_identity():
 def test_matrix_arithmetic_small():
     a = matrix([[1, 2], [3, 4]])
     b = matrix([[0, 1], [1, 0]])
-    assert mat(mat_add(a, b)) == matrix([[1, 3], [4, 4]])
     assert mat(mat_sub(a, b)) == matrix([[1, 1], [2, 4]])
     assert mat(mat_mul(a, b)) == matrix([[2, 1], [4, 3]])
     assert mat_transpose(a) == matrix([[1, 3], [2, 4]])
@@ -200,7 +197,6 @@ def test_sparse_arithmetic_drops_zeros():
     assert svec(sv_add({0: F(1)}, {0: F(-1), 1: F(2)})) == {1: F(2)}
     assert sv_sub({1: F(2)}, {1: F(2)}) == {}
     assert svec(sv_neg({0: F(3)})) == {0: F(-3)}
-    assert sv_scale(F(0), {0: F(3)}) == {}
 
 
 def test_cols_round_trip():
@@ -415,8 +411,8 @@ def ref_sv_sum(*terms):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(sparse_st(), max_size=4), rational_st)
-def test_sparse_kernels_match_fraction_reference(vs, c):
+@given(st.lists(sparse_st(), max_size=4))
+def test_sparse_kernels_match_fraction_reference(vs):
     """Operands over unrelated denominators, as Fraction mappings and as
     integer vectors, give the values of plain Fraction sums."""
     ints = [as_ivec(v) for v in vs]
@@ -427,15 +423,22 @@ def test_sparse_kernels_match_fraction_reference(vs, c):
                                   ref_sv_sum((1, vs[0]), (-1, vs[1])))
         if ops:
             assert_canonical_svec(sv_neg(ops[0]), ref_sv_sum((-1, vs[0])))
-            assert_canonical_svec(sv_scale(c, ops[0]), ref_sv_sum((c, vs[0])))
 
 
 @settings(max_examples=60, deadline=None)
 @given(sparse_st(), nonzero_st, nonzero_st)
 def test_sparse_kernels_cancel_to_exact_zero(u, p, q):
     """p/q u - (p u) / q is zero however the numerators are scaled."""
-    left = sv_scale(p / q, u)
-    right = sv_scale(F(1) / q, sv_scale(p, u))
+    def scaled(c, u):
+        # c u over the unreduced denominator of c times that of u
+        cn, cd = c.as_integer_ratio()
+        u = as_ivec(u)
+        out = Ivec({k: cn * n for k, n in u.items()} if cn else {})
+        out.den = cd * u.den
+        return out
+
+    left = scaled(p / q, u)
+    right = scaled(F(1) / q, scaled(p, u))
     assert sv_sub(left, right) == {}
     assert sv_add(left, sv_neg(right)) == {}
     assert sv_add(right, {}, sv_neg(left), {}) == {}
@@ -443,17 +446,15 @@ def test_sparse_kernels_cancel_to_exact_zero(u, p, q):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
-def test_mat_add_sub_match_fraction_reference(rows, cols, data):
+def test_mat_sub_matches_fraction_reference(rows, cols, data):
     a = data.draw(dense_matrix_st(rows, cols))
     b = data.draw(dense_matrix_st(rows, cols))
     for x, y in ((a, b), (as_imat(a), as_imat(b)), (a, as_imat(b))):
-        assert_canonical_matrix(mat_add(x, y), tuple(
-            tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b)))
         assert_canonical_matrix(mat_sub(x, y), tuple(
             tuple(p - q for p, q in zip(ra, rb)) for ra, rb in zip(a, b)))
-    assert not any(mat_sub(mat_add(a, b), mat_add(b, a)))
+    assert not any(mat_sub(a, a))
     with pytest.raises(DimensionMismatch):
-        mat_add(a, mat_zero(rows + 1, cols))
+        mat_sub(a, mat_zero(rows + 1, cols))
 
 
 @settings(max_examples=60, deadline=None)

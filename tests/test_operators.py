@@ -47,9 +47,7 @@ from homalg.exact import (
     SingularMatrix,
     apply_cols,
     grid_mul,
-    mat_add,
     mat_cols,
-    mat_fractions,
     mat_identity,
     mat_zero,
     push_product,
@@ -369,6 +367,11 @@ def test_prealt_o_operator_with_summed_actions(t2_ops, pa_t2):
     alternative bimodule for the recombined product, and the same matrix is a
     relative operator for it."""
     reg = regular_pre_alternative_rep(pa_t2)
+
+    def summed_slices(x, y):
+        return tuple(tuple(tuple(p + q for p, q in zip(rp, rq)) for rp, rq in zip(a, b))
+                     for a, b in zip(reg.actions[x], reg.actions[y]))
+
     star = derived_product(pa_t2, R.STAR)
     alt = make_structure(3, products={R.STAR: star})
     summed = Representation(
@@ -376,16 +379,8 @@ def test_prealt_o_operator_with_summed_actions(t2_ops, pa_t2):
         module_dim=3,
         module_twist=mat_identity(3),
         actions={
-            A.LEFT: tuple(
-                mat_fractions(mat_add(reg.actions[A.LEFT_PREC][i],
-                                      reg.actions[A.LEFT_SUCC][i]))
-                for i in range(3)
-            ),
-            A.RIGHT: tuple(
-                mat_fractions(mat_add(reg.actions[A.RIGHT_PREC][i],
-                                      reg.actions[A.RIGHT_SUCC][i]))
-                for i in range(3)
-            ),
+            A.LEFT: summed_slices(A.LEFT_PREC, A.LEFT_SUCC),
+            A.RIGHT: summed_slices(A.RIGHT_PREC, A.RIGHT_SUCC),
         },
     )
     w = oop(t2_ops[1].matrix, summed)

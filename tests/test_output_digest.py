@@ -18,10 +18,18 @@ def test_workload_bundles_are_collected_per_workload_and_repeat(tmp_path):
     names = [p.relative_to(tmp_path / "a").as_posix() for p in first]
     assert names == [p.relative_to(tmp_path / "b").as_posix() for p in again]
     # cli-fixtures runs the packaged fixtures, which are digested anyway
-    assert {name.split("/")[0] for name in names} == {"dense-rational", "block-sparse"}
+    assert {name.split("/")[0] for name in names} == {
+        "dense-rational", "block-sparse", "block-sparse-reps"}
     assert (tmp_path / "a" / "cli-fixtures").is_dir()
     assert {"block-sparse/g7_dim16.json", "block-sparse/octonions_im_x2.json",
             "dense-rational/octonions_yau.json"} <= set(names)
+    # the sums whose workload bundles drop their reps, with them
+    with_reps = {name for name in names if name.startswith("block-sparse-reps/")}
+    assert with_reps == {"block-sparse-reps/prealt_t2_x4.json",
+                         "block-sparse-reps/premalcev_dim2_x3.json",
+                         "block-sparse-reps/premalcev_sl2_x4.json"}
     for a, b in zip(first, again):
         assert a.read_bytes() == b.read_bytes()
-        load_bundle(a)
+        bundle = load_bundle(a)
+        if a.relative_to(tmp_path / "a").as_posix() in with_reps:
+            assert bundle.reps

@@ -506,8 +506,8 @@ def test_sweep_packs_only_the_grids_of_identities_it_visits(monkeypatch):
         packed.append(cells)
         return real_pack(cells, w)
 
-    def candidates(terms, dim, arity, cache):
-        found = list(real_candidates(terms, dim, arity, cache))
+    def candidates(terms, sizes, cache):
+        found = list(real_candidates(terms, sizes, cache))
         swept.append(terms)
         if found:
             visited.append(terms)
