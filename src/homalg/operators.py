@@ -55,7 +55,6 @@ from .structures import (
     _columns,
     _pair,
     _sweep,
-    _twist_cols,
     _twisted,
     check_morphism,
     make_structure,
@@ -615,7 +614,7 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     inv = _form_grid(mat_fractions(mat_sub(mat_mul(mat_transpose(alpha), mat_mul(b, alpha)), b)))
     form_grid = _form_grid(b)
     d = _grid(structure, ProductRole.DOT).ints
-    a, _ = _twist_cols(alpha)
+    a = _columns(alpha)
     # HESS-COCYCLE = b(e_i e_j, a e_k) - b(a e_i, e_j e_k) - b(e_j e_i, a e_k) + b(a e_j, e_i e_k)
     cocycle = [(1, form_grid, (d, "ij"), (a, "k")), (-1, form_grid, (a, "i"), (d, "jk")),
                (-1, form_grid, (d, "ji"), (a, "k")), (1, form_grid, (a, "j"), (d, "ik"))]

@@ -166,8 +166,18 @@ def _malcev_action_identities(base: HomStructure, bracket: Tensor, act: Grid,
 
 
 def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
-    """The Malcev laws of the left action over the commutator, and PMREP-1..4
-    with rho = l - r (see tests/test_differential.py for the formulas)."""
+    """The Malcev laws of the left action ``l`` over the commutator, and,
+    with rho = l - r:
+    PMREP-1 = beta r(e_i) - r(a e_i) beta,
+    PMREP-2 = r(a^2 e_i) rho(a e_j) rho(e_k) - r((a e_k)(e_j e_i)) beta^2
+        + l(a^2 e_j) r(e_k e_i) beta + l(a[e_j,e_k]) r(a e_i) beta
+        - l(a^2 e_k) r(a e_i) rho(e_j),
+    PMREP-3 = l(a^2 e_j) l(a e_k) r(e_i) - r(a^2 e_i) rho(a e_j) rho(e_k)
+        - l(a^2 e_k) r(e_j e_i) beta - r(a(e_k e_i)) rho(a e_j) beta
+        + r([e_k,e_j](a e_i)) beta^2,
+    PMREP-4 = r((a e_j)(e_k e_i)) beta^2 + r(a^2 e_i) rho([e_j,e_k]) beta
+        - l(a^2 e_j) l(a e_k) r(e_i) + r(a(e_j e_i)) rho(a e_k) beta
+        + l(a^2 e_k) r(a e_i) rho(e_j)."""
     base = rep.base
     dot = base.products[ProductRole.DOT]
     com = tensor_commutator(dot)
@@ -202,8 +212,10 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
 
 def _pre_alternative_rep_identities(rep: Representation, *,
                                     equivariance: bool) -> list[Identity]:
-    """PABM-1..10 of the split actions, and with ``equivariance`` PA-EQ-*
-    (see tests/test_differential.py for the formulas)."""
+    """PABM-1..10 of the split actions, each ``x(a e_i) y(e_j)`` or
+    ``x(e_i * e_j) beta`` summed with signs (the terms below), with
+    l = l_prec + l_succ, r = r_prec + r_succ and * = prec + succ; and with
+    ``equivariance`` PA-EQ-X = beta X(e_i) - X(a e_i) beta for each action."""
     base = rep.base
     prec = base.products[ProductRole.PREC]
     succ = base.products[ProductRole.SUCC]
@@ -247,7 +259,6 @@ def _pre_alternative_rep_identities(rep: Representation, *,
                         acts(-1, Lp, "i", R, "j"), acts(-1, Lp, "i", L, "j")]),
     ]
     if equivariance:
-        # PA-EQ-X = beta X(e_i) - X(a e_i) beta
         identities.extend(
             (f"PA-EQ-{role.value}", 2, [(1, None, (_twisted(b, x.ints), "ij")),
                                         (-1, x, (a, "i"), (b, "j"))])
