@@ -799,9 +799,9 @@ def test_pre_malcev_rep_residual_columns_match_dense_fraction_evaluation(m, data
 def test_pruned_rep_sweep_matches_dense_fraction_evaluation(monkeypatch):
     """premalcev_dim2 summed twice, with its regular rep and one entry of its
     right action joining the two blocks: most tuples have an empty factor in
-    every term, so the sweep visits few, yet every residual column is found.
-    Its tables are built with exactly the ``grid_mul`` calls of two nonzero
-    operands."""
+    every term, so a pruned sweep visits few, yet every residual column is
+    found.  Its tables are built with exactly the ``grid_mul`` calls of two
+    nonzero operands."""
     base = load_bundle(fixture_path("premalcev_dim2")).structure
     assert base.untwisted()
     d, n = base.dim, 2 * base.dim
