@@ -585,3 +585,224 @@ def test_twist_setup_composed_twist_is_phi(pm_sl2):
     assert s3.twist == gam
     assert rep3.module_twist == gam
     assert check_operator(s3, w3).passed
+
+
+# ---------------------------------------------------------------------------
+# refusal messages: each recipe's guards, in their order
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def env(sl2, sl2_ops, t2, t2_ops, pm_sl2, pa_t2):
+    """The inputs of the refusal cases, by short name."""
+    return {
+        "sl2": sl2, "s1": sl2_ops[0], "s2": sl2_ops[1], "adj": adjoint_rep(sl2),
+        "t2": t2, "t1": t2_ops[0], "u2": t2_ops[1], "ralt": regular_alternative_rep(t2),
+        "pm": pm_sl2, "rpm": regular_pre_malcev_rep(pm_sl2),
+        "pa": pa_t2, "rpa": regular_pre_alternative_rep(pa_t2),
+        "lie2": support.lie2(), "lie2_rb": support.lie2_rb_op(),
+        "I2": mat_identity(2), "I3": mat_identity(3),
+        # every map is a weight-0 Rota-Baxter map of a zero product
+        "zero_bracket": support.zero_structure(2),
+        "zero_star": make_structure(2, products={R.STAR: {}}),
+    }
+
+
+def _needs_rb(recipe):
+    return f"recipe {recipe!r} needs a Rota-Baxter witness"
+
+
+def _needs_oop(recipe):
+    return f"recipe {recipe!r} needs a relative operator witness"
+
+
+def _weight(recipe):
+    return f"recipe {recipe!r} needs weight zero, got 1"
+
+
+def _roles(recipe, roles):
+    return f"recipe {recipe!r} needs structure products {roles}"
+
+
+def _actions(recipe, want, have):
+    return f"recipe {recipe!r} needs actions {want}; witness representation has {have}"
+
+
+def _invalid(recipe, label, args):
+    return (f"operator fails its check; recipe {recipe!r} refused "
+            f"(first violation {label} at {args})")
+
+
+_LR = ["left", "right"]
+_SPLIT = ["left-prec", "left-succ", "right-prec", "right-succ"]
+
+# (recipe, case) -> (inputs, exception, message).  The inputs are
+# (structure, witness) for induce and (structure, r1, r2) for induce_pair; a
+# witness is a name in ``env``, ("rb", matrix[, weight]) or ("oop", matrix,
+# rep), a matrix a name or a tuple of (row, col, value) entries.  Each case
+# also breaks every later guard, so it pins the guard order: kind (and
+# weight), then actions, then roles, then validity; for pairs kind, weight,
+# validity, commutation, then roles.
+_REFUSALS = {
+    ("malcev-to-premalcev-oop", "kind"):
+        (("t2", "s1"), RoleMismatch, _needs_oop("malcev-to-premalcev-oop")),
+    ("malcev-to-premalcev-oop", "actions"):
+        (("t2", ("oop", "I3", "rpm")), RoleMismatch,
+         _actions("malcev-to-premalcev-oop", ["rho"], _LR)),
+    ("malcev-to-premalcev-oop", "roles"):
+        (("t2", ("oop", "I3", "adj")), RoleMismatch,
+         _roles("malcev-to-premalcev-oop", ["bracket"])),
+    ("malcev-to-premalcev-oop", "invalid"):
+        (("sl2", ("oop", "I3", "adj")), OperatorInvalid,
+         _invalid("malcev-to-premalcev-oop", "OOP-bracket", (0, 1))),
+    ("malcev-to-premalcev-rb", "kind"):
+        (("t2", ("oop", "I3", "adj")), RoleMismatch, _needs_rb("malcev-to-premalcev-rb")),
+    ("malcev-to-premalcev-rb", "weight"):
+        (("t2", ("rb", "I3", 1)), OperatorInvalid, _weight("malcev-to-premalcev-rb")),
+    ("malcev-to-premalcev-rb", "roles"):
+        (("t2", ("rb", "I3")), RoleMismatch, _roles("malcev-to-premalcev-rb", ["bracket"])),
+    ("malcev-to-premalcev-rb", "invalid"):
+        (("lie2", ("rb", "I2")), OperatorInvalid,
+         _invalid("malcev-to-premalcev-rb", "RB-bracket", (0, 1))),
+    ("premalcev-to-mdendriform-oop", "kind"):
+        (("sl2", "s2"), RoleMismatch, _needs_oop("premalcev-to-mdendriform-oop")),
+    ("premalcev-to-mdendriform-oop", "actions"):
+        (("sl2", ("oop", "I3", "adj")), RoleMismatch,
+         _actions("premalcev-to-mdendriform-oop", _LR, ["rho"])),
+    ("premalcev-to-mdendriform-oop", "roles"):
+        (("sl2", ("oop", "I3", "rpm")), RoleMismatch,
+         _roles("premalcev-to-mdendriform-oop", ["dot"])),
+    ("premalcev-to-mdendriform-oop", "invalid"):
+        (("pm", ("oop", "I3", "rpm")), OperatorInvalid,
+         _invalid("premalcev-to-mdendriform-oop", "OOP-dot", (1, 1))),
+    ("premalcev-to-mdendriform-rb", "kind"):
+        (("sl2", ("oop", "I3", "rpm")), RoleMismatch,
+         _needs_rb("premalcev-to-mdendriform-rb")),
+    ("premalcev-to-mdendriform-rb", "weight"):
+        (("sl2", ("rb", "I3", 1)), OperatorInvalid, _weight("premalcev-to-mdendriform-rb")),
+    ("premalcev-to-mdendriform-rb", "roles"):
+        (("sl2", ("rb", "I3")), RoleMismatch, _roles("premalcev-to-mdendriform-rb", ["dot"])),
+    ("premalcev-to-mdendriform-rb", "invalid"):
+        (("pm", ("rb", "I3")), OperatorInvalid,
+         _invalid("premalcev-to-mdendriform-rb", "RB-dot", (1, 1))),
+    ("premalcev-compatible-dendriform", "kind"):
+        (("sl2", "s2"), RoleMismatch, _needs_oop("premalcev-compatible-dendriform")),
+    ("premalcev-compatible-dendriform", "actions"):
+        (("sl2", ("oop", "I3", "adj")), RoleMismatch,
+         _actions("premalcev-compatible-dendriform", _LR, ["rho"])),
+    ("premalcev-compatible-dendriform", "roles"):
+        (("sl2", ("oop", ((1, 1, 1),), "rpm")), RoleMismatch,
+         _roles("premalcev-compatible-dendriform", ["dot"])),
+    ("premalcev-compatible-dendriform", "dims"):
+        (("premalcev2", ("oop", ((1, 1, 1),), "rpm")), DimensionMismatch,
+         "an invertible operator needs the module and algebra dimensions equal"),
+    ("premalcev-compatible-dendriform", "singular"):
+        (("pm", ("oop", ((1, 1, 1),), "rpm")), SingularMatrix, "no pivot in column 0"),
+    ("premalcev-compatible-dendriform", "invalid"):
+        (("pm", ("oop", "I3", "rpm")), OperatorInvalid,
+         _invalid("premalcev-compatible-dendriform", "OOP-dot", (1, 1))),
+    ("alternative-to-prealt-oop", "kind"):
+        (("sl2", "t1"), RoleMismatch, _needs_oop("alternative-to-prealt-oop")),
+    ("alternative-to-prealt-oop", "actions"):
+        (("sl2", ("oop", "I3", "rpa")), RoleMismatch,
+         _actions("alternative-to-prealt-oop", _LR, _SPLIT)),
+    ("alternative-to-prealt-oop", "roles"):
+        (("sl2", ("oop", "I3", "ralt")), RoleMismatch,
+         _roles("alternative-to-prealt-oop", ["star"])),
+    ("alternative-to-prealt-oop", "invalid"):
+        (("t2", ("oop", "I3", "ralt")), OperatorInvalid,
+         _invalid("alternative-to-prealt-oop", "OOP-star", (0, 0))),
+    ("alternative-to-prealt-rb", "kind"):
+        (("sl2", ("oop", "I3", "ralt")), RoleMismatch, _needs_rb("alternative-to-prealt-rb")),
+    ("alternative-to-prealt-rb", "weight"):
+        (("sl2", ("rb", "I3", 1)), OperatorInvalid, _weight("alternative-to-prealt-rb")),
+    ("alternative-to-prealt-rb", "roles"):
+        (("sl2", ("rb", "I3")), RoleMismatch, _roles("alternative-to-prealt-rb", ["star"])),
+    ("alternative-to-prealt-rb", "invalid"):
+        (("t2", ("rb", "I3")), OperatorInvalid,
+         _invalid("alternative-to-prealt-rb", "RB-star", (0, 0))),
+    ("prealt-to-quadri-oop", "kind"):
+        (("t2", "u2"), RoleMismatch, _needs_oop("prealt-to-quadri-oop")),
+    ("prealt-to-quadri-oop", "actions"):
+        (("t2", ("oop", "I3", "ralt")), RoleMismatch,
+         _actions("prealt-to-quadri-oop", _SPLIT, _LR)),
+    ("prealt-to-quadri-oop", "roles"):
+        (("t2", ("oop", "I3", "rpa")), RoleMismatch,
+         _roles("prealt-to-quadri-oop", ["prec", "succ"])),
+    ("prealt-to-quadri-oop", "invalid"):
+        (("pa", ("oop", "I3", "rpa")), OperatorInvalid,
+         _invalid("prealt-to-quadri-oop", "OOP-prec", (0, 0))),
+    ("prealt-to-quadri-rb", "kind"):
+        (("t2", ("oop", "I3", "rpa")), RoleMismatch, _needs_rb("prealt-to-quadri-rb")),
+    ("prealt-to-quadri-rb", "weight"):
+        (("t2", ("rb", "I3", 1)), OperatorInvalid, _weight("prealt-to-quadri-rb")),
+    ("prealt-to-quadri-rb", "roles"):
+        (("t2", ("rb", "I3")), RoleMismatch, _roles("prealt-to-quadri-rb", ["prec", "succ"])),
+    ("prealt-to-quadri-rb", "invalid"):
+        (("pa", ("rb", "I3")), OperatorInvalid,
+         _invalid("prealt-to-quadri-rb", "RB-prec", (0, 0))),
+    ("malcev-pair-to-mdendriform", "kind"):
+        (("t2", "s1", ("oop", "I3", "adj")), RoleMismatch,
+         _needs_rb("malcev-pair-to-mdendriform")),
+    ("malcev-pair-to-mdendriform", "weight"):
+        (("t2", ("rb", "I3", 1), ("oop", "I3", "adj")), OperatorInvalid,
+         _weight("malcev-pair-to-mdendriform")),
+    ("malcev-pair-to-mdendriform", "invalid"):
+        (("lie2", "lie2_rb", ("rb", ((1, 1, 1),))), OperatorInvalid,
+         _invalid("malcev-pair-to-mdendriform", "RB-bracket", (0, 1))),
+    ("malcev-pair-to-mdendriform", "commute"):
+        (("zero_star", ("rb", ((0, 1, 1),)), ("rb", ((1, 0, 1),))), NotCommuting,
+         "recipe 'malcev-pair-to-mdendriform' needs the two operators to commute"),
+    ("malcev-pair-to-mdendriform", "roles"):
+        (("t2", "t1", "u2"), RoleMismatch, _roles("malcev-pair-to-mdendriform", ["bracket"])),
+    ("alternative-pair-to-quadri", "kind"):
+        (("sl2", ("oop", "I3", "ralt"), "u2"), RoleMismatch,
+         _needs_rb("alternative-pair-to-quadri")),
+    ("alternative-pair-to-quadri", "weight"):
+        (("sl2", "t1", ("rb", "I3", 1)), OperatorInvalid, _weight("alternative-pair-to-quadri")),
+    ("alternative-pair-to-quadri", "invalid"):
+        (("t2", "t1", ("rb", ((1, 1, 1),))), OperatorInvalid,
+         _invalid("alternative-pair-to-quadri", "RB-star", (0, 1))),
+    ("alternative-pair-to-quadri", "commute"):
+        (("zero_bracket", ("rb", ((0, 1, 1),)), ("rb", ((1, 0, 1),))), NotCommuting,
+         "recipe 'alternative-pair-to-quadri' needs the two operators to commute"),
+    ("alternative-pair-to-quadri", "roles"):
+        (("sl2", "s1", "s2"), RoleMismatch, _roles("alternative-pair-to-quadri", ["star"])),
+    ("no-such-recipe", "induce"):
+        (("sl2", "s1"), UnknownKind,
+         f"unknown induce recipe 'no-such-recipe'; expected one of {INDUCE_RECIPES}"),
+    ("no-such-recipe", "pair"):
+        (("sl2", "s1", "s2"), UnknownKind,
+         f"unknown pair recipe 'no-such-recipe'; expected one of {PAIR_RECIPES}"),
+}
+
+
+def _refusal_input(env, spec, dim):
+    if isinstance(spec, str):
+        return env.get(spec) or getattr(support, spec)()
+    kind, mat, *rest = spec
+    rep = env[rest[0]] if kind == "oop" else None
+    mat = env[mat] if isinstance(mat, str) else support.dense(rep.base.dim if rep else dim, *mat)
+    return rb(mat, *rest) if kind == "rb" else oop(mat, rep)
+
+
+def test_refusal_cases_cover_every_recipe():
+    assert {recipe for recipe, _ in _REFUSALS} == {
+        *INDUCE_RECIPES, *PAIR_RECIPES, "no-such-recipe"}
+    for recipe in (*INDUCE_RECIPES, *PAIR_RECIPES):
+        cases = {case for r, case in _REFUSALS if r == recipe}
+        assert {"kind", "roles", "invalid"} <= cases
+        assert ("weight" in cases) == (recipe.endswith("-rb") or recipe in PAIR_RECIPES)
+        assert ("commute" in cases) == (recipe in PAIR_RECIPES)
+
+
+@pytest.mark.parametrize("recipe, case", sorted(_REFUSALS),
+                         ids=[f"{r}-{c}" for r, c in sorted(_REFUSALS)])
+def test_recipe_refusal_messages(env, recipe, case):
+    inputs, exc, message = _REFUSALS[recipe, case]
+    structure = _refusal_input(env, inputs[0], 0)
+    ops = [_refusal_input(env, spec, structure.dim) for spec in inputs[1:]]
+    build = induce if len(ops) == 1 else induce_pair
+    with pytest.raises(exc) as info:
+        build(structure, *ops, recipe)
+    assert type(info.value) is exc
+    assert str(info.value) == message
