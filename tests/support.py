@@ -22,11 +22,15 @@ from homalg import (
     make_structure,
 )
 from homalg.exact import (
+    apply_cols,
     grid_mul,
+    mat_cols,
     mat_identity,
+    mat_inverse,
     sv_fractions,
     sv_from_vector,
     sv_to_vector,
+    tensor_from_entries,
     tensor_grid,
     validate_tensor,
 )
@@ -201,6 +205,83 @@ def lie2_adjoint() -> Representation:
 def identity_rep(structure: HomStructure) -> Representation:
     """Regular Malcev representation rho(x) = ad_x packaged explicitly."""
     return adjoint_rep(structure)
+
+
+def splitting_bimodule(md: HomStructure) -> tuple[HomStructure, Representation]:
+    """The horizontal pre-Malcev structure ``x . y = x > y + x < y`` of an
+    M-dendriform structure, and the bimodule on which it acts by ``l(x) y =
+    x < y`` and ``r(x) y = y > x``: the identity is an invertible O-operator
+    there, and it induces ``md`` back."""
+    n = md.dim
+    tl, tr = md.products[ProductRole.TRI_LEFT], md.products[ProductRole.TRI_RIGHT]
+    horiz = make_structure(n, products={
+        ProductRole.DOT: tensor_from_entries(
+            (i, j, k, v) for t in (tr, tl) for (i, j), cell in t.items()
+            for k, v in cell.items())})
+    tlg, trg = tensor_grid(tl, n), tensor_grid(tr, n)
+    left = tuple(tuple(tuple((tlg[i][b] or {}).get(r, F(0)) for b in range(n))
+                       for r in range(n)) for i in range(n))
+    right = tuple(tuple(tuple((trg[b][i] or {}).get(r, F(0)) for b in range(n))
+                        for r in range(n)) for i in range(n))
+    bimod = Representation(base=horiz, module_dim=n, module_twist=mat_identity(n),
+                           actions={ActionRole.LEFT: left, ActionRole.RIGHT: right})
+    return horiz, bimod
+
+
+# ---------------------------------------------------------------------------
+# transport along basis changes
+# ---------------------------------------------------------------------------
+
+def mat_product(*ms):
+    """The product of dense rational matrices, left to right."""
+    out = ms[0]
+    for m in ms[1:]:
+        cols = list(zip(*m))
+        out = tuple(tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in cols)
+                    for row in out)
+    return out
+
+
+def transport_structure(s: HomStructure, p) -> HomStructure:
+    """The copy of ``s`` moved by the invertible ``p``: each product ``c``
+    becomes ``p c(p^-1 x, p^-1 y)`` and the twist ``p alpha p^-1``."""
+    n, pinv = s.dim, mat_inverse(p)
+    pc, qc = mat_cols(p), mat_cols(pinv)
+    products = {}
+    for role, t in s.products.items():
+        grid = tensor_grid(t, n)
+        products[role] = tensor_from_entries(
+            (i, j, k, v) for i in range(n) for j in range(n)
+            for k, v in sv_fractions(apply_cols(pc, grid_mul(grid, qc[i], qc[j]))).items())
+    return make_structure(n, twist=mat_product(p, s.twist, pinv), products=products,
+                          basis=s.basis, meta=dict(s.meta))
+
+
+def transport_rep(rep: Representation, base: HomStructure, p, q) -> Representation:
+    """``rep`` moved by ``p`` on its base (whose moved copy is ``base``) and
+    by the invertible ``q`` on its module: each action becomes
+    ``q X(p^-1 x) q^-1`` and the module twist ``q beta q^-1``."""
+    m, pinv, qinv = rep.module_dim, mat_inverse(p), mat_inverse(q)
+    actions = {}
+    for role, slices in rep.actions.items():
+        moved = [mat_product(q, s, qinv) for s in slices]
+        actions[role] = tuple(
+            tuple(tuple(sum((pinv[a][i] * moved[a][r][c] for a in range(len(moved))), F(0))
+                        for c in range(m)) for r in range(m))
+            for i in range(len(moved)))
+    return Representation(base=base, module_dim=m,
+                          module_twist=mat_product(q, rep.module_twist, qinv),
+                          actions=actions)
+
+
+def transport_operator(w: OperatorWitness, base: HomStructure, p, q) -> OperatorWitness:
+    """A Rota-Baxter map ``R`` moved to ``p R p^-1``; a relative operator
+    ``T`` to ``p T q^-1`` on its representation moved by :func:`transport_rep`."""
+    if w.rep is None:
+        return OperatorWitness(w.kind, mat_product(p, w.matrix, mat_inverse(p)),
+                               weight=w.weight)
+    return OperatorWitness(w.kind, mat_product(p, w.matrix, mat_inverse(q)),
+                           rep=transport_rep(w.rep, base, p, q))
 
 
 # ---------------------------------------------------------------------------

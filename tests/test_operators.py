@@ -312,23 +312,8 @@ def test_compatible_dendriform_round_trip(pm_sl2, sl2_ops):
     bimodule of a splitting) reproduces the splitting it came from."""
     md = induce(pm_sl2, sl2_ops[1], "premalcev-to-mdendriform-rb")
     hdot = tensor_add(md.products[R.TRI_RIGHT], md.products[R.TRI_LEFT])
-    horiz = make_structure(3, products={R.DOT: hdot})
-    tlg = tensor_grid(md.products[R.TRI_LEFT], 3)
-    trg = tensor_grid(md.products[R.TRI_RIGHT], 3)
-    left = tuple(
-        tuple(tuple((tlg[i][b] or {}).get(r, F(0)) for b in range(3)) for r in range(3))
-        for i in range(3)
-    )
-    right = tuple(
-        tuple(tuple((trg[b][i] or {}).get(r, F(0)) for b in range(3)) for r in range(3))
-        for i in range(3)
-    )
-    bimod = Representation(
-        base=horiz,
-        module_dim=3,
-        module_twist=mat_identity(3),
-        actions={A.LEFT: left, A.RIGHT: right},
-    )
+    horiz, bimod = support.splitting_bimodule(md)
+    assert horiz.products[R.DOT] == hdot
     assert check_rep(bimod, C.HOM_PRE_MALCEV).passed
     ident = oop(mat_identity(3), bimod)
     assert check_operator(horiz, ident).passed
