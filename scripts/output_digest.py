@@ -5,12 +5,13 @@ bundles, so that two versions of the code can be compared byte for byte.
     diff digests-before.txt digests-after.txt
 
 Runs through ``homalg.cli.main`` in-process, on every packaged fixture, on
-every bundle given (a directory stands for the ``*.json`` files under it) and,
-with ``--workloads SEED``, on every bundle the workloads of ``bench/`` write
-at that seed, and on the ``block-sparse`` direct sums as they are before the
-workload drops their representations and the operators on them (in
-``block-sparse-reps/``), all generated into a temporary directory, which is
-removed after:
+every bundle given (a directory stands for the ``*.json`` files under it), on
+the fixture inputs of the O-operator recipes that no fixture carries (in
+``recipes/``, see :func:`recipe_bundles`) and, with ``--workloads SEED``, on
+every bundle the workloads of ``bench/`` write at that seed, and on the
+``block-sparse`` direct sums as they are before the workload drops their
+representations and the operators on them (in ``block-sparse-reps/``), all
+generated into a temporary directory, which is removed after:
 
 - ``check --format json`` for every class whose product roles the bundle
   carries, and once more with ``--multiplicativity`` for its declared class;
@@ -42,11 +43,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from homalg.bundle import load_bundle  # noqa: E402
+from homalg import (  # noqa: E402
+    CLASS_ROLES,
+    INDUCE_RECIPES,
+    KIND_O_OPERATOR,
+    PAIR_RECIPES,
+    ActionRole,
+    Bundle,
+    OperatorWitness,
+    ProductRole,
+    Representation,
+    adjoint_rep,
+    horizontal,
+    induce,
+    load_bundle,
+    make_structure,
+    regular_alternative_rep,
+    regular_pre_alternative_rep,
+    regular_pre_malcev_rep,
+    save_bundle,
+)
 from homalg.cli import RECIPES, main  # noqa: E402
-from homalg.fixtures import fixture_names  # noqa: E402
-from homalg.operators import INDUCE_RECIPES, PAIR_RECIPES  # noqa: E402
-from homalg.structures import CLASS_ROLES  # noqa: E402
+from homalg.exact import mat_identity  # noqa: E402
+from homalg.fixtures import fixture_names, load_fixture  # noqa: E402
 
 
 def _bundle_paths(args: list[str]) -> list[str]:
@@ -94,6 +113,61 @@ def workload_bundles(seed: int, into: Path) -> list[Path]:
                 paths.append(path)
     finally:
         os.chdir(cwd)
+    return paths
+
+
+def _on_rep(structure, rep, rb_maps) -> Bundle:
+    """``structure`` with ``rep`` and the O-operators on it of the same
+    matrices as ``rb_maps``."""
+    ops = tuple(OperatorWitness(KIND_O_OPERATOR, r.matrix, rep=rep) for r in rb_maps)
+    return Bundle(structure, reps=(rep,), operators=ops, rep_indices=(0,) * len(ops))
+
+
+def recipe_bundles(into: Path) -> list[Path]:
+    """Write, under ``into``, the inputs of the O-operator recipes that no
+    fixture carries, all made from fixtures, and return their paths, in order:
+
+    - sl2_malcev on its adjoint representation, and assoc_t2 on its regular
+      one, with their Rota-Baxter maps as O-operators;
+    - the pre-alternative structure assoc_t2's first Rota-Baxter map
+      induces, with the second map, as itself and as an O-operator on the
+      regular representation;
+    - the horizontal pre-Malcev structure of mdendri_sl2 with the identity,
+      an invertible O-operator on the bimodule ``l(x) y = x < y``,
+      ``r(x) y = y > x``.
+    """
+    sl2 = load_fixture("sl2_malcev")
+    t2 = load_fixture("assoc_t2")
+    r1, r2 = t2.operators
+    prealt = induce(t2.structure, r1, "alternative-to-prealt-rb")
+    prealt_rep = regular_pre_alternative_rep(prealt)
+    md = load_fixture("mdendri_sl2").structure
+    horiz = horizontal(md)
+
+    def acting(role, side):
+        half = make_structure(md.dim, twist=md.twist,
+                              products={ProductRole.DOT: md.products[role]})
+        return regular_pre_malcev_rep(half).actions[side]
+
+    bimod = Representation(base=horiz, module_dim=md.dim, module_twist=md.twist, actions={
+        ActionRole.LEFT: acting(ProductRole.TRI_LEFT, ActionRole.LEFT),
+        ActionRole.RIGHT: acting(ProductRole.TRI_RIGHT, ActionRole.RIGHT)})
+    bundles = {
+        "sl2_malcev_adjoint": _on_rep(sl2.structure, adjoint_rep(sl2.structure),
+                                      sl2.operators),
+        "assoc_t2_regular": _on_rep(t2.structure, regular_alternative_rep(t2.structure),
+                                    t2.operators),
+        "prealt_t2_regular": Bundle(
+            prealt, reps=(prealt_rep,), rep_indices=(None, 0),
+            operators=(r2, OperatorWitness(KIND_O_OPERATOR, r2.matrix, rep=prealt_rep))),
+        "mdendri_sl2_splitting": _on_rep(
+            horiz, bimod, [OperatorWitness(KIND_O_OPERATOR, mat_identity(md.dim), rep=bimod)]),
+    }
+    into.mkdir(parents=True)
+    paths = []
+    for name, bundle in bundles.items():
+        paths.append(into / f"{name}.json")
+        save_bundle(bundle, paths[-1])
     return paths
 
 
@@ -157,12 +231,14 @@ def run(args: list[str]) -> int:
                         help="also digest the benchmark workloads' bundles")
     opts = parser.parse_args(args)
     _print_digests(ROOT, _bundle_paths(opts.bundles))
-    if opts.workloads is not None:
-        with tempfile.TemporaryDirectory() as tmp:
-            into = Path(tmp)
+    with tempfile.TemporaryDirectory() as tmp:
+        into = Path(tmp)
+        paths = []
+        if opts.workloads is not None:
             paths = workload_bundles(opts.workloads, into)
-            _print_digests(into, [str(p.relative_to(into)) for p in paths])
-            os.chdir(ROOT)
+        paths += recipe_bundles(into / "recipes")
+        _print_digests(into, [str(p.relative_to(into)) for p in paths])
+        os.chdir(ROOT)
     return 0
 
 

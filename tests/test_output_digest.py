@@ -4,7 +4,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from homalg import load_bundle
+from homalg import INDUCE_RECIPES, PAIR_RECIPES, load_bundle
 
 _SPEC = importlib.util.spec_from_file_location(
     "output_digest", Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py")
@@ -33,3 +33,19 @@ def test_workload_bundles_are_collected_per_workload_and_repeat(tmp_path):
         bundle = load_bundle(a)
         if a.relative_to(tmp_path / "a").as_posix() in with_reps:
             assert bundle.reps
+
+
+def test_every_operator_recipe_has_a_passing_construct_line(tmp_path, monkeypatch):
+    # fixtures are named relative to the checkout, as the script runs them
+    monkeypatch.chdir(output_digest.ROOT)
+    recipes = set(INDUCE_RECIPES + PAIR_RECIPES)
+    paths = output_digest._bundle_paths([])
+    paths += map(str, output_digest.recipe_bundles(tmp_path / "recipes"))
+    passed = set()
+    for path in paths:
+        for argv in output_digest._commands(path):
+            if argv[0] == "construct" and argv[3] in recipes - passed:
+                line = output_digest._digest(argv)
+                if line is not None and line.split()[1] == "exit=0":
+                    passed.add(argv[3])
+    assert passed == recipes
