@@ -148,10 +148,6 @@ def mat_identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def mat_zero(rows: int, cols: int) -> Matrix:
-    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
-
-
 def mat_sub(a, b) -> Imat:
     a, b = as_imat(a), as_imat(b)
     if (a.rows, a.cols) != (b.rows, b.cols):

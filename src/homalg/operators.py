@@ -1,6 +1,12 @@
 """Rota-Baxter and relative (O-) operator witnesses, their verification, and
 every induced-structure constructor: dendrification of single operators, of
 commuting pairs, and of Hessian bilinear forms.
+
+The operator recipes are data (``_FAMILIES`` and ``_PAIRS``) read by one
+builder, ``_product``.  A Rota-Baxter map of weight 0 is an O-operator on the
+regular (adjoint) representation, so each ``-rb`` recipe is its ``-oop``
+recipe on that representation, with the structure product in place of each
+action, and both come from the same table row.
 """
 from __future__ import annotations
 
@@ -11,6 +17,7 @@ from typing import Mapping, Sequence
 from .exact import (
     DimensionMismatch,
     Grid,
+    Ivec,
     Matrix,
     Table,
     Tensor,
@@ -30,7 +37,6 @@ from .exact import (
     push_product,
     sv_basis,
     sv_fractions,
-    sv_sub,
     tensor_commutator,
     tensor_from_entries,
     tensor_grid,
@@ -306,13 +312,20 @@ def _grid(structure: HomStructure, role: ProductRole):
     return tensor_grid(structure.products[role], structure.dim)
 
 
-def _tensor_from_fn(dim: int, fn) -> Tensor:
-    entries = []
-    for i in range(dim):
-        for j in range(dim):
-            for k, v in sv_fractions(fn(i, j)).items():
-                entries.append((i, j, k, v))
-    return tensor_from_entries(entries)
+def _product(grid: Grid, a: Sequence[Ivec], b: Sequence[Ivec], swap: bool = False,
+             outer: Sequence[Ivec] | None = None) -> Tensor:
+    """The product ``(x, y) -> outer(grid(a e_x, b e_y))``, or with ``swap``
+    ``(x, y) -> outer(grid(a e_y, b e_x))``; ``a``, ``b`` and ``outer`` are the
+    columns of maps, and no ``outer`` is the identity."""
+    out: Tensor = {}
+    for x in range(len(a)):
+        for y in range(len(b)):
+            cell = grid_mul(grid, a[y], b[x]) if swap else grid_mul(grid, a[x], b[y])
+            if outer is not None:
+                cell = apply_cols(outer, cell)
+            if cell:
+                out[x, y] = sv_fractions(cell)
+    return out
 
 
 def _module_structure(rep: Representation, products: Mapping[ProductRole, Tensor],
@@ -332,239 +345,96 @@ def _carrier_structure(structure: HomStructure,
     )
 
 
-def _induce_malcev_to_premalcev_oop(structure, w):
-    rep = _require_oop(w, "malcev-to-premalcev-oop", MALCEV_ACTIONS)
-    _require_roles(structure, [ProductRole.BRACKET], "malcev-to-premalcev-oop")
-    _require_valid(structure, w, "malcev-to-premalcev-oop")
-    tcols = mat_cols(w.matrix)
-    rho = rep.grid(rep.action(ActionRole.RHO))
-    m = rep.module_dim
-    f = sv_basis(m)
-    dot = _tensor_from_fn(m, lambda a, b: grid_mul(rho, tcols[a], f[b]))
-    return _module_structure(rep, {ProductRole.DOT: dot}, "malcev-to-premalcev-oop")
+P, A = ProductRole, ActionRole
+
+# The families of products an operator T induces.  Each row is one output
+# product (out, X, *, swap): out(x, y) = X(T x) y, or X(T y) x with swap, for
+# an O-operator T on a representation with the action X.  A Rota-Baxter map
+# R of weight 0 is the O-operator R on the regular (adjoint) representation,
+# where X is the structure product *: a left action X(u) v = u * v and a
+# right one X(u) v = v * u.  So each family's "-rb" recipe is its "-oop"
+# recipe on that representation: out(x, y) = R x * y, or x * R y with swap.
+# Both recipes need the structure products * of their rows.
+_FAMILIES: dict[str, tuple[tuple[ProductRole, ActionRole, ProductRole, bool], ...]] = {
+    "malcev-to-premalcev": ((P.DOT, A.RHO, P.BRACKET, False),),
+    "premalcev-to-mdendriform": ((P.TRI_RIGHT, A.RIGHT, P.DOT, True),
+                                 (P.TRI_LEFT, A.LEFT, P.DOT, False)),
+    "alternative-to-prealt": ((P.SUCC, A.LEFT, P.STAR, False),
+                              (P.PREC, A.RIGHT, P.STAR, True)),
+    "prealt-to-quadri": ((P.SE, A.LEFT_SUCC, P.SUCC, False),
+                         (P.NE, A.RIGHT_SUCC, P.SUCC, True),
+                         (P.SW, A.LEFT_PREC, P.PREC, False),
+                         (P.NW, A.RIGHT_PREC, P.PREC, True)),
+}
+
+# The products a commuting pair R1, R2 of Rota-Baxter maps induces on one
+# structure product *: each row (out, f, g) is out(x, y) = f x * g y, for f
+# and g among the identity "", R1 "1", R2 "2" and R1 R2 "12".
+_PAIRS: dict[str, tuple[ProductRole, tuple[tuple[ProductRole, str, str], ...]]] = {
+    "malcev-pair-to-mdendriform": (P.BRACKET, ((P.TRI_RIGHT, "1", "2"),
+                                               (P.TRI_LEFT, "12", ""))),
+    "alternative-pair-to-quadri": (P.STAR, ((P.SE, "12", ""), (P.NE, "1", "2"),
+                                            (P.SW, "2", "1"), (P.NW, "", "12"))),
+}
+
+_COMPATIBLE = "premalcev-compatible-dendriform"
+
+INDUCE_RECIPES = tuple(sorted([f"{family}-{form}" for family in _FAMILIES
+                               for form in ("oop", "rb")] + [_COMPATIBLE]))
+PAIR_RECIPES = tuple(sorted(_PAIRS))
 
 
-def _induce_malcev_to_premalcev_rb(structure, w):
-    _require_rb(w, "malcev-to-premalcev-rb")
-    _require_roles(structure, [ProductRole.BRACKET], "malcev-to-premalcev-rb")
-    _require_valid(structure, w, "malcev-to-premalcev-rb")
-    grid = _grid(structure, ProductRole.BRACKET)
-    rcols = mat_cols(w.matrix)
-    e = sv_basis(structure.dim)
-    dot = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, rcols[i], e[j])
-    )
-    return _carrier_structure(structure, {ProductRole.DOT: dot},
-                              "malcev-to-premalcev-rb")
-
-
-def _induce_premalcev_to_mdendriform_oop(structure, w):
-    rep = _require_oop(w, "premalcev-to-mdendriform-oop", PRE_MALCEV_ACTIONS)
-    _require_roles(structure, [ProductRole.DOT], "premalcev-to-mdendriform-oop")
-    _require_valid(structure, w, "premalcev-to-mdendriform-oop")
-    tcols = mat_cols(w.matrix)
-    ell = rep.grid(rep.action(ActionRole.LEFT))
-    arr = rep.grid(rep.action(ActionRole.RIGHT))
-    m = rep.module_dim
-    f = sv_basis(m)
-    tr = _tensor_from_fn(m, lambda a, b: grid_mul(arr, tcols[b], f[a]))
-    tl = _tensor_from_fn(m, lambda a, b: grid_mul(ell, tcols[a], f[b]))
-    return _module_structure(rep, {ProductRole.TRI_RIGHT: tr, ProductRole.TRI_LEFT: tl},
-                             "premalcev-to-mdendriform-oop")
-
-
-def _induce_premalcev_to_mdendriform_rb(structure, w):
-    _require_rb(w, "premalcev-to-mdendriform-rb")
-    _require_roles(structure, [ProductRole.DOT], "premalcev-to-mdendriform-rb")
-    _require_valid(structure, w, "premalcev-to-mdendriform-rb")
-    grid = _grid(structure, ProductRole.DOT)
-    rcols = mat_cols(w.matrix)
-    e = sv_basis(structure.dim)
-    tr = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, e[i], rcols[j])
-    )
-    tl = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, rcols[i], e[j])
-    )
-    return _carrier_structure(structure,
-                              {ProductRole.TRI_RIGHT: tr, ProductRole.TRI_LEFT: tl},
-                              "premalcev-to-mdendriform-rb")
-
-
-def _induce_premalcev_compatible_dendriform(structure, w):
-    recipe = "premalcev-compatible-dendriform"
-    rep = _require_oop(w, recipe, PRE_MALCEV_ACTIONS)
-    _require_roles(structure, [ProductRole.DOT], recipe)
+def _induce_compatible(structure: HomStructure, w: OperatorWitness) -> HomStructure:
+    """x > y = T(r(y) T^-1 x) and x < y = T(l(x) T^-1 y) for an invertible
+    O-operator T on a pre-Malcev bimodule."""
+    rep = _require_oop(w, _COMPATIBLE, PRE_MALCEV_ACTIONS)
+    _require_roles(structure, [ProductRole.DOT], _COMPATIBLE)
     if rep.module_dim != structure.dim:
         raise DimensionMismatch(
             "an invertible operator needs the module and algebra dimensions equal"
         )
     t_inv = mat_inverse(w.matrix)  # SingularMatrix when not invertible
-    _require_valid(structure, w, recipe)
-    ell = rep.grid(rep.action(ActionRole.LEFT))
-    arr = rep.grid(rep.action(ActionRole.RIGHT))
-    n = structure.dim
-    ticols = mat_cols(t_inv)
-    tcols = mat_cols(w.matrix)
-    e = sv_basis(n)
-    # x > y = T(r(y) T^-1(x)) and x < y = T(l(x) T^-1(y))
-    tr = _tensor_from_fn(n, lambda i, j: apply_cols(tcols, grid_mul(arr, e[j], ticols[i])))
-    tl = _tensor_from_fn(n, lambda i, j: apply_cols(tcols, grid_mul(ell, e[i], ticols[j])))
-    return _carrier_structure(structure,
-                              {ProductRole.TRI_RIGHT: tr, ProductRole.TRI_LEFT: tl},
-                              recipe)
-
-
-def _induce_alternative_to_prealt_oop(structure, w):
-    recipe = "alternative-to-prealt-oop"
-    rep = _require_oop(w, recipe, PRE_MALCEV_ACTIONS)
-    _require_roles(structure, [ProductRole.STAR], recipe)
-    _require_valid(structure, w, recipe)
-    tcols = mat_cols(w.matrix)
-    ell = rep.grid(rep.action(ActionRole.LEFT))
-    arr = rep.grid(rep.action(ActionRole.RIGHT))
-    m = rep.module_dim
-    f = sv_basis(m)
-    succ = _tensor_from_fn(m, lambda a, b: grid_mul(ell, tcols[a], f[b]))
-    prec = _tensor_from_fn(m, lambda a, b: grid_mul(arr, tcols[b], f[a]))
-    return _module_structure(rep, {ProductRole.PREC: prec, ProductRole.SUCC: succ},
-                             recipe)
-
-
-def _induce_alternative_to_prealt_rb(structure, w):
-    recipe = "alternative-to-prealt-rb"
-    _require_rb(w, recipe)
-    _require_roles(structure, [ProductRole.STAR], recipe)
-    _require_valid(structure, w, recipe)
-    grid = _grid(structure, ProductRole.STAR)
-    rcols = mat_cols(w.matrix)
-    e = sv_basis(structure.dim)
-    prec = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, e[i], rcols[j])
-    )
-    succ = _tensor_from_fn(
-        structure.dim, lambda i, j: grid_mul(grid, rcols[i], e[j])
-    )
-    return _carrier_structure(structure,
-                              {ProductRole.PREC: prec, ProductRole.SUCC: succ}, recipe)
-
-
-def _induce_prealt_to_quadri_oop(structure, w):
-    recipe = "prealt-to-quadri-oop"
-    rep = _require_oop(w, recipe, PRE_ALTERNATIVE_ACTIONS)
-    _require_roles(structure, [ProductRole.PREC, ProductRole.SUCC], recipe)
-    _require_valid(structure, w, recipe)
-    tcols = mat_cols(w.matrix)
-    m = rep.module_dim
-    f = sv_basis(m)
-    lp, rp, ls, rs = (rep.grid(rep.action(role)) for role in (
-        ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC, ActionRole.LEFT_SUCC,
-        ActionRole.RIGHT_SUCC))
-    products = {
-        ProductRole.SE: _tensor_from_fn(m, lambda a, b: grid_mul(ls, tcols[a], f[b])),
-        ProductRole.NE: _tensor_from_fn(m, lambda a, b: grid_mul(rs, tcols[b], f[a])),
-        ProductRole.SW: _tensor_from_fn(m, lambda a, b: grid_mul(lp, tcols[a], f[b])),
-        ProductRole.NW: _tensor_from_fn(m, lambda a, b: grid_mul(rp, tcols[b], f[a])),
-    }
-    return _module_structure(rep, products, recipe)
-
-
-def _induce_prealt_to_quadri_rb(structure, w):
-    recipe = "prealt-to-quadri-rb"
-    _require_rb(w, recipe)
-    _require_roles(structure, [ProductRole.PREC, ProductRole.SUCC], recipe)
-    _require_valid(structure, w, recipe)
-    pgrid = _grid(structure, ProductRole.PREC)
-    sgrid = _grid(structure, ProductRole.SUCC)
-    rcols = mat_cols(w.matrix)
-    e = sv_basis(structure.dim)
-    n = structure.dim
-    products = {
-        ProductRole.NE: _tensor_from_fn(
-            n, lambda i, j: grid_mul(sgrid, e[i], rcols[j])),
-        ProductRole.SE: _tensor_from_fn(
-            n, lambda i, j: grid_mul(sgrid, rcols[i], e[j])),
-        ProductRole.SW: _tensor_from_fn(
-            n, lambda i, j: grid_mul(pgrid, rcols[i], e[j])),
-        ProductRole.NW: _tensor_from_fn(
-            n, lambda i, j: grid_mul(pgrid, e[i], rcols[j])),
-    }
-    return _carrier_structure(structure, products, recipe)
-
-
-_INDUCE_RECIPES = {
-    "malcev-to-premalcev-oop": _induce_malcev_to_premalcev_oop,
-    "malcev-to-premalcev-rb": _induce_malcev_to_premalcev_rb,
-    "premalcev-to-mdendriform-oop": _induce_premalcev_to_mdendriform_oop,
-    "premalcev-to-mdendriform-rb": _induce_premalcev_to_mdendriform_rb,
-    "premalcev-compatible-dendriform": _induce_premalcev_compatible_dendriform,
-    "alternative-to-prealt-oop": _induce_alternative_to_prealt_oop,
-    "alternative-to-prealt-rb": _induce_alternative_to_prealt_rb,
-    "prealt-to-quadri-oop": _induce_prealt_to_quadri_oop,
-    "prealt-to-quadri-rb": _induce_prealt_to_quadri_rb,
-}
-
-INDUCE_RECIPES = tuple(sorted(_INDUCE_RECIPES))
+    _require_valid(structure, w, _COMPATIBLE)
+    e, ti, t = sv_basis(structure.dim), mat_cols(t_inv), mat_cols(w.matrix)
+    return _carrier_structure(structure, {
+        out: _product(rep.grid(rep.action(act)), e, ti, swap, outer=t)
+        for out, act, _, swap in _FAMILIES["premalcev-to-mdendriform"]}, _COMPATIBLE)
 
 
 def induce(structure: HomStructure, w: OperatorWitness, recipe: str) -> HomStructure:
     """Build the structure a verified operator induces; refuses unverified
     operators."""
-    handler = _INDUCE_RECIPES.get(recipe)
-    if handler is None:
+    if recipe not in INDUCE_RECIPES:
         raise UnknownKind(
             f"unknown induce recipe {recipe!r}; expected one of {INDUCE_RECIPES}"
         )
-    return handler(structure, w)
-
-
-def _induce_malcev_pair(structure, r1, r2):
-    recipe = "malcev-pair-to-mdendriform"
-    _require_roles(structure, [ProductRole.BRACKET], recipe)
-    grid = _grid(structure, ProductRole.BRACKET)
-    c1 = mat_cols(r1.matrix)
-    c2 = mat_cols(r2.matrix)
-    c12 = mat_cols(mat_mul(r1.matrix, r2.matrix))
-    e = sv_basis(structure.dim)
-    n = structure.dim
-    tr = _tensor_from_fn(n, lambda i, j: grid_mul(grid, c1[i], c2[j]))
-    tl = _tensor_from_fn(n, lambda i, j: grid_mul(grid, c12[i], e[j]))
-    return _carrier_structure(structure,
-                              {ProductRole.TRI_RIGHT: tr, ProductRole.TRI_LEFT: tl},
-                              recipe)
-
-
-def _induce_alternative_pair(structure, r1, r2):
-    recipe = "alternative-pair-to-quadri"
-    _require_roles(structure, [ProductRole.STAR], recipe)
-    grid = _grid(structure, ProductRole.STAR)
-    c1 = mat_cols(r1.matrix)
-    c2 = mat_cols(r2.matrix)
-    c12 = mat_cols(mat_mul(r1.matrix, r2.matrix))
-    e = sv_basis(structure.dim)
-    n = structure.dim
-    products = {
-        ProductRole.SE: _tensor_from_fn(n, lambda i, j: grid_mul(grid, c12[i], e[j])),
-        ProductRole.NE: _tensor_from_fn(n, lambda i, j: grid_mul(grid, c1[i], c2[j])),
-        ProductRole.SW: _tensor_from_fn(n, lambda i, j: grid_mul(grid, c2[i], c1[j])),
-        ProductRole.NW: _tensor_from_fn(n, lambda i, j: grid_mul(grid, e[i], c12[j])),
-    }
-    return _carrier_structure(structure, products, recipe)
-
-
-_PAIR_RECIPES = {
-    "malcev-pair-to-mdendriform": _induce_malcev_pair,
-    "alternative-pair-to-quadri": _induce_alternative_pair,
-}
-
-PAIR_RECIPES = tuple(sorted(_PAIR_RECIPES))
+    if recipe == _COMPATIBLE:
+        return _induce_compatible(structure, w)
+    family, _, form = recipe.rpartition("-")
+    rows = _FAMILIES[family]
+    roles = sorted({role for _, _, role, _ in rows}, key=lambda r: r.value)
+    if form == "rb":
+        _require_rb(w, recipe)
+    else:
+        rep = _require_oop(w, recipe, frozenset(act for _, act, _, _ in rows))
+    _require_roles(structure, roles, recipe)
+    _require_valid(structure, w, recipe)
+    t = mat_cols(w.matrix)
+    if form == "oop":
+        f = sv_basis(rep.module_dim)
+        return _module_structure(rep, {
+            out: _product(rep.grid(rep.action(act)), t, f, swap)
+            for out, act, _, swap in rows}, recipe)
+    e, grids = sv_basis(structure.dim), {role: _grid(structure, role) for role in roles}
+    return _carrier_structure(structure, {
+        out: _product(grids[role], *((e, t) if swap else (t, e)))
+        for out, _, role, swap in rows}, recipe)
 
 
 def induce_pair(structure: HomStructure, r1: OperatorWitness,
                 r2: OperatorWitness, recipe: str) -> HomStructure:
     """Build the structure a verified commuting Rota-Baxter pair induces."""
-    handler = _PAIR_RECIPES.get(recipe)
-    if handler is None:
+    if recipe not in _PAIRS:
         raise UnknownKind(
             f"unknown pair recipe {recipe!r}; expected one of {PAIR_RECIPES}"
         )
@@ -574,7 +444,13 @@ def induce_pair(structure: HomStructure, r1: OperatorWitness,
     _require_valid(structure, r2, recipe)
     if not check_commuting(r1, r2):
         raise NotCommuting(f"recipe {recipe!r} needs the two operators to commute")
-    return handler(structure, r1, r2)
+    role, rows = _PAIRS[recipe]
+    _require_roles(structure, [role], recipe)
+    maps = {"": sv_basis(structure.dim), "1": mat_cols(r1.matrix),
+            "2": mat_cols(r2.matrix), "12": mat_cols(mat_mul(r1.matrix, r2.matrix))}
+    grid = _grid(structure, role)
+    return _carrier_structure(structure, {
+        out: _product(grid, maps[f], maps[g]) for out, f, g in rows}, recipe)
 
 
 # ---------------------------------------------------------------------------
@@ -638,24 +514,22 @@ def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructur
     b = form.matrix
     solve = mat_inverse(mat_fractions(mat_mul(mat_transpose(alpha), b)))
     dot = structure.products[ProductRole.DOT]
-    grid = tensor_grid(dot, n)
-    cgrid = tensor_grid(tensor_commutator(dot), n)
-    basis = sv_basis(n)
+    d = tensor_grid(dot, n).ints
+    c = tensor_grid(tensor_commutator(dot), n).ints
     b_alpha = mat_mul(b, alpha)
 
     # right-multiplication and bracket-left-multiplication matrices
     tr_entries = []
     tl_entries = []
     for j in range(n):
-        r_j = _cols_matrix([grid_mul(grid, basis[bidx], basis[j])
-                            for bidx in range(n)], n)
+        r_j = _cols_matrix([d[bidx][j] for bidx in range(n)], n)
         p_j = mat_fractions(mat_mul(solve, mat_mul(mat_transpose(r_j), b_alpha)))
         for i in range(n):
             for r in range(n):
                 if p_j[r][i]:
                     tr_entries.append((i, j, r, p_j[r][i]))
     for i in range(n):
-        ad_i = _cols_matrix(cgrid.ints[i], n)
+        ad_i = _cols_matrix(c[i], n)
         q_i = mat_fractions(mat_mul(solve, mat_mul(mat_transpose(ad_i), b_alpha)))
         for j in range(n):
             for r in range(n):
@@ -687,16 +561,17 @@ def check_oop_endomorphism(w: OperatorWitness, phiA: Matrix,
         raise DimensionMismatch(f"algebra map must be {n}x{n}, got {mat_shape(phiA)}")
     if mat_shape(phiV) != (m, m):
         raise DimensionMismatch(f"module map must be {m}x{m}, got {mat_shape(phiV)}")
-    if any(mat_sub(mat_mul(w.matrix, phiV), mat_mul(phiA, w.matrix))):
-        return False
-    pa_cols, pv_cols = mat_cols(phiA), mat_cols(phiV)
-    # each action X: X(phiA e_i) phiV e_b = phiV X(e_i) e_b
+    start = time.perf_counter()
+    pa, pv = _columns(phiA), _columns(phiV)
+    # ENDO-OP = T phiV e_b - phiA T e_b, and for each action X
+    # ENDO-X = X(phiA e_i) phiV e_b - phiV X(e_i) e_b
+    identities = [("ENDO-OP", 1, [(1, None, (_columns(
+        mat_sub(mat_mul(w.matrix, phiV), mat_mul(phiA, w.matrix))), "i"))])]
     for role in sorted(rep.actions, key=lambda r: r.value):
         grid = rep.grid(rep.action(role))
-        if any(sv_sub(grid_mul(grid, pa_cols[i], pv_cols[b]), apply_cols(pv_cols, grid.ints[i][b]))
-               for i in range(n) for b in range(m)):
-            return False
-    return True
+        identities.append((f"ENDO-{role.value}", 2, [
+            (1, grid, (pa, "i"), (pv, "j")), (-1, None, (_twisted(pv, grid.ints), "ij"))]))
+    return _sweep("oop-endomorphism", identities, n, start, module_dim=m).passed
 
 
 def twist_oop_setup(structure: HomStructure, w: OperatorWitness, phiA: Matrix,

@@ -84,6 +84,11 @@ def basis_vector(dim: int, i: int):
     return tuple(F(1) if j == i else F(0) for j in range(dim))
 
 
+def mat_zero(rows: int, cols: int):
+    """The dense ``rows x cols`` zero matrix."""
+    return tuple(tuple(F(0) for _ in range(cols)) for _ in range(rows))
+
+
 def mat_neg(a):
     """The entrywise negation of a dense matrix."""
     return tuple(tuple(-x for x in row) for row in a)

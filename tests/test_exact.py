@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from support import mat_zero
 from homalg.exact import (
     DimensionMismatch,
     Imat,
@@ -29,7 +30,6 @@ from homalg.exact import (
     mat_shape,
     mat_sub,
     mat_transpose,
-    mat_zero,
     matrix,
     packed_mul,
     push_product,

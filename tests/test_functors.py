@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import support
+from support import mat_zero
 from homalg import (
     ActionRole,
     KIND_O_OPERATOR,
@@ -39,7 +40,6 @@ from homalg.exact import (
     mat_fractions,
     mat_identity,
     mat_mul,
-    mat_zero,
     tensor_add,
     tensor_commutator,
 )

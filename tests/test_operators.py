@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import support
+from support import mat_zero
 from homalg import (
     ActionRole,
     BilinearForm,
@@ -49,7 +50,6 @@ from homalg.exact import (
     grid_mul,
     mat_cols,
     mat_identity,
-    mat_zero,
     push_product,
     sv_fractions,
     tensor_add,
