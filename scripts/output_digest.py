@@ -6,8 +6,8 @@ bundles, so that two versions of the code can be compared byte for byte.
 
 Runs through ``homalg.cli.main`` in-process, on every packaged fixture, on
 every bundle given (a directory stands for the ``*.json`` files under it), on
-the fixture inputs of the O-operator recipes that no fixture carries (in
-``recipes/``, see :func:`recipe_bundles`) and, with ``--workloads SEED``, on
+inputs built from the fixtures for the operator recipes that no fixture has
+inputs for (in ``recipes/``, see :func:`recipe_bundles`) and, with ``--workloads SEED``, on
 every bundle the workloads of ``bench/`` write at that seed, and on the
 ``block-sparse`` direct sums as they are before the workload drops their
 representations and the operators on them (in ``block-sparse-reps/``), all
@@ -124,8 +124,8 @@ def _on_rep(structure, rep, rb_maps) -> Bundle:
 
 
 def recipe_bundles(into: Path) -> list[Path]:
-    """Write, under ``into``, the inputs of the O-operator recipes that no
-    fixture carries, all made from fixtures, and return their paths, in order:
+    """Write under ``into`` inputs, built from the fixtures, for the operator
+    recipes that no fixture has inputs for, and return their paths, in order:
 
     - sl2_malcev on its adjoint representation, and assoc_t2 on its regular
       one, with their Rota-Baxter maps as O-operators;

@@ -87,13 +87,6 @@ def _splitting():
     return horiz, [OperatorWitness(KIND_O_OPERATOR, mat_identity(horiz.dim), rep=bimod)]
 
 
-def _lie2_on_rep():
-    """lie_dim2's Rota-Baxter map as an O-operator on its own representation."""
-    bundle = support.load_fixture_bundle("lie_dim2")
-    return bundle.structure, [OperatorWitness(
-        KIND_O_OPERATOR, bundle.operators[0].matrix, rep=bundle.reps[0])]
-
-
 #: the Rota-Baxter inputs of each Rota-Baxter and pair recipe
 RB_INSTANCES = {
     "malcev-to-premalcev-rb": [("lie_dim2", 0), ("sl2_malcev", 0), ("sl2_malcev", 1)],
@@ -117,7 +110,8 @@ def _cases():
               for name, a, b in [("assoc_t2", 0, 1), ("assoc_trunc_poly", 0, 0),
                                  ("octonions", 0, 1)]]
     # each O-operator recipe on the regular representation of every input
-    # of its Rota-Baxter twin
+    # of its Rota-Baxter twin; the fixtures' own representations and
+    # O-operators (lie_dim2, premalcev_dim2) are among these
     for recipe, case, build in list(cases):
         if recipe in TWIN:
             twin, regular = TWIN[recipe]
@@ -126,11 +120,7 @@ def _cases():
                 s, (r,) = build()
                 return s, [OperatorWitness(KIND_O_OPERATOR, r.matrix, rep=regular(s))]
             cases.append((twin, f"{case}-regular", on_regular))
-    cases += [("premalcev-to-mdendriform-oop", "premalcev_dim2-1",
-               lambda: _fixture("premalcev_dim2", 1)),
-              ("malcev-to-premalcev-oop", "lie_dim2-0-rep0", _lie2_on_rep),
-              ("premalcev-compatible-dendriform", "splitting(mdendri_sl2)", _splitting)]
-    return cases
+    return cases + [("premalcev-compatible-dendriform", "splitting(mdendri_sl2)", _splitting)]
 
 
 CASES = _cases()
