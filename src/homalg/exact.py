@@ -25,8 +25,6 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 Svec = dict[int, Fraction]
 Tensor = dict[tuple[int, int], Svec]
@@ -123,10 +121,6 @@ def mat_fractions(m: Imat) -> Matrix:
     vals = [Fraction(n, m.den) for n in m]
     c = m.cols
     return tuple(tuple(vals[r * c:(r + 1) * c]) for r in range(m.rows))
-
-
-def vector(values: Iterable) -> Vector:
-    return tuple(as_fraction(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -246,58 +240,25 @@ def sv_basis(dim: int) -> tuple[Ivec, ...]:
     return tuple(_ivec({i: 1}, 1) for i in range(dim))
 
 
-def sv_from_vector(v: Vector) -> Svec:
-    return {i: c for i, c in enumerate(v) if c}
-
-
-def sv_to_vector(u: Svec, dim: int) -> Vector:
-    return tuple(u.get(i, ZERO) for i in range(dim))
-
-
-def sv_lincomb(terms: list[tuple[int, Ivec]]) -> Ivec:
-    """The sum of ``c * v`` over ``(c, v)`` in ``terms``, each ``c`` an int."""
+def sv_add(*vs: Mapping) -> Ivec:
+    """The sum of ``vs``, each an integer vector or a mapping to rationals."""
+    terms = [as_ivec(v) for v in vs if v]
     if len(terms) < 2:
-        if not terms:
-            return _EMPTY
-        if terms[0][0] == 1:
-            return terms[0][1]
-    den = lcm(*[v.den for _, v in terms])
+        return terms[0] if terms else _EMPTY
+    den = lcm(*[v.den for v in terms])
     acc: dict[int, int] = {}
-    for c, v in terms:
-        f = c * (den // v.den)
+    for v in terms:
+        f = den // v.den
         for k, n in v.items():
             acc[k] = acc.get(k, 0) + f * n
     return _nonzero(acc, den)
 
 
-def sv_add(*vs: Mapping) -> Ivec:
-    return sv_lincomb([(1, as_ivec(v)) for v in vs if v])
-
-
-def sv_sub(u: Mapping, v: Mapping) -> Ivec:
-    if not v:
-        return as_ivec(u) if u else _EMPTY
-    if not u:
-        return sv_neg(v)
-    return sv_lincomb([(1, as_ivec(u)), (-1, as_ivec(v))])
-
-
-def sv_neg(u: Mapping) -> Ivec:
-    if not u:
-        return _EMPTY
-    u = as_ivec(u)
-    return _ivec({k: -n for k, n in u.items()}, u.den)
-
-
-def mat_col(m: Imat, j: int) -> Ivec:
-    """The sparse integer image of ``e_j``: column ``j`` of ``m``."""
-    return _ivec({r: n for r, n in enumerate(m[j::m.cols]) if n}, m.den)
-
-
 def mat_cols(m) -> tuple[Ivec, ...]:
     """Sparse integer columns: ``mat_cols(m)[j]`` is the image of ``e_j``."""
     m = as_imat(m)
-    return tuple(mat_col(m, j) for j in range(m.cols))
+    return tuple(_ivec({r: n for r, n in enumerate(m[j::m.cols]) if n}, m.den)
+                 for j in range(m.cols))
 
 
 def apply_cols(cols: Sequence[Mapping], u: Mapping) -> Ivec:

@@ -19,10 +19,8 @@ from .exact import (
     Matrix,
     Table,
     Tensor,
-    Vector,
     apply_cols,
     as_imat,
-    as_ivec,
     grid_mul,
     grid_pack,
     mat_cols,
@@ -34,10 +32,6 @@ from .exact import (
     packed_mul,
     sv_add,
     sv_fractions,
-    sv_from_vector,
-    sv_neg,
-    sv_sub,
-    sv_to_vector,
     sv_unpack,
     tensor_add,
     tensor_commutator,
@@ -55,7 +49,7 @@ class RoleMismatch(ValueError):
 
 
 class UnknownKind(ValueError):
-    """Unrecognized associator kind."""
+    """Unrecognized operator kind, recipe or class name."""
 
 
 class ProductRole(Enum):
@@ -183,9 +177,6 @@ class HomStructure(Record):
     def roles(self) -> frozenset[ProductRole]:
         return frozenset(self.products)
 
-    def untwisted(self) -> bool:
-        return self.twist == mat_identity(self.dim)
-
 
 def make_structure(dim, twist=None, products=None, basis=None, meta=None) -> HomStructure:
     return HomStructure(
@@ -263,86 +254,6 @@ def derived_product(structure: HomStructure, role: ProductRole) -> Tensor:
         f"cannot derive product '{role.value}' from roles "
         f"{sorted(r.value for r in have)}"
     )
-
-
-def _single_product_role(structure: HomStructure) -> ProductRole:
-    for role in (ProductRole.STAR, ProductRole.DOT, ProductRole.BRACKET):
-        if role in structure.products:
-            return role
-    raise RoleMismatch(
-        "no star, dot, or bracket product available; roles present: "
-        f"{sorted(r.value for r in structure.products)}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# public pointwise evaluators
-# ---------------------------------------------------------------------------
-
-def hom_jacobian(structure: HomStructure, x: Vector, y: Vector, z: Vector) -> Vector:
-    """J(x,y,z) = [[x,y],a(z)] + [[y,z],a(x)] + [[z,x],a(y)] for the bracket
-    (stored or derived) and twist a."""
-    dim = structure.dim
-    grid = tensor_grid(derived_product(structure, ProductRole.BRACKET), dim)
-    a = mat_cols(structure.twist)
-    u, v, w = (as_ivec(sv_from_vector(t)) for t in (x, y, z))
-
-    def ap(s: Ivec) -> Ivec:
-        return apply_cols(a, s)
-
-    res = sv_add(
-        grid_mul(grid, grid_mul(grid, u, v), ap(w)),
-        grid_mul(grid, grid_mul(grid, v, w), ap(u)),
-        grid_mul(grid, grid_mul(grid, w, u), ap(v)),
-    )
-    return sv_to_vector(sv_fractions(res), dim)
-
-
-#: the nine associator kinds of a four-way splitting:
-#: ``(x, y, z) -> outer_l(inner_l(x, y), a z) - outer_r(a x, inner_r(y, z))``
-#: as the product roles ``(outer_l, inner_l, outer_r, inner_r)``
-_QUADRI_ASSOCIATORS: dict[str, tuple[ProductRole, ...]] = {
-    "r": (ProductRole.NW, ProductRole.NW, ProductRole.NW, ProductRole.STAR),
-    "l": (ProductRole.SE, ProductRole.STAR, ProductRole.SE, ProductRole.SE),
-    "m": (ProductRole.NW, ProductRole.SE, ProductRole.SE, ProductRole.NW),
-    "n": (ProductRole.NW, ProductRole.NE, ProductRole.NE, ProductRole.PREC),
-    "w": (ProductRole.NW, ProductRole.SW, ProductRole.SW, ProductRole.WEDGE),
-    "s": (ProductRole.SW, ProductRole.SUCC, ProductRole.SE, ProductRole.SW),
-    "e": (ProductRole.NE, ProductRole.VEE, ProductRole.SE, ProductRole.NE),
-    "ne": (ProductRole.NE, ProductRole.WEDGE, ProductRole.NE, ProductRole.SUCC),
-    "sw": (ProductRole.SW, ProductRole.PREC, ProductRole.SW, ProductRole.VEE),
-}
-
-#: associator kinds for four-way-split structures, plus the plain one
-ASSOCIATOR_KINDS = ("plain", *_QUADRI_ASSOCIATORS)
-
-
-def _quadri_grids(structure: HomStructure) -> dict[ProductRole, Grid]:
-    """The grid of every product role an associator kind reads."""
-    roles = {role for four in _QUADRI_ASSOCIATORS.values() for role in four}
-    return {role: tensor_grid(derived_product(structure, role), structure.dim)
-            for role in roles}
-
-
-def alpha_associator(structure: HomStructure, kind: str,
-                     x: Vector, y: Vector, z: Vector) -> Vector:
-    """Twisted associator of the requested kind evaluated on dense vectors."""
-    if kind not in ASSOCIATOR_KINDS:
-        raise UnknownKind(f"unknown associator kind {kind!r}; expected one of {ASSOCIATOR_KINDS}")
-    dim = structure.dim
-    a = mat_cols(structure.twist)
-    u, v, w = (as_ivec(sv_from_vector(t)) for t in (x, y, z))
-    if kind == "plain":
-        grid = tensor_grid(structure.products[_single_product_role(structure)], dim)
-        outer_l = inner_l = outer_r = inner_r = grid
-    else:
-        if not CLASS_ROLES[StructureClass.HOM_ALT_QUADRI] <= structure.roles():
-            raise RoleMismatch(f"associator kind {kind!r} needs the four-way product roles")
-        grids = _quadri_grids(structure)
-        outer_l, inner_l, outer_r, inner_r = (grids[r] for r in _QUADRI_ASSOCIATORS[kind])
-    res = sv_sub(grid_mul(outer_l, grid_mul(inner_l, u, v), apply_cols(a, w)),
-                 grid_mul(outer_r, apply_cols(a, u), grid_mul(inner_r, v, w)))
-    return sv_to_vector(sv_fractions(res), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -535,43 +446,6 @@ def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
                         (1, dgrid, (a2, "k"), (a_d, "ijl"))])]
 
 
-def pre_malcev_residuals(structure: HomStructure, i: int, j: int, k: int, l: int
-                         ) -> tuple[Vector, Vector]:
-    """Residuals of the compact (5-term, the HPM sweep's) and fully expanded
-    (10-term) forms of the pre-Malcev law at one basis tuple; they agree
-    identically."""
-    dim = structure.dim
-    (_, _, terms), = _identities_hom_pre_malcev(structure)
-    terms = _Terms(terms)
-    w = _width([terms])
-    packed = _evaluator(terms, w, {})
-    dgrid = tensor_grid(structure.products[ProductRole.DOT], dim)
-    dcell = dgrid.ints
-    a, a2 = _twist_cols(structure.twist)
-
-    def ap(u):
-        return apply_cols(a, u)
-
-    def mul(u, v):
-        return grid_mul(dgrid, u, v)
-
-    compact = sv_unpack(packed((i, j, k, l)), w, terms.den)
-    expanded = sv_add(
-        mul(ap(dcell[j][k]), ap(dcell[i][l])),
-        sv_neg(mul(ap(dcell[k][j]), ap(dcell[i][l]))),
-        mul(mul(dcell[i][j], a[k]), a2[l]),
-        sv_neg(mul(mul(dcell[j][i], a[k]), a2[l])),
-        sv_neg(mul(mul(a[k], dcell[i][j]), a2[l])),
-        mul(mul(a[k], dcell[j][i]), a2[l]),
-        mul(a2[j], mul(dcell[i][k], a[l])),
-        sv_neg(mul(a2[j], mul(dcell[k][i], a[l]))),
-        sv_neg(mul(a2[i], mul(a[j], dcell[k][l]))),
-        mul(a2[k], mul(a[i], dcell[j][l])),
-    )
-    return (sv_to_vector(sv_fractions(compact), dim),
-            sv_to_vector(sv_fractions(expanded), dim))
-
-
 def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
     tl = structure.products[ProductRole.TRI_LEFT]
@@ -646,9 +520,26 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
             for label, law in laws.items()]
 
 
+#: the nine associator kinds of a four-way splitting:
+#: ``(x, y, z) -> outer_l(inner_l(x, y), a z) - outer_r(a x, inner_r(y, z))``
+#: as the product roles ``(outer_l, inner_l, outer_r, inner_r)``
+_QUADRI_ASSOCIATORS: dict[str, tuple[ProductRole, ...]] = {
+    "r": (ProductRole.NW, ProductRole.NW, ProductRole.NW, ProductRole.STAR),
+    "l": (ProductRole.SE, ProductRole.STAR, ProductRole.SE, ProductRole.SE),
+    "m": (ProductRole.NW, ProductRole.SE, ProductRole.SE, ProductRole.NW),
+    "n": (ProductRole.NW, ProductRole.NE, ProductRole.NE, ProductRole.PREC),
+    "w": (ProductRole.NW, ProductRole.SW, ProductRole.SW, ProductRole.WEDGE),
+    "s": (ProductRole.SW, ProductRole.SUCC, ProductRole.SE, ProductRole.SW),
+    "e": (ProductRole.NE, ProductRole.VEE, ProductRole.SE, ProductRole.NE),
+    "ne": (ProductRole.NE, ProductRole.WEDGE, ProductRole.NE, ProductRole.SUCC),
+    "sw": (ProductRole.SW, ProductRole.PREC, ProductRole.SW, ProductRole.VEE),
+}
+
+
 def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
-    dim = structure.dim
-    grids = _quadri_grids(structure)
+    roles = {role for four in _QUADRI_ASSOCIATORS.values() for role in four}
+    grids = {role: tensor_grid(derived_product(structure, role), structure.dim)
+             for role in roles}
     a, _ = _twist_cols(structure.twist)
 
     def assoc(outer_l, inner_l, outer_r, inner_r):

@@ -224,6 +224,24 @@ def t2_table() -> Table:
     }
 
 
+def m2_table() -> Table:
+    """Full 2x2 matrices, basis f0=E11, f1=E12, f2=E21, f3=E22:
+    E_ab E_cd = E_ad when b = c, else 0."""
+    units = ((0, 0), (0, 1), (1, 0), (1, 1))
+    return {(p, q): {units.index((a, d)): ONE}
+            for p, (a, b) in enumerate(units)
+            for q, (c, d) in enumerate(units) if b == c}
+
+
+def commutator_table(table: Table) -> Table:
+    """[x, y] = xy - yx of a product table."""
+    out: Table = {}
+    for (i, j), cell in table.items():
+        out[(i, j)] = sv_add(out.get((i, j), {}), cell)
+        out[(j, i)] = sv_add(out.get((j, i), {}), {k: -v for k, v in cell.items()})
+    return {key: cell for key, cell in out.items() if cell}
+
+
 def sl2_table() -> Table:
     """Bracket table, basis f0=h, f1=e, f2=f: [h,e]=2e, [h,f]=-2f, [e,f]=h."""
     two = Fraction(2)
@@ -254,6 +272,10 @@ SL2_R2 = ((2, 1, 1),)  # e -> f
 T2_R1 = ((1, 0, 1),)   # E11 -> E12
 T2_R2 = ((1, 2, 1),)   # E22 -> E12
 LIE2_RB = ((1, 0, 1),)  # f0 -> f1
+# a commuting pair on M2 whose products R1x R2y and R2x R1y differ:
+# R2 E12 R1 E12 = E21 E11 = E21, while R1 E12 R2 E12 = E11 E21 = 0
+M2_R1 = ((0, 1, 1),)   # E12 -> E11
+M2_R2 = ((2, 1, 1),)   # E12 -> E21
 
 
 # --------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from homalg.exact import (
     mat_identity,
     mat_inverse,
     sv_fractions,
-    sv_from_vector,
-    sv_to_vector,
     tensor_from_entries,
     tensor_grid,
     validate_tensor,
@@ -94,12 +92,27 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
+def vector(values):
+    """The dense vector of ``values`` as Fractions."""
+    return tuple(F(v) for v in values)
+
+
+def sparse(v):
+    """The nonzero entries of the dense vector ``v``, by index."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def densify(u, dim: int):
+    """The dense length-``dim`` vector of the sparse vector ``u``."""
+    return tuple(u.get(i, F(0)) for i in range(dim))
+
+
 def product_eval(t, x, y):
     """Evaluate the bilinear product ``t`` on two dense vectors."""
     dim = len(x)
     validate_tensor(t, dim, "product")
-    out = grid_mul(tensor_grid(t, dim), sv_from_vector(x), sv_from_vector(y))
-    return sv_to_vector(sv_fractions(out), dim)
+    out = grid_mul(tensor_grid(t, dim), sparse(x), sparse(y))
+    return densify(sv_fractions(out), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +152,15 @@ def t2() -> HomStructure:
         3,
         products={ProductRole.STAR: oracle_table_to_tensor(oracles.t2_table())},
         basis=("E11", "E12", "E22"),
+    )
+
+
+def m2() -> HomStructure:
+    """Full 2x2 matrices (E11, E12, E21, E22) under multiplication."""
+    return make_structure(
+        4,
+        products={ProductRole.STAR: oracle_table_to_tensor(oracles.m2_table())},
+        basis=("E11", "E12", "E21", "E22"),
     )
 
 
@@ -191,6 +213,12 @@ def sl2_rb_ops() -> tuple[OperatorWitness, OperatorWitness]:
 def t2_rb_ops() -> tuple[OperatorWitness, OperatorWitness]:
     r1 = entries_matrix(3, oracles.T2_R1)
     r2 = entries_matrix(3, oracles.T2_R2)
+    return (OperatorWitness("rota-baxter", r1), OperatorWitness("rota-baxter", r2))
+
+
+def m2_rb_ops() -> tuple[OperatorWitness, OperatorWitness]:
+    r1 = entries_matrix(4, oracles.M2_R1)
+    r2 = entries_matrix(4, oracles.M2_R2)
     return (OperatorWitness("rota-baxter", r1), OperatorWitness("rota-baxter", r2))
 
 

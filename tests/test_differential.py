@@ -17,6 +17,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+import support
 from homalg import (
     KIND_O_OPERATOR,
     KIND_ROTA_BAXTER,
@@ -342,14 +343,75 @@ def pre_malcev_law_residuals(c, a):
     return out
 
 
+def pre_malcev_expanded_residuals(c, a):
+    """HPM with every commutator of :func:`pre_malcev_law_residuals` written
+    out, ten products of the dot product ``c`` alone:
+    (a(e_j e_k))(a(e_i e_l)) - (a(e_k e_j))(a(e_i e_l))
+    + ((e_i e_j)(a e_k))(a^2 e_l) - ((e_j e_i)(a e_k))(a^2 e_l)
+    - ((a e_k)(e_i e_j))(a^2 e_l) + ((a e_k)(e_j e_i))(a^2 e_l)
+    + (a^2 e_j)((e_i e_k)(a e_l)) - (a^2 e_j)((e_k e_i)(a e_l))
+    - (a^2 e_i)((a e_j)(e_k e_l)) + (a^2 e_k)((a e_i)(e_j e_l))."""
+    n = len(a)
+    e, al, al2 = twist_images(a)
+
+    def d(x, y):
+        return mult(c, x, y)
+
+    def neg(x):
+        return [-v for v in x]
+
+    out = {}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        ail = apply(a, d(e[i], e[l]))
+        out[("HPM", (i, j, k, l))] = plus(
+            d(apply(a, d(e[j], e[k])), ail),
+            neg(d(apply(a, d(e[k], e[j])), ail)),
+            d(d(d(e[i], e[j]), al[k]), al2[l]),
+            neg(d(d(d(e[j], e[i]), al[k]), al2[l])),
+            neg(d(d(al[k], d(e[i], e[j])), al2[l])),
+            d(d(al[k], d(e[j], e[i])), al2[l]),
+            d(al2[j], d(d(e[i], e[k]), al[l])),
+            neg(d(al2[j], d(d(e[k], e[i]), al[l]))),
+            neg(d(al2[i], d(al[j], d(e[k], e[l])))),
+            d(al2[k], d(al[i], d(e[j], e[l]))),
+        )
+    return out
+
+
 @settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.just(2).flatmap(lambda n: st.tuples(table_st(n), dense_st(n, n))))
 def test_pre_malcev_residuals_match_dense_fraction_evaluation(data):
     c, a = data
     structure = make_structure(len(a), twist=a,
                                products={ProductRole.DOT: tensor_of(c)})
-    assert_matches(check(structure, StructureClass.HOM_PRE_MALCEV),
-                   pre_malcev_law_residuals(c, a))
+    report = check(structure, StructureClass.HOM_PRE_MALCEV)
+    assert_matches(report, pre_malcev_law_residuals(c, a))
+    assert_matches(report, pre_malcev_expanded_residuals(c, a))
+
+
+def dense_of(structure, role):
+    """The table ``c[i][j][k]`` of the product ``role`` and the twist of
+    ``structure``, as dense lists."""
+    n = structure.dim
+    t = structure.products[role]
+    c = [[[t.get((i, j), {}).get(k, F(0)) for k in range(n)] for j in range(n)]
+         for i in range(n)]
+    return c, [list(row) for row in structure.twist]
+
+
+def test_pre_malcev_compact_and_expanded_residuals_agree():
+    """On a passing fixture, the dim-2 pre-Malcev algebra, its Yau twist and
+    a failing dot product, the HPM violations are the nonzero residuals of
+    the ten-term expansion."""
+    good = load_bundle(fixture_path("premalcev_sl2")).structure
+    assert check(good, StructureClass.HOM_PRE_MALCEV).passed
+    broken = make_structure(
+        2, products={ProductRole.DOT: support.tensor((0, 0, 1, -1), (1, 1, 0, 1))})
+    report = check(broken, StructureClass.HOM_PRE_MALCEV)
+    assert not report.passed
+    for structure in (good, support.premalcev2(), support.premalcev2_yau(), broken):
+        assert_matches(check(structure, StructureClass.HOM_PRE_MALCEV),
+                       pre_malcev_expanded_residuals(*dense_of(structure, ProductRole.DOT)))
 
 
 def m_dendriform_residuals(cl, cr, a):
@@ -803,7 +865,8 @@ def test_pruned_rep_sweep_matches_dense_fraction_evaluation(monkeypatch):
     found.  Its tables are built with exactly the ``grid_mul`` calls of two
     nonzero operands."""
     base = load_bundle(fixture_path("premalcev_dim2")).structure
-    assert base.untwisted()
+    assert all(base.twist[r][s] == (r == s) for r in range(base.dim)
+               for s in range(base.dim))
     d, n = base.dim, 2 * base.dim
     c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
     for off in range(0, n, d):

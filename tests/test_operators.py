@@ -411,6 +411,56 @@ def test_alternative_pair_to_quadri(t2, t2_ops):
     assert q.products[R.SE] == tensor_from_entries(ent)
 
 
+def oracle_pair_products(table, dim, r1, r2, rows):
+    """``{out: tensor}`` with ``out(e_i, e_j) = (f e_i)(g e_j)`` on the oracle
+    ``table`` for each row ``(out, f, g)``, f and g among "", "1", "2" and
+    "12" (the identity, R1, R2 and R1 R2, as oracle columns)."""
+    maps = {"1": r1, "2": r2}
+
+    def image(f, i):
+        u = {i: F(1)}
+        for name in reversed(f):
+            u = oracles.apply_cols(maps[name], u)
+        return u
+
+    out = {}
+    for role, f, g in rows:
+        cells = {(i, j): oracles.sv_mul(table, image(f, i), image(g, j))
+                 for i in range(dim) for j in range(dim)}
+        out[role] = {key: cell for key, cell in cells.items() if cell}
+    return out
+
+
+def test_alternative_pair_to_quadri_tells_ne_from_sw():
+    """On M2 the pair gives R1x R2y != R2x R1y, so every quarter is pinned."""
+    table = oracles.m2_table()
+    r1, r2 = (oracles.entries_to_cols(e) for e in (oracles.M2_R1, oracles.M2_R2))
+    assert oracles.is_rota_baxter(table, 4, r1) and oracles.is_rota_baxter(table, 4, r2)
+    assert oracles.cols_commute(4, r1, r2)
+    ops = support.m2_rb_ops()
+    q = induce_pair(support.m2(), *ops, "alternative-pair-to-quadri")
+    assert check(q, C.HOM_ALT_QUADRI).passed
+    want = oracle_pair_products(table, 4, r1, r2, [
+        (R.SE, "12", ""), (R.NE, "1", "2"), (R.SW, "2", "1"), (R.NW, "", "12")])
+    assert {role: q.products[role] for role in want} == want
+    assert want[R.SW] == {(1, 1): {2: F(1)}} and want[R.NE] == {}
+
+
+def test_malcev_pair_to_mdendriform_on_m2_commutator():
+    table = oracles.commutator_table(oracles.m2_table())
+    r1, r2 = (oracles.entries_to_cols(e) for e in (oracles.M2_R1, oracles.M2_R2))
+    assert oracles.is_rota_baxter(table, 4, r1) and oracles.is_rota_baxter(table, 4, r2)
+    gl2 = make_structure(4, products={R.BRACKET: support.oracle_table_to_tensor(table)})
+    assert check(gl2, C.HOM_MALCEV).passed
+    md = induce_pair(gl2, *support.m2_rb_ops(), "malcev-pair-to-mdendriform")
+    assert check(md, C.HOM_M_DENDRIFORM).passed
+    want = oracle_pair_products(table, 4, r1, r2, [
+        (R.TRI_RIGHT, "1", "2"), (R.TRI_LEFT, "12", "")])
+    assert {role: md.products[role] for role in want} == want
+    # [R1 E12, R2 E12] = [E11, E21] = -E21, while [R2 E12, R1 E12] = E21
+    assert want[R.TRI_RIGHT][(1, 1)] == {2: F(-1)}
+
+
 def test_pair_guards(t2, t2_ops):
     noncomm = rb(support.dense(3, (0, 1, -1)))
     assert not check_commuting(t2_ops[0], noncomm)

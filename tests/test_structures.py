@@ -14,25 +14,19 @@ from homalg import (
     ProductRole,
     RoleMismatch,
     StructureClass,
-    UnknownKind,
-    alpha_associator,
     check,
     check_morphism,
     derived_product,
-    hom_jacobian,
     make_structure,
 )
 from homalg.exact import (
     mat_identity,
-    sv_from_vector,
-    sv_to_vector,
     tensor_add,
     tensor_commutator,
     tensor_flip,
     tensor_sub,
-    vector,
 )
-from homalg.structures import ASSOCIATOR_KINDS, pre_malcev_residuals
+from support import densify, sparse, vector
 
 F = Fraction
 R = ProductRole
@@ -46,7 +40,7 @@ C = StructureClass
 def test_make_structure_defaults():
     s = support.lie2()
     assert s.dim == 2
-    assert s.untwisted()
+    assert s.twist == mat_identity(2)
     assert s.basis == ("e0", "e1")
     assert s.roles() == frozenset({R.BRACKET})
 
@@ -102,7 +96,7 @@ def test_sl2_is_hom_lie():
 
 def test_yau_twisted_lie2_is_hom_lie():
     s = support.lie2_yau()
-    assert not s.untwisted()
+    assert s.twist != mat_identity(2)
     assert check(s, C.HOM_LIE).passed
 
 
@@ -151,6 +145,11 @@ def test_class_role_gate():
         check(support.lie2(), C.HOM_PRE_MALCEV)
     with pytest.raises(RoleMismatch):
         check(support.t2(), C.HOM_LIE)
+    # the plain associator needs a stored star, the split ones all four quarters
+    with pytest.raises(RoleMismatch):
+        check(support.load_fixture_bundle("mdendri_sl2").structure, C.HOM_ASSOCIATIVE)
+    with pytest.raises(RoleMismatch):
+        check(support.t2(), C.HOM_ALT_QUADRI)
 
 
 def test_zero_products_pass_every_class():
@@ -186,21 +185,6 @@ def test_bracket_law_forms_agree_on_pass_and_fail():
     assert "SKEW" not in labels
     assert "HM-JAC" in labels
     assert "HM-EXP" in labels
-
-
-def test_pre_malcev_compact_and_expanded_residuals_agree():
-    bundle = support.load_fixture_bundle("premalcev_sl2")
-    good = bundle.structure
-    assert check(good, C.HOM_PRE_MALCEV).passed
-    broken = make_structure(
-        2, products={R.DOT: support.tensor((0, 0, 1, -1), (1, 1, 0, 1))}
-    )
-    assert not check(broken, C.HOM_PRE_MALCEV).passed
-    for structure in (good, support.premalcev2(), broken):
-        rng = range(structure.dim)
-        for idx in itertools.product(rng, repeat=4):
-            compact, expanded = pre_malcev_residuals(structure, *idx)
-            assert compact == expanded
 
 
 # ---------------------------------------------------------------------------
@@ -271,74 +255,45 @@ def test_dendriform_halves_derive_star():
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluators
+# associator residuals against the oracle tables
 # ---------------------------------------------------------------------------
 
-def test_hom_jacobian_vanishes_on_lie():
-    s = support.sl2()
-    for idx in itertools.product(range(3), repeat=3):
-        vecs = [support.basis_vector(3, i) for i in idx]
-        assert hom_jacobian(s, *vecs) == (F(0), F(0), F(0))
-
-
-def test_hom_jacobian_nonzero_on_octonion_commutator():
-    s = support.octonions()
-    seen_nonzero = False
-    for idx in itertools.product(range(1, 8), repeat=3):
-        vecs = [support.basis_vector(8, i) for i in idx]
-        if any(hom_jacobian(s, *vecs)):
-            seen_nonzero = True
-            break
-    assert seen_nonzero
+def oracle_associators(table, dim):
+    """The nonzero ``(e_i e_j) e_k - e_i (e_j e_k)`` of an oracle table, by
+    ``(i, j, k)``."""
+    out = {}
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        ei, ej, ek = {i: F(1)}, {j: F(1)}, {k: F(1)}
+        lhs = oracles.sv_mul(table, oracles.sv_mul(table, ei, ej), ek)
+        rhs = oracles.sv_mul(table, ei, oracles.sv_mul(table, ej, ek))
+        if res := oracles.sv_add(lhs, {m: -v for m, v in rhs.items()}):
+            out[(i, j, k)] = res
+    return out
 
 
 def test_plain_associator_matches_oracle_on_octonions():
-    s = support.octonions()
-    table = oracles.octonion_table()
-    spots = [(1, 2, 4), (3, 5, 6), (2, 7, 1), (4, 4, 4), (0, 3, 5)]
-    for i, j, k in spots:
-        got = alpha_associator(
-            s, "plain", support.basis_vector(8, i), support.basis_vector(8, j), support.basis_vector(8, k)
-        )
-        lhs = oracles.sv_mul(table, oracles.sv_mul(table, {i: F(1)}, {j: F(1)}), {k: F(1)})
-        rhs = oracles.sv_mul(table, {i: F(1)}, oracles.sv_mul(table, {j: F(1)}, {k: F(1)}))
-        want = oracles.sv_add(lhs, {m: -v for m, v in rhs.items()})
-        assert sv_from_vector(got) == want
-    # somewhere the octonion associator is nonzero
-    assert any(
-        any(alpha_associator(s, "plain", support.basis_vector(8, i), support.basis_vector(8, j), support.basis_vector(8, k)))
-        for i, j, k in spots
-    )
+    report = check(support.octonions(), C.HOM_ASSOCIATIVE)
+    assert {v.identity for v in report.violations} == {"ASSOC"}
+    got = {v.args: v.residual for v in report.violations}
+    assert len(got) == 168
+    assert got == oracle_associators(oracles.octonion_table(), 8)
+    assert report.tuples_checked == 8 ** 3
 
 
 def test_plain_associator_zero_on_associative():
-    s = support.t2()
-    for idx in itertools.product(range(3), repeat=3):
-        vecs = [support.basis_vector(3, i) for i in idx]
-        assert alpha_associator(s, "plain", *vecs) == (F(0),) * 3
+    assert oracle_associators(oracles.t2_table(), 3) == {}
+    report = check(support.t2(), C.HOM_ASSOCIATIVE)
+    assert report.passed and report.tuples_checked == 3 ** 3
 
 
 def test_split_associator_kinds_run_on_quadri():
-    bundle = support.load_fixture_bundle("quadri_trunc_poly")
-    s = bundle.structure
-    x, y, z = (support.basis_vector(s.dim, i) for i in (0, 1, 2))
-    for kind in ASSOCIATOR_KINDS:
-        if kind == "plain":
-            continue  # needs a stored star/dot/bracket product
-        out = alpha_associator(s, kind, x, y, z)
-        assert len(out) == s.dim
+    """QA1-QA9 read each of the nine split associator kinds at every triple."""
+    s = support.load_fixture_bundle("quadri_trunc_poly").structure
+    report = check(s, C.HOM_ALT_QUADRI)
+    assert report.passed
+    assert report.tuples_checked == 9 * s.dim ** 3
     with pytest.raises(RoleMismatch):
-        alpha_associator(s, "plain", x, y, z)
-
-
-def test_associator_guards():
-    with pytest.raises(UnknownKind):
-        alpha_associator(support.t2(), "bogus", *(support.basis_vector(3, 0),) * 3)
-    bundle = support.load_fixture_bundle("mdendri_sl2")
-    with pytest.raises(RoleMismatch):
-        alpha_associator(bundle.structure, "plain", *(support.basis_vector(3, 0),) * 3)
-    with pytest.raises(RoleMismatch):
-        alpha_associator(support.t2(), "m", *(support.basis_vector(3, 0),) * 3)
+        check(s, C.HOM_ASSOCIATIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +353,7 @@ def test_product_eval_matches_table():
     t = s.products[R.BRACKET]
     assert support.product_eval(t, vector([1, 0]), vector([0, 1])) == (F(0), F(1))
     assert support.product_eval(t, vector([0, 1]), vector([1, 0])) == (F(0), F(-1))
-    assert sv_to_vector(sv_from_vector(support.product_eval(t, vector([1, 1]), vector([1, 1]))), 2) == (
+    assert densify(sparse(support.product_eval(t, vector([1, 1]), vector([1, 1]))), 2) == (
         F(0),
         F(0),
     )

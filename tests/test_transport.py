@@ -25,6 +25,7 @@ from homalg import (
     INDUCE_RECIPES,
     KIND_O_OPERATOR,
     PAIR_RECIPES,
+    SPLIT_DIRECTIONS,
     OperatorWitness,
     StructureClass,
     adjoint_rep,
@@ -32,11 +33,14 @@ from homalg import (
     check_morphism,
     induce,
     induce_pair,
+    quadri_split,
     regular_alternative_rep,
     regular_pre_alternative_rep,
     regular_pre_malcev_rep,
+    verify_diagram,
+    yau_twist,
 )
-from homalg.exact import mat_identity
+from homalg.exact import mat_identity, mat_inverse
 
 F = Fraction
 C = StructureClass
@@ -169,3 +173,89 @@ def test_recipe_commutes_with_basis_change(recipe, case, build, data):
         (r,) = moved_ops
         w = OperatorWitness(KIND_O_OPERATOR, r.matrix, rep=regular(moved))
         assert induce(moved, w, twin).products == moved_out.products
+
+
+# ---------------------------------------------------------------------------
+# quadri splits, Yau twists and the closing diagram
+# ---------------------------------------------------------------------------
+
+#: the class each quadri split direction lands in
+SPLIT_TARGET = {
+    "mdendriform": C.HOM_M_DENDRIFORM,
+    "prealt-horizontal": C.HOM_PRE_ALTERNATIVE,
+    "prealt-vertical": C.HOM_PRE_ALTERNATIVE,
+}
+
+def _pair_quadri(structure, ops):
+    return induce_pair(structure, *ops, "alternative-pair-to-quadri")
+
+
+#: quadri-algebras: the fixture, and the ones the commuting pairs of t2 and
+#: M2 induce (M2's has ne != sw, so a split that swaps them shows)
+QUADRIS = {
+    "quadri_trunc_poly": lambda: support.load_fixture_bundle("quadri_trunc_poly").structure,
+    "pair(assoc_t2)": lambda: _pair_quadri(*_fixture("assoc_t2", 0, 1)),
+    "pair(m2)": lambda: _pair_quadri(support.m2(), support.m2_rb_ops()),
+}
+
+
+@pytest.mark.parametrize("direction", SPLIT_DIRECTIONS)
+@pytest.mark.parametrize("name", sorted(QUADRIS))
+@settings(max_examples=3, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_quadri_split_commutes_with_basis_change(name, direction, data):
+    quadri = QUADRIS[name]()
+    p = data.draw(invertible_st(quadri.dim), label="P")
+    moved = quadri_split(support.transport_structure(quadri, p), direction)
+    assert moved.products == support.transport_structure(
+        quadri_split(quadri, direction), p).products
+    assert check(moved, SPLIT_TARGET[direction]).passed
+
+
+#: (structure, automorphism, class) inputs of the Yau twist
+YAU_CASES = {
+    "lie2": (support.lie2, support.dense(2, (0, 0, 1), (1, 1, 2)), C.HOM_MALCEV),
+    "sl2": (support.sl2, support.dense(3, (0, 0, 1), (1, 1, 2), (2, 2, F(1, 2))),
+            C.HOM_MALCEV),
+    "premalcev2": (support.premalcev2, support.dense(2, (0, 0, 2), (1, 1, 4)),
+                   C.HOM_PRE_MALCEV),
+    "t2": (support.t2, support.dense(3, (0, 0, 1), (1, 1, 3), (2, 2, 1)),
+           C.HOM_ASSOCIATIVE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(YAU_CASES))
+@settings(max_examples=3, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_yau_twist_commutes_with_basis_change(name, data):
+    build, gamma, cls = YAU_CASES[name]
+    structure = build()
+    p = data.draw(invertible_st(structure.dim), label="P")
+    moved = yau_twist(support.transport_structure(structure, p),
+                      support.mat_product(p, gamma, mat_inverse(p)))
+    want = support.transport_structure(yau_twist(structure, gamma), p)
+    assert (moved.products, moved.twist) == (want.products, want.twist)
+    assert check(moved, cls).passed
+
+
+#: commuting Rota-Baxter pairs on alternative algebras small enough to move
+DIAGRAMS = {
+    "assoc_t2": lambda: _fixture("assoc_t2", 0, 1),
+    "m2": lambda: (support.m2(), list(support.m2_rb_ops())),
+}
+
+
+def _verdicts(report):
+    return ({name: node.passed for name, node in report.nodes.items()},
+            report.edges, report.paths_equal)
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+@settings(max_examples=3, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_diagram_verdicts_survive_basis_change(name, data):
+    alt, ops = DIAGRAMS[name]()
+    p = data.draw(invertible_st(alt.dim), label="P")
+    moved = support.transport_structure(alt, p)
+    moved_ops = [support.transport_operator(w, moved, p, p) for w in ops]
+    assert _verdicts(verify_diagram(moved, *moved_ops)) == _verdicts(verify_diagram(alt, *ops))
