@@ -15,8 +15,10 @@ passed to one is converted on entry.  Numerators are not reduced, so two
 integer forms of one value may differ: compare values by testing their
 difference for zero.  Canonical ``Fraction`` values are built only where a
 value leaves the engine (:func:`sv_fractions`, :func:`mat_fractions`).
-A sweep packs each integer vector into one ``int`` (:func:`sv_pack`), so a
-residual at a tuple is a few big-int multiply-adds (:func:`packed_mul`).
+A sweep packs each integer vector into one ``int`` (:func:`sv_pack`) and
+stacks the vectors at every value of an identity's last index into one, so
+the residuals at all of them are a few big-int multiply-adds per leading
+tuple, decoded by :func:`sv_unpack`.
 """
 from __future__ import annotations
 
@@ -343,13 +345,14 @@ def tensor_commutator(a: Tensor) -> Tensor:
 
 class Table(list):
     """Nested lists of Ivecs of L1 norm at most ``norm`` over the common
-    denominator ``den`` (or packed ints of coordinates at most ``norm``)."""
+    denominator ``den``, whose coordinates lie in ``range(span)``."""
 
-    __slots__ = ("den", "norm")
+    __slots__ = ("den", "norm", "span")
 
-    def __init__(self, rows: Iterable = (), den: int = 1, norm: int = 0):
+    def __init__(self, rows: Iterable = (), den: int = 1, norm: int = 0,
+                 span: int = 0):
         super().__init__(rows)
-        self.den, self.norm = den, norm
+        self.den, self.norm, self.span = den, norm, span
 
 
 class Grid(list):
@@ -372,15 +375,16 @@ def tensor_grid(t: Tensor, rows: int, cols: int | None = None) -> Grid:
     grid = Grid([None] * cols for _ in range(rows))
     den = lcm(*[v.denominator for cell in t.values() for v in cell.values()])
     ints = [[_EMPTY] * cols for _ in range(rows)]
-    norm = peak = 0
+    norm = peak = span = 0
     for (i, j), cell in t.items():
         grid[i][j] = cell
         if cell:
             nums = {k: v.numerator * (den // v.denominator) for k, v in cell.items()}
             sizes = list(map(abs, nums.values()))
             norm, peak = max(norm, sum(sizes)), max(peak, *sizes)
+            span = max(span, max(nums) + 1)
             ints[i][j] = _ivec(nums, den)
-    grid.ints, grid.den, grid.peak = Table(ints, den, norm), den, peak
+    grid.ints, grid.den, grid.peak = Table(ints, den, norm, span), den, peak
     return grid
 
 
@@ -412,12 +416,17 @@ def sv_pack(u: Mapping[int, int], w: int) -> int:
 
 def sv_unpack(r: int, w: int, den: int = 1) -> Ivec:
     """The integer vector over ``den`` packed in ``r`` at slot width ``w``:
-    its balanced base-``2**w`` digits, a negative one borrowing from the next."""
-    out, k, half = {}, 0, 1 << (w - 1)
-    while r:
-        d = (r + half) % (half << 1) - half
-        out[k], r, k = d, (r - d) >> w, k + 1
-    return _ivec({k: d for k, d in out.items() if d}, den)
+    its balanced base-``2**w`` digits, a negative one borrowing from the next.
+    Adding ``2**(w-1)`` to every slot makes each digit nonnegative with no
+    carry, so every slot is then read off by one mask."""
+    slots = r.bit_length() // w + 1
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    r += half * ((1 << (w * slots)) - 1) // mask
+    out = {}
+    for k in range(slots):
+        if d := (r >> (w * k) & mask) - half:
+            out[k] = d
+    return _ivec(out, den)
 
 
 def grid_pack(cells: list, w: int) -> list:
@@ -425,18 +434,6 @@ def grid_pack(cells: list, w: int) -> list:
     ``ints``: ``cells[a][b]`` the integer cell of ``e_a e_b``), with every
     vector packed at width ``w``."""
     return [grid_pack(c, w) if isinstance(c, list) else sv_pack(c, w) for c in cells]
-
-
-def packed_mul(packed: list[list[int]], u: Ivec, v: Ivec) -> int:
-    """``sum of u_a * v_b * packed[a][b]``: the numerators of ``u * v`` on a
-    grid whose cells :func:`grid_pack` packed, packed."""
-    vv = v.items()
-    r = 0
-    for a, x in u.items():
-        row = packed[a]
-        for b, y in vv:
-            r += x * y * row[b]
-    return r
 
 
 def push_product(t: Tensor, f: Matrix) -> Tensor:

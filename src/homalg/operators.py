@@ -156,7 +156,7 @@ class BilinearForm(Record):
 
 def _basis(n: int) -> Table:
     """The basis vectors, as a one-index table."""
-    return Table(sv_basis(n), 1, 1)
+    return Table(sv_basis(n), 1, 1, n)
 
 
 def _rota_baxter_identities(structure: HomStructure,

@@ -67,7 +67,7 @@ def _join_steps(factors: Sequence[tuple[list, str]], support: Callable) -> tuple
             index.setdefault(key_of(entry), []).append(new_of(entry))
         steps.append((_getter([order.index(p) for p in keys]), index))
         order += new
-    return steps, itemgetter(*[order.index(p) for p in range(len(order))])
+    return steps, _getter([order.index(p) for p in range(len(order))])
 
 
 def candidates(terms: Sequence[tuple], sizes: Sequence[int],
@@ -81,7 +81,8 @@ def candidates(terms: Sequence[tuple], sizes: Sequence[int],
     show the candidates are likely to be most tuples, or where there are too
     few tuples to repay finding them, the plain product is returned: it is
     cheaper to evaluate a tuple than to find it.  So it is where a term does
-    not read every index, which the search needs."""
+    not read every index, which the search needs, and where there is no
+    index, the one empty tuple."""
     def support(table, depth):
         if id(table) not in cache:
             cache[id(table)] = _support(table, depth)
@@ -91,7 +92,7 @@ def candidates(terms: Sequence[tuple], sizes: Sequence[int],
         return len(support(table, len(at))) / prod(sizes[p] for p in positions(at))
 
     factor_lists = [factors for _, _, *factors in terms]
-    if prod(sizes) < PLAN_COST * len(terms) or PRUNE_BELOW_FILL < sum(
+    if not sizes or prod(sizes) < PLAN_COST * len(terms) or PRUNE_BELOW_FILL < sum(
             prod(fill(t, at) for t, at in factors) for factors in factor_lists) or any(
             set(positions("".join(at for _, at in factors))) != set(range(len(sizes)))
             for factors in factor_lists):

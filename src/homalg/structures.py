@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import time
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import (
@@ -29,9 +31,7 @@ from .exact import (
     mat_shape,
     mat_sub,
     matrix,
-    packed_mul,
     sv_add,
-    sv_fractions,
     sv_unpack,
     tensor_add,
     tensor_commutator,
@@ -41,7 +41,7 @@ from .exact import (
     tensor_sub,
     validate_tensor,
 )
-from .pruning import candidates, positions
+from .pruning import INDEX_NAMES, candidates, positions
 
 
 class RoleMismatch(ValueError):
@@ -263,30 +263,36 @@ def derived_product(structure: HomStructure, role: ProductRole) -> Tensor:
 # An identity is data: ``(label, arity, terms)``.  A term is
 # ``(sign, grid, factor, ...)``: with ``grid`` None it is its one factor,
 # otherwise the product on ``grid`` of its two.  A factor is ``(table, at)``:
-# a :class:`Table` built once per check (of Ivecs, of packed ints, or the
-# columns of a map) read at the identity's indices named by ``at``, so
-# ``(dia_av, "kji")`` is ``dia_av[k][j][i]`` at the tuple ``(i, j, k, l)``.
-# The residual at a tuple is the signed sum of its terms.  Each identity is
-# multilinear, so every term reads every index.  Class, operator, morphism
-# and Hessian laws index base vectors; a representation axiom's last index
-# is a module basis vector ``b`` and its residual the image of ``e_b``.
+# a :class:`Table` built once per check (of Ivecs, or the columns of a map)
+# read at the identity's indices named by ``at``, so ``(dia_av, "kji")`` is
+# ``dia_av[k][j][i]`` at the tuple ``(i, j, k, l)``.  The residual at a
+# tuple is the signed sum of its terms.  Each identity is multilinear, so
+# every term reads every index, the last one at one place of one factor.
+# Class, operator, morphism and Hessian laws index base vectors; a
+# representation axiom's last index is a module basis vector ``b`` and its
+# residual the image of ``e_b``.
 Term = tuple
 Identity = tuple[str, int, list[Term]]
 
 
 # A subterm that depends on only some of an identity's indices, or that
 # several identities of a check share, is computed once per check into a
-# list indexed by basis indices; the identities then evaluate only their
-# full-arity products per tuple.  A law of arity at most 2 (SKEW, the
+# list indexed by basis indices; a sweep then stacks each table over the
+# last index and folds each product's last-index factor into its grid once
+# per check (see :class:`_Stacks`), and evaluates only the full-arity
+# products of the other indices.  A law of arity at most 2 (SKEW, the
 # operator and morphism laws, HESS-INV) may read a full-arity table.
 
 def _table(rows: list, den: int, depth: int) -> Table:
     """``rows``, lists nested ``depth`` deep of Ivecs over ``den`` (a kernel's
-    operands' denominators multiplied), as a Table with their largest L1 norm."""
+    operands' denominators multiplied), as a Table with their largest L1 norm
+    and the span of their coordinates."""
     flat = rows
     for _ in range(depth - 1):
         flat = [v for row in flat for v in row]
-    return Table(rows, den, max([sum(map(abs, v.values())) for v in flat if v], default=0))
+    flat = [v for v in flat if v]
+    return Table(rows, den, max([sum(map(abs, v.values())) for v in flat], default=0),
+                 max([max(v) for v in flat], default=-1) + 1)
 
 
 def _columns(m) -> Table:
@@ -329,38 +335,39 @@ def _right_a(grid: Grid, cells: Table, a: Table) -> Table:
 
 class _Terms(list):
     """A term list with its common denominator ``den``, each term's
-    coefficient over ``den`` in ``coeffs``, and in ``bound`` a bound on every
-    coordinate of the sum over ``den`` (``|(u * v)_k| <= |u|_1 |v|_1
-    max|cell|``), all found from its factors' and grids' records."""
+    coefficient over ``den`` in ``coeffs``, in ``norms`` a bound on every
+    coordinate of each term over its own denominator (``|(u * v)_k| <=
+    |u|_1 |v|_1 max|cell|``, 0 for a term with an empty table or grid), in
+    ``bound`` one on the sum over ``den`` and in ``span`` the number of its
+    coordinates, all found from its factors' and grids' records."""
 
-    __slots__ = ("den", "coeffs", "bound")
+    __slots__ = ("den", "coeffs", "norms", "bound", "span")
 
     def __init__(self, terms: Iterable[Term]):
         super().__init__(terms)
-        dens, norms = [], []
+        dens, norms, spans = [], [], []
         for _, grid, (t, _), *right in self:
             if grid is not None:
                 (u, _), = right
                 dens.append(t.den * u.den * grid.den)
                 norms.append(t.norm * u.norm * grid.peak)
+                spans.append(grid.ints.span)
             else:
                 dens.append(t.den)
                 norms.append(t.norm)
-        self.den = lcm(*dens)
+                spans.append(t.span)
+        self.den, self.norms = lcm(*dens), norms
         self.coeffs = [term[0] * (self.den // d) for term, d in zip(self, dens)]
         self.bound = sum(map(abs, map(int.__mul__, self.coeffs, norms)))
+        self.span = max(spans, default=0)
 
 
-class _Packed(Table):
-    """A table only read as a term's one factor: the sum of ``terms`` at each
-    basis triple, whose den and norm come from its inputs.  A sweep fills it
-    with packed ints at its width (see :func:`_violations`)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[Term]):
-        self.terms = _Terms(terms)
-        super().__init__((), self.terms.den, self.terms.bound)
+def _read_at(terms: Iterable[Term], at: str, sign: int = 1) -> list[Term]:
+    """``sign`` times a sum of terms written at ``(i, j, k)``, read at the
+    indices named by ``at``."""
+    names = dict(zip("ijk", at))
+    return [(sign * s, grid, *[(t, "".join(map(names.get, x))) for t, x in factors])
+            for s, grid, *factors in terms]
 
 
 def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
@@ -374,8 +381,8 @@ def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
     skew = ("SKEW", 2, [(1, None, (cell, "ij")), (1, None, (cell, "ji"))])
     if not malcev:
         # J(e_i,e_j,e_k) = [[e_i,e_j],a e_k] + [[e_j,e_k],a e_i] + [[e_k,e_i],a e_j]
-        jac = _Packed([(1, grid, (cell, at[:2]), (a, at[2])) for at in ("ijk", "jki", "kij")])
-        return [skew, ("JACOBI", 3, [(1, None, (jac, "ijk"))])]
+        jac = [(1, grid, (cell, at[:2]), (a, at[2])) for at in ("ijk", "jki", "kij")]
+        return [skew, ("JACOBI", 3, jac)]
     t = _right_a(grid, cell, a)                                     # [[e_i,e_j],a e_k]
     r = range(dim)
     jac = _table([[[sv_add(t[i][j][k], t[j][k][i], t[k][i][j]) for k in r] for j in r]
@@ -422,10 +429,10 @@ def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
     grid = tensor_grid(structure.products[ProductRole.STAR], dim)
     cell = grid.ints
     a, _ = _twist_cols(structure.twist)
-    # ALT-L and ALT-R read every associator twice each
-    asc = _Packed([(1, grid, (cell, "ij"), (a, "k")), (-1, grid, (a, "i"), (cell, "jk"))])
-    return [("ALT-L", 3, [(1, None, (asc, "ijk")), (1, None, (asc, "jik"))]),
-            ("ALT-R", 3, [(1, None, (asc, "ijk")), (1, None, (asc, "ikj"))])]
+    # ALT-L and ALT-R are each the associator plus a swap of it
+    asc = [(1, grid, (cell, "ij"), (a, "k")), (-1, grid, (a, "i"), (cell, "jk"))]
+    return [("ALT-L", 3, asc + _read_at(asc, "jik")),
+            ("ALT-R", 3, asc + _read_at(asc, "ikj"))]
 
 
 def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
@@ -494,7 +501,7 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
 
     # the six kinds of product the ten axioms are sums of
     def product(grid, left, right):
-        return _Packed([(1, grid, left, right)])
+        return [(1, grid, left, right)]
 
     s_sta = product(gs, (st, "ij"), (a, "k"))
     s_as = product(gs, (a, "i"), (s, "jk"))
@@ -516,7 +523,8 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
         "PA9": ((p_pa, "kji"), (p_pa, "kij"), (p_ast, "kij"), (p_ast, "kji")),
         "PA10": ((p_pa, "ikj"), (p_pa, "ijk"), (p_ast, "ikj"), (p_ast, "ijk")),
     }
-    return [(label, 3, [(sign, None, factor) for sign, factor in zip((1, 1, -1, -1), law)])
+    return [(label, 3, [term for sign, (terms, at) in zip((1, 1, -1, -1), law)
+                        for term in _read_at(terms, at, sign)])
             for label, law in laws.items()]
 
 
@@ -543,16 +551,15 @@ def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
     a, _ = _twist_cols(structure.twist)
 
     def assoc(outer_l, inner_l, outer_r, inner_r):
-        # QA1-QA9 read every associator of each kind twice
-        return _Packed([(1, grids[outer_l], (grids[inner_l].ints, "ij"), (a, "k")),
-                        (-1, grids[outer_r], (a, "i"), (grids[inner_r].ints, "jk"))])
+        return [(1, grids[outer_l], (grids[inner_l].ints, "ij"), (a, "k")),
+                (-1, grids[outer_r], (a, "i"), (grids[inner_r].ints, "jk"))]
 
     asc = {kind: assoc(*roles) for kind, roles in _QUADRI_ASSOCIATORS.items()}
     # QAn(i, j, k) = first(i, j, k) + second at (i, j, k) with two indices swapped
     laws = [("QA1", "r", "m", "jik"), ("QA2", "r", "r", "ikj"), ("QA3", "n", "w", "jik"),
             ("QA4", "n", "ne", "ikj"), ("QA5", "ne", "e", "jik"), ("QA6", "w", "sw", "ikj"),
             ("QA7", "sw", "s", "jik"), ("QA8", "m", "l", "ikj"), ("QA9", "l", "l", "jik")]
-    return [(label, 3, [(1, None, (asc[first], "ijk")), (1, None, (asc[second], swap))])
+    return [(label, 3, asc[first] + _read_at(asc[second], swap))
             for label, first, second, swap in laws]
 
 
@@ -590,9 +597,11 @@ def _mult_identities(structure: HomStructure,
     return _product_map_identities("MULT", structure.twist, structure, structure, roles)
 
 
-def _reader(table: list, at: str) -> Callable[[tuple], Ivec]:
+def _reader(table, at: str) -> Callable[[tuple], object]:
     """``idx -> table[idx[p]][idx[q]]...`` at the positions named by ``at``."""
     pos = positions(at)
+    if not pos:
+        return lambda idx: table
     if len(pos) == 1:
         p, = pos
         return lambda idx: table[idx[p]]
@@ -611,74 +620,150 @@ def _width(sums: Iterable[_Terms]) -> int:
     return max([terms.bound for terms in sums], default=0).bit_length() + 2
 
 
-def _evaluator(terms: _Terms, w: int, packs: dict) -> Callable[[tuple], int]:
-    """The residual of a term list at one tuple, over ``terms.den`` and
-    packed at slot width ``w``.  A product term is :func:`exact.packed_mul`
-    on its grid's cells, packed once into ``packs``, and skipped where a
-    factor is empty; a one-factor term reads a :class:`_Packed` table, or
-    a table of Ivecs, of any depth, packed the same way."""
-    def pack(cells: list) -> list:
-        if id(cells) not in packs:
-            packs[id(cells)] = grid_pack(cells, w)
-        return packs[id(cells)]
-
-    singles, products = [], []
-    for c, (_, grid, (table, at), *right) in zip(terms.coeffs, terms):
-        if grid is None:
-            singles.append((c, _reader(table if type(table) is _Packed else pack(table), at)))
-        else:
-            products.append((c, _reader(table, at), _reader(*right[0]), pack(grid.ints)))
-
-    def fn(idx):
-        r = 0
-        for c, read in singles:
-            r += c * read(idx)
-        for c, left, right, packed in products:
-            x = left(idx)
-            if x and (y := right(idx)):
-                r += c * packed_mul(packed, x, y)
-        return r
-    return fn
-
-
 def _sizes(arity: int, dim: int, module_dim: int) -> tuple[int, ...]:
     """The range of each index of an identity: ``dim`` basis vectors, or
     with ``module_dim`` that many module basis vectors for the last."""
     return (dim,) * (arity - 1) + (module_dim or dim,)
 
 
+def _stack(table: list, depth: int, p: int, leaf: Callable) -> object:
+    """``leaf`` of the entries of a table nested ``depth`` deep along its
+    index ``p``, at every value of its other indices: nested lists
+    ``depth - 1`` deep, indexed by those in order.  With ``p`` its last
+    index, ``leaf`` of each entry of a table nested ``depth - 1`` deep."""
+    if depth == 1:
+        return leaf(table)
+    if depth == 2:
+        return list(map(leaf, table if p else zip(*table)))
+    if p:
+        return [_stack(row, depth - 1, p - 1, leaf) for row in table]
+    return [_stack(col, depth - 1, 0, leaf) for col in zip(*table)]
+
+
+class _Stacks:
+    """What one sweep sets up once and shares across its identities.
+
+    Every identity is linear in its last index, so the residuals at all its
+    values ``l`` share one int, coordinate ``c`` of the residual at ``l`` in
+    the slot at bit ``w * (span * l + c)`` (Kronecker substitution), and a
+    sweep visits only the tuples of the other indices, its prefixes.  A
+    one-factor term reads its table stacked over the last index.  A product
+    term's factor reading the last index is stacked one coordinate ``y`` at
+    a time and folded into the packed grid, ``M[x] = sum of L_y * g[x][y]``,
+    so the term at a prefix is ``sum of u_x * M[x]`` over its other factor.
+    Each table is stacked, folded or packed once, where first needed."""
+
+    def __init__(self, sums: Sequence[_Terms]):
+        self.sums, self.span = sums, max([1] + [terms.span for terms in sums])
+        self.cache: dict = {}   # pruning supports, keyed by table ids
+        self.built: dict = {}   # stacked, packed and folded tables, keyed by ids
+
+    @cached_property
+    def w(self) -> int:
+        """The slot width, found where the first table is stacked."""
+        return _width(self.sums)
+
+    def _ints(self, vs: Sequence[Ivec]) -> int:
+        """The vectors ``vs[l]`` packed into their slots of one int."""
+        w, span = self.w, self.span
+        return sum([n << (w * (span * l + k)) for l, v in enumerate(vs) for k, n in v.items()])
+
+    def _coords(self, vs: Sequence[Ivec]) -> dict[int, int]:
+        """``y -> sum of vs[l][y] * 2**(w * span * l)``, without zeros."""
+        step, acc = self.w * self.span, {}
+        for l, v in enumerate(vs):
+            for y, n in v.items():
+                acc[y] = acc.get(y, 0) + (n << (step * l))
+        return {y: n for y, n in acc.items() if n}
+
+    def _stacked(self, table: list, at: str, last: str, coords: bool) -> object:
+        """``table`` read at ``at``, stacked over the index named ``last``
+        (:meth:`_coords` of its vectors with ``coords``, else :meth:`_ints`)."""
+        p = at.index(last)
+        key = ("stack", id(table), p, coords)
+        if key not in self.built:
+            self.built[key] = _stack(table, len(at), p, self._coords if coords else self._ints)
+        return self.built[key]
+
+    def _fold(self, stack, depth: int, grid: Grid, right: bool) -> object:
+        """Each entry ``L`` of ``stack``, nested ``depth`` deep, folded into
+        the packed cells ``g`` of ``grid`` as its right factor, ``M[x] = sum
+        of L_y * g[x][y]``, or as its left, ``M[y] = sum of L_x * g[x][y]``;
+        0 where ``M`` is."""
+        key = ("fold", id(stack), id(grid), right)
+        if key not in self.built:
+            if id(grid) not in self.built:    # its nonzero columns, then rows
+                packed = grid_pack(grid.ints, self.w)
+                self.built[id(grid)] = [[[(y, g) for y, g in enumerate(row) if g]
+                                         for row in rows] for rows in (zip(*packed), packed)]
+            lines = self.built[id(grid)][right]
+
+            def fold(s):
+                m = s and [sum([s[y] * g for y, g in line if y in s]) for line in lines]
+                return m if any(m) else 0
+            self.built[key] = _stack(stack, depth + 1, depth, fold)
+        return self.built[key]
+
+    def residuals(self, terms: _Terms, sizes: Sequence[int]) -> Iterator[tuple[tuple, int]]:
+        """Each nonzero stacked residual of ``terms`` over the ranges
+        ``sizes`` of their indices, with its prefix, evaluated only where
+        some term has all its stacked factors nonzero.  A term of norm 0 is
+        0 and dropped."""
+        last = INDEX_NAMES[len(sizes) - 1]
+        plan, found = [], []
+        for c, norm, (_, grid, *factors) in zip(terms.coeffs, terms.norms, terms):
+            if not norm:
+                continue
+            right = last in factors[-1][1]
+            *other, (t, at) = factors if right else factors[::-1]
+            s, rest = self._stacked(t, at, last, grid is not None), at.replace(last, "")
+            if rest or s:
+                plan.append((c, grid, s, rest, other, right))
+                found.append((c, grid, *other, *([(s, rest)] if rest else [])))
+
+        def setup() -> Callable[[tuple], int]:
+            singles, products = [], []
+            for c, grid, s, rest, other, right in plan:
+                if grid is None:
+                    singles.append((c, _reader(s, rest)))
+                else:
+                    products.append((c, _reader(*other[0]),
+                                     _reader(self._fold(s, len(rest), grid, right), rest)))
+
+            def evaluate(idx):
+                r = 0
+                for c, read in singles:
+                    r += c * read(idx)
+                for c, vec, folded in products:
+                    if (u := vec(idx)) and (m := folded(idx)):
+                        r += c * sum(map(mul, map(m.__getitem__, u), u.values()))
+                return r
+            return evaluate
+
+        evaluate = None
+        for idx in candidates(found, sizes[:-1], self.cache):
+            evaluate = evaluate or setup()
+            if r := evaluate(idx):
+                yield idx, r
+
+
 def _violations(identities: Sequence[Identity], dim: int, *,
                 module_dim: int = 0) -> Iterator[Violation]:
     """Every nonzero residual of ``identities`` over the ranges of their
-    indices (see :func:`_sizes`), evaluated only at the tuples its terms can
-    be nonzero at, every other residual being zero, on packed ints set up at
-    the first such tuple.  A :class:`_Packed` table is filled likewise,
-    before the first identity reading it is swept, and is 0 off its own
-    terms' candidates."""
+    indices (see :func:`_sizes`): each stacked residual of a prefix (see
+    :class:`_Stacks`) decoded into one violation for every value of the last
+    index at which the residual is nonzero."""
     identities = [(label, _sizes(arity, dim, module_dim), _Terms(terms))
                   for label, arity, terms in identities]
-    cache: dict = {}    # pruning supports, keyed by table ids
-    packs: dict = {}    # packed cell tables, keyed by table ids
-    w = 0               # the slot width, found at the first tuple visited
-
-    def setup(terms: _Terms) -> Callable[[tuple], int]:
-        nonlocal w
-        w = w or _width(terms for _, _, terms in identities)
-        return _evaluator(terms, w, packs)
-
+    stacks = _Stacks([terms for _, _, terms in identities])
     for label, sizes, terms in identities:
-        for t, _ in (factor for term in terms for factor in term[2:]):
-            if type(t) is _Packed and not t:
-                t[:] = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-                fill = None
-                for idx in candidates(t.terms, (dim,) * 3, cache):
-                    fill = fill or setup(t.terms)
-                    t[idx[0]][idx[1]][idx[2]] = fill(idx)
-        evaluate = None
-        for idx in candidates(terms, sizes, cache):
-            evaluate = evaluate or setup(terms)
-            if r := evaluate(idx):
-                yield Violation(label, idx, sv_fractions(sv_unpack(r, w, terms.den)))
+        for idx, r in stacks.residuals(terms, sizes):
+            cols: dict[int, dict[int, Fraction]] = {}
+            for slot, n in sv_unpack(r, stacks.w).items():
+                l, k = divmod(slot, stacks.span)
+                cols.setdefault(l, {})[k] = Fraction(n, terms.den)
+            for l, residual in cols.items():
+                yield Violation(label, (*idx, l), residual)
 
 
 def _sweep(target: str, identities: Sequence[Identity],

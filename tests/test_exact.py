@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from homalg import structures
 from support import densify, mat_zero, sparse, vector
 from homalg.exact import (
     DimensionMismatch,
@@ -19,7 +21,6 @@ from homalg.exact import (
     as_imat,
     as_ivec,
     grid_mul,
-    grid_pack,
     mat_cols,
     mat_fractions,
     mat_identity,
@@ -31,7 +32,6 @@ from homalg.exact import (
     mat_sub,
     mat_transpose,
     matrix,
-    packed_mul,
     push_product,
     sv_add,
     sv_fractions,
@@ -542,15 +542,30 @@ def test_pack_borrow_chains_and_wide_slots():
 
 
 @settings(max_examples=150, deadline=None)
-@given(tensor_st(), sparse_st(), sparse_st())
-def test_packed_mul_matches_grid_mul(t, u, v):
-    """The packed product on a packed grid is the pack of ``grid_mul``'s
-    numerators, at any width that holds them."""
+@given(tensor_st(), sparse_st(), st.lists(sparse_st(), min_size=1, max_size=KERNEL_DIM))
+def test_stacked_product_matches_grid_mul(t, u, vs):
+    """A product term stacked over its last index, the factor reading it on
+    either side, decodes to ``grid_mul``'s numerators at every value of the
+    index, at a sweep's own slot width and at a wider one, and is zero
+    exactly when every product is empty."""
     grid = tensor_grid(t, KERNEL_DIM)
-    u, v = as_ivec(u), as_ivec(v)
-    want = grid_mul(grid, u, v)
-    norm = sum(map(abs, u.values())) * sum(map(abs, v.values())) * grid.peak
-    for w in (norm.bit_length() + 2, norm.bit_length() + 70):
-        got = packed_mul(grid_pack(grid.ints, w), u, v)
-        assert sv_unpack(got, w) == want
-        assert (got == 0) == (not want)
+    u, vs = as_ivec(u), [as_ivec(v) for v in vs]
+    den = lcm(*[v.den for v in vs])
+    for n, v in enumerate(vs):
+        vs[n] = Ivec({k: x * (den // v.den) for k, x in v.items()})
+        vs[n].den = den
+    left, right = structures._table([u], u.den, 1), structures._table([vs], den, 2)
+    for terms, want in (
+            ([(1, grid, (left, "i"), (right, "ij"))], [grid_mul(grid, u, v) for v in vs]),
+            ([(1, grid, (right, "ij"), (left, "i"))], [grid_mul(grid, v, u) for v in vs])):
+        terms = structures._Terms(terms)
+        for extra in (0, 68):
+            stacks = structures._Stacks([terms])
+            stacks.w += extra
+            got = dict(stacks.residuals(terms, (1, len(vs))))
+            cols = [{} for _ in vs]
+            for slot, x in (sv_unpack(got[(0,)], stacks.w) if got else {}).items():
+                l, k = divmod(slot, stacks.span)
+                cols[l][k] = x
+            assert cols == want
+            assert (not got) == (not any(want))

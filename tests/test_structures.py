@@ -26,6 +26,7 @@ from homalg.exact import (
     tensor_flip,
     tensor_sub,
 )
+from homalg.pruning import candidates
 from support import densify, sparse, vector
 
 F = Fraction
@@ -346,6 +347,27 @@ def test_morphism_between_different_dims():
     f = ((F(1, 2), F(0)), (F(0), F(1)), (F(0), F(0)))
     report = check_morphism(f, src, tgt)
     assert report.passed
+
+
+def test_morphism_twist_law_between_wide_structures_without_products():
+    """Two dim-64 structures with no products whose twists differ only at
+    entry (0, 1): the identity map breaks the twist law in one column."""
+    n = 64
+    twist = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+    source = make_structure(n, twist=twist)
+    twist[0][1] = F(1)
+    report = check_morphism(mat_identity(n), source, make_structure(n, twist=twist))
+    assert [(v.identity, v.args, v.residual) for v in report.violations] == [
+        ("MORPH-TWIST", (1,), {0: F(-1)})]
+    assert report.tuples_checked == n
+
+
+def test_candidates_over_one_index_are_tuples():
+    """A search for candidates over one index yields 1-tuples, as over
+    several, when it plans."""
+    table = [{}] * 64
+    table[5] = {0: 1}
+    assert list(candidates([(1, None, (table, "i"))], (64,), {})) == [(5,)]
 
 
 def test_product_eval_matches_table():
