@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .exact import Matrix, Tensor, matrix
+from .exact import Matrix, Tensor
 from .operators import (
     KIND_O_OPERATOR,
     KIND_ROTA_BAXTER,
@@ -33,6 +33,9 @@ from .structures import (
 )
 
 SCHEMA_VERSION = 1
+
+_escape = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 
@@ -90,15 +93,25 @@ def _require_index(value: Any, bound: int, where: str) -> int:
     return value
 
 
-def _flat_matrix(values: Any, rows: int, cols: int, where: str) -> Matrix:
+def _rational(text: Any, rationals: dict[str, Fraction], where: str, n: int) -> Fraction:
+    """``text`` parsed once per load into ``rationals``; the location
+    ``where[n]`` is formatted only for an error."""
+    value = rationals.get(text) if type(text) is str else None
+    if value is None:
+        value = rationals[text] = parse_rational(text, f"{where}[{n}]")
+    return value
+
+
+def _flat_matrix(values: Any, rows: int, cols: int, where: str,
+                 rationals: dict[str, Fraction]) -> Matrix:
     if not isinstance(values, list) or len(values) != rows * cols:
         got = len(values) if isinstance(values, list) else type(values).__name__
         raise BundleError(
             f"{where}: expected a flat row-major list of {rows * cols} "
             f"rationals, got {got}"
         )
-    entries = [parse_rational(v, f"{where}[{n}]") for n, v in enumerate(values)]
-    return matrix([entries[r * cols:(r + 1) * cols] for r in range(rows)])
+    entries = [_rational(v, rationals, where, n) for n, v in enumerate(values)]
+    return tuple(tuple(entries[r * cols:(r + 1) * cols]) for r in range(rows))
 
 
 def _matrix_to_flat(mat: Matrix) -> list[str]:
@@ -119,24 +132,47 @@ def _tensor_to_entries(tensor: Tensor) -> list[list[Any]]:
     return out
 
 
-def _entries_to_tensor(entries: Any, dim: int, where: str) -> Tensor:
+def _entries(entries: Any, bounds: tuple[int, int, int], where: str, shape: str,
+             rationals: dict[str, Fraction], seen: set, zeros: bool):
+    """Each ``[x, y, z, 'p/q']`` entry of a sparse list as ``(x, y, z,
+    value)``: each index below its bound, no key twice in ``seen`` (with a
+    zero value too if ``zeros``, checked then before the value), and each
+    distinct rational string parsed once.  An entry that does not pass the
+    checks at once is checked again in order, naming it."""
     if not isinstance(entries, list):
-        raise BundleError(f"{where}: expected a list of [i, j, k, 'p/q'] entries")
-    tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
+        raise BundleError(f"{where}: expected a list of {shape} entries")
+    (bx, by, bz), get = bounds, rationals.get
     for n, entry in enumerate(entries):
+        if type(entry) is list and len(entry) == 4:
+            x, y, z, text = entry
+            if (type(x) is type(y) is type(z) is int and 0 <= x < bx and 0 <= y < by
+                    and 0 <= z < bz and (x, y, z) not in seen and type(text) is str
+                    and (value := get(text)) is not None):
+                if zeros or value:
+                    seen.add((x, y, z))
+                yield x, y, z, value
+                continue
         spot = f"{where}[{n}]"
         if not isinstance(entry, list) or len(entry) != 4:
-            raise BundleError(f"{spot}: expected [i, j, k, 'p/q'], got {entry!r}")
-        i = _require_index(entry[0], dim, spot)
-        j = _require_index(entry[1], dim, spot)
-        k = _require_index(entry[2], dim, spot)
-        value = parse_rational(entry[3], spot)
-        svec = tensor.setdefault((i, j), {})
-        if k in svec:
-            raise BundleError(f"{spot}: duplicate entry for ({i}, {j}, {k})")
+            raise BundleError(f"{spot}: expected {shape}, got {entry!r}")
+        key = tuple(_require_index(v, b, spot) for v, b in zip(entry, bounds))
+        value = None if zeros else _rational(entry[3], rationals, where, n)
+        if key in seen:
+            raise BundleError(f"{spot}: duplicate entry for {key}")
+        value = _rational(entry[3], rationals, where, n) if zeros else value
+        if zeros or value:
+            seen.add(key)
+        yield *key, value
+
+
+def _entries_to_tensor(entries: Any, dim: int, where: str,
+                       rationals: dict[str, Fraction]) -> Tensor:
+    tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i, j, k, value in _entries(entries, (dim,) * 3, where, "[i, j, k, 'p/q']",
+                                   rationals, set(), False):
         if value:
-            svec[k] = value
-    return {key: svec for key, svec in tensor.items() if svec}
+            tensor.setdefault((i, j), {})[k] = value
+    return tensor
 
 
 def _slices_to_entries(slices: tuple[Matrix, ...]) -> list[list[Any]]:
@@ -149,25 +185,14 @@ def _slices_to_entries(slices: tuple[Matrix, ...]) -> list[list[Any]]:
     return out
 
 
-def _entries_to_slices(entries: Any, dim: int, module_dim: int,
-                       where: str) -> tuple[Matrix, ...]:
-    if not isinstance(entries, list):
-        raise BundleError(f"{where}: expected a list of [i, a, b, 'p/q'] entries")
+def _entries_to_slices(entries: Any, dim: int, module_dim: int, where: str,
+                       rationals: dict[str, Fraction]) -> tuple[Matrix, ...]:
     grids = [[[Fraction(0)] * module_dim for _ in range(module_dim)]
              for _ in range(dim)]
-    seen: set[tuple[int, int, int]] = set()
-    for n, entry in enumerate(entries):
-        spot = f"{where}[{n}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise BundleError(f"{spot}: expected [i, a, b, 'p/q'], got {entry!r}")
-        i = _require_index(entry[0], dim, spot)
-        a = _require_index(entry[1], module_dim, spot)
-        b = _require_index(entry[2], module_dim, spot)
-        if (i, a, b) in seen:
-            raise BundleError(f"{spot}: duplicate entry for ({i}, {a}, {b})")
-        seen.add((i, a, b))
-        grids[i][a][b] = parse_rational(entry[3], spot)
-    return tuple(matrix(g) for g in grids)
+    for i, a, b, value in _entries(entries, (dim, module_dim, module_dim), where,
+                                   "[i, a, b, 'p/q']", rationals, set(), True):
+        grids[i][a][b] = value
+    return tuple(tuple(map(tuple, g)) for g in grids)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +291,56 @@ def bundle_payload(bundle: Bundle) -> dict[str, Any]:
     return payload
 
 
+def dumps_json(payload: Any) -> str:
+    """Exactly ``json.dumps(payload, indent=2) + "\n"`` for a payload of
+    dicts with string keys, lists, strings, ints, bools and None, written in
+    one pass: ``json.dumps`` falls back to its pure-Python encoder whenever
+    it indents.  Strings are escaped to ASCII by the C encoder's escaper.  Any
+    other value (a float among them) raises TypeError."""
+    out: list[str] = []
+    put = out.append
+
+    def write(x: Any, pad: str) -> None:
+        if isinstance(x, str):
+            put(_escape(x))
+        elif x is None or x is True or x is False:
+            put(_CONSTANTS[x])
+        elif isinstance(x, int):
+            put(int.__repr__(x))
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                return put("[]")
+            inner = pad + "  "
+            if all(type(v) is str or type(v) is int for v in x):   # leaves only
+                return put("[" + inner + ("," + inner).join(
+                    [_escape(v) if type(v) is str else int.__repr__(v) for v in x]) + pad + "]")
+            put("[" + inner)
+            for n, v in enumerate(x):
+                if n:
+                    put("," + inner)
+                write(v, inner)
+            put(pad + "]")
+        elif isinstance(x, dict):
+            if not x:
+                return put("{}")
+            inner = pad + "  "
+            put("{" + inner)
+            for n, (k, v) in enumerate(x.items()):
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                put(("," + inner if n else "") + _escape(k) + ": ")
+                write(v, inner)
+            put(pad + "}")
+        else:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    write(payload, "\n")
+    put("\n")
+    return "".join(out)
+
+
 def dumps_bundle(bundle: Bundle) -> str:
-    return json.dumps(bundle_payload(bundle), indent=2) + "\n"
+    return dumps_json(bundle_payload(bundle))
 
 
 def save_bundle(bundle: Bundle, path) -> None:
@@ -279,7 +352,8 @@ def save_bundle(bundle: Bundle, path) -> None:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _parse_rep(raw: Any, structure: HomStructure, where: str) -> Representation:
+def _parse_rep(raw: Any, structure: HomStructure, where: str,
+               rationals: dict[str, Fraction]) -> Representation:
     if not isinstance(raw, dict):
         raise BundleError(f"{where}: expected an object")
     extra = set(raw) - _REP_KEYS
@@ -293,7 +367,7 @@ def _parse_rep(raw: Any, structure: HomStructure, where: str) -> Representation:
         raise BundleError(f"{where}.module_dim: expected a positive integer, "
                           f"got {module_dim!r}")
     module_twist = _flat_matrix(raw["module_twist"], module_dim, module_dim,
-                                f"{where}.module_twist")
+                                f"{where}.module_twist", rationals)
     if not isinstance(raw["actions"], dict):
         raise BundleError(f"{where}.actions: expected an object")
     actions: dict[ActionRole, tuple[Matrix, ...]] = {}
@@ -305,14 +379,14 @@ def _parse_rep(raw: Any, structure: HomStructure, where: str) -> Representation:
                 f"of {sorted(_ACTION_ROLES)}"
             )
         actions[role] = _entries_to_slices(entries, structure.dim, module_dim,
-                                           f"{where}.actions.{name}")
+                                           f"{where}.actions.{name}", rationals)
     return Representation(base=structure, module_dim=module_dim,
                           module_twist=module_twist, actions=actions)
 
 
 def _parse_operator(raw: Any, structure: HomStructure,
-                    reps: tuple[Representation, ...],
-                    where: str) -> tuple[OperatorWitness, int | None]:
+                    reps: tuple[Representation, ...], where: str,
+                    rationals: dict[str, Fraction]) -> tuple[OperatorWitness, int | None]:
     if not isinstance(raw, dict):
         raise BundleError(f"{where}: expected an object")
     extra = set(raw) - _OPERATOR_KEYS
@@ -331,7 +405,7 @@ def _parse_operator(raw: Any, structure: HomStructure,
         weight = (parse_rational(raw["weight"], f"{where}.weight")
                   if "weight" in raw else Fraction(0))
         mat = _flat_matrix(raw["matrix"], structure.dim, structure.dim,
-                           f"{where}.matrix")
+                           f"{where}.matrix", rationals)
         return OperatorWitness(kind=kind, matrix=mat, weight=weight), None
     if "weight" in raw:
         raise BundleError(f"{where}: '{KIND_O_OPERATOR}' witnesses carry no weight")
@@ -340,7 +414,7 @@ def _parse_operator(raw: Any, structure: HomStructure,
     idx = _require_index(raw["rep_index"], len(reps), f"{where}.rep_index")
     rep = reps[idx]
     mat = _flat_matrix(raw["matrix"], structure.dim, rep.module_dim,
-                       f"{where}.matrix")
+                       f"{where}.matrix", rationals)
     return OperatorWitness(kind=kind, matrix=mat, rep=rep), idx
 
 
@@ -370,7 +444,8 @@ def loads_bundle(text: str) -> Bundle:
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(b, str) for b in basis)):
         raise BundleError(f"basis: expected a list of {dim} strings")
-    twist = _flat_matrix(raw["twist"], dim, dim, "twist")
+    rationals: dict[str, Fraction] = {}   # each distinct string, parsed once
+    twist = _flat_matrix(raw["twist"], dim, dim, "twist", rationals)
     if not isinstance(raw["products"], dict):
         raise BundleError("products: expected an object")
     products: dict[ProductRole, Tensor] = {}
@@ -379,7 +454,7 @@ def loads_bundle(text: str) -> Bundle:
         if role is None:
             raise BundleError(f"products: unknown product role {name!r}; "
                               f"expected one of {sorted(_PRODUCT_ROLES)}")
-        products[role] = _entries_to_tensor(entries, dim, f"products.{name}")
+        products[role] = _entries_to_tensor(entries, dim, f"products.{name}", rationals)
 
     declared: StructureClass | None = None
     if "class" in raw:
@@ -404,7 +479,7 @@ def loads_bundle(text: str) -> Bundle:
         if not isinstance(raw["reps"], list):
             raise BundleError("reps: expected a list")
         for n, entry in enumerate(raw["reps"]):
-            reps.append(_parse_rep(entry, structure, f"reps[{n}]"))
+            reps.append(_parse_rep(entry, structure, f"reps[{n}]", rationals))
 
     operators: list[OperatorWitness] = []
     rep_indices: list[int | None] = []
@@ -413,7 +488,7 @@ def loads_bundle(text: str) -> Bundle:
             raise BundleError("operators: expected a list")
         for n, entry in enumerate(raw["operators"]):
             witness, idx = _parse_operator(entry, structure, tuple(reps),
-                                           f"operators[{n}]")
+                                           f"operators[{n}]", rationals)
             operators.append(witness)
             rep_indices.append(idx)
 
@@ -422,7 +497,8 @@ def loads_bundle(text: str) -> Bundle:
         if not isinstance(raw["forms"], list):
             raise BundleError("forms: expected a list")
         for n, entry in enumerate(raw["forms"]):
-            forms.append(BilinearForm(_flat_matrix(entry, dim, dim, f"forms[{n}]")))
+            forms.append(BilinearForm(_flat_matrix(entry, dim, dim, f"forms[{n}]",
+                                                   rationals)))
 
     return Bundle(structure=structure, declared_class=declared, reps=tuple(reps),
                   operators=tuple(operators), rep_indices=tuple(rep_indices),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from typing import Any, Sequence
@@ -21,6 +20,7 @@ from .bundle import (
     check_payload,
     diagram_payload,
     dumps_bundle,
+    dumps_json,
     load_bundle,
 )
 from .exact import DimensionMismatch, SingularMatrix
@@ -236,9 +236,8 @@ def _diagram_text(entry: dict[str, Any]) -> list[str]:
 
 def _report_json(command: Sequence[str], entries: list[dict[str, Any]],
                  exit_status: int) -> str:
-    payload = {"command": list(command), "checks": entries,
-               "exit_status": exit_status}
-    return json.dumps(payload, indent=2) + "\n"
+    return dumps_json({"command": list(command), "checks": entries,
+                       "exit_status": exit_status})
 
 
 def _with_meta(structure: HomStructure, extra: dict[str, str]) -> HomStructure:

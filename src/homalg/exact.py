@@ -130,7 +130,10 @@ def mat_fractions(m: Imat) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
-    out = tuple(tuple(as_fraction(v) for v in row) for row in rows)
+    """``rows`` as a tuple matrix of Fractions; a row that already is one is
+    kept as it is."""
+    out = tuple(row if type(row) is tuple and all(type(v) is Fraction for v in row)
+                else tuple(map(as_fraction, row)) for row in rows)
     if out and any(len(row) != len(out[0]) for row in out):
         raise DimensionMismatch("matrix rows have unequal lengths")
     return out
@@ -283,9 +286,12 @@ def apply_cols(cols: Sequence[Mapping], u: Mapping) -> Ivec:
 # ---------------------------------------------------------------------------
 
 def tensor_normalize(t: Mapping) -> Tensor:
+    """``t`` with Fraction values and no zeros; a value that already is a
+    Fraction is not converted."""
     out: Tensor = {}
     for (i, j), cell in t.items():
-        clean = {k: as_fraction(v) for k, v in cell.items() if as_fraction(v)}
+        clean = {k: f for k, v in cell.items()
+                 if (f := v if type(v) is Fraction else as_fraction(v))}
         if clean:
             out[(int(i), int(j))] = clean
     return out
@@ -429,11 +435,11 @@ def sv_unpack(r: int, w: int, den: int = 1) -> Ivec:
     return _ivec(out, den)
 
 
-def grid_pack(cells: list, w: int) -> list:
-    """``cells``, lists of integer vectors nested to any depth (a grid's
-    ``ints``: ``cells[a][b]`` the integer cell of ``e_a e_b``), with every
-    vector packed at width ``w``."""
-    return [grid_pack(c, w) if isinstance(c, list) else sv_pack(c, w) for c in cells]
+def grid_pack(cells: list, w: int) -> list[list[tuple[int, int]]]:
+    """Each row of a grid's integer cells (``cells[x][y]`` the cell of ``e_x
+    e_y``) as its nonzero cells packed at width ``w``, ``(y, packed)``
+    pairs."""
+    return [[(y, sv_pack(c, w)) for y, c in enumerate(row) if c] for row in cells]
 
 
 def push_product(t: Tensor, f: Matrix) -> Tensor:

@@ -59,7 +59,7 @@ from .structures import (
     UnknownKind,
     Violation,
     _columns,
-    _pair,
+    _composed,
     _sweep,
     _twisted,
     check_morphism,
@@ -162,7 +162,9 @@ def _basis(n: int) -> Table:
 def _rota_baxter_identities(structure: HomStructure,
                             w: OperatorWitness) -> list[Identity]:
     """RB-<role> = R e_i * R e_j - R(R e_i * e_j + e_i * R e_j + lam e_i * e_j)
-    for every stored product, and RB-TWIST = a R e_i - R a e_i."""
+    for every stored product, and RB-TWIST = a R e_i - R a e_i.  The outer R
+    is read on the grid of R after the product: R(R e_i * e_j + lam e_i *
+    e_j) is its product of (R + lam) e_i and e_j."""
     n = structure.dim
     if mat_shape(w.matrix) != (n, n):
         raise DimensionMismatch(
@@ -171,16 +173,15 @@ def _rota_baxter_identities(structure: HomStructure,
         )
     rm, am = as_imat(w.matrix), as_imat(structure.twist)
     r, e = _columns(rm), _basis(n)
-    lam_r = w.weight and _columns([[w.weight * x for x in row] for row in w.matrix])
+    r_lam = w.weight and _columns([[v + w.weight * (x == y) for y, v in enumerate(row)]
+                                   for x, row in enumerate(w.matrix)]) or r
     identities = []
     for role in sorted(structure.products, key=lambda r: r.value):
         grid = _grid(structure, role)
-        terms = [(1, grid, (r, "i"), (r, "j")),
-                 (-1, None, (_twisted(r, _pair(grid, r, e)), "ij")),
-                 (-1, None, (_twisted(r, _pair(grid, e, r)), "ij"))]
-        if lam_r:
-            terms.append((-1, None, (_twisted(lam_r, grid.ints), "ij")))
-        identities.append((f"RB-{role.value}", 2, terms))
+        r_of = _composed(r, grid)                                   # R(e_x * e_y)
+        identities.append((f"RB-{role.value}", 2, [(1, grid, (r, "i"), (r, "j")),
+                                                   (-1, r_of, (r_lam, "i"), (e, "j")),
+                                                   (-1, r_of, (e, "i"), (r, "j"))]))
     twist = mat_sub(mat_mul(am, rm), mat_mul(rm, am))
     identities.append(("RB-TWIST", 1, [(1, None, (_columns(twist), "i"))]))
     return identities
@@ -227,17 +228,14 @@ def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identit
         )
     tm = as_imat(w.matrix)
     t, f = _columns(tm), _basis(m)
-
-    def act(role):
-        """``T(role(T e_x) e_y)``."""
-        return _twisted(t, _pair(rep.grid(rep.action(role)), t, f))
-
+    # the grid of T after each action: T(X(T e_x) e_y) is its product of T e_x and e_y
+    t_of = {x: _composed(t, rep.grid(rep.action(x))) for _, *acts, _ in laws for x in acts}
     twist = mat_sub(mat_mul(structure.twist, tm), mat_mul(tm, rep.module_twist))
     identities = [("OOP-TWIST", 1, [(1, None, (_columns(twist), "i"))])]
     identities.extend(
         (f"OOP-{role.value}", 2, [(1, _grid(structure, role), (t, "i"), (t, "j")),
-                                  (-1, None, (act(left), "ij")),
-                                  (-sign, None, (act(right), "ji"))])
+                                  (-1, t_of[left], (t, "i"), (f, "j")),
+                                  (-sign, t_of[right], (t, "j"), (f, "i"))])
         for role, left, right, sign in laws)
     return identities
 
@@ -309,7 +307,7 @@ def _require_roles(structure: HomStructure, roles: Sequence[ProductRole],
 
 
 def _grid(structure: HomStructure, role: ProductRole):
-    return tensor_grid(structure.products[role], structure.dim)
+    return structure.grid(role)
 
 
 def _product(grid: Grid, a: Sequence[Ivec], b: Sequence[Ivec], swap: bool = False,
@@ -487,14 +485,15 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     if kernel is not None:
         violations.append(Violation("HESS-NONDEG", (), kernel))
     # each residual is a number, kept as entry 0 of a vector
-    inv = _form_grid(mat_fractions(mat_sub(mat_mul(mat_transpose(alpha), mat_mul(b, alpha)), b)))
     form_grid = _form_grid(b)
     d = _grid(structure, ProductRole.DOT).ints
     a = _columns(alpha)
     # HESS-COCYCLE = b(e_i e_j, a e_k) - b(a e_i, e_j e_k) - b(e_j e_i, a e_k) + b(a e_j, e_i e_k)
     cocycle = [(1, form_grid, (d, "ij"), (a, "k")), (-1, form_grid, (a, "i"), (d, "jk")),
                (-1, form_grid, (d, "ji"), (a, "k")), (1, form_grid, (a, "j"), (d, "ik"))]
-    return _sweep("hessian", [("HESS-INV", 2, [(1, None, (inv.ints, "ij"))]),
+    # HESS-INV = b(a e_i, a e_j) - b(e_i, e_j)
+    return _sweep("hessian", [("HESS-INV", 2, [(1, form_grid, (a, "i"), (a, "j")),
+                                               (-1, None, (form_grid.ints, "ij"))]),
                               ("HESS-COCYCLE", 3, cocycle)],
                   n, start, violations=violations, tuples=n * (n - 1) // 2 + 1)
 

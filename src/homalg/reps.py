@@ -49,6 +49,7 @@ from .structures import (
     Record,
     RoleMismatch,
     StructureClass,
+    _columns,
     _left_a,
     _mult_identities,
     _pair,
@@ -141,15 +142,14 @@ class Representation(Record):
         return tensor_grid(action, self.base.dim, self.module_dim)
 
 
-def _malcev_action_identities(base: HomStructure, bracket: Tensor, act: Grid,
+def _malcev_action_identities(base: HomStructure, grid: Grid, act: Grid,
                               beta: Matrix) -> list[Identity]:
     """The equivariance and four-term laws of the Malcev-type action ``act``
-    of ``bracket`` on a module twisted by ``beta``:
+    of the bracket on ``grid`` on a module twisted by ``beta``:
     MREP-EQ = rho(a e_i) beta - beta rho(e_i),
     MREP-4T = rho([[e_i,e_j],a e_k]) beta^2 - rho(a^2 e_i) rho(a e_j) rho(e_k)
         + rho(a^2 e_k) rho(a e_i) rho(e_j) - rho(a^2 e_j) rho([e_k,e_i]) beta
         + rho(a[e_j,e_k]) rho(a e_i) beta."""
-    grid = tensor_grid(bracket, base.dim)
     cell, rho = grid.ints, act.ints
     a, a2 = _twist_cols(base.twist)
     b, b2 = _twist_cols(beta)
@@ -181,8 +181,9 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
     base = rep.base
     dot = base.products[ProductRole.DOT]
     com = tensor_commutator(dot)
-    dgrid = tensor_grid(dot, base.dim)
-    d, c = dgrid.ints, tensor_grid(com, base.dim).ints
+    dgrid = base.grid(ProductRole.DOT)
+    cgrid = tensor_grid(com, base.dim)
+    d, c = dgrid.ints, cgrid.ints
     a, a2 = _twist_cols(base.twist)
     b, b2 = _twist_cols(rep.module_twist)
     left, right = rep.action(ActionRole.LEFT), rep.action(ActionRole.RIGHT)
@@ -194,7 +195,7 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
     p_p, r_p = _left_a(P, a, P.ints), _left_a(R, a, P.ints)     # rho(a e_x) rho(e_y) e_z
     l_r = _left_a(L, a, R.ints)             # l(a e_x) r(e_y) e_z
     r_db = _right_a(R, d, b)                # r(e_x e_y) beta e_z
-    return _malcev_action_identities(base, com, L, rep.module_twist) + [
+    return _malcev_action_identities(base, cgrid, L, rep.module_twist) + [
         ("PMREP-1", 2, [(1, None, (_twisted(b, R.ints), "ij")), (-1, None, (r_b, "ij"))]),
         ("PMREP-2", 4, [(1, R, (a2, "i"), (p_p, "jkl")), (-1, R, (a_d, "kji"), (b2, "l")),
                         (1, L, (a2, "j"), (r_db, "kil")),
@@ -220,8 +221,8 @@ def _pre_alternative_rep_identities(rep: Representation, *,
     prec = base.products[ProductRole.PREC]
     succ = base.products[ProductRole.SUCC]
     p, s, st = (tensor_grid(t, base.dim).ints for t in (prec, succ, tensor_add(prec, succ)))
-    a, _ = _twist_cols(base.twist)
-    b, _ = _twist_cols(rep.module_twist)
+    a = _columns(base.twist)
+    b = _columns(rep.module_twist)
     A = ActionRole
     lp, rp, ls, rs = (rep.action(role) for role in
                       (A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC))
@@ -291,9 +292,11 @@ def check_rep(rep: Representation, cls: StructureClass, *,
             f"representation has {sorted(r.value for r in rep.roles())}"
         )
     if cls is StructureClass.HOM_MALCEV:
-        bracket = derived_product(rep.base, ProductRole.BRACKET)
+        base, role = rep.base, ProductRole.BRACKET
+        bracket = base.grid(role) if role in base.products else tensor_grid(
+            derived_product(base, role), base.dim)
         identities = _malcev_action_identities(
-            rep.base, bracket, rep.grid(rep.action(ActionRole.RHO)), rep.module_twist)
+            base, bracket, rep.grid(rep.action(ActionRole.RHO)), rep.module_twist)
     elif cls is StructureClass.HOM_PRE_MALCEV:
         if ProductRole.DOT not in rep.base.products:
             raise RoleMismatch("base structure must carry the dot product role")

@@ -177,6 +177,14 @@ class HomStructure(Record):
     def roles(self) -> frozenset[ProductRole]:
         return frozenset(self.products)
 
+    def grid(self, role: ProductRole) -> Grid:
+        """The grid of the stored product ``role``, built once and shared by
+        every check of this structure."""
+        grids = self.__dict__.setdefault("_grids", {})
+        if role not in grids:
+            grids[role] = tensor_grid(self.products[role], self.dim)
+        return grids[role]
+
 
 def make_structure(dim, twist=None, products=None, basis=None, meta=None) -> HomStructure:
     return HomStructure(
@@ -315,6 +323,15 @@ def _twisted(a: Table, cells: Table) -> Table:
                   a.den * cells.den, 2)
 
 
+def _composed(a: Table, grid: Grid) -> Grid:
+    """The grid of ``a`` after ``grid``'s product: its cells are ``a(e_x *
+    e_y)``, and an operator law's ``a(b e_i * e_j)`` is a product on it."""
+    out = Grid()
+    out.ints = _twisted(a, grid.ints) if a.norm else Table()   # a zero map: no cells
+    out.den, out.peak = out.ints.den, out.ints.norm
+    return out
+
+
 def _pair(grid: Grid, a: Table, b: Table) -> Table:
     """``grid(a e_x, b e_y)``."""
     return _table([[u and v and grid_mul(grid, u, v) for v in b] for u in a],
@@ -370,19 +387,19 @@ def _read_at(terms: Iterable[Term], at: str, sign: int = 1) -> list[Term]:
             for s, grid, *factors in terms]
 
 
-def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
+def _bracket_identities(structure: HomStructure, grid: Grid, *,
                         malcev: bool = True) -> list[Identity]:
     """SKEW plus JACOBI, or plus the two equivalent forms of the
-    four-variable bracket law with ``malcev``."""
+    four-variable bracket law with ``malcev``, of the bracket on ``grid``."""
     dim = structure.dim
-    grid = tensor_grid(bracket, dim)
     cell = grid.ints
-    a, a2 = _twist_cols(structure.twist)
+    a = _columns(structure.twist)
     skew = ("SKEW", 2, [(1, None, (cell, "ij")), (1, None, (cell, "ji"))])
+    # J(e_i,e_j,e_k) = [[e_i,e_j],a e_k] + [[e_j,e_k],a e_i] + [[e_k,e_i],a e_j]
     if not malcev:
-        # J(e_i,e_j,e_k) = [[e_i,e_j],a e_k] + [[e_j,e_k],a e_i] + [[e_k,e_i],a e_j]
         jac = [(1, grid, (cell, at[:2]), (a, at[2])) for at in ("ijk", "jki", "kij")]
         return [skew, ("JACOBI", 3, jac)]
+    a2 = _columns(mat_mul(structure.twist, structure.twist))
     t = _right_a(grid, cell, a)                                     # [[e_i,e_j],a e_k]
     r = range(dim)
     jac = _table([[[sv_add(t[i][j][k], t[j][k][i], t[k][i][j]) for k in r] for j in r]
@@ -392,7 +409,7 @@ def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
     a_c = _left_a(grid, a, cell)                        # [a e_j,[e_i,e_k]] at j,i,k
 
     # HM-JAC: J(a e_i, a e_j, [e_i,e_k]) - [J(e_i,e_j,e_k), a^2 e_i], where
-    # J(x,y,z) = [[x,y],a z] + [[y,z],a x] + [[z,x],a y] and jac is J at e_i,e_j,e_k
+    # jac is J at e_i,e_j,e_k
     return [
         skew,
         ("HM-JAC", 3, [(1, grid, (aa, "ij"), (ac, "ik")), (1, grid, (a_c, "jik"), (a2, "i")),
@@ -404,31 +421,30 @@ def _bracket_identities(structure: HomStructure, bracket: Tensor, *,
 
 
 def _identities_hom_lie(structure: HomStructure) -> list[Identity]:
-    return _bracket_identities(structure, structure.products[ProductRole.BRACKET],
-                               malcev=False)
+    return _bracket_identities(structure, structure.grid(ProductRole.BRACKET), malcev=False)
 
 
 def _identities_hom_malcev(structure: HomStructure) -> list[Identity]:
-    return _bracket_identities(structure, structure.products[ProductRole.BRACKET])
+    return _bracket_identities(structure, structure.grid(ProductRole.BRACKET))
 
 
 def _identities_hom_malcev_admissible(structure: HomStructure) -> list[Identity]:
     bracket = tensor_commutator(structure.products[ProductRole.STAR])
-    return _bracket_identities(structure, bracket)
+    return _bracket_identities(structure, tensor_grid(bracket, structure.dim))
 
 
 def _identities_hom_associative(structure: HomStructure) -> list[Identity]:
-    grid = tensor_grid(structure.products[ProductRole.STAR], structure.dim)
-    a, _ = _twist_cols(structure.twist)
+    grid = structure.grid(ProductRole.STAR)
+    a = _columns(structure.twist)
     return [("ASSOC", 3, [(1, grid, (grid.ints, "ij"), (a, "k")),
                           (-1, grid, (a, "i"), (grid.ints, "jk"))])]
 
 
 def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
-    grid = tensor_grid(structure.products[ProductRole.STAR], dim)
+    grid = structure.grid(ProductRole.STAR)
     cell = grid.ints
-    a, _ = _twist_cols(structure.twist)
+    a = _columns(structure.twist)
     # ALT-L and ALT-R are each the associator plus a swap of it
     asc = [(1, grid, (cell, "ij"), (a, "k")), (-1, grid, (a, "i"), (cell, "jk"))]
     return [("ALT-L", 3, asc + _read_at(asc, "jik")),
@@ -438,7 +454,7 @@ def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
 def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
     dot = structure.products[ProductRole.DOT]
-    dgrid = tensor_grid(dot, dim)
+    dgrid = structure.grid(ProductRole.DOT)
     cgrid = tensor_grid(tensor_commutator(dot), dim)
     d, c = dgrid.ints, cgrid.ints
     a, a2 = _twist_cols(structure.twist)
@@ -457,8 +473,7 @@ def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
     tl = structure.products[ProductRole.TRI_LEFT]
     tr = structure.products[ProductRole.TRI_RIGHT]
-    gl = tensor_grid(tl, dim)
-    gr = tensor_grid(tr, dim)
+    gl, gr = structure.grid(ProductRole.TRI_LEFT), structure.grid(ProductRole.TRI_RIGHT)
     dot = tensor_add(tl, tr)
     gdot = tensor_grid(dot, dim)
     gdia = tensor_grid(tensor_sub(tl, tensor_flip(tr)), dim)
@@ -493,10 +508,9 @@ def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
     dim = structure.dim
     prec = structure.products[ProductRole.PREC]
     succ = structure.products[ProductRole.SUCC]
-    gp = tensor_grid(prec, dim)
-    gs = tensor_grid(succ, dim)
+    gp, gs = structure.grid(ProductRole.PREC), structure.grid(ProductRole.SUCC)
     gst = tensor_grid(tensor_add(prec, succ), dim)
-    a, _ = _twist_cols(structure.twist)
+    a = _columns(structure.twist)
     p, s, st = gp.ints, gs.ints, gst.ints
 
     # the six kinds of product the ten axioms are sums of
@@ -546,9 +560,9 @@ _QUADRI_ASSOCIATORS: dict[str, tuple[ProductRole, ...]] = {
 
 def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
     roles = {role for four in _QUADRI_ASSOCIATORS.values() for role in four}
-    grids = {role: tensor_grid(derived_product(structure, role), structure.dim)
-             for role in roles}
-    a, _ = _twist_cols(structure.twist)
+    grids = {role: structure.grid(role) if role in structure.products
+             else tensor_grid(derived_product(structure, role), structure.dim) for role in roles}
+    a = _columns(structure.twist)
 
     def assoc(outer_l, inner_l, outer_r, inner_r):
         return [(1, grids[outer_l], (grids[inner_l].ints, "ij"), (a, "k")),
@@ -584,8 +598,7 @@ def _product_map_identities(prefix: str, f: Matrix,
     fc = _columns(f)
     out: list[Identity] = []
     for role in sorted(roles, key=lambda r: r.value):
-        src = tensor_grid(source.products[role], source.dim).ints
-        tgt = tensor_grid(target.products[role], target.dim)
+        src, tgt = source.grid(role).ints, target.grid(role)
         out.append((f"{prefix}-{role.value}", 2, [(1, None, (_twisted(fc, src), "ij")),
                                                   (-1, tgt, (fc, "i"), (fc, "j"))]))
     return out
@@ -669,12 +682,13 @@ class _Stacks:
         return sum([n << (w * (span * l + k)) for l, v in enumerate(vs) for k, n in v.items()])
 
     def _coords(self, vs: Sequence[Ivec]) -> dict[int, int]:
-        """``y -> sum of vs[l][y] * 2**(w * span * l)``, without zeros."""
+        """``y -> sum of vs[l][y] * 2**(w * span * l)``, without zeros: each
+        ``|vs[l][y]|`` is below ``2**(w-1)``, so no sum of nonzero ones is 0."""
         step, acc = self.w * self.span, {}
         for l, v in enumerate(vs):
             for y, n in v.items():
                 acc[y] = acc.get(y, 0) + (n << (step * l))
-        return {y: n for y, n in acc.items() if n}
+        return acc
 
     def _stacked(self, table: list, at: str, last: str, coords: bool) -> object:
         """``table`` read at ``at``, stacked over the index named ``last``
@@ -692,11 +706,14 @@ class _Stacks:
         0 where ``M`` is."""
         key = ("fold", id(stack), id(grid), right)
         if key not in self.built:
-            if id(grid) not in self.built:    # its nonzero columns, then rows
-                packed = grid_pack(grid.ints, self.w)
-                self.built[id(grid)] = [[[(y, g) for y, g in enumerate(row) if g]
-                                         for row in rows] for rows in (zip(*packed), packed)]
-            lines = self.built[id(grid)][right]
+            if (id(grid), right) not in self.built:   # its packed rows, or columns
+                if id(grid) not in self.built:
+                    self.built[id(grid)] = grid_pack(grid.ints, self.w)
+                rows = self.built[id(grid)]
+                self.built[id(grid), right] = rows if right else [
+                    [(x, g) for x, row in enumerate(rows) for z, g in row if z == y]
+                    for y in range(grid.ints.span and len(grid.ints[0]))]
+            lines = self.built[id(grid), right]
 
             def fold(s):
                 m = s and [sum([s[y] * g for y, g in line if y in s]) for line in lines]
@@ -722,18 +739,23 @@ class _Stacks:
                 found.append((c, grid, *other, *([(s, rest)] if rest else [])))
 
         def setup() -> Callable[[tuple], int]:
-            singles, products = [], []
+            singles, products, fixed = [], [], []
             for c, grid, s, rest, other, right in plan:
                 if grid is None:
                     singles.append((c, _reader(s, rest)))
-                else:
+                elif rest:
                     products.append((c, _reader(*other[0]),
                                      _reader(self._fold(s, len(rest), grid, right), rest)))
+                elif m := self._fold(s, 0, grid, right):     # the same at every prefix
+                    fixed.append((c, _reader(*other[0]), m.__getitem__))
 
             def evaluate(idx):
                 r = 0
                 for c, read in singles:
                     r += c * read(idx)
+                for c, vec, m in fixed:
+                    if u := vec(idx):
+                        r += c * sum(map(mul, map(m, u), u.values()))
                 for c, vec, folded in products:
                     if (u := vec(idx)) and (m := folded(idx)):
                         r += c * sum(map(mul, map(m.__getitem__, u), u.values()))

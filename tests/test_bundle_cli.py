@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import support
 from homalg import (
@@ -35,6 +36,7 @@ from homalg.bundle import (
     check_payload,
     diagram_payload,
     dumps_bundle,
+    dumps_json,
     format_rational,
     loads_bundle,
     parse_rational,
@@ -378,6 +380,102 @@ def test_loader_accepts_non_canonical_and_dump_canonicalizes():
         text.index('[\n        1,\n        0,')
     assert dumps_bundle(loads_bundle(text)) == text
     assert bundle.structure == support.lie2()
+
+
+def premalcev_dim2_payload() -> dict:
+    """premalcev_dim2 as a mapping: a product, a rep, two operators and a form."""
+    return json.loads(fixture_text("premalcev_dim2"))
+
+
+@pytest.mark.parametrize("path, bad, message", [
+    (("products", "dot"), [[0, 0, 1, "-1/1"], [1, 1, 0, "x"]],
+     "products.dot[1]: expected a rational string 'p/q', got 'x'"),
+    (("products", "dot"), [[0, 0, 1, "-1/1"], [1, 2, 0, "1/1"]],
+     "products.dot[1]: index 2 out of range [0, 2)"),
+    (("products", "dot"), [[0, 0, 1, "-1/1"], [0, 0, 1, "-1/1"]],
+     "products.dot[1]: duplicate entry for (0, 0, 1)"),
+    (("products", "dot"), [[0, 0, 1, "-1/1"], [0, 0, 1]],
+     "products.dot[1]: expected [i, j, k, 'p/q'], got [0, 0, 1]"),
+    (("reps", 0, "actions", "right"), [[0, 1, 0, "-1/1"], [1, 0, 0, "1/0"]],
+     "reps[0].actions.right[1]: zero denominator in '1/0'"),
+    (("reps", 0, "actions", "left"), [[0, 1, 0, "-1/1"], [0, 1, 0, "x"]],
+     "reps[0].actions.left[1]: duplicate entry for (0, 1, 0)"),
+    (("reps", 0, "actions", "left"), [[0, 1, 0, "-1/1"], [1, 1, True, "1/1"]],
+     "reps[0].actions.left[1]: expected an integer index, got True"),
+    (("operators", 0, "matrix"), ["0/1", "0/1", "1/1", 2],
+     "operators[0].matrix[3]: expected a rational string 'p/q', got 2"),
+    (("operators", 1, "matrix"), ["0/1", "0/1", "1/1", "1.5"],
+     "operators[1].matrix[3]: expected a rational string 'p/q', got '1.5'"),
+    (("forms", 0), ["0/1", "1/0", "1/1", "0/1"],
+     "forms[0][1]: zero denominator in '1/0'"),
+])
+def test_loader_names_the_first_bad_entry(path, bad, message):
+    """A bad entry after good ones is named by its field and its index, in
+    the same words for every kind of entry list."""
+    payload = premalcev_dim2_payload()
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with pytest.raises(BundleError) as err:
+        loads_payload(payload)
+    assert str(err.value) == message
+
+
+def test_loader_reports_a_repeated_bad_rational_at_its_first_place():
+    payload = premalcev_dim2_payload()
+    payload["twist"] = ["1/1", "1/0", "0/1", "1/0"]
+    payload["forms"] = [["1/0", "1/1", "1/1", "0/1"]]
+    with pytest.raises(BundleError) as err:
+        loads_payload(payload)
+    assert str(err.value) == "twist[1]: zero denominator in '1/0'"
+    # a string that failed once fails wherever it appears again
+    payload["twist"] = ["1/1", "0/1", "0/1", "1/1"]
+    payload["products"]["dot"] = [[0, 0, 1, "x"], [1, 1, 0, "x"]]
+    with pytest.raises(BundleError) as err:
+        loads_payload(payload)
+    assert str(err.value) == "products.dot[0]: expected a rational string 'p/q', got 'x'"
+
+
+def test_loader_reads_non_canonical_rationals_as_their_values():
+    payload = premalcev_dim2_payload()
+    payload["twist"] = ["2/4", "-0/5", "+3", "4/-8"]
+    payload["products"]["dot"] = [[0, 0, 1, "2/4"], [1, 0, 1, "-0/5"], [1, 1, 0, "+3"]]
+    payload["forms"] = [["2/4", "+3", "+3", "-0/5"]]
+    bundle = loads_payload(payload)
+    s = bundle.structure
+    assert s.twist == ((F(1, 2), F(0)), (F(3), F(-1, 2)))
+    assert all(type(v) is F for row in s.twist for v in row)
+    assert s.products[R.DOT] == {(0, 0): {1: F(1, 2)}, (1, 1): {0: F(3)}}
+    assert bundle.forms[0].matrix == ((F(1, 2), F(3)), (F(3), F(0)))
+    assert bundle.operators[0].matrix == ((F(0), F(0)), (F(1), F(0)))
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.text()
+               | st.integers(min_value=-10 ** 60, max_value=10 ** 60))
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_PAYLOADS)
+@example({"k\u00e9y\n": ["\x00\x1f\"\\/\u2028\U0001f600", -2 ** 200, 0, True, False, None]})
+@example([[], {}, [[]], {"": {}}, [{}, []], {"a": {"b": []}}])
+@example("")
+def test_dumps_json_is_json_dumps_indented(payload):
+    """Every payload of dicts, lists, strings, ints, bools and None is
+    written byte for byte as ``json.dumps`` indents it, escaped to ASCII."""
+    assert dumps_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    1.5, [0, 2.0], {"a": {"b": float("nan")}}, {"a": [object()]}, {1: "x"}, F(1, 2),
+], ids=["float", "float-in-list", "nan-in-dict", "object", "int-key", "fraction"])
+def test_dumps_json_refuses_other_values(payload):
+    with pytest.raises(TypeError):
+        dumps_json(payload)
 
 
 # ---------------------------------------------------------------------------
