@@ -1,6 +1,6 @@
 """Time class checks of dense random structures, a ladder of dimensions.
 
-    python3 scripts/dense_ladder.py [--runs N] [--max-dim D] [--out BENCH_9.json]
+    python3 scripts/dense_ladder.py --out FILE [--runs N] [--max-dim D]
 
 For each of the dimensions 6, 8 and 12 up to ``--max-dim``, builds one random
 structure per class (pre-Malcev, m-dendriform, Malcev-admissible) from the
@@ -72,7 +72,9 @@ def run(args: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--max-dim", type=int, default=12)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_9.json"))
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the JSON file to write; a committed record is "
+                             "never a default")
     opts = parser.parse_args(args)
     dims = [d for d in DIMS if d <= opts.max_dim]
     result = {"python": platform.python_version(), "runs": opts.runs,

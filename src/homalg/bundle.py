@@ -123,25 +123,20 @@ def _matrix_to_flat(mat: Matrix) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _tensor_to_entries(tensor: Tensor) -> list[list[Any]]:
-    out: list[list[Any]] = []
-    for (i, j) in sorted(tensor):
-        svec = tensor[(i, j)]
-        for k in sorted(svec):
-            if svec[k]:
-                out.append([i, j, k, format_rational(svec[k])])
-    return out
+    return [[i, j, k, format_rational(cell[k])] for (i, j), cell in sorted(tensor.items())
+            for k in sorted(cell) if cell[k]]
 
 
 def _entries(entries: Any, bounds: tuple[int, int, int], where: str, shape: str,
-             rationals: dict[str, Fraction], seen: set, zeros: bool):
+             rationals: dict[str, Fraction], zeros: bool):
     """Each ``[x, y, z, 'p/q']`` entry of a sparse list as ``(x, y, z,
-    value)``: each index below its bound, no key twice in ``seen`` (with a
-    zero value too if ``zeros``, checked then before the value), and each
-    distinct rational string parsed once.  An entry that does not pass the
-    checks at once is checked again in order, naming it."""
+    value)``: each index below its bound, no key twice (a zero entry counts
+    only if ``zeros``, checked then before the value), and each distinct
+    rational string parsed once.  An entry that does not pass these checks
+    at once is checked again in order, naming it."""
     if not isinstance(entries, list):
         raise BundleError(f"{where}: expected a list of {shape} entries")
-    (bx, by, bz), get = bounds, rationals.get
+    (bx, by, bz), get, seen = bounds, rationals.get, set()
     for n, entry in enumerate(entries):
         if type(entry) is list and len(entry) == 4:
             x, y, z, text = entry
@@ -165,34 +160,9 @@ def _entries(entries: Any, bounds: tuple[int, int, int], where: str, shape: str,
         yield *key, value
 
 
-def _entries_to_tensor(entries: Any, dim: int, where: str,
-                       rationals: dict[str, Fraction]) -> Tensor:
-    tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j, k, value in _entries(entries, (dim,) * 3, where, "[i, j, k, 'p/q']",
-                                   rationals, set(), False):
-        if value:
-            tensor.setdefault((i, j), {})[k] = value
-    return tensor
-
-
 def _slices_to_entries(slices: tuple[Matrix, ...]) -> list[list[Any]]:
-    out: list[list[Any]] = []
-    for i, mat in enumerate(slices):
-        for a, row in enumerate(mat):
-            for b, value in enumerate(row):
-                if value:
-                    out.append([i, a, b, format_rational(value)])
-    return out
-
-
-def _entries_to_slices(entries: Any, dim: int, module_dim: int, where: str,
-                       rationals: dict[str, Fraction]) -> tuple[Matrix, ...]:
-    grids = [[[Fraction(0)] * module_dim for _ in range(module_dim)]
-             for _ in range(dim)]
-    for i, a, b, value in _entries(entries, (dim, module_dim, module_dim), where,
-                                   "[i, a, b, 'p/q']", rationals, set(), True):
-        grids[i][a][b] = value
-    return tuple(tuple(map(tuple, g)) for g in grids)
+    return [[i, a, b, format_rational(value)] for i, mat in enumerate(slices)
+            for a, row in enumerate(mat) for b, value in enumerate(row) if value]
 
 
 # ---------------------------------------------------------------------------
@@ -302,37 +272,30 @@ def dumps_json(payload: Any) -> str:
 
     def write(x: Any, pad: str) -> None:
         if isinstance(x, str):
-            put(_escape(x))
-        elif x is None or x is True or x is False:
-            put(_CONSTANTS[x])
-        elif isinstance(x, int):
-            put(int.__repr__(x))
-        elif isinstance(x, (list, tuple)):
-            if not x:
-                return put("[]")
-            inner = pad + "  "
-            if all(type(v) is str or type(v) is int for v in x):   # leaves only
-                return put("[" + inner + ("," + inner).join(
-                    [_escape(v) if type(v) is str else int.__repr__(v) for v in x]) + pad + "]")
-            put("[" + inner)
-            for n, v in enumerate(x):
-                if n:
-                    put("," + inner)
-                write(v, inner)
-            put(pad + "]")
-        elif isinstance(x, dict):
-            if not x:
-                return put("{}")
-            inner = pad + "  "
-            put("{" + inner)
-            for n, (k, v) in enumerate(x.items()):
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                put(("," + inner if n else "") + _escape(k) + ": ")
-                write(v, inner)
-            put(pad + "}")
-        else:
+            return put(_escape(x))
+        if x is None or x is True or x is False:
+            return put(_CONSTANTS[x])
+        if isinstance(x, int):
+            return put(int.__repr__(x))
+        if not isinstance(x, (list, tuple, dict)):
             raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        ends, inner = "{}" if isinstance(x, dict) else "[]", pad + "  "
+        if not x:
+            return put(ends)
+        if ends == "[]" and all(type(v) is str or type(v) is int for v in x):  # leaves
+            return put("[" + inner + ("," + inner).join(
+                [_escape(v) if type(v) is str else int.__repr__(v) for v in x]) + pad + "]")
+        put(ends[0] + inner)
+        for n, v in enumerate(x.items() if ends == "{}" else x):
+            if n:
+                put("," + inner)
+            if ends == "{}":
+                if not isinstance(v[0], str):
+                    raise TypeError(f"keys must be str, not {type(v[0]).__name__}")
+                put(_escape(v[0]) + ": ")
+                v = v[1]
+            write(v, inner)
+        put(pad + ends[1])
 
     write(payload, "\n")
     put("\n")
@@ -352,13 +315,18 @@ def save_bundle(bundle: Bundle, path) -> None:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _parse_rep(raw: Any, structure: HomStructure, where: str,
-               rationals: dict[str, Fraction]) -> Representation:
+def _object(raw: Any, keys: frozenset[str], where: str) -> None:
+    """``raw`` must be an object with no key outside ``keys``."""
     if not isinstance(raw, dict):
         raise BundleError(f"{where}: expected an object")
-    extra = set(raw) - _REP_KEYS
+    extra = set(raw) - keys
     if extra:
         raise BundleError(f"{where}: unknown keys {sorted(extra)}")
+
+
+def _parse_rep(raw: Any, structure: HomStructure, where: str,
+               rationals: dict[str, Fraction]) -> Representation:
+    _object(raw, _REP_KEYS, where)
     for key in ("module_dim", "module_twist", "actions"):
         if key not in raw:
             raise BundleError(f"{where}: missing key '{key}'")
@@ -378,8 +346,13 @@ def _parse_rep(raw: Any, structure: HomStructure, where: str,
                 f"{where}.actions: unknown action role {name!r}; expected one "
                 f"of {sorted(_ACTION_ROLES)}"
             )
-        actions[role] = _entries_to_slices(entries, structure.dim, module_dim,
-                                           f"{where}.actions.{name}", rationals)
+        slices = [[[Fraction(0)] * module_dim for _ in range(module_dim)]
+                  for _ in range(structure.dim)]
+        for i, a, b, value in _entries(entries, (structure.dim, module_dim, module_dim),
+                                       f"{where}.actions.{name}", "[i, a, b, 'p/q']",
+                                       rationals, True):
+            slices[i][a][b] = value
+        actions[role] = tuple(tuple(map(tuple, g)) for g in slices)
     return Representation(base=structure, module_dim=module_dim,
                           module_twist=module_twist, actions=actions)
 
@@ -387,11 +360,7 @@ def _parse_rep(raw: Any, structure: HomStructure, where: str,
 def _parse_operator(raw: Any, structure: HomStructure,
                     reps: tuple[Representation, ...], where: str,
                     rationals: dict[str, Fraction]) -> tuple[OperatorWitness, int | None]:
-    if not isinstance(raw, dict):
-        raise BundleError(f"{where}: expected an object")
-    extra = set(raw) - _OPERATOR_KEYS
-    if extra:
-        raise BundleError(f"{where}: unknown keys {sorted(extra)}")
+    _object(raw, _OPERATOR_KEYS, where)
     kind = raw.get("kind")
     if kind not in OPERATOR_KINDS:
         raise BundleError(f"{where}.kind: expected one of "
@@ -425,11 +394,7 @@ def loads_bundle(text: str) -> Bundle:
         # ValueError covers JSONDecodeError and integers with more digits
         # than str -> int allows; RecursionError, nesting too deep to parse
         raise BundleError(f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise BundleError("top level: expected an object")
-    extra = set(raw) - _TOP_KEYS
-    if extra:
-        raise BundleError(f"top level: unknown keys {sorted(extra)}")
+    _object(raw, _TOP_KEYS, "top level")
     for key in ("schema_version", "dim", "basis", "twist", "products"):
         if key not in raw:
             raise BundleError(f"top level: missing key '{key}'")
@@ -454,7 +419,11 @@ def loads_bundle(text: str) -> Bundle:
         if role is None:
             raise BundleError(f"products: unknown product role {name!r}; "
                               f"expected one of {sorted(_PRODUCT_ROLES)}")
-        products[role] = _entries_to_tensor(entries, dim, f"products.{name}", rationals)
+        products[role] = tensor = {}
+        for i, j, k, value in _entries(entries, (dim,) * 3, f"products.{name}",
+                                       "[i, j, k, 'p/q']", rationals, False):
+            if value:
+                tensor.setdefault((i, j), {})[k] = value
 
     declared: StructureClass | None = None
     if "class" in raw:

@@ -75,24 +75,19 @@ RECIPES: tuple[str, ...] = (
     + PAIR_RECIPES
 )
 
-#: class the output of each recipe is built to satisfy (None: inherit input's)
-_RECIPE_TARGET_CLASS: dict[str, StructureClass | None] = {
+#: class the output of each recipe is built to satisfy, an operator recipe
+#: named without its "-oop" or "-rb" form (absent: the input's)
+_RECIPE_TARGET_CLASS: dict[str, StructureClass] = {
     "commutator": StructureClass.HOM_MALCEV,
     "horizontal": StructureClass.HOM_PRE_MALCEV,
     "vertical": StructureClass.HOM_PRE_MALCEV,
     "transpose": StructureClass.HOM_M_DENDRIFORM,
-    "yau-twist": None,
-    "dual-rep": None,
     "hessian-dendrify": StructureClass.HOM_M_DENDRIFORM,
-    "malcev-to-premalcev-oop": StructureClass.HOM_PRE_MALCEV,
-    "malcev-to-premalcev-rb": StructureClass.HOM_PRE_MALCEV,
-    "premalcev-to-mdendriform-oop": StructureClass.HOM_M_DENDRIFORM,
-    "premalcev-to-mdendriform-rb": StructureClass.HOM_M_DENDRIFORM,
+    "malcev-to-premalcev": StructureClass.HOM_PRE_MALCEV,
+    "premalcev-to-mdendriform": StructureClass.HOM_M_DENDRIFORM,
     "premalcev-compatible-dendriform": StructureClass.HOM_M_DENDRIFORM,
-    "alternative-to-prealt-oop": StructureClass.HOM_PRE_ALTERNATIVE,
-    "alternative-to-prealt-rb": StructureClass.HOM_PRE_ALTERNATIVE,
-    "prealt-to-quadri-oop": StructureClass.HOM_ALT_QUADRI,
-    "prealt-to-quadri-rb": StructureClass.HOM_ALT_QUADRI,
+    "alternative-to-prealt": StructureClass.HOM_PRE_ALTERNATIVE,
+    "prealt-to-quadri": StructureClass.HOM_ALT_QUADRI,
     "malcev-pair-to-mdendriform": StructureClass.HOM_M_DENDRIFORM,
     "alternative-pair-to-quadri": StructureClass.HOM_ALT_QUADRI,
 }
@@ -312,7 +307,7 @@ def _cmd_construct(args, command: Sequence[str]) -> int:
     bundle = load_bundle(args.bundle)
     structure = bundle.structure
     provenance = {"recipe": label}
-    declared = _RECIPE_TARGET_CLASS.get(label)
+    declared = _RECIPE_TARGET_CLASS.get(label.removesuffix("-oop").removesuffix("-rb"))
     reps_out: tuple[Representation, ...] = ()
 
     if label in _PLAIN_RECIPES:

@@ -183,24 +183,36 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
+def _reduce(work: list[list], cols: int) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination of the rows ``work`` in place over their
+    first ``cols`` columns; the (row, column) of each pivot, in order."""
+    pivots: list[tuple[int, int]] = []
+    for col in range(cols):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        inv = ONE / work[row][col]
+        work[row] = [v * inv for v in work[row]]
+        for r in range(len(work)):
+            if r != row and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [v - factor * w for v, w in zip(work[r], work[row])]
+        pivots.append((row, col))
+    return pivots
+
+
 def mat_inverse(a: Matrix) -> Matrix:
     rows, cols = mat_shape(a)
     if rows != cols:
         raise DimensionMismatch(f"only square matrices invert; got {rows}x{cols}")
-    n = rows
-    work = [list(row) + list(mat_identity(n)[i]) for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = ONE / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    work = [list(row) + list(unit) for row, unit in zip(a, mat_identity(rows))]
+    pivots = _reduce(work, rows)
+    if len(pivots) < rows:   # the first column with no pivot
+        col = next((c for c, (_, p) in enumerate(pivots) if p != c), len(pivots))
+        raise SingularMatrix(f"no pivot in column {col}")
+    return tuple(tuple(row[rows:]) for row in work)
 
 
 def mat_kernel_vector(a: Matrix) -> "Svec | None":
@@ -208,25 +220,10 @@ def mat_kernel_vector(a: Matrix) -> "Svec | None":
     rows, cols = mat_shape(a)
     if rows != cols:
         raise DimensionMismatch(f"kernel witness needs a square matrix; got {rows}x{cols}")
-    n = rows
     work = [list(row) for row in a]
-    pivots: list[tuple[int, int]] = []  # (row, col) of each pivot
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = ONE / work[row][col]
-        work[row] = [v * inv for v in work[row]]
-        for r in range(n):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[row])]
-        pivots.append((row, col))
-        row += 1
+    pivots = _reduce(work, cols)
     pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(n) if c not in pivot_cols), None)
+    free = next((c for c in range(cols) if c not in pivot_cols), None)
     if free is None:
         return None
     out: Svec = {free: ONE}

@@ -177,7 +177,7 @@ def _rota_baxter_identities(structure: HomStructure,
                                    for x, row in enumerate(w.matrix)]) or r
     identities = []
     for role in sorted(structure.products, key=lambda r: r.value):
-        grid = _grid(structure, role)
+        grid = structure.grid(role)
         r_of = _composed(r, grid)                                   # R(e_x * e_y)
         identities.append((f"RB-{role.value}", 2, [(1, grid, (r, "i"), (r, "j")),
                                                    (-1, r_of, (r_lam, "i"), (e, "j")),
@@ -233,7 +233,7 @@ def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identit
     twist = mat_sub(mat_mul(structure.twist, tm), mat_mul(tm, rep.module_twist))
     identities = [("OOP-TWIST", 1, [(1, None, (_columns(twist), "i"))])]
     identities.extend(
-        (f"OOP-{role.value}", 2, [(1, _grid(structure, role), (t, "i"), (t, "j")),
+        (f"OOP-{role.value}", 2, [(1, structure.grid(role), (t, "i"), (t, "j")),
                                   (-1, t_of[left], (t, "i"), (f, "j")),
                                   (-sign, t_of[right], (t, "j"), (f, "i"))])
         for role, left, right, sign in laws)
@@ -306,10 +306,6 @@ def _require_roles(structure: HomStructure, roles: Sequence[ProductRole],
         raise RoleMismatch(f"recipe {recipe!r} needs structure products {missing}")
 
 
-def _grid(structure: HomStructure, role: ProductRole):
-    return structure.grid(role)
-
-
 def _product(grid: Grid, a: Sequence[Ivec], b: Sequence[Ivec], swap: bool = False,
              outer: Sequence[Ivec] | None = None) -> Tensor:
     """The product ``(x, y) -> outer(grid(a e_x, b e_y))``, or with ``swap``
@@ -324,14 +320,6 @@ def _product(grid: Grid, a: Sequence[Ivec], b: Sequence[Ivec], swap: bool = Fals
             if cell:
                 out[x, y] = sv_fractions(cell)
     return out
-
-
-def _module_structure(rep: Representation, products: Mapping[ProductRole, Tensor],
-                      recipe: str) -> HomStructure:
-    return make_structure(
-        dim=rep.module_dim, twist=rep.module_twist, products=products,
-        meta={"construction": recipe},
-    )
 
 
 def _carrier_structure(structure: HomStructure,
@@ -420,10 +408,10 @@ def induce(structure: HomStructure, w: OperatorWitness, recipe: str) -> HomStruc
     t = mat_cols(w.matrix)
     if form == "oop":
         f = sv_basis(rep.module_dim)
-        return _module_structure(rep, {
+        return make_structure(dim=rep.module_dim, twist=rep.module_twist, products={
             out: _product(rep.grid(rep.action(act)), t, f, swap)
-            for out, act, _, swap in rows}, recipe)
-    e, grids = sv_basis(structure.dim), {role: _grid(structure, role) for role in roles}
+            for out, act, _, swap in rows}, meta={"construction": recipe})
+    e, grids = sv_basis(structure.dim), {role: structure.grid(role) for role in roles}
     return _carrier_structure(structure, {
         out: _product(grids[role], *((e, t) if swap else (t, e)))
         for out, _, role, swap in rows}, recipe)
@@ -446,7 +434,7 @@ def induce_pair(structure: HomStructure, r1: OperatorWitness,
     _require_roles(structure, [role], recipe)
     maps = {"": sv_basis(structure.dim), "1": mat_cols(r1.matrix),
             "2": mat_cols(r2.matrix), "12": mat_cols(mat_mul(r1.matrix, r2.matrix))}
-    grid = _grid(structure, role)
+    grid = structure.grid(role)
     return _carrier_structure(structure, {
         out: _product(grid, maps[f], maps[g]) for out, f, g in rows}, recipe)
 
@@ -486,7 +474,7 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
         violations.append(Violation("HESS-NONDEG", (), kernel))
     # each residual is a number, kept as entry 0 of a vector
     form_grid = _form_grid(b)
-    d = _grid(structure, ProductRole.DOT).ints
+    d = structure.grid(ProductRole.DOT).ints
     a = _columns(alpha)
     # HESS-COCYCLE = b(e_i e_j, a e_k) - b(a e_i, e_j e_k) - b(e_j e_i, a e_k) + b(a e_j, e_i e_k)
     cocycle = [(1, form_grid, (d, "ij"), (a, "k")), (-1, form_grid, (a, "i"), (d, "jk")),
@@ -513,27 +501,20 @@ def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructur
     b = form.matrix
     solve = mat_inverse(mat_fractions(mat_mul(mat_transpose(alpha), b)))
     dot = structure.products[ProductRole.DOT]
-    d = tensor_grid(dot, n).ints
+    d = structure.grid(ProductRole.DOT).ints
     c = tensor_grid(tensor_commutator(dot), n).ints
     b_alpha = mat_mul(b, alpha)
 
-    # right-multiplication and bracket-left-multiplication matrices
-    tr_entries = []
-    tl_entries = []
-    for j in range(n):
-        r_j = _cols_matrix([d[bidx][j] for bidx in range(n)], n)
-        p_j = mat_fractions(mat_mul(solve, mat_mul(mat_transpose(r_j), b_alpha)))
-        for i in range(n):
-            for r in range(n):
-                if p_j[r][i]:
-                    tr_entries.append((i, j, r, p_j[r][i]))
-    for i in range(n):
-        ad_i = _cols_matrix(c[i], n)
-        q_i = mat_fractions(mat_mul(solve, mat_mul(mat_transpose(ad_i), b_alpha)))
-        for j in range(n):
-            for r in range(n):
-                if q_i[r][j]:
-                    tl_entries.append((i, j, r, -q_i[r][j]))
+    def solved(cols):
+        """``solve X^T b alpha`` for the matrix ``X`` with the columns ``cols``."""
+        x = _cols_matrix(cols, n)
+        return mat_fractions(mat_mul(solve, mat_mul(mat_transpose(x), b_alpha)))
+    # right multiplication by each e_j, and bracket-left multiplication by each e_i
+    p = [solved([d[x][j] for x in range(n)]) for j in range(n)]
+    q = [solved(c[i]) for i in range(n)]
+    r = range(n)
+    tr_entries = [(i, j, k, p[j][k][i]) for j in r for i in r for k in r if p[j][k][i]]
+    tl_entries = [(i, j, k, -q[i][k][j]) for i in r for j in r for k in r if q[i][k][j]]
     return _carrier_structure(
         structure,
         {ProductRole.TRI_RIGHT: tensor_from_entries(tr_entries),

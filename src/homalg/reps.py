@@ -342,21 +342,12 @@ def _cols_matrix(cols: Sequence[Ivec], m: int) -> Matrix:
     )
 
 
-def _mult_slices(structure: HomStructure, tensor: Tensor,
+def _mult_slices(structure: HomStructure, role: ProductRole,
                  pow_cols: Sequence[Ivec], side: str) -> tuple[Matrix, ...]:
     """Action slices of twisted left/right multiplication by basis vectors."""
-    dim = structure.dim
-    grid = tensor_grid(tensor, dim)
-    basis = sv_basis(dim)
-    slices = []
-    for i in range(dim):
-        xi = pow_cols[i]
-        if side == "left":
-            cols = [grid_mul(grid, xi, basis[b]) for b in range(dim)]
-        else:
-            cols = [grid_mul(grid, basis[b], xi) for b in range(dim)]
-        slices.append(_cols_matrix(cols, dim))
-    return tuple(slices)
+    grid, basis = structure.grid(role), sv_basis(structure.dim)
+    return tuple(_cols_matrix([grid_mul(grid, x, e) if side == "left" else grid_mul(grid, e, x)
+                               for e in basis], structure.dim) for x in pow_cols)
 
 
 def adjoint_rep(structure: HomStructure, s: int = 0) -> Representation:
@@ -365,8 +356,7 @@ def adjoint_rep(structure: HomStructure, s: int = 0) -> Representation:
     if ProductRole.BRACKET not in structure.products:
         raise RoleMismatch("adjoint representation needs the bracket role")
     pow_cols = _twist_power_cols(structure, s)
-    rho = _mult_slices(structure, structure.products[ProductRole.BRACKET],
-                       pow_cols, "left")
+    rho = _mult_slices(structure, ProductRole.BRACKET, pow_cols, "left")
     return Representation(
         base=structure, module_dim=structure.dim,
         module_twist=structure.twist, actions={ActionRole.RHO: rho},
@@ -387,9 +377,8 @@ def _regular_rep(structure: HomStructure, s: int,
     pow_cols = _twist_power_cols(structure, s)
     actions = {}
     for role, (left, right) in sides.items():
-        tensor = structure.products[role]
-        actions[left] = _mult_slices(structure, tensor, pow_cols, "left")
-        actions[right] = _mult_slices(structure, tensor, pow_cols, "right")
+        actions[left] = _mult_slices(structure, role, pow_cols, "left")
+        actions[right] = _mult_slices(structure, role, pow_cols, "right")
     return Representation(base=structure, module_dim=structure.dim,
                           module_twist=structure.twist, actions=actions)
 
@@ -439,12 +428,9 @@ def dual_malcev_rep(rep: Representation, variant: str = "alpha") -> Representati
     ai_cols = mat_cols(alpha_inv)
     dual = []
     for i in range(rep.base.dim):
-        if variant == "alpha":
-            rho_t = mat_transpose(mat_fractions(mat_lincomb(acols[i], rho, m, m)))
-            mat = mat_mul(rho_t, beta_t_inv2)
-        else:
-            rho_t = mat_transpose(mat_fractions(mat_lincomb(ai_cols[i], rho, m, m)))
-            mat = mat_mul(beta_t_inv2, rho_t)
+        x = acols[i] if variant == "alpha" else ai_cols[i]
+        rho_t = mat_transpose(mat_fractions(mat_lincomb(x, rho, m, m)))
+        mat = mat_mul(rho_t, beta_t_inv2) if variant == "alpha" else mat_mul(beta_t_inv2, rho_t)
         dual.append(tuple(tuple(-v for v in row) for row in mat_fractions(mat)))
     return Representation(
         base=rep.base, module_dim=m, module_twist=beta_t_inv,
@@ -480,6 +466,21 @@ def dual_pre_malcev_rep(rep: Representation) -> Representation:
     )
 
 
+#: the action roles of each kind of representation -> (product, left action,
+#: right action, sign of the right action) for each product of its semidirect
+#: product, and what a structure without those products is told
+_SEMIDIRECT: dict[frozenset[ActionRole], tuple[tuple, str]] = {
+    MALCEV_ACTIONS: (((ProductRole.BRACKET, ActionRole.RHO, ActionRole.RHO, -1),),
+                     "semidirect with a rho action needs the bracket role"),
+    PRE_MALCEV_ACTIONS: (((ProductRole.DOT, ActionRole.LEFT, ActionRole.RIGHT, 1),),
+                         "semidirect with left/right actions needs the dot role"),
+    PRE_ALTERNATIVE_ACTIONS: (
+        ((ProductRole.PREC, ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC, 1),
+         (ProductRole.SUCC, ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC, 1)),
+        "semidirect with split actions needs prec and succ roles"),
+}
+
+
 def semidirect(structure: HomStructure, rep: Representation) -> HomStructure:
     """Block structure on base + module from a representation, twisted by
     ``twist ⊕ module_twist``.
@@ -491,66 +492,27 @@ def semidirect(structure: HomStructure, rep: Representation) -> HomStructure:
     ``check(..., multiplicativity=True)`` covers them too."""
     n, m = structure.dim, rep.module_dim
     roles = rep.roles()
-    entries: dict[ProductRole, list] = {}
-
-    def block_product(role: ProductRole, tensor: Tensor,
-                      left_action: tuple[Matrix, ...] | None,
-                      right_action: tuple[Matrix, ...] | None,
-                      left_sign: int = 1, right_sign: int = 1) -> None:
-        ent = []
-        for (i, j), cell in tensor.items():
-            for k, v in cell.items():
-                ent.append((i, j, k, v))
-        for i in range(n):
-            if left_action is not None:
-                mat = left_action[i]
-                for b in range(m):
-                    for r_ in range(m):
-                        if mat[r_][b]:
-                            ent.append((i, n + b, n + r_, left_sign * mat[r_][b]))
-            if right_action is not None:
-                mat = right_action[i]
-                for a in range(m):
-                    for r_ in range(m):
-                        if mat[r_][a]:
-                            ent.append((n + a, i, n + r_, right_sign * mat[r_][a]))
-        entries[role] = ent
-
-    if roles == MALCEV_ACTIONS:
-        if ProductRole.BRACKET not in structure.products:
-            raise RoleMismatch("semidirect with a rho action needs the bracket role")
-        rho = rep.actions[ActionRole.RHO]
-        block_product(ProductRole.BRACKET, structure.products[ProductRole.BRACKET],
-                      rho, rho, left_sign=1, right_sign=-1)
-    elif roles == PRE_MALCEV_ACTIONS:
-        if ProductRole.DOT not in structure.products:
-            raise RoleMismatch("semidirect with left/right actions needs the dot role")
-        block_product(ProductRole.DOT, structure.products[ProductRole.DOT],
-                      rep.actions[ActionRole.LEFT], rep.actions[ActionRole.RIGHT])
-    elif roles == PRE_ALTERNATIVE_ACTIONS:
-        if not {ProductRole.PREC, ProductRole.SUCC} <= structure.roles():
-            raise RoleMismatch("semidirect with split actions needs prec and succ roles")
-        block_product(ProductRole.PREC, structure.products[ProductRole.PREC],
-                      rep.actions[ActionRole.LEFT_PREC],
-                      rep.actions[ActionRole.RIGHT_PREC])
-        block_product(ProductRole.SUCC, structure.products[ProductRole.SUCC],
-                      rep.actions[ActionRole.LEFT_SUCC],
-                      rep.actions[ActionRole.RIGHT_SUCC])
-    else:
+    if roles not in _SEMIDIRECT:
         raise RoleMismatch(
             f"no semidirect recipe for action roles {sorted(r.value for r in roles)}"
         )
-
-    twist_rows = []
-    for r_ in range(n):
-        twist_rows.append(tuple(structure.twist[r_]) + (Fraction(0),) * m)
-    for r_ in range(m):
-        twist_rows.append((Fraction(0),) * n + tuple(rep.module_twist[r_]))
-    basis = structure.basis + tuple(f"v{b}" for b in range(m))
-    return make_structure(
-        dim=n + m,
-        twist=tuple(twist_rows),
-        products={role: tensor_from_entries(ent) for role, ent in entries.items()},
-        basis=basis,
-        meta={"construction": "semidirect"},
-    )
+    laws, missing = _SEMIDIRECT[roles]
+    if any(role not in structure.products for role, *_ in laws):
+        raise RoleMismatch(missing)
+    products = {}
+    for role, left, right, sign in laws:
+        ent = [(i, j, k, v) for (i, j), cell in structure.products[role].items()
+               for k, v in cell.items()]
+        for i in range(n):
+            lmat, rmat = rep.actions[left][i], rep.actions[right][i]
+            ent += [(i, n + b, n + r, lmat[r][b]) for b in range(m) for r in range(m)
+                    if lmat[r][b]]
+            ent += [(n + a, i, n + r, sign * rmat[r][a]) for a in range(m) for r in range(m)
+                    if rmat[r][a]]
+        products[role] = tensor_from_entries(ent)
+    zero = Fraction(0)
+    twist = (tuple(tuple(row) + (zero,) * m for row in structure.twist)
+             + tuple((zero,) * n + tuple(row) for row in rep.module_twist))
+    return make_structure(dim=n + m, twist=twist, products=products,
+                          basis=structure.basis + tuple(f"v{b}" for b in range(m)),
+                          meta={"construction": "semidirect"})

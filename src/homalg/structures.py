@@ -420,19 +420,6 @@ def _bracket_identities(structure: HomStructure, grid: Grid, *,
     ]
 
 
-def _identities_hom_lie(structure: HomStructure) -> list[Identity]:
-    return _bracket_identities(structure, structure.grid(ProductRole.BRACKET), malcev=False)
-
-
-def _identities_hom_malcev(structure: HomStructure) -> list[Identity]:
-    return _bracket_identities(structure, structure.grid(ProductRole.BRACKET))
-
-
-def _identities_hom_malcev_admissible(structure: HomStructure) -> list[Identity]:
-    bracket = tensor_commutator(structure.products[ProductRole.STAR])
-    return _bracket_identities(structure, tensor_grid(bracket, structure.dim))
-
-
 def _identities_hom_associative(structure: HomStructure) -> list[Identity]:
     grid = structure.grid(ProductRole.STAR)
     a = _columns(structure.twist)
@@ -578,9 +565,11 @@ def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
 
 
 _CLASS_IDENTITIES: dict[StructureClass, Callable[[HomStructure], list[Identity]]] = {
-    StructureClass.HOM_LIE: _identities_hom_lie,
-    StructureClass.HOM_MALCEV: _identities_hom_malcev,
-    StructureClass.HOM_MALCEV_ADMISSIBLE: _identities_hom_malcev_admissible,
+    StructureClass.HOM_LIE:
+        lambda s: _bracket_identities(s, s.grid(ProductRole.BRACKET), malcev=False),
+    StructureClass.HOM_MALCEV: lambda s: _bracket_identities(s, s.grid(ProductRole.BRACKET)),
+    StructureClass.HOM_MALCEV_ADMISSIBLE: lambda s: _bracket_identities(
+        s, tensor_grid(tensor_commutator(s.products[ProductRole.STAR]), s.dim)),
     StructureClass.HOM_PRE_MALCEV: _identities_hom_pre_malcev,
     StructureClass.HOM_M_DENDRIFORM: _identities_hom_m_dendriform,
     StructureClass.HOM_ASSOCIATIVE: _identities_hom_associative,
@@ -681,29 +670,24 @@ class _Stacks:
         w, span = self.w, self.span
         return sum([n << (w * (span * l + k)) for l, v in enumerate(vs) for k, n in v.items()])
 
-    def _coords(self, vs: Sequence[Ivec]) -> dict[int, int]:
-        """``y -> sum of vs[l][y] * 2**(w * span * l)``, without zeros: each
-        ``|vs[l][y]|`` is below ``2**(w-1)``, so no sum of nonzero ones is 0."""
-        step, acc = self.w * self.span, {}
-        for l, v in enumerate(vs):
-            for y, n in v.items():
-                acc[y] = acc.get(y, 0) + (n << (step * l))
-        return acc
-
-    def _stacked(self, table: list, at: str, last: str, coords: bool) -> object:
-        """``table`` read at ``at``, stacked over the index named ``last``
-        (:meth:`_coords` of its vectors with ``coords``, else :meth:`_ints`)."""
+    def _stacked(self, table: list, at: str, last: str, ints: bool) -> object:
+        """``table`` read at ``at``, stacked over the index named ``last``:
+        :meth:`_ints` of the vectors along it with ``ints``, else the vectors
+        themselves, 0 where all are empty."""
         p = at.index(last)
-        key = ("stack", id(table), p, coords)
+        key = ("stack", id(table), p, ints)
         if key not in self.built:
-            self.built[key] = _stack(table, len(at), p, self._coords if coords else self._ints)
+            self.built[key] = _stack(table, len(at), p,
+                                     self._ints if ints else lambda vs: vs if any(vs) else 0)
         return self.built[key]
 
     def _fold(self, stack, depth: int, grid: Grid, right: bool) -> object:
-        """Each entry ``L`` of ``stack``, nested ``depth`` deep, folded into
-        the packed cells ``g`` of ``grid`` as its right factor, ``M[x] = sum
-        of L_y * g[x][y]``, or as its left, ``M[y] = sum of L_x * g[x][y]``;
-        0 where ``M`` is."""
+        """Each entry ``vs`` of ``stack``, nested ``depth`` deep, stacked one
+        coordinate ``y`` at a time, ``L_y = sum of vs[l][y] * 2**(w * span *
+        l)``, and folded into the packed cells ``g`` of ``grid`` as its right
+        factor, ``M[x] = sum of L_y * g[x][y]``, or as its left, ``M[y] = sum
+        of L_x * g[x][y]``; 0 where ``M`` is.  No ``L_y`` is 0, as each
+        ``|vs[l][y]|`` is below ``2**(w-1)``."""
         key = ("fold", id(stack), id(grid), right)
         if key not in self.built:
             if (id(grid), right) not in self.built:   # its packed rows, or columns
@@ -713,10 +697,16 @@ class _Stacks:
                 self.built[id(grid), right] = rows if right else [
                     [(x, g) for x, row in enumerate(rows) for z, g in row if z == y]
                     for y in range(grid.ints.span and len(grid.ints[0]))]
-            lines = self.built[id(grid), right]
+            lines, step = self.built[id(grid), right], self.w * self.span
 
-            def fold(s):
-                m = s and [sum([s[y] * g for y, g in line if y in s]) for line in lines]
+            def fold(vs):
+                if not vs:
+                    return 0
+                acc = {}
+                for l, v in enumerate(vs):
+                    for y, n in v.items():
+                        acc[y] = acc.get(y, 0) + (n << (step * l))
+                m = [sum([acc[y] * g for y, g in line if y in acc]) for line in lines]
                 return m if any(m) else 0
             self.built[key] = _stack(stack, depth + 1, depth, fold)
         return self.built[key]
@@ -733,7 +723,7 @@ class _Stacks:
                 continue
             right = last in factors[-1][1]
             *other, (t, at) = factors if right else factors[::-1]
-            s, rest = self._stacked(t, at, last, grid is not None), at.replace(last, "")
+            s, rest = self._stacked(t, at, last, grid is None), at.replace(last, "")
             if rest or s:
                 plan.append((c, grid, s, rest, other, right))
                 found.append((c, grid, *other, *([(s, rest)] if rest else [])))

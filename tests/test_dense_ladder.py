@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _SPEC = importlib.util.spec_from_file_location(
     "dense_ladder", Path(__file__).resolve().parents[1] / "scripts" / "dense_ladder.py")
 dense_ladder = importlib.util.module_from_spec(_SPEC)
@@ -33,6 +35,15 @@ def test_run_writes_the_cases_below_max_dim(tmp_path):
     assert json.loads(out.read_text()) == {
         "python": dense_ladder.platform.python_version(), "runs": 1,
         "seed": dense_ladder.SEED, "cases": []}
+
+
+def test_run_without_out_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        dense_ladder.run(["--runs", "1", "--max-dim", "5"])
+    assert exit_.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_random_structures_repeat_per_seed():

@@ -841,3 +841,63 @@ def test_recipe_refusal_messages(env, recipe, case):
         build(structure, *ops, recipe)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of the exact kernel ``name`` from the modules that
+    build and sweep operator laws."""
+    import homalg.operators as operators
+    import homalg.structures as structures
+
+    calls = [0]
+    real = getattr(structures, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    for module in (structures, operators):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_operator_laws_are_products_on_composed_grids(monkeypatch):
+    """R(R e_i * e_j), R(e_i * R e_j) and T(X(T e_x) e_y) are products on the
+    grid of the operator after the product or action, built with one
+    ``apply_cols`` per cell: no check makes more than n^2 ``grid_mul`` calls
+    per product, and the residuals of a broken operator are still exact."""
+    from test_differential import (
+        assert_matches, dense_of, o_operator_residuals, rota_baxter_residuals)
+
+    octonions = support.load_fixture_bundle("octonions")
+    sl2 = support.load_fixture_bundle("premalcev_sl2")
+    regular = regular_pre_malcev_rep(sl2.structure)
+    cases = [(octonions.structure, w) for w in octonions.operators]
+    cases.append((sl2.structure, oop(sl2.operators[0].matrix, regular)))
+    # -1 is a Rota-Baxter map of weight 1 with every column nonzero
+    cases.append((support.t2(), rb([[F(-(i == j)) for j in range(3)] for i in range(3)],
+                                   weight=F(1))))
+    for structure, w in cases:
+        n, products = structure.dim, len(structure.products)
+        structure = make_structure(n, twist=structure.twist, products=structure.products)
+        grid_calls = _counting(monkeypatch, "grid_mul")
+        apply_calls = _counting(monkeypatch, "apply_cols")
+        assert check_operator(structure, w).passed
+        assert grid_calls[0] <= n ** 2 * products
+        assert apply_calls[0] <= 2 * n ** 2 * products
+        monkeypatch.undo()
+
+    # broken maps: a Rota-Baxter map of weight 1 on the octonions, and an
+    # O-operator on the regular pre-Malcev representation of sl2
+    s = octonions.structure
+    r = [[F((3 * i + j) % 5 - 2, 1 + (i + j) % 3) for j in range(8)] for i in range(8)]
+    c, a = dense_of(s, R.STAR)
+    report = check_operator(s, rb(r, weight=F(1)))
+    assert not report.passed
+    assert_matches(report, rota_baxter_residuals({R.STAR: c}, r, F(1), a))
+    t = [row[:3] for row in r[:3]]
+    c, a = dense_of(sl2.structure, R.DOT)
+    dense = [[list(row) for row in s] for s in (regular.actions[A.LEFT], regular.actions[A.RIGHT])]
+    report = check_operator(sl2.structure, oop(t, regular))
+    assert not report.passed
+    assert_matches(report, o_operator_residuals({R.DOT: c}, {R.DOT: dense}, t, a, a))
