@@ -178,8 +178,7 @@ class HomStructure(Record):
         return frozenset(self.products)
 
     def grid(self, role: ProductRole) -> Grid:
-        """The grid of the stored product ``role``, built once and shared by
-        every check of this structure."""
+        """The grid of the stored product ``role``, built once per structure."""
         grids = self.__dict__.setdefault("_grids", {})
         if role not in grids:
             grids[role] = tensor_grid(self.products[role], self.dim)
@@ -324,8 +323,7 @@ def _twisted(a: Table, cells: Table) -> Table:
 
 
 def _composed(a: Table, grid: Grid) -> Grid:
-    """The grid of ``a`` after ``grid``'s product: its cells are ``a(e_x *
-    e_y)``, and an operator law's ``a(b e_i * e_j)`` is a product on it."""
+    """The grid of cells ``a(e_x * e_y)``: ``a(b e_i * e_j)`` is a product on it."""
     out = Grid()
     out.ints = _twisted(a, grid.ints) if a.norm else Table()   # a zero map: no cells
     out.den, out.peak = out.ints.den, out.ints.norm
@@ -671,9 +669,8 @@ class _Stacks:
         return sum([n << (w * (span * l + k)) for l, v in enumerate(vs) for k, n in v.items()])
 
     def _stacked(self, table: list, at: str, last: str, ints: bool) -> object:
-        """``table`` read at ``at``, stacked over the index named ``last``:
-        :meth:`_ints` of the vectors along it with ``ints``, else the vectors
-        themselves, 0 where all are empty."""
+        """``table`` read at ``at``, stacked over the index named ``last``: the
+        vectors along it (0 if all empty), or with ``ints`` their :meth:`_ints`."""
         p = at.index(last)
         key = ("stack", id(table), p, ints)
         if key not in self.built:
@@ -690,14 +687,15 @@ class _Stacks:
         ``|vs[l][y]|`` is below ``2**(w-1)``."""
         key = ("fold", id(stack), id(grid), right)
         if key not in self.built:
-            if (id(grid), right) not in self.built:   # its packed rows, or columns
+            if (id(grid), right) not in self.built:   # the packed cells at each y, or x
                 if id(grid) not in self.built:
                     self.built[id(grid)] = grid_pack(grid.ints, self.w)
-                rows = self.built[id(grid)]
-                self.built[id(grid), right] = rows if right else [
-                    [(x, g) for x, row in enumerate(rows) for z, g in row if z == y]
-                    for y in range(grid.ints.span and len(grid.ints[0]))]
-            lines, step = self.built[id(grid), right], self.w * self.span
+                rows, cols = self.built[id(grid)], [[] for _ in grid.ints[0]]
+                for x, row in enumerate(rows):
+                    for y, g in row:
+                        cols[y].append((x, g))
+                self.built[id(grid), right] = (cols, len(rows)) if right else (rows, len(cols))
+            (lines, size), step = self.built[id(grid), right], self.w * self.span
 
             def fold(vs):
                 if not vs:
@@ -706,7 +704,10 @@ class _Stacks:
                 for l, v in enumerate(vs):
                     for y, n in v.items():
                         acc[y] = acc.get(y, 0) + (n << (step * l))
-                m = [sum([acc[y] * g for y, g in line if y in acc]) for line in lines]
+                m = [0] * size
+                for y, a in acc.items():
+                    for x, g in lines[y]:
+                        m[x] += a * g
                 return m if any(m) else 0
             self.built[key] = _stack(stack, depth + 1, depth, fold)
         return self.built[key]
