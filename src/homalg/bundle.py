@@ -6,6 +6,8 @@ order, sparse entries sorted ascending, and every rational rendered as
 ``"p/q"`` with the fraction reduced and the denominator positive (``"/1"``
 mandatory for integers).  ``load → save`` is byte-identical on canonical
 files; ``save → load`` is the identity on in-memory values.
+The loader parses each distinct rational string once per load; files and
+reports are written by :func:`dumps_json`, in one pass.
 """
 from __future__ import annotations
 

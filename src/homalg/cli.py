@@ -229,12 +229,6 @@ def _diagram_text(entry: dict[str, Any]) -> list[str]:
     return lines
 
 
-def _report_json(command: Sequence[str], entries: list[dict[str, Any]],
-                 exit_status: int) -> str:
-    return dumps_json({"command": list(command), "checks": entries,
-                       "exit_status": exit_status})
-
-
 def _with_meta(structure: HomStructure, extra: dict[str, str]) -> HomStructure:
     meta = dict(structure.meta)
     meta.update(extra)
@@ -290,7 +284,8 @@ def _cmd_check(args, command: Sequence[str]) -> int:
 
     exit_status = 0 if all(e["passed"] for e in entries) else 1
     if args.format == "json":
-        _emit(_report_json(command, entries, exit_status), args.output)
+        _emit(dumps_json({"command": command, "checks": entries,
+                          "exit_status": exit_status}), args.output)
     else:
         _emit(_report_text(command, entries, notes, exit_status), args.output)
     return exit_status
@@ -377,7 +372,8 @@ def _cmd_diagram(args, command: Sequence[str]) -> int:
     nodes_pass = all(node["passed"] for node in entry["nodes"].values())
     exit_status = 0 if (nodes_pass and report.paths_equal) else 1
     if args.format == "json":
-        _emit(_report_json(command, [entry], exit_status), args.output)
+        _emit(dumps_json({"command": command, "checks": [entry],
+                          "exit_status": exit_status}), args.output)
     else:
         _emit(_report_text(command, [entry], [], exit_status), args.output)
     return exit_status

@@ -191,7 +191,7 @@ def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identit
     """OOP-TWIST = a T e_x - T beta e_x, and for each product with its
     (left, right) action pair
     ``T e_x * T e_y - T(left(T e_x) e_y +/- right(T e_y) e_x)`` over module
-    basis pairs."""
+    basis pairs, each outer T read on the grid of T after its action."""
     rep = w.rep
     assert rep is not None
     n, m = structure.dim, rep.module_dim

@@ -284,11 +284,11 @@ Identity = tuple[str, int, list[Term]]
 
 # A subterm that depends on only some of an identity's indices, or that
 # several identities of a check share, is computed once per check into a
-# list indexed by basis indices; a sweep then stacks each table over the
-# last index and folds each product's last-index factor into its grid once
-# per check (see :class:`_Stacks`), and evaluates only the full-arity
-# products of the other indices.  A law of arity at most 2 (SKEW, the
-# operator and morphism laws, HESS-INV) may read a full-arity table.
+# list indexed by basis indices; a sweep stacks each table over the last
+# index and folds each product's last-index factor into its grid once per
+# check (see :class:`_Stacks`).  An operator law reads ``a(b e_i * e_j)`` as
+# a product on the grid of ``a`` after the product (:func:`_composed`); only
+# other laws of arity 2 (SKEW, HESS-INV, MULT-*, ...) read full-arity tables.
 
 def _table(rows: list, den: int, depth: int) -> Table:
     """``rows``, lists nested ``depth`` deep of Ivecs over ``den`` (a kernel's
