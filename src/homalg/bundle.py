@@ -134,8 +134,8 @@ def _entries(entries: Any, bounds: tuple[int, int, int], where: str, shape: str,
     """Each ``[x, y, z, 'p/q']`` entry of a sparse list as ``(x, y, z,
     value)``: each index below its bound, no key twice (a zero entry counts
     only if ``zeros``, checked then before the value), and each distinct
-    rational string parsed once.  An entry that does not pass these checks
-    at once is checked again in order, naming it."""
+    rational string parsed once, where first seen.  An entry whose indices
+    do not pass these checks at once is checked again in order, naming it."""
     if not isinstance(entries, list):
         raise BundleError(f"{where}: expected a list of {shape} entries")
     (bx, by, bz), get, seen = bounds, rationals.get, set()
@@ -143,8 +143,10 @@ def _entries(entries: Any, bounds: tuple[int, int, int], where: str, shape: str,
         if type(entry) is list and len(entry) == 4:
             x, y, z, text = entry
             if (type(x) is type(y) is type(z) is int and 0 <= x < bx and 0 <= y < by
-                    and 0 <= z < bz and (x, y, z) not in seen and type(text) is str
-                    and (value := get(text)) is not None):
+                    and 0 <= z < bz and (x, y, z) not in seen and type(text) is str):
+                value = get(text)
+                if value is None:
+                    value = _rational(text, rationals, where, n)
                 if zeros or value:
                     seen.add((x, y, z))
                 yield x, y, z, value

@@ -16,7 +16,6 @@ from .exact import (
     mat_mul,
     matrix,
     push_product,
-    tensor_add,
     tensor_commutator,
     tensor_flip,
     tensor_neg,
@@ -41,6 +40,7 @@ from .structures import (
     StructureClass,
     check,
     check_morphism,
+    derived_product,
     make_structure,
 )
 
@@ -92,38 +92,43 @@ def commutator(structure: HomStructure,
     )
 
 
-def _require_pair(structure: HomStructure) -> tuple[Tensor, Tensor]:
-    missing = [r.value for r in (ProductRole.TRI_LEFT, ProductRole.TRI_RIGHT)
-               if r not in structure.products]
+def _require(structure: HomStructure, roles: tuple[ProductRole, ...],
+             what: str) -> HomStructure:
+    """``structure`` on only ``roles``, which it must all store."""
+    missing = [r.value for r in roles if r not in structure.products]
     if missing:
-        raise RoleMismatch(f"needs the two-sided triangle products; missing {missing}")
-    return (structure.products[ProductRole.TRI_LEFT],
-            structure.products[ProductRole.TRI_RIGHT])
+        raise RoleMismatch(f"needs {what}; missing {missing}")
+    return structure.only(roles)
+
+
+def _require_pair(structure: HomStructure) -> HomStructure:
+    return _require(structure, (ProductRole.TRI_LEFT, ProductRole.TRI_RIGHT),
+                    "the two-sided triangle products")
 
 
 def horizontal(structure: HomStructure) -> HomStructure:
     """Sum of the two triangle products, stored under the dot role."""
-    tl, tr = _require_pair(structure)
-    return _rebuild(structure, {ProductRole.DOT: tensor_add(tl, tr)}, "horizontal")
+    pair = _require_pair(structure)
+    return _rebuild(structure, {ProductRole.DOT: derived_product(pair, ProductRole.DOT)},
+                    "horizontal")
 
 
 def vertical(structure: HomStructure) -> HomStructure:
-    """Difference product x<y - (y>x), stored under the dot role; the label
-    records the vertical provenance."""
-    tl, tr = _require_pair(structure)
-    return _rebuild(structure,
-                    {ProductRole.DOT: tensor_sub(tl, tensor_flip(tr))},
+    """Difference product x<y - (y>x), the diamond product, stored under the
+    dot role; the label records the vertical provenance."""
+    pair = _require_pair(structure)
+    return _rebuild(structure, {ProductRole.DOT: derived_product(pair, ProductRole.DIAMOND)},
                     "vertical")
 
 
 def transpose(structure: HomStructure) -> HomStructure:
     """Flip and negate the right-triangle product, keep the left one; an
     involution that swaps the horizontal and vertical structures."""
-    tl, tr = _require_pair(structure)
+    p = _require_pair(structure).products
     return _rebuild(
         structure,
-        {ProductRole.TRI_RIGHT: tensor_neg(tensor_flip(tr)),
-         ProductRole.TRI_LEFT: tl},
+        {ProductRole.TRI_RIGHT: tensor_neg(tensor_flip(p[ProductRole.TRI_RIGHT])),
+         ProductRole.TRI_LEFT: p[ProductRole.TRI_LEFT]},
         "transpose",
     )
 
@@ -148,34 +153,29 @@ def yau_twist(structure: HomStructure, alpha_new: Matrix, *,
     )
 
 
+#: the derived products each pre-alternative split stores as (prec, succ):
+#: the column sums (nw + sw, ne + se), or the row sums (ne + nw, se + sw)
+_PREALT_SPLITS = {"prealt-horizontal": (ProductRole.PREC, ProductRole.SUCC),
+                  "prealt-vertical": (ProductRole.WEDGE, ProductRole.VEE)}
+
+
 def quadri_split(structure: HomStructure, direction: str) -> HomStructure:
     """Collapse the four compass products into one of the two-product
     structures: the triangle pair, or the horizontal/vertical two-sided
     splittings."""
-    missing = [r.value for r in (ProductRole.NW, ProductRole.SW,
-                                 ProductRole.NE, ProductRole.SE)
-               if r not in structure.products]
-    if missing:
-        raise RoleMismatch(f"needs all four compass products; missing {missing}")
-    nw = structure.products[ProductRole.NW]
-    sw = structure.products[ProductRole.SW]
-    ne = structure.products[ProductRole.NE]
-    se = structure.products[ProductRole.SE]
+    compass = _require(structure, (ProductRole.NW, ProductRole.SW,
+                                   ProductRole.NE, ProductRole.SE),
+                       "all four compass products")
+    p = compass.products
     if direction == "mdendriform":
         products = {
-            ProductRole.TRI_RIGHT: tensor_sub(ne, tensor_flip(sw)),
-            ProductRole.TRI_LEFT: tensor_sub(se, tensor_flip(nw)),
+            ProductRole.TRI_RIGHT: tensor_sub(p[ProductRole.NE], tensor_flip(p[ProductRole.SW])),
+            ProductRole.TRI_LEFT: tensor_sub(p[ProductRole.SE], tensor_flip(p[ProductRole.NW])),
         }
-    elif direction == "prealt-horizontal":
-        products = {
-            ProductRole.SUCC: tensor_add(ne, se),
-            ProductRole.PREC: tensor_add(nw, sw),
-        }
-    elif direction == "prealt-vertical":
-        products = {
-            ProductRole.SUCC: tensor_add(se, sw),
-            ProductRole.PREC: tensor_add(ne, nw),
-        }
+    elif direction in _PREALT_SPLITS:
+        prec, succ = _PREALT_SPLITS[direction]
+        products = {ProductRole.PREC: derived_product(compass, prec),
+                    ProductRole.SUCC: derived_product(compass, succ)}
     else:
         raise UnknownDirection(
             f"unknown split direction {direction!r}; expected one of {SPLIT_DIRECTIONS}"
@@ -263,7 +263,8 @@ def verify_diagram(alt: HomStructure, r1: OperatorWitness,
         ("alternative-r1-rota-baxter", True),
         ("alternative-r2-rota-baxter", True),
         ("operators-commute", True),
-        ("pre-alternative-r2-rota-baxter", check_operator(prealt, r2).passed),
+        # induce(prealt, r2, ...) above refuses an r2 that fails this check
+        ("pre-alternative-r2-rota-baxter", True),
         ("quadri-pair-route-equals-pre-alternative-r2-route", eq_quadri),
         ("pre-malcev-difference-route-equals-malcev-r1-route", eq_premalcev),
         ("m-dendriform-split-route-equals-malcev-pair-route", eq_mdendri_pair),

@@ -37,7 +37,6 @@ from .exact import (
     push_product,
     sv_basis,
     sv_fractions,
-    tensor_commutator,
     tensor_from_entries,
     tensor_grid,
 )
@@ -500,9 +499,8 @@ def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructur
     alpha = structure.twist
     b = form.matrix
     solve = mat_inverse(mat_fractions(mat_mul(mat_transpose(alpha), b)))
-    dot = structure.products[ProductRole.DOT]
-    d = structure.grid(ProductRole.DOT).ints
-    c = tensor_grid(tensor_commutator(dot), n).ints
+    on_dot = structure.only({ProductRole.DOT})
+    d, c = on_dot.grid(ProductRole.DOT).ints, on_dot.grid(ProductRole.BRACKET).ints
     b_alpha = mat_mul(b, alpha)
 
     def solved(cols):

@@ -36,7 +36,6 @@ from .exact import (
     sv_basis,
     sv_fractions,
     tensor_add,
-    tensor_commutator,
     tensor_from_entries,
     tensor_grid,
     tensor_sub,
@@ -57,7 +56,6 @@ from .structures import (
     _sweep,
     _twist_cols,
     _twisted,
-    derived_product,
     make_structure,
 )
 
@@ -142,14 +140,15 @@ class Representation(Record):
         return tensor_grid(action, self.base.dim, self.module_dim)
 
 
-def _malcev_action_identities(base: HomStructure, grid: Grid, act: Grid,
+def _malcev_action_identities(base: HomStructure, act: Grid,
                               beta: Matrix) -> list[Identity]:
     """The equivariance and four-term laws of the Malcev-type action ``act``
-    of the bracket on ``grid`` on a module twisted by ``beta``:
+    of the bracket of ``base`` on a module twisted by ``beta``:
     MREP-EQ = rho(a e_i) beta - beta rho(e_i),
     MREP-4T = rho([[e_i,e_j],a e_k]) beta^2 - rho(a^2 e_i) rho(a e_j) rho(e_k)
         + rho(a^2 e_k) rho(a e_i) rho(e_j) - rho(a^2 e_j) rho([e_k,e_i]) beta
         + rho(a[e_j,e_k]) rho(a e_i) beta."""
+    grid = base.grid(ProductRole.BRACKET)
     cell, rho = grid.ints, act.ints
     a, a2 = _twist_cols(base.twist)
     b, b2 = _twist_cols(beta)
@@ -166,8 +165,8 @@ def _malcev_action_identities(base: HomStructure, grid: Grid, act: Grid,
 
 
 def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
-    """The Malcev laws of the left action ``l`` over the commutator, and,
-    with rho = l - r:
+    """The Malcev laws of the left action ``l`` over the commutator of the
+    dot product (the base read on that product only), and, with rho = l - r:
     PMREP-1 = beta r(e_i) - r(a e_i) beta,
     PMREP-2 = r(a^2 e_i) rho(a e_j) rho(e_k) - r((a e_k)(e_j e_i)) beta^2
         + l(a^2 e_j) r(e_k e_i) beta + l(a[e_j,e_k]) r(a e_i) beta
@@ -178,11 +177,8 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
     PMREP-4 = r((a e_j)(e_k e_i)) beta^2 + r(a^2 e_i) rho([e_j,e_k]) beta
         - l(a^2 e_j) l(a e_k) r(e_i) + r(a(e_j e_i)) rho(a e_k) beta
         + l(a^2 e_k) r(a e_i) rho(e_j)."""
-    base = rep.base
-    dot = base.products[ProductRole.DOT]
-    com = tensor_commutator(dot)
-    dgrid = base.grid(ProductRole.DOT)
-    cgrid = tensor_grid(com, base.dim)
+    base = rep.base.only({ProductRole.DOT})
+    dgrid, cgrid = base.grid(ProductRole.DOT), base.grid(ProductRole.BRACKET)
     d, c = dgrid.ints, cgrid.ints
     a, a2 = _twist_cols(base.twist)
     b, b2 = _twist_cols(rep.module_twist)
@@ -195,7 +191,7 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
     p_p, r_p = _left_a(P, a, P.ints), _left_a(R, a, P.ints)     # rho(a e_x) rho(e_y) e_z
     l_r = _left_a(L, a, R.ints)             # l(a e_x) r(e_y) e_z
     r_db = _right_a(R, d, b)                # r(e_x e_y) beta e_z
-    return _malcev_action_identities(base, cgrid, L, rep.module_twist) + [
+    return _malcev_action_identities(base, L, rep.module_twist) + [
         ("PMREP-1", 2, [(1, None, (_twisted(b, R.ints), "ij")), (-1, None, (r_b, "ij"))]),
         ("PMREP-2", 4, [(1, R, (a2, "i"), (p_p, "jkl")), (-1, R, (a_d, "kji"), (b2, "l")),
                         (1, L, (a2, "j"), (r_db, "kil")),
@@ -217,10 +213,9 @@ def _pre_alternative_rep_identities(rep: Representation, *,
     ``x(e_i * e_j) beta`` summed with signs (the terms below), with
     l = l_prec + l_succ, r = r_prec + r_succ and * = prec + succ; and with
     ``equivariance`` PA-EQ-X = beta X(e_i) - X(a e_i) beta for each action."""
-    base = rep.base
-    prec = base.products[ProductRole.PREC]
-    succ = base.products[ProductRole.SUCC]
-    p, s, st = (tensor_grid(t, base.dim).ints for t in (prec, succ, tensor_add(prec, succ)))
+    roles = (ProductRole.PREC, ProductRole.SUCC)
+    base = rep.base.only(roles)
+    p, s, st = (base.grid(role).ints for role in (*roles, ProductRole.STAR))
     a = _columns(base.twist)
     b = _columns(rep.module_twist)
     A = ActionRole
@@ -292,11 +287,8 @@ def check_rep(rep: Representation, cls: StructureClass, *,
             f"representation has {sorted(r.value for r in rep.roles())}"
         )
     if cls is StructureClass.HOM_MALCEV:
-        base, role = rep.base, ProductRole.BRACKET
-        bracket = base.grid(role) if role in base.products else tensor_grid(
-            derived_product(base, role), base.dim)
         identities = _malcev_action_identities(
-            base, bracket, rep.grid(rep.action(ActionRole.RHO)), rep.module_twist)
+            rep.base, rep.grid(rep.action(ActionRole.RHO)), rep.module_twist)
     elif cls is StructureClass.HOM_PRE_MALCEV:
         if ProductRole.DOT not in rep.base.products:
             raise RoleMismatch("base structure must carry the dot product role")

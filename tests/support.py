@@ -200,6 +200,14 @@ def zero_structure(dim: int = 2) -> HomStructure:
     return make_structure(dim, products={ProductRole.BRACKET: {}})
 
 
+def with_extra(s: HomStructure, roles, source: ProductRole | None = None) -> HomStructure:
+    """``s`` that also stores each product role in ``roles``: a copy of its
+    product ``source``, or with none a zero product."""
+    tensor = s.products[source] if source else {}
+    return make_structure(s.dim, twist=s.twist, basis=s.basis, meta=dict(s.meta),
+                          products={**s.products, **dict.fromkeys(roles, tensor)})
+
+
 # ---------------------------------------------------------------------------
 # reference operators (verified independently in oracles.py / test_oracles)
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from homalg.fixtures import (
     fixture_text,
     load_fixture,
 )
+from homalg import bundle as bundle_module
 from homalg.bundle import (
     bundle_payload,
     check_payload,
@@ -449,6 +450,20 @@ def test_loader_reads_non_canonical_rationals_as_their_values():
     assert s.products[R.DOT] == {(0, 0): {1: F(1, 2)}, (1, 1): {0: F(3)}}
     assert bundle.forms[0].matrix == ((F(1, 2), F(3)), (F(3), F(0)))
     assert bundle.operators[0].matrix == ((F(0), F(0)), (F(1), F(0)))
+
+
+def test_loader_reads_first_seen_rationals_without_checking_again(monkeypatch):
+    """A valid bundle whose entries are all distinct rationals is read on the
+    loader's fast path alone: no entry is checked again index by index."""
+    calls = []
+    require_index = bundle_module._require_index
+    monkeypatch.setattr(bundle_module, "_require_index",
+                        lambda *args: calls.append(args) or require_index(*args))
+    star = {(i, j): {k: F(1 + i + 3 * j + 9 * k, 7) for k in range(3)}
+            for i in range(3) for j in range(3)}
+    s = make_structure(3, products={R.STAR: star})
+    assert loads_bundle(dumps_bundle(Bundle(structure=s))).structure == s
+    assert calls == []
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.text()

@@ -27,6 +27,7 @@ from homalg import (
     check_rep,
     commutator,
     derived_product,
+    hessian_dendrify,
     horizontal,
     induce_pair,
     make_structure,
@@ -290,6 +291,43 @@ def test_quadri_split_guards(quad_t2):
         quadri_split(quad_t2, "sideways")
     with pytest.raises(RoleMismatch):
         quadri_split(support.t2(), "mdendriform")
+
+
+# ---------------------------------------------------------------------------
+# constructions read only the roles they are defined over
+# ---------------------------------------------------------------------------
+
+def _hessian_dendrify(s):
+    return hessian_dendrify(s, support.load_fixture_bundle("premalcev_dim2").forms[0])
+
+
+#: each construction, the fixture it runs on, derived roles stored beside
+#: its sources, and the stored product copied under them
+EXTRA_ROLE_CONSTRUCTIONS = {
+    "horizontal": ("md_sl2", horizontal, (R.DOT, R.DIAMOND), R.TRI_LEFT),
+    "vertical": ("md_sl2", vertical, (R.DOT, R.DIAMOND), R.TRI_LEFT),
+    **{f"quadri-split-{d}": ("quad_t2", lambda s, d=d: quadri_split(s, d),
+                             (R.PREC, R.SUCC, R.VEE, R.WEDGE, R.STAR), R.NW)
+       for d in SPLIT_DIRECTIONS},
+    "hessian-dendrify": ("premalcev_dim2", _hessian_dendrify,
+                         (R.TRI_LEFT, R.TRI_RIGHT, R.BRACKET), R.DOT),
+}
+
+
+@pytest.fixture(scope="module")
+def premalcev_dim2():
+    return support.load_fixture_bundle("premalcev_dim2").structure
+
+
+@pytest.mark.parametrize("copied", [False, True], ids=["zero", "copy"])
+@pytest.mark.parametrize("name", EXTRA_ROLE_CONSTRUCTIONS)
+def test_construction_reads_only_its_roles(request, name, copied):
+    """A product stored under a derived role's name beside the sources,
+    zero or a copy of another, changes no construction's output."""
+    fixture, build, roles, source = EXTRA_ROLE_CONSTRUCTIONS[name]
+    s = request.getfixturevalue(fixture)
+    out = build(support.with_extra(s, roles, source if copied else None))
+    assert out.products == build(s).products
 
 
 # ---------------------------------------------------------------------------

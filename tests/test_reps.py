@@ -314,6 +314,28 @@ def test_semidirect_pre_alternative():
     assert check(sd, C.HOM_PRE_ALTERNATIVE).passed
 
 
+@pytest.mark.parametrize("copied", [False, True], ids=["zero", "copy"])
+@pytest.mark.parametrize("name, cls, roles, source", [
+    ("premalcev_dim2", C.HOM_PRE_MALCEV, (R.TRI_LEFT, R.TRI_RIGHT, R.BRACKET), R.DOT),
+    ("prealt_t2", C.HOM_PRE_ALTERNATIVE, (R.STAR,), R.PREC),
+], ids=["pre-malcev", "pre-alternative"])
+def test_rep_check_reads_only_its_base_roles(name, cls, roles, source, copied):
+    """A base that also stores a product under a derived role's name, zero
+    or a copy of another, gives the rep axioms of its plain base: they
+    derive the commutator or the sum from the dot, or prec and succ, alone."""
+    rep, = support.load_fixture_bundle(name).reps
+    base = support.with_extra(rep.base, roles, source if copied else None)
+    regular = (regular_pre_malcev_rep if cls is C.HOM_PRE_MALCEV
+               else regular_pre_alternative_rep)(rep.base)
+    for r in (rep, regular):
+        moved = Representation(base=base, module_dim=r.module_dim,
+                               module_twist=r.module_twist, actions=r.actions)
+        plain, report = check_rep(r, cls), check_rep(moved, cls)
+        assert plain.passed
+        assert (report.passed, report.violations, report.tuples_checked) == (
+            plain.passed, plain.violations, plain.tuples_checked)
+
+
 def test_regular_alternative_rep_roles():
     reg = regular_alternative_rep(support.t2())
     assert reg.roles() == frozenset({A.LEFT, A.RIGHT})

@@ -24,6 +24,7 @@ from homalg.exact import (
     tensor_add,
     tensor_commutator,
     tensor_flip,
+    tensor_grid,
     tensor_sub,
 )
 from homalg.pruning import candidates
@@ -221,6 +222,10 @@ def test_derived_products_from_halves():
     assert derived_product(s, R.BRACKET) == tensor_commutator(tensor_add(tl, tr))
     with pytest.raises(RoleMismatch):
         derived_product(s, R.STAR)
+    # the grid of a derived role is built once per structure
+    assert s.grid(R.DOT) == tensor_grid(tensor_add(tl, tr), s.dim)
+    assert s.grid(R.DOT) is s.grid(R.DOT)
+    assert s.grid(R.BRACKET) is s.grid(R.BRACKET)
 
 
 def test_derived_products_from_quarters():
@@ -253,6 +258,33 @@ def test_dendriform_halves_derive_star():
     )
     assert derived_product(s, R.STAR) == support.tensor((0, 0, 1, 3))
     assert derived_product(s, R.BRACKET) == {}
+
+
+#: a fixture, its class, derived roles stored beside its sources, and the
+#: stored product copied under them
+EXTRA_ROLES = [
+    ("quadri_trunc_poly", C.HOM_ALT_QUADRI, (R.PREC,), R.NW),
+    ("mdendri_sl2", C.HOM_M_DENDRIFORM, (R.DOT,), R.TRI_LEFT),
+    ("premalcev_dim2", C.HOM_PRE_MALCEV, (R.TRI_LEFT, R.TRI_RIGHT, R.BRACKET), R.DOT),
+    ("prealt_t2", C.HOM_PRE_ALTERNATIVE, (R.STAR,), R.PREC),
+]
+
+
+@pytest.mark.parametrize("copied", [False, True], ids=["zero", "copy"])
+@pytest.mark.parametrize("name, cls, roles, source", EXTRA_ROLES,
+                         ids=[case[0] for case in EXTRA_ROLES])
+def test_class_check_reads_only_its_roles(name, cls, roles, source, copied):
+    """A product stored under a derived role's name, zero or a copy of
+    another, changes no class check: the class derives it from its own
+    roles.  The multiplicativity laws still cover every stored product."""
+    s = support.load_fixture_bundle(name).structure
+    extra = support.with_extra(s, roles, source if copied else None)
+    for mult, added in ((False, 0), (True, len(roles) * s.dim ** 2)):
+        plain = check(s, cls, multiplicativity=mult)
+        report = check(extra, cls, multiplicativity=mult)
+        assert plain.passed and report.passed
+        assert report.violations == plain.violations
+        assert report.tuples_checked == plain.tuples_checked + added
 
 
 # ---------------------------------------------------------------------------
