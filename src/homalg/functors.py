@@ -26,8 +26,8 @@ from .operators import (
     NotCommuting,
     OperatorInvalid,
     OperatorWitness,
+    _checked,
     check_commuting,
-    check_operator,
     induce,
     induce_pair,
 )
@@ -222,7 +222,7 @@ def verify_diagram(alt: HomStructure, r1: OperatorWitness,
             raise OperatorInvalid(
                 f"the {name} operator must have weight zero, got {w.weight}"
             )
-        report = check_operator(alt, w)
+        report = _checked(alt, w)
         if not report.passed:
             first = report.violations[0]
             raise OperatorInvalid(

@@ -267,9 +267,18 @@ def check_commuting(r1: OperatorWitness, r2: OperatorWitness) -> bool:
 # induced structures (dendrification)
 # ---------------------------------------------------------------------------
 
+def _checked(structure: HomStructure, w: OperatorWitness) -> CheckReport:
+    """``check_operator(structure, w)``, swept once per structure and witness
+    (both immutable): kept on the structure, with ``w`` so that its id stays unique."""
+    reports = structure.__dict__.setdefault("_operator_reports", {})
+    if id(w) not in reports:
+        reports[id(w)] = w, check_operator(structure, w)
+    return reports[id(w)][1]
+
+
 def _require_valid(structure: HomStructure, w: OperatorWitness,
                    recipe: str) -> None:
-    rep = check_operator(structure, w)
+    rep = _checked(structure, w)
     if not rep.passed:
         first = rep.violations[0]
         raise OperatorInvalid(

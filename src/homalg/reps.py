@@ -12,9 +12,11 @@ residual column.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Iterator, Mapping, Sequence
 
 from .exact import (
     DimensionMismatch,
@@ -49,11 +51,15 @@ from .structures import (
     RoleMismatch,
     StructureClass,
     _columns,
+    _components,
+    _edges,
     _left_a,
     _mult_identities,
     _pair,
+    _restrict,
     _right_a,
     _sweep,
+    _sweep_blocks,
     _twist_cols,
     _twisted,
     make_structure,
@@ -164,9 +170,11 @@ def _malcev_action_identities(base: HomStructure, act: Grid,
     ]
 
 
-def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
+def _pre_malcev_rep_identities(base: HomStructure, beta: Matrix,
+                               actions: Mapping[ActionRole, Tensor], m: int) -> list[Identity]:
     """The Malcev laws of the left action ``l`` over the commutator of the
-    dot product (the base read on that product only), and, with rho = l - r:
+    dot product (the base read on that product only) on a module of
+    dimension ``m`` twisted by ``beta``, and, with rho = l - r:
     PMREP-1 = beta r(e_i) - r(a e_i) beta,
     PMREP-2 = r(a^2 e_i) rho(a e_j) rho(e_k) - r((a e_k)(e_j e_i)) beta^2
         + l(a^2 e_j) r(e_k e_i) beta + l(a[e_j,e_k]) r(a e_i) beta
@@ -177,13 +185,13 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
     PMREP-4 = r((a e_j)(e_k e_i)) beta^2 + r(a^2 e_i) rho([e_j,e_k]) beta
         - l(a^2 e_j) l(a e_k) r(e_i) + r(a(e_j e_i)) rho(a e_k) beta
         + l(a^2 e_k) r(a e_i) rho(e_j)."""
-    base = rep.base.only({ProductRole.DOT})
+    base = base.only({ProductRole.DOT})
     dgrid, cgrid = base.grid(ProductRole.DOT), base.grid(ProductRole.BRACKET)
     d, c = dgrid.ints, cgrid.ints
     a, a2 = _twist_cols(base.twist)
-    b, b2 = _twist_cols(rep.module_twist)
-    left, right = rep.action(ActionRole.LEFT), rep.action(ActionRole.RIGHT)
-    L, R, P = rep.grid(left), rep.grid(right), rep.grid(tensor_sub(left, right))
+    b, b2 = _twist_cols(beta)
+    left, right = actions[ActionRole.LEFT], actions[ActionRole.RIGHT]
+    L, R, P = (tensor_grid(t, base.dim, m) for t in (left, right, tensor_sub(left, right)))
 
     a_d = _left_a(dgrid, a, d)              # (a e_x)(e_y e_z)
     ad = _twisted(a, d)                     # a(e_x e_y)
@@ -191,7 +199,7 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
     p_p, r_p = _left_a(P, a, P.ints), _left_a(R, a, P.ints)     # rho(a e_x) rho(e_y) e_z
     l_r = _left_a(L, a, R.ints)             # l(a e_x) r(e_y) e_z
     r_db = _right_a(R, d, b)                # r(e_x e_y) beta e_z
-    return _malcev_action_identities(base, L, rep.module_twist) + [
+    return _malcev_action_identities(base, L, beta) + [
         ("PMREP-1", 2, [(1, None, (_twisted(b, R.ints), "ij")), (-1, None, (r_b, "ij"))]),
         ("PMREP-2", 4, [(1, R, (a2, "i"), (p_p, "jkl")), (-1, R, (a_d, "kji"), (b2, "l")),
                         (1, L, (a2, "j"), (r_db, "kil")),
@@ -207,22 +215,24 @@ def _pre_malcev_rep_identities(rep: Representation) -> list[Identity]:
     ]
 
 
-def _pre_alternative_rep_identities(rep: Representation, *,
+def _pre_alternative_rep_identities(base: HomStructure, beta: Matrix,
+                                    actions: Mapping[ActionRole, Tensor], m: int, *,
                                     equivariance: bool) -> list[Identity]:
-    """PABM-1..10 of the split actions, each ``x(a e_i) y(e_j)`` or
+    """PABM-1..10 of the split actions on a module of dimension ``m``
+    twisted by ``beta``, each ``x(a e_i) y(e_j)`` or
     ``x(e_i * e_j) beta`` summed with signs (the terms below), with
     l = l_prec + l_succ, r = r_prec + r_succ and * = prec + succ; and with
     ``equivariance`` PA-EQ-X = beta X(e_i) - X(a e_i) beta for each action."""
     roles = (ProductRole.PREC, ProductRole.SUCC)
-    base = rep.base.only(roles)
+    base = base.only(roles)
     p, s, st = (base.grid(role).ints for role in (*roles, ProductRole.STAR))
     a = _columns(base.twist)
-    b = _columns(rep.module_twist)
+    b = _columns(beta)
     A = ActionRole
-    lp, rp, ls, rs = (rep.action(role) for role in
+    lp, rp, ls, rs = (actions[role] for role in
                       (A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC))
-    Lp, Rp, Ls, Rs, L, R = (rep.grid(t) for t in (lp, rp, ls, rs, tensor_add(lp, ls),
-                                                  tensor_add(rp, rs)))
+    Lp, Rp, Ls, Rs, L, R = (tensor_grid(t, base.dim, m) for t in (
+        lp, rp, ls, rs, tensor_add(lp, ls), tensor_add(rp, rs)))
 
     def acts(sign, x, i, y, j):
         """``sign x(a e_i) y(e_j) e_k``."""
@@ -270,10 +280,37 @@ _REP_CLASS_ACTIONS: dict[StructureClass, frozenset[ActionRole]] = {
 }
 
 
+def _rep_blocks(rep: Representation, acts: Mapping[ActionRole, Tensor]) -> Iterator[tuple]:
+    """Each block of ``rep`` holding base and module basis vectors (else the
+    whole): its sorted base and module indices, and the base, module twist,
+    actions ``acts`` and module dimension on it, re-indexed in order.  The
+    blocks are the components of the graph on base and module (from ``n``)
+    indices joining the base's :func:`~homalg.structures._edges`, the ends of
+    each nonzero module twist entry, and ``s`` to ``b`` and each ``r`` at
+    each nonzero ``rho(e_s)[r][b]``; an action of one block on another is 0."""
+    n, m, beta = rep.base.dim, rep.module_dim, rep.module_twist
+    edges = _edges(rep.base) + [(n + r, n + c) for r, row in enumerate(beta)
+                                for c, v in enumerate(row) if v]
+    edges += [(s, n + x) for t in acts.values() for (s, b), cell in t.items()
+              for x in (b, *cell)]
+    blocks = [(block[:k], [x - n for x in block[k:]]) for block in _components(n + m, edges)
+              if 0 < (k := bisect_left(block, n)) < len(block)]
+    for base, mod in blocks or [(list(range(n)), list(range(m)))]:
+        at, to = ({x: y for y, x in enumerate(idx)} for idx in (base, mod))
+        yield base, mod, (_restrict(rep.base, base), [[beta[r][c] for c in mod] for r in mod],
+                          {role: {(at[s], to[b]): {to[r]: v for r, v in cell.items()}
+                                  for (s, b), cell in t.items() if s in at}
+                           for role, t in acts.items()}, len(mod))
+
+
 def check_rep(rep: Representation, cls: StructureClass, *,
               equivariance: bool = False) -> CheckReport:
     """Sweep the representation axioms of ``cls`` over all base-basis tuples,
-    each with every module basis vector as its last index."""
+    each with every module basis vector as its last index.
+
+    Each term of each axiom reads every index, so it is zero at a tuple that
+    mixes blocks (:func:`_rep_blocks`): each block is swept on the
+    representation restricted to it, and every other tuple counts as checked."""
     start = time.perf_counter()
     needed = _REP_CLASS_ACTIONS.get(cls)
     if needed is None:
@@ -287,18 +324,21 @@ def check_rep(rep: Representation, cls: StructureClass, *,
             f"representation has {sorted(r.value for r in rep.roles())}"
         )
     if cls is StructureClass.HOM_MALCEV:
-        identities = _malcev_action_identities(
-            rep.base, rep.grid(rep.action(ActionRole.RHO)), rep.module_twist)
+        def build(base, beta, actions, m):
+            return _malcev_action_identities(
+                base, tensor_grid(actions[ActionRole.RHO], base.dim, m), beta)
     elif cls is StructureClass.HOM_PRE_MALCEV:
         if ProductRole.DOT not in rep.base.products:
             raise RoleMismatch("base structure must carry the dot product role")
-        identities = _pre_malcev_rep_identities(rep)
+        build = _pre_malcev_rep_identities
     else:
         if not {ProductRole.PREC, ProductRole.SUCC} <= rep.base.roles():
             raise RoleMismatch("base structure must carry the prec and succ roles")
-        identities = _pre_alternative_rep_identities(rep, equivariance=equivariance)
-    return _sweep(f"rep:{cls.value}", identities, rep.base.dim, start,
-                  module_dim=rep.module_dim)
+        build = partial(_pre_alternative_rep_identities, equivariance=equivariance)
+    acts = {role: rep.action(role) for role in needed}
+    return _sweep_blocks(f"rep:{cls.value}", ((base, mod, build(*part)) for base, mod, part
+                                              in _rep_blocks(rep, acts)),
+                         rep.base.dim, start, module_dim=rep.module_dim)
 
 
 # ---------------------------------------------------------------------------

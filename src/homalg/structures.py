@@ -6,9 +6,10 @@ structure class over all basis tuples and reports the exact nonzero residuals.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -41,7 +42,6 @@ from .exact import (
     tensor_sub,
     validate_tensor,
 )
-from .pruning import INDEX_NAMES, candidates, positions
 
 
 class RoleMismatch(ValueError):
@@ -592,6 +592,16 @@ def _mult_identities(structure: HomStructure,
     return _product_map_identities("MULT", structure.twist, structure, structure, roles)
 
 
+#: the names of an identity's indices, in order
+INDEX_NAMES = "ijkl"
+
+
+@lru_cache(maxsize=None)
+def positions(at: str) -> tuple[int, ...]:
+    """The index positions named by the letters of ``at``."""
+    return tuple(INDEX_NAMES.index(x) for x in at)
+
+
 def _reader(table, at: str) -> Callable[[tuple], object]:
     """``idx -> table[idx[p]][idx[q]]...`` at the positions named by ``at``."""
     pos = positions(at)
@@ -650,7 +660,6 @@ class _Stacks:
 
     def __init__(self, sums: Sequence[_Terms]):
         self.sums, self.span = sums, max([1] + [terms.span for terms in sums])
-        self.cache: dict = {}   # pruning supports, keyed by table ids
         self.built: dict = {}   # stacked, packed and folded tables, keyed by ids
 
     @cached_property
@@ -709,49 +718,36 @@ class _Stacks:
 
     def residuals(self, terms: _Terms, sizes: Sequence[int]) -> Iterator[tuple[tuple, int]]:
         """Each nonzero stacked residual of ``terms`` over the ranges
-        ``sizes`` of their indices, with its prefix, evaluated only where
-        some term has all its stacked factors nonzero.  A term of norm 0 is
-        0 and dropped."""
+        ``sizes`` of their indices, with its prefix.  A term of norm 0 is 0
+        and dropped."""
         last = INDEX_NAMES[len(sizes) - 1]
-        plan, found = [], []
+        singles, products, fixed = [], [], []
         for c, norm, (_, grid, *factors) in zip(terms.coeffs, terms.norms, terms):
             if not norm:
                 continue
             right = last in factors[-1][1]
             *other, (t, at) = factors if right else factors[::-1]
             s, rest = self._stacked(t, at, last, grid is None), at.replace(last, "")
-            if rest or s:
-                plan.append((c, grid, s, rest, other, right))
-                found.append((c, grid, *other, *([(s, rest)] if rest else [])))
-
-        def setup() -> Callable[[tuple], int]:
-            singles, products, fixed = [], [], []
-            for c, grid, s, rest, other, right in plan:
-                if grid is None:
-                    singles.append((c, _reader(s, rest)))
-                elif rest:
-                    products.append((c, _reader(*other[0]),
-                                     _reader(self._fold(s, len(rest), grid, right), rest)))
-                elif m := self._fold(s, 0, grid, right):     # the same at every prefix
-                    fixed.append((c, _reader(*other[0]), m.__getitem__))
-
-            def evaluate(idx):
-                r = 0
-                for c, read in singles:
-                    r += c * read(idx)
-                for c, vec, m in fixed:
-                    if u := vec(idx):
-                        r += c * sum(map(mul, map(m, u), u.values()))
-                for c, vec, folded in products:
-                    if (u := vec(idx)) and (m := folded(idx)):
-                        r += c * sum(map(mul, map(m.__getitem__, u), u.values()))
-                return r
-            return evaluate
-
-        evaluate = None
-        for idx in candidates(found, sizes[:-1], self.cache):
-            evaluate = evaluate or setup()
-            if r := evaluate(idx):
+            if grid is None:
+                singles.append((c, _reader(s, rest)))
+            elif rest:
+                products.append((c, _reader(*other[0]),
+                                 _reader(self._fold(s, len(rest), grid, right), rest)))
+            elif m := self._fold(s, 0, grid, right):     # the same at every prefix
+                fixed.append((c, _reader(*other[0]), m.__getitem__))
+        if not (singles or products or fixed):
+            return
+        for idx in itertools.product(*map(range, sizes[:-1])):
+            r = 0
+            for c, read in singles:
+                r += c * read(idx)
+            for c, vec, m in fixed:
+                if u := vec(idx):
+                    r += c * sum(map(mul, map(m, u), u.values()))
+            for c, vec, folded in products:
+                if (u := vec(idx)) and (m := folded(idx)):
+                    r += c * sum(map(mul, map(m.__getitem__, u), u.values()))
+            if r:
                 yield idx, r
 
 
@@ -782,7 +778,7 @@ def _sweep(target: str, identities: Sequence[Identity],
     ``violations`` already found by the caller."""
     tuples += sum(prod(_sizes(arity, dim, module_dim)) for _, arity, _ in identities)
     found = list(violations)
-    if identities:      # a class check sweeps its blocks itself and passes none
+    if identities:      # a split check sweeps its blocks itself and passes none
         found.extend(_violations(identities, dim, module_dim=module_dim))
     found.sort(key=lambda v: (v.identity, v.args))
     return CheckReport(
@@ -794,29 +790,48 @@ def _sweep(target: str, identities: Sequence[Identity],
     )
 
 
-def _blocks(structure: HomStructure) -> list[list[int]]:
-    """The sorted basis indices of each direct-sum block: the connected
-    components of the graph joining ``i`` to ``j`` and to every ``k`` in the
-    support of each stored ``e_i e_j``, and ``r`` to ``c`` at each nonzero
-    twist entry.  Every product and the twist keep each block, and a product
-    of two blocks is zero."""
-    root = list(range(structure.dim))
+def _sweep_blocks(target: str, parts: Iterable[tuple[list[int], list[int], list[Identity]]],
+                  dim: int, start: float, *, module_dim: int = 0) -> CheckReport:
+    """The report of a check split along direct-sum blocks: ``parts`` gives
+    each swept block's sorted base indices, those of its last index and its
+    identities (the same for every block), whose violations are re-indexed
+    through them.  A tuple mixing blocks counts as checked: it is zero."""
+    found: list[Violation] = []
+    for base, last, identities in parts:
+        found.extend(Violation(v.identity, (*[base[x] for x in v.args[:-1]], last[v.args[-1]]),
+                               {last[k]: r for k, r in v.residual.items()})
+                     for v in _violations(identities, len(base), module_dim=len(last)))
+    tuples = sum(prod(_sizes(arity, dim, module_dim)) for _, arity, _ in identities)
+    return _sweep(target, (), dim, start, violations=found, tuples=tuples)
+
+
+def _components(size: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The sorted vertices of each connected component of the graph on
+    ``range(size)`` with ``edges``, by union-find with path halving."""
+    root = list(range(size))
 
     def find(x: int) -> int:
         while root[x] != x:
-            x = root[x]
+            root[x] = x = root[root[x]]
         return x
 
-    edges = [(i, k) for tensor in structure.products.values()
-             for (i, j), cell in tensor.items() for k in (j, *cell)]
-    edges += [(r, c) for r, row in enumerate(structure.twist)
-              for c, v in enumerate(row) if v]
     for x, y in edges:
         root[find(x)] = find(y)
     blocks: dict[int, list[int]] = {}
-    for x in range(structure.dim):
+    for x in range(size):
         blocks.setdefault(find(x), []).append(x)
     return list(blocks.values())
+
+
+def _edges(structure: HomStructure) -> list[tuple[int, int]]:
+    """``i`` to ``j`` and to every ``k`` in the support of each stored
+    ``e_i e_j``, and ``r`` to ``c`` at each nonzero twist entry: the
+    components of this graph are the direct-sum blocks, as every product and
+    the twist keep each and a product of two is zero."""
+    edges = [(i, k) for tensor in structure.products.values()
+             for (i, j), cell in tensor.items() for k in (j, *cell)]
+    return edges + [(r, c) for r, row in enumerate(structure.twist)
+                    for c, v in enumerate(row) if v]
 
 
 def _restrict(structure: HomStructure, block: list[int]) -> HomStructure:
@@ -853,20 +868,15 @@ def check(structure: HomStructure, cls: StructureClass, *,
             f"{sorted(r.value for r in needed)}; structure has "
             f"{sorted(r.value for r in structure.roles())}"
         )
-    found: list[Violation] = []
-    parts = [(block, _restrict(structure, block)) for block in _blocks(structure)]
+    parts = [(block, _restrict(structure, block))
+             for block in _components(structure.dim, _edges(structure))]
     # a block whose products are all zero has only zero residuals, since
     # every term reads a product; one is swept regardless, for the arities
-    for block, part in [bp for bp in parts if any(bp[1].products.values())] or parts[:1]:
-        identities = _CLASS_IDENTITIES[cls](part.only(needed))
-        if multiplicativity:
-            identities.extend(_mult_identities(part, part.products))
-        found.extend(Violation(v.identity, tuple(block[x] for x in v.args),
-                               {block[k]: r for k, r in v.residual.items()})
-                     for v in _violations(identities, part.dim))
-    # every block sweeps the same identities; a tuple mixing blocks is zero
-    tuples = sum(structure.dim ** arity for _, arity, _ in identities)
-    return _sweep(cls.value, (), structure.dim, start, violations=found, tuples=tuples)
+    return _sweep_blocks(cls.value, (
+        (block, block, _CLASS_IDENTITIES[cls](part.only(needed))
+         + (_mult_identities(part, part.products) if multiplicativity else []))
+        for block, part in [p for p in parts if any(p[1].products.values())] or parts[:1]),
+        structure.dim, start)
 
 
 def check_morphism(f: Matrix, source: HomStructure, target: HomStructure,

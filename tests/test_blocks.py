@@ -1,11 +1,12 @@
-"""Class checks split along direct-sum blocks.
+"""Class and representation checks split along direct-sum blocks.
 
 ``check`` sweeps each block of a structure on its own.  On a block sum of
 random summands, moved by a random signed permutation of the basis, its
 report must be the summands' reports merged and re-indexed through the
 embedding.  The two cases that must not split, a twist or a product output
 that couples product blocks, are compared with dense evaluations in
-``test_differential.py``.
+``test_differential.py``, as are representation checks of block sums and
+of blocks coupled by one action entry.
 """
 from __future__ import annotations
 
@@ -17,9 +18,20 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from homalg import CLASS_ROLES, StructureClass, check, make_structure
-from homalg import pruning
-from homalg.structures import _CLASS_IDENTITIES
+from homalg import (
+    CLASS_ROLES,
+    PRE_ALTERNATIVE_ACTIONS,
+    PRE_MALCEV_ACTIONS,
+    ActionRole,
+    ProductRole,
+    Representation,
+    StructureClass,
+    check,
+    check_rep,
+    make_structure,
+    structures,
+)
+from homalg.structures import _CLASS_IDENTITIES, positions
 
 F = Fraction
 C = StructureClass
@@ -132,5 +144,37 @@ def test_every_term_reads_every_index():
         for label, arity, terms in identities:
             assert not callable(terms), label
             for _, _, *factors in terms:
-                read = {p for _, at in factors for p in pruning.positions(at)}
+                read = {p for _, at in factors for p in positions(at)}
                 assert read == set(range(arity)), (cls, label)
+
+
+def test_every_rep_term_reads_every_index(monkeypatch):
+    """A representation check is split exactly only while each term of each
+    axiom reads every index, base and module: then it is zero at every tuple
+    that mixes blocks.  The axioms are read where ``check_rep`` sweeps them,
+    on dense dim-2 inputs."""
+    swept, real = [], structures._violations
+
+    def violations(identities, dim, *, module_dim):
+        swept.extend(identities)
+        return real(identities, dim, module_dim=module_dim)
+
+    monkeypatch.setattr(structures, "_violations", violations)
+    dense = {(i, j): {k: F(1 + i + j + k) for k in range(2)}
+             for i, j in itertools.product(range(2), repeat=2)}
+    slices = tuple(((F(1 + i), F(2)), (F(3), F(4 + i))) for i in range(2))
+    for cls, roles, actions in (
+            (C.HOM_MALCEV, (ProductRole.BRACKET,), (ActionRole.RHO,)),
+            (C.HOM_PRE_MALCEV, (ProductRole.DOT,), PRE_MALCEV_ACTIONS),
+            (C.HOM_PRE_ALTERNATIVE, (ProductRole.PREC, ProductRole.SUCC),
+             PRE_ALTERNATIVE_ACTIONS)):
+        base = make_structure(2, products=dict.fromkeys(roles, dense))
+        check_rep(Representation(base=base, module_dim=2, module_twist=slices[1],
+                                 actions=dict.fromkeys(actions, slices)),
+                  cls, equivariance=True)
+    # MREP-*, PMREP-1..4, PABM-1..10 and PA-EQ-* (pre-Malcev repeats MREP-*)
+    assert len({label for label, _, _ in swept}) == 2 + 4 + 10 + 4
+    for label, arity, terms in swept:
+        for _, _, *factors in terms:
+            read = {p for _, at in factors for p in positions(at)}
+            assert read == set(range(arity)), label

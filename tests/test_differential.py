@@ -36,7 +36,7 @@ from homalg import (
     make_structure,
     regular_pre_malcev_rep,
 )
-from homalg import pruning, structures
+from homalg import structures
 from homalg.fixtures import fixture_path
 from homalg.structures import _CLASS_IDENTITIES
 
@@ -307,8 +307,10 @@ def commutator_table(c):
 
 @settings(max_examples=25, deadline=None, phases=UNSHRUNK)
 @given(st.sampled_from(["hom-malcev", "hom-malcev-admissible"]),
-       st.just(2).flatmap(lambda n: st.tuples(table_st(n), dense_st(n, n))))
+       st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(table_st(n), dense_st(n, n))))
 def test_bracket_law_residuals_match_dense_fraction_evaluation(cls, data):
+    """At dim 2 a commutator bracket makes HM-JAC's Jacobian term and
+    HM-EXP's first term vanish identically, so dim 3 is drawn too."""
     c, a = data
     role = ProductRole.BRACKET if cls == "hom-malcev" else ProductRole.STAR
     structure = make_structure(len(a), twist=a, products={role: tensor_of(c)})
@@ -684,19 +686,13 @@ SPARSE_CLASSES = {
 @given(data=st.data())
 def test_sparse_class_residuals_match_dense_fraction_evaluation(shape, cls, data):
     """Most tuples of these inputs have a zero factor in every term, so a
-    sweep that skips tuples must still report every nonzero residual and
-    count every tuple.  Inputs this small are swept in full unless the
-    search for the tuples to visit is forced, so the check runs both ways."""
+    sweep that skips tuples (a block sum is split along its blocks) must
+    still report every nonzero residual and count every tuple."""
     roles, residuals, max_dim = SPARSE_CLASSES[cls]
     tables, a = data.draw(shape(len(roles), max_dim))
     structure = make_structure(len(a), twist=a, products={
         role: tensor_of(c) for role, c in zip(roles, tables)})
-    want = residuals(*tables, a)
-    assert_matches(check(structure, StructureClass(cls)), want)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pruning, "PLAN_COST", 0)
-        mp.setattr(pruning, "PRUNE_BELOW_FILL", float("inf"))
-        assert_matches(check(structure, StructureClass(cls)), want)
+    assert_matches(check(structure, StructureClass(cls)), residuals(*tables, a))
 
 
 #: numerators near 2**100 over the coprime denominators: every residual
@@ -861,9 +857,9 @@ def test_pre_malcev_rep_residual_columns_match_dense_fraction_evaluation(m, data
 def test_pruned_rep_sweep_matches_dense_fraction_evaluation(monkeypatch):
     """premalcev_dim2 summed twice, with its regular rep and one entry of its
     right action joining the two blocks: most tuples have an empty factor in
-    every term, so a pruned sweep visits few, yet every residual column is
-    found.  Its tables are built with exactly the ``grid_mul`` calls of two
-    nonzero operands."""
+    every term, and the joined rep is swept whole, yet every residual column
+    is found.  Its tables are built with exactly the ``grid_mul`` calls of
+    two nonzero operands."""
     base = load_bundle(fixture_path("premalcev_dim2")).structure
     assert all(base.twist[r][s] == (r == s) for r in range(base.dim)
                for s in range(base.dim))
@@ -882,17 +878,12 @@ def test_pruned_rep_sweep_matches_dense_fraction_evaluation(monkeypatch):
     rep = Representation(base=structure, module_dim=n, module_twist=eye,
                          actions={ActionRole.LEFT: ell, ActionRole.RIGHT: arr})
 
-    calls, visited = [0], [0]
-    real_mul, real_candidates = structures.grid_mul, structures.candidates
+    calls = [0]
+    real_mul = structures.grid_mul
 
     def grid_mul(*args):
         calls[0] += 1
         return real_mul(*args)
-
-    def candidates(terms, sizes, cache):
-        for idx in real_candidates(terms, sizes, cache):
-            visited[0] += 1
-            yield idx
 
     want = {}
     for (label, args), res in pre_malcev_rep_residuals(c, eye, ell, arr, eye).items():
@@ -903,12 +894,6 @@ def test_pruned_rep_sweep_matches_dense_fraction_evaluation(monkeypatch):
     assert_matches(report, want)
     assert not report.passed
     assert calls[0] == 92
-    # a sweep this small visits every tuple unless the search is forced
-    monkeypatch.setattr(structures, "candidates", candidates)
-    monkeypatch.setattr(pruning, "PLAN_COST", 0)
-    monkeypatch.setattr(pruning, "PRUNE_BELOW_FILL", float("inf"))
-    assert_matches(check_rep(rep, StructureClass.HOM_PRE_MALCEV), want)
-    assert 0 < visited[0] * 10 < report.tuples_checked
 
 
 # ---------------------------------------------------------------------------
@@ -1018,6 +1003,140 @@ def test_pre_alternative_rep_residual_columns_match_dense_fraction_evaluation(
     assert_matches_columns(
         report, pre_alternative_rep_residuals(cp, cs, a, *slices, beta), m)
     assert report.tuples_checked == (10 * n ** 2 + 4 * n) * m
+
+
+# ---------------------------------------------------------------------------
+# representation axioms on inputs with structured zeros
+# ---------------------------------------------------------------------------
+
+A_ = ActionRole
+
+#: rep class -> (product roles of the base, action roles, dense evaluation
+#: of its axioms from the tables of those roles, the twist, the action
+#: slices and the module twist)
+REP_CLASSES = {
+    "hom-malcev": ((R_.BRACKET,), (A_.RHO,), malcev_rep_residuals),
+    "hom-pre-malcev": ((R_.DOT,), (A_.LEFT, A_.RIGHT), pre_malcev_rep_residuals),
+    "hom-pre-alternative": ((R_.PREC, R_.SUCC),
+                            (A_.LEFT_PREC, A_.RIGHT_PREC, A_.LEFT_SUCC, A_.RIGHT_SUCC),
+                            pre_alternative_rep_residuals),
+}
+
+
+def move(x, axes, scale=1):
+    """The nested lists ``x`` with each entry ``x[i][j]...`` moved to
+    ``[perm[i]][perm'[j]]...`` and scaled by ``sign[i] * sign'[j] * ...``,
+    for the ``(perm, sign)`` of each axis in ``axes``."""
+    if not axes:
+        return scale * x
+    (perm, sign), *rest = axes
+    out = [None] * len(x)
+    for i, row in enumerate(x):
+        out[perm[i]] = move(row, rest, scale * sign[i])
+    return out
+
+
+@st.composite
+def rep_block_sum_st(draw, cls: str, coupling: str | None):
+    """A representation of ``cls`` that is a direct sum of random blocks, each
+    of base and module dimension 0-2 (block-diagonal twists and actions, the
+    actions with no zero entry inside a block), moved by random signed
+    permutations of base and module: ``(sizes, tables, a, slices, beta)``.
+    With a ``coupling`` there are two blocks, each with base and module
+    vectors, and they are joined by one action entry ``rho(e_i)[r][b]`` with
+    ``i`` in the first and ``r``, ``b`` or both in the second, or by one
+    module twist entry ``beta[r][b]`` with ``r`` in the first and ``b`` in
+    the second."""
+    roles, actions, _ = REP_CLASSES[cls]
+    if coupling:
+        sizes = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),
+                              min_size=2, max_size=2))
+    else:
+        sizes = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2))
+                              .filter(any), min_size=2, max_size=3)
+                     .filter(lambda s: 0 < sum(n for n, _ in s) <= 4
+                             and 0 < sum(m for _, m in s) <= 4))
+    n, m = sum(b for b, _ in sizes), sum(c for _, c in sizes)
+    entry = st.builds(F, st.sampled_from([*range(-9, 0), *range(1, 10)]),
+                      st.sampled_from(COPRIME_DENS))
+    tables = [[zeros(n) for _ in range(n)] for _ in roles]
+    a, beta = zeros(n), zeros(m)
+    slices = [[zeros(m) for _ in range(n)] for _ in actions]
+    off = moff = 0
+    for nb, mb in sizes:
+        for t in tables:
+            block = draw(table_st(nb))
+            for i, j, k in itertools.product(range(nb), repeat=3):
+                t[off + i][off + j][off + k] = block[i][j][k]
+        for size, at, dst in ((nb, off, a), (mb, moff, beta)):
+            block = draw(dense_st(size, size))
+            for r, c in itertools.product(range(size), repeat=2):
+                dst[at + r][at + c] = block[r][c]
+        for s, r, c in itertools.product(slices, range(mb), range(mb)):
+            for i in range(nb):
+                s[off + i][moff + r][moff + c] = draw(entry)
+        off, moff = off + nb, moff + mb
+    first, second = st.integers(0, sizes[0][1] - 1), st.integers(sizes[0][1], m - 1)
+    if coupling == "action":
+        i = draw(st.integers(0, sizes[0][0] - 1))
+        r, b = draw(st.sampled_from([(second, second), (second, first), (first, second)]))
+        draw(st.sampled_from(slices))[i][draw(r)][draw(b)] = draw(entry)
+    elif coupling == "module-twist":
+        beta[draw(first)][draw(second)] = draw(entry)
+    base, mod = ((draw(st.permutations(range(k))),
+                  draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k)))
+                 for k in (n, m))
+    return (sizes, [move(t, [base] * 3) for t in tables], move(a, [base] * 2),
+            [move(s, [base, mod, mod]) for s in slices], move(beta, [mod] * 2))
+
+
+def rep_block_sum_case(cls, data, coupling):
+    """Check a drawn block-sum representation of ``cls`` against the dense
+    evaluation; returns the base and module dimensions of each sweep, those
+    of the drawn blocks and those of the representation."""
+    roles, actions, residuals = REP_CLASSES[cls]
+    sizes, tables, a, slices, beta = data.draw(rep_block_sum_st(cls, coupling))
+    n, m = len(a), len(beta)
+    base = make_structure(n, twist=a, products={
+        role: tensor_of(c) for role, c in zip(roles, tables)})
+    rep = Representation(base=base, module_dim=m, module_twist=beta,
+                         actions=dict(zip(actions, slices)))
+    swept, real = [], structures._violations
+
+    def violations(identities, dim, *, module_dim):
+        swept.append((dim, module_dim))
+        return real(identities, dim, module_dim=module_dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures, "_violations", violations)
+        report = check_rep(rep, StructureClass(cls), equivariance=True)
+    assert_matches_columns(report, residuals(*tables, a, *slices, beta), m)
+    return swept, sizes, n, m
+
+
+@pytest.mark.parametrize("cls", sorted(REP_CLASSES))
+@settings(max_examples=10, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_rep_block_sum_residuals_match_dense_fraction_evaluation(cls, data):
+    """A representation that is a direct sum is swept one block at a time,
+    each block with base and module vectors on its own (the whole if there
+    is none), and still reports every residual column of the whole and
+    counts every tuple."""
+    swept, sizes, n, m = rep_block_sum_case(cls, data, None)
+    assert sorted(swept) == (sorted(b for b in sizes if all(b)) or [(n, m)])
+
+
+@pytest.mark.parametrize("coupling", ["action", "module-twist"])
+@pytest.mark.parametrize("cls", sorted(REP_CLASSES))
+@settings(max_examples=4, deadline=None, phases=UNSHRUNK)
+@given(data=st.data())
+def test_rep_coupled_blocks_are_swept_whole(cls, coupling, data):
+    """One action entry that acts from one block on another, or one module
+    twist entry that maps one block's module into the other's, makes them
+    one block: the representation is swept whole and every residual is
+    found."""
+    swept, _, n, m = rep_block_sum_case(cls, data, coupling)
+    assert swept == [(n, m)]
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,24 @@ def test_diagram_t2_pair_is_honest_negative():
     assert not report.paths_equal
 
 
+def test_diagram_checks_each_operator_once_per_structure(monkeypatch):
+    """The diagram checks its two witnesses on the alternative algebra and
+    each recipe checks its witnesses on its input: six distinct (structure,
+    witness) pairs, each swept once."""
+    from homalg import operators
+
+    seen, real = [], operators.check_operator
+
+    def check_operator(structure, w):
+        seen.append((id(structure), id(w)))
+        return real(structure, w)
+
+    monkeypatch.setattr(operators, "check_operator", check_operator)
+    r1, r2 = support.t2_rb_ops()
+    verify_diagram(support.t2(), r1, r2)
+    assert len(seen) == len(set(seen)) == 6
+
+
 def test_diagram_node_tuple_counts_scale_with_dim():
     zero = OperatorWitness(kind=KIND_ROTA_BAXTER, matrix=mat_zero(8, 8))
     report = verify_diagram(support.octonions(), zero, zero)

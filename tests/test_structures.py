@@ -27,7 +27,6 @@ from homalg.exact import (
     tensor_grid,
     tensor_sub,
 )
-from homalg.pruning import candidates
 from support import densify, sparse, vector
 
 F = Fraction
@@ -394,14 +393,6 @@ def test_morphism_twist_law_between_wide_structures_without_products():
     assert report.tuples_checked == n
 
 
-def test_candidates_over_one_index_are_tuples():
-    """A search for candidates over one index yields 1-tuples, as over
-    several, when it plans."""
-    table = [{}] * 64
-    table[5] = {0: 1}
-    assert list(candidates([(1, None, (table, "i"))], (64,), {})) == [(5,)]
-
-
 def test_product_eval_matches_table():
     s = support.lie2()
     t = s.products[R.BRACKET]
@@ -499,33 +490,26 @@ def test_table_builds_skip_empty_operands(monkeypatch, build, cls, calls):
     assert len(seen) == calls
 
 
-def test_sweep_packs_only_the_grids_of_identities_it_visits(monkeypatch):
-    """An identity's packed evaluator is set up at its first candidate tuple:
-    on the G7 dim-16 sum, with the search for candidates forced, an identity
-    with no candidate packs no grid, and each grid read by some visited
-    identity is packed once per block."""
+def test_sweep_packs_each_grid_it_reads_once(monkeypatch):
+    """On the G7 dim-16 sum, each block's sweep packs exactly the grids of
+    its product terms of nonzero norm, each once."""
     import homalg.structures as structures
-    from homalg import pruning
 
-    monkeypatch.setattr(pruning, "PLAN_COST", 0)
-    packed, swept, visited = [], [], []
-    real_pack, real_candidates = structures.grid_pack, structures.candidates
+    packed, sums = [], []
+    real_pack, real_stacks = structures.grid_pack, structures._Stacks
 
     def grid_pack(cells, w):
         packed.append(cells)
         return real_pack(cells, w)
 
-    def candidates(terms, sizes, cache):
-        found = list(real_candidates(terms, sizes, cache))
-        swept.append(terms)
-        if found:
-            visited.append(terms)
-        return found
+    def stacks(terms):
+        sums.extend(terms)
+        return real_stacks(terms)
 
     monkeypatch.setattr(structures, "grid_pack", grid_pack)
-    monkeypatch.setattr(structures, "candidates", candidates)
+    monkeypatch.setattr(structures, "_Stacks", stacks)
     assert check(diagonal_copies("mdendri_sl2", 5, 16), C.HOM_M_DENDRIFORM).passed
-    assert 0 < len(visited) < len(swept)
-    want = {id(grid.ints) for terms in visited for _, grid, *_ in terms if grid is not None}
+    want = {id(grid.ints) for terms in sums
+            for norm, (_, grid, *_) in zip(terms.norms, terms) if grid is not None and norm}
     assert len(packed) == len(want) == len({id(cells) for cells in packed})
     assert {id(cells) for cells in packed} == want
