@@ -19,11 +19,9 @@ from .exact import (
     Grid,
     Ivec,
     Matrix,
-    Table,
     Tensor,
     apply_cols,
     as_fraction,
-    as_imat,
     grid_mul,
     mat_cols,
     mat_fractions,
@@ -41,11 +39,13 @@ from .exact import (
     tensor_grid,
 )
 from .reps import (
+    ACTION_NAMES,
     ActionRole,
     MALCEV_ACTIONS,
     PRE_ALTERNATIVE_ACTIONS,
     PRE_MALCEV_ACTIONS,
     Representation,
+    _ACTION_OF,
     _cols_matrix,
 )
 from .structures import (
@@ -57,10 +57,10 @@ from .structures import (
     RoleMismatch,
     UnknownKind,
     Violation,
-    _columns,
-    _composed,
+    _compile,
+    _grids,
+    _role_laws,
     _sweep,
-    _twisted,
     check_morphism,
     make_structure,
 )
@@ -153,44 +153,57 @@ class BilinearForm(Record):
 # operator verification
 # ---------------------------------------------------------------------------
 
-def _basis(n: int) -> Table:
-    """The basis vectors, as a one-index table."""
-    return Table(sv_basis(n), 1, 1, n)
+P, A = ProductRole, ActionRole
+
+#: by action roles: whether a structure needs all or any of the products the
+#: laws read, what it is told otherwise, and the O-operator law of each,
+#: ``T e_x * T e_y - T(X(T e_x) e_y +/- Y(T e_y) e_x)``
+_OOP_LAWS: dict[frozenset[ActionRole], tuple] = {
+    MALCEV_ACTIONS: (all, "a rho-action operator check needs the bracket role", {
+        P.BRACKET: "+com(T.i, T.j) - T.rho(T.i, j) + T.rho(T.j, i)"}),
+    PRE_MALCEV_ACTIONS: (any, "a left/right-action operator check needs the dot or star role", {
+        P.DOT: "+dot(T.i, T.j) - T.left(T.i, j) - T.right(T.j, i)",
+        P.STAR: "+star(T.i, T.j) - T.left(T.i, j) - T.right(T.j, i)"}),
+    PRE_ALTERNATIVE_ACTIONS: (all, "a split-action operator check needs the prec and succ roles", {
+        P.PREC: "+prec(T.i, T.j) - T.lp(T.i, j) - T.rp(T.j, i)",
+        P.SUCC: "+succ(T.i, T.j) - T.ls(T.i, j) - T.rs(T.j, i)"}),
+}
+
+
+def _rep_grids(structure: HomStructure, rep: Representation):
+    """The grid a law names: an action of ``rep`` or a product of ``structure``."""
+    products = _grids(structure)
+    return lambda name: rep.grid(_ACTION_OF[name]) if name in _ACTION_OF else products(name)
+
+
+#: RB-<role> by weight zero or not: R e_i * R e_j - R(R e_i * e_j + e_i * R e_j
+#: + lam e_i * e_j), where R(R e_i * e_j + lam e_i * e_j) is the product of
+#: (R + lam) e_i, named Rl, and e_j on the grid of R after the product
+_RB_LAWS = {weighted: _role_laws("RB", 2, "+{g}(R.i, R.j) - R.{g}(%s.i, j) - R.{g}(i, R.j)"
+                                 % ("Rl" if weighted else "R")) for weighted in (False, True)}
 
 
 def _rota_baxter_identities(structure: HomStructure,
                             w: OperatorWitness) -> list[Identity]:
-    """RB-<role> = R e_i * R e_j - R(R e_i * e_j + e_i * R e_j + lam e_i * e_j)
-    for every stored product, and RB-TWIST = a R e_i - R a e_i.  The outer R
-    is read on the grid of R after the product: R(R e_i * e_j + lam e_i *
-    e_j) is its product of (R + lam) e_i and e_j."""
+    """RB-<role> for every stored product, and RB-TWIST."""
     n = structure.dim
     if mat_shape(w.matrix) != (n, n):
         raise DimensionMismatch(
             f"operator is {mat_shape(w.matrix)[0]}x{mat_shape(w.matrix)[1]} "
             f"but the structure has dimension {n}"
         )
-    rm, am = as_imat(w.matrix), as_imat(structure.twist)
-    r, e = _columns(rm), _basis(n)
-    r_lam = w.weight and _columns([[v + w.weight * (x == y) for y, v in enumerate(row)]
-                                   for x, row in enumerate(w.matrix)]) or r
-    identities = []
-    for role in sorted(structure.products, key=lambda r: r.value):
-        grid = structure.grid(role)
-        r_of = _composed(r, grid)                                   # R(e_x * e_y)
-        identities.append((f"RB-{role.value}", 2, [(1, grid, (r, "i"), (r, "j")),
-                                                   (-1, r_of, (r_lam, "i"), (e, "j")),
-                                                   (-1, r_of, (e, "i"), (r, "j"))]))
-    twist = mat_sub(mat_mul(am, rm), mat_mul(rm, am))
-    identities.append(("RB-TWIST", 1, [(1, None, (_columns(twist), "i"))]))
-    return identities
+    maps = {"R": w.matrix, "a": structure.twist}
+    if w.weight:
+        maps["Rl"] = [[v + w.weight * (x == y) for y, v in enumerate(row)]
+                      for x, row in enumerate(w.matrix)]
+    laws = tuple(map(_RB_LAWS[bool(w.weight)].__getitem__, structure.products)) + (
+        ("RB-TWIST", 1, "+a.R.i - R.a.i"),)
+    return _compile(laws)(_grids(structure), maps, n)
 
 
 def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identity]:
-    """OOP-TWIST = a T e_x - T beta e_x, and for each product with its
-    (left, right) action pair
-    ``T e_x * T e_y - T(left(T e_x) e_y +/- right(T e_y) e_x)`` over module
-    basis pairs, each outer T read on the grid of T after its action."""
+    """OOP-TWIST and the law of each product the action pair reads (see
+    ``_OOP_LAWS``), over module basis pairs."""
     rep = w.rep
     assert rep is not None
     n, m = structure.dim, rep.module_dim
@@ -198,45 +211,17 @@ def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identit
         raise DimensionMismatch(
             f"representation base has dimension {rep.base.dim}, structure {n}"
         )
-    roles = rep.roles()
-    # (product, left action, right action, sign of the right term)
-    if roles == MALCEV_ACTIONS:
-        if ProductRole.BRACKET not in structure.products:
-            raise RoleMismatch("a rho-action operator check needs the bracket role")
-        laws = [(ProductRole.BRACKET, ActionRole.RHO, ActionRole.RHO, -1)]
-    elif roles == PRE_MALCEV_ACTIONS:
-        laws = [(role, ActionRole.LEFT, ActionRole.RIGHT, 1)
-                for role in (ProductRole.DOT, ProductRole.STAR)
-                if role in structure.products]
-        if not laws:
-            raise RoleMismatch(
-                "a left/right-action operator check needs the dot or star role"
-            )
-    elif roles == PRE_ALTERNATIVE_ACTIONS:
-        if not {ProductRole.PREC, ProductRole.SUCC} <= structure.roles():
-            raise RoleMismatch(
-                "a split-action operator check needs the prec and succ roles"
-            )
-        laws = [
-            (ProductRole.PREC, ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC, 1),
-            (ProductRole.SUCC, ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC, 1),
-        ]
-    else:
+    if rep.roles() not in _OOP_LAWS:
         raise RoleMismatch(
-            f"no operator identity for action roles {sorted(r.value for r in roles)}"
+            f"no operator identity for action roles {sorted(r.value for r in rep.roles())}"
         )
-    tm = as_imat(w.matrix)
-    t, f = _columns(tm), _basis(m)
-    # the grid of T after each action: T(X(T e_x) e_y) is its product of T e_x and e_y
-    t_of = {x: _composed(t, rep.grid(rep.action(x))) for _, *acts, _ in laws for x in acts}
-    twist = mat_sub(mat_mul(structure.twist, tm), mat_mul(tm, rep.module_twist))
-    identities = [("OOP-TWIST", 1, [(1, None, (_columns(twist), "i"))])]
-    identities.extend(
-        (f"OOP-{role.value}", 2, [(1, structure.grid(role), (t, "i"), (t, "j")),
-                                  (-1, t_of[left], (t, "i"), (f, "j")),
-                                  (-sign, t_of[right], (t, "j"), (f, "i"))])
-        for role, left, right, sign in laws)
-    return identities
+    needs, missing, laws = _OOP_LAWS[rep.roles()]
+    if not needs(role in structure.products for role in laws):
+        raise RoleMismatch(missing)
+    laws = tuple((f"OOP-{role.value}", 2, law) for role, law in laws.items()
+                 if role in structure.products) + (("OOP-TWIST", 1, "+a.T.i - T.b.i"),)
+    return _compile(laws)(_rep_grids(structure, rep), {
+        "T": w.matrix, "a": structure.twist, "b": rep.module_twist}, m)
 
 
 def check_operator(structure: HomStructure, w: OperatorWitness) -> CheckReport:
@@ -339,8 +324,6 @@ def _carrier_structure(structure: HomStructure,
     )
 
 
-P, A = ProductRole, ActionRole
-
 # The families of products an operator T induces.  Each row is one output
 # product (out, X, *, swap): out(x, y) = X(T x) y, or X(T y) x with swap, for
 # an O-operator T on a representation with the action X.  A Rota-Baxter map
@@ -391,7 +374,7 @@ def _induce_compatible(structure: HomStructure, w: OperatorWitness) -> HomStruct
     _require_valid(structure, w, _COMPATIBLE)
     e, ti, t = sv_basis(structure.dim), mat_cols(t_inv), mat_cols(w.matrix)
     return _carrier_structure(structure, {
-        out: _product(rep.grid(rep.action(act)), e, ti, swap, outer=t)
+        out: _product(rep.grid(act), e, ti, swap, outer=t)
         for out, act, _, swap in _FAMILIES["premalcev-to-mdendriform"]}, _COMPATIBLE)
 
 
@@ -417,7 +400,7 @@ def induce(structure: HomStructure, w: OperatorWitness, recipe: str) -> HomStruc
     if form == "oop":
         f = sv_basis(rep.module_dim)
         return make_structure(dim=rep.module_dim, twist=rep.module_twist, products={
-            out: _product(rep.grid(rep.action(act)), t, f, swap)
+            out: _product(rep.grid(act), t, f, swap)
             for out, act, _, swap in rows}, meta={"construction": recipe})
     e, grids = sv_basis(structure.dim), {role: structure.grid(role) for role in roles}
     return _carrier_structure(structure, {
@@ -457,6 +440,14 @@ def _form_grid(b: Matrix) -> Grid:
                         for c, v in enumerate(row) if v}, len(b))
 
 
+#: twist-invariance and the cocycle law of a form against the dot product
+_HESSIAN_LAWS = (
+    ("HESS-INV", 2, "+form(a.i, a.j) - form(i, j)"),
+    ("HESS-COCYCLE", 3, "+form(dot(i, j), a.k) - form(a.i, dot(j, k))"
+                        " - form(dot(j, i), a.k) + form(a.j, dot(i, k))"),
+)
+
+
 def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     """Symmetry, nondegeneracy, twist-invariance, and the cocycle law of a
     bilinear form against the structure's dot product."""
@@ -481,17 +472,11 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     if kernel is not None:
         violations.append(Violation("HESS-NONDEG", (), kernel))
     # each residual is a number, kept as entry 0 of a vector
-    form_grid = _form_grid(b)
-    d = structure.grid(ProductRole.DOT).ints
-    a = _columns(alpha)
-    # HESS-COCYCLE = b(e_i e_j, a e_k) - b(a e_i, e_j e_k) - b(e_j e_i, a e_k) + b(a e_j, e_i e_k)
-    cocycle = [(1, form_grid, (d, "ij"), (a, "k")), (-1, form_grid, (a, "i"), (d, "jk")),
-               (-1, form_grid, (d, "ji"), (a, "k")), (1, form_grid, (a, "j"), (d, "ik"))]
-    # HESS-INV = b(a e_i, a e_j) - b(e_i, e_j)
-    return _sweep("hessian", [("HESS-INV", 2, [(1, form_grid, (a, "i"), (a, "j")),
-                                               (-1, None, (form_grid.ints, "ij"))]),
-                              ("HESS-COCYCLE", 3, cocycle)],
-                  n, start, violations=violations, tuples=n * (n - 1) // 2 + 1)
+    form_grid, grid = _form_grid(b), _grids(structure)
+    identities = _compile(_HESSIAN_LAWS)(
+        lambda name: form_grid if name == "form" else grid(name), {"a": alpha}, n)
+    return _sweep("hessian", identities, n, start, violations=violations,
+                  tuples=n * (n - 1) // 2 + 1)
 
 
 def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructure:
@@ -534,6 +519,10 @@ def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructur
 # operator endomorphisms
 # ---------------------------------------------------------------------------
 
+#: ENDO-X: phiA and phiV intertwine the action X
+_ENDO_LAWS = _role_laws("ENDO", 2, "+{g}(pa.i, pv.j) - pv.{g}(i, j)", ACTION_NAMES)
+
+
 def check_oop_endomorphism(w: OperatorWitness, phiA: Matrix,
                            phiV: Matrix) -> bool:
     """True when the pair intertwines the operator and both actions."""
@@ -549,16 +538,9 @@ def check_oop_endomorphism(w: OperatorWitness, phiA: Matrix,
     if mat_shape(phiV) != (m, m):
         raise DimensionMismatch(f"module map must be {m}x{m}, got {mat_shape(phiV)}")
     start = time.perf_counter()
-    pa, pv = _columns(phiA), _columns(phiV)
-    # ENDO-OP = T phiV e_b - phiA T e_b, and for each action X
-    # ENDO-X = X(phiA e_i) phiV e_b - phiV X(e_i) e_b
-    identities = [("ENDO-OP", 1, [(1, None, (_columns(
-        mat_sub(mat_mul(w.matrix, phiV), mat_mul(phiA, w.matrix))), "i"))])]
-    for role in sorted(rep.actions, key=lambda r: r.value):
-        grid = rep.grid(rep.action(role))
-        identities.append((f"ENDO-{role.value}", 2, [
-            (1, grid, (pa, "i"), (pv, "j")), (-1, None, (_twisted(pv, grid.ints), "ij"))]))
-    return _sweep("oop-endomorphism", identities, n, start, module_dim=m).passed
+    laws = (("ENDO-OP", 1, "+T.pv.i - pa.T.i"),) + tuple(map(_ENDO_LAWS.__getitem__, rep.actions))
+    return _sweep("oop-endomorphism", _compile(laws)(_rep_grids(rep.base, rep), {
+        "T": w.matrix, "pa": phiA, "pv": phiV}, n, m), n, start, module_dim=m).passed
 
 
 def twist_oop_setup(structure: HomStructure, w: OperatorWitness, phiA: Matrix,

@@ -15,7 +15,6 @@ import time
 from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from .exact import (
@@ -45,23 +44,21 @@ from .exact import (
 from .structures import (
     CheckReport,
     HomStructure,
-    Identity,
+    Law,
     ProductRole,
     Record,
     RoleMismatch,
     StructureClass,
-    _columns,
+    _ROLE_OF,
+    _SPLITTING_LAWS,
+    _compile,
     _components,
     _edges,
-    _left_a,
     _mult_identities,
-    _pair,
     _restrict,
-    _right_a,
+    _role_laws,
     _sweep,
     _sweep_blocks,
-    _twist_cols,
-    _twisted,
     make_structure,
 )
 
@@ -136,148 +133,74 @@ class Representation(Record):
 
     def action(self, role: ActionRole) -> Tensor:
         """Action ``role`` as a product tensor base x module -> module: ``(s, b)``
-        maps to ``role(e_s) e_b``, column ``b`` of slice ``s``."""
-        return {(s, b): cell for s, mat in enumerate(self.actions[role])
-                for b in range(self.module_dim)
-                if (cell := {r: row[b] for r, row in enumerate(mat) if row[b]})}
+        maps to ``role(e_s) e_b``, column ``b`` of slice ``s``; built once per
+        representation."""
+        actions = self.__dict__.setdefault("_actions", {})
+        if role not in actions:
+            actions[role] = {(s, b): cell for s, mat in enumerate(self.actions[role])
+                             for b in range(self.module_dim)
+                             if (cell := {r: row[b] for r, row in enumerate(mat) if row[b]})}
+        return actions[role]
 
-    def grid(self, action: Tensor) -> Grid:
-        """The grid of an action tensor (one :meth:`action`, or a sum)."""
-        return tensor_grid(action, self.base.dim, self.module_dim)
-
-
-def _malcev_action_identities(base: HomStructure, act: Grid,
-                              beta: Matrix) -> list[Identity]:
-    """The equivariance and four-term laws of the Malcev-type action ``act``
-    of the bracket of ``base`` on a module twisted by ``beta``:
-    MREP-EQ = rho(a e_i) beta - beta rho(e_i),
-    MREP-4T = rho([[e_i,e_j],a e_k]) beta^2 - rho(a^2 e_i) rho(a e_j) rho(e_k)
-        + rho(a^2 e_k) rho(a e_i) rho(e_j) - rho(a^2 e_j) rho([e_k,e_i]) beta
-        + rho(a[e_j,e_k]) rho(a e_i) beta."""
-    grid = base.grid(ProductRole.BRACKET)
-    cell, rho = grid.ints, act.ints
-    a, a2 = _twist_cols(base.twist)
-    b, b2 = _twist_cols(beta)
-    rho_b = _pair(act, a, b)                # rho(a e_x) beta e_y
-    rho_rho = _left_a(act, a, rho)          # rho(a e_x) rho(e_y) e_z
-    return [
-        ("MREP-EQ", 2, [(1, None, (rho_b, "ij")), (-1, None, (_twisted(b, rho), "ij"))]),
-        ("MREP-4T", 4, [(1, act, (_right_a(grid, cell, a), "ijk"), (b2, "l")),
-                        (-1, act, (a2, "i"), (rho_rho, "jkl")),
-                        (1, act, (a2, "k"), (rho_rho, "ijl")),
-                        (-1, act, (a2, "j"), (_right_a(act, cell, b), "kil")),
-                        (1, act, (_twisted(a, cell), "jk"), (rho_b, "il"))]),
-    ]
+    def grid(self, role: ActionRole) -> Grid:
+        """The grid of the action ``role``, built once per representation."""
+        grids = self.__dict__.setdefault("_grids", {})
+        if role not in grids:
+            grids[role] = tensor_grid(self.action(role), self.base.dim, self.module_dim)
+        return grids[role]
 
 
-def _pre_malcev_rep_identities(base: HomStructure, beta: Matrix,
-                               actions: Mapping[ActionRole, Tensor], m: int) -> list[Identity]:
-    """The Malcev laws of the left action ``l`` over the commutator of the
-    dot product (the base read on that product only) on a module of
-    dimension ``m`` twisted by ``beta``, and, with rho = l - r:
-    PMREP-1 = beta r(e_i) - r(a e_i) beta,
-    PMREP-2 = r(a^2 e_i) rho(a e_j) rho(e_k) - r((a e_k)(e_j e_i)) beta^2
-        + l(a^2 e_j) r(e_k e_i) beta + l(a[e_j,e_k]) r(a e_i) beta
-        - l(a^2 e_k) r(a e_i) rho(e_j),
-    PMREP-3 = l(a^2 e_j) l(a e_k) r(e_i) - r(a^2 e_i) rho(a e_j) rho(e_k)
-        - l(a^2 e_k) r(e_j e_i) beta - r(a(e_k e_i)) rho(a e_j) beta
-        + r([e_k,e_j](a e_i)) beta^2,
-    PMREP-4 = r((a e_j)(e_k e_i)) beta^2 + r(a^2 e_i) rho([e_j,e_k]) beta
-        - l(a^2 e_j) l(a e_k) r(e_i) + r(a(e_j e_i)) rho(a e_k) beta
-        + l(a^2 e_k) r(a e_i) rho(e_j)."""
-    base = base.only({ProductRole.DOT})
-    dgrid, cgrid = base.grid(ProductRole.DOT), base.grid(ProductRole.BRACKET)
-    d, c = dgrid.ints, cgrid.ints
-    a, a2 = _twist_cols(base.twist)
-    b, b2 = _twist_cols(beta)
-    left, right = actions[ActionRole.LEFT], actions[ActionRole.RIGHT]
-    L, R, P = (tensor_grid(t, base.dim, m) for t in (left, right, tensor_sub(left, right)))
-
-    a_d = _left_a(dgrid, a, d)              # (a e_x)(e_y e_z)
-    ad = _twisted(a, d)                     # a(e_x e_y)
-    r_b, p_b = _pair(R, a, b), _pair(P, a, b)                   # r(a e_x) beta e_y
-    p_p, r_p = _left_a(P, a, P.ints), _left_a(R, a, P.ints)     # rho(a e_x) rho(e_y) e_z
-    l_r = _left_a(L, a, R.ints)             # l(a e_x) r(e_y) e_z
-    r_db = _right_a(R, d, b)                # r(e_x e_y) beta e_z
-    return _malcev_action_identities(base, L, beta) + [
-        ("PMREP-1", 2, [(1, None, (_twisted(b, R.ints), "ij")), (-1, None, (r_b, "ij"))]),
-        ("PMREP-2", 4, [(1, R, (a2, "i"), (p_p, "jkl")), (-1, R, (a_d, "kji"), (b2, "l")),
-                        (1, L, (a2, "j"), (r_db, "kil")),
-                        (1, L, (_twisted(a, c), "jk"), (r_b, "il")),
-                        (-1, L, (a2, "k"), (r_p, "ijl"))]),
-        ("PMREP-3", 4, [(1, L, (a2, "j"), (l_r, "kil")), (-1, R, (a2, "i"), (p_p, "jkl")),
-                        (-1, L, (a2, "k"), (r_db, "jil")), (-1, R, (ad, "ki"), (p_b, "jl")),
-                        (1, R, (_right_a(dgrid, c, a), "kji"), (b2, "l"))]),
-        ("PMREP-4", 4, [(1, R, (a_d, "jki"), (b2, "l")),
-                        (1, R, (a2, "i"), (_right_a(P, c, b), "jkl")),
-                        (-1, L, (a2, "j"), (l_r, "kil")), (1, R, (ad, "ji"), (p_b, "kl")),
-                        (1, L, (a2, "k"), (r_p, "ijl"))]),
-    ]
+def _malcev_rep_laws(rho: str) -> tuple[Law, ...]:
+    """The laws of the Malcev-type action ``rho`` of ``com`` on a module twisted by ``b``."""
+    return (("MREP-EQ", 2, f"+{rho}(a.i, b.j) - b.{rho}(i, j)"),
+            ("MREP-4T", 4, f"+{rho}(com(com(i, j), a.k), b2.l)"
+                           f" - {rho}(a2.i, {rho}(a.j, {rho}(k, l)))"
+                           f" + {rho}(a2.k, {rho}(a.i, {rho}(j, l)))"
+                           f" - {rho}(a2.j, {rho}(com(k, i), b.l))"
+                           f" + {rho}(a.com(j, k), {rho}(a.i, b.l))"))
 
 
-def _pre_alternative_rep_identities(base: HomStructure, beta: Matrix,
-                                    actions: Mapping[ActionRole, Tensor], m: int, *,
-                                    equivariance: bool) -> list[Identity]:
-    """PABM-1..10 of the split actions on a module of dimension ``m``
-    twisted by ``beta``, each ``x(a e_i) y(e_j)`` or
-    ``x(e_i * e_j) beta`` summed with signs (the terms below), with
-    l = l_prec + l_succ, r = r_prec + r_succ and * = prec + succ; and with
-    ``equivariance`` PA-EQ-X = beta X(e_i) - X(a e_i) beta for each action."""
-    roles = (ProductRole.PREC, ProductRole.SUCC)
-    base = base.only(roles)
-    p, s, st = (base.grid(role).ints for role in (*roles, ProductRole.STAR))
-    a = _columns(base.twist)
-    b = _columns(beta)
-    A = ActionRole
-    lp, rp, ls, rs = (actions[role] for role in
-                      (A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC))
-    Lp, Rp, Ls, Rs, L, R = (tensor_grid(t, base.dim, m) for t in (
-        lp, rp, ls, rs, tensor_add(lp, ls), tensor_add(rp, rs)))
+#: PMREP-1..4 of the left and right actions of a pre-Malcev bimodule, with
+#: rho = left - right
+_PRE_MALCEV_REP_LAWS = (
+    ("PMREP-1", 2, "+b.right(i, j) - right(a.i, b.j)"),
+    ("PMREP-2", 4, "+right(a2.i, rho(a.j, rho(k, l))) - right(dot(a.k, dot(j, i)), b2.l)"
+                   " + left(a2.j, right(dot(k, i), b.l)) + left(a.com(j, k), right(a.i, b.l))"
+                   " - left(a2.k, right(a.i, rho(j, l)))"),
+    ("PMREP-3", 4, "+left(a2.j, left(a.k, right(i, l))) - right(a2.i, rho(a.j, rho(k, l)))"
+                   " - left(a2.k, right(dot(j, i), b.l)) - right(a.dot(k, i), rho(a.j, b.l))"
+                   " + right(dot(com(k, j), a.i), b2.l)"),
+    ("PMREP-4", 4, "+right(dot(a.j, dot(k, i)), b2.l) + right(a2.i, rho(com(j, k), b.l))"
+                   " - left(a2.j, left(a.k, right(i, l))) + right(a.dot(j, i), rho(a.k, b.l))"
+                   " + left(a2.k, right(a.i, rho(j, l)))"),
+)
 
-    def acts(sign, x, i, y, j):
-        """``sign x(a e_i) y(e_j) e_k``."""
-        return (sign, x, (a, i), (y.ints, j + "k"))
+A = ActionRole
 
-    def twisted(sign, x, cells, at):
-        """``sign x(cells[at]) beta e_k``."""
-        return (sign, x, (cells, at), (b, "k"))
+#: the name of each action role's grid in a law, in the order of the roles
+ACTION_NAMES: dict[ActionRole, str] = dict(zip(ActionRole, (
+    "rho", "left", "right", "lp", "rp", "ls", "rs")))
+_ACTION_OF = {name: role for role, name in ACTION_NAMES.items()}
 
-    identities = [
-        ("PABM-1", 3, [twisted(1, Ls, st, "ij"), twisted(1, Ls, st, "ji"),
-                       acts(-1, Ls, "i", Ls, "j"), acts(-1, Ls, "j", Ls, "i")]),
-        ("PABM-2", 3, [acts(1, Rs, "j", L, "i"), acts(1, Rs, "j", R, "i"),
-                       acts(-1, Ls, "i", Rs, "j"), twisted(-1, Rs, s, "ij")]),
-        ("PABM-3", 3, [acts(1, Rp, "j", Ls, "i"), acts(1, Rp, "j", Rp, "i"),
-                       acts(-1, Ls, "i", Rp, "j"), twisted(-1, Rp, st, "ij")]),
-        ("PABM-4", 3, [acts(1, Rp, "j", Rs, "i"), acts(1, Rp, "j", Lp, "i"),
-                       acts(-1, Lp, "i", R, "j"), twisted(-1, Rs, p, "ij")]),
-        ("PABM-5", 3, [twisted(1, Lp, p, "ji"), twisted(1, Lp, s, "ij"),
-                       acts(-1, Lp, "j", L, "i"), acts(-1, Ls, "i", Lp, "j")]),
-        ("PABM-6", 3, [acts(1, Rp, "i", Ls, "j"), twisted(1, Ls, st, "ji"),
-                       acts(-1, Ls, "j", Rp, "i"), acts(-1, Ls, "j", Ls, "i")]),
-        ("PABM-7", 3, [acts(1, Rp, "i", Rs, "j"), acts(1, Rs, "j", R, "i"),
-                       twisted(-1, Rs, p, "ji"), twisted(-1, Rs, s, "ij")]),
-        ("PABM-8", 3, [twisted(1, Lp, s, "ji"), acts(1, Rs, "i", L, "j"),
-                       acts(-1, Ls, "j", Lp, "i"), acts(-1, Ls, "j", Rs, "i")]),
-        ("PABM-9", 3, [acts(1, Rp, "i", Rp, "j"), acts(1, Rp, "j", Rp, "i"),
-                       twisted(-1, Rp, st, "ij"), twisted(-1, Rp, st, "ji")]),
-        ("PABM-10", 3, [acts(1, Rp, "j", Lp, "i"), twisted(1, Lp, p, "ij"),
-                        acts(-1, Lp, "i", R, "j"), acts(-1, Lp, "i", L, "j")]),
-    ]
-    if equivariance:
-        identities.extend(
-            (f"PA-EQ-{role.value}", 2, [(1, None, (_twisted(b, x.ints), "ij")),
-                                        (-1, x, (a, "i"), (b, "j"))])
-            for role, x in ((A.LEFT_PREC, Lp), (A.RIGHT_PREC, Rp),
-                            (A.LEFT_SUCC, Ls), (A.RIGHT_SUCC, Rs)))
-    return identities
-
-
-_REP_CLASS_ACTIONS: dict[StructureClass, frozenset[ActionRole]] = {
-    StructureClass.HOM_MALCEV: MALCEV_ACTIONS,
-    StructureClass.HOM_PRE_MALCEV: PRE_MALCEV_ACTIONS,
-    StructureClass.HOM_PRE_ALTERNATIVE: PRE_ALTERNATIVE_ACTIONS,
+#: each class's representation axioms: the actions they need, the base roles
+#: they read (None: all), the action grids that are sums of signed actions
+#: (any other is one action of :data:`ACTION_NAMES`), the axioms, and the
+#: equivariance axioms checked on request, with the base twist ``a`` and the
+#: module twist ``b``
+_REP_LAWS: dict[StructureClass, tuple] = {
+    StructureClass.HOM_MALCEV: (MALCEV_ACTIONS, None, {}, _malcev_rep_laws("rho"), ()),
+    # the Malcev laws of the left action over the commutator of the dot product
+    StructureClass.HOM_PRE_MALCEV: (
+        PRE_MALCEV_ACTIONS, frozenset({ProductRole.DOT}), {"rho": ((1, A.LEFT), (-1, A.RIGHT))},
+        _malcev_rep_laws("left") + _PRE_MALCEV_REP_LAWS, ()),
+    StructureClass.HOM_PRE_ALTERNATIVE: (
+        PRE_ALTERNATIVE_ACTIONS, frozenset({ProductRole.PREC, ProductRole.SUCC}),
+        {"left": ((1, A.LEFT_PREC), (1, A.LEFT_SUCC)),
+         "right": ((1, A.RIGHT_PREC), (1, A.RIGHT_SUCC))}, _SPLITTING_LAWS,
+        tuple(_role_laws("PA-EQ", 2, "+b.{g}(i, j) - {g}(a.i, b.j)", {
+            role: ACTION_NAMES[role] for role in PRE_ALTERNATIVE_ACTIONS}).values())),
 }
+_REP_CLASS_ACTIONS = {cls: laws[0] for cls, laws in _REP_LAWS.items()}
 
 
 def _rep_blocks(rep: Representation, acts: Mapping[ActionRole, Tensor]) -> Iterator[tuple]:
@@ -306,7 +229,8 @@ def _rep_blocks(rep: Representation, acts: Mapping[ActionRole, Tensor]) -> Itera
 def check_rep(rep: Representation, cls: StructureClass, *,
               equivariance: bool = False) -> CheckReport:
     """Sweep the representation axioms of ``cls`` over all base-basis tuples,
-    each with every module basis vector as its last index.
+    each with every module basis vector as its last index (with
+    ``equivariance`` also PA-EQ-* of the pre-alternative class).
 
     Each term of each axiom reads every index, so it is zero at a tuple that
     mixes blocks (:func:`_rep_blocks`): each block is swept on the
@@ -323,20 +247,30 @@ def check_rep(rep: Representation, cls: StructureClass, *,
             f"class '{cls.value}' needs actions {sorted(r.value for r in needed)}; "
             f"representation has {sorted(r.value for r in rep.roles())}"
         )
-    if cls is StructureClass.HOM_MALCEV:
-        def build(base, beta, actions, m):
-            return _malcev_action_identities(
-                base, tensor_grid(actions[ActionRole.RHO], base.dim, m), beta)
-    elif cls is StructureClass.HOM_PRE_MALCEV:
-        if ProductRole.DOT not in rep.base.products:
-            raise RoleMismatch("base structure must carry the dot product role")
-        build = _pre_malcev_rep_identities
-    else:
-        if not {ProductRole.PREC, ProductRole.SUCC} <= rep.base.roles():
-            raise RoleMismatch("base structure must carry the prec and succ roles")
-        build = partial(_pre_alternative_rep_identities, equivariance=equivariance)
+    _, roles, sums, laws, equivariant = _REP_LAWS[cls]
+    if roles and not roles <= rep.base.roles():
+        names = " and ".join(sorted(role.value for role in roles))
+        raise RoleMismatch(f"base structure must carry the {names} "
+                           f"{'product role' if len(roles) == 1 else 'roles'}")
+    laws += equivariant if equivariance else ()
+
+    def identities(base, beta, actions, m):
+        base = base.only(roles) if roles else base
+
+        def grid(name: str) -> Grid:
+            if name in sums:
+                (_, t), *rest = ((sign, actions[role]) for sign, role in sums[name])
+                for sign, u in rest:
+                    t = (tensor_add if sign > 0 else tensor_sub)(t, u)
+            elif name in _ACTION_OF:
+                t = actions[_ACTION_OF[name]]
+            else:
+                return base.grid(_ROLE_OF[name])
+            return tensor_grid(t, base.dim, m)
+        return _compile(laws)(grid, {"a": base.twist, "b": beta}, base.dim, m)
+
     acts = {role: rep.action(role) for role in needed}
-    return _sweep_blocks(f"rep:{cls.value}", ((base, mod, build(*part)) for base, mod, part
+    return _sweep_blocks(f"rep:{cls.value}", ((base, mod, identities(*part)) for base, mod, part
                                               in _rep_blocks(rep, acts)),
                          rep.base.dim, start, module_dim=rep.module_dim)
 

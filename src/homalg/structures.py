@@ -7,9 +7,10 @@ structure class over all basis tuples and reports the exact nonzero residuals.
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -28,11 +29,12 @@ from .exact import (
     grid_pack,
     mat_cols,
     mat_identity,
+    mat_lincomb,
     mat_mul,
     mat_shape,
     mat_sub,
     matrix,
-    sv_add,
+    sv_basis,
     sv_unpack,
     tensor_add,
     tensor_commutator,
@@ -276,36 +278,210 @@ def derived_product(structure: HomStructure, role: ProductRole) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# identity sets per class
+# laws: product-tree formulas and their one compiler
 # ---------------------------------------------------------------------------
 
-# An identity is data: ``(label, arity, terms)``.  A term is
-# ``(sign, grid, factor, ...)``: with ``grid`` None it is its one factor,
-# otherwise the product on ``grid`` of its two.  A factor is ``(table, at)``:
-# a :class:`Table` built once per check (of Ivecs, or the columns of a map)
-# read at the identity's indices named by ``at``, so ``(dia_av, "kji")`` is
-# ``dia_av[k][j][i]`` at the tuple ``(i, j, k, l)``.  The residual at a
-# tuple is the signed sum of its terms.  Each identity is multilinear, so
-# every term reads every index, the last one at one place of one factor.
-# Class, operator, morphism and Hessian laws index base vectors; a
-# representation axiom's last index is a module basis vector ``b`` and its
+# A law is a row ``(label, arity, formula)``, its formula a signed sum of
+# product trees over the indices ``i j k l``: ``g(x, y)`` is the product on
+# the grid named ``g`` (a stored or derived product, an action or a form),
+# ``m.x`` the map named ``m`` applied to ``x`` (``m2`` is ``m`` twice) and a
+# bare index a basis vector, so no grid or map is named after an index.
+# Each term reads every index, and the last one at exactly one leaf; a
+# representation axiom's last index is a module basis vector ``b``, and its
 # residual the image of ``e_b``.
+#
+# :func:`_compile` turns laws into identities ``(label, arity, terms)``, a
+# term ``(sign, grid, factor[, factor])`` being its one factor (``grid``
+# None) or the product of its two on ``grid``; a factor ``(table, at)`` is
+# a :class:`Table` read at the indices ``at``: ``(t, "kji")`` is
+# ``t[k][j][i]``.  Each strict subtree is a table built once per check with
+# one kernel call per entry, shared by every subtree of its shape.  A
+# product at the top, or a map over one, is read as its table when both
+# factors are indices or the laws build that table anyway, else it is a
+# product term (on the composed grid of cells ``m(e_x * e_y)`` under a map);
+# the maps over one index (a map over a map is their composition) add up to
+# one table, the columns of their signed sum.  A sweep stacks each table
+# over the last index and folds each product's last-index factor into its
+# grid once (see :class:`_Stacks`).
+Law = tuple[str, int, str]
 Term = tuple
 Identity = tuple[str, int, list[Term]]
 
+#: the names of an identity's indices, in order
+INDEX_NAMES = "ijkl"
 
-# A subterm that depends on only some of an identity's indices, or that
-# several identities of a check share, is computed once per check into a
-# list indexed by basis indices; a sweep stacks each table over the last
-# index and folds each product's last-index factor into its grid once per
-# check (see :class:`_Stacks`).  An operator law reads ``a(b e_i * e_j)`` as
-# a product on the grid of ``a`` after the product (:func:`_composed`); only
-# other laws of arity 2 (SKEW, HESS-INV, MULT-*, ...) read full-arity tables.
+#: the name of each product role's grid in a law, in the order of the roles
+ROLE_NAMES: dict[ProductRole, str] = dict(zip(ProductRole, (
+    "com", "star", "dot", "tr", "tl", "prec", "succ", "nw", "sw", "ne", "se", "dia", "vee",
+    "wedge")))
+_ROLE_OF = {name: role for role, name in ROLE_NAMES.items()}
+
+@lru_cache(maxsize=None)
+def parse_formula(formula: str) -> tuple[tuple[int, object], ...]:
+    """The signed terms of ``formula``, each a product tree: an index
+    letter, ``(map, tree)`` or ``(grid, left, right)``."""
+    tokens = re.findall(r"\w+|\S", formula)[::-1]
+
+    def take(*allowed: str) -> str:
+        if not tokens or allowed and tokens[-1] not in allowed:
+            raise ValueError(f"malformed law {formula!r}")
+        return tokens.pop()
+
+    def tree():
+        name = take()
+        if len(name) == 1 and name in INDEX_NAMES:
+            return name
+        if take(".", "(") == ".":
+            return name, tree()
+        left, _, right, _ = tree(), take(","), tree(), take(")")
+        return name, left, right
+
+    terms = []
+    while tokens:
+        terms.append((1 if take("+", "-") == "+" else -1, tree()))
+    return tuple(terms)
+
+
+#: the ten splitting axioms of the actions ``lp``, ``rp``, ``ls`` and ``rs`` of
+#: a pre-alternative structure on a module twisted by ``b``, with ``left = lp
+#: + ls``, ``right = rp + rs`` and ``star = prec + succ``
+_SPLITTING_LAWS = (
+    ("PABM-1", 3, "+ls(star(i, j), b.k) + ls(star(j, i), b.k) - ls(a.i, ls(j, k))"
+                  " - ls(a.j, ls(i, k))"),
+    ("PABM-2", 3, "+rs(a.j, left(i, k)) + rs(a.j, right(i, k)) - ls(a.i, rs(j, k))"
+                  " - rs(succ(i, j), b.k)"),
+    ("PABM-3", 3, "+rp(a.j, ls(i, k)) + rp(a.j, rp(i, k)) - ls(a.i, rp(j, k))"
+                  " - rp(star(i, j), b.k)"),
+    ("PABM-4", 3, "+rp(a.j, rs(i, k)) + rp(a.j, lp(i, k)) - lp(a.i, right(j, k))"
+                  " - rs(prec(i, j), b.k)"),
+    ("PABM-5", 3, "+lp(prec(j, i), b.k) + lp(succ(i, j), b.k) - lp(a.j, left(i, k))"
+                  " - ls(a.i, lp(j, k))"),
+    ("PABM-6", 3, "+rp(a.i, ls(j, k)) + ls(star(j, i), b.k) - ls(a.j, rp(i, k))"
+                  " - ls(a.j, ls(i, k))"),
+    ("PABM-7", 3, "+rp(a.i, rs(j, k)) + rs(a.j, right(i, k)) - rs(prec(j, i), b.k)"
+                  " - rs(succ(i, j), b.k)"),
+    ("PABM-8", 3, "+lp(succ(j, i), b.k) + rs(a.i, left(j, k)) - ls(a.j, lp(i, k))"
+                  " - ls(a.j, rs(i, k))"),
+    ("PABM-9", 3, "+rp(a.i, rp(j, k)) + rp(a.j, rp(i, k)) - rp(star(i, j), b.k)"
+                  " - rp(star(j, i), b.k)"),
+    ("PABM-10", 3, "+rp(a.j, lp(i, k)) + lp(prec(i, j), b.k) - lp(a.i, right(j, k))"
+                   " - lp(a.i, left(j, k))"),
+)
+
+#: each action of a pre-alternative structure on itself: a product, True if
+#: the acting vector is its right factor
+_REGULAR = {"lp": ("prec", False), "rp": ("prec", True), "ls": ("succ", False),
+            "rs": ("succ", True), "left": ("star", False), "right": ("star", True)}
+
+
+def _regular(tree) -> str:
+    """``tree`` written out on the regular actions, ``b`` read as ``a``."""
+    if type(tree) is str:
+        return tree
+    if len(tree) == 2:
+        return f"{'a' if tree[0] == 'b' else tree[0]}.{_regular(tree[1])}"
+    name, x, y = tree
+    name, swap = _REGULAR.get(name, (name, False))
+    return f"{name}({_regular(y if swap else x)}, {_regular(x if swap else y)})"
+
+
+#: the defining laws of each class, on its roles' grids and the twist ``a``
+_CLASS_LAWS: dict[StructureClass, tuple[Law, ...]] = {
+    StructureClass.HOM_LIE: (
+        ("SKEW", 2, "+com(i, j) + com(j, i)"),
+        ("JACOBI", 3, "+com(com(i, j), a.k) + com(com(j, k), a.i) + com(com(k, i), a.j)"),
+    ),
+    # with J(x, y, z) = [[x, y], a z] + [[y, z], a x] + [[z, x], a y], HM-JAC
+    # is J(a e_i, a e_j, [e_i, e_k]) - [J(e_i, e_j, e_k), a^2 e_i]
+    StructureClass.HOM_MALCEV: (
+        ("SKEW", 2, "+com(i, j) + com(j, i)"),
+        ("HM-JAC", 3, "+com(com(a.i, a.j), a.com(i, k)) + com(com(a.j, com(i, k)), a2.i)"
+                      " + com(com(com(i, k), a.i), a2.j) - com(com(com(i, j), a.k), a2.i)"
+                      " - com(com(com(j, k), a.i), a2.i) - com(com(com(k, i), a.j), a2.i)"),
+        ("HM-EXP", 4, "+com(a.com(i, k), a.com(j, l)) - com(com(com(i, j), a.k), a2.l)"
+                      " - com(com(com(j, k), a.l), a2.i) - com(com(com(k, l), a.i), a2.j)"
+                      " - com(com(com(l, i), a.j), a2.k)"),
+    ),
+    StructureClass.HOM_PRE_MALCEV: (
+        ("HPM", 4, "+dot(a.com(j, k), a.dot(i, l)) + dot(com(com(i, j), a.k), a2.l)"
+                   " + dot(a2.j, dot(com(i, k), a.l)) - dot(a2.i, dot(a.j, dot(k, l)))"
+                   " + dot(a2.k, dot(a.i, dot(j, l)))"),
+    ),
+    StructureClass.HOM_M_DENDRIFORM: (
+        ("MD1", 4, "+tr(dia(a.k, dia(j, i)), a2.l) - tr(a2.i, dot(a.j, dot(k, l)))"
+                   " + tl(a2.k, tr(a.i, dot(j, l))) + tl(a.com(j, k), a.tr(i, l))"
+                   " - tl(a2.j, tr(dia(k, i), a.l))"),
+        ("MD2", 4, "+tl(a2.k, tl(a.i, tr(j, l))) - tr(dia(a.k, dia(i, j)), a2.l)"
+                   " - tl(a2.i, tr(a.j, dot(k, l))) - tr(a.dia(k, j), a.dot(i, l))"
+                   " + tr(a2.j, dot(com(i, k), a.l))"),
+        ("MD3", 4, "+tr(a2.k, dot(a.i, dot(j, l))) + tr(dia(com(i, j), a.k), a2.l)"
+                   " - tl(a2.i, tl(a.j, tr(k, l))) + tr(a.dia(j, k), a.dot(i, l))"
+                   " + tl(a2.j, tr(dia(i, k), a.l))"),
+        ("MD4", 4, "+tl(com(com(i, j), a.k), a2.l) - tl(a2.i, tl(a.j, tl(k, l)))"
+                   " + tl(a2.k, tl(a.i, tl(j, l))) + tl(a.com(j, k), a.tl(i, l))"
+                   " + tl(a2.j, tl(com(i, k), a.l))"),
+    ),
+    StructureClass.HOM_ASSOCIATIVE: (
+        ("ASSOC", 3, "+star(star(i, j), a.k) - star(a.i, star(j, k))"),
+    ),
+    StructureClass.HOM_ALTERNATIVE: (
+        ("ALT-L", 3, "+star(star(i, j), a.k) - star(a.i, star(j, k))"
+                     " + star(star(j, i), a.k) - star(a.j, star(i, k))"),
+        ("ALT-R", 3, "+star(star(i, j), a.k) - star(a.i, star(j, k))"
+                     " + star(star(i, k), a.j) - star(a.i, star(k, j))"),
+    ),
+    # the splitting axioms of the structure's actions on itself
+    StructureClass.HOM_PRE_ALTERNATIVE: tuple(
+        (f"PA{label[5:]}", arity, "".join(f" {'+-'[sign < 0]} {_regular(tree)}"
+                                          for sign, tree in parse_formula(law)))
+        for label, arity, law in _SPLITTING_LAWS),
+    # each law is one associator x(y(e_i, e_j), a e_k) - z(a e_i, w(e_j, e_k))
+    # plus another with two indices swapped
+    StructureClass.HOM_ALT_QUADRI: (
+        ("QA1", 3, "+nw(nw(i, j), a.k) - nw(a.i, star(j, k))"
+                   " + nw(se(j, i), a.k) - se(a.j, nw(i, k))"),
+        ("QA2", 3, "+nw(nw(i, j), a.k) - nw(a.i, star(j, k))"
+                   " + nw(nw(i, k), a.j) - nw(a.i, star(k, j))"),
+        ("QA3", 3, "+nw(ne(i, j), a.k) - ne(a.i, prec(j, k))"
+                   " + nw(sw(j, i), a.k) - sw(a.j, wedge(i, k))"),
+        ("QA4", 3, "+nw(ne(i, j), a.k) - ne(a.i, prec(j, k))"
+                   " + ne(wedge(i, k), a.j) - ne(a.i, succ(k, j))"),
+        ("QA5", 3, "+ne(wedge(i, j), a.k) - ne(a.i, succ(j, k))"
+                   " + ne(vee(j, i), a.k) - se(a.j, ne(i, k))"),
+        ("QA6", 3, "+nw(sw(i, j), a.k) - sw(a.i, wedge(j, k))"
+                   " + sw(prec(i, k), a.j) - sw(a.i, vee(k, j))"),
+        ("QA7", 3, "+sw(prec(i, j), a.k) - sw(a.i, vee(j, k))"
+                   " + sw(succ(j, i), a.k) - se(a.j, sw(i, k))"),
+        ("QA8", 3, "+nw(se(i, j), a.k) - se(a.i, nw(j, k))"
+                   " + se(star(i, k), a.j) - se(a.i, se(k, j))"),
+        ("QA9", 3, "+se(star(i, j), a.k) - se(a.i, se(j, k))"
+                   " + se(star(j, i), a.k) - se(a.j, se(i, k))"),
+    ),
+}
+_CLASS_LAWS[StructureClass.HOM_MALCEV_ADMISSIBLE] = _CLASS_LAWS[StructureClass.HOM_MALCEV]
+
+
+def _role_laws(label: str, arity: int, formula: str,
+               names: Mapping = ROLE_NAMES) -> dict:
+    """The law ``<label>-<role>`` of each role, ``{g}`` its grid name in ``names``."""
+    return {role: (f"{label}-{role.value}", arity, formula.format(g=name))
+            for role, name in names.items()}
+
+
+def _maps(tree) -> tuple[tuple[str, ...], object]:
+    """The maps applied at the top of ``tree``, outermost first (``m2`` is
+    ``m`` twice), and the tree they apply to."""
+    chain = ()
+    while type(tree) is tuple and len(tree) == 2:
+        name, tree = tree
+        base = name.rstrip("0123456789")
+        chain += (base,) * int(name[len(base):] or 1)
+    return chain, tree
+
 
 def _table(rows: list, den: int, depth: int) -> Table:
-    """``rows``, lists nested ``depth`` deep of Ivecs over ``den`` (a kernel's
-    operands' denominators multiplied), as a Table with their largest L1 norm
-    and the span of their coordinates."""
+    """``rows``, lists nested ``depth`` deep of Ivecs over ``den``, as a Table
+    with their largest L1 norm and the span of their coordinates."""
     flat = rows
     for _ in range(depth - 1):
         flat = [v for row in flat for v in row]
@@ -316,48 +492,137 @@ def _table(rows: list, den: int, depth: int) -> Table:
 
 def _columns(m) -> Table:
     """The columns of the matrix ``m``, images of the basis vectors."""
-    m = as_imat(m)
-    return _table(list(mat_cols(m)), m.den, 1)
+    cols = mat_cols(m)
+    return Table(cols, cols[0].den, max([sum(map(abs, c.values())) for c in cols]),
+                 max([max(c) for c in cols if c], default=-1) + 1)
 
 
-def _twist_cols(twist: Matrix) -> tuple[Table, Table]:
-    """The columns of ``twist`` and of its square."""
-    a = as_imat(twist)
-    return _columns(a), _columns(mat_mul(a, a))
+# What a compiled law set calls to build its tables, once per check.  A table
+# with an empty operand is empty, built with no call, and so is a table entry.
+
+@lru_cache(maxsize=None)
+def _basis(n: int) -> Table:
+    """The basis vectors, one table shared by every check (none is changed)."""
+    return Table(sv_basis(n), 1, 1, n)
 
 
-# A product with an empty operand is stored as that operand, with no call.
-
-def _twisted(a: Table, cells: Table) -> Table:
-    """``a(cells[x][y])``."""
-    return _table([[u and apply_cols(a, u) for u in row] for row in cells],
-                  a.den * cells.den, 2)
+def _map_sum(signs: tuple[int, ...], mats: list) -> Table:
+    """The columns of the sum of the Imats ``mats`` with ``signs``."""
+    return _columns(mat_sub(*mats) if signs == (1, -1) else
+                    mat_lincomb(dict(enumerate(signs)), mats, mats[0].rows, mats[0].cols))
 
 
-def _composed(a: Table, grid: Grid) -> Grid:
-    """The grid of cells ``a(e_x * e_y)``: ``a(b e_i * e_j)`` is a product on it."""
+def _images(a: Table, cells: list, depth: int) -> list:
+    """``a`` applied to each entry of ``cells``, nested ``depth >= 2`` deep."""
+    if depth > 2:
+        return [_images(a, row, depth - 1) for row in cells]
+    return [[u and apply_cols(a, u) for u in row] for row in cells]
+
+
+def _apply(a: Table, cells: Table, depth: int) -> Table:
+    return (_table(_images(a, cells, depth), a.den * cells.den, depth)
+            if a.norm and cells.norm else Table())
+
+
+def _products(grid: Grid, u: list, dl: int, v: list, dr: int) -> list:
+    """``grid(x, y)`` for each entry ``x`` of ``u`` and ``y`` of ``v``, nested
+    ``dl`` and ``dr`` deep, indexed by the indices of both in order."""
+    if (dl, dr) == (1, 1):
+        return [[x and y and grid_mul(grid, x, y) for y in v] for x in u]
+    if (dl, dr) == (1, 2):
+        return [[[x and y and grid_mul(grid, x, y) for y in row] for row in v] for x in u]
+    if (dl, dr) == (2, 1):
+        return [[[x and y and grid_mul(grid, x, y) for y in v] for x in row] for row in u]
+    if dl > 1:
+        return [_products(grid, row, dl - 1, v, dr) for row in u]
+    return [[_products(grid, [x], 1, row, dr - 1)[0] for row in v] for x in u]
+
+
+def _mul(grid: Grid, u: Table, v: Table, dl: int, dr: int) -> Table:
+    return (_table(_products(grid, u, dl, v, dr), grid.den * u.den * v.den, dl + dr)
+            if u.norm and v.norm else Table())
+
+
+def _composed(cells: Table) -> Grid:
+    """The grid of the cells ``m(e_x * e_y)``, from their table."""
     out = Grid()
-    out.ints = _twisted(a, grid.ints) if a.norm else Table()   # a zero map: no cells
-    out.den, out.peak = out.ints.den, out.ints.norm
+    out.ints, out.den, out.peak = cells, cells.den, cells.norm
     return out
 
 
-def _pair(grid: Grid, a: Table, b: Table) -> Table:
-    """``grid(a e_x, b e_y)``."""
-    return _table([[u and v and grid_mul(grid, u, v) for v in b] for u in a],
-                  grid.den * a.den * b.den, 2)
+@lru_cache(maxsize=None)
+def _compile(laws: tuple[Law, ...]) -> Callable[..., list[Identity]]:
+    """``laws`` compiled once per text to ``build(grid, maps, dim, module_dim=0)``:
+    on the grids ``grid(name)`` and maps ``maps[name]``, their identities,
+    the last index over ``module_dim`` basis vectors (if given), else ``dim``."""
+    lines: list[str] = []
+    names: dict[str, str] = {}
 
+    def step(source: str) -> str:     # computed once: equal shapes share it
+        if source not in names:
+            names[source] = f"t{len(names)}"
+            lines.append(f"    {names[source]} = {source}")
+        return names[source]
 
-def _left_a(grid: Grid, a: Table, cells: Table) -> Table:
-    """``grid(a e_x, cells[y][z])``."""
-    return _table([[[u and v and grid_mul(grid, u, v) for v in row] for row in cells]
-                   for u in a], grid.den * a.den * cells.den, 3)
+    def imat(name: str) -> str:
+        return step(f"as_imat(maps[{name!r}])")
 
+    def columns(terms: tuple) -> str:   # of a signed sum of composed maps
+        mats = [reduce(lambda m, x: f"mat_mul({m}, {x})", map(imat, chain)) for _, chain in terms]
+        if len(terms) == 1 and terms[0][0] == 1:
+            return step(f"_columns({mats[0]})")
+        return step(f"_map_sum({tuple(sign for sign, _ in terms)}, [{', '.join(mats)}])")
 
-def _right_a(grid: Grid, cells: Table, a: Table) -> Table:
-    """``grid(cells[x][y], a e_z)``."""
-    return _table([[[u and v and grid_mul(grid, u, v) for v in a] for u in row]
-                   for row in cells], grid.den * cells.den * a.den, 3)
+    def table(tree, last: str) -> tuple[str, str]:   # and the indices it reads
+        if type(tree) is str:
+            return step("_basis(module_dim or dim)" if tree == last else "_basis(dim)"), tree
+        chain, inner = _maps(tree)
+        if type(inner) is str:
+            return columns(((1, chain),)), inner
+        name, left, right = inner
+        grid = step(f"grid({name!r})")
+        if type(left) is str and type(right) is str:
+            t, at = step(f"{grid}.ints"), left + right
+        else:
+            (x, lat), (y, rat) = table(left, last), table(right, last)
+            t, at = step(f"_mul({grid}, {x}, {y}, {len(lat)}, {len(rat)})"), lat + rat
+        return (step(f"_apply({columns(((1, chain),))}, {t}, {len(at)})") if chain else t), at
+
+    rows = []
+    for label, arity, formula in laws:
+        last, terms, maps = INDEX_NAMES[arity - 1], [], {}
+        for sign, tree in parse_formula(formula):
+            chain, top = _maps(tree)
+            if type(top) is str:
+                maps.setdefault(top, []).append((sign, chain))
+            elif type(top[1]) is str and type(top[2]) is str:
+                terms.append((sign, *table(tree, last)))
+            else:
+                terms.append((sign, chain, step(f"grid({top[0]!r})"), *table(top[1], last),
+                              *table(top[2], last)))
+        rows.append((label, arity, terms + [(1, columns(tuple(ts)), at)
+                                            for at, ts in maps.items()]))
+    identities = []
+    for label, arity, terms in rows:
+        for n, (sign, *term) in enumerate(terms):
+            if len(term) == 2:
+                terms[n] = "({}, None, ({}, {!r}))".format(sign, *term)
+                continue
+            chain, grid, x, xat, y, yat = term
+            t = names.get(f"_mul({grid}, {x}, {y}, {len(xat)}, {len(yat)})")
+            if t and chain:
+                t = names.get(f"_apply({columns(((1, chain),))}, {t}, {len(xat + yat)})")
+            if chain and not t:
+                cells = f"_apply({columns(((1, chain),))}, {step(f'{grid}.ints')}, 2)"
+                grid = step(f"_composed({step(cells)})")
+            terms[n] = (f"({sign}, None, ({t}, {xat + yat!r}))" if t else
+                        f"({sign}, {grid}, ({x}, {xat!r}), ({y}, {yat!r}))")
+        identities.append(f"({label!r}, {arity}, [{', '.join(terms)}])")
+    source = "\n".join(["def build(grid, maps, dim, module_dim=0):", *lines,
+                        f"    return [{', '.join(identities)}]"])
+    namespace: dict = {}    # the source calls as_imat, mat_mul and the helpers above
+    exec(source, globals(), namespace)
+    return namespace["build"]
 
 
 class _Terms(list):
@@ -389,211 +654,28 @@ class _Terms(list):
         self.span = max(spans, default=0)
 
 
-def _read_at(terms: Iterable[Term], at: str, sign: int = 1) -> list[Term]:
-    """``sign`` times a sum of terms written at ``(i, j, k)``, read at the
-    indices named by ``at``."""
-    names = dict(zip("ijk", at))
-    return [(sign * s, grid, *[(t, "".join(map(names.get, x))) for t, x in factors])
-            for s, grid, *factors in terms]
-
-
-def _bracket_identities(structure: HomStructure, *, malcev: bool = True) -> list[Identity]:
-    """SKEW plus JACOBI, or plus the two equivalent forms of the
-    four-variable bracket law with ``malcev``, of the bracket, stored or the
-    commutator of the dot or star product."""
-    dim = structure.dim
-    grid = structure.grid(ProductRole.BRACKET)
-    cell = grid.ints
-    a = _columns(structure.twist)
-    skew = ("SKEW", 2, [(1, None, (cell, "ij")), (1, None, (cell, "ji"))])
-    # J(e_i,e_j,e_k) = [[e_i,e_j],a e_k] + [[e_j,e_k],a e_i] + [[e_k,e_i],a e_j]
-    if not malcev:
-        jac = [(1, grid, (cell, at[:2]), (a, at[2])) for at in ("ijk", "jki", "kij")]
-        return [skew, ("JACOBI", 3, jac)]
-    a2 = _columns(mat_mul(structure.twist, structure.twist))
-    t = _right_a(grid, cell, a)                                     # [[e_i,e_j],a e_k]
-    r = range(dim)
-    jac = _table([[[sv_add(t[i][j][k], t[j][k][i], t[k][i][j]) for k in r] for j in r]
-                  for i in r], t.den, 3)
-    ac = _twisted(a, cell)                                          # a[e_i,e_k]
-    aa = _pair(grid, a, a)                                          # [a e_i,a e_j]
-    a_c = _left_a(grid, a, cell)                        # [a e_j,[e_i,e_k]] at j,i,k
-
-    # HM-JAC: J(a e_i, a e_j, [e_i,e_k]) - [J(e_i,e_j,e_k), a^2 e_i], where
-    # jac is J at e_i,e_j,e_k
-    return [
-        skew,
-        ("HM-JAC", 3, [(1, grid, (aa, "ij"), (ac, "ik")), (1, grid, (a_c, "jik"), (a2, "i")),
-                       (1, grid, (t, "iki"), (a2, "j")), (-1, grid, (jac, "ijk"), (a2, "i"))]),
-        ("HM-EXP", 4, [(1, grid, (ac, "ik"), (ac, "jl")), (-1, grid, (t, "ijk"), (a2, "l")),
-                       (-1, grid, (t, "jkl"), (a2, "i")), (-1, grid, (t, "kli"), (a2, "j")),
-                       (-1, grid, (t, "lij"), (a2, "k"))]),
-    ]
-
-
-def _identities_hom_associative(structure: HomStructure) -> list[Identity]:
-    grid = structure.grid(ProductRole.STAR)
-    a = _columns(structure.twist)
-    return [("ASSOC", 3, [(1, grid, (grid.ints, "ij"), (a, "k")),
-                          (-1, grid, (a, "i"), (grid.ints, "jk"))])]
-
-
-def _identities_hom_alternative(structure: HomStructure) -> list[Identity]:
-    grid = structure.grid(ProductRole.STAR)
-    cell = grid.ints
-    a = _columns(structure.twist)
-    # ALT-L and ALT-R are each the associator plus a swap of it
-    asc = [(1, grid, (cell, "ij"), (a, "k")), (-1, grid, (a, "i"), (cell, "jk"))]
-    return [("ALT-L", 3, asc + _read_at(asc, "jik")),
-            ("ALT-R", 3, asc + _read_at(asc, "ikj"))]
-
-
-def _identities_hom_pre_malcev(structure: HomStructure) -> list[Identity]:
-    dgrid, cgrid = structure.grid(ProductRole.DOT), structure.grid(ProductRole.BRACKET)
-    d, c = dgrid.ints, cgrid.ints
-    a, a2 = _twist_cols(structure.twist)
-
-    ac = _twisted(a, c)                 # a[e_j,e_k]
-    ad = _twisted(a, d)                 # a(e_i e_l)
-    ca = _right_a(cgrid, c, a)          # [[e_i,e_j],a e_k]
-    c_a = _right_a(dgrid, c, a)         # [e_i,e_k](a e_l)
-    a_d = _left_a(dgrid, a, d)          # (a e_j)(e_k e_l)
-    return [("HPM", 4, [(1, dgrid, (ac, "jk"), (ad, "il")), (1, dgrid, (ca, "ijk"), (a2, "l")),
-                        (1, dgrid, (a2, "j"), (c_a, "ikl")), (-1, dgrid, (a2, "i"), (a_d, "jkl")),
-                        (1, dgrid, (a2, "k"), (a_d, "ijl"))])]
-
-
-def _identities_hom_m_dendriform(structure: HomStructure) -> list[Identity]:
-    R = ProductRole
-    gl, gr, gdot, gdia, gcom = map(structure.grid,
-                                   (R.TRI_LEFT, R.TRI_RIGHT, R.DOT, R.DIAMOND, R.BRACKET))
-    a, a2 = _twist_cols(structure.twist)
-    lc, rc, dc, vc, cc = gl.ints, gr.ints, gdot.ints, gdia.ints, gcom.ints
-
-    ac, ar, av, ad, al = (_twisted(a, cells) for cells in (cc, rc, vc, dc, lc))
-    dia_av, dot_ad, r_ad = _left_a(gdia, a, vc), _left_a(gdot, a, dc), _left_a(gr, a, dc)
-    l_ar, l_al = _left_a(gl, a, rc), _left_a(gl, a, lc)
-    r_va, dot_ca, dia_ca = _right_a(gr, vc, a), _right_a(gdot, cc, a), _right_a(gdia, cc, a)
-    com_ca, l_ca = _right_a(gcom, cc, a), _right_a(gl, cc, a)
-    return [
-        ("MD1", 4, [(1, gr, (dia_av, "kji"), (a2, "l")), (-1, gr, (a2, "i"), (dot_ad, "jkl")),
-                    (1, gl, (a2, "k"), (r_ad, "ijl")), (1, gl, (ac, "jk"), (ar, "il")),
-                    (-1, gl, (a2, "j"), (r_va, "kil"))]),
-        ("MD2", 4, [(1, gl, (a2, "k"), (l_ar, "ijl")), (-1, gr, (dia_av, "kij"), (a2, "l")),
-                    (-1, gl, (a2, "i"), (r_ad, "jkl")), (-1, gr, (av, "kj"), (ad, "il")),
-                    (1, gr, (a2, "j"), (dot_ca, "ikl"))]),
-        ("MD3", 4, [(1, gr, (a2, "k"), (dot_ad, "ijl")), (1, gr, (dia_ca, "ijk"), (a2, "l")),
-                    (-1, gl, (a2, "i"), (l_ar, "jkl")), (1, gr, (av, "jk"), (ad, "il")),
-                    (1, gl, (a2, "j"), (r_va, "ikl"))]),
-        ("MD4", 4, [(1, gl, (com_ca, "ijk"), (a2, "l")), (-1, gl, (a2, "i"), (l_al, "jkl")),
-                    (1, gl, (a2, "k"), (l_al, "ijl")), (1, gl, (ac, "jk"), (al, "il")),
-                    (1, gl, (a2, "j"), (l_ca, "ikl"))]),
-    ]
-
-
-def _identities_hom_pre_alternative(structure: HomStructure) -> list[Identity]:
-    """The class check: the regular left/right action pair of each half-product
-    must satisfy the ten splitting axioms (module = the structure itself)."""
-    gp, gs, gst = map(structure.grid, (ProductRole.PREC, ProductRole.SUCC, ProductRole.STAR))
-    a = _columns(structure.twist)
-    p, s, st = gp.ints, gs.ints, gst.ints
-
-    # the six kinds of product the ten axioms are sums of
-    def product(grid, left, right):
-        return [(1, grid, left, right)]
-
-    s_sta = product(gs, (st, "ij"), (a, "k"))
-    s_as = product(gs, (a, "i"), (s, "jk"))
-    s_ap = product(gs, (a, "i"), (p, "jk"))
-    p_sa = product(gp, (s, "ij"), (a, "k"))
-    p_pa = product(gp, (p, "ij"), (a, "k"))
-    p_ast = product(gp, (a, "i"), (st, "jk"))
-
-    # each law is x + y - z - w
-    laws = {
-        "PA1": ((s_sta, "ijk"), (s_sta, "jik"), (s_as, "ijk"), (s_as, "jik")),
-        "PA2": ((s_sta, "ikj"), (s_sta, "kij"), (s_as, "ikj"), (s_as, "kij")),
-        "PA3": ((p_sa, "ikj"), (p_pa, "kij"), (s_ap, "ikj"), (p_ast, "kij")),
-        "PA4": ((p_sa, "kij"), (p_pa, "ikj"), (p_ast, "ikj"), (s_ap, "kij")),
-        "PA5": ((p_pa, "jik"), (p_sa, "ijk"), (p_ast, "jik"), (s_ap, "ijk")),
-        "PA6": ((p_sa, "jki"), (s_sta, "jik"), (s_ap, "jki"), (s_as, "jik")),
-        "PA7": ((p_sa, "kji"), (s_sta, "kij"), (s_ap, "kji"), (s_as, "kij")),
-        "PA8": ((p_sa, "jik"), (s_sta, "jki"), (s_ap, "jik"), (s_as, "jki")),
-        "PA9": ((p_pa, "kji"), (p_pa, "kij"), (p_ast, "kij"), (p_ast, "kji")),
-        "PA10": ((p_pa, "ikj"), (p_pa, "ijk"), (p_ast, "ikj"), (p_ast, "ijk")),
-    }
-    return [(label, 3, [term for sign, (terms, at) in zip((1, 1, -1, -1), law)
-                        for term in _read_at(terms, at, sign)])
-            for label, law in laws.items()]
-
-
-#: the nine associator kinds of a four-way splitting:
-#: ``(x, y, z) -> outer_l(inner_l(x, y), a z) - outer_r(a x, inner_r(y, z))``
-#: as the product roles ``(outer_l, inner_l, outer_r, inner_r)``
-_QUADRI_ASSOCIATORS: dict[str, tuple[ProductRole, ...]] = {
-    "r": (ProductRole.NW, ProductRole.NW, ProductRole.NW, ProductRole.STAR),
-    "l": (ProductRole.SE, ProductRole.STAR, ProductRole.SE, ProductRole.SE),
-    "m": (ProductRole.NW, ProductRole.SE, ProductRole.SE, ProductRole.NW),
-    "n": (ProductRole.NW, ProductRole.NE, ProductRole.NE, ProductRole.PREC),
-    "w": (ProductRole.NW, ProductRole.SW, ProductRole.SW, ProductRole.WEDGE),
-    "s": (ProductRole.SW, ProductRole.SUCC, ProductRole.SE, ProductRole.SW),
-    "e": (ProductRole.NE, ProductRole.VEE, ProductRole.SE, ProductRole.NE),
-    "ne": (ProductRole.NE, ProductRole.WEDGE, ProductRole.NE, ProductRole.SUCC),
-    "sw": (ProductRole.SW, ProductRole.PREC, ProductRole.SW, ProductRole.VEE),
-}
-
-
-def _identities_hom_alt_quadri(structure: HomStructure) -> list[Identity]:
-    grid, a = structure.grid, _columns(structure.twist)
-
-    def assoc(outer_l, inner_l, outer_r, inner_r):
-        return [(1, grid(outer_l), (grid(inner_l).ints, "ij"), (a, "k")),
-                (-1, grid(outer_r), (a, "i"), (grid(inner_r).ints, "jk"))]
-
-    asc = {kind: assoc(*roles) for kind, roles in _QUADRI_ASSOCIATORS.items()}
-    # QAn(i, j, k) = first(i, j, k) + second at (i, j, k) with two indices swapped
-    laws = [("QA1", "r", "m", "jik"), ("QA2", "r", "r", "ikj"), ("QA3", "n", "w", "jik"),
-            ("QA4", "n", "ne", "ikj"), ("QA5", "ne", "e", "jik"), ("QA6", "w", "sw", "ikj"),
-            ("QA7", "sw", "s", "jik"), ("QA8", "m", "l", "ikj"), ("QA9", "l", "l", "jik")]
-    return [(label, 3, asc[first] + _read_at(asc[second], swap))
-            for label, first, second, swap in laws]
+def _grids(source: HomStructure, target: HomStructure | None = None) -> Callable[[str], Grid]:
+    """The grid a law names: a product of ``source``, or after ``to_`` of ``target``."""
+    return lambda name: (target.grid(_ROLE_OF[name[3:]]) if name.startswith("to_")
+                         else source.grid(_ROLE_OF[name]))
 
 
 _CLASS_IDENTITIES: dict[StructureClass, Callable[[HomStructure], list[Identity]]] = {
-    StructureClass.HOM_LIE: lambda s: _bracket_identities(s, malcev=False),
-    StructureClass.HOM_MALCEV: _bracket_identities,
-    StructureClass.HOM_MALCEV_ADMISSIBLE: _bracket_identities,
-    StructureClass.HOM_PRE_MALCEV: _identities_hom_pre_malcev,
-    StructureClass.HOM_M_DENDRIFORM: _identities_hom_m_dendriform,
-    StructureClass.HOM_ASSOCIATIVE: _identities_hom_associative,
-    StructureClass.HOM_ALTERNATIVE: _identities_hom_alternative,
-    StructureClass.HOM_PRE_ALTERNATIVE: _identities_hom_pre_alternative,
-    StructureClass.HOM_ALT_QUADRI: _identities_hom_alt_quadri,
-}
+    cls: lambda s, cls=cls: _compile(_CLASS_LAWS[cls])(_grids(s), {"a": s.twist}, s.dim)
+    for cls in StructureClass}
 
 
-def _product_map_identities(prefix: str, f: Matrix,
-                            source: HomStructure, target: HomStructure,
-                            roles: Iterable[ProductRole]) -> list[Identity]:
-    """``<prefix>-<role>``: ``f(e_i e_j) - (f e_i)(f e_j)`` for every role, the
-    product of ``source`` inside and that of ``target`` outside."""
-    fc = _columns(f)
-    out: list[Identity] = []
-    for role in sorted(roles, key=lambda r: r.value):
-        src, tgt = source.grid(role).ints, target.grid(role)
-        out.append((f"{prefix}-{role.value}", 2, [(1, None, (_twisted(fc, src), "ij")),
-                                                  (-1, tgt, (fc, "i"), (fc, "j"))]))
-    return out
+#: ``f(e_i e_j) - (f e_i)(f e_j)``: ``f`` carries each product of a source
+#: to that of a target
+_MULT_LAWS, _MORPH_LAWS = (_role_laws(label, 2, "+f.{g}(i, j) - to_{g}(f.i, f.j)")
+                           for label in ("MULT", "MORPH"))
 
 
 def _mult_identities(structure: HomStructure,
                      roles: Iterable[ProductRole]) -> list[Identity]:
     """MULT-<role>: the twist is a morphism of each product in ``roles``."""
-    return _product_map_identities("MULT", structure.twist, structure, structure, roles)
-
-
-#: the names of an identity's indices, in order
-INDEX_NAMES = "ijkl"
+    return _compile(tuple(map(_MULT_LAWS.__getitem__, roles)))(
+        _grids(structure, structure), {"f": structure.twist}, structure.dim)
 
 
 @lru_cache(maxsize=None)
@@ -893,8 +975,8 @@ def check_morphism(f: Matrix, source: HomStructure, target: HomStructure,
         raise RoleMismatch(
             f"target lacks roles {sorted(r.value for r in source.roles() - target.roles())}"
         )
-    identities = _product_map_identities("MORPH", f, source, target, source.products)
+    laws = tuple(map(_MORPH_LAWS.__getitem__, source.products))
     if not weak:
-        twist = mat_sub(mat_mul(f, source.twist), mat_mul(target.twist, f))
-        identities.append(("MORPH-TWIST", 1, [(1, None, (_columns(twist), "i"))]))
-    return _sweep("morphism", identities, source.dim, start)
+        laws += (("MORPH-TWIST", 1, "+f.a.i - b.f.i"),)
+    return _sweep("morphism", _compile(laws)(_grids(source, target), {
+        "f": f, "a": source.twist, "b": target.twist}, source.dim), source.dim, start)

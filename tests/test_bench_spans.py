@@ -28,7 +28,14 @@ def test_tracer_finds_every_name_and_uninstall_restores_every_attribute():
         patched = {(module.__name__, attr) for module, attr, _, _ in tracer._patches}
         for layer, names in spans.SPANNED.items():
             assert {(f"homalg.{layer}", name) for name in names} <= patched, layer
+        # every counted primitive a caller holds is wrapped (no caller holds
+        # sv_add since HM-JAC's Jacobian became three terms); the table
+        # builds and composed grids hold the other two
+        exact = sys.modules["homalg.exact"]
         for name in spans.COUNTED:
+            assert all(vars(sys.modules[f"homalg.{caller}"]).get(name) is not getattr(exact, name)
+                       for caller in spans.COUNTED_CALLERS), name
+        for name in ("grid_mul", "apply_cols"):
             assert any((f"homalg.{caller}", name) in patched
                        for caller in spans.COUNTED_CALLERS), name
         tracer.start_run()

@@ -20,18 +20,28 @@ from hypothesis import strategies as st
 
 from homalg import (
     CLASS_ROLES,
+    KIND_O_OPERATOR,
+    KIND_ROTA_BAXTER,
     PRE_ALTERNATIVE_ACTIONS,
     PRE_MALCEV_ACTIONS,
     ActionRole,
+    BilinearForm,
+    OperatorWitness,
     ProductRole,
     Representation,
     StructureClass,
     check,
+    check_hessian,
+    check_morphism,
+    check_oop_endomorphism,
+    check_operator,
     check_rep,
     make_structure,
+    operators,
+    reps,
     structures,
 )
-from homalg.structures import _CLASS_IDENTITIES, positions
+from homalg.structures import _CLASS_LAWS, INDEX_NAMES, parse_formula
 
 F = Fraction
 C = StructureClass
@@ -130,51 +140,73 @@ def test_block_sum_report_is_merged_summand_reports(cls, multiplicativity, data)
     assert report.tuples_checked == sum(n ** arity for arity in arities)
 
 
+def leaves(tree) -> list[str]:
+    """The index letters at the leaves of a parsed product tree."""
+    if type(tree) is str:
+        return [tree]
+    return [x for child in tree[1:] for x in leaves(child)]
+
+
+def assert_reads_every_index(label: str, arity: int, formula: str):
+    """Each term of the law reads every index of it, and its last index at
+    exactly one leaf."""
+    for _, tree in parse_formula(formula):
+        read = leaves(tree)
+        assert set(read) == set(INDEX_NAMES[:arity]), (label, tree)
+        assert read.count(INDEX_NAMES[arity - 1]) == 1, (label, tree)
+
+
 def test_every_term_reads_every_index():
     """A class check is split exactly only while each term of each identity
-    is a product that reads every index: then it is zero at every tuple that
-    mixes blocks."""
-    for cls, build in _CLASS_IDENTITIES.items():
-        structure = make_structure(2, products={
-            role: {(i, j): {k: F(1 + i + j + k) for k in range(2)}
-                   for i, j in itertools.product(range(2), repeat=2)}
-            for role in CLASS_ROLES[cls]})
-        identities = build(structure)
-        assert identities, cls
-        for label, arity, terms in identities:
-            assert not callable(terms), label
-            for _, _, *factors in terms:
-                read = {p for _, at in factors for p in positions(at)}
-                assert read == set(range(arity)), (cls, label)
+    reads every index: then it is zero at every tuple that mixes blocks.  A
+    sweep stacks the last index into one packed residual, which needs each
+    term linear in it.  The laws are read as the compiler parses them."""
+    assert set(_CLASS_LAWS) == set(C)
+    for cls, laws in _CLASS_LAWS.items():
+        assert laws, cls
+        for law in laws:
+            assert_reads_every_index(*law)
 
 
 def test_every_rep_term_reads_every_index(monkeypatch):
-    """A representation check is split exactly only while each term of each
-    axiom reads every index, base and module: then it is zero at every tuple
-    that mixes blocks.  The axioms are read where ``check_rep`` sweeps them,
-    on dense dim-2 inputs."""
-    swept, real = [], structures._violations
+    """The same of every other law: the representation axioms, which are
+    split along blocks of base and module like a class check, and the
+    Rota-Baxter, O-operator, morphism, multiplicativity, Hessian and
+    endomorphism laws, all swept the same way.  The laws are recorded where
+    each module compiles them, on dense dim-2 inputs."""
+    compiled = []
+    for module in (structures, reps, operators):
+        real = module._compile
 
-    def violations(identities, dim, *, module_dim):
-        swept.extend(identities)
-        return real(identities, dim, module_dim=module_dim)
-
-    monkeypatch.setattr(structures, "_violations", violations)
+        def recording(laws, real=real):
+            compiled.extend(laws)
+            return real(laws)
+        monkeypatch.setattr(module, "_compile", recording)
     dense = {(i, j): {k: F(1 + i + j + k) for k in range(2)}
              for i, j in itertools.product(range(2), repeat=2)}
     slices = tuple(((F(1 + i), F(2)), (F(3), F(4 + i))) for i in range(2))
+    twist = ((F(1), F(1)), (F(0), F(1)))
     for cls, roles, actions in (
             (C.HOM_MALCEV, (ProductRole.BRACKET,), (ActionRole.RHO,)),
-            (C.HOM_PRE_MALCEV, (ProductRole.DOT,), PRE_MALCEV_ACTIONS),
+            (C.HOM_PRE_MALCEV, (ProductRole.DOT, ProductRole.STAR), PRE_MALCEV_ACTIONS),
             (C.HOM_PRE_ALTERNATIVE, (ProductRole.PREC, ProductRole.SUCC),
              PRE_ALTERNATIVE_ACTIONS)):
-        base = make_structure(2, products=dict.fromkeys(roles, dense))
-        check_rep(Representation(base=base, module_dim=2, module_twist=slices[1],
-                                 actions=dict.fromkeys(actions, slices)),
-                  cls, equivariance=True)
-    # MREP-*, PMREP-1..4, PABM-1..10 and PA-EQ-* (pre-Malcev repeats MREP-*)
-    assert len({label for label, _, _ in swept}) == 2 + 4 + 10 + 4
-    for label, arity, terms in swept:
-        for _, _, *factors in terms:
-            read = {p for _, at in factors for p in positions(at)}
-            assert read == set(range(arity)), label
+        base = make_structure(2, twist=twist, products=dict.fromkeys(roles, dense))
+        rep = Representation(base=base, module_dim=2, module_twist=slices[1],
+                             actions=dict.fromkeys(actions, slices))
+        check_rep(rep, cls, equivariance=True)
+        check_operator(base, OperatorWitness(kind=KIND_O_OPERATOR, matrix=slices[0], rep=rep))
+        check_oop_endomorphism(OperatorWitness(kind=KIND_O_OPERATOR, matrix=slices[0], rep=rep),
+                               twist, slices[1])
+        for weight in (F(0), F(1)):
+            check_operator(base, OperatorWitness(kind=KIND_ROTA_BAXTER, matrix=slices[0],
+                                                 weight=weight))
+        check_morphism(twist, base, base)
+        check(base, cls, multiplicativity=True)
+    check_hessian(make_structure(2, twist=twist, products={ProductRole.DOT: dense}),
+                  BilinearForm(matrix=slices[1]))
+    labels = {label.split("-")[0] for label, _, _ in compiled}
+    assert {"MREP", "PMREP", "PABM", "PA", "OOP", "ENDO", "RB", "MORPH", "MULT",
+            "HESS"} <= labels
+    for law in compiled:
+        assert_reads_every_index(*law)

@@ -1,0 +1,90 @@
+"""Every term of every class law is load-bearing.
+
+The mutants are generated from the law rows themselves: each single term of
+each law has its sign flipped, or is dropped.  Each mutant row is swapped
+into ``structures._CLASS_LAWS`` (the compiler reads the laws by their text,
+so a patched row is compiled afresh) and ``check`` runs on a seeded dense
+random structure of dimension 3, twist included.  The dense ``Fraction``
+evaluations of ``test_differential.py``, which share no code with the
+engine, must then disagree with the report: a mutant they cannot tell from
+the law would be a term the law does not need, or an input too small to
+show it.  At dimension 2 a commutator bracket makes HM-JAC's Jacobian terms
+and HM-EXP's first term vanish identically, so dimension 3 is the smallest
+that catches every mutant.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from homalg import StructureClass, check, make_structure
+from homalg.structures import _CLASS_LAWS, parse_formula
+from test_differential import SPARSE_CLASSES, sparse, tensor_of
+
+DIM = 3
+
+
+def unparse(tree) -> str:
+    """A product tree written out in the notation of the law rows."""
+    if type(tree) is str:
+        return tree
+    if len(tree) == 2:
+        return f"{tree[0]}.{unparse(tree[1])}"
+    return f"{tree[0]}({unparse(tree[1])}, {unparse(tree[2])})"
+
+
+def write(terms) -> str:
+    return " ".join(f"{'+' if sign > 0 else '-'}{unparse(tree)}" for sign, tree in terms)
+
+
+def mutants(formula: str) -> list[str]:
+    """Each single-term sign flip and each single-term drop of ``formula``."""
+    terms = list(parse_formula(formula))
+    out = []
+    for n, (sign, tree) in enumerate(terms):
+        out.append(write(terms[:n] + [(-sign, tree)] + terms[n + 1:]))
+        out.append(write(terms[:n] + terms[n + 1:]))
+    return out
+
+
+def test_unparse_writes_the_rows_back():
+    for laws in _CLASS_LAWS.values():
+        for _, _, formula in laws:
+            assert parse_formula(write(parse_formula(formula))) == parse_formula(formula)
+
+
+def test_mutant_count():
+    """Two mutants per term of the nine classes' laws, 142 terms; HM-JAC
+    reads ``J(e_i, e_j, e_k)`` as three terms in both bracket classes."""
+    assert sum(len(mutants(formula)) for laws in _CLASS_LAWS.values()
+               for _, _, formula in laws) == 284
+
+
+@pytest.mark.parametrize("cls", sorted(SPARSE_CLASSES))
+def test_every_class_law_mutant_is_caught_by_the_dense_oracle(cls, monkeypatch):
+    roles, residuals, _ = SPARSE_CLASSES[cls]
+    rng = random.Random(f"law-mutants/{cls}")
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    tables = [[[[entry() for _ in range(DIM)] for _ in range(DIM)] for _ in range(DIM)]
+              for _ in roles]
+    a = [[entry() for _ in range(DIM)] for _ in range(DIM)]
+    structure = make_structure(DIM, twist=a, products={
+        role: tensor_of(c) for role, c in zip(roles, tables)})
+    want = {key: sparse(res) for key, res in residuals(*tables, a).items() if any(res)}
+
+    def report():
+        return {(v.identity, v.args): v.residual
+                for v in check(structure, StructureClass(cls)).violations}
+
+    assert report() == want
+    laws = _CLASS_LAWS[StructureClass(cls)]
+    for n, (label, arity, formula) in enumerate(laws):
+        for mutant in mutants(formula):
+            monkeypatch.setitem(_CLASS_LAWS, StructureClass(cls),
+                                laws[:n] + ((label, arity, mutant),) + laws[n + 1:])
+            assert report() != want, (label, mutant)
