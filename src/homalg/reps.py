@@ -4,7 +4,7 @@ duals, and semidirect products.
 An action is stored as one module-sized matrix per basis element of the base
 algebra.  A check reads it as a bilinear map base x module -> module, a
 :class:`~homalg.exact.Grid` whose cell at ``(s, b)`` is ``rho(e_s) e_b``,
-and writes each axiom as a term list like a class identity (see
+and writes each axiom as a law row like a class law (see
 ``structures``): its last index is a module basis vector ``b``, so each
 residual is the image of ``e_b`` under one side minus the other, an exact
 residual column.

@@ -543,7 +543,7 @@ def _mul(grid: Grid, u: Table, v: Table, dl: int, dr: int) -> Table:
             if u.norm and v.norm else Table())
 
 
-def _composed(cells: Table) -> Grid:
+def _cells_grid(cells: Table) -> Grid:
     """The grid of the cells ``m(e_x * e_y)``, from their table."""
     out = Grid()
     out.ints, out.den, out.peak = cells, cells.den, cells.norm
@@ -614,7 +614,7 @@ def _compile(laws: tuple[Law, ...]) -> Callable[..., list[Identity]]:
                 t = names.get(f"_apply({columns(((1, chain),))}, {t}, {len(xat + yat)})")
             if chain and not t:
                 cells = f"_apply({columns(((1, chain),))}, {step(f'{grid}.ints')}, 2)"
-                grid = step(f"_composed({step(cells)})")
+                grid = step(f"_cells_grid({step(cells)})")
             terms[n] = (f"({sign}, None, ({t}, {xat + yat!r}))" if t else
                         f"({sign}, {grid}, ({x}, {xat!r}), ({y}, {yat!r}))")
         identities.append(f"({label!r}, {arity}, [{', '.join(terms)}])")
