@@ -513,9 +513,9 @@ def _map_sum(signs: tuple[int, ...], mats: list) -> Table:
 
 
 def _images(a: Table, cells: list, depth: int) -> list:
-    """``a`` applied to each entry of ``cells``, nested ``depth >= 2`` deep."""
-    if depth > 2:
-        return [_images(a, row, depth - 1) for row in cells]
+    """``a`` applied to each entry of ``cells``, nested ``depth`` (2 or 3) deep."""
+    if depth == 3:
+        return [_images(a, row, 2) for row in cells]
     return [[u and apply_cols(a, u) for u in row] for row in cells]
 
 
@@ -526,16 +526,12 @@ def _apply(a: Table, cells: Table, depth: int) -> Table:
 
 def _products(grid: Grid, u: list, dl: int, v: list, dr: int) -> list:
     """``grid(x, y)`` for each entry ``x`` of ``u`` and ``y`` of ``v``, nested
-    ``dl`` and ``dr`` deep, indexed by the indices of both in order."""
+    ``dl`` and ``dr`` deep (``dl + dr <= 3``), indexed by the indices of both."""
     if (dl, dr) == (1, 1):
         return [[x and y and grid_mul(grid, x, y) for y in v] for x in u]
     if (dl, dr) == (1, 2):
         return [[[x and y and grid_mul(grid, x, y) for y in row] for row in v] for x in u]
-    if (dl, dr) == (2, 1):
-        return [[[x and y and grid_mul(grid, x, y) for y in v] for x in row] for row in u]
-    if dl > 1:
-        return [_products(grid, row, dl - 1, v, dr) for row in u]
-    return [[_products(grid, [x], 1, row, dr - 1)[0] for row in v] for x in u]
+    return [[[x and y and grid_mul(grid, x, y) for y in v] for x in row] for row in u]
 
 
 def _mul(grid: Grid, u: Table, v: Table, dl: int, dr: int) -> Table:
@@ -585,6 +581,8 @@ def _compile(laws: tuple[Law, ...]) -> Callable[..., list[Identity]]:
             t, at = step(f"{grid}.ints"), left + right
         else:
             (x, lat), (y, rat) = table(left, last), table(right, last)
+            if len(lat + rat) > 3:
+                raise ValueError(f"a table reads at most three indices, not {tree!r}")
             t, at = step(f"_mul({grid}, {x}, {y}, {len(lat)}, {len(rat)})"), lat + rat
         return (step(f"_apply({columns(((1, chain),))}, {t}, {len(at)})") if chain else t), at
 

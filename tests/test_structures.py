@@ -513,3 +513,15 @@ def test_sweep_packs_each_grid_it_reads_once(monkeypatch):
             for norm, (_, grid, *_) in zip(terms.norms, terms) if grid is not None and norm}
     assert len(packed) == len(want) == len({id(cells) for cells in packed})
     assert {id(cells) for cells in packed} == want
+
+
+
+def test_compiler_refuses_a_table_of_four_indices():
+    """Every table the sweep reads holds at most three indices (a quaternary
+    law's factors split its four), so a law whose subtree reads four, here
+    with a repeated index, is refused when it is compiled."""
+    import homalg.structures as structures
+
+    with pytest.raises(ValueError, match="at most three indices"):
+        structures._compile((("DEEP", 3, "+star(star(star(i, j), star(i, j)), a.k)"),))
+    assert structures._compile((("ASSOC", 3, "+star(star(star(i, j), a.i), a.k)"),))
