@@ -45,7 +45,6 @@ from .reps import (
     PRE_ALTERNATIVE_ACTIONS,
     PRE_MALCEV_ACTIONS,
     Representation,
-    _ACTION_OF,
     _cols_matrix,
 )
 from .structures import (
@@ -170,12 +169,6 @@ _OOP_LAWS: dict[frozenset[ActionRole], tuple] = {
 }
 
 
-def _rep_grids(structure: HomStructure, rep: Representation):
-    """The grid a law names: an action of ``rep`` or a product of ``structure``."""
-    products = _grids(structure)
-    return lambda name: rep.grid(_ACTION_OF[name]) if name in _ACTION_OF else products(name)
-
-
 #: RB-<role> by weight zero or not: R e_i * R e_j - R(R e_i * e_j + e_i * R e_j
 #: + lam e_i * e_j), where R(R e_i * e_j + lam e_i * e_j) is the product of
 #: (R + lam) e_i, named Rl, and e_j on the grid of R after the product
@@ -220,7 +213,7 @@ def _oop_identities(structure: HomStructure, w: OperatorWitness) -> list[Identit
         raise RoleMismatch(missing)
     laws = tuple((f"OOP-{role.value}", 2, law) for role, law in laws.items()
                  if role in structure.products) + (("OOP-TWIST", 1, "+a.T.i - T.b.i"),)
-    return _compile(laws)(_rep_grids(structure, rep), {
+    return _compile(laws)(_grids(structure, other=rep.grid), {
         "T": w.matrix, "a": structure.twist, "b": rep.module_twist}, m)
 
 
@@ -374,7 +367,7 @@ def _induce_compatible(structure: HomStructure, w: OperatorWitness) -> HomStruct
     _require_valid(structure, w, _COMPATIBLE)
     e, ti, t = sv_basis(structure.dim), mat_cols(t_inv), mat_cols(w.matrix)
     return _carrier_structure(structure, {
-        out: _product(rep.grid(act), e, ti, swap, outer=t)
+        out: _product(rep.grid(ACTION_NAMES[act]), e, ti, swap, outer=t)
         for out, act, _, swap in _FAMILIES["premalcev-to-mdendriform"]}, _COMPATIBLE)
 
 
@@ -400,7 +393,7 @@ def induce(structure: HomStructure, w: OperatorWitness, recipe: str) -> HomStruc
     if form == "oop":
         f = sv_basis(rep.module_dim)
         return make_structure(dim=rep.module_dim, twist=rep.module_twist, products={
-            out: _product(rep.grid(act), t, f, swap)
+            out: _product(rep.grid(ACTION_NAMES[act]), t, f, swap)
             for out, act, _, swap in rows}, meta={"construction": recipe})
     e, grids = sv_basis(structure.dim), {role: structure.grid(role) for role in roles}
     return _carrier_structure(structure, {
@@ -434,12 +427,6 @@ def induce_pair(structure: HomStructure, r1: OperatorWitness,
 # Hessian forms
 # ---------------------------------------------------------------------------
 
-def _form_grid(b: Matrix) -> Grid:
-    """The bilinear form ``b`` as a product with one output coordinate, 0."""
-    return tensor_grid({(r, c): {0: v} for r, row in enumerate(b)
-                        for c, v in enumerate(row) if v}, len(b))
-
-
 #: twist-invariance and the cocycle law of a form against the dot product
 _HESSIAN_LAWS = (
     ("HESS-INV", 2, "+form(a.i, a.j) - form(i, j)"),
@@ -471,10 +458,11 @@ def check_hessian(structure: HomStructure, form: BilinearForm) -> CheckReport:
     kernel = mat_kernel_vector(b)
     if kernel is not None:
         violations.append(Violation("HESS-NONDEG", (), kernel))
-    # each residual is a number, kept as entry 0 of a vector
-    form_grid, grid = _form_grid(b), _grids(structure)
-    identities = _compile(_HESSIAN_LAWS)(
-        lambda name: form_grid if name == "form" else grid(name), {"a": alpha}, n)
+    # a product with one output coordinate, 0: each residual is a number
+    form_grid = tensor_grid({(r, c): {0: v} for r, row in enumerate(b)
+                             for c, v in enumerate(row) if v}, n)
+    identities = _compile(_HESSIAN_LAWS)(_grids(structure, other={"form": form_grid}.get),
+                                         {"a": alpha}, n)
     return _sweep("hessian", identities, n, start, violations=violations,
                   tuples=n * (n - 1) // 2 + 1)
 
@@ -539,7 +527,7 @@ def check_oop_endomorphism(w: OperatorWitness, phiA: Matrix,
         raise DimensionMismatch(f"module map must be {m}x{m}, got {mat_shape(phiV)}")
     start = time.perf_counter()
     laws = (("ENDO-OP", 1, "+T.pv.i - pa.T.i"),) + tuple(map(_ENDO_LAWS.__getitem__, rep.actions))
-    return _sweep("oop-endomorphism", _compile(laws)(_rep_grids(rep.base, rep), {
+    return _sweep("oop-endomorphism", _compile(laws)(_grids(rep.base, other=rep.grid), {
         "T": w.matrix, "pa": phiA, "pv": phiV}, n, m), n, start, module_dim=m).passed
 
 

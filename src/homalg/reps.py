@@ -15,6 +15,7 @@ import time
 from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from .exact import (
@@ -49,11 +50,12 @@ from .structures import (
     Record,
     RoleMismatch,
     StructureClass,
-    _ROLE_OF,
+    ACTION_SUMS,
     _SPLITTING_LAWS,
     _compile,
     _components,
     _edges,
+    _grids,
     _mult_identities,
     _restrict,
     _role_laws,
@@ -142,12 +144,13 @@ class Representation(Record):
                              if (cell := {r: row[b] for r, row in enumerate(mat) if row[b]})}
         return actions[role]
 
-    def grid(self, role: ActionRole) -> Grid:
-        """The grid of the action ``role``, built once per representation."""
+    def grid(self, name: str) -> Grid:
+        """The grid of the action a law names (:func:`_action_grid`), built once."""
         grids = self.__dict__.setdefault("_grids", {})
-        if role not in grids:
-            grids[role] = tensor_grid(self.action(role), self.base.dim, self.module_dim)
-        return grids[role]
+        if name not in grids:
+            grids[name] = _action_grid(name, {role: self.action(role) for role in self.actions},
+                                       self.base.dim, self.module_dim)
+        return grids[name]
 
 
 def _malcev_rep_laws(rho: str) -> tuple[Law, ...]:
@@ -175,28 +178,33 @@ _PRE_MALCEV_REP_LAWS = (
                    " + left(a2.k, right(a.i, rho(j, l)))"),
 )
 
-A = ActionRole
-
 #: the name of each action role's grid in a law, in the order of the roles
 ACTION_NAMES: dict[ActionRole, str] = dict(zip(ActionRole, (
     "rho", "left", "right", "lp", "rp", "ls", "rs")))
 _ACTION_OF = {name: role for role, name in ACTION_NAMES.items()}
 
+
+def _action_grid(name: str, acts: Mapping[ActionRole, Tensor], n: int, m: int) -> Grid:
+    """The grid over ``n`` base and ``m`` module basis vectors of the action a law
+    names: one of ``acts``, else their signed sum in :data:`~homalg.structures.ACTION_SUMS`."""
+    terms = ((1, name),) if _ACTION_OF[name] in acts else ACTION_SUMS[name]
+    (_, t), *rest = ((sign, acts[_ACTION_OF[x]]) for sign, x in terms)
+    for sign, u in rest:
+        t = (tensor_add if sign > 0 else tensor_sub)(t, u)
+    return tensor_grid(t, n, m)
+
+
 #: each class's representation axioms: the actions they need, the base roles
-#: they read (None: all), the action grids that are sums of signed actions
-#: (any other is one action of :data:`ACTION_NAMES`), the axioms, and the
-#: equivariance axioms checked on request, with the base twist ``a`` and the
-#: module twist ``b``
+#: they read (None: all), the axioms, and the equivariance axioms checked on
+#: request, with the base twist ``a`` and the module twist ``b``
 _REP_LAWS: dict[StructureClass, tuple] = {
-    StructureClass.HOM_MALCEV: (MALCEV_ACTIONS, None, {}, _malcev_rep_laws("rho"), ()),
+    StructureClass.HOM_MALCEV: (MALCEV_ACTIONS, None, _malcev_rep_laws("rho"), ()),
     # the Malcev laws of the left action over the commutator of the dot product
     StructureClass.HOM_PRE_MALCEV: (
-        PRE_MALCEV_ACTIONS, frozenset({ProductRole.DOT}), {"rho": ((1, A.LEFT), (-1, A.RIGHT))},
+        PRE_MALCEV_ACTIONS, frozenset({ProductRole.DOT}),
         _malcev_rep_laws("left") + _PRE_MALCEV_REP_LAWS, ()),
     StructureClass.HOM_PRE_ALTERNATIVE: (
-        PRE_ALTERNATIVE_ACTIONS, frozenset({ProductRole.PREC, ProductRole.SUCC}),
-        {"left": ((1, A.LEFT_PREC), (1, A.LEFT_SUCC)),
-         "right": ((1, A.RIGHT_PREC), (1, A.RIGHT_SUCC))}, _SPLITTING_LAWS,
+        PRE_ALTERNATIVE_ACTIONS, frozenset({ProductRole.PREC, ProductRole.SUCC}), _SPLITTING_LAWS,
         tuple(_role_laws("PA-EQ", 2, "+b.{g}(i, j) - {g}(a.i, b.j)", {
             role: ACTION_NAMES[role] for role in PRE_ALTERNATIVE_ACTIONS}).values())),
 }
@@ -247,7 +255,7 @@ def check_rep(rep: Representation, cls: StructureClass, *,
             f"class '{cls.value}' needs actions {sorted(r.value for r in needed)}; "
             f"representation has {sorted(r.value for r in rep.roles())}"
         )
-    _, roles, sums, laws, equivariant = _REP_LAWS[cls]
+    _, roles, laws, equivariant = _REP_LAWS[cls]
     if roles and not roles <= rep.base.roles():
         names = " and ".join(sorted(role.value for role in roles))
         raise RoleMismatch(f"base structure must carry the {names} "
@@ -256,17 +264,7 @@ def check_rep(rep: Representation, cls: StructureClass, *,
 
     def identities(base, beta, actions, m):
         base = base.only(roles) if roles else base
-
-        def grid(name: str) -> Grid:
-            if name in sums:
-                (_, t), *rest = ((sign, actions[role]) for sign, role in sums[name])
-                for sign, u in rest:
-                    t = (tensor_add if sign > 0 else tensor_sub)(t, u)
-            elif name in _ACTION_OF:
-                t = actions[_ACTION_OF[name]]
-            else:
-                return base.grid(_ROLE_OF[name])
-            return tensor_grid(t, base.dim, m)
+        grid = _grids(base, other=partial(_action_grid, acts=actions, n=base.dim, m=m))
         return _compile(laws)(grid, {"a": base.twist, "b": beta}, base.dim, m)
 
     acts = {role: rep.action(role) for role in needed}

@@ -25,6 +25,7 @@ from .exact import (
     Tensor,
     apply_cols,
     as_imat,
+    as_ivec,
     grid_mul,
     grid_pack,
     mat_cols,
@@ -32,7 +33,6 @@ from .exact import (
     mat_lincomb,
     mat_mul,
     mat_shape,
-    mat_sub,
     matrix,
     sv_basis,
     sv_unpack,
@@ -300,9 +300,7 @@ def derived_product(structure: HomStructure, role: ProductRole) -> Tensor:
 # factors are indices or the laws build that table anyway, else it is a
 # product term (on the composed grid of cells ``m(e_x * e_y)`` under a map);
 # the maps over one index (a map over a map is their composition) add up to
-# one table, the columns of their signed sum.  A sweep stacks each table
-# over the last index and folds each product's last-index factor into its
-# grid once (see :class:`_Stacks`).
+# one table, the columns of their signed sum.
 Law = tuple[str, int, str]
 Term = tuple
 Identity = tuple[str, int, list[Term]]
@@ -343,8 +341,8 @@ def parse_formula(formula: str) -> tuple[tuple[int, object], ...]:
 
 
 #: the ten splitting axioms of the actions ``lp``, ``rp``, ``ls`` and ``rs`` of
-#: a pre-alternative structure on a module twisted by ``b``, with ``left = lp
-#: + ls``, ``right = rp + rs`` and ``star = prec + succ``
+#: a pre-alternative structure on a module twisted by ``b``, with ``left`` and
+#: ``right`` their sums (see :data:`ACTION_SUMS`) and ``star = prec + succ``
 _SPLITTING_LAWS = (
     ("PABM-1", 3, "+ls(star(i, j), b.k) + ls(star(j, i), b.k) - ls(a.i, ls(j, k))"
                   " - ls(a.j, ls(i, k))"),
@@ -368,10 +366,14 @@ _SPLITTING_LAWS = (
                    " - lp(a.i, left(j, k))"),
 )
 
-#: each action of a pre-alternative structure on itself: a product, True if
-#: the acting vector is its right factor
-_REGULAR = {"lp": ("prec", False), "rp": ("prec", True), "ls": ("succ", False),
-            "rs": ("succ", True), "left": ("star", False), "right": ("star", True)}
+#: each product's left and right actions in a law; the actions a law may name as signed
+#: sums of those a representation carries (``star = prec + succ`` acts by the sums of its
+#: parts' actions, a pre-Malcev ``rho`` by ``left - right``); each action's product and side
+_ACTIONS = {"prec": ("lp", "rp"), "succ": ("ls", "rs"), "star": ("left", "right")}
+ACTION_SUMS = {"rho": ((1, "left"), (-1, "right")), **{
+    total: ((1, x), (1, y)) for total, x, y in zip(*map(_ACTIONS.get, ("star", "prec", "succ")))}}
+_REGULAR = {act: (product, side) for product, acts in _ACTIONS.items()
+            for side, act in enumerate(acts)}
 
 
 def _regular(tree) -> str:
@@ -491,10 +493,8 @@ def _table(rows: list, den: int, depth: int) -> Table:
 
 
 def _columns(m) -> Table:
-    """The columns of the matrix ``m``, images of the basis vectors."""
-    cols = mat_cols(m)
-    return Table(cols, cols[0].den, max([sum(map(abs, c.values())) for c in cols]),
-                 max([max(c) for c in cols if c], default=-1) + 1)
+    """The columns of the Imat ``m``, images of the basis vectors."""
+    return _table(mat_cols(m), m.den, 1)
 
 
 # What a compiled law set calls to build its tables, once per check.  A table
@@ -506,37 +506,40 @@ def _basis(n: int) -> Table:
     return Table(sv_basis(n), 1, 1, n)
 
 
+@lru_cache(maxsize=None)
+def _signs(signs: tuple[int, ...]) -> Ivec:
+    """``signs`` as the coefficients of a linear combination, built once."""
+    return as_ivec(dict(enumerate(signs)))
+
+
 def _map_sum(signs: tuple[int, ...], mats: list) -> Table:
     """The columns of the sum of the Imats ``mats`` with ``signs``."""
-    return _columns(mat_sub(*mats) if signs == (1, -1) else
-                    mat_lincomb(dict(enumerate(signs)), mats, mats[0].rows, mats[0].cols))
-
-
-def _images(a: Table, cells: list, depth: int) -> list:
-    """``a`` applied to each entry of ``cells``, nested ``depth`` (2 or 3) deep."""
-    if depth == 3:
-        return [_images(a, row, 2) for row in cells]
-    return [[u and apply_cols(a, u) for u in row] for row in cells]
+    return _columns(mat_lincomb(_signs(signs), mats, mats[0].rows, mats[0].cols))
 
 
 def _apply(a: Table, cells: Table, depth: int) -> Table:
-    return (_table(_images(a, cells, depth), a.den * cells.den, depth)
-            if a.norm and cells.norm else Table())
-
-
-def _products(grid: Grid, u: list, dl: int, v: list, dr: int) -> list:
-    """``grid(x, y)`` for each entry ``x`` of ``u`` and ``y`` of ``v``, nested
-    ``dl`` and ``dr`` deep (``dl + dr <= 3``), indexed by the indices of both."""
-    if (dl, dr) == (1, 1):
-        return [[x and y and grid_mul(grid, x, y) for y in v] for x in u]
-    if (dl, dr) == (1, 2):
-        return [[[x and y and grid_mul(grid, x, y) for y in row] for row in v] for x in u]
-    return [[[x and y and grid_mul(grid, x, y) for y in v] for x in row] for row in u]
+    """``a`` applied to each entry of ``cells``, nested ``depth`` (2 or 3) deep."""
+    if not (a.norm and cells.norm):
+        return Table()
+    if depth == 2:
+        images = [[u and apply_cols(a, u) for u in row] for row in cells]
+    else:
+        images = [[[u and apply_cols(a, u) for u in row] for row in rows] for rows in cells]
+    return _table(images, a.den * cells.den, depth)
 
 
 def _mul(grid: Grid, u: Table, v: Table, dl: int, dr: int) -> Table:
-    return (_table(_products(grid, u, dl, v, dr), grid.den * u.den * v.den, dl + dr)
-            if u.norm and v.norm else Table())
+    """``grid(x, y)`` for each entry ``x`` of ``u`` and ``y`` of ``v``, nested
+    ``dl`` and ``dr`` deep (``dl + dr <= 3``), indexed by the indices of both."""
+    if not (u.norm and v.norm):
+        return Table()
+    if (dl, dr) == (1, 1):
+        rows = [[x and y and grid_mul(grid, x, y) for y in v] for x in u]
+    elif (dl, dr) == (1, 2):
+        rows = [[[x and y and grid_mul(grid, x, y) for y in row] for row in v] for x in u]
+    else:
+        rows = [[[x and y and grid_mul(grid, x, y) for y in v] for x in row] for row in u]
+    return _table(rows, grid.den * u.den * v.den, dl + dr)
 
 
 def _cells_grid(cells: Table) -> Grid:
@@ -546,45 +549,55 @@ def _cells_grid(cells: Table) -> Grid:
     return out
 
 
+#: each kind of compiled step's source, from earlier steps' names (a tuple: a list) and literals
+_STEPS = {"basis": "_basis({})", "map": "as_imat(maps[{!r}])", "compose": "mat_mul({}, {})",
+          "columns": "_columns({})", "sum": "_map_sum({}, {})", "grid": "grid({!r})",
+          "cells": "{}.ints", "mul": "_mul({}, {}, {}, {}, {})", "apply": "_apply({}, {}, {})",
+          "composed": "_cells_grid({})"}
+
+
 @lru_cache(maxsize=None)
 def _compile(laws: tuple[Law, ...]) -> Callable[..., list[Identity]]:
     """``laws`` compiled once per text to ``build(grid, maps, dim, module_dim=0)``:
     on the grids ``grid(name)`` and maps ``maps[name]``, their identities,
     the last index over ``module_dim`` basis vectors (if given), else ``dim``."""
-    lines: list[str] = []
-    names: dict[str, str] = {}
+    lines, names = [], {}       # each step's source line, and its name by its key
 
-    def step(source: str) -> str:     # computed once: equal shapes share it
-        if source not in names:
-            names[source] = f"t{len(names)}"
-            lines.append(f"    {names[source]} = {source}")
-        return names[source]
+    def step(*key) -> str:      # computed once: equal shapes share it
+        if key not in names:
+            names[key] = f"t{len(names)}"
+            args = [f"[{', '.join(a)}]" if type(a) is tuple and type(a[0]) is str else a
+                    for a in key[1:]]
+            lines.append(f"    {names[key]} = {_STEPS[key[0]].format(*args)}")
+        return names[key]
 
-    def imat(name: str) -> str:
-        return step(f"as_imat(maps[{name!r}])")
-
-    def columns(terms: tuple) -> str:   # of a signed sum of composed maps
-        mats = [reduce(lambda m, x: f"mat_mul({m}, {x})", map(imat, chain)) for _, chain in terms]
+    def columns(*terms) -> str:     # of the signed sum of each chain of maps composed
+        mats = tuple(reduce(lambda m, x: step("compose", m, x), [step("map", x) for x in chain])
+                     for _, chain in terms)
         if len(terms) == 1 and terms[0][0] == 1:
-            return step(f"_columns({mats[0]})")
-        return step(f"_map_sum({tuple(sign for sign, _ in terms)}, [{', '.join(mats)}])")
+            return step("columns", *mats)
+        return step("sum", tuple(sign for sign, _ in terms), mats)
+
+    def applied(chain: tuple, t: str, at: str) -> tuple:    # the key of chain over t
+        return "apply", columns((1, chain)), t, len(at)
+
+    def product(name: str, left, right, last: str) -> tuple[tuple, str]:    # and its indices
+        grid = step("grid", name)
+        if type(left) is str and type(right) is str:
+            return ("cells", grid), left + right
+        (x, lat), (y, rat) = table(left, last), table(right, last)
+        return ("mul", grid, x, y, len(lat), len(rat)), lat + rat
 
     def table(tree, last: str) -> tuple[str, str]:   # and the indices it reads
         if type(tree) is str:
-            return step("_basis(module_dim or dim)" if tree == last else "_basis(dim)"), tree
+            return step("basis", "module_dim or dim" if tree == last else "dim"), tree
         chain, inner = _maps(tree)
         if type(inner) is str:
-            return columns(((1, chain),)), inner
-        name, left, right = inner
-        grid = step(f"grid({name!r})")
-        if type(left) is str and type(right) is str:
-            t, at = step(f"{grid}.ints"), left + right
-        else:
-            (x, lat), (y, rat) = table(left, last), table(right, last)
-            if len(lat + rat) > 3:
-                raise ValueError(f"a table reads at most three indices, not {tree!r}")
-            t, at = step(f"_mul({grid}, {x}, {y}, {len(lat)}, {len(rat)})"), lat + rat
-        return (step(f"_apply({columns(((1, chain),))}, {t}, {len(at)})") if chain else t), at
+            return columns((1, chain)), inner
+        key, at = product(*inner, last)
+        if len(at) > 3:
+            raise ValueError(f"a table reads at most three indices, not {tree!r}")
+        return (step(*applied(chain, step(*key), at)) if chain else step(*key)), at
 
     rows = []
     for label, arity, formula in laws:
@@ -596,25 +609,24 @@ def _compile(laws: tuple[Law, ...]) -> Callable[..., list[Identity]]:
             elif type(top[1]) is str and type(top[2]) is str:
                 terms.append((sign, *table(tree, last)))
             else:
-                terms.append((sign, chain, step(f"grid({top[0]!r})"), *table(top[1], last),
-                              *table(top[2], last)))
-        rows.append((label, arity, terms + [(1, columns(tuple(ts)), at)
-                                            for at, ts in maps.items()]))
+                terms.append((sign, chain, *product(*top, last)))
+        rows.append((label, arity, terms + [(1, columns(*ts), at) for at, ts in maps.items()]))
     identities = []
     for label, arity, terms in rows:
         for n, (sign, *term) in enumerate(terms):
-            if len(term) == 2:
-                terms[n] = "({}, None, ({}, {!r}))".format(sign, *term)
-                continue
-            chain, grid, x, xat, y, yat = term
-            t = names.get(f"_mul({grid}, {x}, {y}, {len(xat)}, {len(yat)})")
-            if t and chain:
-                t = names.get(f"_apply({columns(((1, chain),))}, {t}, {len(xat + yat)})")
-            if chain and not t:
-                cells = f"_apply({columns(((1, chain),))}, {step(f'{grid}.ints')}, 2)"
-                grid = step(f"_cells_grid({step(cells)})")
-            terms[n] = (f"({sign}, None, ({t}, {xat + yat!r}))" if t else
-                        f"({sign}, {grid}, ({x}, {xat!r}), ({y}, {yat!r}))")
+            if len(term) == 3:      # a product at the top, read as its table if it is built
+                chain, key, at = term
+                t = names.get(key)
+                if t and chain:
+                    t = names.get(applied(chain, t, at))
+                if not t:
+                    _, grid, x, y, dl, _ = key
+                    if chain:
+                        grid = step("composed", step(*applied(chain, step("cells", grid), "xy")))
+                    terms[n] = f"({sign}, {grid}, ({x}, {at[:dl]!r}), ({y}, {at[dl:]!r}))"
+                    continue
+                term = t, at
+            terms[n] = "({}, None, ({}, {!r}))".format(sign, *term)
         identities.append(f"({label!r}, {arity}, [{', '.join(terms)}])")
     source = "\n".join(["def build(grid, maps, dim, module_dim=0):", *lines,
                         f"    return [{', '.join(identities)}]"])
@@ -652,10 +664,15 @@ class _Terms(list):
         self.span = max(spans, default=0)
 
 
-def _grids(source: HomStructure, target: HomStructure | None = None) -> Callable[[str], Grid]:
-    """The grid a law names: a product of ``source``, or after ``to_`` of ``target``."""
-    return lambda name: (target.grid(_ROLE_OF[name[3:]]) if name.startswith("to_")
-                         else source.grid(_ROLE_OF[name]))
+def _grids(source: HomStructure, target: HomStructure | None = None,
+           other: Callable[[str], Grid] | None = None) -> Callable[[str], Grid]:
+    """The grid a law names: a product of ``source`` (after ``to_``, of
+    ``target``), or else ``other(name)``, an action or a form."""
+    def grid(name: str) -> Grid:
+        if name.startswith("to_"):
+            return target.grid(_ROLE_OF[name[3:]])
+        return source.grid(_ROLE_OF[name]) if name in _ROLE_OF else other(name)
+    return grid
 
 
 _CLASS_IDENTITIES: dict[StructureClass, Callable[[HomStructure], list[Identity]]] = {
