@@ -9,7 +9,7 @@ tensors mapping a basis pair ``(i, j)`` to the sparse coordinate vector of
 Inside a sweep every value is integer numerators over one denominator: an
 :class:`Ivec` (sparse vector) or an :class:`Imat` (flat row-major matrix).
 The kernels (``grid_mul``, ``apply_cols``, ``sv_*``, ``mat_mul``,
-``mat_sub``, ``mat_lincomb``) take and return these forms and
+``mat_lincomb``) take and return these forms and
 sum every term as an ``int``; a plain ``Fraction`` mapping or tuple matrix
 passed to one is converted on entry.  Numerators are not reduced, so two
 integer forms of one value may differ: compare values by testing their
@@ -147,17 +147,6 @@ def mat_identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def mat_sub(a, b) -> Imat:
-    a, b = as_imat(a), as_imat(b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionMismatch(
-            f"matrix shapes differ: {(a.rows, a.cols)} vs {(b.rows, b.cols)}")
-    den = lcm(a.den, b.den)
-    fa, fb = den // a.den, -(den // b.den)
-    return _imat(map(add, map(fa.__mul__, a), map(fb.__mul__, b)), den,
-                 a.rows, a.cols)
-
-
 def mat_mul(a, b) -> Imat:
     a, b = as_imat(a), as_imat(b)
     ra, ca, rb, cb = a.rows, a.cols, b.rows, b.cols
@@ -169,9 +158,13 @@ def mat_mul(a, b) -> Imat:
 
 
 def mat_lincomb(coeffs: Mapping, mats: Sequence, rows: int, cols: int) -> Imat:
-    """Linear combination of matrices: sum of coeffs[s] * mats[s]."""
+    """Linear combination of matrices: sum of coeffs[s] * mats[s], each of
+    those it combines ``rows x cols``."""
     coeffs = as_ivec(coeffs)
     terms = [(n, as_imat(mats[s])) for s, n in coeffs.items()]
+    for s, (_, m) in zip(coeffs, terms):
+        if (m.rows, m.cols) != (rows, cols):
+            raise DimensionMismatch(f"matrix {s} is {m.rows}x{m.cols}, not {rows}x{cols}")
     den = lcm(*[m.den for _, m in terms])
     acc = [0] * (rows * cols)
     for n, m in terms:
@@ -314,36 +307,6 @@ def validate_tensor(t: Tensor, dim: int, name: str = "tensor") -> None:
         for k in cell:
             if not (0 <= k < dim):
                 raise DimensionMismatch(f"{name}: output index {k} out of range for dim {dim}")
-
-
-def tensor_add(a: Tensor, b: Tensor) -> Tensor:
-    out = {key: dict(cell) for key, cell in a.items()}
-    for key, cell in b.items():
-        tgt = out.setdefault(key, {})
-        for k, v in cell.items():
-            nv = tgt.get(k, ZERO) + v
-            if nv:
-                tgt[k] = nv
-            else:
-                tgt.pop(k, None)
-    return {key: cell for key, cell in out.items() if cell}
-
-
-def tensor_neg(a: Tensor) -> Tensor:
-    return {key: {k: -v for k, v in cell.items()} for key, cell in a.items()}
-
-
-def tensor_sub(a: Tensor, b: Tensor) -> Tensor:
-    return tensor_add(a, tensor_neg(b))
-
-
-def tensor_flip(a: Tensor) -> Tensor:
-    """Swap the two inputs: the flip of ``*`` sends ``(x, y)`` to ``y * x``."""
-    return {(j, i): dict(cell) for (i, j), cell in a.items()}
-
-
-def tensor_commutator(a: Tensor) -> Tensor:
-    return tensor_sub(a, tensor_flip(a))
 
 
 class Table(list):

@@ -11,15 +11,10 @@ from typing import Mapping
 
 from .exact import (
     Matrix,
-    Tensor,
     mat_fractions,
     mat_mul,
     matrix,
     push_product,
-    tensor_commutator,
-    tensor_flip,
-    tensor_neg,
-    tensor_sub,
 )
 from .operators import (
     KIND_ROTA_BAXTER,
@@ -27,6 +22,7 @@ from .operators import (
     OperatorInvalid,
     OperatorWitness,
     _checked,
+    _rebuild,
     check_commuting,
     induce,
     induce_pair,
@@ -38,10 +34,11 @@ from .structures import (
     Record,
     RoleMismatch,
     StructureClass,
+    _named,
     check,
     check_morphism,
+    combine,
     derived_product,
-    make_structure,
 )
 
 
@@ -51,20 +48,6 @@ class NotAMorphism(ValueError):
 
 class UnknownDirection(ValueError):
     """The split direction label is not one of the supported ones."""
-
-
-SPLIT_DIRECTIONS = ("mdendriform", "prealt-horizontal", "prealt-vertical")
-
-
-def _rebuild(structure: HomStructure, products: Mapping[ProductRole, Tensor],
-             construction: str, twist: Matrix | None = None) -> HomStructure:
-    return make_structure(
-        dim=structure.dim,
-        twist=structure.twist if twist is None else twist,
-        products=products,
-        basis=structure.basis,
-        meta={"construction": construction},
-    )
 
 
 def commutator(structure: HomStructure,
@@ -85,11 +68,8 @@ def commutator(structure: HomStructure,
             )
     if role not in structure.products:
         raise RoleMismatch(f"product role '{role.value}' not stored")
-    return _rebuild(
-        structure,
-        {ProductRole.BRACKET: tensor_commutator(structure.products[role])},
-        f"commutator-of-{role.value}",
-    )
+    return _rebuild(structure, {ProductRole.BRACKET: combine(
+        "+g(i, j) - g(j, i)", {"g": structure.products[role]})}, f"commutator-of-{role.value}")
 
 
 def _require(structure: HomStructure, roles: tuple[ProductRole, ...],
@@ -125,12 +105,8 @@ def transpose(structure: HomStructure) -> HomStructure:
     """Flip and negate the right-triangle product, keep the left one; an
     involution that swaps the horizontal and vertical structures."""
     p = _require_pair(structure).products
-    return _rebuild(
-        structure,
-        {ProductRole.TRI_RIGHT: tensor_neg(tensor_flip(p[ProductRole.TRI_RIGHT])),
-         ProductRole.TRI_LEFT: p[ProductRole.TRI_LEFT]},
-        "transpose",
-    )
+    return _rebuild(structure, {ProductRole.TRI_RIGHT: combine("-tr(j, i)", _named(p)),
+                                ProductRole.TRI_LEFT: p[ProductRole.TRI_LEFT]}, "transpose")
 
 
 def yau_twist(structure: HomStructure, alpha_new: Matrix, *,
@@ -153,10 +129,18 @@ def yau_twist(structure: HomStructure, alpha_new: Matrix, *,
     )
 
 
-#: the derived products each pre-alternative split stores as (prec, succ):
-#: the column sums (nw + sw, ne + se), or the row sums (ne + nw, se + sw)
-_PREALT_SPLITS = {"prealt-horizontal": (ProductRole.PREC, ProductRole.SUCC),
-                  "prealt-vertical": (ProductRole.WEDGE, ProductRole.VEE)}
+#: the products each split direction stores, from the compass products: the
+#: triangle pair, or as (prec, succ) the column sums (nw + sw, ne + se) or the
+#: row sums (ne + nw, se + sw)
+_SPLITS: dict[str, dict[ProductRole, str]] = {
+    "mdendriform": {ProductRole.TRI_RIGHT: "+ne(i, j) - sw(j, i)",
+                    ProductRole.TRI_LEFT: "+se(i, j) - nw(j, i)"},
+    "prealt-horizontal": {ProductRole.PREC: "+nw(i, j) + sw(i, j)",
+                          ProductRole.SUCC: "+ne(i, j) + se(i, j)"},
+    "prealt-vertical": {ProductRole.PREC: "+ne(i, j) + nw(i, j)",
+                        ProductRole.SUCC: "+se(i, j) + sw(i, j)"},
+}
+SPLIT_DIRECTIONS = tuple(_SPLITS)
 
 
 def quadri_split(structure: HomStructure, direction: str) -> HomStructure:
@@ -166,31 +150,20 @@ def quadri_split(structure: HomStructure, direction: str) -> HomStructure:
     compass = _require(structure, (ProductRole.NW, ProductRole.SW,
                                    ProductRole.NE, ProductRole.SE),
                        "all four compass products")
-    p = compass.products
-    if direction == "mdendriform":
-        products = {
-            ProductRole.TRI_RIGHT: tensor_sub(p[ProductRole.NE], tensor_flip(p[ProductRole.SW])),
-            ProductRole.TRI_LEFT: tensor_sub(p[ProductRole.SE], tensor_flip(p[ProductRole.NW])),
-        }
-    elif direction in _PREALT_SPLITS:
-        prec, succ = _PREALT_SPLITS[direction]
-        products = {ProductRole.PREC: derived_product(compass, prec),
-                    ProductRole.SUCC: derived_product(compass, succ)}
-    else:
+    if direction not in _SPLITS:
         raise UnknownDirection(
             f"unknown split direction {direction!r}; expected one of {SPLIT_DIRECTIONS}"
         )
-    return _rebuild(structure, products, f"quadri-split-{direction}")
+    tensors = _named(compass.products)
+    return _rebuild(structure, {role: combine(formula, tensors) for role, formula
+                                in _SPLITS[direction].items()}, f"quadri-split-{direction}")
 
 
 def _prealt_dot(structure: HomStructure) -> HomStructure:
     """The difference product x>y - (y<x) of a two-product splitting, stored
     under the dot role."""
-    succ = structure.products[ProductRole.SUCC]
-    prec = structure.products[ProductRole.PREC]
-    return _rebuild(structure,
-                    {ProductRole.DOT: tensor_sub(succ, tensor_flip(prec))},
-                    "prealt-difference")
+    return _rebuild(structure, {ProductRole.DOT: combine(
+        "+succ(i, j) - prec(j, i)", _named(structure.products))}, "prealt-difference")
 
 
 class DiagramReport(Record):

@@ -28,8 +28,8 @@ from .exact import (
     mat_inverse,
     mat_kernel_vector,
     mat_mul,
+    mat_lincomb,
     mat_shape,
-    mat_sub,
     mat_transpose,
     matrix as to_matrix,
     push_product,
@@ -237,8 +237,8 @@ def check_commuting(r1: OperatorWitness, r2: OperatorWitness) -> bool:
         raise DimensionMismatch(
             f"operators have shapes {mat_shape(r1.matrix)} and {mat_shape(r2.matrix)}"
         )
-    return not any(mat_sub(mat_mul(r1.matrix, r2.matrix),
-                           mat_mul(r2.matrix, r1.matrix)))
+    products = mat_mul(r1.matrix, r2.matrix), mat_mul(r2.matrix, r1.matrix)
+    return not any(mat_lincomb({0: 1, 1: -1}, products, *mat_shape(r1.matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +308,14 @@ def _product(grid: Grid, a: Sequence[Ivec], b: Sequence[Ivec], swap: bool = Fals
     return out
 
 
-def _carrier_structure(structure: HomStructure,
-                       products: Mapping[ProductRole, Tensor],
-                       recipe: str) -> HomStructure:
+def _rebuild(structure: HomStructure, products: Mapping[ProductRole, Tensor],
+             construction: str, twist: Matrix | None = None) -> HomStructure:
     return make_structure(
-        dim=structure.dim, twist=structure.twist, products=products,
-        basis=structure.basis, meta={"construction": recipe},
+        dim=structure.dim,
+        twist=structure.twist if twist is None else twist,
+        products=products,
+        basis=structure.basis,
+        meta={"construction": construction},
     )
 
 
@@ -366,7 +368,7 @@ def _induce_compatible(structure: HomStructure, w: OperatorWitness) -> HomStruct
     t_inv = mat_inverse(w.matrix)  # SingularMatrix when not invertible
     _require_valid(structure, w, _COMPATIBLE)
     e, ti, t = sv_basis(structure.dim), mat_cols(t_inv), mat_cols(w.matrix)
-    return _carrier_structure(structure, {
+    return _rebuild(structure, {
         out: _product(rep.grid(ACTION_NAMES[act]), e, ti, swap, outer=t)
         for out, act, _, swap in _FAMILIES["premalcev-to-mdendriform"]}, _COMPATIBLE)
 
@@ -396,7 +398,7 @@ def induce(structure: HomStructure, w: OperatorWitness, recipe: str) -> HomStruc
             out: _product(rep.grid(ACTION_NAMES[act]), t, f, swap)
             for out, act, _, swap in rows}, meta={"construction": recipe})
     e, grids = sv_basis(structure.dim), {role: structure.grid(role) for role in roles}
-    return _carrier_structure(structure, {
+    return _rebuild(structure, {
         out: _product(grids[role], *((e, t) if swap else (t, e)))
         for out, _, role, swap in rows}, recipe)
 
@@ -419,7 +421,7 @@ def induce_pair(structure: HomStructure, r1: OperatorWitness,
     maps = {"": sv_basis(structure.dim), "1": mat_cols(r1.matrix),
             "2": mat_cols(r2.matrix), "12": mat_cols(mat_mul(r1.matrix, r2.matrix))}
     grid = structure.grid(role)
-    return _carrier_structure(structure, {
+    return _rebuild(structure, {
         out: _product(grid, maps[f], maps[g]) for out, f, g in rows}, recipe)
 
 
@@ -495,7 +497,7 @@ def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructur
     r = range(n)
     tr_entries = [(i, j, k, p[j][k][i]) for j in r for i in r for k in r if p[j][k][i]]
     tl_entries = [(i, j, k, -q[i][k][j]) for i in r for j in r for k in r if q[i][k][j]]
-    return _carrier_structure(
+    return _rebuild(
         structure,
         {ProductRole.TRI_RIGHT: tensor_from_entries(tr_entries),
          ProductRole.TRI_LEFT: tensor_from_entries(tl_entries)},

@@ -32,15 +32,12 @@ from .exact import (
     mat_lincomb,
     mat_mul,
     mat_shape,
-    mat_sub,
     mat_transpose,
     matrix,
     sv_basis,
     sv_fractions,
-    tensor_add,
     tensor_from_entries,
     tensor_grid,
-    tensor_sub,
 )
 from .structures import (
     CheckReport,
@@ -61,6 +58,7 @@ from .structures import (
     _role_laws,
     _sweep,
     _sweep_blocks,
+    combine,
     make_structure,
 )
 
@@ -187,11 +185,10 @@ _ACTION_OF = {name: role for role, name in ACTION_NAMES.items()}
 def _action_grid(name: str, acts: Mapping[ActionRole, Tensor], n: int, m: int) -> Grid:
     """The grid over ``n`` base and ``m`` module basis vectors of the action a law
     names: one of ``acts``, else their signed sum in :data:`~homalg.structures.ACTION_SUMS`."""
-    terms = ((1, name),) if _ACTION_OF[name] in acts else ACTION_SUMS[name]
-    (_, t), *rest = ((sign, acts[_ACTION_OF[x]]) for sign, x in terms)
-    for sign, u in rest:
-        t = (tensor_add if sign > 0 else tensor_sub)(t, u)
-    return tensor_grid(t, n, m)
+    if _ACTION_OF[name] in acts:
+        return tensor_grid(acts[_ACTION_OF[name]], n, m)
+    return tensor_grid(combine(ACTION_SUMS[name], {
+        ACTION_NAMES[role]: t for role, t in acts.items()}), n, m)
 
 
 #: each class's representation axioms: the actions they need, the base roles
@@ -414,7 +411,7 @@ def dual_pre_malcev_rep(rep: Representation) -> Representation:
     acols = mat_cols(rep.base.twist)
     ell = rep.actions[ActionRole.LEFT]
     arr = rep.actions[ActionRole.RIGHT]
-    rho = tuple(mat_sub(ell[i], arr[i]) for i in range(rep.base.dim))
+    rho = tuple(mat_lincomb({0: 1, 1: -1}, (ell[i], arr[i]), m, m) for i in range(rep.base.dim))
     new_left = []
     new_right = []
     for i in range(rep.base.dim):

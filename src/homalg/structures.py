@@ -13,7 +13,7 @@ from enum import Enum
 from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .exact import (
@@ -36,12 +36,8 @@ from .exact import (
     matrix,
     sv_basis,
     sv_unpack,
-    tensor_add,
-    tensor_commutator,
-    tensor_flip,
     tensor_grid,
     tensor_normalize,
-    tensor_sub,
     validate_tensor,
 )
 
@@ -232,52 +228,6 @@ class CheckReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# derived products
-# ---------------------------------------------------------------------------
-
-def derived_product(structure: HomStructure, role: ProductRole) -> Tensor:
-    """Return the tensor for ``role``: the stored product of that name, or
-    else the one derived from stored products.  This is the one place the
-    derived products are defined; a consumer defined over some roles reads
-    them on :meth:`HomStructure.only` those roles.  Derivations never mutate
-    the structure."""
-    p = structure.products
-    R = ProductRole
-    if role in p:
-        return p[role]
-    have = p.keys()
-    if {R.TRI_LEFT, R.TRI_RIGHT} <= have:
-        if role == R.DOT:
-            return tensor_add(p[R.TRI_LEFT], p[R.TRI_RIGHT])
-        if role == R.DIAMOND:
-            return tensor_sub(p[R.TRI_LEFT], tensor_flip(p[R.TRI_RIGHT]))
-    if {R.PREC, R.SUCC} <= have and role == R.STAR:
-        return tensor_add(p[R.PREC], p[R.SUCC])
-    if {R.NW, R.SW, R.NE, R.SE} <= have:
-        if role == R.PREC:
-            return tensor_add(p[R.NW], p[R.SW])
-        if role == R.SUCC:
-            return tensor_add(p[R.NE], p[R.SE])
-        if role == R.VEE:
-            return tensor_add(p[R.SE], p[R.SW])
-        if role == R.WEDGE:
-            return tensor_add(p[R.NE], p[R.NW])
-        if role == R.STAR:
-            return tensor_add(tensor_add(p[R.NW], p[R.SW]),
-                              tensor_add(p[R.NE], p[R.SE]))
-    if role == R.BRACKET:
-        for base in (R.DOT, R.STAR):
-            try:
-                return tensor_commutator(derived_product(structure, base))
-            except RoleMismatch:
-                continue
-    raise RoleMismatch(
-        f"cannot derive product '{role.value}' from roles "
-        f"{sorted(r.value for r in have)}"
-    )
-
-
-# ---------------------------------------------------------------------------
 # laws: product-tree formulas and their one compiler
 # ---------------------------------------------------------------------------
 
@@ -340,6 +290,81 @@ def parse_formula(formula: str) -> tuple[tuple[int, object], ...]:
     return tuple(terms)
 
 
+# ---------------------------------------------------------------------------
+# derived products: linear relations among products, read by one combiner
+# ---------------------------------------------------------------------------
+
+def combine(formula: str, tensors: Mapping[str, Tensor]) -> Tensor:
+    """The product ``formula`` writes as a signed sum of the products
+    ``tensors[g]``, each term ``g(i, j)`` or, inputs swapped, ``g(j, i)``.
+    Each cell is copied where its key is first met and added to after, and
+    zero entries and empty cells are dropped; no cell is one of the inputs'."""
+    out: Tensor = {}
+    for sign, tree in parse_formula(formula):
+        if type(tree) is str or tree[1:] not in (("i", "j"), ("j", "i")):
+            raise ValueError(f"{formula!r}: each term must be g(i, j) or g(j, i)")
+        name, first, _ = tree
+        swap, op = first == "j", add if sign > 0 else sub
+        for (x, y), cell in tensors[name].items():
+            key = (y, x) if swap else (x, y)
+            target = out.get(key)
+            if target is None:
+                out[key] = dict(cell) if sign > 0 else {k: -v for k, v in cell.items()}
+                continue
+            for k, v in cell.items():
+                if k not in target:
+                    target[k] = v if sign > 0 else -v
+                elif total := op(target[k], v):
+                    target[k] = total
+                else:
+                    del target[k]
+    return {key: cell for key, cell in out.items() if cell}
+
+
+#: each derived role's formulas over the stored products: the first whose
+#: products a structure all stores gives it
+_DERIVED: dict[ProductRole, tuple[str, ...]] = {
+    ProductRole.DOT: ("+tl(i, j) + tr(i, j)",),
+    ProductRole.DIAMOND: ("+tl(i, j) - tr(j, i)",),
+    ProductRole.STAR: ("+prec(i, j) + succ(i, j)", "+nw(i, j) + sw(i, j) + ne(i, j) + se(i, j)"),
+    ProductRole.PREC: ("+nw(i, j) + sw(i, j)",),
+    ProductRole.SUCC: ("+ne(i, j) + se(i, j)",),
+    ProductRole.VEE: ("+se(i, j) + sw(i, j)",),
+    ProductRole.WEDGE: ("+ne(i, j) + nw(i, j)",),
+    # the commutator of the dot product, stored or derived, else of the star
+    ProductRole.BRACKET: (
+        "+dot(i, j) - dot(j, i)",
+        "+tl(i, j) + tr(i, j) - tl(j, i) - tr(j, i)",
+        "+star(i, j) - star(j, i)",
+        "+prec(i, j) + succ(i, j) - prec(j, i) - succ(j, i)",
+        "+nw(i, j) + sw(i, j) + ne(i, j) + se(i, j) - nw(j, i) - sw(j, i) - ne(j, i)"
+        " - se(j, i)"),
+}
+
+
+def _named(products: Mapping[ProductRole, Tensor]) -> dict[str, Tensor]:
+    """``products`` keyed by the names laws give their roles (:data:`ROLE_NAMES`)."""
+    return {ROLE_NAMES[role]: t for role, t in products.items()}
+
+
+def derived_product(structure: HomStructure, role: ProductRole) -> Tensor:
+    """Return the tensor for ``role``: the stored product of that name, or
+    else the one derived from stored products (:data:`_DERIVED`).  This is
+    the one place the derived products are defined; a consumer defined over
+    some roles reads them on :meth:`HomStructure.only` those roles.
+    Derivations never mutate the structure."""
+    if role in structure.products:
+        return structure.products[role]
+    stored = _named(structure.products)
+    for formula in _DERIVED.get(role, ()):
+        if {tree[0] for _, tree in parse_formula(formula)} <= stored.keys():
+            return combine(formula, stored)
+    raise RoleMismatch(
+        f"cannot derive product '{role.value}' from roles "
+        f"{sorted(r.value for r in structure.products)}"
+    )
+
+
 #: the ten splitting axioms of the actions ``lp``, ``rp``, ``ls`` and ``rs`` of
 #: a pre-alternative structure on a module twisted by ``b``, with ``left`` and
 #: ``right`` their sums (see :data:`ACTION_SUMS`) and ``star = prec + succ``
@@ -367,11 +392,13 @@ _SPLITTING_LAWS = (
 )
 
 #: each product's left and right actions in a law; the actions a law may name as signed
-#: sums of those a representation carries (``star = prec + succ`` acts by the sums of its
-#: parts' actions, a pre-Malcev ``rho`` by ``left - right``); each action's product and side
+#: sums of those a representation carries, formulas read by :func:`combine` (``star =
+#: prec + succ`` acts by the sums of its parts' actions, a pre-Malcev ``rho`` by ``left -
+#: right``); each action's product and side
 _ACTIONS = {"prec": ("lp", "rp"), "succ": ("ls", "rs"), "star": ("left", "right")}
-ACTION_SUMS = {"rho": ((1, "left"), (-1, "right")), **{
-    total: ((1, x), (1, y)) for total, x, y in zip(*map(_ACTIONS.get, ("star", "prec", "succ")))}}
+ACTION_SUMS = {"rho": "+left(i, j) - right(i, j)", **{
+    total: f"+{x}(i, j) + {y}(i, j)"
+    for total, x, y in zip(*map(_ACTIONS.get, ("star", "prec", "succ")))}}
 _REGULAR = {act: (product, side) for product, acts in _ACTIONS.items()
             for side, act in enumerate(acts)}
 

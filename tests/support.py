@@ -107,6 +107,40 @@ def densify(u, dim: int):
     return tuple(u.get(i, F(0)) for i in range(dim))
 
 
+# The linear operations on product tensors, written out once here as the
+# independent reference for the derived products, splits and constructions
+# that the package writes as formulas read by ``structures.combine``.
+
+def tensor_add(a, b):
+    out = {key: dict(cell) for key, cell in a.items()}
+    for key, cell in b.items():
+        tgt = out.setdefault(key, {})
+        for k, v in cell.items():
+            nv = tgt.get(k, F(0)) + v
+            if nv:
+                tgt[k] = nv
+            else:
+                tgt.pop(k, None)
+    return {key: cell for key, cell in out.items() if cell}
+
+
+def tensor_neg(a):
+    return {key: {k: -v for k, v in cell.items()} for key, cell in a.items()}
+
+
+def tensor_sub(a, b):
+    return tensor_add(a, tensor_neg(b))
+
+
+def tensor_flip(a):
+    """Swap the two inputs: the flip of ``*`` sends ``(x, y)`` to ``y * x``."""
+    return {(j, i): dict(cell) for (i, j), cell in a.items()}
+
+
+def tensor_commutator(a):
+    return tensor_sub(a, tensor_flip(a))
+
+
 def product_eval(t, x, y):
     """Evaluate the bilinear product ``t`` on two dense vectors."""
     dim = len(x)

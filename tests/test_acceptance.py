@@ -61,12 +61,10 @@ from homalg.bundle import check_payload, dumps_bundle, loads_bundle
 from homalg.cli import main
 from homalg.exact import (
     mat_identity,
-    tensor_add,
-    tensor_flip,
     tensor_grid,
-    tensor_neg,
 )
 from homalg.fixtures import fixture_names, load_fixture
+from support import tensor_add, tensor_flip, tensor_neg
 
 F = Fraction
 A = ActionRole

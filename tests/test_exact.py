@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import support
 from homalg import structures
+from homalg.structures import combine
 from support import densify, mat_zero, sparse, vector
 from homalg.exact import (
     DimensionMismatch,
@@ -29,7 +30,6 @@ from homalg.exact import (
     mat_lincomb,
     mat_mul,
     mat_shape,
-    mat_sub,
     mat_transpose,
     matrix,
     push_product,
@@ -37,14 +37,9 @@ from homalg.exact import (
     sv_fractions,
     sv_pack,
     sv_unpack,
-    tensor_add,
-    tensor_commutator,
-    tensor_flip,
     tensor_from_entries,
     tensor_grid,
-    tensor_neg,
     tensor_normalize,
-    tensor_sub,
     validate_tensor,
 )
 
@@ -106,7 +101,7 @@ def test_matrix_shape_and_identity():
 def test_matrix_arithmetic_small():
     a = matrix([[1, 2], [3, 4]])
     b = matrix([[0, 1], [1, 0]])
-    assert mat(mat_sub(a, b)) == matrix([[1, 1], [2, 4]])
+    assert mat(mat_lincomb({0: 1, 1: -1}, [a, b], 2, 2)) == matrix([[1, 1], [2, 4]])
     assert mat(mat_mul(a, b)) == matrix([[2, 1], [4, 3]])
     assert mat_transpose(a) == matrix([[1, 3], [2, 4]])
 
@@ -145,6 +140,20 @@ def test_mat_lincomb():
     got = mat_lincomb({0: F(2), 1: F(-1)}, mats, 2, 2)
     assert mat(got) == matrix([[2, -1], [0, 2]])
     assert mat(mat_lincomb({}, mats, 2, 2)) == mat_zero(2, 2)
+
+
+def test_mat_lincomb_shape_guard():
+    """Each matrix combined must be ``rows x cols``; a wrong one was read
+    past its end or cut short."""
+    with pytest.raises(DimensionMismatch):
+        mat_lincomb({0: 1}, [((1, 2),)], 2, 2)
+    with pytest.raises(DimensionMismatch):
+        mat_lincomb({0: 1, 1: -1}, [mat_identity(2), mat_identity(3)], 2, 2)
+    with pytest.raises(DimensionMismatch):
+        mat_lincomb({0: 1}, [as_imat(mat_identity(3))], 2, 2)
+    with pytest.raises(DimensionMismatch):
+        mat_lincomb({0: 1}, [mat_zero(2, 3)], 3, 2)
+    assert mat(mat_lincomb({1: 1}, [mat_identity(3), mat_identity(2)], 2, 2)) == mat_identity(2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,13 +233,20 @@ def test_tensor_normalize_drops_zero_cells():
 
 def test_tensor_linear_ops():
     t = small_tensor()
-    assert tensor_add(t, tensor_neg(t)) == {}
-    assert tensor_sub(t, t) == {}
-    flipped = tensor_flip(t)
+    assert combine("+g(i, j) - g(i, j)", {"g": t}) == {}
+    assert combine("+g(i, j) - h(i, j)", {"g": t, "h": t}) == {}
+    flipped = combine("+g(j, i)", {"g": t})
     assert flipped[(1, 0)] == {1: F(1)}
-    assert tensor_flip(flipped) == t
-    comm = tensor_commutator(t)
+    assert combine("+g(j, i)", {"g": flipped}) == t
+    comm = combine("+g(i, j) - g(j, i)", {"g": t})
     assert comm == {(0, 1): {1: F(2)}, (1, 0): {1: F(-2)}}
+    copy = combine("+g(i, j)", {"g": t})
+    assert copy == t and not any(copy[key] is t[key] for key in t)
+    # a term must be one product of the two indices, in either order
+    for formula in ("+g(a.i, j)", "+a.g(i, j)", "+g(g(i, j), k)", "+i", "+g(i, i)",
+                    "+g(i, k)"):
+        with pytest.raises(ValueError):
+            combine(formula, {"g": t})
 
 
 def test_validate_tensor_guards():
@@ -436,15 +452,15 @@ def test_sparse_kernels_cancel_to_exact_zero(u, p, q):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
-def test_mat_sub_matches_fraction_reference(rows, cols, data):
+def test_mat_lincomb_difference_matches_fraction_reference(rows, cols, data):
     a = data.draw(dense_matrix_st(rows, cols))
     b = data.draw(dense_matrix_st(rows, cols))
     for x, y in ((a, b), (as_imat(a), as_imat(b)), (a, as_imat(b))):
-        assert_canonical_matrix(mat_sub(x, y), tuple(
+        assert_canonical_matrix(mat_lincomb({0: 1, 1: -1}, [x, y], rows, cols), tuple(
             tuple(p - q for p, q in zip(ra, rb)) for ra, rb in zip(a, b)))
-    assert not any(mat_sub(a, a))
+    assert not any(mat_lincomb({0: 1, 1: -1}, [a, a], rows, cols))
     with pytest.raises(DimensionMismatch):
-        mat_sub(a, mat_zero(rows + 1, cols))
+        mat_lincomb({0: 1, 1: -1}, [a, mat_zero(rows + 1, cols)], rows, cols)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import support
-from support import mat_zero
+from support import mat_zero, tensor_add, tensor_commutator
 from homalg import (
     ActionRole,
     KIND_O_OPERATOR,
@@ -41,8 +41,6 @@ from homalg.exact import (
     mat_fractions,
     mat_identity,
     mat_mul,
-    tensor_add,
-    tensor_commutator,
 )
 
 F = Fraction

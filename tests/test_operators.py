@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import support
-from support import mat_zero
+from support import mat_zero, tensor_add
 from homalg import (
     ActionRole,
     BilinearForm,
@@ -52,7 +52,6 @@ from homalg.exact import (
     mat_identity,
     push_product,
     sv_fractions,
-    tensor_add,
     tensor_from_entries,
     tensor_grid,
 )

@@ -30,7 +30,7 @@ from homalg.exact import (
     DimensionMismatch,
     mat_fractions,
     mat_identity,
-    mat_sub,
+    mat_lincomb,
     push_product,
     tensor_grid,
 )
@@ -257,7 +257,8 @@ def test_left_minus_right_is_malcev_rep_over_commutator():
     reg = regular_pre_malcev_rep(pm)
     ell = reg.actions[A.LEFT]
     arr = reg.actions[A.RIGHT]
-    rho = tuple(mat_fractions(mat_sub(ell[i], arr[i])) for i in range(pm.dim))
+    rho = tuple(mat_fractions(mat_lincomb({0: 1, 1: -1}, (ell[i], arr[i]), pm.dim, pm.dim))
+                for i in range(pm.dim))
     rep = Representation(
         base=pm, module_dim=pm.dim, module_twist=pm.twist, actions={A.RHO: rho}
     )

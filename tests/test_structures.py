@@ -21,13 +21,17 @@ from homalg import (
 )
 from homalg.exact import (
     mat_identity,
+    tensor_grid,
+)
+from support import (
+    densify,
+    sparse,
     tensor_add,
     tensor_commutator,
     tensor_flip,
-    tensor_grid,
     tensor_sub,
+    vector,
 )
-from support import densify, sparse, vector
 
 F = Fraction
 R = ProductRole
