@@ -124,9 +124,12 @@ def _matrix_to_flat(mat: Matrix) -> list[str]:
 # sparse entry lists
 # ---------------------------------------------------------------------------
 
-def _tensor_to_entries(tensor: Tensor) -> list[list[Any]]:
-    return [[i, j, k, format_rational(cell[k])] for (i, j), cell in sorted(tensor.items())
-            for k in sorted(cell) if cell[k]]
+def _tensor_to_entries(tensor: Tensor, action: bool = False) -> list[list[Any]]:
+    """The sorted ``[i, j, k, 'p/q']`` entries of the cells ``(i, j) -> {k:
+    value}``, or for an ``action`` ``(i, k) -> {j: value}``."""
+    return [[*key, format_rational(v)] for key, v in sorted(
+        ((i, k, j) if action else (i, j, k), v)
+        for (i, j), cell in tensor.items() for k, v in cell.items())]
 
 
 def _entries(entries: Any, bounds: tuple[int, int, int], where: str, shape: str,
@@ -162,11 +165,6 @@ def _entries(entries: Any, bounds: tuple[int, int, int], where: str, shape: str,
         if zeros or value:
             seen.add(key)
         yield *key, value
-
-
-def _slices_to_entries(slices: tuple[Matrix, ...]) -> list[list[Any]]:
-    return [[i, a, b, format_rational(value)] for i, mat in enumerate(slices)
-            for a, row in enumerate(mat) for b, value in enumerate(row) if value]
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +238,8 @@ def bundle_payload(bundle: Bundle) -> dict[str, Any]:
                 "module_dim": rep.module_dim,
                 "module_twist": _matrix_to_flat(rep.module_twist),
                 "actions": {
-                    role.value: _slices_to_entries(slices)
-                    for role, slices in sorted(rep.actions.items(),
-                                               key=lambda kv: kv[0].value)
+                    role.value: _tensor_to_entries(t, action=True)
+                    for role, t in sorted(rep.actions.items(), key=lambda kv: kv[0].value)
                 },
             }
             for rep in bundle.reps
@@ -342,7 +339,7 @@ def _parse_rep(raw: Any, structure: HomStructure, where: str,
                                 f"{where}.module_twist", rationals)
     if not isinstance(raw["actions"], dict):
         raise BundleError(f"{where}.actions: expected an object")
-    actions: dict[ActionRole, tuple[Matrix, ...]] = {}
+    actions: dict[ActionRole, Tensor] = {}
     for name, entries in raw["actions"].items():
         role = _ACTION_ROLES.get(name)
         if role is None:
@@ -350,13 +347,12 @@ def _parse_rep(raw: Any, structure: HomStructure, where: str,
                 f"{where}.actions: unknown action role {name!r}; expected one "
                 f"of {sorted(_ACTION_ROLES)}"
             )
-        slices = [[[Fraction(0)] * module_dim for _ in range(module_dim)]
-                  for _ in range(structure.dim)]
+        actions[role] = tensor = {}
         for i, a, b, value in _entries(entries, (structure.dim, module_dim, module_dim),
                                        f"{where}.actions.{name}", "[i, a, b, 'p/q']",
                                        rationals, True):
-            slices[i][a][b] = value
-        actions[role] = tuple(tuple(map(tuple, g)) for g in slices)
+            if value:
+                tensor.setdefault((i, b), {})[a] = value
     return Representation(base=structure, module_dim=module_dim,
                           module_twist=module_twist, actions=actions)
 

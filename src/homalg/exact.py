@@ -300,13 +300,16 @@ def tensor_from_entries(entries: Iterable[tuple[int, int, int, object]]) -> Tens
     return {key: cell for key, cell in out.items() if cell}
 
 
-def validate_tensor(t: Tensor, dim: int, name: str = "tensor") -> None:
+def validate_tensor(t: Tensor, dim: int, name: str = "tensor", module: int | None = None) -> None:
+    """Every index of ``t`` below ``dim``; with ``module`` (an action on a module), the
+    second input and the output below ``module``."""
+    m, of = (dim, f"dim {dim}") if module is None else (module, f"dims {dim} x {module}")
     for (i, j), cell in t.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise DimensionMismatch(f"{name}: pair index ({i},{j}) out of range for dim {dim}")
+        if not (0 <= i < dim and 0 <= j < m):
+            raise DimensionMismatch(f"{name}: pair index ({i},{j}) out of range for {of}")
         for k in cell:
-            if not (0 <= k < dim):
-                raise DimensionMismatch(f"{name}: output index {k} out of range for dim {dim}")
+            if not (0 <= k < m):
+                raise DimensionMismatch(f"{name}: output index {k} out of range for dim {m}")
 
 
 class Table(list):

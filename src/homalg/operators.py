@@ -3,7 +3,8 @@ every induced-structure constructor: dendrification of single operators, of
 commuting pairs, and of Hessian bilinear forms.
 
 The operator recipes are data (``_FAMILIES`` and ``_PAIRS``) read by one
-builder, ``_product``.  A Rota-Baxter map of weight 0 is an O-operator on the
+builder, ``reps._product``, which also tabulates the regular and adjoint
+representations.  A Rota-Baxter map of weight 0 is an O-operator on the
 regular (adjoint) representation, so each ``-rb`` recipe is its ``-oop``
 recipe on that representation, with the structure product in place of each
 action, and both come from the same table row.
@@ -16,13 +17,9 @@ from typing import Mapping, Sequence
 
 from .exact import (
     DimensionMismatch,
-    Grid,
-    Ivec,
     Matrix,
     Tensor,
-    apply_cols,
     as_fraction,
-    grid_mul,
     mat_cols,
     mat_fractions,
     mat_inverse,
@@ -34,7 +31,6 @@ from .exact import (
     matrix as to_matrix,
     push_product,
     sv_basis,
-    sv_fractions,
     tensor_from_entries,
     tensor_grid,
 )
@@ -45,7 +41,7 @@ from .reps import (
     PRE_ALTERNATIVE_ACTIONS,
     PRE_MALCEV_ACTIONS,
     Representation,
-    _cols_matrix,
+    _product,
 )
 from .structures import (
     CheckReport,
@@ -292,22 +288,6 @@ def _require_roles(structure: HomStructure, roles: Sequence[ProductRole],
         raise RoleMismatch(f"recipe {recipe!r} needs structure products {missing}")
 
 
-def _product(grid: Grid, a: Sequence[Ivec], b: Sequence[Ivec], swap: bool = False,
-             outer: Sequence[Ivec] | None = None) -> Tensor:
-    """The product ``(x, y) -> outer(grid(a e_x, b e_y))``, or with ``swap``
-    ``(x, y) -> outer(grid(a e_y, b e_x))``; ``a``, ``b`` and ``outer`` are the
-    columns of maps, and no ``outer`` is the identity."""
-    out: Tensor = {}
-    for x in range(len(a)):
-        for y in range(len(b)):
-            cell = grid_mul(grid, a[y], b[x]) if swap else grid_mul(grid, a[x], b[y])
-            if outer is not None:
-                cell = apply_cols(outer, cell)
-            if cell:
-                out[x, y] = sv_fractions(cell)
-    return out
-
-
 def _rebuild(structure: HomStructure, products: Mapping[ProductRole, Tensor],
              construction: str, twist: Matrix | None = None) -> HomStructure:
     return make_structure(
@@ -489,8 +469,8 @@ def hessian_dendrify(structure: HomStructure, form: BilinearForm) -> HomStructur
 
     def solved(cols):
         """``solve X^T b alpha`` for the matrix ``X`` with the columns ``cols``."""
-        x = _cols_matrix(cols, n)
-        return mat_fractions(mat_mul(solve, mat_mul(mat_transpose(x), b_alpha)))
+        xt = [[Fraction(c.get(k, 0), c.den) for k in range(n)] for c in cols]
+        return mat_fractions(mat_mul(solve, mat_mul(xt, b_alpha)))
     # right multiplication by each e_j, and bracket-left multiplication by each e_i
     p = [solved([d[x][j] for x in range(n)]) for j in range(n)]
     q = [solved(c[i]) for i in range(n)]
@@ -566,12 +546,7 @@ def twist_oop_setup(structure: HomStructure, w: OperatorWitness, phiA: Matrix,
         base=new_structure,
         module_dim=rep.module_dim,
         module_twist=phiV,
-        actions={
-            ActionRole.LEFT: tuple(mat_fractions(mat_mul(phiV, s))
-                                   for s in rep.actions[ActionRole.LEFT]),
-            ActionRole.RIGHT: tuple(mat_fractions(mat_mul(phiV, s))
-                                    for s in rep.actions[ActionRole.RIGHT]),
-        },
+        actions={role: push_product(t, phiV) for role, t in rep.actions.items()},
     )
     new_witness = OperatorWitness(kind=KIND_O_OPERATOR, matrix=w.matrix,
                                   rep=new_rep)

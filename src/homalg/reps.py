@@ -1,13 +1,12 @@
 """Representations of twisted algebras: checkers, regular/adjoint builders,
 duals, and semidirect products.
 
-An action is stored as one module-sized matrix per basis element of the base
-algebra.  A check reads it as a bilinear map base x module -> module, a
-:class:`~homalg.exact.Grid` whose cell at ``(s, b)`` is ``rho(e_s) e_b``,
-and writes each axiom as a law row like a class law (see
-``structures``): its last index is a module basis vector ``b``, so each
-residual is the image of ``e_b`` under one side minus the other, an exact
-residual column.
+An action is stored like a product, as a sparse tensor of the bilinear map
+base x module -> module: ``(s, b) -> {r: value}`` is ``rho(e_s) e_b``.  A
+check reads it as a :class:`~homalg.exact.Grid` and writes each axiom as a
+law row like a class law (see ``structures``): its last index is a module
+basis vector ``b``, so each residual is the image of ``e_b`` under one side
+minus the other, an exact residual column.
 """
 from __future__ import annotations
 
@@ -24,12 +23,11 @@ from .exact import (
     Ivec,
     Matrix,
     Tensor,
+    apply_cols,
     grid_mul,
     mat_cols,
-    mat_fractions,
     mat_identity,
     mat_inverse,
-    mat_lincomb,
     mat_mul,
     mat_shape,
     mat_transpose,
@@ -38,6 +36,8 @@ from .exact import (
     sv_fractions,
     tensor_from_entries,
     tensor_grid,
+    tensor_normalize,
+    validate_tensor,
 )
 from .structures import (
     CheckReport,
@@ -88,16 +88,18 @@ PRE_ALTERNATIVE_ACTIONS = frozenset(
 
 
 class Representation(Record):
-    """Actions of a structure on a module, with a module twist."""
+    """Actions of a structure on a module, with a module twist: each action a
+    tensor ``(s, b) -> {r: value}``, ``rho(e_s) e_b``, of a base vector
+    ``e_s`` on a module vector ``e_b``."""
 
     base: HomStructure
     module_dim: int
     module_twist: Matrix
-    actions: Mapping[ActionRole, tuple[Matrix, ...]]
+    actions: Mapping[ActionRole, Tensor]
 
     def __init__(self, base: HomStructure, module_dim: int,
                  module_twist: Matrix,
-                 actions: Mapping[ActionRole, tuple[Matrix, ...]]):
+                 actions: Mapping[ActionRole, Tensor]):
         d = self.__dict__
         d["base"], d["module_dim"] = base, module_dim
         d["module_twist"], d["actions"] = module_twist, actions
@@ -111,43 +113,23 @@ class Representation(Record):
             raise DimensionMismatch(
                 f"module twist must be {m}x{m}, got {mat_shape(twist)}"
             )
-        actions: dict[ActionRole, tuple[Matrix, ...]] = {}
-        for role in sorted(self.actions, key=lambda r: r.value):
-            slices = tuple(matrix(s) for s in self.actions[role])
-            if len(slices) != self.base.dim:
-                raise DimensionMismatch(
-                    f"action '{role.value}' has {len(slices)} slices for base "
-                    f"dimension {self.base.dim}"
-                )
-            for i, s in enumerate(slices):
-                if mat_shape(s) != (m, m):
-                    raise DimensionMismatch(
-                        f"action '{role.value}' slice {i} must be {m}x{m}, "
-                        f"got {mat_shape(s)}"
-                    )
-            actions[role] = slices
-        d["module_twist"], d["actions"] = twist, actions
+        actions: dict[ActionRole, Tensor] = {}
+        for role, t in self.actions.items():
+            if not isinstance(role, ActionRole):
+                raise RoleMismatch(f"unknown action role {role!r}")
+            actions[role] = tensor_normalize(t)
+            validate_tensor(actions[role], self.base.dim, f"action '{role.value}'", m)
+        d["module_twist"] = twist
+        d["actions"] = dict(sorted(actions.items(), key=lambda item: item[0].value))
 
     def roles(self) -> frozenset[ActionRole]:
         return frozenset(self.actions)
-
-    def action(self, role: ActionRole) -> Tensor:
-        """Action ``role`` as a product tensor base x module -> module: ``(s, b)``
-        maps to ``role(e_s) e_b``, column ``b`` of slice ``s``; built once per
-        representation."""
-        actions = self.__dict__.setdefault("_actions", {})
-        if role not in actions:
-            actions[role] = {(s, b): cell for s, mat in enumerate(self.actions[role])
-                             for b in range(self.module_dim)
-                             if (cell := {r: row[b] for r, row in enumerate(mat) if row[b]})}
-        return actions[role]
 
     def grid(self, name: str) -> Grid:
         """The grid of the action a law names (:func:`_action_grid`), built once."""
         grids = self.__dict__.setdefault("_grids", {})
         if name not in grids:
-            grids[name] = _action_grid(name, {role: self.action(role) for role in self.actions},
-                                       self.base.dim, self.module_dim)
+            grids[name] = _action_grid(name, self.actions, self.base.dim, self.module_dim)
         return grids[name]
 
 
@@ -208,15 +190,15 @@ _REP_LAWS: dict[StructureClass, tuple] = {
 _REP_CLASS_ACTIONS = {cls: laws[0] for cls, laws in _REP_LAWS.items()}
 
 
-def _rep_blocks(rep: Representation, acts: Mapping[ActionRole, Tensor]) -> Iterator[tuple]:
+def _rep_blocks(rep: Representation) -> Iterator[tuple]:
     """Each block of ``rep`` holding base and module basis vectors (else the
     whole): its sorted base and module indices, and the base, module twist,
-    actions ``acts`` and module dimension on it, re-indexed in order.  The
+    actions and module dimension on it, re-indexed in order.  The
     blocks are the components of the graph on base and module (from ``n``)
     indices joining the base's :func:`~homalg.structures._edges`, the ends of
-    each nonzero module twist entry, and ``s`` to ``b`` and each ``r`` at
-    each nonzero ``rho(e_s)[r][b]``; an action of one block on another is 0."""
-    n, m, beta = rep.base.dim, rep.module_dim, rep.module_twist
+    each nonzero module twist entry, and ``s`` to ``b`` and each ``r`` of
+    each action's cell ``(s, b)``; an action of one block on another is 0."""
+    n, m, beta, acts = rep.base.dim, rep.module_dim, rep.module_twist, rep.actions
     edges = _edges(rep.base) + [(n + r, n + c) for r, row in enumerate(beta)
                                 for c, v in enumerate(row) if v]
     edges += [(s, n + x) for t in acts.values() for (s, b), cell in t.items()
@@ -264,9 +246,8 @@ def check_rep(rep: Representation, cls: StructureClass, *,
         grid = _grids(base, other=partial(_action_grid, acts=actions, n=base.dim, m=m))
         return _compile(laws)(grid, {"a": base.twist, "b": beta}, base.dim, m)
 
-    acts = {role: rep.action(role) for role in needed}
     return _sweep_blocks(f"rep:{cls.value}", ((base, mod, identities(*part)) for base, mod, part
-                                              in _rep_blocks(rep, acts)),
+                                              in _rep_blocks(rep)),
                          rep.base.dim, start, module_dim=rep.module_dim)
 
 
@@ -295,20 +276,20 @@ def _require_multiplicative(structure: HomStructure,
         )
 
 
-def _cols_matrix(cols: Sequence[Ivec], m: int) -> Matrix:
-    cols = [sv_fractions(c) for c in cols]
-    return tuple(
-        tuple(cols[b].get(r, Fraction(0)) for b in range(len(cols)))
-        for r in range(m)
-    )
-
-
-def _mult_slices(structure: HomStructure, role: ProductRole,
-                 pow_cols: Sequence[Ivec], side: str) -> tuple[Matrix, ...]:
-    """Action slices of twisted left/right multiplication by basis vectors."""
-    grid, basis = structure.grid(role), sv_basis(structure.dim)
-    return tuple(_cols_matrix([grid_mul(grid, x, e) if side == "left" else grid_mul(grid, e, x)
-                               for e in basis], structure.dim) for x in pow_cols)
+def _product(grid: Grid, a: Sequence[Ivec], b: Sequence[Ivec], swap: bool = False,
+             outer: Sequence[Ivec] | None = None) -> Tensor:
+    """The product ``(x, y) -> outer(grid(a e_x, b e_y))``, or with ``swap``
+    ``(x, y) -> outer(grid(a e_y, b e_x))``; ``a``, ``b`` and ``outer`` are the
+    columns of maps, and no ``outer`` is the identity."""
+    out: Tensor = {}
+    for x in range(len(a)):
+        for y in range(len(b)):
+            cell = grid_mul(grid, a[y], b[x]) if swap else grid_mul(grid, a[x], b[y])
+            if outer is not None:
+                cell = apply_cols(outer, cell)
+            if cell:
+                out[x, y] = sv_fractions(cell)
+    return out
 
 
 def adjoint_rep(structure: HomStructure, s: int = 0) -> Representation:
@@ -316,8 +297,8 @@ def adjoint_rep(structure: HomStructure, s: int = 0) -> Representation:
     s-th twist power; module twist is the structure twist."""
     if ProductRole.BRACKET not in structure.products:
         raise RoleMismatch("adjoint representation needs the bracket role")
-    pow_cols = _twist_power_cols(structure, s)
-    rho = _mult_slices(structure, ProductRole.BRACKET, pow_cols, "left")
+    rho = _product(structure.grid(ProductRole.BRACKET), _twist_power_cols(structure, s),
+                   sv_basis(structure.dim))
     return Representation(
         base=structure, module_dim=structure.dim,
         module_twist=structure.twist, actions={ActionRole.RHO: rho},
@@ -335,11 +316,11 @@ def _regular_rep(structure: HomStructure, s: int,
                            f"{'product role' if len(sides) == 1 else 'roles'}")
     if s > 0:
         _require_multiplicative(structure, list(sides))
-    pow_cols = _twist_power_cols(structure, s)
+    pow_cols, e = _twist_power_cols(structure, s), sv_basis(structure.dim)
     actions = {}
     for role, (left, right) in sides.items():
-        actions[left] = _mult_slices(structure, role, pow_cols, "left")
-        actions[right] = _mult_slices(structure, role, pow_cols, "right")
+        actions[left] = _product(structure.grid(role), pow_cols, e)
+        actions[right] = _product(structure.grid(role), e, pow_cols, swap=True)
     return Representation(base=structure, module_dim=structure.dim,
                           module_twist=structure.twist, actions=actions)
 
@@ -366,11 +347,29 @@ def regular_pre_alternative_rep(structure: HomStructure, s: int = 0) -> Represen
 DUAL_VARIANTS = ("alpha", "alpha-inverse")
 
 
-def _dual_setup(rep: Representation):
-    beta_t = mat_transpose(rep.module_twist)
-    beta_t_inv = mat_inverse(beta_t)
-    beta_t_inv2 = mat_mul(beta_t_inv, beta_t_inv)
-    return beta_t_inv, beta_t_inv2
+def _dual(rep: Representation, acts: Mapping[ActionRole, tuple[str, int]],
+          base_map: Matrix, inverse: bool = False) -> Representation:
+    """The representation on the dual module, twisted by ``beta^-T``, the
+    inverse transpose of the module twist ``beta``.  For each ``role -> (X,
+    sign)`` in ``acts``, its action ``role`` at ``e_s`` is ``sign X(p e_s)^T
+    beta^-2T``, or with ``inverse`` ``sign beta^-2T X(p e_s)^T``, for ``p``
+    the map ``base_map``: the grid product of ``X`` with ``beta^-2`` after
+    ``X`` (with ``inverse``, on its module argument), its module index then
+    swapped with its output."""
+    beta_t_inv = mat_inverse(mat_transpose(rep.module_twist))
+    beta_inv = mat_transpose(beta_t_inv)
+    beta_inv2, a = mat_cols(mat_mul(beta_inv, beta_inv)), mat_cols(base_map)
+    e = sv_basis(rep.module_dim)
+    actions = {}
+    for role, (name, sign) in acts.items():
+        t = (_product(rep.grid(name), a, beta_inv2) if inverse
+             else _product(rep.grid(name), a, e, outer=beta_inv2))
+        actions[role] = {}
+        for (s, b), cell in t.items():
+            for r, v in cell.items():
+                actions[role].setdefault((s, r), {})[b] = sign * v
+    return Representation(base=rep.base, module_dim=rep.module_dim,
+                          module_twist=beta_t_inv, actions=actions)
 
 
 def dual_malcev_rep(rep: Representation, variant: str = "alpha") -> Representation:
@@ -382,21 +381,9 @@ def dual_malcev_rep(rep: Representation, variant: str = "alpha") -> Representati
     if rep.roles() != MALCEV_ACTIONS:
         raise RoleMismatch("dual of a Malcev representation needs the rho action")
     alpha_inv = mat_inverse(rep.base.twist)
-    beta_t_inv, beta_t_inv2 = _dual_setup(rep)
-    rho = rep.actions[ActionRole.RHO]
-    m = rep.module_dim
-    acols = mat_cols(rep.base.twist)
-    ai_cols = mat_cols(alpha_inv)
-    dual = []
-    for i in range(rep.base.dim):
-        x = acols[i] if variant == "alpha" else ai_cols[i]
-        rho_t = mat_transpose(mat_fractions(mat_lincomb(x, rho, m, m)))
-        mat = mat_mul(rho_t, beta_t_inv2) if variant == "alpha" else mat_mul(beta_t_inv2, rho_t)
-        dual.append(tuple(tuple(-v for v in row) for row in mat_fractions(mat)))
-    return Representation(
-        base=rep.base, module_dim=m, module_twist=beta_t_inv,
-        actions={ActionRole.RHO: tuple(dual)},
-    )
+    inverse = variant == "alpha-inverse"
+    return _dual(rep, {ActionRole.RHO: ("rho", -1)},
+                 alpha_inv if inverse else rep.base.twist, inverse)
 
 
 def dual_pre_malcev_rep(rep: Representation) -> Representation:
@@ -406,25 +393,8 @@ def dual_pre_malcev_rep(rep: Representation) -> Representation:
     if rep.roles() != PRE_MALCEV_ACTIONS:
         raise RoleMismatch("dual of a pre-Malcev representation needs left and right actions")
     mat_inverse(rep.base.twist)
-    beta_t_inv, beta_t_inv2 = _dual_setup(rep)
-    m = rep.module_dim
-    acols = mat_cols(rep.base.twist)
-    ell = rep.actions[ActionRole.LEFT]
-    arr = rep.actions[ActionRole.RIGHT]
-    rho = tuple(mat_lincomb({0: 1, 1: -1}, (ell[i], arr[i]), m, m) for i in range(rep.base.dim))
-    new_left = []
-    new_right = []
-    for i in range(rep.base.dim):
-        rho_a_t = mat_transpose(mat_fractions(mat_lincomb(acols[i], rho, m, m)))
-        r_a_t = mat_transpose(mat_fractions(mat_lincomb(acols[i], arr, m, m)))
-        new_left.append(tuple(tuple(-v for v in row) for row in
-                              mat_fractions(mat_mul(rho_a_t, beta_t_inv2))))
-        new_right.append(mat_fractions(mat_mul(r_a_t, beta_t_inv2)))
-    return Representation(
-        base=rep.base, module_dim=m, module_twist=beta_t_inv,
-        actions={ActionRole.LEFT: tuple(new_left),
-                 ActionRole.RIGHT: tuple(new_right)},
-    )
+    return _dual(rep, {ActionRole.LEFT: ("rho", -1), ActionRole.RIGHT: ("right", 1)},
+                 rep.base.twist)
 
 
 #: the action roles of each kind of representation -> (product, left action,
@@ -452,6 +422,10 @@ def semidirect(structure: HomStructure, rep: Representation) -> HomStructure:
     can pass ``check`` while ``check_rep`` fails; only
     ``check(..., multiplicativity=True)`` covers them too."""
     n, m = structure.dim, rep.module_dim
+    if rep.base.dim != n:
+        raise DimensionMismatch(
+            f"representation base has dimension {rep.base.dim}, structure {n}"
+        )
     roles = rep.roles()
     if roles not in _SEMIDIRECT:
         raise RoleMismatch(
@@ -464,12 +438,10 @@ def semidirect(structure: HomStructure, rep: Representation) -> HomStructure:
     for role, left, right, sign in laws:
         ent = [(i, j, k, v) for (i, j), cell in structure.products[role].items()
                for k, v in cell.items()]
-        for i in range(n):
-            lmat, rmat = rep.actions[left][i], rep.actions[right][i]
-            ent += [(i, n + b, n + r, lmat[r][b]) for b in range(m) for r in range(m)
-                    if lmat[r][b]]
-            ent += [(n + a, i, n + r, sign * rmat[r][a]) for a in range(m) for r in range(m)
-                    if rmat[r][a]]
+        ent += [(i, n + b, n + r, v) for (i, b), cell in rep.actions[left].items()
+                for r, v in cell.items()]
+        ent += [(n + b, i, n + r, sign * v) for (i, b), cell in rep.actions[right].items()
+                for r, v in cell.items()]
         products[role] = tensor_from_entries(ent)
     zero = Fraction(0)
     twist = (tuple(tuple(row) + (zero,) * m for row in structure.twist)

@@ -25,8 +25,12 @@ from homalg.exact import (
     apply_cols,
     grid_mul,
     mat_cols,
+    mat_fractions,
     mat_identity,
     mat_inverse,
+    mat_lincomb,
+    mat_mul,
+    mat_transpose,
     sv_fractions,
     tensor_from_entries,
     tensor_grid,
@@ -105,6 +109,20 @@ def sparse(v):
 def densify(u, dim: int):
     """The dense length-``dim`` vector of the sparse vector ``u``."""
     return tuple(u.get(i, F(0)) for i in range(dim))
+
+
+def slice_tensor(slices):
+    """The action tensor ``(s, b) -> {r: value}`` of dense ``m x m`` slices,
+    one per base vector ``e_s``: column ``b`` of slice ``s`` is ``rho(e_s) e_b``."""
+    return {(s, b): cell for s, mat in enumerate(slices) for b in range(len(mat))
+            if (cell := {r: F(row[b]) for r, row in enumerate(mat) if row[b]})}
+
+
+def tensor_slices(t, n: int, m: int):
+    """The ``n`` dense ``m x m`` slices of the action tensor ``t``; the
+    inverse of :func:`slice_tensor`."""
+    return tuple(tuple(tuple(t.get((s, b), {}).get(r, F(0)) for b in range(m))
+                       for r in range(m)) for s in range(n))
 
 
 # The linear operations on product tensors, written out once here as the
@@ -299,7 +317,8 @@ def splitting_bimodule(md: HomStructure) -> tuple[HomStructure, Representation]:
     right = tuple(tuple(tuple((trg[b][i] or {}).get(r, F(0)) for b in range(n))
                         for r in range(n)) for i in range(n))
     bimod = Representation(base=horiz, module_dim=n, module_twist=mat_identity(n),
-                           actions={ActionRole.LEFT: left, ActionRole.RIGHT: right})
+                           actions={ActionRole.LEFT: slice_tensor(left),
+                                    ActionRole.RIGHT: slice_tensor(right)})
     return horiz, bimod
 
 
@@ -338,9 +357,9 @@ def transport_rep(rep: Representation, base: HomStructure, p, q) -> Representati
     ``q X(p^-1 x) q^-1`` and the module twist ``q beta q^-1``."""
     m, pinv, qinv = rep.module_dim, mat_inverse(p), mat_inverse(q)
     actions = {}
-    for role, slices in rep.actions.items():
-        moved = [mat_product(q, s, qinv) for s in slices]
-        actions[role] = tuple(
+    for role, t in rep.actions.items():
+        moved = [mat_product(q, s, qinv) for s in tensor_slices(t, base.dim, m)]
+        actions[role] = slice_tensor(
             tuple(tuple(sum((pinv[a][i] * moved[a][r][c] for a in range(len(moved))), F(0))
                         for c in range(m)) for r in range(m))
             for i in range(len(moved)))
@@ -357,6 +376,66 @@ def transport_operator(w: OperatorWitness, base: HomStructure, p, q) -> Operator
                                weight=w.weight)
     return OperatorWitness(w.kind, mat_product(p, w.matrix, mat_inverse(q)),
                            rep=transport_rep(w.rep, base, p, q))
+
+
+# ---------------------------------------------------------------------------
+# duals of representations, on dense slices
+# ---------------------------------------------------------------------------
+
+# The dual builders as matrix formulas on one dense slice per base vector: the
+# independent reference for the package's, which work on action tensors.
+
+def _dual_setup(rep: Representation):
+    beta_t = mat_transpose(rep.module_twist)
+    beta_t_inv = mat_inverse(beta_t)
+    beta_t_inv2 = mat_mul(beta_t_inv, beta_t_inv)
+    return beta_t_inv, beta_t_inv2
+
+
+def dual_malcev_rep(rep: Representation, variant: str = "alpha") -> Representation:
+    """Action on the dual module: minus transpose composed with inverse twist
+    powers, by the formula ``variant`` names."""
+    alpha_inv = mat_inverse(rep.base.twist)
+    beta_t_inv, beta_t_inv2 = _dual_setup(rep)
+    m = rep.module_dim
+    rho = tensor_slices(rep.actions[ActionRole.RHO], rep.base.dim, m)
+    acols = mat_cols(rep.base.twist)
+    ai_cols = mat_cols(alpha_inv)
+    dual = []
+    for i in range(rep.base.dim):
+        x = acols[i] if variant == "alpha" else ai_cols[i]
+        rho_t = mat_transpose(mat_fractions(mat_lincomb(x, rho, m, m)))
+        mat = mat_mul(rho_t, beta_t_inv2) if variant == "alpha" else mat_mul(beta_t_inv2, rho_t)
+        dual.append(tuple(tuple(-v for v in row) for row in mat_fractions(mat)))
+    return Representation(
+        base=rep.base, module_dim=m, module_twist=beta_t_inv,
+        actions={ActionRole.RHO: slice_tensor(dual)},
+    )
+
+
+def dual_pre_malcev_rep(rep: Representation) -> Representation:
+    """Dual actions: the new left action is minus the transposed difference
+    action at the twisted argument, the new right action the transposed right
+    action, both composed with the inverse-squared dual twist."""
+    beta_t_inv, beta_t_inv2 = _dual_setup(rep)
+    m = rep.module_dim
+    acols = mat_cols(rep.base.twist)
+    ell = tensor_slices(rep.actions[ActionRole.LEFT], rep.base.dim, m)
+    arr = tensor_slices(rep.actions[ActionRole.RIGHT], rep.base.dim, m)
+    rho = tuple(mat_lincomb({0: 1, 1: -1}, (ell[i], arr[i]), m, m) for i in range(rep.base.dim))
+    new_left = []
+    new_right = []
+    for i in range(rep.base.dim):
+        rho_a_t = mat_transpose(mat_fractions(mat_lincomb(acols[i], rho, m, m)))
+        r_a_t = mat_transpose(mat_fractions(mat_lincomb(acols[i], arr, m, m)))
+        new_left.append(tuple(tuple(-v for v in row) for row in
+                              mat_fractions(mat_mul(rho_a_t, beta_t_inv2))))
+        new_right.append(mat_fractions(mat_mul(r_a_t, beta_t_inv2)))
+    return Representation(
+        base=rep.base, module_dim=m, module_twist=beta_t_inv,
+        actions={ActionRole.LEFT: slice_tensor(new_left),
+                 ActionRole.RIGHT: slice_tensor(new_right)},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,8 @@ def test_g2_triangle_product_constructions():
     )
     bimod = Representation(base=hor, module_dim=n,
                            module_twist=mat_identity(n),
-                           actions={A.LEFT: left, A.RIGHT: right})
+                           actions={A.LEFT: support.slice_tensor(left),
+                                    A.RIGHT: support.slice_tensor(right)})
     assert check_rep(bimod, C.HOM_PRE_MALCEV).passed
 
 
@@ -334,7 +335,8 @@ def test_g2_invertible_operator_compatibility():
     )
     bimod = Representation(base=horiz, module_dim=n,
                            module_twist=mat_identity(n),
-                           actions={A.LEFT: left, A.RIGHT: right})
+                           actions={A.LEFT: support.slice_tensor(left),
+                                    A.RIGHT: support.slice_tensor(right)})
     assert check_rep(bimod, C.HOM_PRE_MALCEV).passed
     ident = OperatorWitness(kind=KIND_O_OPERATOR, matrix=mat_identity(n),
                             rep=bimod)
@@ -368,7 +370,7 @@ def test_g3_semidirect_validity_equivalence():
     assert check(semidirect(lie2.structure, rep), C.HOM_MALCEV).passed
 
     # bump a single action entry by +1: both sides must fail together
-    rho = rep.actions[A.RHO]
+    rho = support.tensor_slices(rep.actions[A.RHO], lie2.structure.dim, rep.module_dim)
     bumped = tuple(
         tuple(
             tuple(val + 1 if (i, r, b) == (0, 0, 0) else val
@@ -379,7 +381,7 @@ def test_g3_semidirect_validity_equivalence():
     )
     bad = Representation(base=lie2.structure, module_dim=rep.module_dim,
                          module_twist=rep.module_twist,
-                         actions={A.RHO: bumped})
+                         actions={A.RHO: support.slice_tensor(bumped)})
     assert not check_rep(bad, C.HOM_MALCEV).passed
     assert not check(semidirect(lie2.structure, bad), C.HOM_MALCEV).passed
 
@@ -494,8 +496,8 @@ def _rand_bundle(rng):
         rep = Representation(
             base=structure, module_dim=m,
             module_twist=_rand_matrix(rng, m, m),
-            actions={A.RHO: tuple(_rand_matrix(rng, m, m)
-                                  for _ in range(dim))},
+            actions={A.RHO: support.slice_tensor(_rand_matrix(rng, m, m)
+                                                 for _ in range(dim))},
         )
         reps = (rep,)
         if rng.random() < 0.5:

@@ -42,6 +42,7 @@ from homalg import (
     structures,
 )
 from homalg.structures import _CLASS_LAWS, INDEX_NAMES, parse_formula
+from support import slice_tensor
 
 F = Fraction
 C = StructureClass
@@ -193,7 +194,7 @@ def test_every_rep_term_reads_every_index(monkeypatch):
              PRE_ALTERNATIVE_ACTIONS)):
         base = make_structure(2, twist=twist, products=dict.fromkeys(roles, dense))
         rep = Representation(base=base, module_dim=2, module_twist=slices[1],
-                             actions=dict.fromkeys(actions, slices))
+                             actions=dict.fromkeys(actions, slice_tensor(slices)))
         check_rep(rep, cls, equivariance=True)
         check_operator(base, OperatorWitness(kind=KIND_O_OPERATOR, matrix=slices[0], rep=rep))
         check_oop_endomorphism(OperatorWitness(kind=KIND_O_OPERATOR, matrix=slices[0], rep=rep),

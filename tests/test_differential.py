@@ -39,6 +39,7 @@ from homalg import (
 from homalg import structures
 from homalg.fixtures import fixture_path
 from homalg.structures import _CLASS_IDENTITIES
+from support import slice_tensor, tensor_slices
 
 F = Fraction
 
@@ -238,7 +239,7 @@ def test_check_rep_residual_columns_match_dense_fraction_evaluation(m, data):
     beta = data.draw(dense_st(m, m))
     base = structure_of("hom-lie", c, a)
     rep = Representation(base=base, module_dim=m, module_twist=beta,
-                         actions={ActionRole.RHO: rho})
+                         actions={ActionRole.RHO: slice_tensor(rho)})
     report = check_rep(rep, StructureClass.HOM_MALCEV)
     want = {}
     for (label, args), res in malcev_rep_residuals(c, a, rho, beta).items():
@@ -840,7 +841,8 @@ def test_pre_malcev_rep_residual_columns_match_dense_fraction_evaluation(m, data
     beta = data.draw(dense_st(m, m))
     base = make_structure(n, twist=a, products={ProductRole.DOT: tensor_of(c)})
     rep = Representation(base=base, module_dim=m, module_twist=beta,
-                         actions={ActionRole.LEFT: ell, ActionRole.RIGHT: arr})
+                         actions={ActionRole.LEFT: slice_tensor(ell),
+                                  ActionRole.RIGHT: slice_tensor(arr)})
     report = check_rep(rep, StructureClass.HOM_PRE_MALCEV)
     want = {}
     for (label, args), res in pre_malcev_rep_residuals(c, a, ell, arr, beta).items():
@@ -872,11 +874,12 @@ def test_pruned_rep_sweep_matches_dense_fraction_evaluation(monkeypatch):
     eye = [[F(int(r == s)) for s in range(n)] for r in range(n)]
     structure = make_structure(n, products={ProductRole.DOT: tensor_of(c)})
     regular = regular_pre_malcev_rep(structure)
-    ell, arr = ([[list(row) for row in s] for s in regular.actions[role]]
+    ell, arr = ([[list(row) for row in s] for s in tensor_slices(regular.actions[role], n, n)]
                 for role in (ActionRole.LEFT, ActionRole.RIGHT))
     arr[1][2][0] += 1
     rep = Representation(base=structure, module_dim=n, module_twist=eye,
-                         actions={ActionRole.LEFT: ell, ActionRole.RIGHT: arr})
+                         actions={ActionRole.LEFT: slice_tensor(ell),
+                                  ActionRole.RIGHT: slice_tensor(arr)})
 
     calls = [0]
     real_mul = structures.grid_mul
@@ -998,7 +1001,7 @@ def test_pre_alternative_rep_residual_columns_match_dense_fraction_evaluation(
         ProductRole.PREC: tensor_of(cp), ProductRole.SUCC: tensor_of(cs)})
     A = ActionRole
     rep = Representation(base=base, module_dim=m, module_twist=beta, actions=dict(
-        zip((A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC), slices)))
+        zip((A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC), map(slice_tensor, slices))))
     report = check_rep(rep, StructureClass.HOM_PRE_ALTERNATIVE, equivariance=True)
     assert_matches_columns(
         report, pre_alternative_rep_residuals(cp, cs, a, *slices, beta), m)
@@ -1100,7 +1103,7 @@ def rep_block_sum_case(cls, data, coupling):
     base = make_structure(n, twist=a, products={
         role: tensor_of(c) for role, c in zip(roles, tables)})
     rep = Representation(base=base, module_dim=m, module_twist=beta,
-                         actions=dict(zip(actions, slices)))
+                         actions=dict(zip(actions, map(slice_tensor, slices))))
     swept, real = [], structures._violations
 
     def violations(identities, dim, *, module_dim):
@@ -1232,7 +1235,7 @@ def test_o_operator_residuals_match_dense_fraction_evaluation(kind, n, m, data):
     structure = make_structure(n, twist=a, products={
         role: tensor_of(c) for role, c in tables.items()})
     rep = Representation(base=structure, module_dim=m, module_twist=beta,
-                         actions=actions)
+                         actions={role: slice_tensor(s) for role, s in actions.items()})
     w = OperatorWitness(kind=KIND_O_OPERATOR, matrix=t, rep=rep)
     assert_matches(check_operator(structure, w),
                    o_operator_residuals(tables, pairs, t, a, beta))
@@ -1366,14 +1369,14 @@ def wide_law_case(law, data):
     if law == "rep-malcev":
         rho = slices()
         rep = Representation(base=structure_of("hom-lie", c, a), module_dim=m,
-                             module_twist=beta, actions={A.RHO: rho})
+                             module_twist=beta, actions={A.RHO: slice_tensor(rho)})
         return (check_rep(rep, StructureClass.HOM_MALCEV),
                 columns(malcev_rep_residuals(c, a, rho, beta)))
     if law == "rep-pre-malcev":
         ell, arr = slices(), slices()
         base = make_structure(n, twist=a, products={R.DOT: tensor_of(c)})
         rep = Representation(base=base, module_dim=m, module_twist=beta,
-                             actions={A.LEFT: ell, A.RIGHT: arr})
+                             actions={A.LEFT: slice_tensor(ell), A.RIGHT: slice_tensor(arr)})
         return (check_rep(rep, StructureClass.HOM_PRE_MALCEV),
                 columns(pre_malcev_rep_residuals(c, a, ell, arr, beta)))
     if law == "rep-pre-alternative":
@@ -1381,7 +1384,7 @@ def wide_law_case(law, data):
         base = make_structure(n, twist=a, products={R.PREC: tensor_of(c),
                                                     R.SUCC: tensor_of(cs)})
         rep = Representation(base=base, module_dim=m, module_twist=beta, actions=dict(
-            zip((A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC), four)))
+            zip((A.LEFT_PREC, A.RIGHT_PREC, A.LEFT_SUCC, A.RIGHT_SUCC), map(slice_tensor, four))))
         return (check_rep(rep, StructureClass.HOM_PRE_ALTERNATIVE, equivariance=True),
                 columns(pre_alternative_rep_residuals(c, cs, a, *four, beta)))
     if law == "rota-baxter":
@@ -1418,7 +1421,8 @@ def wide_law_case(law, data):
     t = dense(n, m)
     structure = make_structure(n, twist=a, products={
         role: tensor_of(x) for role, x in tables.items()})
-    rep = Representation(base=structure, module_dim=m, module_twist=beta, actions=actions)
+    rep = Representation(base=structure, module_dim=m, module_twist=beta,
+                         actions={role: slice_tensor(s) for role, s in actions.items()})
     w = OperatorWitness(kind=KIND_O_OPERATOR, matrix=t, rep=rep)
     return check_operator(structure, w), o_operator_residuals(tables, pairs, t, a, beta)
 

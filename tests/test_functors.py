@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import support
-from support import mat_zero, tensor_add, tensor_commutator
+from support import mat_zero, slice_tensor, tensor_add, tensor_commutator
 from homalg import (
     ActionRole,
     KIND_O_OPERATOR,
@@ -163,7 +163,7 @@ def test_triangle_bimodule_on_horizontal(md_sl2):
         base=hor,
         module_dim=n,
         module_twist=mat_identity(n),
-        actions={A.LEFT: left, A.RIGHT: right},
+        actions={A.LEFT: slice_tensor(left), A.RIGHT: slice_tensor(right)},
     )
     assert check_rep(bimod, C.HOM_PRE_MALCEV).passed
 
@@ -410,7 +410,7 @@ def test_diagram_witness_guards():
             base=support.t2(),
             module_dim=3,
             module_twist=mat_identity(3),
-            actions={A.RHO: (mat_identity(3),) * 3},
+            actions={A.RHO: slice_tensor((mat_identity(3),) * 3)},
         ),
     )
     with pytest.raises(RoleMismatch):

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import support
-from support import mat_zero, tensor_add
+from support import mat_zero, slice_tensor, tensor_add, tensor_slices
 from homalg import (
     ActionRole,
     BilinearForm,
@@ -354,7 +354,8 @@ def test_prealt_o_operator_with_summed_actions(t2_ops, pa_t2):
 
     def summed_slices(x, y):
         return tuple(tuple(tuple(p + q for p, q in zip(rp, rq)) for rp, rq in zip(a, b))
-                     for a, b in zip(reg.actions[x], reg.actions[y]))
+                     for a, b in zip(tensor_slices(reg.actions[x], 3, 3),
+                                     tensor_slices(reg.actions[y], 3, 3)))
 
     star = derived_product(pa_t2, R.STAR)
     alt = make_structure(3, products={R.STAR: star})
@@ -363,8 +364,8 @@ def test_prealt_o_operator_with_summed_actions(t2_ops, pa_t2):
         module_dim=3,
         module_twist=mat_identity(3),
         actions={
-            A.LEFT: summed_slices(A.LEFT_PREC, A.LEFT_SUCC),
-            A.RIGHT: summed_slices(A.RIGHT_PREC, A.RIGHT_SUCC),
+            A.LEFT: slice_tensor(summed_slices(A.LEFT_PREC, A.LEFT_SUCC)),
+            A.RIGHT: slice_tensor(summed_slices(A.RIGHT_PREC, A.RIGHT_SUCC)),
         },
     )
     w = oop(t2_ops[1].matrix, summed)
@@ -896,7 +897,8 @@ def test_operator_laws_are_products_on_composed_grids(monkeypatch):
     assert_matches(report, rota_baxter_residuals({R.STAR: c}, r, F(1), a))
     t = [row[:3] for row in r[:3]]
     c, a = dense_of(sl2.structure, R.DOT)
-    dense = [[list(row) for row in s] for s in (regular.actions[A.LEFT], regular.actions[A.RIGHT])]
+    dense = [[list(row) for row in s] for s in (tensor_slices(regular.actions[role], 3, 3)
+                                                for role in (A.LEFT, A.RIGHT))]
     report = check_operator(sl2.structure, oop(t, regular))
     assert not report.passed
     assert_matches(report, o_operator_residuals({R.DOT: c}, {R.DOT: dense}, t, a, a))

@@ -4,11 +4,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import support
 from homalg import (
+    DUAL_VARIANTS,
     ActionRole,
     NotMultiplicative,
     ProductRole,
@@ -30,7 +31,9 @@ from homalg.exact import (
     DimensionMismatch,
     mat_fractions,
     mat_identity,
+    mat_kernel_vector,
     mat_lincomb,
+    matrix,
     push_product,
     tensor_grid,
 )
@@ -60,22 +63,41 @@ def test_representation_validation():
             base=s,
             module_dim=2,
             module_twist=((F(1),),),  # wrong shape
-            actions={A.RHO: (mat_identity(2), mat_identity(2))},
+            actions={A.RHO: {(0, 1): {1: F(1)}}},
         )
-    with pytest.raises(DimensionMismatch):
-        Representation(
-            base=s,
-            module_dim=2,
-            module_twist=mat_identity(2),
-            actions={A.RHO: (mat_identity(2),)},  # one matrix per base vector
-        )
-    with pytest.raises(DimensionMismatch):
-        Representation(
-            base=s,
-            module_dim=2,
-            module_twist=mat_identity(2),
-            actions={A.RHO: (mat_identity(3), mat_identity(3))},  # wrong size
-        )
+    # the base index lies below the base dimension 2, the module index and the
+    # output index below the module dimension, here 1 and 3
+    for m, fine, bad in ((1, {(1, 0): {0: 1}}, ({(2, 0): {0: 1}}, {(0, 1): {0: 1}},
+                                                {(0, 0): {1: 1}}, {(-1, 0): {0: 1}})),
+                         (3, {(1, 2): {2: 1}}, ({(2, 2): {0: 1}}, {(0, 3): {0: 1}},
+                                                {(1, 0): {3: 1}}, {(0, 0): {-1: 1}}))):
+        Representation(base=s, module_dim=m, module_twist=mat_identity(m),
+                       actions={A.RHO: fine})
+        for action in bad:
+            with pytest.raises(DimensionMismatch):
+                Representation(base=s, module_dim=m, module_twist=mat_identity(m),
+                               actions={A.RHO: action})
+    # a key that is not an action role
+    for key in (R.BRACKET, "rho", None):
+        with pytest.raises(RoleMismatch):
+            Representation(base=s, module_dim=2, module_twist=mat_identity(2),
+                           actions={key: {(0, 1): {1: F(1)}}})
+
+
+def test_representation_normalizes_and_copies_its_actions():
+    """Int and string values become Fractions, zero entries and empty cells
+    are dropped, and the rep keeps no dict of its input."""
+    raw = {(0, 1): {1: 2, 0: 0}, (1, 0): {1: "-1/2"}, (1, 1): {0: F(0)}}
+    rep = Representation(base=support.lie2(), module_dim=2, module_twist=mat_identity(2),
+                         actions={A.RHO: raw})
+    want = {(0, 1): {1: F(2)}, (1, 0): {1: F(-1, 2)}}
+    assert rep.actions == {A.RHO: want}
+    assert all(type(v) is Fraction for cell in rep.actions[A.RHO].values()
+               for v in cell.values())
+    raw[0, 1][1] = 5
+    raw[0, 0] = {0: 1}
+    del raw[1, 0]
+    assert rep.actions == {A.RHO: want}
 
 
 def test_check_rep_class_gates():
@@ -116,7 +138,7 @@ def test_semidirect_malcev():
     assert check(sd, C.HOM_MALCEV).passed
     # mixed products follow the action: [x, b] = rho(x) b, [a, y] = -rho(y) a
     grid = tensor_grid(sd.products[R.BRACKET], 4)
-    rho = ad.actions[A.RHO]
+    rho = support.tensor_slices(ad.actions[A.RHO], 2, 2)
     for i in range(2):
         for b in range(2):
             got = grid[i][2 + b] or {}
@@ -134,13 +156,13 @@ def test_semidirect_malcev():
 def test_perturbed_rep_fails_axioms_and_semidirect():
     s = support.lie2()
     ad = support.lie2_adjoint()
-    rho = [list(map(list, m)) for m in ad.actions[A.RHO]]
+    rho = [list(map(list, m)) for m in support.tensor_slices(ad.actions[A.RHO], 2, 2)]
     rho[0][0][0] = F(rho[0][0][0]) + 1
     bad = Representation(
         base=s,
         module_dim=2,
         module_twist=mat_identity(2),
-        actions={A.RHO: tuple(tuple(map(tuple, m)) for m in rho)},
+        actions={A.RHO: support.slice_tensor(tuple(map(tuple, m)) for m in rho)},
     )
     direct = check_rep(bad, C.HOM_MALCEV)
     assert not direct.passed
@@ -180,8 +202,8 @@ def perturbed_rep_st(draw, base, build):
     action entry moved, or with one module twist entry moved."""
     rep = build(base)
     m = rep.module_dim
-    actions = {role: [list(map(list, sl)) for sl in slices]
-               for role, slices in rep.actions.items()}
+    actions = {role: [list(map(list, sl)) for sl in support.tensor_slices(t, base.dim, m)]
+               for role, t in rep.actions.items()}
     twist = list(map(list, rep.module_twist))
     kind = draw(st.sampled_from(["none", "zero", "action", "module-twist"]))
     delta = draw(st.builds(F, st.sampled_from([-2, -1, 1, 2]), st.integers(1, 2)))
@@ -195,7 +217,7 @@ def perturbed_rep_st(draw, base, build):
     elif kind == "module-twist":
         twist[r][c] += delta
     return Representation(base=base, module_dim=m, module_twist=twist,
-                          actions=actions)
+                          actions={role: support.slice_tensor(s) for role, s in actions.items()})
 
 
 # without the shrink phase, a failure reports the first example it draws
@@ -231,6 +253,41 @@ def test_malcev_dual_unknown_variant():
         dual_malcev_rep(support.lie2_adjoint(), variant="bogus")
 
 
+small_st = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def dense_st(rows, cols):
+    return st.lists(st.lists(small_st, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def invertible_st(draw, n):
+    mat = draw(dense_st(n, n))
+    assume(mat_kernel_vector(matrix(mat)) is None)
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_duals_match_the_dense_slice_formulas(n, m, data):
+    """Both variants of the Malcev dual, and the pre-Malcev dual, of random
+    actions with random invertible twists equal the matrix formulas on dense
+    slices in ``support``."""
+    base = make_structure(n, twist=data.draw(invertible_st(n)))
+    beta = data.draw(invertible_st(m))
+
+    def action():
+        return support.slice_tensor(data.draw(st.lists(dense_st(m, m), min_size=n,
+                                                       max_size=n)))
+    rep = Representation(base=base, module_dim=m, module_twist=beta, actions={A.RHO: action()})
+    for variant in DUAL_VARIANTS:
+        assert dual_malcev_rep(rep, variant) == support.dual_malcev_rep(rep, variant)
+    rep = Representation(base=base, module_dim=m, module_twist=beta,
+                         actions={A.LEFT: action(), A.RIGHT: action()})
+    assert dual_pre_malcev_rep(rep) == support.dual_pre_malcev_rep(rep)
+
+
 # ---------------------------------------------------------------------------
 # pre-Malcev representations
 # ---------------------------------------------------------------------------
@@ -255,12 +312,13 @@ def test_semidirect_pre_malcev():
 def test_left_minus_right_is_malcev_rep_over_commutator():
     pm = premalcev_sl2()
     reg = regular_pre_malcev_rep(pm)
-    ell = reg.actions[A.LEFT]
-    arr = reg.actions[A.RIGHT]
+    ell = support.tensor_slices(reg.actions[A.LEFT], pm.dim, pm.dim)
+    arr = support.tensor_slices(reg.actions[A.RIGHT], pm.dim, pm.dim)
     rho = tuple(mat_fractions(mat_lincomb({0: 1, 1: -1}, (ell[i], arr[i]), pm.dim, pm.dim))
                 for i in range(pm.dim))
     rep = Representation(
-        base=pm, module_dim=pm.dim, module_twist=pm.twist, actions={A.RHO: rho}
+        base=pm, module_dim=pm.dim, module_twist=pm.twist,
+        actions={A.RHO: support.slice_tensor(rho)}
     )
     assert check_rep(rep, C.HOM_MALCEV).passed
 
@@ -389,6 +447,14 @@ def test_builder_role_guards():
         regular_pre_alternative_rep(support.t2())
 
 
+def test_semidirect_refuses_a_rep_of_another_base_dimension():
+    sl2 = support.load_fixture_bundle("sl2_malcev").structure
+    lie2 = support.load_fixture_bundle("lie_dim2")
+    for structure, rep in ((sl2, lie2.reps[0]), (lie2.structure, adjoint_rep(sl2))):
+        with pytest.raises(DimensionMismatch, match="representation base has dimension"):
+            semidirect(structure, rep)
+
+
 def test_semidirect_role_guards():
     ad = support.lie2_adjoint()
     # a rho action needs a bracket on the base
@@ -396,7 +462,7 @@ def test_semidirect_role_guards():
         base=support.t2(),
         module_dim=3,
         module_twist=mat_identity(3),
-        actions={A.RHO: (mat_identity(3),) * 3},
+        actions={A.RHO: support.slice_tensor((mat_identity(3),) * 3)},
     )
     with pytest.raises(RoleMismatch):
         semidirect(support.t2(), mismatched)
