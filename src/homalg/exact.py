@@ -14,7 +14,7 @@ sum every term as an ``int``; a plain ``Fraction`` mapping or tuple matrix
 passed to one is converted on entry.  Numerators are not reduced, so two
 integer forms of one value may differ: compare values by testing their
 difference for zero.  Canonical ``Fraction`` values are built only where a
-value leaves the engine (:func:`sv_fractions`, :func:`mat_fractions`).
+value leaves the engine (a sweep's residuals, :func:`mat_fractions`).
 A sweep packs each integer vector into one ``int`` (:func:`sv_pack`) and
 stacks the vectors at every value of an identity's last index into one, so
 the residuals at all of them are a few big-int multiply-adds per leading
@@ -110,12 +110,6 @@ def as_imat(m) -> Imat:
     ratios = [x.as_integer_ratio() for row in m for x in row]
     den = lcm(*[d for _, d in ratios])
     return _imat([n * (den // d) for n, d in ratios], den, rows, cols)
-
-
-def sv_fractions(u: Ivec) -> Svec:
-    """The canonical ``Fraction`` entries of an integer vector."""
-    den = u.den
-    return {k: Fraction(n, den) for k, n in u.items()}
 
 
 def mat_fractions(m: Imat) -> Matrix:
@@ -403,14 +397,3 @@ def grid_pack(cells: list, w: int) -> list[list[tuple[int, int]]]:
     e_y``) as its nonzero cells packed at width ``w``, ``(y, packed)``
     pairs."""
     return [[(y, sv_pack(c, w)) for y, c in enumerate(row) if c] for row in cells]
-
-
-def push_product(t: Tensor, f: Matrix) -> Tensor:
-    """New product ``x *' y = f(x * y)``."""
-    cols = mat_cols(f)
-    out: Tensor = {}
-    for key, cell in t.items():
-        pushed = apply_cols(cols, cell)
-        if pushed:
-            out[key] = sv_fractions(pushed)
-    return out

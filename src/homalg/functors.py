@@ -14,7 +14,6 @@ from .exact import (
     mat_fractions,
     mat_mul,
     matrix,
-    push_product,
 )
 from .operators import (
     KIND_ROTA_BAXTER,
@@ -32,13 +31,16 @@ from .structures import (
     HomStructure,
     ProductRole,
     Record,
+    ROLE_NAMES,
     RoleMismatch,
     StructureClass,
+    _grids,
     _named,
     check,
     check_morphism,
     combine,
     derived_product,
+    tabulate,
 )
 
 
@@ -123,7 +125,8 @@ def yau_twist(structure: HomStructure, alpha_new: Matrix, *,
         )
     return _rebuild(
         structure,
-        {role: push_product(t, alpha_new) for role, t in structure.products.items()},
+        tabulate({role: f"+f.{ROLE_NAMES[role]}(i, j)" for role in structure.products},
+                 _grids(structure), {"f": alpha_new}, structure.dim),
         "yau-twist",
         twist=mat_fractions(mat_mul(structure.twist, alpha_new)),
     )

@@ -2,12 +2,12 @@
 every induced-structure constructor: dendrification of single operators, of
 commuting pairs, and of Hessian bilinear forms.
 
-The operator recipes are data (``_FAMILIES`` and ``_PAIRS``) read by one
-builder, ``reps._product``, which also tabulates the regular and adjoint
-representations.  A Rota-Baxter map of weight 0 is an O-operator on the
-regular (adjoint) representation, so each ``-rb`` recipe is its ``-oop``
-recipe on that representation, with the structure product in place of each
-action, and both come from the same table row.
+The operator recipes are formulas in the law notation of ``structures``
+(``_FAMILIES`` and ``_PAIRS``), tabulated by ``structures.tabulate``, the
+sweep that checks every law.  A Rota-Baxter map of weight 0 is an
+O-operator on the regular (adjoint) representation, so each ``-rb`` recipe
+is its ``-oop`` recipe on that representation, with the structure product
+in place of each action, and both come from the same table row.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .exact import (
     Matrix,
     Tensor,
     as_fraction,
-    mat_cols,
     mat_fractions,
     mat_inverse,
     mat_kernel_vector,
@@ -29,8 +28,6 @@ from .exact import (
     mat_shape,
     mat_transpose,
     matrix as to_matrix,
-    push_product,
-    sv_basis,
     tensor_from_entries,
     tensor_grid,
 )
@@ -41,7 +38,7 @@ from .reps import (
     PRE_ALTERNATIVE_ACTIONS,
     PRE_MALCEV_ACTIONS,
     Representation,
-    _product,
+    _ACTION_OF,
 )
 from .structures import (
     CheckReport,
@@ -52,12 +49,15 @@ from .structures import (
     RoleMismatch,
     UnknownKind,
     Violation,
+    _ROLE_OF,
     _compile,
     _grids,
     _role_laws,
     _sweep,
     check_morphism,
     make_structure,
+    parse_formula,
+    tabulate,
 )
 
 
@@ -148,7 +148,7 @@ class BilinearForm(Record):
 # operator verification
 # ---------------------------------------------------------------------------
 
-P, A = ProductRole, ActionRole
+P = ProductRole
 
 #: by action roles: whether a structure needs all or any of the products the
 #: laws read, what it is told otherwise, and the O-operator law of each,
@@ -299,34 +299,31 @@ def _rebuild(structure: HomStructure, products: Mapping[ProductRole, Tensor],
     )
 
 
-# The families of products an operator T induces.  Each row is one output
-# product (out, X, *, swap): out(x, y) = X(T x) y, or X(T y) x with swap, for
-# an O-operator T on a representation with the action X.  A Rota-Baxter map
-# R of weight 0 is the O-operator R on the regular (adjoint) representation,
-# where X is the structure product *: a left action X(u) v = u * v and a
-# right one X(u) v = v * u.  So each family's "-rb" recipe is its "-oop"
-# recipe on that representation: out(x, y) = R x * y, or x * R y with swap.
-# Both recipes need the structure products * of their rows.
-_FAMILIES: dict[str, tuple[tuple[ProductRole, ActionRole, ProductRole, bool], ...]] = {
-    "malcev-to-premalcev": ((P.DOT, A.RHO, P.BRACKET, False),),
-    "premalcev-to-mdendriform": ((P.TRI_RIGHT, A.RIGHT, P.DOT, True),
-                                 (P.TRI_LEFT, A.LEFT, P.DOT, False)),
-    "alternative-to-prealt": ((P.SUCC, A.LEFT, P.STAR, False),
-                              (P.PREC, A.RIGHT, P.STAR, True)),
-    "prealt-to-quadri": ((P.SE, A.LEFT_SUCC, P.SUCC, False),
-                         (P.NE, A.RIGHT_SUCC, P.SUCC, True),
-                         (P.SW, A.LEFT_PREC, P.PREC, False),
-                         (P.NW, A.RIGHT_PREC, P.PREC, True)),
+# The families of products an operator T induces: each output product's
+# formula for an O-operator T on a representation and for a Rota-Baxter map
+# T of weight 0, (oop, rb).  The latter is the O-operator T on the regular
+# (adjoint) representation, whose left action X(u) v = u * v and right one
+# X(u) v = v * u are the structure product *, so each rb formula is the oop
+# one with * in place of the action.  Both recipes need the structure
+# products the rb formulas read.
+_FAMILIES: dict[str, dict[ProductRole, tuple[str, str]]] = {
+    "malcev-to-premalcev": {P.DOT: ("+rho(T.i, j)", "+com(T.i, j)")},
+    "premalcev-to-mdendriform": {P.TRI_RIGHT: ("+right(T.j, i)", "+dot(i, T.j)"),
+                                 P.TRI_LEFT: ("+left(T.i, j)", "+dot(T.i, j)")},
+    "alternative-to-prealt": {P.SUCC: ("+left(T.i, j)", "+star(T.i, j)"),
+                              P.PREC: ("+right(T.j, i)", "+star(i, T.j)")},
+    "prealt-to-quadri": {P.SE: ("+ls(T.i, j)", "+succ(T.i, j)"),
+                         P.NE: ("+rs(T.j, i)", "+succ(i, T.j)"),
+                         P.SW: ("+lp(T.i, j)", "+prec(T.i, j)"),
+                         P.NW: ("+rp(T.j, i)", "+prec(i, T.j)")},
 }
 
-# The products a commuting pair R1, R2 of Rota-Baxter maps induces on one
-# structure product *: each row (out, f, g) is out(x, y) = f x * g y, for f
-# and g among the identity "", R1 "1", R2 "2" and R1 R2 "12".
-_PAIRS: dict[str, tuple[ProductRole, tuple[tuple[ProductRole, str, str], ...]]] = {
-    "malcev-pair-to-mdendriform": (P.BRACKET, ((P.TRI_RIGHT, "1", "2"),
-                                               (P.TRI_LEFT, "12", ""))),
-    "alternative-pair-to-quadri": (P.STAR, ((P.SE, "12", ""), (P.NE, "1", "2"),
-                                            (P.SW, "2", "1"), (P.NW, "", "12"))),
+# The products a commuting pair R, S of Rota-Baxter maps induces on one
+# structure product.
+_PAIRS: dict[str, dict[ProductRole, str]] = {
+    "malcev-pair-to-mdendriform": {P.TRI_RIGHT: "+com(R.i, S.j)", P.TRI_LEFT: "+com(R.S.i, j)"},
+    "alternative-pair-to-quadri": {P.SE: "+star(R.S.i, j)", P.NE: "+star(R.i, S.j)",
+                                   P.SW: "+star(S.i, R.j)", P.NW: "+star(i, R.S.j)"},
 }
 
 _COMPATIBLE = "premalcev-compatible-dendriform"
@@ -334,6 +331,12 @@ _COMPATIBLE = "premalcev-compatible-dendriform"
 INDUCE_RECIPES = tuple(sorted([f"{family}-{form}" for family in _FAMILIES
                                for form in ("oop", "rb")] + [_COMPATIBLE]))
 PAIR_RECIPES = tuple(sorted(_PAIRS))
+
+
+def _read(laws: Mapping[ProductRole, str], of: Mapping[str, object]) -> list:
+    """The role ``of`` gives each grid at the top of a term of ``laws``, sorted by value."""
+    return sorted({of[tree[0]] for law in laws.values() for _, tree in parse_formula(law)},
+                  key=lambda role: role.value)
 
 
 def _induce_compatible(structure: HomStructure, w: OperatorWitness) -> HomStructure:
@@ -347,10 +350,9 @@ def _induce_compatible(structure: HomStructure, w: OperatorWitness) -> HomStruct
         )
     t_inv = mat_inverse(w.matrix)  # SingularMatrix when not invertible
     _require_valid(structure, w, _COMPATIBLE)
-    e, ti, t = sv_basis(structure.dim), mat_cols(t_inv), mat_cols(w.matrix)
-    return _rebuild(structure, {
-        out: _product(rep.grid(ACTION_NAMES[act]), e, ti, swap, outer=t)
-        for out, act, _, swap in _FAMILIES["premalcev-to-mdendriform"]}, _COMPATIBLE)
+    return _rebuild(structure, tabulate(
+        {P.TRI_RIGHT: "+T.right(j, Ti.i)", P.TRI_LEFT: "+T.left(i, Ti.j)"}, rep.grid,
+        {"T": w.matrix, "Ti": t_inv}, structure.dim), _COMPATIBLE)
 
 
 def induce(structure: HomStructure, w: OperatorWitness, recipe: str) -> HomStructure:
@@ -363,24 +365,19 @@ def induce(structure: HomStructure, w: OperatorWitness, recipe: str) -> HomStruc
     if recipe == _COMPATIBLE:
         return _induce_compatible(structure, w)
     family, _, form = recipe.rpartition("-")
-    rows = _FAMILIES[family]
-    roles = sorted({role for _, _, role, _ in rows}, key=lambda r: r.value)
+    oop_laws, rb_laws = ({out: pair[n] for out, pair in _FAMILIES[family].items()}
+                         for n in (0, 1))
     if form == "rb":
         _require_rb(w, recipe)
     else:
-        rep = _require_oop(w, recipe, frozenset(act for _, act, _, _ in rows))
-    _require_roles(structure, roles, recipe)
+        rep = _require_oop(w, recipe, frozenset(_read(oop_laws, _ACTION_OF)))
+    _require_roles(structure, _read(rb_laws, _ROLE_OF), recipe)
     _require_valid(structure, w, recipe)
-    t = mat_cols(w.matrix)
     if form == "oop":
-        f = sv_basis(rep.module_dim)
-        return make_structure(dim=rep.module_dim, twist=rep.module_twist, products={
-            out: _product(rep.grid(ACTION_NAMES[act]), t, f, swap)
-            for out, act, _, swap in rows}, meta={"construction": recipe})
-    e, grids = sv_basis(structure.dim), {role: structure.grid(role) for role in roles}
-    return _rebuild(structure, {
-        out: _product(grids[role], *((e, t) if swap else (t, e)))
-        for out, _, role, swap in rows}, recipe)
+        return make_structure(dim=rep.module_dim, twist=rep.module_twist, products=tabulate(
+            oop_laws, rep.grid, {"T": w.matrix}, rep.module_dim), meta={"construction": recipe})
+    return _rebuild(structure, tabulate(rb_laws, _grids(structure), {"T": w.matrix},
+                                        structure.dim), recipe)
 
 
 def induce_pair(structure: HomStructure, r1: OperatorWitness,
@@ -396,13 +393,10 @@ def induce_pair(structure: HomStructure, r1: OperatorWitness,
     _require_valid(structure, r2, recipe)
     if not check_commuting(r1, r2):
         raise NotCommuting(f"recipe {recipe!r} needs the two operators to commute")
-    role, rows = _PAIRS[recipe]
-    _require_roles(structure, [role], recipe)
-    maps = {"": sv_basis(structure.dim), "1": mat_cols(r1.matrix),
-            "2": mat_cols(r2.matrix), "12": mat_cols(mat_mul(r1.matrix, r2.matrix))}
-    grid = structure.grid(role)
-    return _rebuild(structure, {
-        out: _product(grid, maps[f], maps[g]) for out, f, g in rows}, recipe)
+    laws = _PAIRS[recipe]
+    _require_roles(structure, _read(laws, _ROLE_OF), recipe)
+    return _rebuild(structure, tabulate(laws, _grids(structure), {
+        "R": r1.matrix, "S": r2.matrix}, structure.dim), recipe)
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +528,15 @@ def twist_oop_setup(structure: HomStructure, w: OperatorWitness, phiA: Matrix,
         raise EndomorphismInvalid(
             "the map pair fails the operator-endomorphism conditions"
         )
-    new_structure = make_structure(
-        dim=structure.dim,
-        twist=phiA,
-        products={ProductRole.DOT:
-                  push_product(structure.products[ProductRole.DOT], phiA)},
-        basis=structure.basis,
-        meta={"construction": "twist-oop-setup"},
-    )
+    new_structure = _rebuild(structure, tabulate({P.DOT: "+f.dot(i, j)"}, _grids(structure),
+                                                  {"f": phiA}, structure.dim),
+                             "twist-oop-setup", twist=phiA)
     new_rep = Representation(
         base=new_structure,
         module_dim=rep.module_dim,
         module_twist=phiV,
-        actions={role: push_product(t, phiV) for role, t in rep.actions.items()},
+        actions=tabulate({role: f"+f.{ACTION_NAMES[role]}(i, j)" for role in rep.actions},
+                         rep.grid, {"f": phiV}, rep.base.dim, rep.module_dim),
     )
     new_witness = OperatorWitness(kind=KIND_O_OPERATOR, matrix=w.matrix,
                                   rep=new_rep)

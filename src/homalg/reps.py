@@ -6,7 +6,9 @@ base x module -> module: ``(s, b) -> {r: value}`` is ``rho(e_s) e_b``.  A
 check reads it as a :class:`~homalg.exact.Grid` and writes each axiom as a
 law row like a class law (see ``structures``): its last index is a module
 basis vector ``b``, so each residual is the image of ``e_b`` under one side
-minus the other, an exact residual column.
+minus the other, an exact residual column.  Each builder writes the actions
+it builds as formulas in the same notation, tabulated by
+:func:`~homalg.structures.tabulate`.
 """
 from __future__ import annotations
 
@@ -20,20 +22,12 @@ from typing import Iterator, Mapping, Sequence
 from .exact import (
     DimensionMismatch,
     Grid,
-    Ivec,
     Matrix,
     Tensor,
-    apply_cols,
-    grid_mul,
-    mat_cols,
-    mat_identity,
     mat_inverse,
-    mat_mul,
     mat_shape,
     mat_transpose,
     matrix,
-    sv_basis,
-    sv_fractions,
     tensor_from_entries,
     tensor_grid,
     tensor_normalize,
@@ -48,6 +42,7 @@ from .structures import (
     RoleMismatch,
     StructureClass,
     ACTION_SUMS,
+    ROLE_NAMES,
     _SPLITTING_LAWS,
     _compile,
     _components,
@@ -60,6 +55,7 @@ from .structures import (
     _sweep_blocks,
     combine,
     make_structure,
+    tabulate,
 )
 
 
@@ -255,13 +251,11 @@ def check_rep(rep: Representation, cls: StructureClass, *,
 # builders
 # ---------------------------------------------------------------------------
 
-def _twist_power_cols(structure: HomStructure, s: int) -> tuple[Ivec, ...]:
+def _power(s: int) -> str:
+    """The law prefix of the ``s``-th twist power, ``a<s>.``: empty for ``s = 0``."""
     if s < 0:
         raise ValueError(f"twist power must be nonnegative, got {s}")
-    power = mat_identity(structure.dim)
-    for _ in range(s):
-        power = mat_mul(structure.twist, power)
-    return mat_cols(power)
+    return f"a{s}." if s else ""
 
 
 def _require_multiplicative(structure: HomStructure,
@@ -276,33 +270,15 @@ def _require_multiplicative(structure: HomStructure,
         )
 
 
-def _product(grid: Grid, a: Sequence[Ivec], b: Sequence[Ivec], swap: bool = False,
-             outer: Sequence[Ivec] | None = None) -> Tensor:
-    """The product ``(x, y) -> outer(grid(a e_x, b e_y))``, or with ``swap``
-    ``(x, y) -> outer(grid(a e_y, b e_x))``; ``a``, ``b`` and ``outer`` are the
-    columns of maps, and no ``outer`` is the identity."""
-    out: Tensor = {}
-    for x in range(len(a)):
-        for y in range(len(b)):
-            cell = grid_mul(grid, a[y], b[x]) if swap else grid_mul(grid, a[x], b[y])
-            if outer is not None:
-                cell = apply_cols(outer, cell)
-            if cell:
-                out[x, y] = sv_fractions(cell)
-    return out
-
-
 def adjoint_rep(structure: HomStructure, s: int = 0) -> Representation:
     """Twisted adjoint action: each basis vector acts by bracketing with its
     s-th twist power; module twist is the structure twist."""
     if ProductRole.BRACKET not in structure.products:
         raise RoleMismatch("adjoint representation needs the bracket role")
-    rho = _product(structure.grid(ProductRole.BRACKET), _twist_power_cols(structure, s),
-                   sv_basis(structure.dim))
     return Representation(
-        base=structure, module_dim=structure.dim,
-        module_twist=structure.twist, actions={ActionRole.RHO: rho},
-    )
+        base=structure, module_dim=structure.dim, module_twist=structure.twist,
+        actions=tabulate({ActionRole.RHO: f"+com({_power(s)}i, j)"}, _grids(structure),
+                         {"a": structure.twist}, structure.dim))
 
 
 def _regular_rep(structure: HomStructure, s: int,
@@ -316,13 +292,13 @@ def _regular_rep(structure: HomStructure, s: int,
                            f"{'product role' if len(sides) == 1 else 'roles'}")
     if s > 0:
         _require_multiplicative(structure, list(sides))
-    pow_cols, e = _twist_power_cols(structure, s), sv_basis(structure.dim)
-    actions = {}
+    a, actions = _power(s), {}
     for role, (left, right) in sides.items():
-        actions[left] = _product(structure.grid(role), pow_cols, e)
-        actions[right] = _product(structure.grid(role), e, pow_cols, swap=True)
-    return Representation(base=structure, module_dim=structure.dim,
-                          module_twist=structure.twist, actions=actions)
+        g = ROLE_NAMES[role]
+        actions[left], actions[right] = f"+{g}({a}i, j)", f"+{g}(j, {a}i)"
+    return Representation(base=structure, module_dim=structure.dim, module_twist=structure.twist,
+                          actions=tabulate(actions, _grids(structure), {"a": structure.twist},
+                                           structure.dim))
 
 
 def regular_pre_malcev_rep(structure: HomStructure, s: int = 0) -> Representation:
@@ -347,27 +323,22 @@ def regular_pre_alternative_rep(structure: HomStructure, s: int = 0) -> Represen
 DUAL_VARIANTS = ("alpha", "alpha-inverse")
 
 
-def _dual(rep: Representation, acts: Mapping[ActionRole, tuple[str, int]],
-          base_map: Matrix, inverse: bool = False) -> Representation:
+def _dual(rep: Representation, formulas: Mapping[ActionRole, str],
+          base_map: Matrix) -> Representation:
     """The representation on the dual module, twisted by ``beta^-T``, the
-    inverse transpose of the module twist ``beta``.  For each ``role -> (X,
-    sign)`` in ``acts``, its action ``role`` at ``e_s`` is ``sign X(p e_s)^T
-    beta^-2T``, or with ``inverse`` ``sign beta^-2T X(p e_s)^T``, for ``p``
-    the map ``base_map``: the grid product of ``X`` with ``beta^-2`` after
-    ``X`` (with ``inverse``, on its module argument), its module index then
-    swapped with its output."""
+    inverse transpose of the module twist ``beta``: each action ``role`` in
+    ``formulas`` is its formula in the actions of ``rep``, the map ``p``
+    (``base_map``) and ``c = beta^-1``, tabulated with its module index then
+    swapped with its output, so that ``c2.X(p.i, j)`` is ``X(p e_s)^T
+    beta^-2T`` at ``e_s``."""
     beta_t_inv = mat_inverse(mat_transpose(rep.module_twist))
-    beta_inv = mat_transpose(beta_t_inv)
-    beta_inv2, a = mat_cols(mat_mul(beta_inv, beta_inv)), mat_cols(base_map)
-    e = sv_basis(rep.module_dim)
-    actions = {}
-    for role, (name, sign) in acts.items():
-        t = (_product(rep.grid(name), a, beta_inv2) if inverse
-             else _product(rep.grid(name), a, e, outer=beta_inv2))
-        actions[role] = {}
+    tables = tabulate(formulas, rep.grid, {"p": base_map, "c": mat_transpose(beta_t_inv)},
+                      rep.base.dim, rep.module_dim)
+    actions: dict[ActionRole, Tensor] = {role: {} for role in tables}
+    for role, t in tables.items():
         for (s, b), cell in t.items():
             for r, v in cell.items():
-                actions[role].setdefault((s, r), {})[b] = sign * v
+                actions[role].setdefault((s, r), {})[b] = v
     return Representation(base=rep.base, module_dim=rep.module_dim,
                           module_twist=beta_t_inv, actions=actions)
 
@@ -381,9 +352,9 @@ def dual_malcev_rep(rep: Representation, variant: str = "alpha") -> Representati
     if rep.roles() != MALCEV_ACTIONS:
         raise RoleMismatch("dual of a Malcev representation needs the rho action")
     alpha_inv = mat_inverse(rep.base.twist)
-    inverse = variant == "alpha-inverse"
-    return _dual(rep, {ActionRole.RHO: ("rho", -1)},
-                 alpha_inv if inverse else rep.base.twist, inverse)
+    if variant == "alpha-inverse":
+        return _dual(rep, {ActionRole.RHO: "-rho(p.i, c2.j)"}, alpha_inv)
+    return _dual(rep, {ActionRole.RHO: "-c2.rho(p.i, j)"}, rep.base.twist)
 
 
 def dual_pre_malcev_rep(rep: Representation) -> Representation:
@@ -393,7 +364,7 @@ def dual_pre_malcev_rep(rep: Representation) -> Representation:
     if rep.roles() != PRE_MALCEV_ACTIONS:
         raise RoleMismatch("dual of a pre-Malcev representation needs left and right actions")
     mat_inverse(rep.base.twist)
-    return _dual(rep, {ActionRole.LEFT: ("rho", -1), ActionRole.RIGHT: ("right", 1)},
+    return _dual(rep, {ActionRole.LEFT: "-c2.rho(p.i, j)", ActionRole.RIGHT: "+c2.right(p.i, j)"},
                  rep.base.twist)
 
 

@@ -158,18 +158,18 @@ class HomStructure(Record):
                 f"twist must be {self.dim}x{self.dim}, got {mat_shape(twist)}"
             )
         products: dict[ProductRole, Tensor] = {}
-        for role in sorted(self.products, key=lambda r: r.value):
+        for role, t in self.products.items():
             if not isinstance(role, ProductRole):
                 raise RoleMismatch(f"unknown product role {role!r}")
-            tensor = tensor_normalize(self.products[role])
-            validate_tensor(tensor, self.dim, f"product '{role.value}'")
-            products[role] = tensor
+            products[role] = tensor_normalize(t)
+            validate_tensor(products[role], self.dim, f"product '{role.value}'")
         basis = tuple(self.basis) if self.basis else _default_basis(self.dim)
         if len(basis) != self.dim:
             raise DimensionMismatch(
                 f"{len(basis)} basis labels for dimension {self.dim}"
             )
-        d["twist"], d["products"], d["basis"] = twist, products, basis
+        d["twist"], d["basis"] = twist, basis
+        d["products"] = dict(sorted(products.items(), key=lambda item: item[0].value))
         d["meta"] = dict(self.meta) if self.meta is not None else {}
 
     def roles(self) -> frozenset[ProductRole]:
@@ -892,6 +892,20 @@ def _violations(identities: Sequence[Identity], dim: int, *,
                 cols.setdefault(l, {})[k] = Fraction(n, terms.den)
             for l, residual in cols.items():
                 yield Violation(label, (*idx, l), residual)
+
+
+def tabulate(formulas: Mapping, grid: Callable[[str], Grid], maps: Mapping, dim: int,
+             module_dim: int = 0) -> dict:
+    """The product or action each of ``formulas`` writes, ``{key: Tensor}``:
+    each formula is a two-index law, compiled by :func:`_compile` on the grids
+    ``grid(name)`` and maps ``maps[name]`` and swept with the others in one
+    pass, and its cell at ``(i, j)`` is the law's residual there."""
+    keys = tuple(formulas)
+    out: dict = {key: {} for key in keys}
+    laws = tuple((str(n), 2, formulas[key]) for n, key in enumerate(keys))
+    for v in _violations(_compile(laws)(grid, maps, dim, module_dim), dim, module_dim=module_dim):
+        out[keys[int(v.identity)]][v.args] = v.residual
+    return out
 
 
 def _sweep(target: str, identities: Sequence[Identity],

@@ -31,7 +31,6 @@ from homalg.exact import (
     mat_lincomb,
     mat_mul,
     mat_transpose,
-    sv_fractions,
     tensor_from_entries,
     tensor_grid,
     validate_tensor,
@@ -157,6 +156,23 @@ def tensor_flip(a):
 
 def tensor_commutator(a):
     return tensor_sub(a, tensor_flip(a))
+
+
+def sv_fractions(u):
+    """The canonical ``Fraction`` entries of an integer vector."""
+    den = u.den
+    return {k: Fraction(n, den) for k, n in u.items()}
+
+
+def push_product(t, f):
+    """New product ``x *' y = f(x * y)``."""
+    cols = mat_cols(f)
+    out: dict = {}
+    for key, cell in t.items():
+        pushed = apply_cols(cols, cell)
+        if pushed:
+            out[key] = sv_fractions(pushed)
+    return out
 
 
 def product_eval(t, x, y):

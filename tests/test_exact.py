@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import support
 from homalg import structures
 from homalg.structures import combine
-from support import densify, mat_zero, sparse, vector
+from support import densify, mat_zero, push_product, sparse, sv_fractions, vector
 from homalg.exact import (
     DimensionMismatch,
     Imat,
@@ -32,9 +32,7 @@ from homalg.exact import (
     mat_shape,
     mat_transpose,
     matrix,
-    push_product,
     sv_add,
-    sv_fractions,
     sv_pack,
     sv_unpack,
     tensor_from_entries,

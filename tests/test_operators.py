@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import support
-from support import mat_zero, slice_tensor, tensor_add, tensor_slices
+from support import mat_zero, push_product, slice_tensor, sv_fractions, tensor_add, tensor_slices
 from homalg import (
     ActionRole,
     BilinearForm,
@@ -50,8 +50,6 @@ from homalg.exact import (
     grid_mul,
     mat_cols,
     mat_identity,
-    push_product,
-    sv_fractions,
     tensor_from_entries,
     tensor_grid,
 )

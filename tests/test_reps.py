@@ -8,6 +8,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import support
+from support import push_product
 from homalg import (
     DUAL_VARIANTS,
     ActionRole,
@@ -34,7 +35,6 @@ from homalg.exact import (
     mat_kernel_vector,
     mat_lincomb,
     matrix,
-    push_product,
     tensor_grid,
 )
 

@@ -68,6 +68,13 @@ def test_make_structure_guards():
         make_structure(2, basis=("a",))
 
 
+def test_make_structure_rejects_a_key_that_is_not_a_role():
+    with pytest.raises(RoleMismatch, match="unknown product role 'bracket'"):
+        make_structure(2, products={"bracket": {}})
+    with pytest.raises(RoleMismatch):
+        make_structure(2, products={R.DOT: {}, "bracket": {}})
+
+
 def test_structures_hashable_and_frozen():
     s = support.lie2()
     assert s == support.lie2()
