@@ -42,7 +42,7 @@ from .reps import (
     PRE_MALCEV_ACTIONS,
     NotMultiplicative,
     Representation,
-    _REP_CLASS_ACTIONS,
+    _rep_class,
     check_rep,
     dual_malcev_rep,
     dual_pre_malcev_rep,
@@ -91,13 +91,6 @@ _RECIPE_TARGET_CLASS: dict[str, StructureClass] = {
     "malcev-pair-to-mdendriform": StructureClass.HOM_M_DENDRIFORM,
     "alternative-pair-to-quadri": StructureClass.HOM_ALT_QUADRI,
 }
-
-
-def _rep_class(rep: Representation) -> StructureClass | None:
-    """The class whose representation axioms take the action roles of ``rep``,
-    or None."""
-    return next((cls for cls, roles in _REP_CLASS_ACTIONS.items()
-                 if roles == rep.roles()), None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ duals, and semidirect products.
 
 An action is stored like a product, as a sparse tensor of the bilinear map
 base x module -> module: ``(s, b) -> {r: value}`` is ``rho(e_s) e_b``.  A
-check reads it as a :class:`~homalg.exact.Grid` and writes each axiom as a
-law row like a class law (see ``structures``): its last index is a module
-basis vector ``b``, so each residual is the image of ``e_b`` under one side
-minus the other, an exact residual column.  Each builder writes the actions
-it builds as formulas in the same notation, tabulated by
-:func:`~homalg.structures.tabulate`.
+check reads it as a :class:`~homalg.exact.Grid`.  Each axiom but the
+equivariance ones is the part of a class law linear in one module vector,
+written out by :func:`~homalg.structures.module_law` as a law row whose last
+index is a module basis vector ``b``, so each residual is an exact column,
+the image of ``e_b``.  Each builder writes the actions it builds as formulas
+in the same notation, tabulated by :func:`~homalg.structures.tabulate`.
 """
 from __future__ import annotations
 
@@ -34,16 +34,17 @@ from .exact import (
     validate_tensor,
 )
 from .structures import (
+    CLASS_ROLES,
     CheckReport,
     HomStructure,
-    Law,
     ProductRole,
     Record,
     RoleMismatch,
     StructureClass,
     ACTION_SUMS,
     ROLE_NAMES,
-    _SPLITTING_LAWS,
+    _ACTIONS,
+    _CLASS_LAWS,
     _compile,
     _components,
     _edges,
@@ -55,6 +56,7 @@ from .structures import (
     _sweep_blocks,
     combine,
     make_structure,
+    module_law,
     tabulate,
 )
 
@@ -129,31 +131,6 @@ class Representation(Record):
         return grids[name]
 
 
-def _malcev_rep_laws(rho: str) -> tuple[Law, ...]:
-    """The laws of the Malcev-type action ``rho`` of ``com`` on a module twisted by ``b``."""
-    return (("MREP-EQ", 2, f"+{rho}(a.i, b.j) - b.{rho}(i, j)"),
-            ("MREP-4T", 4, f"+{rho}(com(com(i, j), a.k), b2.l)"
-                           f" - {rho}(a2.i, {rho}(a.j, {rho}(k, l)))"
-                           f" + {rho}(a2.k, {rho}(a.i, {rho}(j, l)))"
-                           f" - {rho}(a2.j, {rho}(com(k, i), b.l))"
-                           f" + {rho}(a.com(j, k), {rho}(a.i, b.l))"))
-
-
-#: PMREP-1..4 of the left and right actions of a pre-Malcev bimodule, with
-#: rho = left - right
-_PRE_MALCEV_REP_LAWS = (
-    ("PMREP-1", 2, "+b.right(i, j) - right(a.i, b.j)"),
-    ("PMREP-2", 4, "+right(a2.i, rho(a.j, rho(k, l))) - right(dot(a.k, dot(j, i)), b2.l)"
-                   " + left(a2.j, right(dot(k, i), b.l)) + left(a.com(j, k), right(a.i, b.l))"
-                   " - left(a2.k, right(a.i, rho(j, l)))"),
-    ("PMREP-3", 4, "+left(a2.j, left(a.k, right(i, l))) - right(a2.i, rho(a.j, rho(k, l)))"
-                   " - left(a2.k, right(dot(j, i), b.l)) - right(a.dot(k, i), rho(a.j, b.l))"
-                   " + right(dot(com(k, j), a.i), b2.l)"),
-    ("PMREP-4", 4, "+right(dot(a.j, dot(k, i)), b2.l) + right(a2.i, rho(com(j, k), b.l))"
-                   " - left(a2.j, left(a.k, right(i, l))) + right(a.dot(j, i), rho(a.k, b.l))"
-                   " + left(a2.k, right(a.i, rho(j, l)))"),
-)
-
 #: the name of each action role's grid in a law, in the order of the roles
 ACTION_NAMES: dict[ActionRole, str] = dict(zip(ActionRole, (
     "rho", "left", "right", "lp", "rp", "ls", "rs")))
@@ -171,19 +148,28 @@ def _action_grid(name: str, acts: Mapping[ActionRole, Tensor], n: int, m: int) -
 
 #: each class's representation axioms: the actions they need, the base roles
 #: they read (None: all), the axioms, and the equivariance axioms checked on
-#: request, with the base twist ``a`` and the module twist ``b``
+#: request, with the base twist ``a`` and the module twist ``b``.  An axiom of
+#: three fields is written out (an equivariance axiom); one of four, ``(label,
+#: class law, slot, order)``, is the part of that law of the class linear in a
+#: module vector at ``slot``, its other indices in ``order`` (:func:`module_law`)
 _REP_LAWS: dict[StructureClass, tuple] = {
-    StructureClass.HOM_MALCEV: (MALCEV_ACTIONS, None, _malcev_rep_laws("rho"), ()),
-    # the Malcev laws of the left action over the commutator of the dot product
-    StructureClass.HOM_PRE_MALCEV: (
-        PRE_MALCEV_ACTIONS, frozenset({ProductRole.DOT}),
-        _malcev_rep_laws("left") + _PRE_MALCEV_REP_LAWS, ()),
+    StructureClass.HOM_MALCEV: (MALCEV_ACTIONS, None, (
+        ("MREP-EQ", 2, "+rho(a.i, b.j) - b.rho(i, j)"), ("MREP-4T", "HM-EXP", "i", "kjl")), ()),
+    StructureClass.HOM_PRE_MALCEV: (PRE_MALCEV_ACTIONS, frozenset({ProductRole.DOT}), (
+        ("MREP-EQ", 2, "+left(a.i, b.j) - b.left(i, j)"), ("MREP-4T", "HPM", "l", "ijk"),
+        ("PMREP-1", 2, "+b.right(i, j) - right(a.i, b.j)"), ("PMREP-2", "HPM", "i", "lkj"),
+        ("PMREP-3", "HPM", "j", "lki"), ("PMREP-4", "HPM", "k", "lij")), ()),
     StructureClass.HOM_PRE_ALTERNATIVE: (
-        PRE_ALTERNATIVE_ACTIONS, frozenset({ProductRole.PREC, ProductRole.SUCC}), _SPLITTING_LAWS,
+        PRE_ALTERNATIVE_ACTIONS, frozenset({ProductRole.PREC, ProductRole.SUCC}),
+        tuple((f"PABM-{n}", f"PA{n}", "k", "ij") for n in range(1, 11)),
         tuple(_role_laws("PA-EQ", 2, "+b.{g}(i, j) - {g}(a.i, b.j)", {
             role: ACTION_NAMES[role] for role in PRE_ALTERNATIVE_ACTIONS}).values())),
 }
-_REP_CLASS_ACTIONS = {cls: laws[0] for cls, laws in _REP_LAWS.items()}
+
+
+def _rep_class(rep: Representation) -> StructureClass | None:
+    """The class whose representation axioms take the action roles of ``rep``, or None."""
+    return next((cls for cls, (roles, *_) in _REP_LAWS.items() if roles == rep.roles()), None)
 
 
 def _rep_blocks(rep: Representation) -> Iterator[tuple]:
@@ -219,23 +205,25 @@ def check_rep(rep: Representation, cls: StructureClass, *,
     mixes blocks (:func:`_rep_blocks`): each block is swept on the
     representation restricted to it, and every other tuple counts as checked."""
     start = time.perf_counter()
-    needed = _REP_CLASS_ACTIONS.get(cls)
-    if needed is None:
+    if cls not in _REP_LAWS:
         raise RoleMismatch(
             f"no representation axioms for class '{cls.value}'; supported: "
-            f"{sorted(c.value for c in _REP_CLASS_ACTIONS)}"
+            f"{sorted(c.value for c in _REP_LAWS)}"
         )
+    needed, roles, rows, equivariant = _REP_LAWS[cls]
     if rep.roles() != needed:
         raise RoleMismatch(
             f"class '{cls.value}' needs actions {sorted(r.value for r in needed)}; "
             f"representation has {sorted(r.value for r in rep.roles())}"
         )
-    _, roles, laws, equivariant = _REP_LAWS[cls]
     if roles and not roles <= rep.base.roles():
         names = " and ".join(sorted(role.value for role in roles))
         raise RoleMismatch(f"base structure must carry the {names} "
                            f"{'product role' if len(roles) == 1 else 'roles'}")
-    laws += equivariant if equivariance else ()
+    formulas = {label: formula for label, _, formula in _CLASS_LAWS[cls]}
+    laws = tuple(row if len(row) == 3 else (row[0], len(row[3]) + 1,
+                                            module_law(formulas[row[1]], *row[2:]))
+                 for row in rows) + (equivariant if equivariance else ())
 
     def identities(base, beta, actions, m):
         base = base.only(roles) if roles else base
@@ -368,50 +356,40 @@ def dual_pre_malcev_rep(rep: Representation) -> Representation:
                  rep.base.twist)
 
 
-#: the action roles of each kind of representation -> (product, left action,
-#: right action, sign of the right action) for each product of its semidirect
-#: product, and what a structure without those products is told
-_SEMIDIRECT: dict[frozenset[ActionRole], tuple[tuple, str]] = {
-    MALCEV_ACTIONS: (((ProductRole.BRACKET, ActionRole.RHO, ActionRole.RHO, -1),),
-                     "semidirect with a rho action needs the bracket role"),
-    PRE_MALCEV_ACTIONS: (((ProductRole.DOT, ActionRole.LEFT, ActionRole.RIGHT, 1),),
-                         "semidirect with left/right actions needs the dot role"),
-    PRE_ALTERNATIVE_ACTIONS: (
-        ((ProductRole.PREC, ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC, 1),
-         (ProductRole.SUCC, ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC, 1)),
-        "semidirect with split actions needs prec and succ roles"),
-}
-
-
 def semidirect(structure: HomStructure, rep: Representation) -> HomStructure:
     """Block structure on base + module from a representation, twisted by
-    ``twist ⊕ module_twist``.
+    ``twist ⊕ module_twist``: each product its class's axioms read, with the
+    actions ``structures._ACTIONS`` names for it, ``e_x * v = X(e_x) v`` and
+    ``v * e_x = Y(e_x) v`` (a bracket's ``Y`` is ``-rho``).
 
-    The defining identities of the base class on it carry the action laws,
-    but not the equivariance axioms (MREP-EQ, PMREP-1, PA-EQ-*): those say
-    the block twist is multiplicative on the mixed products.  So the product
-    can pass ``check`` while ``check_rep`` fails; only
-    ``check(..., multiplicativity=True)`` covers them too."""
+    The part of each class law linear in one module vector is a rep axiom
+    (:func:`~homalg.structures.module_law`) with the twist moved inside the
+    actions, which the equivariance axioms (MREP-EQ, PMREP-1, PA-EQ-*) allow:
+    they say the block twist is multiplicative on the mixed products.  So the
+    product can pass ``check`` while ``check_rep`` fails; only ``check(...,
+    multiplicativity=True)`` covers them too."""
     n, m = structure.dim, rep.module_dim
     if rep.base.dim != n:
         raise DimensionMismatch(
             f"representation base has dimension {rep.base.dim}, structure {n}"
         )
-    roles = rep.roles()
-    if roles not in _SEMIDIRECT:
+    cls = _rep_class(rep)
+    if cls is None:
         raise RoleMismatch(
-            f"no semidirect recipe for action roles {sorted(r.value for r in roles)}"
+            f"no semidirect recipe for action roles {sorted(r.value for r in rep.roles())}"
         )
-    laws, missing = _SEMIDIRECT[roles]
-    if any(role not in structure.products for role, *_ in laws):
-        raise RoleMismatch(missing)
+    if not CLASS_ROLES[cls] <= structure.roles():
+        raise RoleMismatch(f"semidirect with {cls.value} actions needs the products "
+                           f"{' and '.join(sorted(r.value for r in CLASS_ROLES[cls]))}")
     products = {}
-    for role, left, right, sign in laws:
+    for role in CLASS_ROLES[cls]:
+        left, right = _ACTIONS[ROLE_NAMES[role]]
         ent = [(i, j, k, v) for (i, j), cell in structure.products[role].items()
                for k, v in cell.items()]
-        ent += [(i, n + b, n + r, v) for (i, b), cell in rep.actions[left].items()
+        ent += [(i, n + b, n + r, v) for (i, b), cell in rep.actions[_ACTION_OF[left]].items()
                 for r, v in cell.items()]
-        ent += [(n + b, i, n + r, sign * v) for (i, b), cell in rep.actions[right].items()
+        ent += [(n + b, i, n + r, -v if right[0] == "-" else v)
+                for (i, b), cell in rep.actions[_ACTION_OF[right.lstrip("-")]].items()
                 for r, v in cell.items()]
         products[role] = tensor_from_entries(ent)
     zero = Fraction(0)

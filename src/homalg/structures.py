@@ -290,6 +290,19 @@ def parse_formula(formula: str) -> tuple[tuple[int, object], ...]:
     return tuple(terms)
 
 
+def unparse(tree) -> str:
+    """A product tree written out in the notation of the law rows."""
+    if type(tree) is str:
+        return tree
+    args = ", ".join(map(unparse, tree[1:]))
+    return f"{tree[0]}.{args}" if len(tree) == 2 else f"{tree[0]}({args})"
+
+
+def write(terms) -> str:
+    """Signed product trees written out as a law's formula, read back by :func:`parse_formula`."""
+    return " ".join(f"{'+' if sign > 0 else '-'}{unparse(tree)}" for sign, tree in terms)
+
+
 # ---------------------------------------------------------------------------
 # derived products: linear relations among products, read by one combiner
 # ---------------------------------------------------------------------------
@@ -365,53 +378,48 @@ def derived_product(structure: HomStructure, role: ProductRole) -> Tensor:
     )
 
 
-#: the ten splitting axioms of the actions ``lp``, ``rp``, ``ls`` and ``rs`` of
-#: a pre-alternative structure on a module twisted by ``b``, with ``left`` and
-#: ``right`` their sums (see :data:`ACTION_SUMS`) and ``star = prec + succ``
-_SPLITTING_LAWS = (
-    ("PABM-1", 3, "+ls(star(i, j), b.k) + ls(star(j, i), b.k) - ls(a.i, ls(j, k))"
-                  " - ls(a.j, ls(i, k))"),
-    ("PABM-2", 3, "+rs(a.j, left(i, k)) + rs(a.j, right(i, k)) - ls(a.i, rs(j, k))"
-                  " - rs(succ(i, j), b.k)"),
-    ("PABM-3", 3, "+rp(a.j, ls(i, k)) + rp(a.j, rp(i, k)) - ls(a.i, rp(j, k))"
-                  " - rp(star(i, j), b.k)"),
-    ("PABM-4", 3, "+rp(a.j, rs(i, k)) + rp(a.j, lp(i, k)) - lp(a.i, right(j, k))"
-                  " - rs(prec(i, j), b.k)"),
-    ("PABM-5", 3, "+lp(prec(j, i), b.k) + lp(succ(i, j), b.k) - lp(a.j, left(i, k))"
-                  " - ls(a.i, lp(j, k))"),
-    ("PABM-6", 3, "+rp(a.i, ls(j, k)) + ls(star(j, i), b.k) - ls(a.j, rp(i, k))"
-                  " - ls(a.j, ls(i, k))"),
-    ("PABM-7", 3, "+rp(a.i, rs(j, k)) + rs(a.j, right(i, k)) - rs(prec(j, i), b.k)"
-                  " - rs(succ(i, j), b.k)"),
-    ("PABM-8", 3, "+lp(succ(j, i), b.k) + rs(a.i, left(j, k)) - ls(a.j, lp(i, k))"
-                  " - ls(a.j, rs(i, k))"),
-    ("PABM-9", 3, "+rp(a.i, rp(j, k)) + rp(a.j, rp(i, k)) - rp(star(i, j), b.k)"
-                  " - rp(star(j, i), b.k)"),
-    ("PABM-10", 3, "+rp(a.j, lp(i, k)) + lp(prec(i, j), b.k) - lp(a.i, right(j, k))"
-                   " - lp(a.i, left(j, k))"),
-)
-
-#: each product's left and right actions in a law; the actions a law may name as signed
-#: sums of those a representation carries, formulas read by :func:`combine` (``star =
-#: prec + succ`` acts by the sums of its parts' actions, a pre-Malcev ``rho`` by ``left -
-#: right``); each action's product and side
-_ACTIONS = {"prec": ("lp", "rp"), "succ": ("ls", "rs"), "star": ("left", "right")}
+#: each product's left and right actions in a law (a bracket acts by ``rho`` on either
+#: side, with a minus on the right); the actions a law may name as signed sums of those a
+#: representation carries, formulas read by :func:`combine` (``star = prec + succ`` acts
+#: by the sums of its parts' actions, a pre-Malcev ``rho`` by ``left - right``)
+_ACTIONS = {"com": ("rho", "-rho"), "dot": ("left", "right"), "prec": ("lp", "rp"),
+            "succ": ("ls", "rs"), "star": ("left", "right")}
 ACTION_SUMS = {"rho": "+left(i, j) - right(i, j)", **{
     total: f"+{x}(i, j) + {y}(i, j)"
     for total, x, y in zip(*map(_ACTIONS.get, ("star", "prec", "succ")))}}
-_REGULAR = {act: (product, side) for product, acts in _ACTIONS.items()
-            for side, act in enumerate(acts)}
 
 
-def _regular(tree) -> str:
-    """``tree`` written out on the regular actions, ``b`` read as ``a``."""
-    if type(tree) is str:
-        return tree
-    if len(tree) == 2:
-        return f"{'a' if tree[0] == 'b' else tree[0]}.{_regular(tree[1])}"
-    name, x, y = tree
-    name, swap = _REGULAR.get(name, (name, False))
-    return f"{name}({_regular(y if swap else x)}, {_regular(x if swap else y)})"
+def _leaves(tree) -> str:
+    """The indices ``tree`` reads, in order."""
+    return tree if type(tree) is str else "".join(map(_leaves, tree[1:]))
+
+
+@lru_cache(maxsize=None)
+def module_law(formula: str, slot: str, order: str) -> str:
+    """The part of the class law ``formula`` linear in a module vector at the index
+    ``slot``, its indices ``order + slot`` renamed ``i j k l``: its terms reading ``slot``
+    once, each product over the module's subtree written as its action (:data:`_ACTIONS`),
+    base factor first, and a twist ``aN`` over the subtree moved inside as ``bN``:
+    ``X(aN.x, bN.m)`` for ``bN.X(x, m)``, which holds where the equivariance axioms do."""
+    names = dict(zip(order + slot, INDEX_NAMES))
+
+    def rename(tree, n: int = 0, twist: str = "a"):     # under the twist's n-th power
+        tree = names[tree] if type(tree) is str else (tree[0], *map(rename, tree[1:]))
+        return (f"{twist}{n if n > 1 else ''}", tree) if n else tree
+
+    def module(tree, n: int = 0) -> tuple[int, object]:     # its sign and tree, under a^n
+        chain, tree = _maps(tree)
+        n += len(chain)
+        if type(tree) is str:
+            return 1, rename(tree, n, "b")
+        name, *factors = tree
+        right = slot in _leaves(factors[0])     # the module on the left: a right action
+        action, (sign, inner) = _ACTIONS[name][right], module(factors[not right], n)
+        return (-sign if action[0] == "-" else sign,
+                (action.lstrip("-"), rename(factors[right], n), inner))
+
+    return write([(sign * s, tree) for sign, term in parse_formula(formula)
+                  if _leaves(term).count(slot) == 1 for s, tree in [module(term)]])
 
 
 #: the defining laws of each class, on its roles' grids and the twist ``a``
@@ -459,11 +467,29 @@ _CLASS_LAWS: dict[StructureClass, tuple[Law, ...]] = {
         ("ALT-R", 3, "+star(star(i, j), a.k) - star(a.i, star(j, k))"
                      " + star(star(i, k), a.j) - star(a.i, star(k, j))"),
     ),
-    # the splitting axioms of the structure's actions on itself
-    StructureClass.HOM_PRE_ALTERNATIVE: tuple(
-        (f"PA{label[5:]}", arity, "".join(f" {'+-'[sign < 0]} {_regular(tree)}"
-                                          for sign, tree in parse_formula(law)))
-        for label, arity, law in _SPLITTING_LAWS),
+    # each law is the splitting axiom PABM-n of the structure's actions on itself
+    StructureClass.HOM_PRE_ALTERNATIVE: (
+        ("PA1", 3, "+succ(star(i, j), a.k) + succ(star(j, i), a.k) - succ(a.i, succ(j, k))"
+                   " - succ(a.j, succ(i, k))"),
+        ("PA2", 3, "+succ(star(i, k), a.j) + succ(star(k, i), a.j) - succ(a.i, succ(k, j))"
+                   " - succ(a.k, succ(i, j))"),
+        ("PA3", 3, "+prec(succ(i, k), a.j) + prec(prec(k, i), a.j) - succ(a.i, prec(k, j))"
+                   " - prec(a.k, star(i, j))"),
+        ("PA4", 3, "+prec(succ(k, i), a.j) + prec(prec(i, k), a.j) - prec(a.i, star(k, j))"
+                   " - succ(a.k, prec(i, j))"),
+        ("PA5", 3, "+prec(prec(j, i), a.k) + prec(succ(i, j), a.k) - prec(a.j, star(i, k))"
+                   " - succ(a.i, prec(j, k))"),
+        ("PA6", 3, "+prec(succ(j, k), a.i) + succ(star(j, i), a.k) - succ(a.j, prec(k, i))"
+                   " - succ(a.j, succ(i, k))"),
+        ("PA7", 3, "+prec(succ(k, j), a.i) + succ(star(k, i), a.j) - succ(a.k, prec(j, i))"
+                   " - succ(a.k, succ(i, j))"),
+        ("PA8", 3, "+prec(succ(j, i), a.k) + succ(star(j, k), a.i) - succ(a.j, prec(i, k))"
+                   " - succ(a.j, succ(k, i))"),
+        ("PA9", 3, "+prec(prec(k, j), a.i) + prec(prec(k, i), a.j) - prec(a.k, star(i, j))"
+                   " - prec(a.k, star(j, i))"),
+        ("PA10", 3, "+prec(prec(i, k), a.j) + prec(prec(i, j), a.k) - prec(a.i, star(k, j))"
+                    " - prec(a.i, star(j, k))"),
+    ),
     # each law is one associator x(y(e_i, e_j), a e_k) - z(a e_i, w(e_j, e_k))
     # plus another with two indices swapped
     StructureClass.HOM_ALT_QUADRI: (

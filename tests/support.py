@@ -18,6 +18,8 @@ from homalg import (
     Representation,
     StructureClass,
     adjoint_rep,
+    commutator,
+    induce,
     load_bundle,
     make_structure,
 )
@@ -230,6 +232,17 @@ def m2() -> HomStructure:
         products={ProductRole.STAR: oracle_table_to_tensor(oracles.m2_table())},
         basis=("E11", "E12", "E21", "E22"),
     )
+
+
+def m2_pre_malcev() -> HomStructure:
+    """The dim-4 pre-Malcev structure ``malcev-to-premalcev-rb`` induces on the
+    commutator of :func:`m2` from ``R = L_e``, left multiplication by ``e =
+    E12`` (``E_{0,1}`` counted from 0): since ``e^2 = 0``, ``R`` is a
+    Rota-Baxter map of weight 0."""
+    m = m2()
+    star = m.products[ProductRole.STAR]
+    r = [[star.get((1, c), {}).get(k, F(0)) for c in range(4)] for k in range(4)]
+    return induce(commutator(m), OperatorWitness("rota-baxter", r), "malcev-to-premalcev-rb")
 
 
 def octonions() -> HomStructure:

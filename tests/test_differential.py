@@ -196,9 +196,9 @@ def test_check_residuals_match_dense_fraction_evaluation(cls, data):
 
 def malcev_rep_residuals(c, a, rho, beta):
     """{(label, args): dense m x m residual} of the Malcev action laws
-    rho(a x) beta = beta rho(x) and
-    rho([[x,y],a z]) beta^2 = rho(a^2 x) rho(a y) rho(z)
-        - rho(a^2 z) rho(a x) rho(y) + rho(a^2 y) rho([z,x]) beta
+    rho(a x) beta = beta rho(x) and, with the brackets in HM-EXP's order,
+    -rho([[y,x],a z]) beta^2 = rho(a^2 x) rho(a y) rho(z)
+        - rho(a^2 z) rho(a x) rho(y) - rho(a^2 y) rho([x,z]) beta
         - rho(a [y,z]) rho(a x) beta."""
     n = len(a)
     e = [basis(n, i) for i in range(n)]
@@ -217,15 +217,15 @@ def malcev_rep_residuals(c, a, rho, beta):
         out[("MREP-EQ", (i,))] = matsum(matmul(r(al[i]), beta),
                                         matmul(beta, rho[i]), signs=[1, -1])
     for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = matmul(r(br(br(e[i], e[j]), al[k])), beta2)
+        lhs = matmul(r(br(br(e[j], e[i]), al[k])), beta2)
         rhs = matsum(
             matmul(matmul(r(al2[i]), r(al[j])), rho[k]),
             matmul(matmul(r(al2[k]), r(al[i])), rho[j]),
-            matmul(matmul(r(al2[j]), r(br(e[k], e[i]))), beta),
+            matmul(matmul(r(al2[j]), r(br(e[i], e[k]))), beta),
             matmul(matmul(r(apply(a, br(e[j], e[k]))), r(al[i])), beta),
-            signs=[1, -1, 1, -1],
+            signs=[1, -1, -1, -1],
         )
-        out[("MREP-4T", (i, j, k))] = matsum(lhs, rhs, signs=[1, -1])
+        out[("MREP-4T", (i, j, k))] = matsum(lhs, rhs, signs=[-1, -1])
     return out
 
 
@@ -766,7 +766,7 @@ def pre_malcev_rep_residuals(c, a, ell, arr, beta):
     dot product ``c``, and PMREP-1..4 with rho = ell - arr:
     PMREP-1 = beta r(e_i) - r(a e_i) beta,
     PMREP-2 = r(a^2 e_i) rho(a e_j) rho(e_k) - r((a e_k)(e_j e_i)) beta^2
-        + l(a^2 e_j) r(e_k e_i) beta + l(a[e_j,e_k]) r(a e_i) beta
+        + l(a^2 e_j) r(e_k e_i) beta - l(a[e_j,e_k]) r(a e_i) beta
         - l(a^2 e_k) r(a e_i) rho(e_j),
     PMREP-3 = l(a^2 e_j) l(a e_k) r(e_i) - r(a^2 e_i) rho(a e_j) rho(e_k)
         - l(a^2 e_k) r(e_j e_i) beta - r(a(e_k e_i)) rho(a e_j) beta
@@ -812,7 +812,7 @@ def pre_malcev_rep_residuals(c, a, ell, arr, beta):
             mm(lo(al2[j]), ro(d(e[k], e[i])), beta),
             mm(lo(apply(a, com(e[j], e[k]))), ro(al[i]), beta),
             mm(lo(al2[k]), ro(al[i]), rho[j]),
-            signs=[1, -1, 1, 1, -1])
+            signs=[1, -1, 1, -1, -1])
         out[("PMREP-3", t)] = matsum(
             mm(lo(al2[j]), lo(al[k]), arr[i]),
             mm(ro(al2[i]), rh(al[j]), rho[k]),

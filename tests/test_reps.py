@@ -193,7 +193,11 @@ REP_BASES = [
     ("premalcev_dim2", regular_pre_malcev_rep, C.HOM_PRE_MALCEV, False),
     ("premalcev_dim2_yau", regular_pre_malcev_rep, C.HOM_PRE_MALCEV, False),
     ("prealt_t2", regular_pre_alternative_rep, C.HOM_PRE_ALTERNATIVE, True),
+    ("m2_pre_malcev", regular_pre_malcev_rep, C.HOM_PRE_MALCEV, False),
 ]
+
+#: the bases of REP_BASES that are no fixture, by their builders in ``support``
+BUILT_BASES = {"m2_pre_malcev": support.m2_pre_malcev}
 
 
 @st.composite
@@ -230,12 +234,26 @@ def test_check_rep_passes_iff_multiplicative_semidirect_passes(rep_base, data):
     multiplicative twist.  A zero action leaves the semidirect product split
     into the base and the module's twist blocks."""
     name, build, cls, equivariance = rep_base
-    base = support.load_fixture_bundle(name).structure
+    base = (BUILT_BASES[name]() if name in BUILT_BASES
+            else support.load_fixture_bundle(name).structure)
     assert check(base, cls, multiplicativity=True).passed
     rep = data.draw(perturbed_rep_st(base, build))
     direct = check_rep(rep, cls, equivariance=equivariance)
     via_semidirect = check(semidirect(base, rep), cls, multiplicativity=True)
     assert direct.passed == via_semidirect.passed
+
+
+def test_regular_and_dual_pre_malcev_reps_of_an_induced_m2_structure_pass():
+    """PMREP-2 is HPM with the module vector first.  Written by hand with the
+    sign of its ``l([e_j,e_k]) r(e_i)`` term flipped, it failed the regular rep
+    of this structure at 4 tuples, first (2, 2, 3, 2), and its dual, while
+    the semidirect product passed."""
+    pm = support.m2_pre_malcev()
+    assert pm.dim == 4 and check(pm, C.HOM_PRE_MALCEV).passed
+    reg = regular_pre_malcev_rep(pm)
+    assert check(semidirect(pm, reg), C.HOM_PRE_MALCEV, multiplicativity=True).passed
+    assert check_rep(reg, C.HOM_PRE_MALCEV).passed
+    assert check_rep(dual_pre_malcev_rep(reg), C.HOM_PRE_MALCEV).passed
 
 
 def test_malcev_dual_variants_pass_and_bidualize():
