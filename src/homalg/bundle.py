@@ -18,19 +18,18 @@ from fractions import Fraction
 from typing import Any
 
 from .exact import Matrix, Tensor
-from .operators import (
+from .records import (
     KIND_O_OPERATOR,
     KIND_ROTA_BAXTER,
     OPERATOR_KINDS,
+    ActionRole,
     BilinearForm,
-    OperatorWitness,
-)
-from .reps import ActionRole, Representation
-from .structures import (
     CheckReport,
     HomStructure,
+    OperatorWitness,
     ProductRole,
     Record,
+    Representation,
     StructureClass,
 )
 

@@ -13,7 +13,7 @@ import sys
 import time
 from typing import Any, Sequence
 
-from . import functors
+from . import functors, operators, reps, structures
 from .bundle import (
     Bundle,
     BundleError,
@@ -24,44 +24,18 @@ from .bundle import (
     load_bundle,
 )
 from .exact import DimensionMismatch, SingularMatrix
-from .operators import (
+from .records import (
     INDUCE_RECIPES,
-    PAIR_RECIPES,
-    EndomorphismInvalid,
-    HessianInvalid,
-    NotCommuting,
-    OperatorInvalid,
-    check_hessian,
-    check_operator,
-    hessian_dendrify,
-    induce,
-    induce_pair,
-)
-from .reps import (
     MALCEV_ACTIONS,
+    PAIR_RECIPES,
     PRE_MALCEV_ACTIONS,
-    NotMultiplicative,
-    Representation,
-    _rep_class,
-    check_rep,
-    dual_malcev_rep,
-    dual_pre_malcev_rep,
-    semidirect,
-)
-from .structures import (
     HomStructure,
     ProductRole,
+    Representation,
     RoleMismatch,
     StructureClass,
     UnknownKind,
-    check,
 )
-
-_INPUT_ERRORS = (BundleError, RoleMismatch, UnknownKind,
-                 functors.UnknownDirection, DimensionMismatch)
-_MATH_ERRORS = (OperatorInvalid, NotCommuting, HessianInvalid,
-                EndomorphismInvalid, NotMultiplicative,
-                functors.NotAMorphism, SingularMatrix)
 
 _CLASSES = {cls.value: cls for cls in StructureClass}
 
@@ -250,11 +224,11 @@ def _cmd_check(args, command: Sequence[str]) -> int:
     entries: list[dict[str, Any]] = []
     notes: list[str] = []
 
-    report = check(structure, cls, multiplicativity=args.multiplicativity)
+    report = structures.check(structure, cls, multiplicativity=args.multiplicativity)
     entries.append({"subject": "structure", **check_payload(report)})
 
     for n, rep in enumerate(bundle.reps):
-        rep_cls = _rep_class(rep)
+        rep_cls = reps._rep_class(rep)
         # pre-Malcev rep axioms are stated over a dot product
         if rep_cls is None or (rep_cls is StructureClass.HOM_PRE_MALCEV
                                and ProductRole.DOT not in structure.products):
@@ -264,15 +238,15 @@ def _cmd_check(args, command: Sequence[str]) -> int:
                 f"on this structure)"
             )
             continue
-        rep_report = check_rep(rep, rep_cls)
+        rep_report = reps.check_rep(rep, rep_cls)
         entries.append({"subject": f"reps[{n}]", **check_payload(rep_report)})
 
     for n, witness in enumerate(bundle.operators):
-        op_report = check_operator(structure, witness)
+        op_report = operators.check_operator(structure, witness)
         entries.append({"subject": f"operators[{n}]", **check_payload(op_report)})
 
     for n, form in enumerate(bundle.forms):
-        form_report = check_hessian(structure, form)
+        form_report = operators.check_hessian(structure, form)
         entries.append({"subject": f"forms[{n}]", **check_payload(form_report)})
 
     exit_status = 0 if all(e["passed"] for e in entries) else 1
@@ -308,16 +282,16 @@ def _cmd_construct(args, command: Sequence[str]) -> int:
     elif label == "semidirect":
         rep = _pick(bundle.reps, args.rep, "rep")
         provenance["rep"] = str(args.rep)
-        declared = _rep_class(rep)
-        result = semidirect(structure, rep)
+        declared = reps._rep_class(rep)
+        result = reps.semidirect(structure, rep)
     elif label == "dual-rep":
         rep = _pick(bundle.reps, args.rep, "rep")
         provenance["rep"] = str(args.rep)
         roles = rep.roles()
         if roles == MALCEV_ACTIONS:
-            dual = dual_malcev_rep(rep)
+            dual = reps.dual_malcev_rep(rep)
         elif roles == PRE_MALCEV_ACTIONS:
-            dual = dual_pre_malcev_rep(rep)
+            dual = reps.dual_pre_malcev_rep(rep)
         else:
             raise RoleMismatch(
                 f"dual-rep needs a single-action or left/right representation; "
@@ -334,17 +308,17 @@ def _cmd_construct(args, command: Sequence[str]) -> int:
     elif label == "hessian-dendrify":
         form = _pick(bundle.forms, args.form, "form")
         provenance["form"] = str(args.form)
-        result = hessian_dendrify(structure, form)
+        result = operators.hessian_dendrify(structure, form)
     elif label in INDUCE_RECIPES:
         witness = _pick(bundle.operators, args.operator, "operator")
         provenance["operator"] = str(args.operator)
-        result = induce(structure, witness, label)
+        result = operators.induce(structure, witness, label)
     else:
         first = _pick(bundle.operators, args.operator, "operator")
         second = _pick(bundle.operators, args.operator2, "operator2")
         provenance["operator"] = str(args.operator)
         provenance["operator2"] = str(args.operator2)
-        result = induce_pair(structure, first, second, label)
+        result = operators.induce_pair(structure, first, second, label)
 
     out = Bundle(structure=_with_meta(result, provenance),
                  declared_class=declared)
@@ -395,12 +369,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(command)
     started = time.perf_counter()
+    # an except clause's tuple is evaluated only when an exception reaches
+    # it, so a command loads no engine module that it does not run
     try:
         status = _COMMANDS[args.command](args, command)
-    except _INPUT_ERRORS as exc:
+    except (BundleError, RoleMismatch, UnknownKind, functors.UnknownDirection,
+            DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _MATH_ERRORS as exc:
+    except (operators.OperatorInvalid, operators.NotCommuting, operators.HessianInvalid,
+            operators.EndomorphismInvalid, reps.NotMultiplicative, functors.NotAMorphism,
+            SingularMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"# elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)

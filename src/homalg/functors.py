@@ -26,14 +26,16 @@ from .operators import (
     induce,
     induce_pair,
 )
-from .structures import (
+from .records import (
     CheckReport,
     HomStructure,
     ProductRole,
     Record,
-    ROLE_NAMES,
     RoleMismatch,
     StructureClass,
+)
+from .structures import (
+    ROLE_NAMES,
     _grids,
     _named,
     check,

@@ -1,6 +1,6 @@
-"""Rota-Baxter and relative (O-) operator witnesses, their verification, and
-every induced-structure constructor: dendrification of single operators, of
-commuting pairs, and of Hessian bilinear forms.
+"""Verification of Rota-Baxter and relative (O-) operator witnesses (records
+of ``records``), and every induced-structure constructor: dendrification of
+single operators, of commuting pairs, and of Hessian bilinear forms.
 
 The operator recipes are formulas in the law notation of ``structures``
 (``_FAMILIES`` and ``_PAIRS``), tabulated by ``structures.tabulate``, the
@@ -19,7 +19,6 @@ from .exact import (
     DimensionMismatch,
     Matrix,
     Tensor,
-    as_fraction,
     mat_fractions,
     mat_inverse,
     mat_kernel_vector,
@@ -31,31 +30,35 @@ from .exact import (
     tensor_from_entries,
     tensor_grid,
 )
-from .reps import (
-    ACTION_NAMES,
-    ActionRole,
+from .records import (
+    INDUCE_RECIPES,
+    KIND_O_OPERATOR,
+    KIND_ROTA_BAXTER,
     MALCEV_ACTIONS,
+    PAIR_RECIPES,
     PRE_ALTERNATIVE_ACTIONS,
     PRE_MALCEV_ACTIONS,
-    Representation,
-    _ACTION_OF,
-)
-from .structures import (
+    ActionRole,
+    BilinearForm,
     CheckReport,
     HomStructure,
-    Identity,
+    OperatorWitness,
     ProductRole,
-    Record,
+    Representation,
     RoleMismatch,
     UnknownKind,
     Violation,
+    make_structure,
+)
+from .reps import ACTION_NAMES, _ACTION_OF
+from .structures import (
+    Identity,
     _ROLE_OF,
     _compile,
     _grids,
     _role_laws,
     _sweep,
     check_morphism,
-    make_structure,
     parse_formula,
     tabulate,
 )
@@ -76,72 +79,6 @@ class HessianInvalid(ValueError):
 
 class EndomorphismInvalid(ValueError):
     """The map pair does not satisfy the operator-endomorphism conditions."""
-
-
-KIND_ROTA_BAXTER = "rota-baxter"
-KIND_O_OPERATOR = "o-operator"
-OPERATOR_KINDS = (KIND_ROTA_BAXTER, KIND_O_OPERATOR)
-
-
-class OperatorWitness(Record):
-    """A Rota-Baxter map on the algebra, or a module-to-algebra map relative
-    to a representation."""
-
-    kind: str
-    matrix: Matrix
-    weight: Fraction | None
-    rep: Representation | None
-
-    def __init__(self, kind: str, matrix: Matrix,
-                 weight: Fraction | None = None,
-                 rep: Representation | None = None):
-        d = self.__dict__
-        d["kind"], d["matrix"], d["weight"], d["rep"] = kind, matrix, weight, rep
-        if self.kind not in OPERATOR_KINDS:
-            raise UnknownKind(
-                f"unknown operator kind {self.kind!r}; expected one of {OPERATOR_KINDS}"
-            )
-        mat = to_matrix(self.matrix)
-        d["matrix"] = mat
-        if self.kind == KIND_ROTA_BAXTER:
-            if self.rep is not None:
-                raise RoleMismatch("a Rota-Baxter witness carries no representation")
-            rows, cols = mat_shape(mat)
-            if rows != cols:
-                raise DimensionMismatch(
-                    f"a Rota-Baxter map must be square, got {rows}x{cols}"
-                )
-            weight = as_fraction(self.weight) if self.weight is not None else Fraction(0)
-            d["weight"] = weight
-        else:
-            if self.weight is not None:
-                raise RoleMismatch("a relative operator witness carries no weight")
-            if self.rep is None:
-                raise RoleMismatch("a relative operator witness needs a representation")
-            want = (self.rep.base.dim, self.rep.module_dim)
-            if mat_shape(mat) != want:
-                raise DimensionMismatch(
-                    f"operator map must be {want[0]}x{want[1]} (module to algebra), "
-                    f"got {mat_shape(mat)}"
-                )
-
-
-class BilinearForm(Record):
-    """A square rational matrix read as a bilinear form on the algebra."""
-
-    matrix: Matrix
-
-    def __init__(self, matrix: Matrix):
-        self.__dict__["matrix"] = matrix
-        mat = to_matrix(self.matrix)
-        rows, cols = mat_shape(mat)
-        if rows != cols:
-            raise DimensionMismatch(f"a bilinear form must be square, got {rows}x{cols}")
-        self.__dict__["matrix"] = mat
-
-    @property
-    def dim(self) -> int:
-        return mat_shape(self.matrix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +264,6 @@ _PAIRS: dict[str, dict[ProductRole, str]] = {
 }
 
 _COMPATIBLE = "premalcev-compatible-dendriform"
-
-INDUCE_RECIPES = tuple(sorted([f"{family}-{form}" for family in _FAMILIES
-                               for form in ("oop", "rb")] + [_COMPATIBLE]))
-PAIR_RECIPES = tuple(sorted(_PAIRS))
 
 
 def _read(laws: Mapping[ProductRole, str], of: Mapping[str, object]) -> list:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from enum import Enum
 from fractions import Fraction
 from functools import partial
 from typing import Iterator, Mapping, Sequence
@@ -25,22 +24,25 @@ from .exact import (
     Matrix,
     Tensor,
     mat_inverse,
-    mat_shape,
     mat_transpose,
-    matrix,
     tensor_from_entries,
     tensor_grid,
-    tensor_normalize,
-    validate_tensor,
 )
-from .structures import (
+from .records import (
     CLASS_ROLES,
+    MALCEV_ACTIONS,
+    PRE_ALTERNATIVE_ACTIONS,
+    PRE_MALCEV_ACTIONS,
+    ActionRole,
     CheckReport,
     HomStructure,
     ProductRole,
-    Record,
+    Representation,
     RoleMismatch,
     StructureClass,
+    make_structure,
+)
+from .structures import (
     ACTION_SUMS,
     ROLE_NAMES,
     _ACTIONS,
@@ -55,7 +57,6 @@ from .structures import (
     _sweep,
     _sweep_blocks,
     combine,
-    make_structure,
     module_law,
     tabulate,
 )
@@ -63,72 +64,6 @@ from .structures import (
 
 class NotMultiplicative(ValueError):
     """A twisted-power construction needs the twist to be a product morphism."""
-
-
-class ActionRole(Enum):
-    """Slots an action map can occupy in a representation."""
-
-    RHO = "rho"                  # single Malcev-type action
-    LEFT = "left"                # left action (pre-Malcev or alternative)
-    RIGHT = "right"              # right action (pre-Malcev or alternative)
-    LEFT_PREC = "left-prec"      # left action of the "precedes" product
-    RIGHT_PREC = "right-prec"    # right action of the "precedes" product
-    LEFT_SUCC = "left-succ"      # left action of the "succeeds" product
-    RIGHT_SUCC = "right-succ"    # right action of the "succeeds" product
-
-
-MALCEV_ACTIONS = frozenset({ActionRole.RHO})
-PRE_MALCEV_ACTIONS = frozenset({ActionRole.LEFT, ActionRole.RIGHT})
-PRE_ALTERNATIVE_ACTIONS = frozenset(
-    {ActionRole.LEFT_PREC, ActionRole.RIGHT_PREC,
-     ActionRole.LEFT_SUCC, ActionRole.RIGHT_SUCC}
-)
-
-
-class Representation(Record):
-    """Actions of a structure on a module, with a module twist: each action a
-    tensor ``(s, b) -> {r: value}``, ``rho(e_s) e_b``, of a base vector
-    ``e_s`` on a module vector ``e_b``."""
-
-    base: HomStructure
-    module_dim: int
-    module_twist: Matrix
-    actions: Mapping[ActionRole, Tensor]
-
-    def __init__(self, base: HomStructure, module_dim: int,
-                 module_twist: Matrix,
-                 actions: Mapping[ActionRole, Tensor]):
-        d = self.__dict__
-        d["base"], d["module_dim"] = base, module_dim
-        d["module_twist"], d["actions"] = module_twist, actions
-        if self.module_dim < 1:
-            raise DimensionMismatch(
-                f"module dimension must be positive, got {self.module_dim}"
-            )
-        twist = matrix(self.module_twist)
-        m = self.module_dim
-        if mat_shape(twist) != (m, m):
-            raise DimensionMismatch(
-                f"module twist must be {m}x{m}, got {mat_shape(twist)}"
-            )
-        actions: dict[ActionRole, Tensor] = {}
-        for role, t in self.actions.items():
-            if not isinstance(role, ActionRole):
-                raise RoleMismatch(f"unknown action role {role!r}")
-            actions[role] = tensor_normalize(t)
-            validate_tensor(actions[role], self.base.dim, f"action '{role.value}'", m)
-        d["module_twist"] = twist
-        d["actions"] = dict(sorted(actions.items(), key=lambda item: item[0].value))
-
-    def roles(self) -> frozenset[ActionRole]:
-        return frozenset(self.actions)
-
-    def grid(self, name: str) -> Grid:
-        """The grid of the action a law names (:func:`_action_grid`), built once."""
-        grids = self.__dict__.setdefault("_grids", {})
-        if name not in grids:
-            grids[name] = _action_grid(name, self.actions, self.base.dim, self.module_dim)
-        return grids[name]
 
 
 #: the name of each action role's grid in a law, in the order of the roles

@@ -1,20 +1,20 @@
-"""Finite-dimensional twisted algebra structures and exhaustive identity checks.
+"""Exhaustive identity checks of finite-dimensional twisted algebra structures.
 
-A :class:`HomStructure` is a basis-indexed bundle of bilinear products plus a
-twisting endomorphism.  :func:`check` sweeps every defining identity of a
-structure class over all basis tuples and reports the exact nonzero residuals.
+A :class:`~homalg.records.HomStructure` is a basis-indexed bundle of bilinear
+products plus a twisting endomorphism.  :func:`check` sweeps every defining
+identity of a structure class over all basis tuples and reports the exact
+nonzero residuals.
 """
 from __future__ import annotations
 
 import itertools
 import re
 import time
-from enum import Enum
 from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, mul, sub
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import (
     DimensionMismatch,
@@ -29,202 +29,23 @@ from .exact import (
     grid_mul,
     grid_pack,
     mat_cols,
-    mat_identity,
     mat_lincomb,
     mat_mul,
     mat_shape,
     matrix,
     sv_basis,
     sv_unpack,
-    tensor_grid,
-    tensor_normalize,
-    validate_tensor,
 )
-
-
-class RoleMismatch(ValueError):
-    """The structure does not carry (and cannot derive) the roles needed."""
-
-
-class UnknownKind(ValueError):
-    """Unrecognized operator kind, recipe or class name."""
-
-
-class ProductRole(Enum):
-    """Slots a bilinear product can occupy in a structure."""
-
-    BRACKET = "bracket"        # antisymmetric bracket
-    STAR = "star"              # single (not necessarily symmetric) product
-    DOT = "dot"                # pre-Malcev-type product
-    TRI_RIGHT = "tri-right"    # first half of an M-dendriform splitting
-    TRI_LEFT = "tri-left"      # second half of an M-dendriform splitting
-    PREC = "prec"              # "precedes" half of a dendriform-type splitting
-    SUCC = "succ"              # "succeeds" half of a dendriform-type splitting
-    NW = "nw"                  # four-way splitting, north-west
-    SW = "sw"                  # four-way splitting, south-west
-    NE = "ne"                  # four-way splitting, north-east
-    SE = "se"                  # four-way splitting, south-east
-    DIAMOND = "diamond"        # derived only: vertical recombination
-    VEE = "vee"                # derived only: se + sw
-    WEDGE = "wedge"            # derived only: ne + nw
-
-
-class StructureClass(Enum):
-    HOM_LIE = "hom-lie"
-    HOM_MALCEV = "hom-malcev"
-    HOM_MALCEV_ADMISSIBLE = "hom-malcev-admissible"
-    HOM_PRE_MALCEV = "hom-pre-malcev"
-    HOM_M_DENDRIFORM = "hom-m-dendriform"
-    HOM_ASSOCIATIVE = "hom-associative"
-    HOM_ALTERNATIVE = "hom-alternative"
-    HOM_PRE_ALTERNATIVE = "hom-pre-alternative"
-    HOM_ALT_QUADRI = "hom-alt-quadri"
-
-
-#: product roles a structure must carry (directly) to be checked as a class
-CLASS_ROLES: dict[StructureClass, frozenset[ProductRole]] = {
-    StructureClass.HOM_LIE: frozenset({ProductRole.BRACKET}),
-    StructureClass.HOM_MALCEV: frozenset({ProductRole.BRACKET}),
-    StructureClass.HOM_MALCEV_ADMISSIBLE: frozenset({ProductRole.STAR}),
-    StructureClass.HOM_PRE_MALCEV: frozenset({ProductRole.DOT}),
-    StructureClass.HOM_M_DENDRIFORM: frozenset({ProductRole.TRI_RIGHT, ProductRole.TRI_LEFT}),
-    StructureClass.HOM_ASSOCIATIVE: frozenset({ProductRole.STAR}),
-    StructureClass.HOM_ALTERNATIVE: frozenset({ProductRole.STAR}),
-    StructureClass.HOM_PRE_ALTERNATIVE: frozenset({ProductRole.PREC, ProductRole.SUCC}),
-    StructureClass.HOM_ALT_QUADRI: frozenset(
-        {ProductRole.NW, ProductRole.SW, ProductRole.NE, ProductRole.SE}
-    ),
-}
-
-
-def _default_basis(dim: int) -> tuple[str, ...]:
-    return tuple(f"e{i}" for i in range(dim))
-
-
-class Record:
-    """A frozen value whose fields are its class annotations, in order.  Each
-    subclass's ``__init__`` stores its fields into ``self.__dict__``; equality,
-    hashing and ``repr`` follow the fields as for a frozen dataclass."""
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        cls._fields = tuple(cls.__annotations__)
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self._fields, self._values()))
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class HomStructure(Record):
-    """A finite-dimensional vector space with bilinear products and a twist."""
-
-    dim: int
-    twist: Matrix
-    products: Mapping[ProductRole, Tensor]
-    basis: tuple[str, ...]
-    meta: Mapping[str, str]
-
-    def __init__(self, dim: int, twist: Matrix,
-                 products: Mapping[ProductRole, Tensor],
-                 basis: tuple[str, ...] = (),
-                 meta: Mapping[str, str] | None = None):
-        d = self.__dict__
-        d["dim"], d["twist"], d["products"] = dim, twist, products
-        d["basis"], d["meta"] = basis, meta
-        if self.dim < 1:
-            raise DimensionMismatch(f"dimension must be positive, got {self.dim}")
-        twist = matrix(self.twist)
-        if mat_shape(twist) != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"twist must be {self.dim}x{self.dim}, got {mat_shape(twist)}"
-            )
-        products: dict[ProductRole, Tensor] = {}
-        for role, t in self.products.items():
-            if not isinstance(role, ProductRole):
-                raise RoleMismatch(f"unknown product role {role!r}")
-            products[role] = tensor_normalize(t)
-            validate_tensor(products[role], self.dim, f"product '{role.value}'")
-        basis = tuple(self.basis) if self.basis else _default_basis(self.dim)
-        if len(basis) != self.dim:
-            raise DimensionMismatch(
-                f"{len(basis)} basis labels for dimension {self.dim}"
-            )
-        d["twist"], d["basis"] = twist, basis
-        d["products"] = dict(sorted(products.items(), key=lambda item: item[0].value))
-        d["meta"] = dict(self.meta) if self.meta is not None else {}
-
-    def roles(self) -> frozenset[ProductRole]:
-        return frozenset(self.products)
-
-    def grid(self, role: ProductRole) -> Grid:
-        """The grid of the product ``role``, stored or derived (see
-        :func:`derived_product`), built once per structure."""
-        grids = self.__dict__.setdefault("_grids", {})
-        if role not in grids:
-            grids[role] = tensor_grid(derived_product(self, role), self.dim)
-        return grids[role]
-
-    def only(self, roles: Collection[ProductRole]) -> HomStructure:
-        """The structure with only its products in ``roles``, so that a
-        product derived on it reads no other: itself when it stores no other."""
-        if all(role in roles for role in self.products):
-            return self
-        return make_structure(self.dim, self.twist, {
-            role: t for role, t in self.products.items() if role in roles}, self.basis, self.meta)
-
-
-def make_structure(dim, twist=None, products=None, basis=None, meta=None) -> HomStructure:
-    return HomStructure(
-        dim=dim,
-        twist=twist if twist is not None else mat_identity(dim),
-        products=products or {},
-        basis=tuple(basis) if basis else (),
-        meta=meta or {},
-    )
-
-
-class Violation(Record):
-    identity: str
-    args: tuple[int, ...]
-    residual: Mapping[int, Fraction]
-
-    def __init__(self, identity: str, args: tuple[int, ...],
-                 residual: Mapping[int, Fraction]):
-        d = self.__dict__
-        d["identity"], d["args"], d["residual"] = identity, args, residual
-
-
-class CheckReport(Record):
-    target: str
-    passed: bool
-    violations: tuple[Violation, ...]
-    tuples_checked: int
-    elapsed: float
-
-    def __init__(self, target: str, passed: bool, violations: tuple[Violation, ...],
-                 tuples_checked: int, elapsed: float):
-        d = self.__dict__
-        d["target"], d["passed"], d["violations"] = target, passed, violations
-        d["tuples_checked"], d["elapsed"] = tuples_checked, elapsed
+from .records import (
+    CLASS_ROLES,
+    CheckReport,
+    HomStructure,
+    ProductRole,
+    RoleMismatch,
+    StructureClass,
+    Violation,
+    make_structure,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_structures_never_share_meta(records):
 
 def test_cli_import_path_stays_off_dataclasses():
     """``Tracer.install`` in ``bench/spans.py`` relies on ``import homalg``
-    loading every submodule; the command line should not pay for
+    registering every submodule; the command line should not pay for
     ``dataclasses`` or the ``inspect`` module it imports."""
     src = Path(homalg.__file__).resolve().parents[1]
     script = (
