@@ -14,7 +14,6 @@ import sys
 _HOMES = {
     "bundle": "Bundle BundleError check_payload diagram_payload dumps_bundle load_bundle"
               " loads_bundle save_bundle",
-    "exact": "DimensionMismatch SingularMatrix",
     "functors": "SPLIT_DIRECTIONS DiagramReport NotAMorphism UnknownDirection commutator"
                 " horizontal quadri_split transpose verify_diagram vertical yau_twist",
     "operators": "EndomorphismInvalid HessianInvalid NotCommuting OperatorInvalid"
@@ -22,9 +21,9 @@ _HOMES = {
                  " hessian_dendrify induce induce_pair twist_oop_setup",
     "records": "CLASS_ROLES INDUCE_RECIPES KIND_O_OPERATOR KIND_ROTA_BAXTER MALCEV_ACTIONS"
                " OPERATOR_KINDS PAIR_RECIPES PRE_ALTERNATIVE_ACTIONS PRE_MALCEV_ACTIONS"
-               " ActionRole BilinearForm CheckReport HomStructure OperatorWitness ProductRole"
-               " Representation RoleMismatch StructureClass UnknownKind Violation"
-               " make_structure",
+               " ActionRole BilinearForm CheckReport DimensionMismatch HomStructure"
+               " OperatorWitness ProductRole Representation RoleMismatch SingularMatrix"
+               " StructureClass UnknownKind Violation make_structure",
     "reps": "DUAL_VARIANTS NotMultiplicative adjoint_rep check_rep dual_malcev_rep"
             " dual_pre_malcev_rep regular_alternative_rep regular_pre_alternative_rep"
             " regular_pre_malcev_rep semidirect",

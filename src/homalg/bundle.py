@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .exact import Matrix, Tensor
 from .records import (
     KIND_O_OPERATOR,
     KIND_ROTA_BAXTER,
@@ -26,11 +25,14 @@ from .records import (
     BilinearForm,
     CheckReport,
     HomStructure,
+    InputError,
+    Matrix,
     OperatorWitness,
     ProductRole,
     Record,
     Representation,
     StructureClass,
+    Tensor,
 )
 
 SCHEMA_VERSION = 1
@@ -52,7 +54,7 @@ _REP_KEYS = frozenset({"module_dim", "module_twist", "actions"})
 _OPERATOR_KEYS = frozenset({"kind", "weight", "rep_index", "matrix"})
 
 
-class BundleError(ValueError):
+class BundleError(InputError):
     """The file is not a valid bundle; the message names the offending
     field or index."""
 

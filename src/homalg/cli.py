@@ -23,13 +23,14 @@ from .bundle import (
     dumps_json,
     load_bundle,
 )
-from .exact import DimensionMismatch, SingularMatrix
 from .records import (
     INDUCE_RECIPES,
     MALCEV_ACTIONS,
     PAIR_RECIPES,
     PRE_MALCEV_ACTIONS,
     HomStructure,
+    InputError,
+    MathError,
     ProductRole,
     Representation,
     RoleMismatch,
@@ -369,19 +370,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(command)
     started = time.perf_counter()
-    # an except clause's tuple is evaluated only when an exception reaches
-    # it, so a command loads no engine module that it does not run
     try:
         status = _COMMANDS[args.command](args, command)
-    except (BundleError, RoleMismatch, UnknownKind, functors.UnknownDirection,
-            DimensionMismatch) as exc:
+    except (InputError, MathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (operators.OperatorInvalid, operators.NotCommuting, operators.HessianInvalid,
-            operators.EndomorphismInvalid, reps.NotMultiplicative, functors.NotAMorphism,
-            SingularMatrix) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
     print(f"# elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return status
 

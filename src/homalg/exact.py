@@ -4,7 +4,8 @@ All arithmetic is over the rationals with zero tolerance.  Structures are
 stored with ``fractions.Fraction`` scalars: vectors and matrices are
 immutable tuples, and bilinear products are sparse structure-constant
 tensors mapping a basis pair ``(i, j)`` to the sparse coordinate vector of
-``e_i * e_j``.
+``e_i * e_j``.  These forms, their helpers and their errors are defined in
+:mod:`homalg.records`, so that a bundle parses without this module.
 
 Inside a sweep every value is integer numerators over one denominator: an
 :class:`Ivec` (sparse vector) or an :class:`Imat` (flat row-major matrix).
@@ -27,20 +28,10 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-Svec = dict[int, Fraction]
-Tensor = dict[tuple[int, int], Svec]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-class SingularMatrix(ValueError):
-    """The matrix has no inverse over the rationals."""
-
-
-class DimensionMismatch(ValueError):
-    """Shapes of matrices, vectors, or tensors do not line up."""
+from .records import (  # noqa: F401  (re-exported)
+    ONE, ZERO, DimensionMismatch, Matrix, SingularMatrix, Svec, Tensor, as_fraction,
+    mat_identity, mat_shape, matrix, tensor_normalize, validate_tensor,
+)
 
 
 class Ivec(dict):
@@ -80,18 +71,8 @@ def _nonzero(acc: dict[int, int], den: int) -> Ivec:
 
 
 # ---------------------------------------------------------------------------
-# scalars, vectors and the integer forms
+# the integer forms
 # ---------------------------------------------------------------------------
-
-def as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise DimensionMismatch(f"cannot interpret {value!r} as an exact rational")
-
 
 def as_ivec(u: Mapping) -> Ivec:
     """``u`` as an :class:`Ivec`; a mapping to rationals is converted."""
@@ -122,24 +103,6 @@ def mat_fractions(m: Imat) -> Matrix:
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
-
-def matrix(rows: Iterable[Iterable]) -> Matrix:
-    """``rows`` as a tuple matrix of Fractions; a row that already is one is
-    kept as it is."""
-    out = tuple(row if type(row) is tuple and all(type(v) is Fraction for v in row)
-                else tuple(map(as_fraction, row)) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise DimensionMismatch("matrix rows have unequal lengths")
-    return out
-
-
-def mat_shape(m: Matrix) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
 
 def mat_mul(a, b) -> Imat:
     a, b = as_imat(a), as_imat(b)
@@ -269,18 +232,6 @@ def apply_cols(cols: Sequence[Mapping], u: Mapping) -> Ivec:
 # structure-constant tensors
 # ---------------------------------------------------------------------------
 
-def tensor_normalize(t: Mapping) -> Tensor:
-    """``t`` with Fraction values and no zeros; a value that already is a
-    Fraction is not converted."""
-    out: Tensor = {}
-    for (i, j), cell in t.items():
-        clean = {k: f for k, v in cell.items()
-                 if (f := v if type(v) is Fraction else as_fraction(v))}
-        if clean:
-            out[(int(i), int(j))] = clean
-    return out
-
-
 def tensor_from_entries(entries: Iterable[tuple[int, int, int, object]]) -> Tensor:
     out: Tensor = {}
     for i, j, k, v in entries:
@@ -292,18 +243,6 @@ def tensor_from_entries(entries: Iterable[tuple[int, int, int, object]]) -> Tens
         else:
             cell.pop(k, None)
     return {key: cell for key, cell in out.items() if cell}
-
-
-def validate_tensor(t: Tensor, dim: int, name: str = "tensor", module: int | None = None) -> None:
-    """Every index of ``t`` below ``dim``; with ``module`` (an action on a module), the
-    second input and the output below ``module``."""
-    m, of = (dim, f"dim {dim}") if module is None else (module, f"dims {dim} x {module}")
-    for (i, j), cell in t.items():
-        if not (0 <= i < dim and 0 <= j < m):
-            raise DimensionMismatch(f"{name}: pair index ({i},{j}) out of range for {of}")
-        for k in cell:
-            if not (0 <= k < m):
-                raise DimensionMismatch(f"{name}: output index {k} out of range for dim {m}")
 
 
 class Table(list):

@@ -10,10 +10,8 @@ import time
 from typing import Mapping
 
 from .exact import (
-    Matrix,
     mat_fractions,
     mat_mul,
-    matrix,
 )
 from .operators import (
     KIND_ROTA_BAXTER,
@@ -29,10 +27,14 @@ from .operators import (
 from .records import (
     CheckReport,
     HomStructure,
+    InputError,
+    MathError,
+    Matrix,
     ProductRole,
     Record,
     RoleMismatch,
     StructureClass,
+    matrix,
 )
 from .structures import (
     ROLE_NAMES,
@@ -46,11 +48,11 @@ from .structures import (
 )
 
 
-class NotAMorphism(ValueError):
+class NotAMorphism(MathError):
     """The twisting map fails the morphism check the construction needs."""
 
 
-class UnknownDirection(ValueError):
+class UnknownDirection(InputError):
     """The split direction label is not one of the supported ones."""
 
 

@@ -16,17 +16,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact import (
-    DimensionMismatch,
-    Matrix,
-    Tensor,
     mat_fractions,
     mat_inverse,
     mat_kernel_vector,
     mat_mul,
     mat_lincomb,
-    mat_shape,
     mat_transpose,
-    matrix as to_matrix,
     tensor_from_entries,
     tensor_grid,
 )
@@ -41,14 +36,20 @@ from .records import (
     ActionRole,
     BilinearForm,
     CheckReport,
+    DimensionMismatch,
     HomStructure,
+    MathError,
+    Matrix,
     OperatorWitness,
     ProductRole,
     Representation,
     RoleMismatch,
+    Tensor,
     UnknownKind,
     Violation,
     make_structure,
+    mat_shape,
+    to_matrix,
 )
 from .reps import ACTION_NAMES, _ACTION_OF
 from .structures import (
@@ -64,20 +65,20 @@ from .structures import (
 )
 
 
-class OperatorInvalid(ValueError):
+class OperatorInvalid(MathError):
     """A construction was asked to use an operator that fails its own check."""
 
 
-class NotCommuting(ValueError):
+class NotCommuting(MathError):
     """A pair construction needs the two operators to commute."""
 
 
-class HessianInvalid(ValueError):
+class HessianInvalid(MathError):
     """A dendrification was asked to use a bilinear form that fails the
     Hessian axioms."""
 
 
-class EndomorphismInvalid(ValueError):
+class EndomorphismInvalid(MathError):
     """The map pair does not satisfy the operator-endomorphism conditions."""
 
 

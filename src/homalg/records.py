@@ -1,41 +1,105 @@
 """The record layer: the value types of structures, representations, operator
-witnesses and reports, the names of roles, classes, operator kinds and
-recipes, and the exceptions they raise.
+witnesses and reports, the rational forms they hold (``Matrix``, ``Svec``,
+``Tensor``) and the helpers that build and validate them, the names of
+roles, classes, operator kinds and recipes, and the exceptions they raise.
 
-Bundle parsing, validation and dumping need only this module and ``exact``:
-no law row, law compiler or sweep is loaded with them.  The two methods
-that build grids, :meth:`HomStructure.grid` and
-:meth:`Representation.grid`, reach ``structures`` and ``reps`` only when
-they are called.
+Bundle parsing, validation and dumping need only this module: no kernel,
+law row, law compiler or sweep is loaded with them.  The two methods that
+build grids, :meth:`HomStructure.grid` and :meth:`Representation.grid`,
+reach ``exact``, ``structures`` and ``reps`` only when they are called.
 """
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Mapping
+from typing import Collection, Iterable, Mapping
 
-from . import reps, structures
-from .exact import (
-    DimensionMismatch,
-    Grid,
-    Matrix,
-    Tensor,
-    as_fraction,
-    mat_identity,
-    mat_shape,
-    matrix as to_matrix,
-    tensor_grid,
-    tensor_normalize,
-    validate_tensor,
-)
+from . import exact, reps, structures
+
+Matrix = tuple[tuple[Fraction, ...], ...]
+Svec = dict[int, Fraction]
+Tensor = dict[tuple[int, int], Svec]
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
-class RoleMismatch(ValueError):
+class InputError(ValueError):
+    """Malformed input (schema, name, role, index or shape): a command exits 2."""
+
+
+class MathError(ValueError):
+    """Well-formed input that fails a mathematical precondition: a command exits 1."""
+
+
+class SingularMatrix(MathError):
+    """The matrix has no inverse over the rationals."""
+
+
+class DimensionMismatch(InputError):
+    """Shapes of matrices, vectors, or tensors do not line up."""
+
+
+class RoleMismatch(InputError):
     """The structure does not carry (and cannot derive) the roles needed."""
 
 
-class UnknownKind(ValueError):
+class UnknownKind(InputError):
     """Unrecognized operator kind, recipe or class name."""
+
+
+def as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
+        return Fraction(value)
+    raise DimensionMismatch(f"cannot interpret {value!r} as an exact rational")
+
+
+def matrix(rows: Iterable[Iterable]) -> Matrix:
+    """``rows`` as a tuple matrix of Fractions; a row that already is one is
+    kept as it is."""
+    out = tuple(row if type(row) is tuple and all(type(v) is Fraction for v in row)
+                else tuple(map(as_fraction, row)) for row in rows)
+    if out and any(len(row) != len(out[0]) for row in out):
+        raise DimensionMismatch("matrix rows have unequal lengths")
+    return out
+
+
+#: the records whose ``matrix`` field shadows :func:`matrix` call it by this name
+to_matrix = matrix
+
+
+def mat_shape(m: Matrix) -> tuple[int, int]:
+    return (len(m), len(m[0]) if m else 0)
+
+
+def mat_identity(n: int) -> Matrix:
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def tensor_normalize(t: Mapping) -> Tensor:
+    """``t`` with Fraction values and no zeros; a value that already is a
+    Fraction is not converted."""
+    out: Tensor = {}
+    for (i, j), cell in t.items():
+        clean = {k: f for k, v in cell.items()
+                 if (f := v if type(v) is Fraction else as_fraction(v))}
+        if clean:
+            out[(int(i), int(j))] = clean
+    return out
+
+
+def validate_tensor(t: Tensor, dim: int, name: str = "tensor", module: int | None = None) -> None:
+    """Every index of ``t`` below ``dim``; with ``module`` (an action on a module), the
+    second input and the output below ``module``."""
+    m, of = (dim, f"dim {dim}") if module is None else (module, f"dims {dim} x {module}")
+    for (i, j), cell in t.items():
+        if not (0 <= i < dim and 0 <= j < m):
+            raise DimensionMismatch(f"{name}: pair index ({i},{j}) out of range for {of}")
+        for k in cell:
+            if not (0 <= k < m):
+                raise DimensionMismatch(f"{name}: output index {k} out of range for dim {m}")
 
 
 class ProductRole(Enum):
@@ -119,10 +183,6 @@ INDUCE_RECIPES = (
 PAIR_RECIPES = ("alternative-pair-to-quadri", "malcev-pair-to-mdendriform")
 
 
-def _default_basis(dim: int) -> tuple[str, ...]:
-    return tuple(f"e{i}" for i in range(dim))
-
-
 class Record:
     """A frozen value whose fields are its class annotations, in order.  Each
     subclass's ``__init__`` stores its fields into ``self.__dict__``; equality,
@@ -185,7 +245,7 @@ class HomStructure(Record):
                 raise RoleMismatch(f"unknown product role {role!r}")
             products[role] = tensor_normalize(t)
             validate_tensor(products[role], self.dim, f"product '{role.value}'")
-        basis = tuple(self.basis) if self.basis else _default_basis(self.dim)
+        basis = tuple(self.basis) if self.basis else tuple(f"e{i}" for i in range(self.dim))
         if len(basis) != self.dim:
             raise DimensionMismatch(
                 f"{len(basis)} basis labels for dimension {self.dim}"
@@ -197,12 +257,12 @@ class HomStructure(Record):
     def roles(self) -> frozenset[ProductRole]:
         return frozenset(self.products)
 
-    def grid(self, role: ProductRole) -> Grid:
+    def grid(self, role: ProductRole) -> exact.Grid:
         """The grid of the product ``role``, stored or derived (see
         :func:`~homalg.structures.derived_product`), built once per structure."""
         grids = self.__dict__.setdefault("_grids", {})
         if role not in grids:
-            grids[role] = tensor_grid(structures.derived_product(self, role), self.dim)
+            grids[role] = exact.tensor_grid(structures.derived_product(self, role), self.dim)
         return grids[role]
 
     def only(self, roles: Collection[ProductRole]) -> HomStructure:
@@ -287,7 +347,7 @@ class Representation(Record):
     def roles(self) -> frozenset[ActionRole]:
         return frozenset(self.actions)
 
-    def grid(self, name: str) -> Grid:
+    def grid(self, name: str) -> exact.Grid:
         """The grid of the action a law names (:func:`~homalg.reps._action_grid`),
         built once."""
         grids = self.__dict__.setdefault("_grids", {})

@@ -19,10 +19,7 @@ from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from .exact import (
-    DimensionMismatch,
     Grid,
-    Matrix,
-    Tensor,
     mat_inverse,
     mat_transpose,
     tensor_from_entries,
@@ -35,11 +32,15 @@ from .records import (
     PRE_MALCEV_ACTIONS,
     ActionRole,
     CheckReport,
+    DimensionMismatch,
     HomStructure,
+    MathError,
+    Matrix,
     ProductRole,
     Representation,
     RoleMismatch,
     StructureClass,
+    Tensor,
     make_structure,
 )
 from .structures import (
@@ -62,7 +63,7 @@ from .structures import (
 )
 
 
-class NotMultiplicative(ValueError):
+class NotMultiplicative(MathError):
     """A twisted-power construction needs the twist to be a product morphism."""
 
 

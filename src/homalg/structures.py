@@ -17,12 +17,9 @@ from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact import (
-    DimensionMismatch,
     Grid,
     Ivec,
-    Matrix,
     Table,
-    Tensor,
     apply_cols,
     as_imat,
     as_ivec,
@@ -31,20 +28,23 @@ from .exact import (
     mat_cols,
     mat_lincomb,
     mat_mul,
-    mat_shape,
-    matrix,
     sv_basis,
     sv_unpack,
 )
 from .records import (
     CLASS_ROLES,
     CheckReport,
+    DimensionMismatch,
     HomStructure,
+    Matrix,
     ProductRole,
     RoleMismatch,
     StructureClass,
+    Tensor,
     Violation,
     make_structure,
+    mat_shape,
+    matrix,
 )
 
 

@@ -1,7 +1,7 @@
 """The import contract: ``import homalg`` registers every engine module and
-runs none of them, a cold command compiles and runs only the modules it
-uses, and the public names and the ``--help`` texts are the same as when
-every module is loaded."""
+runs none of them, ``import homalg.cli``, a cold command and an error exit
+compile and run only the modules they use, and the public names and the
+``--help`` texts are the same as when every module is loaded."""
 from __future__ import annotations
 
 import contextlib
@@ -22,11 +22,13 @@ from homalg.fixtures import fixture_path
 SRC = Path(homalg.__file__).resolve().parents[1]
 ENGINE = ("exact", "records", "structures", "reps", "operators", "functors", "bundle")
 
-#: a ``-c`` driver: runs its arguments as ``python -m homalg.cli`` does
-#: and writes the homalg module bodies that ran (each ``<module>`` frame of
-#: a homalg source file, as the profiler sees it) as the last stderr line
+#: a ``-c`` driver: imports the module its one argument names if that is a
+#: ``homalg`` module, else runs its arguments as ``python -m homalg.cli``
+#: does, and writes the homalg module bodies that ran (each ``<module>``
+#: frame of a homalg source file, as the profiler sees it) as the last
+#: stderr line
 DRIVER = """\
-import runpy, sys
+import importlib, runpy, sys
 ran = []
 def profile(frame, event, arg):
     name = frame.f_globals.get("__name__", "")
@@ -35,10 +37,10 @@ def profile(frame, event, arg):
         ran.append(name)
 sys.setprofile(profile)
 try:
-    if len(sys.argv) > 1:
-        runpy.run_module("homalg.cli", run_name="__main__", alter_sys=True)
+    if sys.argv[1].startswith("homalg"):
+        importlib.import_module(sys.argv[1])
     else:
-        import homalg
+        runpy.run_module("homalg.cli", run_name="__main__", alter_sys=True)
 finally:
     sys.setprofile(None)
     print("ran:", *ran, file=sys.stderr)
@@ -63,14 +65,20 @@ def _in_process(argv: list[str]) -> tuple[object, str]:
     return status, out.getvalue()
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (["fmt", "premalcev_dim2"], {"structures", "reps", "operators", "functors"}),
-    (["check", "zero_dim2"], {"reps", "operators", "functors"}),
+def _ran(traced: subprocess.CompletedProcess) -> set[str]:
+    """The homalg module bodies a run of :data:`DRIVER` reports."""
+    return set(traced.stderr.splitlines()[-1].split()[1:])
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (["fmt", "premalcev_dim2"], set()),
+    (["check", "zero_dim2"], {"exact", "structures"}),
 ], ids=["fmt-premalcev_dim2", "check-zero_dim2"])
-def test_cold_command_runs_only_the_modules_it_uses(argv, unused):
+def test_cold_command_runs_only_the_modules_it_uses(argv, runs):
     """``premalcev_dim2`` carries reps, operators and a form, which ``fmt``
-    parses and dumps with the record layer alone; ``zero_dim2`` carries no
-    rep or operator, so its ``check`` needs only the sweep."""
+    parses and dumps with the record layer alone, compiling no kernel;
+    ``zero_dim2`` carries no rep or operator, so its ``check`` needs only
+    the kernel and the sweep."""
     argv = [argv[0], fixture_path(argv[1])]
     status, expected = _in_process(argv)
     cold = _python("-m", "homalg.cli", *argv)
@@ -81,19 +89,43 @@ def test_cold_command_runs_only_the_modules_it_uses(argv, unused):
     traced = _python("-c", DRIVER, *argv)
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == expected
-    ran = set(traced.stderr.splitlines()[-1].split()[1:])
-    assert {"homalg", "homalg.bundle", "homalg.exact", "homalg.records"} <= ran
-    assert not {f"homalg.{name}" for name in unused} & ran
-    assert "homalg.cli" not in ran    # it runs once, as __main__
+    # homalg.cli is not listed: it runs once, as __main__
+    assert _ran(traced) == {"homalg", "homalg.bundle", "homalg.records",
+                            *(f"homalg.{name}" for name in runs)}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fmt", None], "error: cannot read "),
+    (["check", "table_dim4"], "error: the bundle declares no class; pass --class TAG"),
+], ids=["fmt-missing-file", "check-table_dim4-without-class"])
+def test_cold_error_exit_runs_no_kernel_or_engine_module(argv, message, tmp_path):
+    """``main`` catches the record layer's two error bases, so an input
+    error reads no exception class of an engine module and loads none."""
+    path = str(tmp_path / "missing.json") if argv[1] is None else fixture_path(argv[1])
+    argv = [argv[0], path]
+    assert _in_process(argv) == (2, "")
+    traced = _python("-c", DRIVER, *argv)
+    assert (traced.returncode, traced.stdout) == (2, "")
+    error, _ = traced.stderr.splitlines()
+    assert error.startswith(message)
+    assert _ran(traced) == {"homalg", "homalg.bundle", "homalg.records"}
 
 
 def test_import_registers_every_engine_module_and_runs_none():
     done = _python("-c", DRIVER + "print(*sorted(m for m in sys.modules "
-                   "if m.startswith('homalg')), file=sys.stderr)\n")
+                   "if m.startswith('homalg')), file=sys.stderr)\n", "homalg")
     assert done.returncode == 0, done.stderr
     ran, registered = done.stderr.splitlines()
     assert ran.split() == ["ran:", "homalg"]
     assert registered.split() == sorted(["homalg", *(f"homalg.{m}" for m in ENGINE)])
+
+
+def test_cli_import_runs_only_the_record_layer():
+    """The parser and the error handling of ``cli`` read only names of the
+    record layer and ``bundle``, so importing it compiles no kernel."""
+    done = _python("-c", DRIVER, "homalg.cli")
+    assert done.returncode == 0, done.stderr
+    assert _ran(done) == {"homalg", "homalg.bundle", "homalg.records", "homalg.cli"}
 
 
 def test_every_public_name_resolves_to_its_home_module():
