@@ -153,7 +153,6 @@ def build() -> dict[str, Bundle]:
     fixtures["premalcev_dim2"] = Bundle(
         structure=pm2, declared_class=C.HOM_PRE_MALCEV,
         reps=(pm2_rep,), operators=(rb(pm2_rb_mat), pm2_oop),
-        rep_indices=(None, 0),
         forms=(BilinearForm(dense(2, (0, 1, 1), (1, 0, 1))),),
     )
 

@@ -120,7 +120,7 @@ def _on_rep(structure, rep, rb_maps) -> Bundle:
     """``structure`` with ``rep`` and the O-operators on it of the same
     matrices as ``rb_maps``."""
     ops = tuple(OperatorWitness(KIND_O_OPERATOR, r.matrix, rep=rep) for r in rb_maps)
-    return Bundle(structure, reps=(rep,), operators=ops, rep_indices=(0,) * len(ops))
+    return Bundle(structure, reps=(rep,), operators=ops)
 
 
 def recipe_bundles(into: Path) -> list[Path]:
@@ -158,7 +158,7 @@ def recipe_bundles(into: Path) -> list[Path]:
         "assoc_t2_regular": _on_rep(t2.structure, regular_alternative_rep(t2.structure),
                                     t2.operators),
         "prealt_t2_regular": Bundle(
-            prealt, reps=(prealt_rep,), rep_indices=(None, 0),
+            prealt, reps=(prealt_rep,),
             operators=(r2, OperatorWitness(KIND_O_OPERATOR, r2.matrix, rep=prealt_rep))),
         "mdendri_sl2_splitting": _on_rep(
             horiz, bimod, [OperatorWitness(KIND_O_OPERATOR, mat_identity(md.dim), rep=bimod)]),

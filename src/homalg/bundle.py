@@ -4,8 +4,10 @@ and bilinear forms, plus deterministic report payloads.
 A bundle is one self-contained JSON document.  Canonical form has a fixed key
 order, sparse entries sorted ascending, and every rational rendered as
 ``"p/q"`` with the fraction reduced and the denominator positive (``"/1"``
-mandatory for integers).  ``load → save`` is byte-identical on canonical
-files; ``save → load`` is the identity on in-memory values.
+mandatory for integers).  An O-operator names the representation it acts on
+by its position in ``reps`` (``rep_index``).  ``load → save`` is
+byte-identical on canonical files; ``save → load`` is the identity on
+in-memory values, and keeps each O-operator on its own representation.
 The loader parses each distinct rational string once per load; files and
 reports are written by :func:`dumps_json`, in one pass.
 """
@@ -174,46 +176,33 @@ def _entries(entries: Any, bounds: tuple[int, int, int], where: str, shape: str,
 
 class Bundle(Record):
     """A structure with any attached representations, operator witnesses, and
-    bilinear forms, exactly as loaded from (or destined for) one file."""
+    bilinear forms, exactly as loaded from (or destined for) one file.  The
+    representation of each O-operator is one of ``reps``, the same object,
+    so that two equal representations keep their places."""
 
     structure: HomStructure
     declared_class: StructureClass | None
     reps: tuple[Representation, ...]
     operators: tuple[OperatorWitness, ...]
-    rep_indices: tuple[int | None, ...]
     forms: tuple[BilinearForm, ...]
 
     def __init__(self, structure: HomStructure,
                  declared_class: StructureClass | None = None,
                  reps: tuple[Representation, ...] = (),
                  operators: tuple[OperatorWitness, ...] = (),
-                 rep_indices: tuple[int | None, ...] = (),
                  forms: tuple[BilinearForm, ...] = ()):
         d = self.__dict__
         d["structure"], d["declared_class"] = structure, declared_class
-        d["reps"], d["operators"] = tuple(reps), tuple(operators)
-        d["rep_indices"], d["forms"] = rep_indices, tuple(forms)
-        indices = tuple(self.rep_indices)
-        if not indices and self.operators:
-            indices = tuple(None for _ in self.operators)
-        if len(indices) != len(self.operators):
-            raise BundleError(
-                f"rep_indices: {len(indices)} entries for "
-                f"{len(self.operators)} operators"
-            )
-        for n, (witness, idx) in enumerate(zip(self.operators, indices)):
-            if witness.kind == KIND_O_OPERATOR:
-                if idx is None or not 0 <= idx < len(self.reps):
-                    raise BundleError(
-                        f"operators[{n}]: rep_index {idx!r} does not point at "
-                        f"one of {len(self.reps)} reps"
-                    )
-            elif idx is not None:
-                raise BundleError(
-                    f"operators[{n}]: rep_index is only meaningful for "
-                    f"'{KIND_O_OPERATOR}' witnesses"
-                )
-        d["rep_indices"] = indices
+        d["reps"], d["operators"], d["forms"] = tuple(reps), tuple(operators), tuple(forms)
+        for n, witness in enumerate(self.operators):
+            if witness.kind == KIND_O_OPERATOR and _rep_index(self, witness) is None:
+                raise BundleError(f"operators[{n}]: its representation is not one of "
+                                  f"the bundle's {len(self.reps)} reps")
+
+
+def _rep_index(bundle: Bundle, witness: OperatorWitness) -> int | None:
+    """The position in ``bundle.reps`` of the representation object of ``witness``."""
+    return next((n for n, rep in enumerate(bundle.reps) if rep is witness.rep), None)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +236,12 @@ def bundle_payload(bundle: Bundle) -> dict[str, Any]:
         ]
     if bundle.operators:
         ops = []
-        for witness, idx in zip(bundle.operators, bundle.rep_indices):
+        for witness in bundle.operators:
             entry: dict[str, Any] = {"kind": witness.kind}
             if witness.kind == KIND_ROTA_BAXTER:
                 entry["weight"] = format_rational(witness.weight)
             else:
-                entry["rep_index"] = idx
+                entry["rep_index"] = _rep_index(bundle, witness)
             entry["matrix"] = _matrix_to_flat(witness.matrix)
             ops.append(entry)
         payload["operators"] = ops
@@ -360,7 +349,7 @@ def _parse_rep(raw: Any, structure: HomStructure, where: str,
 
 def _parse_operator(raw: Any, structure: HomStructure,
                     reps: tuple[Representation, ...], where: str,
-                    rationals: dict[str, Fraction]) -> tuple[OperatorWitness, int | None]:
+                    rationals: dict[str, Fraction]) -> OperatorWitness:
     _object(raw, _OPERATOR_KEYS, where)
     kind = raw.get("kind")
     if kind not in OPERATOR_KINDS:
@@ -376,16 +365,15 @@ def _parse_operator(raw: Any, structure: HomStructure,
                   if "weight" in raw else Fraction(0))
         mat = _flat_matrix(raw["matrix"], structure.dim, structure.dim,
                            f"{where}.matrix", rationals)
-        return OperatorWitness(kind=kind, matrix=mat, weight=weight), None
+        return OperatorWitness(kind=kind, matrix=mat, weight=weight)
     if "weight" in raw:
         raise BundleError(f"{where}: '{KIND_O_OPERATOR}' witnesses carry no weight")
     if "rep_index" not in raw:
         raise BundleError(f"{where}: missing key 'rep_index'")
-    idx = _require_index(raw["rep_index"], len(reps), f"{where}.rep_index")
-    rep = reps[idx]
+    rep = reps[_require_index(raw["rep_index"], len(reps), f"{where}.rep_index")]
     mat = _flat_matrix(raw["matrix"], structure.dim, rep.module_dim,
                        f"{where}.matrix", rationals)
-    return OperatorWitness(kind=kind, matrix=mat, rep=rep), idx
+    return OperatorWitness(kind=kind, matrix=mat, rep=rep)
 
 
 def loads_bundle(text: str) -> Bundle:
@@ -428,7 +416,7 @@ def loads_bundle(text: str) -> Bundle:
 
     declared: StructureClass | None = None
     if "class" in raw:
-        declared = _CLASSES.get(raw["class"])
+        declared = _CLASSES.get(raw["class"]) if isinstance(raw["class"], str) else None
         if declared is None:
             raise BundleError(f"class: unknown structure class {raw['class']!r}; "
                               f"expected one of {sorted(_CLASSES)}")
@@ -452,15 +440,12 @@ def loads_bundle(text: str) -> Bundle:
             reps.append(_parse_rep(entry, structure, f"reps[{n}]", rationals))
 
     operators: list[OperatorWitness] = []
-    rep_indices: list[int | None] = []
     if "operators" in raw:
         if not isinstance(raw["operators"], list):
             raise BundleError("operators: expected a list")
         for n, entry in enumerate(raw["operators"]):
-            witness, idx = _parse_operator(entry, structure, tuple(reps),
-                                           f"operators[{n}]", rationals)
-            operators.append(witness)
-            rep_indices.append(idx)
+            operators.append(_parse_operator(entry, structure, tuple(reps),
+                                             f"operators[{n}]", rationals))
 
     forms: list[BilinearForm] = []
     if "forms" in raw:
@@ -471,8 +456,7 @@ def loads_bundle(text: str) -> Bundle:
                                                    rationals)))
 
     return Bundle(structure=structure, declared_class=declared, reps=tuple(reps),
-                  operators=tuple(operators), rep_indices=tuple(rep_indices),
-                  forms=tuple(forms))
+                  operators=tuple(operators), forms=tuple(forms))
 
 
 def load_bundle(path) -> Bundle:

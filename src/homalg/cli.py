@@ -25,15 +25,11 @@ from .bundle import (
 )
 from .records import (
     INDUCE_RECIPES,
-    MALCEV_ACTIONS,
     PAIR_RECIPES,
-    PRE_MALCEV_ACTIONS,
     HomStructure,
     InputError,
     MathError,
     ProductRole,
-    Representation,
-    RoleMismatch,
     StructureClass,
     UnknownKind,
 )
@@ -197,14 +193,6 @@ def _diagram_text(entry: dict[str, Any]) -> list[str]:
     return lines
 
 
-def _with_meta(structure: HomStructure, extra: dict[str, str]) -> HomStructure:
-    meta = dict(structure.meta)
-    meta.update(extra)
-    return HomStructure(dim=structure.dim, twist=structure.twist,
-                        products=structure.products, basis=structure.basis,
-                        meta=meta)
-
-
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -270,60 +258,36 @@ def _cmd_construct(args, command: Sequence[str]) -> int:
     bundle = load_bundle(args.bundle)
     structure = bundle.structure
     provenance = {"recipe": label}
-    declared = _RECIPE_TARGET_CLASS.get(label.removesuffix("-oop").removesuffix("-rb"))
-    reps_out: tuple[Representation, ...] = ()
 
+    def pick(items: Sequence, flag: str):
+        """The entry ``items[--flag]``, its index recorded in the provenance."""
+        provenance[flag] = str(getattr(args, flag))
+        return _pick(items, getattr(args, flag), flag)
+
+    declared = _RECIPE_TARGET_CLASS.get(label.removesuffix("-oop").removesuffix("-rb"),
+                                        bundle.declared_class)
+    result, reps_out = structure, ()
     if label in _PLAIN_RECIPES:
         result = getattr(functors, label)(structure)
     elif label == "yau-twist":
-        witness = _pick(bundle.operators, args.operator, "operator")
-        provenance["operator"] = str(args.operator)
-        declared = bundle.declared_class
-        result = functors.yau_twist(structure, witness.matrix)
+        result = functors.yau_twist(structure, pick(bundle.operators, "operator").matrix)
     elif label == "semidirect":
-        rep = _pick(bundle.reps, args.rep, "rep")
-        provenance["rep"] = str(args.rep)
+        rep = pick(bundle.reps, "rep")
         declared = reps._rep_class(rep)
         result = reps.semidirect(structure, rep)
     elif label == "dual-rep":
-        rep = _pick(bundle.reps, args.rep, "rep")
-        provenance["rep"] = str(args.rep)
-        roles = rep.roles()
-        if roles == MALCEV_ACTIONS:
-            dual = reps.dual_malcev_rep(rep)
-        elif roles == PRE_MALCEV_ACTIONS:
-            dual = reps.dual_pre_malcev_rep(rep)
-        else:
-            raise RoleMismatch(
-                f"dual-rep needs a single-action or left/right representation; "
-                f"got roles {sorted(r.value for r in roles)}"
-            )
-        declared = bundle.declared_class
-        result = _with_meta(structure, provenance)
-        reps_out = (Representation(base=result, module_dim=dual.module_dim,
-                                   module_twist=dual.module_twist,
-                                   actions=dual.actions),)
-        out = Bundle(structure=result, declared_class=declared, reps=reps_out)
-        _emit(dumps_bundle(out), args.output)
-        return 0
+        reps_out = (reps._dual_rep(pick(bundle.reps, "rep")),)
     elif label == "hessian-dendrify":
-        form = _pick(bundle.forms, args.form, "form")
-        provenance["form"] = str(args.form)
-        result = operators.hessian_dendrify(structure, form)
+        result = operators.hessian_dendrify(structure, pick(bundle.forms, "form"))
     elif label in INDUCE_RECIPES:
-        witness = _pick(bundle.operators, args.operator, "operator")
-        provenance["operator"] = str(args.operator)
-        result = operators.induce(structure, witness, label)
+        result = operators.induce(structure, pick(bundle.operators, "operator"), label)
     else:
-        first = _pick(bundle.operators, args.operator, "operator")
-        second = _pick(bundle.operators, args.operator2, "operator2")
-        provenance["operator"] = str(args.operator)
-        provenance["operator2"] = str(args.operator2)
-        result = operators.induce_pair(structure, first, second, label)
+        result = operators.induce_pair(structure, pick(bundle.operators, "operator"),
+                                       pick(bundle.operators, "operator2"), label)
 
-    out = Bundle(structure=_with_meta(result, provenance),
-                 declared_class=declared)
-    _emit(dumps_bundle(out), args.output)
+    out = HomStructure(result.dim, result.twist, result.products, result.basis,
+                       {**result.meta, **provenance})
+    _emit(dumps_bundle(Bundle(out, declared, reps_out)), args.output)
     return 0
 
 

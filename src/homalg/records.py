@@ -217,7 +217,8 @@ class Record:
 
 
 class HomStructure(Record):
-    """A finite-dimensional vector space with bilinear products and a twist."""
+    """A finite-dimensional vector space with bilinear products and a twist:
+    the identity twist and no products unless given."""
 
     dim: int
     twist: Matrix
@@ -225,8 +226,8 @@ class HomStructure(Record):
     basis: tuple[str, ...]
     meta: Mapping[str, str]
 
-    def __init__(self, dim: int, twist: Matrix,
-                 products: Mapping[ProductRole, Tensor],
+    def __init__(self, dim: int, twist: Matrix | None = None,
+                 products: Mapping[ProductRole, Tensor] | None = None,
                  basis: tuple[str, ...] = (),
                  meta: Mapping[str, str] | None = None):
         d = self.__dict__
@@ -234,13 +235,13 @@ class HomStructure(Record):
         d["basis"], d["meta"] = basis, meta
         if self.dim < 1:
             raise DimensionMismatch(f"dimension must be positive, got {self.dim}")
-        twist = to_matrix(self.twist)
+        twist = mat_identity(self.dim) if self.twist is None else to_matrix(self.twist)
         if mat_shape(twist) != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"twist must be {self.dim}x{self.dim}, got {mat_shape(twist)}"
             )
         products: dict[ProductRole, Tensor] = {}
-        for role, t in self.products.items():
+        for role, t in (self.products or {}).items():
             if not isinstance(role, ProductRole):
                 raise RoleMismatch(f"unknown product role {role!r}")
             products[role] = tensor_normalize(t)
@@ -270,18 +271,12 @@ class HomStructure(Record):
         product derived on it reads no other: itself when it stores no other."""
         if all(role in roles for role in self.products):
             return self
-        return make_structure(self.dim, self.twist, {
+        return HomStructure(self.dim, self.twist, {
             role: t for role, t in self.products.items() if role in roles}, self.basis, self.meta)
 
 
-def make_structure(dim, twist=None, products=None, basis=None, meta=None) -> HomStructure:
-    return HomStructure(
-        dim=dim,
-        twist=twist if twist is not None else mat_identity(dim),
-        products=products or {},
-        basis=tuple(basis) if basis else (),
-        meta=meta or {},
-    )
+#: another name for :class:`HomStructure`
+make_structure = HomStructure
 
 
 class Violation(Record):

@@ -292,6 +292,18 @@ def dual_pre_malcev_rep(rep: Representation) -> Representation:
                  rep.base.twist)
 
 
+def _dual_rep(rep: Representation) -> Representation:
+    """The dual of a Malcev or of a pre-Malcev representation, as its action roles say."""
+    if rep.roles() == MALCEV_ACTIONS:
+        return dual_malcev_rep(rep)
+    if rep.roles() == PRE_MALCEV_ACTIONS:
+        return dual_pre_malcev_rep(rep)
+    raise RoleMismatch(
+        f"dual-rep needs a single-action or left/right representation; "
+        f"got roles {sorted(r.value for r in rep.roles())}"
+    )
+
+
 def semidirect(structure: HomStructure, rep: Representation) -> HomStructure:
     """Block structure on base + module from a representation, twisted by
     ``twist ⊕ module_twist``: each product its class's axioms read, with the

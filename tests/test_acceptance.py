@@ -490,7 +490,6 @@ def _rand_bundle(rng):
     )
     reps = ()
     operators = []
-    rep_indices = []
     if roles == (R.BRACKET,) and rng.random() < 0.5:
         m = rng.randint(1, 3)
         rep = Representation(
@@ -504,19 +503,16 @@ def _rand_bundle(rng):
             operators.append(OperatorWitness(
                 kind=KIND_O_OPERATOR, matrix=_rand_matrix(rng, dim, m),
                 rep=rep))
-            rep_indices.append(0)
     if rng.random() < 0.5:
         operators.append(OperatorWitness(
             kind=KIND_ROTA_BAXTER, matrix=_rand_matrix(rng, dim, dim),
             weight=_rand_fraction(rng)))
-        rep_indices.append(None)
     forms = ()
     if R.DOT in roles and rng.random() < 0.5:
         forms = (BilinearForm(matrix=_rand_matrix(rng, dim, dim)),)
     declared = cls if rng.random() < 0.7 else None
     return Bundle(structure=structure, declared_class=declared, reps=reps,
-                  operators=tuple(operators),
-                  rep_indices=tuple(rep_indices), forms=forms), cls
+                  operators=tuple(operators), forms=forms), cls
 
 
 def test_g6_serialization_round_trip_100_random_bundles():

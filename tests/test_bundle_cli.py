@@ -2,8 +2,10 @@
 the command-line front end (check / construct / diagram / fmt)."""
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -150,6 +152,17 @@ def test_fixture_round_trips_byte_identical(name):
     assert dumps_bundle(loads_bundle(text)) == text
 
 
+def test_fixture_generator_writes_the_committed_fixtures():
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    built = make_fixtures.build()
+    assert tuple(sorted(built)) == EXPECTED_FIXTURES
+    for name, bundle in built.items():
+        assert dumps_bundle(bundle) == fixture_text(name), name
+
+
 def test_fixture_declared_classes():
     declared = {name: load_fixture(name).declared_class
                 for name in EXPECTED_FIXTURES}
@@ -184,28 +197,57 @@ def test_in_memory_round_trip_full_bundle():
                           matrix=support.dense(2, (1, 0, 1)), rep=rep)
     form = BilinearForm(matrix=((F(0), F(1)), (F(1), F(0))))
     bundle = Bundle(structure=s, declared_class=C.HOM_LIE, reps=(rep,),
-                    operators=(rb, oop), rep_indices=(None, 0), forms=(form,))
+                    operators=(rb, oop), forms=(form,))
     text = dumps_bundle(bundle)
     loaded = loads_bundle(text)
     assert bundle_payload(loaded) == bundle_payload(bundle)
     assert dumps_bundle(loaded) == text
     assert loaded.structure == s
     assert loaded.reps[0].actions == rep.actions
-    assert loaded.rep_indices == (None, 0)
+    assert [op.get("rep_index") for op in bundle_payload(loaded)["operators"]] == [None, 0]
     assert loaded.operators[1].rep is loaded.reps[0]
     assert loaded.forms[0].matrix == form.matrix
 
 
 def test_bundle_rep_index_validation():
+    """An O-operator's representation must be one of the bundle's reps, the
+    same object: an equal copy is refused too."""
     s = support.lie2()
     rep = adjoint_rep(s)
     oop = OperatorWitness(kind=KIND_O_OPERATOR,
                           matrix=support.eye(2), rep=rep)
-    with pytest.raises(BundleError, match="rep_index"):
-        Bundle(structure=s, reps=(), operators=(oop,), rep_indices=(0,))
+    for reps in ((), (adjoint_rep(s),)):
+        with pytest.raises(BundleError, match=r"^operators\[0\]: its representation is not one"):
+            Bundle(structure=s, reps=reps, operators=(oop,))
     rb = OperatorWitness(kind=KIND_ROTA_BAXTER, matrix=support.eye(2))
-    with pytest.raises(BundleError, match="only meaningful"):
-        Bundle(structure=s, reps=(rep,), operators=(rb,), rep_indices=(0,))
+    with pytest.raises(BundleError, match=r"^operators\[1\]: "):
+        Bundle(structure=s, reps=(adjoint_rep(s),), operators=(rb, oop))
+    # the position comes from the witness's own rep: no keyword gives another
+    with pytest.raises(TypeError):
+        Bundle(structure=s, reps=(rep, adjoint_rep(s)), operators=(oop,), rep_indices=(1,))
+
+
+def test_o_operators_keep_their_own_reps_among_equal_reps(tmp_path, capsys):
+    """Two equal reps keep their places: each O-operator is written with the
+    position of its own rep and loaded onto the rep at that position."""
+    s = support.lie2()
+    first, second = adjoint_rep(s), adjoint_rep(s)
+    assert first == second and first is not second
+    ops = tuple(OperatorWitness(kind=KIND_O_OPERATOR, matrix=support.dense(2, (1, 0, 1)), rep=rep)
+                for rep in (second, first, second))
+    bundle = Bundle(structure=s, declared_class=C.HOM_LIE, reps=(first, second), operators=ops)
+    text = dumps_bundle(bundle)
+    assert [op["rep_index"] for op in json.loads(text)["operators"]] == [1, 0, 1]
+    path = tmp_path / "equal_reps.json"
+    path.write_text(text, encoding="utf-8")
+    status, out, _ = run_cli(["fmt", str(path)], capsys)
+    assert status == 0 and out == text
+    loaded = loads_bundle(text)
+    again = loads_bundle(dumps_bundle(loaded))
+    for b in (loaded, again):
+        assert b == bundle
+        assert [[op.rep is rep for rep in b.reps] for op in b.operators] == [
+            [False, True], [True, False], [False, True]]
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +398,21 @@ def test_loader_rejects_out_of_range_rep_index():
             BundleError,
             match=r"operators\[0\].rep_index: index 5 out of range \[0, 1\)"):
         loads_payload(payload)
+
+
+@pytest.mark.parametrize("value", [[], {}], ids=["list", "object"])
+def test_loader_rejects_a_class_that_is_not_a_string(value, tmp_path, capsys):
+    payload = minimal_payload()
+    payload["class"] = value
+    with pytest.raises(BundleError, match=r"^class: unknown structure class "):
+        loads_payload(payload)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for command in ("check", "fmt"):
+        status, out, err = run_cli([command, str(path)], capsys)
+        assert status == 2 and out == ""
+        assert err.startswith("error: class: unknown structure class ")
+        assert err.count("\n") == 1
 
 
 def test_loader_rejects_unknown_kind_and_role():

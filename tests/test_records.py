@@ -34,10 +34,10 @@ RECORD_TYPES = (HomStructure, Violation, CheckReport, Representation,
 
 #: field -> value stored when the argument is left out, for each type
 DEFAULTS = {
-    "HomStructure": {"basis": ("e0", "e1"), "meta": {}},
+    "HomStructure": {"twist": ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+                     "products": {}, "basis": ("e0", "e1"), "meta": {}},
     "OperatorWitness": {"weight": Fraction(0), "rep": None},
-    "Bundle": {"declared_class": None, "reps": (), "operators": (),
-               "rep_indices": (), "forms": ()},
+    "Bundle": {"declared_class": None, "reps": (), "operators": (), "forms": ()},
 }
 
 HASHABLE = {"OperatorWitness", "BilinearForm"}
